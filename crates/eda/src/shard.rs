@@ -148,39 +148,11 @@ pub const MAX_COMPRESS_CHUNK: usize = 1 << 20;
 pub(crate) const PRELUDE_LEN: usize = 20;
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven, no deps.
+// CRC-32 (IEEE 802.3, the zlib polynomial): the workspace's one
+// implementation, shared with the frame and checkpoint formats.
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                0xEDB8_8320 ^ (crc >> 1)
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32/IEEE of `bytes` (the zlib `crc32`, init `!0`, final xor `!0`).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
+pub use rte_codec::crc32;
 
 // ---------------------------------------------------------------------
 // Little-endian encode/decode helpers over byte buffers.

@@ -42,7 +42,7 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use rte_net::crc32;
-use rte_nn::serialize::{read_state_dict, write_state_dict};
+use rte_nn::serialize::{append_state_dict, read_state_dict_slice, state_dict_encoded_len};
 use rte_nn::StateDict;
 
 use crate::{Client, FedConfig, FedError};
@@ -225,27 +225,28 @@ fn aggregation_tag(config: &FedConfig) -> u64 {
 /// # Errors
 ///
 /// [`CheckpointError::Oversize`] when the state section exceeds the
-/// cap, [`CheckpointError::Io`] when state serialization fails.
+/// cap.
 pub fn encode_checkpoint(checkpoint: &Checkpoint) -> Result<Vec<u8>, CheckpointError> {
-    let mut state_bytes = Vec::new();
-    write_state_dict(&mut state_bytes, &checkpoint.state)?;
-    if state_bytes.len() as u64 > MAX_STATE_LEN {
+    let state_len = state_dict_encoded_len(&checkpoint.state);
+    if state_len as u64 > MAX_STATE_LEN {
         return Err(CheckpointError::Oversize {
-            len: state_bytes.len() as u64,
+            len: state_len as u64,
             max: MAX_STATE_LEN,
         });
     }
-    let mut out = Vec::with_capacity(HEADER_LEN + state_bytes.len() + 4);
+    let mut out = Vec::with_capacity(HEADER_LEN + state_len + 4);
     out.extend_from_slice(&CHECKPOINT_MAGIC);
     out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
     out.extend_from_slice(&checkpoint.round.to_le_bytes());
     out.extend_from_slice(&checkpoint.seq.to_le_bytes());
     out.extend_from_slice(&checkpoint.digest.to_le_bytes());
-    out.extend_from_slice(&(state_bytes.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(state_len as u64).to_le_bytes());
     let header_crc = crc32(&out[..HEADER_LEN - 4]);
     out.extend_from_slice(&header_crc.to_le_bytes());
-    let state_crc = crc32(&state_bytes);
-    out.extend_from_slice(&state_bytes);
+    // The state is serialized in place, after the header it was sized
+    // for, and checksummed where it lies.
+    append_state_dict(&mut out, &checkpoint.state);
+    let state_crc = crc32(&out[HEADER_LEN..]);
     out.extend_from_slice(&state_crc.to_le_bytes());
     Ok(out)
 }
@@ -319,7 +320,7 @@ pub fn decode_checkpoint(
             return Err(CheckpointError::DigestMismatch { got: digest, want });
         }
     }
-    let state = read_state_dict(state_bytes).map_err(|e| CheckpointError::State {
+    let state = read_state_dict_slice(state_bytes).map_err(|e| CheckpointError::State {
         reason: e.to_string(),
     })?;
     Ok(Checkpoint {

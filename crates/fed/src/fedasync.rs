@@ -26,7 +26,7 @@ use rte_nn::StateDict;
 use crate::federation::{ClientSession, COORDINATOR};
 use crate::methods::{Harness, MethodOutcome};
 use crate::params::aggregate;
-use crate::wire::{recv_message, send_message, Message};
+use crate::wire::{deploy_frame, net_err, recv_message, send_message, Message};
 use crate::{Aggregation, Client, FedConfig, FedError, Method, ModelFactory};
 
 /// Hyper-parameters of the asynchronous schedule.
@@ -233,17 +233,8 @@ impl<T: Transport> TrainExecutor for LinkExecutor<'_, T> {
     ) -> Result<(StateDict, f32), FedError> {
         let seq = self.seq;
         self.seq += 1;
-        send_message(
-            &mut self.links[client],
-            Message::Deploy {
-                round: dispatch,
-                steps: steps as u64,
-                participants: Vec::new(),
-                state: start.clone(),
-            },
-            COORDINATOR,
-            seq,
-        )?;
+        let deploy = deploy_frame(dispatch, steps as u64, &[], start, COORDINATOR, seq);
+        self.links[client].send(&deploy).map_err(net_err)?;
         let (_, message) = recv_message(&mut self.links[client])?;
         match message {
             Message::Update {
@@ -553,17 +544,8 @@ pub fn run_fedasync_wall<S: Transport>(
         dispatched_at[client] = version;
         let s = *seq;
         *seq += 1;
-        send_message(
-            &mut send_links[client],
-            Message::Deploy {
-                round: s,
-                steps: config.local_steps as u64,
-                participants: Vec::new(),
-                state: global.clone(),
-            },
-            COORDINATOR,
-            s,
-        )
+        let frame = deploy_frame(s, config.local_steps as u64, &[], global, COORDINATOR, s);
+        send_links[client].send(&frame).map_err(net_err)
     };
 
     for client in 0..clients.len() {
@@ -577,7 +559,7 @@ pub fn run_fedasync_wall<S: Transport>(
         )?;
     }
     while !state.done() {
-        let (index, frame) = fan.recv_any().map_err(crate::wire::net_err)?;
+        let (index, frame) = fan.recv_any().map_err(net_err)?;
         let message = Message::from_frame(&frame)?;
         let Message::Update {
             client,

@@ -34,7 +34,7 @@ use crate::methods::{
 };
 use crate::params::aggregate;
 use crate::secure::{aggregate_masked, mask_update, MaskedUpdate, SecureConfig};
-use crate::wire::{net_err, recv_message_within, send_message, Message};
+use crate::wire::{deploy_frame, net_err, recv_message_within, send_message, Message};
 use crate::{Client, FedConfig, FedError, LocalTrainer, Method, ModelFactory};
 
 /// The coordinator's frame sender id (clients are `1 + fleet index`).
@@ -490,18 +490,18 @@ pub fn run_rounds_over<T: Transport>(
     for round in 1..=config.rounds {
         let participants = harness.participants(round);
         let part_ids: Vec<u32> = participants.iter().map(|&k| k as u32).collect();
+        // Encoded and checksummed once; each send shares the payload.
+        let mut deploy = deploy_frame(
+            round as u64,
+            config.local_steps as u64,
+            &part_ids,
+            &global,
+            COORDINATOR,
+            seq,
+        );
         for &k in &participants {
-            send_message(
-                &mut links[k],
-                Message::Deploy {
-                    round: round as u64,
-                    steps: config.local_steps as u64,
-                    participants: part_ids.clone(),
-                    state: global.clone(),
-                },
-                COORDINATOR,
-                seq,
-            )?;
+            deploy.seq = seq;
+            links[k].send(&deploy).map_err(net_err)?;
             seq += 1;
         }
         if let Some(cfg) = secure {

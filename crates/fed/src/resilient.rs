@@ -31,7 +31,7 @@ use rte_nn::StateDict;
 use crate::federation::COORDINATOR;
 use crate::methods::{mean_loss, ClientUpdate, Harness, MethodOutcome, RoundRecord};
 use crate::params::aggregate;
-use crate::wire::{net_err, send_message, Message};
+use crate::wire::{deploy_frame, net_err, send_message, Message};
 use crate::{Client, FedConfig, FedError, Method, ModelFactory};
 
 /// How many stale or duplicate frames one client slot may drain in one
@@ -232,23 +232,24 @@ pub fn run_rounds_resilient<T: Transport>(
     for round in start_round..=config.rounds {
         let participants = harness.participants(round);
         let part_ids: Vec<u32> = participants.iter().map(|&k| k as u32).collect();
-        let deploy = |round: usize, steps: usize| Message::Deploy {
-            round: round as u64,
-            steps: steps as u64,
-            participants: part_ids.clone(),
-            state: global.clone(),
-        };
+        // The round's deploy, encoded and checksummed once: every send
+        // below — first wave and retries — shares this payload and
+        // differs only in `seq`.
+        let mut deploy = deploy_frame(
+            round as u64,
+            config.local_steps as u64,
+            &part_ids,
+            &global,
+            COORDINATOR,
+            seq,
+        );
         // First deploy wave, in fixed participant order. A send that
         // fails outright marks the slot dead for this round (the
         // collect phase records the miss).
         let mut send_failed = vec![false; clients.len()];
         for &k in &participants {
-            if let Err(e) = send_message(
-                &mut links[k],
-                deploy(round, config.local_steps),
-                COORDINATOR,
-                seq,
-            ) {
+            deploy.seq = seq;
+            if let Err(e) = links[k].send(&deploy).map_err(net_err) {
                 events.push(RoundEvent::Retry {
                     round,
                     client: k,
@@ -317,14 +318,8 @@ pub fn run_rounds_resilient<T: Transport>(
                         }
                         retries += 1;
                         policy.retry.sleep(attempt - 1, k as u64);
-                        if send_message(
-                            &mut links[k],
-                            deploy(round, config.local_steps),
-                            COORDINATOR,
-                            seq,
-                        )
-                        .is_err()
-                        {
+                        deploy.seq = seq;
+                        if links[k].send(&deploy).is_err() {
                             send_failed[k] = true;
                         }
                         seq += 1;
@@ -434,7 +429,8 @@ mod tests {
     use super::*;
     use crate::federation::{local_links, run_rounds_over};
     use crate::methods::test_support::{clients, factory};
-    use rte_net::{ChaosConfig, ChaosTransport};
+    use crate::WireStats;
+    use rte_net::{ChaosConfig, ChaosTransport, Frame};
 
     fn chaos_links<'a>(
         clients: &'a [Client],
@@ -448,6 +444,102 @@ mod tests {
             .enumerate()
             .map(|(lane, link)| ChaosTransport::new(link, chaos.clone(), lane as u64).unwrap())
             .collect()
+    }
+
+    /// A `LocalLink` that keeps every frame the coordinator sent and
+    /// can lose one reply on the way back.
+    struct Recording<'a> {
+        inner: crate::LocalLink<'a>,
+        sent: Vec<Frame>,
+        lose_next_reply: bool,
+    }
+
+    impl Transport for Recording<'_> {
+        fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
+            self.sent.push(frame.clone());
+            self.inner.send(frame)
+        }
+
+        fn recv(&mut self) -> Result<Frame, NetError> {
+            self.inner.recv()
+        }
+
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame, NetError> {
+            let frame = self.inner.recv_timeout(timeout)?;
+            if std::mem::take(&mut self.lose_next_reply) {
+                return Err(NetError::Timeout);
+            }
+            Ok(frame)
+        }
+    }
+
+    #[test]
+    fn a_round_encodes_its_deploy_once_and_retries_resend_it() {
+        let clients = clients(3);
+        let factory = factory();
+        let mut config = FedConfig::tiny();
+        config.rounds = 1;
+        let mut links: Vec<Recording<'_>> = local_links(&clients, &factory, &config, None)
+            .unwrap()
+            .into_iter()
+            .map(|inner| Recording {
+                inner,
+                sent: Vec::new(),
+                lose_next_reply: false,
+            })
+            .collect();
+        links[1].lose_next_reply = true;
+        let policy = FaultPolicy {
+            retry: RetryPolicy::immediate(2),
+            min_quorum: 3,
+            ..FaultPolicy::default()
+        };
+        let run =
+            run_rounds_resilient(&clients, &factory, &config, &mut links, &policy, None, None)
+                .unwrap();
+        assert_eq!(run.retries, 1);
+
+        // Three first-wave deploys and link 1's retry: one payload
+        // buffer between them, and nothing but `seq` tells them apart.
+        let deploys: Vec<&Frame> = links
+            .iter()
+            .flat_map(|link| &link.sent)
+            .filter(|frame| frame.kind == crate::wire::KIND_DEPLOY)
+            .collect();
+        assert_eq!(deploys.len(), 4);
+        assert_eq!(links[1].sent[0].kind, crate::wire::KIND_DEPLOY);
+        assert_eq!(links[1].sent[1].kind, crate::wire::KIND_DEPLOY);
+        for deploy in &deploys {
+            assert!(
+                std::ptr::eq(deploy.payload.as_ptr(), deploys[0].payload.as_ptr()),
+                "deploy seq {} carries its own copy of the payload",
+                deploy.seq
+            );
+            assert_eq!(
+                (deploy.kind, deploy.flags, deploy.sender),
+                (deploys[0].kind, deploys[0].flags, deploys[0].sender)
+            );
+        }
+        let mut seqs: Vec<u64> = deploys.iter().map(|frame| frame.seq).collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, [0, 1, 2, 3]);
+
+        // The same frames and bytes cross each link as before the
+        // payload was shared (counts taken at the parent commit).
+        let stats: Vec<WireStats> = links.iter().map(|link| link.inner.stats).collect();
+        let quiet = WireStats {
+            frames_sent: 2,
+            frames_received: 1,
+            bytes_sent: 1014,
+            bytes_received: 956,
+        };
+        let retried = WireStats {
+            frames_sent: 3,
+            frames_received: 2,
+            bytes_sent: 1990,
+            bytes_received: 1912,
+        };
+        assert_eq!(stats, [quiet, retried, quiet]);
     }
 
     #[test]

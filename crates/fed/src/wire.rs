@@ -12,7 +12,7 @@
 //! the rest of the workspace's binary surfaces.
 
 use rte_net::{Frame, NetError, Transport};
-use rte_nn::serialize::{read_state_dict, write_state_dict};
+use rte_nn::serialize::{append_state_dict, read_state_dict_slice, state_dict_encoded_len};
 use rte_nn::StateDict;
 
 use crate::secure::MaskedUpdate;
@@ -141,18 +141,39 @@ fn truncated(what: &str) -> FedError {
 /// forged count must not drive allocation.
 const MAX_PARTICIPANTS: u64 = 1 << 20;
 
-fn encode_state(state: &StateDict) -> Result<Vec<u8>, FedError> {
-    let mut buf = Vec::new();
-    write_state_dict(&mut buf, state).map_err(|e| FedError::Transport {
-        reason: format!("state dict encode failed: {e}"),
-    })?;
-    Ok(buf)
-}
-
 fn decode_state(bytes: &[u8]) -> Result<StateDict, FedError> {
-    read_state_dict(bytes).map_err(|e| FedError::Transport {
+    read_state_dict_slice(bytes).map_err(|e| FedError::Transport {
         reason: format!("state dict decode failed: {e}"),
     })
+}
+
+/// A deploy's payload, serialized straight into its final buffer.
+fn deploy_payload(round: u64, steps: u64, participants: &[u32], state: &StateDict) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(24 + 4 * participants.len() + state_dict_encoded_len(state));
+    push_u64(&mut buf, round);
+    push_u64(&mut buf, steps);
+    push_u64(&mut buf, participants.len() as u64);
+    for p in participants {
+        push_u32(&mut buf, *p);
+    }
+    append_state_dict(&mut buf, state);
+    buf
+}
+
+/// Encodes a deploy from borrowed parts — no `Message`, so no clone of
+/// the state. The round engines build one of these per round and send
+/// it to every participant (and again on a retry) with only `seq`
+/// changed: the frame's payload is shared, not copied or re-checksummed.
+pub fn deploy_frame(
+    round: u64,
+    steps: u64,
+    participants: &[u32],
+    state: &StateDict,
+    sender: u32,
+    seq: u64,
+) -> Frame {
+    let payload = deploy_payload(round, steps, participants, state);
+    Frame::new(KIND_DEPLOY, sender, seq, payload)
 }
 
 impl Message {
@@ -171,8 +192,9 @@ impl Message {
     ///
     /// # Errors
     ///
-    /// Returns [`FedError::Transport`] when a payload fails to encode
-    /// (oversize state dicts).
+    /// None today: every payload encodes into memory, and an over-cap
+    /// one is refused when a transport encodes the frame. The `Result`
+    /// is what callers already handle.
     pub fn into_frame(self, sender: u32, seq: u64) -> Result<Frame, FedError> {
         let kind = self.kind();
         let payload = match self {
@@ -187,28 +209,18 @@ impl Message {
                 steps,
                 participants,
                 state,
-            } => {
-                let mut buf = Vec::new();
-                push_u64(&mut buf, round);
-                push_u64(&mut buf, steps);
-                push_u64(&mut buf, participants.len() as u64);
-                for p in &participants {
-                    push_u32(&mut buf, *p);
-                }
-                buf.extend_from_slice(&encode_state(&state)?);
-                buf
-            }
+            } => deploy_payload(round, steps, &participants, &state),
             Message::Update {
                 round,
                 client,
                 loss,
                 state,
             } => {
-                let mut buf = Vec::new();
+                let mut buf = Vec::with_capacity(16 + state_dict_encoded_len(&state));
                 push_u64(&mut buf, round);
                 push_u32(&mut buf, client);
                 push_u32(&mut buf, loss.to_bits());
-                buf.extend_from_slice(&encode_state(&state)?);
+                append_state_dict(&mut buf, &state);
                 buf
             }
             Message::SecureUpdate {
@@ -435,14 +447,16 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut frame = Message::Hello {
+        let frame = Message::Hello {
             client: 0,
             weight: 1,
         }
         .into_frame(0, 0)
         .unwrap();
-        frame.payload.push(0xFF);
-        assert!(Message::from_frame(&frame).is_err());
+        let mut payload = frame.payload.to_vec();
+        payload.push(0xFF);
+        let hurt = Frame::new(frame.kind, 0, 0, payload);
+        assert!(Message::from_frame(&hurt).is_err());
     }
 
     #[test]
@@ -454,6 +468,71 @@ mod tests {
         let frame = Frame::new(KIND_DEPLOY, 0, 0, buf);
         let err = Message::from_frame(&frame).unwrap_err();
         assert!(err.to_string().contains("cap"), "{err}");
+    }
+
+    /// A frame whose CRCs are right says nothing about the state dict
+    /// inside it: whatever a peer puts there must come back as a typed
+    /// error (or, with no checksum at this layer, a different message) —
+    /// never a panic (`rte_nn`'s `state_dict_hostile.rs`, seen through
+    /// the message codec).
+    #[test]
+    fn hostile_state_dicts_are_typed_through_from_frame() {
+        let messages = [
+            Message::Deploy {
+                round: 3,
+                steps: 5,
+                participants: vec![0, 2, 7],
+                state: sd(),
+            },
+            Message::Update {
+                round: 3,
+                client: 2,
+                loss: 0.625,
+                state: sd(),
+            },
+        ];
+        for message in messages {
+            let kind = message.kind();
+            let good = message.into_frame(1, 0).unwrap().payload.to_vec();
+            for cut in 0..good.len() {
+                let hurt = Frame::new(kind, 1, 0, good[..cut].to_vec());
+                let err = Message::from_frame(&hurt).unwrap_err();
+                assert!(
+                    matches!(err, FedError::Transport { .. }),
+                    "cut {cut}: {err}"
+                );
+            }
+            for at in 0..good.len() {
+                for mask in [0x01, 0x80, 0xFF] {
+                    let mut bytes = good.clone();
+                    bytes[at] ^= mask;
+                    match Message::from_frame(&Frame::new(kind, 1, 0, bytes)) {
+                        Ok(_) | Err(FedError::Transport { .. }) => {}
+                        Err(e) => panic!("flip {mask:#04x} at {at}: {e}"),
+                    }
+                }
+            }
+        }
+        // A ~70-byte update whose single entry declares extents that
+        // overflow, or 2^28 elements it does not carry.
+        for dims in [[u64::MAX, 2], [1 << 14, 1 << 14]] {
+            let mut buf = Vec::new();
+            push_u64(&mut buf, 1); // round
+            push_u32(&mut buf, 0); // client
+            push_u32(&mut buf, 0); // loss
+            buf.extend_from_slice(b"RTESD1\0\0");
+            push_u64(&mut buf, 1); // one entry
+            push_u64(&mut buf, 1); // name length
+            buf.push(b'w');
+            push_u64(&mut buf, 2); // rank
+            push_u64(&mut buf, dims[0]);
+            push_u64(&mut buf, dims[1]);
+            let err = Message::from_frame(&Frame::new(KIND_UPDATE, 1, 0, buf)).unwrap_err();
+            assert!(
+                err.to_string().contains("state dict decode failed"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -27,6 +27,10 @@
 //! one thing: a typed error (`tests/frame_hostile.rs`).
 
 use std::io::{Read, Write};
+use std::ops::Deref;
+use std::sync::Arc;
+
+pub use rte_codec::crc32;
 
 use crate::error::NetError;
 
@@ -46,39 +50,6 @@ pub const PRELUDE_LEN: usize = 34;
 
 /// Offset of `header_crc` within the prelude (the CRC covers 0..30).
 const HEADER_CRC_OFFSET: usize = 30;
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                0xEDB8_8320 ^ (crc >> 1)
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32/IEEE of `bytes` (the zlib `crc32`, init `!0`, final xor `!0`)
-/// — the same polynomial and conventions as the shard format, so the
-/// two binary surfaces share one checksum discipline.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
 
 /// Bounds-checked reader over a byte slice: every read returns a typed
 /// [`NetError::Truncated`] instead of panicking on short input.
@@ -122,6 +93,44 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// An immutable frame payload: the bytes behind a shared pointer, plus
+/// their CRC-32, computed once when the payload is built (or taken from
+/// the decoder, which had to compute it anyway).
+///
+/// Cloning shares the buffer, so one encoded deploy can ride N frames —
+/// and a retry can re-send it — without another copy or another
+/// checksum pass. Reads go through `Deref<Target = [u8]>`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Payload {
+    bytes: Arc<Vec<u8>>,
+    crc: u32,
+}
+
+impl From<Vec<u8>> for Payload {
+    /// Takes ownership of `bytes` (no copy) and checksums them once.
+    fn from(bytes: Vec<u8>) -> Self {
+        let crc = crc32(&bytes);
+        Payload {
+            bytes: Arc::new(bytes),
+            crc,
+        }
+    }
+}
+
+impl FromIterator<u8> for Payload {
+    fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
+        Payload::from(iter.into_iter().collect::<Vec<u8>>())
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
 /// One decoded frame. The `kind`/`flags`/`sender`/`seq` fields are
 /// opaque at this layer; the wire protocol above assigns meanings.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,8 +143,8 @@ pub struct Frame {
     pub sender: u32,
     /// Per-sender sequence number.
     pub seq: u64,
-    /// Message payload.
-    pub payload: Vec<u8>,
+    /// Message payload (immutable; cloning the frame shares it).
+    pub payload: Payload,
 }
 
 impl Frame {
@@ -146,7 +155,7 @@ impl Frame {
             flags: 0,
             sender,
             seq,
-            payload,
+            payload: Payload::from(payload),
         }
     }
 
@@ -170,24 +179,33 @@ impl Frame {
     /// exercising the decoder's version check with an otherwise
     /// well-formed (correctly CRC'd) frame.
     pub fn encode_with_version(&self, version: u32) -> Result<Vec<u8>, NetError> {
+        let prelude = self.prelude(version)?;
+        let mut out = Vec::with_capacity(self.encoded_len());
+        out.extend_from_slice(&prelude);
+        out.extend_from_slice(&self.payload);
+        out.extend_from_slice(&self.payload.crc.to_le_bytes());
+        Ok(out)
+    }
+
+    /// The encoded prelude (header CRC included) of this frame claiming
+    /// `version`; refuses an over-cap payload.
+    fn prelude(&self, version: u32) -> Result<[u8; PRELUDE_LEN], NetError> {
         if self.payload.len() as u64 > MAX_FRAME_LEN as u64 {
             return Err(NetError::Oversize {
                 len: self.payload.len() as u64,
                 max: MAX_FRAME_LEN as u64,
             });
         }
-        let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&FRAME_MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
-        out.push(self.kind);
-        out.push(self.flags);
-        out.extend_from_slice(&self.sender.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
+        let mut out = [0u8; PRELUDE_LEN];
+        out[0..8].copy_from_slice(&FRAME_MAGIC);
+        out[8..12].copy_from_slice(&version.to_le_bytes());
+        out[12] = self.kind;
+        out[13] = self.flags;
+        out[14..18].copy_from_slice(&self.sender.to_le_bytes());
+        out[18..26].copy_from_slice(&self.seq.to_le_bytes());
+        out[26..30].copy_from_slice(&(self.payload.len() as u32).to_le_bytes());
         let header_crc = crc32(&out[..HEADER_CRC_OFFSET]);
-        out.extend_from_slice(&header_crc.to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        out.extend_from_slice(&crc32(&self.payload).to_le_bytes());
+        out[HEADER_CRC_OFFSET..].copy_from_slice(&header_crc.to_le_bytes());
         Ok(out)
     }
 
@@ -203,34 +221,31 @@ impl Frame {
     pub fn decode(bytes: &[u8]) -> Result<(Frame, usize), NetError> {
         let mut cur = Cursor::new(bytes);
         let prelude = cur.take(PRELUDE_LEN, "frame prelude")?;
-        let (kind, flags, sender, seq, payload_len) = parse_prelude(prelude)?;
-        let payload = cur.take(payload_len as usize, "frame payload")?;
+        let header = parse_prelude(prelude)?;
+        let payload = cur.take(header.payload_len as usize, "frame payload")?;
         let stored_crc = cur.u32("payload checksum")?;
         if crc32(payload) != stored_crc {
             return Err(NetError::PayloadCrc);
         }
-        Ok((
-            Frame {
-                kind,
-                flags,
-                sender,
-                seq,
-                payload: payload.to_vec(),
-            },
-            cur.pos,
-        ))
+        let payload = Payload {
+            bytes: Arc::new(payload.to_vec()),
+            crc: stored_crc,
+        };
+        Ok((header.into_frame(payload), cur.pos))
     }
 
-    /// Writes the encoded frame to `writer` (no flush — transports
-    /// decide when to flush).
+    /// Writes the encoded frame to `writer` — prelude, payload, trailer,
+    /// straight from where they live, no assembled copy (no flush —
+    /// transports decide when to flush).
     ///
     /// # Errors
     ///
     /// Returns [`NetError::Oversize`] for an over-cap payload and
     /// [`NetError::Io`] for write failures.
     pub fn write_to<W: Write>(&self, writer: &mut W) -> Result<(), NetError> {
-        let bytes = self.encode()?;
-        writer.write_all(&bytes)?;
+        writer.write_all(&self.prelude(FRAME_VERSION)?)?;
+        writer.write_all(&self.payload)?;
+        writer.write_all(&self.payload.crc.to_le_bytes())?;
         Ok(())
     }
 
@@ -249,28 +264,87 @@ impl Frame {
     pub fn read_from<R: Read>(reader: &mut R) -> Result<Frame, NetError> {
         let mut prelude = [0u8; PRELUDE_LEN];
         reader.read_exact(&mut prelude)?;
-        let (kind, flags, sender, seq, payload_len) = parse_prelude(&prelude)?;
-        let mut payload = vec![0u8; payload_len as usize];
+        let header = parse_prelude(&prelude)?;
+        let mut payload = vec![0u8; header.payload_len as usize];
         reader.read_exact(&mut payload)?;
         let mut crc_bytes = [0u8; 4];
         reader.read_exact(&mut crc_bytes)?;
-        if crc32(&payload) != u32::from_le_bytes(crc_bytes) {
+        let stored_crc = u32::from_le_bytes(crc_bytes);
+        if crc32(&payload) != stored_crc {
             return Err(NetError::PayloadCrc);
         }
-        Ok(Frame {
-            kind,
-            flags,
-            sender,
-            seq,
-            payload,
+        let payload = Payload {
+            bytes: Arc::new(payload),
+            crc: stored_crc,
+        };
+        Ok(header.into_frame(payload))
+    }
+
+    /// Seals the frame for an in-process pipe: the prelude is encoded,
+    /// the payload is handed over by pointer.
+    pub(crate) fn seal(&self) -> Result<SealedFrame, NetError> {
+        Ok(SealedFrame {
+            prelude: self.prelude(FRAME_VERSION)?,
+            payload: self.payload.clone(),
         })
+    }
+}
+
+/// A frame as it crosses an in-process pipe: the encoded prelude plus
+/// the shared payload, whose remembered CRC stands in for the trailer.
+/// Same bytes as [`Frame::encode`], never concatenated.
+pub(crate) struct SealedFrame {
+    prelude: [u8; PRELUDE_LEN],
+    payload: Payload,
+}
+
+impl SealedFrame {
+    /// The receive side: validates exactly what [`Frame::decode`] does,
+    /// in the same order — magic, header CRC, version, cap, then the
+    /// payload bytes against the trailer — and only then yields a frame.
+    pub(crate) fn open(self) -> Result<Frame, NetError> {
+        let header = parse_prelude(&self.prelude)?;
+        if header.payload_len as usize != self.payload.len() {
+            return Err(NetError::Protocol {
+                reason: format!(
+                    "prelude declares {} payload bytes, pipe carried {}",
+                    header.payload_len,
+                    self.payload.len()
+                ),
+            });
+        }
+        if crc32(&self.payload) != self.payload.crc {
+            return Err(NetError::PayloadCrc);
+        }
+        Ok(header.into_frame(self.payload))
+    }
+}
+
+/// The trusted fields of a validated prelude.
+struct Header {
+    kind: u8,
+    flags: u8,
+    sender: u32,
+    seq: u64,
+    payload_len: u32,
+}
+
+impl Header {
+    fn into_frame(self, payload: Payload) -> Frame {
+        Frame {
+            kind: self.kind,
+            flags: self.flags,
+            sender: self.sender,
+            seq: self.seq,
+            payload,
+        }
     }
 }
 
 /// Validates a full prelude and extracts its fields. Validation order:
 /// magic (is this a frame at all?), header CRC (can any field be
 /// trusted?), then version and length cap on the now-trusted fields.
-fn parse_prelude(prelude: &[u8]) -> Result<(u8, u8, u32, u64, u32), NetError> {
+fn parse_prelude(prelude: &[u8]) -> Result<Header, NetError> {
     debug_assert_eq!(prelude.len(), PRELUDE_LEN);
     let mut cur = Cursor::new(prelude);
     let magic = cur.take(8, "frame magic")?;
@@ -296,7 +370,13 @@ fn parse_prelude(prelude: &[u8]) -> Result<(u8, u8, u32, u64, u32), NetError> {
             max: MAX_FRAME_LEN as u64,
         });
     }
-    Ok((kind, flags, sender, seq, payload_len))
+    Ok(Header {
+        kind,
+        flags,
+        sender,
+        seq,
+        payload_len,
+    })
 }
 
 #[cfg(test)]
@@ -403,6 +483,58 @@ mod tests {
         // check the length gate arithmetic instead of allocating 256 MiB.
         let frame = Frame::new(0, 0, 0, vec![0u8; 8]);
         assert!(frame.encode().is_ok());
+    }
+
+    #[test]
+    fn write_to_emits_the_encoded_bytes() {
+        let frame = sample();
+        let mut streamed = Vec::new();
+        frame.write_to(&mut streamed).unwrap();
+        assert_eq!(streamed, frame.encode().unwrap());
+    }
+
+    #[test]
+    fn clones_and_sealed_frames_share_the_payload_buffer() {
+        let frame = sample();
+        let mut resend = frame.clone();
+        resend.seq += 1;
+        assert!(std::ptr::eq(
+            frame.payload.as_ptr(),
+            resend.payload.as_ptr()
+        ));
+        let opened = resend.seal().unwrap().open().unwrap();
+        assert_eq!(opened, resend);
+        assert!(std::ptr::eq(
+            frame.payload.as_ptr(),
+            opened.payload.as_ptr()
+        ));
+    }
+
+    #[test]
+    fn sealed_frames_are_validated_like_decoded_ones() {
+        let frame = sample();
+        let mut sealed = frame.seal().unwrap();
+        sealed.prelude[0] ^= 0xFF;
+        assert_eq!(sealed.open().unwrap_err(), NetError::BadMagic);
+        let mut sealed = frame.seal().unwrap();
+        sealed.prelude[12] ^= 0x01; // kind byte
+        assert_eq!(sealed.open().unwrap_err(), NetError::HeaderCrc);
+        let mut sealed = frame.seal().unwrap();
+        sealed.prelude = frame.prelude(99).unwrap();
+        assert_eq!(
+            sealed.open().unwrap_err(),
+            NetError::UnsupportedVersion { got: 99 }
+        );
+        // A payload that is not the one the trailer was computed over.
+        let mut sealed = frame.seal().unwrap();
+        sealed.payload.crc ^= 1;
+        assert_eq!(sealed.open().unwrap_err(), NetError::PayloadCrc);
+        let mut sealed = frame.seal().unwrap();
+        sealed.payload = Payload::from(b"hello".to_vec());
+        assert!(matches!(
+            sealed.open().unwrap_err(),
+            NetError::Protocol { .. }
+        ));
     }
 
     #[test]

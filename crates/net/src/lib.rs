@@ -20,9 +20,9 @@
 //!   the callers who must survive that chaos,
 //! - [`error`] — typed [`NetError`]s for every failure mode.
 //!
-//! The crate is deliberately dependency-free (it cannot even see
-//! tensors); `rte_fed::wire` layers the federated message vocabulary on
-//! top of these frames.
+//! The crate depends only on the `rte-codec` leaf (the CRC-32 it shares
+//! with the shard format) — it cannot even see tensors; `rte_fed::wire`
+//! layers the federated message vocabulary on top of these frames.
 
 // Pure safe Rust; all workspace `unsafe` lives in `rte_tensor::simd`
 // (rte-lint rule L1 enforces this).
@@ -40,7 +40,7 @@ pub mod transport;
 pub use chaos::{ChaosConfig, ChaosStats, ChaosTransport};
 pub use clock::{EventQueue, SplitMix64, VirtualClock, WallClock};
 pub use error::NetError;
-pub use frame::{crc32, Frame, FRAME_MAGIC, FRAME_VERSION, MAX_FRAME_LEN, PRELUDE_LEN};
+pub use frame::{crc32, Frame, Payload, FRAME_MAGIC, FRAME_VERSION, MAX_FRAME_LEN, PRELUDE_LEN};
 pub use retry::RetryPolicy;
 pub use transport::{ChannelTransport, FanIn, Transport};
 #[cfg(unix)]

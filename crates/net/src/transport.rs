@@ -4,8 +4,9 @@
 //! Two backends ship here:
 //!
 //! - [`ChannelTransport`] — an in-process pair over `std::sync::mpsc`,
-//!   the reference backend. Frames still round-trip through the full
-//!   encoder/decoder, so the wire format is exercised even in-process.
+//!   the reference backend. The sender encodes the prelude and hands the
+//!   payload over by pointer; the receiver validates both exactly as the
+//!   byte decoder would, so the wire format is exercised even in-process.
 //! - [`UdsTransport`] (Unix) — a Unix-domain socket stream, the
 //!   process-boundary backend the `rte-coordinator`/`rte-client`
 //!   binaries speak.
@@ -23,7 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::NetError;
-use crate::frame::Frame;
+use crate::frame::{Frame, SealedFrame};
 
 /// One bidirectional, ordered, reliable frame pipe.
 pub trait Transport {
@@ -78,11 +79,12 @@ pub trait Transport {
     }
 }
 
-/// In-process transport half over `std::sync::mpsc`, carrying *encoded*
-/// frame bytes so the codec is on the path even without a socket.
+/// In-process transport half over `std::sync::mpsc`, carrying *sealed*
+/// frames — encoded prelude, shared payload, remembered trailer — so the
+/// codec's validation is on the path even without a socket.
 pub struct ChannelTransport {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
+    tx: Sender<SealedFrame>,
+    rx: Receiver<SealedFrame>,
 }
 
 impl ChannelTransport {
@@ -105,38 +107,25 @@ impl ChannelTransport {
     /// error for damaged bytes.
     pub fn try_recv(&mut self) -> Result<Option<Frame>, NetError> {
         match self.rx.try_recv() {
-            Ok(bytes) => Ok(Some(decode_exact(&bytes)?)),
+            Ok(sealed) => Ok(Some(sealed.open()?)),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(NetError::Closed),
         }
     }
 }
 
-/// Decodes a buffer that must hold exactly one frame.
-fn decode_exact(bytes: &[u8]) -> Result<Frame, NetError> {
-    let (frame, used) = Frame::decode(bytes)?;
-    if used != bytes.len() {
-        return Err(NetError::Protocol {
-            reason: format!("{} trailing bytes after frame", bytes.len() - used),
-        });
-    }
-    Ok(frame)
-}
-
 impl Transport for ChannelTransport {
     fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
-        let bytes = frame.encode()?;
-        self.tx.send(bytes).map_err(|_| NetError::Closed)
+        self.tx.send(frame.seal()?).map_err(|_| NetError::Closed)
     }
 
     fn recv(&mut self) -> Result<Frame, NetError> {
-        let bytes = self.rx.recv().map_err(|_| NetError::Closed)?;
-        decode_exact(&bytes)
+        self.rx.recv().map_err(|_| NetError::Closed)?.open()
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame, NetError> {
         match self.rx.recv_timeout(timeout) {
-            Ok(bytes) => decode_exact(&bytes),
+            Ok(sealed) => sealed.open(),
             Err(RecvTimeoutError::Timeout) => Err(NetError::Timeout),
             Err(RecvTimeoutError::Disconnected) => Err(NetError::Closed),
         }
@@ -443,12 +432,12 @@ mod tests {
         let mut server_side = listener.accept().unwrap();
         let got = server_side.recv().unwrap();
         assert_eq!(got.sender, 5);
-        assert_eq!(got.payload, b"hello");
+        assert_eq!(&got.payload[..], b"hello");
         server_side
             .send(&Frame::new(2, 0, 0, b"welcome".to_vec()))
             .unwrap();
         let reply = client.join().unwrap();
-        assert_eq!(reply.payload, b"welcome");
+        assert_eq!(&reply.payload[..], b"welcome");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -512,7 +501,7 @@ mod tests {
             .send(&Frame::new(1, 9, 0, b"awake".to_vec()))
             .unwrap();
         let got = server_side.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(got.payload, b"awake");
+        assert_eq!(&got.payload[..], b"awake");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -20,6 +20,35 @@ use crate::{NnError, StateDict};
 
 const MAGIC: &[u8; 8] = b"RTESD1\0\0";
 
+/// Tensor data crosses the `Read`/`Write` boundary this many `f32`s at a
+/// time: one 4 KiB stack buffer per call instead of one call per value.
+const CHUNK_ELEMS: usize = 1024;
+
+/// Defensive caps on declared sizes: no model in this workspace comes
+/// near them, and a corrupt field must not drive a huge allocation.
+const MAX_ENTRIES: u64 = 1 << 20;
+const MAX_NAME_LEN: u64 = 1 << 16;
+const MAX_RANK: u64 = 8;
+const MAX_NUMEL: u64 = 1 << 28;
+
+/// Exact byte length [`write_state_dict`] produces for `sd`.
+pub fn state_dict_encoded_len(sd: &StateDict) -> usize {
+    16 + sd
+        .iter()
+        .map(|(name, tensor)| {
+            8 + name.len() + 8 + 8 * tensor.shape().dims().len() + 4 * tensor.data().len()
+        })
+        .sum::<usize>()
+}
+
+/// Appends the encoding of `sd` to `buf`, reserving its exact size
+/// first — the way to serialize into a buffer that already holds a
+/// message or checkpoint header, with no staging copy.
+pub fn append_state_dict(buf: &mut Vec<u8>, sd: &StateDict) {
+    buf.reserve_exact(state_dict_encoded_len(sd));
+    write_state_dict(&mut *buf, sd).expect("writing to a Vec cannot fail");
+}
+
 /// Writes a state dict to `writer` (pass `&mut file` — any `io::Write`
 /// works by value or by mutable reference).
 ///
@@ -29,6 +58,7 @@ const MAGIC: &[u8; 8] = b"RTESD1\0\0";
 pub fn write_state_dict<W: Write>(mut writer: W, sd: &StateDict) -> io::Result<()> {
     writer.write_all(MAGIC)?;
     writer.write_all(&(sd.len() as u64).to_le_bytes())?;
+    let mut chunk = [0u8; 4 * CHUNK_ELEMS];
     for (name, tensor) in sd {
         let name_bytes = name.as_bytes();
         writer.write_all(&(name_bytes.len() as u64).to_le_bytes())?;
@@ -38,8 +68,12 @@ pub fn write_state_dict<W: Write>(mut writer: W, sd: &StateDict) -> io::Result<(
         for &d in dims {
             writer.write_all(&(d as u64).to_le_bytes())?;
         }
-        for &v in tensor.data() {
-            writer.write_all(&v.to_le_bytes())?;
+        for values in tensor.data().chunks(CHUNK_ELEMS) {
+            let bytes = &mut chunk[..4 * values.len()];
+            for (dst, v) in bytes.chunks_exact_mut(4).zip(values) {
+                dst.copy_from_slice(&v.to_le_bytes());
+            }
+            writer.write_all(bytes)?;
         }
     }
     Ok(())
@@ -51,6 +85,49 @@ fn read_u64<R: Read>(reader: &mut R) -> io::Result<u64> {
     Ok(u64::from_le_bytes(buf))
 }
 
+fn decode_f32s(bytes: &[u8], out: &mut Vec<f32>) {
+    out.extend(
+        bytes
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+    );
+}
+
+/// Tensor data from a stream of unknown length: the buffer grows only
+/// as bytes actually arrive, so a forged element count costs a typed
+/// error at end of input, not an up-front allocation.
+fn read_data_stream<R: Read>(reader: &mut R, numel: usize) -> io::Result<Vec<f32>> {
+    let mut data = Vec::with_capacity(numel.min(CHUNK_ELEMS));
+    let mut chunk = [0u8; 4 * CHUNK_ELEMS];
+    let mut left = numel;
+    while left > 0 {
+        let n = left.min(CHUNK_ELEMS);
+        reader.read_exact(&mut chunk[..4 * n])?;
+        decode_f32s(&chunk[..4 * n], &mut data);
+        left -= n;
+    }
+    Ok(data)
+}
+
+/// Tensor data from a slice: the remaining length is known, so an
+/// element count the input cannot back is refused before allocating,
+/// and an honest one gets its exact size in one allocation.
+fn read_data_slice(bytes: &mut &[u8], numel: usize) -> io::Result<Vec<f32>> {
+    // `numel` is capped at 2^28, so the byte count cannot overflow.
+    let len = numel * 4;
+    if len > bytes.len() {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("{len} data bytes declared, {} left", bytes.len()),
+        ));
+    }
+    let (head, rest) = bytes.split_at(len);
+    let mut data = Vec::with_capacity(numel);
+    decode_f32s(head, &mut data);
+    *bytes = rest;
+    Ok(data)
+}
+
 /// Reads a state dict written by [`write_state_dict`] (pass `&mut file` —
 /// any `io::Read` works by value or by mutable reference).
 ///
@@ -60,7 +137,28 @@ fn read_u64<R: Read>(reader: &mut R) -> io::Result<u64> {
 /// I/O errors as `io::Error` via the `Result`'s error conversion at the
 /// call site is not possible here, so I/O problems are reported as
 /// `StateDictMismatch` with the underlying message.
-pub fn read_state_dict<R: Read>(mut reader: R) -> Result<StateDict, NnError> {
+pub fn read_state_dict<R: Read>(reader: R) -> Result<StateDict, NnError> {
+    read_entries(reader, read_data_stream)
+}
+
+/// [`read_state_dict`] for bytes already in memory (a frame payload, a
+/// checkpoint's state section): same format, same errors, but every
+/// declared size is checked against what is actually left in `bytes`
+/// before anything is allocated for it. Bytes after the last entry are
+/// ignored, as by the stream reader.
+///
+/// # Errors
+///
+/// Returns [`NnError::StateDictMismatch`] for format violations and
+/// truncation.
+pub fn read_state_dict_slice(bytes: &[u8]) -> Result<StateDict, NnError> {
+    read_entries(bytes, read_data_slice)
+}
+
+fn read_entries<R: Read>(
+    mut reader: R,
+    read_data: impl Fn(&mut R, usize) -> io::Result<Vec<f32>>,
+) -> Result<StateDict, NnError> {
     let fail = |reason: String| NnError::StateDictMismatch { reason };
     let mut magic = [0u8; 8];
     reader
@@ -70,51 +168,48 @@ pub fn read_state_dict<R: Read>(mut reader: R) -> Result<StateDict, NnError> {
         return Err(fail("bad magic: not an RTESD1 state dict".into()));
     }
     let count = read_u64(&mut reader).map_err(|e| fail(format!("reading count: {e}")))?;
-    // Defensive cap: no model in this workspace has more than a few
-    // hundred entries; a corrupt count must not trigger a huge allocation.
-    if count > 1 << 20 {
+    if count > MAX_ENTRIES {
         return Err(fail(format!("implausible entry count {count}")));
     }
-    let mut sd = StateDict::with_capacity(count as usize);
+    // An in-cap count is still only a claim: start small and let the
+    // entries that actually parse grow the list.
+    let mut sd = StateDict::with_capacity((count as usize).min(256));
     for i in 0..count {
         let name_len =
-            read_u64(&mut reader).map_err(|e| fail(format!("entry {i} name len: {e}")))? as usize;
-        if name_len > 1 << 16 {
+            read_u64(&mut reader).map_err(|e| fail(format!("entry {i} name len: {e}")))?;
+        if name_len > MAX_NAME_LEN {
             return Err(fail(format!(
                 "entry {i}: implausible name length {name_len}"
             )));
         }
-        let mut name_bytes = vec![0u8; name_len];
+        let mut name_bytes = vec![0u8; name_len as usize];
         reader
             .read_exact(&mut name_bytes)
             .map_err(|e| fail(format!("entry {i} name: {e}")))?;
         let name = String::from_utf8(name_bytes)
             .map_err(|e| fail(format!("entry {i} name not utf-8: {e}")))?;
-        let rank =
-            read_u64(&mut reader).map_err(|e| fail(format!("entry {i} rank: {e}")))? as usize;
-        if rank > 8 {
+        let rank = read_u64(&mut reader).map_err(|e| fail(format!("entry {i} rank: {e}")))?;
+        if rank > MAX_RANK {
             return Err(fail(format!("entry {i}: implausible rank {rank}")));
         }
-        let mut dims = Vec::with_capacity(rank);
+        let mut dims = Vec::with_capacity(rank as usize);
+        // Product of the extents with zeros counted as one: capping it
+        // caps the element count and every stride, with no overflow.
+        let mut bound = Some(1u64);
         for d in 0..rank {
-            let dim = read_u64(&mut reader).map_err(|e| fail(format!("entry {i} dim {d}: {e}")))?
-                as usize;
+            let dim = read_u64(&mut reader).map_err(|e| fail(format!("entry {i} dim {d}: {e}")))?;
+            bound = bound.and_then(|b| b.checked_mul(dim.max(1)));
             dims.push(dim);
         }
-        let numel: usize = dims.iter().product();
-        if numel > 1 << 28 {
+        if !bound.is_some_and(|b| b <= MAX_NUMEL) {
             return Err(fail(format!(
-                "entry {i}: implausible element count {numel}"
+                "entry {i}: implausible element count (dims {dims:?})"
             )));
         }
-        let mut data = Vec::with_capacity(numel);
-        let mut buf = [0u8; 4];
-        for _ in 0..numel {
-            reader
-                .read_exact(&mut buf)
-                .map_err(|e| fail(format!("entry {i} data: {e}")))?;
-            data.push(f32::from_le_bytes(buf));
-        }
+        let dims: Vec<usize> = dims.iter().map(|&d| d as usize).collect();
+        let numel = dims.iter().product();
+        let data =
+            read_data(&mut reader, numel).map_err(|e| fail(format!("entry {i} data: {e}")))?;
         let tensor = Tensor::from_vec(data, &dims).map_err(NnError::Tensor)?;
         sd.push((name, tensor));
     }

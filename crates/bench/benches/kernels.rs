@@ -1,17 +1,21 @@
 //! Criterion micro-benchmarks for the tensor kernels that dominate
-//! training time (conv2d forward/backward on FLNet-shaped workloads,
-//! matmul across SIMD arms, elementwise sweeps, pixel shuffle), plus a
-//! machine-readable `BENCH_kernels.json` perf-trajectory dump.
+//! training time (conv2d forward/backward on the layers the three models
+//! are built from, matmul across SIMD arms, elementwise sweeps, pixel
+//! shuffle) and one whole FLNet train step, plus a machine-readable
+//! `BENCH_kernels.json` perf-trajectory dump.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use rte_fed::{ClientSet, LocalTrainer};
+use rte_nn::models::{FlNet, FlNetConfig};
+use rte_nn::state_dict;
 use rte_tensor::conv::{
     conv2d, conv2d_backward, conv2d_backward_with, conv2d_with, pixel_shuffle, Conv2dSpec,
 };
 use rte_tensor::linalg::{matmul, matmul_naive};
-use rte_tensor::parallel::Parallelism;
+use rte_tensor::parallel::{self, Parallelism};
 use rte_tensor::rng::Xoshiro256;
 use rte_tensor::simd::{self, SimdBackend};
 use rte_tensor::Tensor;
@@ -30,18 +34,121 @@ fn arms() -> Vec<SimdBackend> {
     arms
 }
 
+/// One convolution layer as a model runs it: batch 4 on the 16×16 grid
+/// every corpus config uses (8×8 behind PROS's stride-2 stage).
+struct ConvCase {
+    name: &'static str,
+    c_in: usize,
+    c_out: usize,
+    extent: usize,
+    kernel: usize,
+    spec: Conv2dSpec,
+}
+
+impl ConvCase {
+    /// `(x, w, bias, dy)` for the layer.
+    fn tensors(&self) -> (Tensor, Tensor, Tensor, Tensor) {
+        let (k, e) = (self.kernel, self.extent);
+        (
+            rand_tensor(&[4, self.c_in, e, e], 1),
+            rand_tensor(&[self.c_out, self.c_in, k, k], 2),
+            rand_tensor(&[self.c_out], 3),
+            rand_tensor(&[4, self.c_out, e, e], 4),
+        )
+    }
+
+    /// Shape column of the JSON dump.
+    fn shape(&self) -> String {
+        let (k, e, s) = (self.kernel, self.extent, self.spec);
+        format!(
+            "4x{}x{e}x{e}->{} k{k} p{} d{}",
+            self.c_in, self.c_out, s.padding, s.dilation
+        )
+    }
+}
+
+/// FLNet's two layers at scaled capacity, its output layer at the
+/// paper's 64 filters (a single output channel: the shape a GEMM
+/// lowering serves worst), and a PROS-style dilated 3×3 block.
+fn conv_cases() -> Vec<ConvCase> {
+    let case = |name, c_in, c_out, extent, kernel, spec| ConvCase {
+        name,
+        c_in,
+        c_out,
+        extent,
+        kernel,
+        spec,
+    };
+    vec![
+        case("flnet_input", 6, 16, 16, 9, Conv2dSpec::same(9)),
+        case("flnet_output", 16, 1, 16, 9, Conv2dSpec::same(9)),
+        case("flnet_output_paper", 64, 1, 16, 9, Conv2dSpec::same(9)),
+        case("pros_dilated", 16, 16, 8, 3, Conv2dSpec::same_dilated(3, 2)),
+    ]
+}
+
 fn bench_conv2d(c: &mut Criterion) {
-    // FLNet's input conv at scaled capacity: 6→16 channels, 9×9, 16×16.
-    let x = rand_tensor(&[4, 6, 16, 16], 1);
-    let w = rand_tensor(&[16, 6, 9, 9], 2);
-    let b = rand_tensor(&[16], 3);
-    let spec = Conv2dSpec::same(9);
-    c.bench_function("conv2d_forward_flnet_input", |bench| {
-        bench.iter(|| conv2d(black_box(&x), black_box(&w), Some(&b), spec).unwrap())
-    });
-    let y = conv2d(&x, &w, Some(&b), spec).unwrap();
-    c.bench_function("conv2d_backward_flnet_input", |bench| {
-        bench.iter(|| conv2d_backward(black_box(&x), black_box(&w), black_box(&y), spec).unwrap())
+    for case in conv_cases() {
+        let (x, w, b, dy) = case.tensors();
+        let spec = case.spec;
+        c.bench_function(&format!("conv2d_forward_{}", case.name), |bench| {
+            bench.iter(|| conv2d(black_box(&x), black_box(&w), Some(&b), spec).unwrap())
+        });
+        c.bench_function(&format!("conv2d_backward_{}", case.name), |bench| {
+            bench.iter(|| {
+                conv2d_backward(black_box(&x), black_box(&w), black_box(&dy), spec).unwrap()
+            })
+        });
+    }
+}
+
+/// One local training step of scaled FLNet exactly as a federated client
+/// runs it: minibatch draw, forward, loss, params-only backward, the
+/// FedProx term and the Adam update.
+struct TrainStep {
+    trainer: LocalTrainer,
+    data: ClientSet,
+    net: FlNet,
+    reference: rte_nn::StateDict,
+    rng: Xoshiro256,
+}
+
+impl TrainStep {
+    fn new() -> Self {
+        let mut rng = Xoshiro256::seed_from(21);
+        let x = Tensor::from_fn(&[8, 6, 16, 16], |_| rng.uniform());
+        let y = Tensor::from_fn(&[8, 1, 16, 16], |_| f32::from(rng.bernoulli(0.15)));
+        let config = FlNetConfig {
+            hidden: 16,
+            ..FlNetConfig::new(6)
+        };
+        let mut net = FlNet::new(config, &mut Xoshiro256::seed_from(22));
+        TrainStep {
+            trainer: LocalTrainer::new(2e-3, 1e-5, 1e-4, 4),
+            data: ClientSet::new(x, y).unwrap(),
+            reference: state_dict(&mut net),
+            net,
+            rng: Xoshiro256::seed_from(23),
+        }
+    }
+
+    fn run(&mut self) -> f32 {
+        self.trainer
+            .train(
+                &mut self.net,
+                &self.data,
+                Some(&self.reference),
+                1,
+                &mut self.rng,
+            )
+            .unwrap()
+    }
+}
+
+fn bench_train_step(c: &mut Criterion) {
+    let mut step = TrainStep::new();
+    c.bench_function("flnet_train_step", |bench| {
+        bench.iter(|| black_box(step.run()))
     });
 }
 
@@ -263,19 +370,35 @@ fn measure_ns(mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// One record of the perf-trajectory dump.
+/// One record of the perf-trajectory dump. Every row is measured on one
+/// thread; the commit is stamped once for the whole file.
 struct JsonEntry {
-    kernel: &'static str,
+    kernel: String,
     shape: String,
     arm: &'static str,
     ns_per_iter: f64,
     speedup_vs_scalar: f64,
 }
 
-/// Measures the GEMM family and the hot elementwise sweeps on every
-/// available arm and writes `BENCH_kernels.json` (override the path with
-/// `RTE_BENCH_JSON`) so the perf trajectory is machine-trackable from PR
-/// to PR.
+/// `git describe --always --dirty` of the checkout being measured, so a
+/// row says which code produced it (the parent commit plus `-dirty` when
+/// run before committing).
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+}
+
+/// Measures the GEMM family, the hot elementwise sweeps, every
+/// [`conv_cases`] layer forward and backward and the FLNet train step on
+/// every available arm, single-threaded, and writes `BENCH_kernels.json`
+/// (override the path with `RTE_BENCH_JSON`) so the perf trajectory is
+/// machine-trackable from PR to PR.
 ///
 /// Skipped when a bench filter is passed (`cargo bench --bench kernels
 /// -- <name>`): a targeted run should neither pay the full sweep nor
@@ -296,9 +419,9 @@ fn emit_kernels_json(_c: &mut Criterion) {
     let sweep_shape = format!("{len}");
     for arm in arms() {
         let mut out = vec![0.0f32; m * n];
-        let cases: Vec<(&'static str, String, f64)> = vec![
+        let mut cases: Vec<(String, String, f64)> = vec![
             (
-                "matmul",
+                "matmul".into(),
                 gemm_shape.clone(),
                 measure_ns(|| {
                     simd::matmul_with(
@@ -313,7 +436,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
                 }),
             ),
             (
-                "matmul_tn",
+                "matmul_tn".into(),
                 gemm_shape.clone(),
                 measure_ns(|| {
                     simd::matmul_tn_with(
@@ -328,7 +451,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
                 }),
             ),
             (
-                "matmul_nt_acc",
+                "matmul_nt_acc".into(),
                 gemm_shape.clone(),
                 measure_ns(|| {
                     simd::matmul_nt_acc_with(
@@ -342,23 +465,60 @@ fn emit_kernels_json(_c: &mut Criterion) {
                     )
                 }),
             ),
-            ("axpy", sweep_shape.clone(), {
+            ("axpy".into(), sweep_shape.clone(), {
                 let mut y = x.data().to_vec();
                 measure_ns(|| simd::axpy_with(arm, 0.37, black_box(g.data()), &mut y))
             }),
-            ("sigmoid", sweep_shape.clone(), {
+            ("sigmoid".into(), sweep_shape.clone(), {
                 let mut buf = x.data().to_vec();
                 measure_ns(|| {
                     buf.copy_from_slice(x.data());
                     simd::sigmoid_with(arm, black_box(&mut buf));
                 })
             }),
-            ("sum", sweep_shape.clone(), {
+            ("sum".into(), sweep_shape.clone(), {
                 measure_ns(|| {
                     black_box(simd::sum_with(arm, black_box(x.data())));
                 })
             }),
         ];
+        // The convolutions and the train step dispatch on the
+        // process-global arm and thread budget, so pin both for the
+        // measurement.
+        let before = (simd::global(), parallel::global());
+        let serial = Parallelism::serial();
+        simd::set_global(arm);
+        parallel::set_global(serial);
+        for case in conv_cases() {
+            let (x, w, b, dy) = case.tensors();
+            let spec = case.spec;
+            let forward = measure_ns(|| {
+                black_box(conv2d_with(black_box(&x), &w, Some(&b), spec, serial).unwrap());
+            });
+            let backward = measure_ns(|| {
+                black_box(conv2d_backward_with(black_box(&x), &w, &dy, spec, serial).unwrap());
+            });
+            cases.push((
+                format!("conv2d_forward_{}", case.name),
+                case.shape(),
+                forward,
+            ));
+            cases.push((
+                format!("conv2d_backward_{}", case.name),
+                case.shape(),
+                backward,
+            ));
+        }
+        let mut step = TrainStep::new();
+        cases.push((
+            "flnet_train_step".into(),
+            "batch 4, 6x16x16, hidden 16, k9".into(),
+            measure_ns(|| {
+                black_box(step.run());
+            }),
+        ));
+        simd::set_global(before.0);
+        parallel::set_global(before.1);
         for (kernel, shape, ns) in cases {
             let baseline = entries
                 .iter()
@@ -374,11 +534,12 @@ fn emit_kernels_json(_c: &mut Criterion) {
             });
         }
     }
+    let commit = commit();
     let mut json = String::from("[\n");
     for (i, e) in entries.iter().enumerate() {
         json.push_str(&format!(
-            "  {{\"kernel\": \"{}\", \"shape\": \"{}\", \"arm\": \"{}\", \
-             \"ns_per_iter\": {:.1}, \"speedup_vs_scalar\": {:.3}}}{}\n",
+            "  {{\"kernel\": \"{}\", \"shape\": \"{}\", \"arm\": \"{}\", \"threads\": 1, \
+             \"commit\": \"{commit}\", \"ns_per_iter\": {:.1}, \"speedup_vs_scalar\": {:.3}}}{}\n",
             e.kernel,
             e.shape,
             e.arm,
@@ -400,7 +561,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
     }
     for e in &entries {
         println!(
-            "bench: json {:<14} {:>12} arm {:<6} {:>12.1} ns/iter  {:>6.2}x vs scalar",
+            "bench: json {:<34} {:>32} arm {:<6} {:>12.1} ns/iter  {:>6.2}x vs scalar",
             e.kernel, e.shape, e.arm, e.ns_per_iter, e.speedup_vs_scalar
         );
     }
@@ -409,6 +570,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_conv2d,
+    bench_train_step,
     bench_matmul,
     bench_matmul_arms,
     bench_elementwise_arms,

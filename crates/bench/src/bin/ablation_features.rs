@@ -51,6 +51,10 @@ impl<M: Layer> Layer for ChannelMask<M> {
         self.inner.backward(dy)
     }
 
+    fn backward_params(&mut self, dy: &Tensor) -> Result<(), NnError> {
+        self.inner.backward_params(dy)
+    }
+
     fn visit_params(&mut self, prefix: &str, f: &mut dyn FnMut(String, &mut Param)) {
         self.inner.visit_params(prefix, f);
     }

@@ -84,7 +84,8 @@ impl LocalTrainer {
             let loss = mse(&pred, &y)?;
             total_loss += loss.value as f64;
             model.zero_grad();
-            model.backward(&loss.grad)?;
+            // Nothing reads the gradient w.r.t. the minibatch itself.
+            model.backward_params(&loss.grad)?;
             if let (Some(map), true) = (&reference_map, self.mu > 0.0) {
                 let mu = self.mu;
                 let mut prox_error: Option<FedError> = None;
@@ -105,9 +106,9 @@ impl LocalTrainer {
                                 return;
                             }
                             // d/dw μ‖w − W‖² = 2μ(w − W)
-                            for i in 0..p.grad.numel() {
-                                p.grad.data_mut()[i] +=
-                                    2.0 * mu * (p.value.data()[i] - global.data()[i]);
+                            let pairs = p.value.data().iter().zip(global.data());
+                            for (g, (&w, &w_ref)) in p.grad.data_mut().iter_mut().zip(pairs) {
+                                *g += 2.0 * mu * (w - w_ref);
                             }
                         }
                         None => {

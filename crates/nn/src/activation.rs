@@ -37,8 +37,8 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, _training: bool) -> Result<Tensor, NnError> {
-        self.cached_x = Some(x.clone());
+    fn forward(&mut self, x: &Tensor, training: bool) -> Result<Tensor, NnError> {
+        self.cached_x = training.then(|| x.clone());
         let mut y = x.clone();
         simd::relu(y.data_mut());
         Ok(y)
@@ -82,12 +82,12 @@ impl Sigmoid {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, x: &Tensor, _training: bool) -> Result<Tensor, NnError> {
+    fn forward(&mut self, x: &Tensor, training: bool) -> Result<Tensor, NnError> {
         // The SIMD arm's shared polynomial `exp` (not libm), so the
         // forward pass is bit-identical across arms and machines.
         let mut y = x.clone();
         simd::sigmoid(y.data_mut());
-        self.cached_y = Some(y.clone());
+        self.cached_y = training.then(|| y.clone());
         Ok(y)
     }
 

@@ -31,7 +31,6 @@ pub struct BatchNorm2d {
 struct BnCache {
     x_hat: Tensor,
     inv_std: Vec<f32>,
-    training: bool,
     dims: [usize; 4],
 }
 
@@ -86,7 +85,8 @@ impl Layer for BatchNorm2d {
         let m = (n * h * w) as f64;
         let hw = h * w;
         let mut y = Tensor::zeros(&[n, c, h, w]);
-        let mut x_hat = Tensor::zeros(&[n, c, h, w]);
+        // Only a training-mode pass is ever followed by `backward`.
+        let mut x_hat = training.then(|| Tensor::zeros(&[n, c, h, w]));
         let mut inv_std = vec![0.0f32; c];
         for ci in 0..c {
             let (mean, var) = if training {
@@ -124,15 +124,16 @@ impl Layer for BatchNorm2d {
                 let base = (ni * c + ci) * hw;
                 for i in 0..hw {
                     let xh = (x.data()[base + i] - mean) * istd;
-                    x_hat.data_mut()[base + i] = xh;
+                    if let Some(x_hat) = &mut x_hat {
+                        x_hat.data_mut()[base + i] = xh;
+                    }
                     y.data_mut()[base + i] = g * xh + b;
                 }
             }
         }
-        self.cache = Some(BnCache {
+        self.cache = x_hat.map(|x_hat| BnCache {
             x_hat,
             inv_std,
-            training,
             dims: [n, c, h, w],
         });
         Ok(y)
@@ -178,12 +179,7 @@ impl Layer for BatchNorm2d {
                 for i in 0..hw {
                     let d = dy.data()[base + i];
                     let xh = cache.x_hat.data()[base + i];
-                    dx.data_mut()[base + i] = if cache.training {
-                        g * istd * (d - mean_dy - xh * mean_dy_xhat)
-                    } else {
-                        // Eval mode treats mean/var as constants.
-                        g * istd * d
-                    };
+                    dx.data_mut()[base + i] = g * istd * (d - mean_dy - xh * mean_dy_xhat);
                 }
             }
         }

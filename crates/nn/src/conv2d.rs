@@ -1,7 +1,8 @@
 //! Convolution layers.
 
 use rte_tensor::conv::{
-    conv2d, conv2d_backward, conv_transpose2d, conv_transpose2d_backward, Conv2dSpec,
+    conv2d, conv2d_backward, conv2d_backward_params, conv_transpose2d, conv_transpose2d_backward,
+    Conv2dSpec,
 };
 use rte_tensor::rng::Xoshiro256;
 use rte_tensor::{init, Tensor};
@@ -72,24 +73,37 @@ impl Conv2d {
     }
 }
 
+impl Conv2d {
+    /// The input cached by the last training-mode forward.
+    fn cached_input(&self) -> Result<&Tensor, NnError> {
+        self.cached_x
+            .as_ref()
+            .ok_or_else(|| NnError::BackwardBeforeForward {
+                layer: "Conv2d".into(),
+            })
+    }
+}
+
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, _training: bool) -> Result<Tensor, NnError> {
+    fn forward(&mut self, x: &Tensor, training: bool) -> Result<Tensor, NnError> {
         let y = conv2d(x, &self.weight.value, Some(&self.bias.value), self.spec)?;
-        self.cached_x = Some(x.clone());
+        self.cached_x = training.then(|| x.clone());
         Ok(y)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor, NnError> {
-        let x = self
-            .cached_x
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward {
-                layer: "Conv2d".into(),
-            })?;
-        let grads = conv2d_backward(x, &self.weight.value, dy, self.spec)?;
+        let grads = conv2d_backward(self.cached_input()?, &self.weight.value, dy, self.spec)?;
         self.weight.grad.add_assign(&grads.dw)?;
         self.bias.grad.add_assign(&grads.db)?;
         Ok(grads.dx)
+    }
+
+    fn backward_params(&mut self, dy: &Tensor) -> Result<(), NnError> {
+        let grads =
+            conv2d_backward_params(self.cached_input()?, &self.weight.value, dy, self.spec)?;
+        self.weight.grad.add_assign(&grads.dw)?;
+        self.bias.grad.add_assign(&grads.db)?;
+        Ok(())
     }
 
     fn visit_params(&mut self, prefix: &str, f: &mut dyn FnMut(String, &mut Param)) {
@@ -137,9 +151,9 @@ impl ConvTranspose2d {
 }
 
 impl Layer for ConvTranspose2d {
-    fn forward(&mut self, x: &Tensor, _training: bool) -> Result<Tensor, NnError> {
+    fn forward(&mut self, x: &Tensor, training: bool) -> Result<Tensor, NnError> {
         let y = conv_transpose2d(x, &self.weight.value, Some(&self.bias.value), self.spec)?;
-        self.cached_x = Some(x.clone());
+        self.cached_x = training.then(|| x.clone());
         Ok(y)
     }
 

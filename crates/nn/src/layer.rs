@@ -42,10 +42,12 @@ impl Param {
 /// A differentiable computation stage with optional learnable parameters
 /// and non-learnable buffers.
 ///
-/// Layers cache whatever they need during [`Layer::forward`] and consume
-/// that cache in [`Layer::backward`]; gradients *accumulate* into
-/// [`Param::grad`], so callers zero them (via [`Layer::zero_grad`]) between
-/// optimizer steps.
+/// Layers cache whatever they need during a *training-mode*
+/// [`Layer::forward`] and consume that cache in [`Layer::backward`];
+/// an evaluation-mode forward caches nothing (and drops any earlier
+/// cache), so a backward after it fails like a backward before any
+/// forward. Gradients *accumulate* into [`Param::grad`], so callers zero
+/// them (via [`Layer::zero_grad`]) between optimizer steps.
 ///
 /// Buffers are non-learnable state that is still part of the model's
 /// communicated state dict — concretely the BatchNorm running statistics,
@@ -66,10 +68,23 @@ pub trait Layer {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::BackwardBeforeForward`] when no forward pass has
-    /// been cached, or a shape error when `dy` does not match the cached
-    /// output.
+    /// Returns [`NnError::BackwardBeforeForward`] when no training-mode
+    /// forward pass has been cached, or a shape error when `dy` does not
+    /// match the cached output.
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor, NnError>;
+
+    /// [`Layer::backward`] for a caller that will not read the input
+    /// gradient — a training step on a whole model: accumulates exactly
+    /// the same parameter gradients and returns nothing, which lets a
+    /// model's first convolution skip the input-gradient product
+    /// altogether. The default computes and drops it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, dy: &Tensor) -> Result<(), NnError> {
+        self.backward(dy).map(drop)
+    }
 
     /// Visits all learnable parameters as `(name, param)` pairs, depth
     /// first, with `/`-joined path names (e.g. `"input_conv/weight"`).

@@ -98,6 +98,10 @@ impl Layer for FlNet {
         self.net.backward(dy)
     }
 
+    fn backward_params(&mut self, dy: &Tensor) -> Result<(), NnError> {
+        self.net.backward_params(dy)
+    }
+
     fn visit_params(&mut self, prefix: &str, f: &mut dyn FnMut(String, &mut Param)) {
         self.net.visit_params(prefix, f);
     }

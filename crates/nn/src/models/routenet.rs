@@ -57,7 +57,9 @@ pub struct RouteNet {
     encoder: Sequential,
     head: Sequential,
     config: RouteNetConfig,
-    cached_skip: Option<Tensor>,
+    /// Whether the last forward ran in training mode (and so left the
+    /// three chains holding what `backward` consumes).
+    saw_forward: bool,
 }
 
 impl RouteNet {
@@ -127,13 +129,27 @@ impl RouteNet {
             encoder,
             head,
             config,
-            cached_skip: None,
+            saw_forward: false,
         }
     }
 
     /// The configuration this model was built with.
     pub fn config(&self) -> RouteNetConfig {
         self.config
+    }
+
+    /// Backpropagates `dy` through the head and the encoder and returns
+    /// the gradient w.r.t. the stem's output.
+    fn backward_to_stem(&mut self, dy: &Tensor) -> Result<Tensor, NnError> {
+        if !self.saw_forward {
+            return Err(NnError::BackwardBeforeForward {
+                layer: "RouteNet".into(),
+            });
+        }
+        let d_merged = self.head.backward(dy)?;
+        // The merge was an addition: gradient flows to both branches.
+        let d_skip_from_encoder = self.encoder.backward(&d_merged)?;
+        Ok(d_skip_from_encoder.add(&d_merged)?)
     }
 }
 
@@ -142,21 +158,18 @@ impl Layer for RouteNet {
         let skip = self.stem.forward(x, training)?;
         let deep = self.encoder.forward(&skip, training)?;
         let merged = deep.add(&skip)?;
-        self.cached_skip = Some(skip);
+        self.saw_forward = training;
         self.head.forward(&merged, training)
     }
 
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor, NnError> {
-        if self.cached_skip.is_none() {
-            return Err(NnError::BackwardBeforeForward {
-                layer: "RouteNet".into(),
-            });
-        }
-        let d_merged = self.head.backward(dy)?;
-        // The merge was an addition: gradient flows to both branches.
-        let d_skip_from_encoder = self.encoder.backward(&d_merged)?;
-        let d_skip_total = d_skip_from_encoder.add(&d_merged)?;
-        self.stem.backward(&d_skip_total)
+        let d_skip = self.backward_to_stem(dy)?;
+        self.stem.backward(&d_skip)
+    }
+
+    fn backward_params(&mut self, dy: &Tensor) -> Result<(), NnError> {
+        let d_skip = self.backward_to_stem(dy)?;
+        self.stem.backward_params(&d_skip)
     }
 
     fn visit_params(&mut self, prefix: &str, f: &mut dyn FnMut(String, &mut Param)) {

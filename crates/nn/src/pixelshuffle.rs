@@ -49,9 +49,9 @@ impl PixelShuffle {
 }
 
 impl Layer for PixelShuffle {
-    fn forward(&mut self, x: &Tensor, _training: bool) -> Result<Tensor, NnError> {
+    fn forward(&mut self, x: &Tensor, training: bool) -> Result<Tensor, NnError> {
         let y = pixel_shuffle(x, self.factor)?;
-        self.saw_forward = true;
+        self.saw_forward = training;
         Ok(y)
     }
 

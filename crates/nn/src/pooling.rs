@@ -43,8 +43,12 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, _training: bool) -> Result<Tensor, NnError> {
+    fn forward(&mut self, x: &Tensor, training: bool) -> Result<Tensor, NnError> {
         let out = max_pool2d(x, self.kernel, self.stride)?;
+        if !training {
+            self.cache = None;
+            return Ok(out.y);
+        }
         let y = out.y.clone();
         self.cache = Some((x.shape().dims().to_vec(), out));
         Ok(y)

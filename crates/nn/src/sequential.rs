@@ -72,19 +72,32 @@ impl Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, x: &Tensor, training: bool) -> Result<Tensor, NnError> {
-        let mut cur = x.clone();
+        let mut cur: Option<Tensor> = None;
         for (_, layer) in &mut self.stages {
-            cur = layer.forward(&cur, training)?;
+            cur = Some(layer.forward(cur.as_ref().unwrap_or(x), training)?);
         }
-        Ok(cur)
+        Ok(cur.unwrap_or_else(|| x.clone()))
     }
 
     fn backward(&mut self, dy: &Tensor) -> Result<Tensor, NnError> {
-        let mut cur = dy.clone();
+        let mut cur: Option<Tensor> = None;
         for (_, layer) in self.stages.iter_mut().rev() {
-            cur = layer.backward(&cur)?;
+            cur = Some(layer.backward(cur.as_ref().unwrap_or(dy))?);
         }
-        Ok(cur)
+        Ok(cur.unwrap_or_else(|| dy.clone()))
+    }
+
+    fn backward_params(&mut self, dy: &Tensor) -> Result<(), NnError> {
+        // Every stage but the first must hand a gradient to the stage
+        // before it; only the first stage's input gradient goes unread.
+        let Some(((_, first), rest)) = self.stages.split_first_mut() else {
+            return Ok(());
+        };
+        let mut cur: Option<Tensor> = None;
+        for (_, layer) in rest.iter_mut().rev() {
+            cur = Some(layer.backward(cur.as_ref().unwrap_or(dy))?);
+        }
+        first.backward_params(cur.as_ref().unwrap_or(dy))
     }
 
     fn visit_params(&mut self, prefix: &str, f: &mut dyn FnMut(String, &mut Param)) {

@@ -3,8 +3,11 @@
 
 use proptest::prelude::*;
 
-use rte_nn::models::{FlNet, FlNetConfig};
-use rte_nn::{load_state_dict, state_dict, BatchNorm2d, Conv2d, Layer, Relu, Sequential, Sigmoid};
+use rte_nn::models::{build_model, FlNet, FlNetConfig, ModelKind, ModelScale};
+use rte_nn::{
+    load_state_dict, state_dict, BatchNorm2d, Conv2d, Layer, NnError, Param, Relu, Sequential,
+    Sigmoid,
+};
 use rte_tensor::conv::Conv2dSpec;
 use rte_tensor::rng::Xoshiro256;
 use rte_tensor::Tensor;
@@ -112,5 +115,70 @@ proptest! {
         model.visit_params("", &mut |name, p| {
             assert_eq!(p.grad.norm_sq(), 0.0, "{name}");
         });
+    }
+}
+
+/// Every parameter gradient of `model`, in visiting order.
+fn grads(model: &mut dyn Layer) -> Vec<(String, Tensor)> {
+    let mut out = Vec::new();
+    model.visit_params("", &mut |name, p: &mut Param| {
+        out.push((name, p.grad.clone()))
+    });
+    out
+}
+
+/// `backward_params` is `backward` minus the input gradient: on all
+/// three models — FLNet's plain chain, RouteNet's shortcut, PROS's
+/// residual blocks and its strided (lowered) `down_conv` — it must leave
+/// bit-identical `Param::grad`s.
+#[test]
+fn backward_params_leaves_the_gradients_backward_leaves() {
+    for kind in ModelKind::ALL {
+        let x = rand_tensor(&[3, 5, 16, 16], 21);
+        let g = rand_tensor(&[3, 1, 16, 16], 22);
+        let build = || build_model(kind, 5, ModelScale::Scaled, &mut Xoshiro256::seed_from(23));
+        let mut full = build();
+        full.forward(&x, true).unwrap();
+        full.backward(&g).unwrap();
+        let mut params_only = build();
+        params_only.forward(&x, true).unwrap();
+        params_only.backward_params(&g).unwrap();
+        let (want, got) = (grads(full.as_mut()), grads(params_only.as_mut()));
+        assert_eq!(want.len(), got.len(), "{kind}");
+        for ((name, w), (_, g)) in want.iter().zip(got.iter()) {
+            let same = w
+                .data()
+                .iter()
+                .zip(g.data())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(
+                same,
+                "{kind}: {name} differs between backward and backward_params"
+            );
+            assert!(w.norm_sq() > 0.0, "{kind}: {name} got no gradient at all");
+        }
+    }
+}
+
+/// An evaluation-mode forward caches nothing — and clears what a
+/// training-mode forward left — so a backward after it is refused
+/// instead of silently differentiating stale activations.
+#[test]
+fn backward_after_eval_forward_is_refused() {
+    for kind in ModelKind::ALL {
+        let mut model = build_model(kind, 5, ModelScale::Scaled, &mut Xoshiro256::seed_from(31));
+        let x = rand_tensor(&[2, 5, 16, 16], 32);
+        let g = rand_tensor(&[2, 1, 16, 16], 33);
+        model.forward(&x, true).unwrap();
+        model.forward(&x, false).unwrap();
+        for result in [model.backward(&g).map(drop), model.backward_params(&g)] {
+            assert!(
+                matches!(result, Err(NnError::BackwardBeforeForward { .. })),
+                "{kind}: {result:?}"
+            );
+        }
+        // A training-mode forward makes it differentiable again.
+        model.forward(&x, true).unwrap();
+        model.backward(&g).unwrap();
     }
 }

@@ -1,8 +1,17 @@
 //! 2-D convolution, transposed convolution, pooling and pixel-shuffle
 //! kernels in NCHW layout, with exact backward passes.
 //!
-//! Convolutions lower to [`crate::linalg`] matrix products via im2col /
-//! col2im. These are the primitives that the `rte-nn` layer types wrap with
+//! Stride-1 convolutions (any padding, any dilation) run as *implicit*
+//! GEMMs: [`crate::simd::conv_fwd`], [`crate::simd::conv_dw_acc`] and
+//! [`crate::simd::conv_dx_acc`] read their operands straight from a
+//! per-thread zero-padded copy of one image and never build a column
+//! matrix. Strided convolutions and transposed convolutions lower to
+//! [`crate::linalg`] matrix products via [`im2col`] / [`col2im`] — the
+//! only path that serves them, and the reference the implicit kernels are
+//! tested against bit for bit (`tests/kernel_properties.rs`). The choice
+//! is made from [`Conv2dSpec::stride`] alone.
+//!
+//! These are the primitives that the `rte-nn` layer types wrap with
 //! parameter storage; they are exposed here as free functions so they can be
 //! benchmarked and property-tested in isolation.
 
@@ -10,7 +19,7 @@ use std::cell::RefCell;
 
 use crate::linalg::{matmul, matmul_nt_acc, matmul_tn};
 use crate::parallel::{self, Parallelism};
-use crate::simd;
+use crate::simd::{self, ConvGeom};
 use crate::{Tensor, TensorError};
 
 /// Minimum per-batch-item multiply count before the batch loop fans out
@@ -18,34 +27,25 @@ use crate::{Tensor, TensorError};
 /// kernels run inline (results are identical either way).
 const PAR_MIN_ITEM_FLOPS: usize = 1 << 16;
 
-/// Degrades `par` to serial when each batch item is too small to pay for
-/// a thread spawn.
-fn effective_parallelism(par: Parallelism, item_flops: usize) -> Parallelism {
-    if item_flops < PAR_MIN_ITEM_FLOPS {
-        Parallelism::serial()
-    } else {
-        par
-    }
-}
-
 std::thread_local! {
-    /// Per-thread im2col/col2im scratch, reused across kernel *calls* on
-    /// the single-threaded paths (the training loop convolves thousands
-    /// of times with identical geometry, so a per-call `Vec` is pure
-    /// allocator churn). Worker threads in the batch-parallel paths keep
-    /// their own per-worker buffers via the pool's `init` hook instead.
-    static COL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread scratch — the padded image of the implicit kernels,
+    /// the column matrix of the lowered ones — reused across kernel
+    /// *calls* (the training loop convolves thousands of times with
+    /// identical geometry, so a per-call `Vec` is pure allocator churn).
+    /// The lowered batch-parallel paths keep per-worker column buffers
+    /// via the pool's `init` hook instead.
+    static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` on a thread-local scratch slice of exactly `len` elements.
 ///
 /// Contents are unspecified on entry — every caller overwrites the full
-/// slice (im2col writes padding explicitly; the matmuls zero their
-/// output). Falls back to a fresh allocation if the scratch is already
-/// borrowed (re-entrant kernels), so nesting degrades instead of
-/// panicking.
-fn with_col_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    COL_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+/// slice (the padded images are zero-filled first; im2col writes padding
+/// explicitly; the matmuls zero their output). Falls back to a fresh
+/// allocation if the scratch is already borrowed (re-entrant kernels),
+/// so nesting degrades instead of panicking.
+fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut buf) => {
             if buf.len() < len {
                 buf.resize(len, 0.0);
@@ -317,6 +317,132 @@ fn expect_rank4(t: &Tensor, what: &str) -> Result<(), TensorError> {
     Ok(())
 }
 
+/// Validated extents of one convolution call.
+struct ConvDims {
+    n: usize,
+    c_in: usize,
+    h: usize,
+    w: usize,
+    c_out: usize,
+    kh: usize,
+    kw: usize,
+    oh: usize,
+    ow: usize,
+    spec: Conv2dSpec,
+}
+
+impl ConvDims {
+    /// Checks ranks and that `x` and `w` agree on the input channels.
+    fn new(x: &Tensor, w: &Tensor, spec: Conv2dSpec, what: &str) -> Result<Self, TensorError> {
+        expect_rank4(x, "conv2d input")?;
+        expect_rank4(w, "conv2d weight")?;
+        let (n, c_in, h, w_in) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
+        let (c_out, wc_in, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
+        if c_in != wc_in {
+            return Err(TensorError::InvalidShape {
+                reason: format!("{what}: input has {c_in} channels but weight expects {wc_in}"),
+            });
+        }
+        Ok(ConvDims {
+            n,
+            c_in,
+            h,
+            w: w_in,
+            c_out,
+            kh,
+            kw,
+            oh: spec.out_extent(h, kh),
+            ow: spec.out_extent(w_in, kw),
+            spec,
+        })
+    }
+
+    /// [`ConvDims::new`] plus the output gradient's shape.
+    fn with_dy(x: &Tensor, w: &Tensor, dy: &Tensor, spec: Conv2dSpec) -> Result<Self, TensorError> {
+        let d = ConvDims::new(x, w, spec, "conv2d_backward")?;
+        expect_rank4(dy, "conv2d output grad")?;
+        if dy.shape().dims() != [d.n, d.c_out, d.oh, d.ow] {
+            return Err(TensorError::InvalidShape {
+                reason: format!(
+                    "conv2d_backward: dy shape {} != [{}, {}, {}, {}]",
+                    dy.shape(),
+                    d.n,
+                    d.c_out,
+                    d.oh,
+                    d.ow
+                ),
+            });
+        }
+        Ok(d)
+    }
+
+    /// Taps per output element (the GEMM's `k`).
+    fn ckk(&self) -> usize {
+        self.c_in * self.kh * self.kw
+    }
+
+    /// Output positions per channel.
+    fn ohw(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Elements of one input image.
+    fn chw(&self) -> usize {
+        self.c_in * self.h * self.w
+    }
+
+    /// The implicit kernels' geometry, or `None` when the spec is
+    /// strided and the call lowers through im2col / col2im instead.
+    fn implicit(&self) -> Option<ConvGeom> {
+        (self.spec.stride == 1).then_some(ConvGeom {
+            c_in: self.c_in,
+            c_out: self.c_out,
+            hp: self.h + 2 * self.spec.padding,
+            wp: self.w + 2 * self.spec.padding,
+            kh: self.kh,
+            kw: self.kw,
+            dilation: self.spec.dilation,
+        })
+    }
+
+    /// `par`, degraded to serial when a batch item is too small to pay
+    /// for a thread spawn.
+    fn parallelism(&self, par: Parallelism) -> Parallelism {
+        if self.c_out * self.ckk() * self.ohw() < PAR_MIN_ITEM_FLOPS {
+            Parallelism::serial()
+        } else {
+            par
+        }
+    }
+
+    /// Offset of row `i` of channel `ci` inside the padded image.
+    fn padded_row(&self, ci: usize, i: usize) -> usize {
+        let p = self.spec.padding;
+        ((ci * (self.h + 2 * p) + i + p) * (self.w + 2 * p)) + p
+    }
+
+    /// Zeroes the padded image `xp` and writes image `x_n` into its centre.
+    fn pad(&self, x_n: &[f32], xp: &mut [f32]) {
+        xp.iter_mut().for_each(|v| *v = 0.0);
+        for ci in 0..self.c_in {
+            for i in 0..self.h {
+                let (src, dst) = ((ci * self.h + i) * self.w, self.padded_row(ci, i));
+                xp[dst..dst + self.w].copy_from_slice(&x_n[src..src + self.w]);
+            }
+        }
+    }
+
+    /// Copies the centre of the padded image `xp` out into `x_n`.
+    fn crop(&self, xp: &[f32], x_n: &mut [f32]) {
+        for ci in 0..self.c_in {
+            for i in 0..self.h {
+                let (dst, src) = ((ci * self.h + i) * self.w, self.padded_row(ci, i));
+                x_n[dst..dst + self.w].copy_from_slice(&xp[src..src + self.w]);
+            }
+        }
+    }
+}
+
 /// 2-D convolution forward pass with the process-global [`Parallelism`]
 /// (see [`crate::parallel::set_global`]); equivalent to [`conv2d_with`].
 ///
@@ -340,7 +466,7 @@ pub fn conv2d(
 }
 
 /// [`conv2d`] with an explicit thread budget: batch items fan out to
-/// worker threads, each with its own im2col scratch buffer. Results are
+/// worker threads, each with its own scratch buffer. Results are
 /// bit-identical for every `par` (each item's arithmetic is independent
 /// and written to a disjoint output slice).
 ///
@@ -355,64 +481,45 @@ pub fn conv2d_with(
     spec: Conv2dSpec,
     par: Parallelism,
 ) -> Result<Tensor, TensorError> {
-    expect_rank4(x, "conv2d input")?;
-    expect_rank4(w, "conv2d weight")?;
-    let (n, c_in, h, w_in) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let (c_out, wc_in, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
-    if c_in != wc_in {
-        return Err(TensorError::InvalidShape {
-            reason: format!("conv2d: input has {c_in} channels but weight expects {wc_in}"),
-        });
-    }
+    let d = ConvDims::new(x, w, spec, "conv2d")?;
     if let Some(b) = bias {
-        if b.shape().dims() != [c_out] {
+        if b.shape().dims() != [d.c_out] {
             return Err(TensorError::InvalidShape {
-                reason: format!("conv2d: bias shape {} != [{c_out}]", b.shape()),
+                reason: format!("conv2d: bias shape {} != [{}]", b.shape(), d.c_out),
             });
         }
     }
-    let oh = spec.out_extent(h, kh);
-    let ow = spec.out_extent(w_in, kw);
-    let ckk = c_in * kh * kw;
-    let ohw = oh * ow;
-    let mut y = Tensor::zeros(&[n, c_out, oh, ow]);
-    if n == 0 || c_out == 0 {
+    let (ckk, ohw) = (d.ckk(), d.ohw());
+    let mut y = Tensor::zeros(&[d.n, d.c_out, d.oh, d.ow]);
+    if d.n == 0 || d.c_out == 0 {
         return Ok(y);
     }
-    let x_data = x.data();
-    let w_data = w.data();
-    let b_data = bias.map(|b| b.data());
-    let par = effective_parallelism(par, c_out * ckk * ohw);
-    let item = |col: &mut [f32], ni: usize, y_n: &mut [f32]| {
-        let x_n = &x_data[ni * c_in * h * w_in..(ni + 1) * c_in * h * w_in];
-        im2col(x_n, c_in, h, w_in, kh, kw, spec, col);
-        matmul(w_data, col, c_out, ckk, ohw, y_n);
-        if let Some(b) = b_data {
-            for co in 0..c_out {
-                let bv = b[co];
-                for v in &mut y_n[co * ohw..(co + 1) * ohw] {
-                    *v += bv;
+    let (x_data, w_data) = (x.data(), w.data());
+    let geom = d.implicit();
+    parallel::for_each_chunk_mut(
+        d.parallelism(par),
+        y.data_mut(),
+        d.c_out * ohw,
+        || (),
+        |(), ni, y_n| {
+            let x_n = &x_data[ni * d.chw()..(ni + 1) * d.chw()];
+            match &geom {
+                Some(g) => with_scratch(g.padded_len(), |xp| {
+                    d.pad(x_n, xp);
+                    simd::conv_fwd(g, xp, w_data, y_n);
+                }),
+                None => with_scratch(ckk * ohw, |col| {
+                    im2col(x_n, d.c_in, d.h, d.w, d.kh, d.kw, spec, col);
+                    matmul(w_data, col, d.c_out, ckk, ohw, y_n);
+                }),
+            }
+            if let Some(b) = bias {
+                for (y_co, &bv) in y_n.chunks_exact_mut(ohw).zip(b.data().iter()) {
+                    y_co.iter_mut().for_each(|v| *v += bv);
                 }
             }
-        }
-    };
-    if par.workers_for(n) <= 1 {
-        // Single-threaded: reuse the thread-local scratch across calls
-        // instead of allocating a fresh im2col buffer per forward pass.
-        with_col_scratch(ckk * ohw, |col| {
-            for (ni, y_n) in y.data_mut().chunks_mut(c_out * ohw).enumerate() {
-                item(col, ni, y_n);
-            }
-        });
-    } else {
-        parallel::for_each_chunk_mut(
-            par,
-            y.data_mut(),
-            c_out * ohw,
-            || vec![0.0f32; ckk * ohw],
-            |col, ni, y_n| item(col, ni, y_n),
-        );
-    }
+        },
+    );
     Ok(y)
 }
 
@@ -421,6 +528,16 @@ pub fn conv2d_with(
 pub struct Conv2dGrads {
     /// Gradient w.r.t. the input, shaped like `x`.
     pub dx: Tensor,
+    /// Gradient w.r.t. the weight, shaped like `w`.
+    pub dw: Tensor,
+    /// Gradient w.r.t. the bias, shape `(C_out)`.
+    pub db: Tensor,
+}
+
+/// Gradients of [`conv2d`] with respect to its parameters only — what a
+/// network's first layer needs, since nothing reads its input gradient.
+#[derive(Debug, Clone)]
+pub struct Conv2dParamGrads {
     /// Gradient w.r.t. the weight, shaped like `w`.
     pub dw: Tensor,
     /// Gradient w.r.t. the bias, shape `(C_out)`.
@@ -447,11 +564,12 @@ pub fn conv2d_backward(
 
 /// [`conv2d_backward`] with an explicit thread budget.
 ///
-/// Batch items fan out to workers: `dx` is written to disjoint per-item
-/// slices, while the batch-summed `dw`/`db` are computed as per-item
-/// partials and reduced on the caller's thread *in batch order* — the
-/// summation tree is therefore fixed, and the gradients are bit-identical
-/// for every `par` (including serial).
+/// `dx` fans out over batch items (disjoint slices). The batch-summed
+/// `dw`/`db` add each item's exact contribution in batch order whatever
+/// the thread count — implicit specs fan out over output channels, each
+/// worker walking the batch in order; lowered specs reduce per-item
+/// partials on the caller's thread — so the summation tree is fixed and
+/// the gradients are bit-identical for every `par` (including serial).
 ///
 /// # Errors
 ///
@@ -463,112 +581,165 @@ pub fn conv2d_backward_with(
     spec: Conv2dSpec,
     par: Parallelism,
 ) -> Result<Conv2dGrads, TensorError> {
-    expect_rank4(x, "conv2d input")?;
-    expect_rank4(w, "conv2d weight")?;
-    expect_rank4(dy, "conv2d output grad")?;
-    let (n, c_in, h, w_in) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let (c_out, _, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
-    let oh = spec.out_extent(h, kh);
-    let ow = spec.out_extent(w_in, kw);
-    if dy.shape().dims() != [n, c_out, oh, ow] {
-        return Err(TensorError::InvalidShape {
-            reason: format!(
-                "conv2d_backward: dy shape {} != [{n}, {c_out}, {oh}, {ow}]",
-                dy.shape()
-            ),
-        });
+    let d = ConvDims::with_dy(x, w, dy, spec)?;
+    let dx = input_grad(&d, w, dy, par);
+    let Conv2dParamGrads { dw, db } = param_grads(&d, x, dy, par);
+    Ok(Conv2dGrads { dx, dw, db })
+}
+
+/// The `dw`/`db` half of [`conv2d_backward`] with the process-global
+/// [`Parallelism`]: bit-identical parameter gradients, no input gradient
+/// computed.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidShape`] when shapes are inconsistent.
+pub fn conv2d_backward_params(
+    x: &Tensor,
+    w: &Tensor,
+    dy: &Tensor,
+    spec: Conv2dSpec,
+) -> Result<Conv2dParamGrads, TensorError> {
+    conv2d_backward_params_with(x, w, dy, spec, parallel::global())
+}
+
+/// [`conv2d_backward_params`] with an explicit thread budget.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidShape`] when shapes are inconsistent.
+pub fn conv2d_backward_params_with(
+    x: &Tensor,
+    w: &Tensor,
+    dy: &Tensor,
+    spec: Conv2dSpec,
+    par: Parallelism,
+) -> Result<Conv2dParamGrads, TensorError> {
+    let d = ConvDims::with_dy(x, w, dy, spec)?;
+    Ok(param_grads(&d, x, dy, par))
+}
+
+/// Input gradient, one disjoint slice per batch item: the implicit
+/// kernel accumulates into a zeroed padded image whose centre is the
+/// item's gradient; the lowered path is `col2im(Wᵀ · dY_n)`.
+fn input_grad(d: &ConvDims, w: &Tensor, dy: &Tensor, par: Parallelism) -> Tensor {
+    let (ckk, ohw) = (d.ckk(), d.ohw());
+    let mut dx = Tensor::zeros(&[d.n, d.c_in, d.h, d.w]);
+    // A zero-channel input (dx has no elements) trivially has no input
+    // gradient to compute.
+    if d.n == 0 || d.c_out == 0 || d.chw() == 0 {
+        return dx;
     }
-    let ckk = c_in * kh * kw;
-    let ohw = oh * ow;
-    let mut dx = Tensor::zeros(&[n, c_in, h, w_in]);
-    let mut dw = Tensor::zeros(&[c_out, c_in, kh, kw]);
+    let (w_data, dy_data) = (w.data(), dy.data());
+    let geom = d.implicit();
+    parallel::for_each_chunk_mut(
+        d.parallelism(par),
+        dx.data_mut(),
+        d.chw(),
+        || (),
+        |(), ni, dx_n| {
+            let dy_n = &dy_data[ni * d.c_out * ohw..(ni + 1) * d.c_out * ohw];
+            match &geom {
+                Some(g) => with_scratch(g.padded_len(), |dxp| {
+                    dxp.iter_mut().for_each(|v| *v = 0.0);
+                    simd::conv_dx_acc(g, w_data, dy_n, dxp);
+                    d.crop(dxp, dx_n);
+                }),
+                None => with_scratch(ckk * ohw, |dcol| {
+                    matmul_tn(w_data, dy_n, ckk, d.c_out, ohw, dcol);
+                    col2im(dcol, d.c_in, d.h, d.w, d.kh, d.kw, d.spec, dx_n);
+                }),
+            }
+        },
+    );
+    dx
+}
+
+/// Weight and bias gradients, summed over the batch in batch order.
+fn param_grads(d: &ConvDims, x: &Tensor, dy: &Tensor, par: Parallelism) -> Conv2dParamGrads {
+    let (n, c_out, ckk, ohw) = (d.n, d.c_out, d.ckk(), d.ohw());
+    let mut dw = Tensor::zeros(&[c_out, d.c_in, d.kh, d.kw]);
     let mut db = Tensor::zeros(&[c_out]);
     if n == 0 || c_out == 0 {
-        return Ok(Conv2dGrads { dx, dw, db });
+        return Conv2dParamGrads { dw, db };
     }
-    let x_data = x.data();
-    let w_data = w.data();
-    let dy_data = dy.data();
-    let par = effective_parallelism(par, c_out * ckk * ohw);
-
-    // Input gradient: dX_n = col2im(Wᵀ · dY_n), one disjoint slice per
-    // batch item, per-worker dcol scratch (thread-local scratch reused
-    // across calls when single-threaded). A zero-channel input (dx has
-    // no elements) trivially has no input gradient to compute.
-    if c_in * h * w_in > 0 {
-        let item = |dcol: &mut [f32], ni: usize, dx_n: &mut [f32]| {
-            let dy_n = &dy_data[ni * c_out * ohw..(ni + 1) * c_out * ohw];
-            matmul_tn(w_data, dy_n, ckk, c_out, ohw, dcol);
-            col2im(dcol, c_in, h, w_in, kh, kw, spec, dx_n);
-        };
-        if par.workers_for(n) <= 1 {
-            with_col_scratch(ckk * ohw, |dcol| {
-                for (ni, dx_n) in dx.data_mut().chunks_mut(c_in * h * w_in).enumerate() {
-                    item(dcol, ni, dx_n);
-                }
-            });
-        } else {
-            parallel::for_each_chunk_mut(
-                par,
-                dx.data_mut(),
-                c_in * h * w_in,
-                || vec![0.0f32; ckk * ohw],
-                |dcol, ni, dx_n| item(dcol, ni, dx_n),
-            );
+    let (x_data, dy_data) = (x.data(), dy.data());
+    for dy_n in dy_data.chunks_exact(c_out * ohw) {
+        for (acc, dy_co) in db.data_mut().iter_mut().zip(dy_n.chunks_exact(ohw)) {
+            *acc += simd::sum(dy_co);
         }
     }
-
-    // Weight/bias gradients sum over the batch. Serially, accumulate in
-    // place in batch order (no extra buffers). In parallel, compute exact
-    // per-item contributions concurrently and reduce them in batch order
-    // on this thread. Both paths add the same per-item accumulators in
-    // the same order, so they are bit-identical — `matmul_nt_acc`
-    // computes each item's contribution into a local `acc` before the
-    // `+=`, whether the target is `dw` directly or a zeroed partial.
-    if par.workers_for(n) <= 1 {
-        with_col_scratch(ckk * ohw, |col| {
-            for ni in 0..n {
-                let x_n = &x_data[ni * c_in * h * w_in..(ni + 1) * c_in * h * w_in];
-                let dy_n = &dy_data[ni * c_out * ohw..(ni + 1) * c_out * ohw];
-                // dW += dY_n · colᵀ; matmul_nt_acc needs dw flattened as
-                // (c_out, ckk), which is exactly the tensor's storage
-                // layout.
-                im2col(x_n, c_in, h, w_in, kh, kw, spec, col);
-                matmul_nt_acc(dy_n, col, c_out, ohw, ckk, dw.data_mut());
-                for co in 0..c_out {
-                    let s = simd::sum(&dy_n[co * ohw..(co + 1) * ohw]);
-                    db.data_mut()[co] += s;
-                }
-            }
+    if ckk == 0 {
+        return Conv2dParamGrads { dw, db };
+    }
+    let par = d.parallelism(par);
+    let x_item = |ni: usize| &x_data[ni * d.chw()..(ni + 1) * d.chw()];
+    let dy_item = |ni: usize| &dy_data[ni * c_out * ohw..(ni + 1) * c_out * ohw];
+    if let Some(g) = d.implicit() {
+        // Output channels are independent, so each worker owns an equal
+        // group of them and adds every item's contribution straight
+        // into its slice of `dw`, in batch order: no per-item partials,
+        // nothing to reduce, and the serial schedule is the one-group
+        // case of the same loop.
+        let groups = (1..=par.workers_for(c_out))
+            .rev()
+            .find(|k| c_out % k == 0)
+            .unwrap_or(1);
+        let per_group = c_out / groups;
+        parallel::for_each_chunk_mut(
+            par,
+            dw.data_mut(),
+            per_group * ckk,
+            || (),
+            |(), group, dw_g| {
+                let channels = group * per_group * ohw..(group + 1) * per_group * ohw;
+                with_scratch(g.padded_len(), |xp| {
+                    for ni in 0..n {
+                        d.pad(x_item(ni), xp);
+                        simd::conv_dw_acc(&g, xp, &dy_item(ni)[channels.clone()], dw_g);
+                    }
+                });
+            },
+        );
+        return Conv2dParamGrads { dw, db };
+    }
+    // Lowered path. Serially, accumulate in place in batch order (no
+    // extra buffers). In parallel, compute exact per-item contributions
+    // concurrently and reduce them in batch order on this thread. Both
+    // add the same per-item accumulators in the same order, so they are
+    // bit-identical — `matmul_nt_acc` computes each item's contribution
+    // into a local `acc` before the `+=`, whether the target is `dw`
+    // directly or a zeroed partial. `dw` flattened as (c_out, ckk) is
+    // exactly the tensor's storage layout.
+    let item = |ni: usize, dw_acc: &mut [f32]| {
+        with_scratch(ckk * ohw, |col| {
+            im2col(x_item(ni), d.c_in, d.h, d.w, d.kh, d.kw, d.spec, col);
+            matmul_nt_acc(dy_item(ni), col, c_out, ohw, ckk, dw_acc);
         });
+    };
+    if par.workers_for(n) <= 1 {
+        for ni in 0..n {
+            item(ni, dw.data_mut());
+        }
     } else {
         let batch: Vec<usize> = (0..n).collect();
         let partials = parallel::map_with(
             par,
             &batch,
-            || vec![0.0f32; ckk * ohw],
-            |col, _, &ni| {
-                let x_n = &x_data[ni * c_in * h * w_in..(ni + 1) * c_in * h * w_in];
-                let dy_n = &dy_data[ni * c_out * ohw..(ni + 1) * c_out * ohw];
-                im2col(x_n, c_in, h, w_in, kh, kw, spec, col);
+            || (),
+            |(), _, &ni| {
                 let mut dw_n = vec![0.0f32; c_out * ckk];
-                matmul_nt_acc(dy_n, col, c_out, ohw, ckk, &mut dw_n);
-                let db_n: Vec<f32> = (0..c_out)
-                    .map(|co| simd::sum(&dy_n[co * ohw..(co + 1) * ohw]))
-                    .collect();
-                (dw_n, db_n)
+                item(ni, &mut dw_n);
+                dw_n
             },
         );
-        for (dw_n, db_n) in &partials {
+        for dw_n in &partials {
             for (acc, &v) in dw.data_mut().iter_mut().zip(dw_n.iter()) {
-                *acc += v;
-            }
-            for (acc, &v) in db.data_mut().iter_mut().zip(db_n.iter()) {
                 *acc += v;
             }
         }
     }
-    Ok(Conv2dGrads { dx, dw, db })
+    Conv2dParamGrads { dw, db }
 }
 
 /// Transposed 2-D convolution (a.k.a. deconvolution) forward pass.
@@ -615,7 +786,7 @@ pub fn conv_transpose2d(
     let ckk = c_out * kh * kw;
     let hw = h * w_in;
     let mut y = Tensor::zeros(&[n, c_out, oh, ow]);
-    with_col_scratch(ckk * hw, |col| {
+    with_scratch(ckk * hw, |col| {
         for ni in 0..n {
             let x_n = &x.data()[ni * c_in * hw..(ni + 1) * c_in * hw];
             // col = Wᵀ_flat · x_n, where W_flat is (C_in, C_out*KH*KW).
@@ -651,7 +822,14 @@ pub fn conv_transpose2d_backward(
     expect_rank4(w, "conv_transpose2d weight")?;
     expect_rank4(dy, "conv_transpose2d output grad")?;
     let (n, c_in, h, w_in) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let (_, c_out, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
+    let (wc_in, c_out, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
+    if c_in != wc_in {
+        return Err(TensorError::InvalidShape {
+            reason: format!(
+                "conv_transpose2d_backward: input has {c_in} channels but weight expects {wc_in}"
+            ),
+        });
+    }
     let oh = spec.transpose_out_extent(h, kh);
     let ow = spec.transpose_out_extent(w_in, kw);
     if dy.shape().dims() != [n, c_out, oh, ow] {
@@ -667,7 +845,7 @@ pub fn conv_transpose2d_backward(
     let mut dx = Tensor::zeros(&[n, c_in, h, w_in]);
     let mut dw = Tensor::zeros(&[c_in, c_out, kh, kw]);
     let mut db = Tensor::zeros(&[c_out]);
-    with_col_scratch(ckk * hw, |col| {
+    with_scratch(ckk * hw, |col| {
         for ni in 0..n {
             let x_n = &x.data()[ni * c_in * hw..(ni + 1) * c_in * hw];
             let dy_n = &dy.data()[ni * c_out * oh * ow..(ni + 1) * c_out * oh * ow];

@@ -1,8 +1,10 @@
 //! Dense matrix multiplication primitives.
 //!
-//! The convolution kernels in [`crate::conv`] lower to these routines via
-//! im2col. All routines operate on row-major slices so they can run on
-//! scratch buffers without allocating.
+//! The strided and transposed convolutions in [`crate::conv`] lower to
+//! these routines via im2col (stride-1 convolutions run implicit-GEMM
+//! kernels that keep the same accumulation orders). All routines
+//! operate on row-major slices so they can run on scratch buffers
+//! without allocating.
 //!
 //! Since the SIMD backend landed, the production entry points here are
 //! thin dispatchers over [`crate::simd`]: the process-global

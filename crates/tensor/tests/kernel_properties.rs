@@ -2,13 +2,18 @@
 //! that make backpropagation correct must hold for arbitrary geometries,
 //! not just the hand-picked unit-test shapes.
 
+use std::sync::Mutex;
+
 use proptest::prelude::*;
 
 use rte_tensor::conv::{
-    col2im, conv2d, conv2d_backward, im2col, max_pool2d, max_pool2d_backward, Conv2dSpec,
+    col2im, conv2d, conv2d_backward, conv2d_backward_params_with, conv2d_backward_with,
+    conv2d_with, conv_transpose2d_backward, im2col, max_pool2d, max_pool2d_backward, Conv2dSpec,
 };
+use rte_tensor::parallel::Parallelism;
 use rte_tensor::rng::Xoshiro256;
-use rte_tensor::Tensor;
+use rte_tensor::simd::{self, SimdBackend};
+use rte_tensor::{Tensor, TensorError};
 
 fn rand_tensor(dims: &[usize], seed: u64) -> Tensor {
     let mut rng = Xoshiro256::seed_from(seed);
@@ -21,6 +26,231 @@ fn inner(a: &Tensor, b: &Tensor) -> f64 {
         .zip(b.data().iter())
         .map(|(&x, &y)| x as f64 * y as f64)
         .sum()
+}
+
+/// Serializes the tests that switch the process-global SIMD arm.
+static GLOBAL_ARM: Mutex<()> = Mutex::new(());
+
+/// The im2col → GEMM → col2im lowering of a convolution on one arm: the
+/// reference the implicit stride-1 kernels must reproduce bit for bit.
+/// Returns `(y, dx, dw, db)`.
+fn lowered_reference(
+    arm: SimdBackend,
+    x: &Tensor,
+    w: &Tensor,
+    bias: &Tensor,
+    dy: &Tensor,
+    spec: Conv2dSpec,
+) -> (Tensor, Tensor, Tensor, Tensor) {
+    let (n, c_in, h, wd) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
+    let (c_out, kh, kw) = (w.dim(0), w.dim(2), w.dim(3));
+    let (oh, ow) = (dy.dim(2), dy.dim(3));
+    let (ckk, ohw, chw) = (c_in * kh * kw, oh * ow, c_in * h * wd);
+    let mut y = Tensor::zeros(&[n, c_out, oh, ow]);
+    let mut dx = Tensor::zeros(&[n, c_in, h, wd]);
+    let mut dw = Tensor::zeros(&[c_out, c_in, kh, kw]);
+    let mut db = Tensor::zeros(&[c_out]);
+    let mut col = vec![0.0f32; ckk * ohw];
+    let mut dcol = vec![0.0f32; ckk * ohw];
+    for ni in 0..n {
+        let x_n = &x.data()[ni * chw..(ni + 1) * chw];
+        let dy_n = &dy.data()[ni * c_out * ohw..(ni + 1) * c_out * ohw];
+        im2col(x_n, c_in, h, wd, kh, kw, spec, &mut col);
+        let y_n = &mut y.data_mut()[ni * c_out * ohw..(ni + 1) * c_out * ohw];
+        simd::matmul_with(arm, w.data(), &col, c_out, ckk, ohw, y_n);
+        for (y_co, &b) in y_n.chunks_exact_mut(ohw).zip(bias.data()) {
+            y_co.iter_mut().for_each(|v| *v += b);
+        }
+        simd::matmul_tn_with(arm, w.data(), dy_n, ckk, c_out, ohw, &mut dcol);
+        let dx_n = &mut dx.data_mut()[ni * chw..(ni + 1) * chw];
+        col2im(&dcol, c_in, h, wd, kh, kw, spec, dx_n);
+        simd::matmul_nt_acc_with(arm, dy_n, &col, c_out, ohw, ckk, dw.data_mut());
+        for (acc, dy_co) in db.data_mut().iter_mut().zip(dy_n.chunks_exact(ohw)) {
+            *acc += simd::sum_with(arm, dy_co);
+        }
+    }
+    (y, dx, dw, db)
+}
+
+/// Bitwise equality, except that any NaN equals any NaN: the kernels
+/// agree on *which* elements are NaN, but a NaN's payload follows the
+/// operand order the compiler picked for a commutative `mulss`/`addss`,
+/// which the contract does not (and cannot) pin.
+fn assert_same_bits(got: &Tensor, want: &Tensor, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}: shape");
+    for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+            "{what}[{i}]: {g} vs {w}"
+        );
+    }
+}
+
+/// Asserts that the convolution entry points, on the process-global arm
+/// and at 1, 2 and 4 threads, reproduce [`lowered_reference`] on `arm`:
+/// forward, the full backward, and the params-only backward.
+fn assert_conv_matches_lowered(
+    arm: SimdBackend,
+    x: &Tensor,
+    w: &Tensor,
+    bias: &Tensor,
+    dy: &Tensor,
+    spec: Conv2dSpec,
+) {
+    let (y, dx, dw, db) = lowered_reference(arm, x, w, bias, dy, spec);
+    for threads in [1, 2, 4] {
+        let par = Parallelism::new(threads);
+        let tag = format!(
+            "[{arm}, {threads} threads, x {}, w {}]",
+            x.shape(),
+            w.shape()
+        );
+        let got_y = conv2d_with(x, w, Some(bias), spec, par).unwrap();
+        assert_same_bits(&got_y, &y, &format!("y {tag}"));
+        let full = conv2d_backward_with(x, w, dy, spec, par).unwrap();
+        assert_same_bits(&full.dx, &dx, &format!("dx {tag}"));
+        assert_same_bits(&full.dw, &dw, &format!("dw {tag}"));
+        assert_same_bits(&full.db, &db, &format!("db {tag}"));
+        let params = conv2d_backward_params_with(x, w, dy, spec, par).unwrap();
+        assert_same_bits(&params.dw, &dw, &format!("params dw {tag}"));
+        assert_same_bits(&params.db, &db, &format!("params db {tag}"));
+    }
+}
+
+/// Overwrites a few elements of `t` with NaN, ±inf and −0.0.
+fn seed_specials(t: &mut Tensor, rng: &mut Xoshiro256) {
+    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+    let len = t.numel();
+    for &v in &specials {
+        if rng.bernoulli(0.5) {
+            t.data_mut()[(rng.next_u64() % len as u64) as usize] = v;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Contract rule 5, convolutions: every stride-1 spec runs the
+    /// implicit kernels, and forward, `dx`, `dw` and `db` — from the full
+    /// backward and from the params-only one — equal the im2col
+    /// lowering bit for bit, on both arms and at every thread count.
+    /// Channels include 1, extents straddle multiples of 8 and 16 and go
+    /// below the kernel's reach, and the data carries NaN, ±inf and −0.0.
+    #[test]
+    fn implicit_conv_matches_lowered_reference_bitwise(
+        seed in 0u64..1_000_000,
+        n in 1usize..6,
+        c_in in 1usize..10,
+        c_out in 1usize..10,
+        h in 1usize..21,
+        wd in 1usize..21,
+        half_k in 0usize..5,
+        dilation in 1usize..4,
+        pad_sel in 0usize..10,
+        specials in 0u32..3,
+    ) {
+        let k = 2 * half_k + 1;
+        let spec = Conv2dSpec { stride: 1, padding: pad_sel % (k + 1), dilation };
+        let eff = spec.effective_kernel(k);
+        prop_assume!(h + 2 * spec.padding >= eff && wd + 2 * spec.padding >= eff);
+        let mut rng = Xoshiro256::seed_from(seed);
+        let mut x = Tensor::from_fn(&[n, c_in, h, wd], |_| rng.normal());
+        let mut w = Tensor::from_fn(&[c_out, c_in, k, k], |_| rng.normal());
+        let bias = Tensor::from_fn(&[c_out], |_| rng.normal());
+        let (oh, ow) = (spec.out_extent(h, k), spec.out_extent(wd, k));
+        let mut dy = Tensor::from_fn(&[n, c_out, oh, ow], |_| rng.normal());
+        if specials > 0 {
+            seed_specials(&mut x, &mut rng);
+            seed_specials(&mut w, &mut rng);
+            seed_specials(&mut dy, &mut rng);
+        }
+        let _guard = GLOBAL_ARM.lock().unwrap_or_else(|e| e.into_inner());
+        let before = simd::global();
+        for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
+            simd::set_global(arm);
+            assert_conv_matches_lowered(arm, &x, &w, &bias, &dy, spec);
+        }
+        simd::set_global(before);
+    }
+}
+
+/// The same comparison on shapes big enough that `conv2d_with` really
+/// fans out (the proptest's small items mostly run inline): FLNet's two
+/// layers, a dilated PROS-style block, and an odd-width map whose output
+/// rows rotate through the 8 lanes.
+#[test]
+fn implicit_conv_matches_lowered_reference_on_parallel_shapes() {
+    let _guard = GLOBAL_ARM.lock().unwrap_or_else(|e| e.into_inner());
+    for (n, c_in, c_out, h, wd, k, spec) in [
+        (4, 6, 16, 16, 16, 9, Conv2dSpec::same(9)),
+        (5, 16, 1, 16, 16, 9, Conv2dSpec::same(9)),
+        (3, 16, 16, 8, 8, 3, Conv2dSpec::same_dilated(3, 2)),
+        (
+            3,
+            5,
+            7,
+            13,
+            11,
+            5,
+            Conv2dSpec {
+                stride: 1,
+                padding: 3,
+                dilation: 2,
+            },
+        ),
+    ] {
+        let x = rand_tensor(&[n, c_in, h, wd], 7);
+        let w = rand_tensor(&[c_out, c_in, k, k], 8);
+        let bias = rand_tensor(&[c_out], 9);
+        let (oh, ow) = (spec.out_extent(h, k), spec.out_extent(wd, k));
+        let dy = rand_tensor(&[n, c_out, oh, ow], 10);
+        assert_conv_matches_lowered(simd::global(), &x, &w, &bias, &dy, spec);
+    }
+}
+
+/// Regression: `conv2d_backward` used to ignore the weight's
+/// input-channel extent, so a mismatched weight indexed out of bounds
+/// (or silently read the wrong rows) instead of failing like the
+/// forward pass does — on the implicit and on the lowered path.
+#[test]
+fn conv2d_backward_rejects_channel_mismatch() {
+    let x = Tensor::zeros(&[1, 2, 6, 6]);
+    for (w_channels, stride) in [(3, 1), (1, 1), (3, 2), (1, 2)] {
+        let spec = Conv2dSpec {
+            stride,
+            padding: 1,
+            dilation: 1,
+        };
+        let w = Tensor::zeros(&[4, w_channels, 3, 3]);
+        let o = spec.out_extent(6, 3);
+        let dy = Tensor::zeros(&[1, 4, o, o]);
+        assert!(matches!(
+            conv2d_backward(&x, &w, &dy, spec),
+            Err(TensorError::InvalidShape { .. })
+        ));
+    }
+}
+
+/// Regression: the same hole in `conv_transpose2d_backward`, whose
+/// weight is `(C_in, C_out, KH, KW)`.
+#[test]
+fn conv_transpose2d_backward_rejects_channel_mismatch() {
+    let x = Tensor::zeros(&[1, 2, 6, 6]);
+    let spec = Conv2dSpec {
+        stride: 2,
+        padding: 1,
+        dilation: 1,
+    };
+    let o = spec.transpose_out_extent(6, 4);
+    let dy = Tensor::zeros(&[1, 4, o, o]);
+    for w_channels in [1, 3] {
+        let w = Tensor::zeros(&[w_channels, 4, 4, 4]);
+        assert!(matches!(
+            conv_transpose2d_backward(&x, &w, &dy, spec),
+            Err(TensorError::InvalidShape { .. })
+        ));
+    }
 }
 
 proptest! {

@@ -166,6 +166,55 @@ proptest! {
         simd::sigmoid_backward_with(detected(), &mut got, &y);
         assert_bits_eq(&got, &want, "sigmoid_backward");
     }
+
+    /// Implicit-GEMM convolution kernels: scalar vs detected arm,
+    /// bitwise, over random stride-1 geometries — single and multiple
+    /// channels on either side (both register-tile shapes), output
+    /// widths on and off the 8-lane boundary, dilation 1–3. The kernels
+    /// never test a tap against the image border, so a fully random
+    /// "padded image" exercises them as well as a zero-bordered one.
+    #[test]
+    fn implicit_conv_kernels_are_bitwise_arm_invariant(
+        c_in in 1usize..6,
+        c_out in 1usize..7,
+        oh in 1usize..12,
+        ow in 1usize..20,
+        kh in 1usize..5,
+        kw in 1usize..5,
+        dilation in 1usize..4,
+        seed in 0u64..100_000,
+    ) {
+        let g = simd::ConvGeom {
+            c_in,
+            c_out,
+            hp: oh + dilation * (kh - 1),
+            wp: ow + dilation * (kw - 1),
+            kh,
+            kw,
+            dilation,
+        };
+        let xp = rand_vec(g.padded_len(), seed);
+        let w = rand_vec(c_out * g.ckk(), seed ^ 1);
+        let dy = rand_vec(c_out * oh * ow, seed ^ 2);
+
+        let mut want = vec![0.0f32; c_out * oh * ow];
+        simd::conv_fwd_with(SimdBackend::Scalar, &g, &xp, &w, &mut want);
+        let mut got = vec![f32::NAN; c_out * oh * ow];
+        simd::conv_fwd_with(detected(), &g, &xp, &w, &mut got);
+        assert_bits_eq(&got, &want, "conv_fwd");
+
+        let mut want = rand_vec(c_out * g.ckk(), seed ^ 3);
+        let mut got = want.clone();
+        simd::conv_dw_acc_with(SimdBackend::Scalar, &g, &xp, &dy, &mut want);
+        simd::conv_dw_acc_with(detected(), &g, &xp, &dy, &mut got);
+        assert_bits_eq(&got, &want, "conv_dw_acc");
+
+        let mut want = rand_vec(g.padded_len(), seed ^ 4);
+        let mut got = want.clone();
+        simd::conv_dx_acc_with(SimdBackend::Scalar, &g, &w, &dy, &mut want);
+        simd::conv_dx_acc_with(detected(), &g, &w, &dy, &mut got);
+        assert_bits_eq(&got, &want, "conv_dx_acc");
+    }
 }
 
 /// A small heterogeneous client: labels keyed to channel 0 with a

@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the tensor kernels that dominate
-//! training time (conv2d forward/backward on the layers the three models
-//! are built from, matmul across SIMD arms, elementwise sweeps, pixel
-//! shuffle) and one whole FLNet train step, plus a machine-readable
+//! training time (conv2d forward, weight gradient and input gradient on
+//! the layers the three models are built from, matmul across SIMD arms,
+//! elementwise sweeps, pixel shuffle), whole FLNet and RouteNet train
+//! steps and the cost of one parallel region, plus a machine-readable
 //! `BENCH_kernels.json` perf-trajectory dump.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -9,15 +10,16 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use rte_fed::{ClientSet, LocalTrainer};
-use rte_nn::models::{FlNet, FlNetConfig};
-use rte_nn::state_dict;
+use rte_nn::models::{FlNet, FlNetConfig, RouteNet, RouteNetConfig};
+use rte_nn::{state_dict, Layer};
 use rte_tensor::conv::{
-    conv2d, conv2d_backward, conv2d_backward_with, conv2d_with, pixel_shuffle, Conv2dSpec,
+    conv2d, conv2d_backward_params_with, conv2d_backward_with, conv2d_with, pixel_shuffle,
+    Conv2dSpec,
 };
 use rte_tensor::linalg::{matmul, matmul_naive};
 use rte_tensor::parallel::{self, Parallelism};
 use rte_tensor::rng::Xoshiro256;
-use rte_tensor::simd::{self, SimdBackend};
+use rte_tensor::simd::{self, ConvGeom, SimdBackend};
 use rte_tensor::Tensor;
 
 fn rand_tensor(dims: &[usize], seed: u64) -> Tensor {
@@ -35,7 +37,8 @@ fn arms() -> Vec<SimdBackend> {
 }
 
 /// One convolution layer as a model runs it: batch 4 on the 16×16 grid
-/// every corpus config uses (8×8 behind PROS's stride-2 stage).
+/// every corpus config uses (8×8 behind RouteNet's pool and PROS's
+/// stride-2 stage).
 struct ConvCase {
     name: &'static str,
     c_in: usize,
@@ -45,15 +48,21 @@ struct ConvCase {
     spec: Conv2dSpec,
 }
 
+/// Batch size of every convolution row.
+const BATCH: usize = 4;
+
+/// One timed pass of a layer: its row-name segment and what to run.
+type Pass = (&'static str, Box<dyn FnMut()>);
+
 impl ConvCase {
     /// `(x, w, bias, dy)` for the layer.
     fn tensors(&self) -> (Tensor, Tensor, Tensor, Tensor) {
         let (k, e) = (self.kernel, self.extent);
         (
-            rand_tensor(&[4, self.c_in, e, e], 1),
+            rand_tensor(&[BATCH, self.c_in, e, e], 1),
             rand_tensor(&[self.c_out, self.c_in, k, k], 2),
             rand_tensor(&[self.c_out], 3),
-            rand_tensor(&[4, self.c_out, e, e], 4),
+            rand_tensor(&[BATCH, self.c_out, e, e], 4),
         )
     }
 
@@ -61,15 +70,81 @@ impl ConvCase {
     fn shape(&self) -> String {
         let (k, e, s) = (self.kernel, self.extent, self.spec);
         format!(
-            "4x{}x{e}x{e}->{} k{k} p{} d{}",
+            "{BATCH}x{}x{e}x{e}->{} k{k} p{} d{}",
             self.c_in, self.c_out, s.padding, s.dilation
         )
+    }
+
+    /// Multiply-adds of one pass (forward, `dw` or `dx` alike) with
+    /// every tap counted, padding included — the denominator of the
+    /// GMAC/s column.
+    fn macs(&self) -> f64 {
+        let taps = self.c_in * self.kernel * self.kernel;
+        (BATCH * self.c_out * taps * self.extent * self.extent) as f64
+    }
+
+    /// The three passes of the layer, each a closure over its own
+    /// operands: forward and the params-only backward (`dw` + `db`)
+    /// through the batched entry points on `par`, and the input
+    /// gradient through the kernel itself, image by image — no public
+    /// entry point computes `dx` alone.
+    fn passes(&self, par: Parallelism) -> [Pass; 3] {
+        let spec = self.spec;
+        let (x, w, b, dy) = self.tensors();
+        let forward = {
+            let (x, w) = (x.clone(), w.clone());
+            move || {
+                black_box(conv2d_with(black_box(&x), &w, Some(&b), spec, par).unwrap());
+            }
+        };
+        let dw = {
+            let (w, dy) = (w.clone(), dy.clone());
+            move || {
+                black_box(conv2d_backward_params_with(black_box(&x), &w, &dy, spec, par).unwrap());
+            }
+        };
+        let padded = self.extent + 2 * spec.padding;
+        let g = ConvGeom {
+            c_in: self.c_in,
+            c_out: self.c_out,
+            hp: padded,
+            wp: padded,
+            kh: self.kernel,
+            kw: self.kernel,
+            dilation: spec.dilation,
+        };
+        let mut dyp = vec![0.0f32; g.dy_padded_len()];
+        let mut dx = vec![0.0f32; BATCH * self.c_in * self.extent * self.extent];
+        let dx_pass = move || {
+            let image = dx.len() / BATCH;
+            let items = dx.chunks_exact_mut(image);
+            for (dx_n, dy_n) in items.zip(dy.data().chunks_exact(dy.numel() / BATCH)) {
+                let arm = simd::global();
+                simd::conv_dx_acc_padded_with(
+                    arm,
+                    &g,
+                    spec.padding,
+                    w.data(),
+                    dy_n,
+                    &mut dyp,
+                    dx_n,
+                );
+            }
+            black_box(dx[0]);
+        };
+        [
+            ("forward", Box::new(forward)),
+            ("dw", Box::new(dw)),
+            ("dx", Box::new(dx_pass)),
+        ]
     }
 }
 
 /// FLNet's two layers at scaled capacity, its output layer at the
 /// paper's 64 filters (a single output channel: the shape a GEMM
-/// lowering serves worst), and a PROS-style dilated 3×3 block.
+/// lowering serves worst), RouteNet's two 8×8 encoder layers and its
+/// single-channel head at the paper's widths, and a PROS-style dilated
+/// 3×3 block.
 fn conv_cases() -> Vec<ConvCase> {
     let case = |name, c_in, c_out, extent, kernel, spec| ConvCase {
         name,
@@ -83,59 +158,71 @@ fn conv_cases() -> Vec<ConvCase> {
         case("flnet_input", 6, 16, 16, 9, Conv2dSpec::same(9)),
         case("flnet_output", 16, 1, 16, 9, Conv2dSpec::same(9)),
         case("flnet_output_paper", 64, 1, 16, 9, Conv2dSpec::same(9)),
+        case("routenet_conv2", 32, 64, 8, 7, Conv2dSpec::same(7)),
+        case("routenet_conv3", 64, 32, 8, 9, Conv2dSpec::same(9)),
+        case("routenet_head", 32, 1, 16, 5, Conv2dSpec::same(5)),
         case("pros_dilated", 16, 16, 8, 3, Conv2dSpec::same_dilated(3, 2)),
     ]
 }
 
 fn bench_conv2d(c: &mut Criterion) {
     for case in conv_cases() {
-        let (x, w, b, dy) = case.tensors();
-        let spec = case.spec;
-        c.bench_function(&format!("conv2d_forward_{}", case.name), |bench| {
-            bench.iter(|| conv2d(black_box(&x), black_box(&w), Some(&b), spec).unwrap())
-        });
-        c.bench_function(&format!("conv2d_backward_{}", case.name), |bench| {
-            bench.iter(|| {
-                conv2d_backward(black_box(&x), black_box(&w), black_box(&dy), spec).unwrap()
-            })
-        });
+        for (pass, mut run) in case.passes(parallel::global()) {
+            c.bench_function(&format!("conv2d_{pass}_{}", case.name), |bench| {
+                bench.iter(&mut run)
+            });
+        }
     }
 }
 
-/// One local training step of scaled FLNet exactly as a federated client
-/// runs it: minibatch draw, forward, loss, params-only backward, the
-/// FedProx term and the Adam update.
+/// One local training step exactly as a federated client runs it:
+/// minibatch draw, forward, loss, params-only backward, the FedProx term
+/// and the Adam update.
 struct TrainStep {
     trainer: LocalTrainer,
     data: ClientSet,
-    net: FlNet,
+    net: Box<dyn Layer>,
     reference: rte_nn::StateDict,
     rng: Xoshiro256,
 }
 
 impl TrainStep {
-    fn new() -> Self {
+    /// Batch 4 of a 6-channel 16×16 corpus through `net`.
+    fn new(mut net: Box<dyn Layer>) -> Self {
         let mut rng = Xoshiro256::seed_from(21);
         let x = Tensor::from_fn(&[8, 6, 16, 16], |_| rng.uniform());
         let y = Tensor::from_fn(&[8, 1, 16, 16], |_| f32::from(rng.bernoulli(0.15)));
-        let config = FlNetConfig {
-            hidden: 16,
-            ..FlNetConfig::new(6)
-        };
-        let mut net = FlNet::new(config, &mut Xoshiro256::seed_from(22));
         TrainStep {
-            trainer: LocalTrainer::new(2e-3, 1e-5, 1e-4, 4),
+            trainer: LocalTrainer::new(2e-3, 1e-5, 1e-4, BATCH),
             data: ClientSet::new(x, y).unwrap(),
-            reference: state_dict(&mut net),
+            reference: state_dict(net.as_mut()),
             net,
             rng: Xoshiro256::seed_from(23),
         }
     }
 
+    /// FLNet at scaled capacity (hidden 16).
+    fn flnet() -> Self {
+        let config = FlNetConfig {
+            hidden: 16,
+            ..FlNetConfig::new(6)
+        };
+        Self::new(Box::new(FlNet::new(config, &mut Xoshiro256::seed_from(22))))
+    }
+
+    /// RouteNet at the paper's widths (32 / 64 filters).
+    fn routenet_paper() -> Self {
+        let config = RouteNetConfig::new(6);
+        Self::new(Box::new(RouteNet::new(
+            config,
+            &mut Xoshiro256::seed_from(22),
+        )))
+    }
+
     fn run(&mut self) -> f32 {
         self.trainer
             .train(
-                &mut self.net,
+                self.net.as_mut(),
                 &self.data,
                 Some(&self.reference),
                 1,
@@ -145,11 +232,49 @@ impl TrainStep {
     }
 }
 
+/// `(row name, shape column, constructor)` of a train-step row.
+type TrainRow = (&'static str, &'static str, fn() -> TrainStep);
+
+/// The train-step rows.
+const TRAIN_STEPS: [TrainRow; 2] = [
+    (
+        "flnet_train_step",
+        "batch 4, 6x16x16, hidden 16, k9",
+        TrainStep::flnet,
+    ),
+    (
+        "routenet_paper_train_step",
+        "batch 4, 6x16x16, base 32, mid 64",
+        TrainStep::routenet_paper,
+    ),
+];
+
 fn bench_train_step(c: &mut Criterion) {
-    let mut step = TrainStep::new();
-    c.bench_function("flnet_train_step", |bench| {
-        bench.iter(|| black_box(step.run()))
-    });
+    for (name, _, build) in TRAIN_STEPS {
+        let mut step = build();
+        c.bench_function(name, |bench| bench.iter(|| black_box(step.run())));
+    }
+}
+
+/// Opens and joins one two-worker region that does nothing: the price
+/// `rte_tensor::conv` weighs a call's multiply-adds against before it
+/// fans out (its `PAR_MIN_CALL_MACS`).
+fn parallel_region() {
+    let mut slots = [0u8; 2];
+    parallel::for_each_chunk_mut(
+        Parallelism::new(2),
+        &mut slots,
+        1,
+        || (),
+        |(), i, s| {
+            s[0] = i as u8;
+        },
+    );
+    black_box(slots);
+}
+
+fn bench_parallel_region(c: &mut Criterion) {
+    c.bench_function("parallel_region", |bench| bench.iter(parallel_region));
 }
 
 fn bench_matmul(c: &mut Criterion) {
@@ -378,6 +503,15 @@ struct JsonEntry {
     arm: &'static str,
     ns_per_iter: f64,
     speedup_vs_scalar: f64,
+    /// Multiply-adds per iteration; 0 for rows that are not a product.
+    macs: f64,
+}
+
+impl JsonEntry {
+    /// 10⁹ multiply-adds per second, for the rows that have a count.
+    fn gmac_per_s(&self) -> Option<f64> {
+        (self.macs > 0.0).then(|| self.macs / self.ns_per_iter)
+    }
 }
 
 /// `git describe --always --dirty` of the checkout being measured, so a
@@ -395,8 +529,9 @@ fn commit() -> String {
 }
 
 /// Measures the GEMM family, the hot elementwise sweeps, every
-/// [`conv_cases`] layer forward and backward and the FLNet train step on
-/// every available arm, single-threaded, and writes `BENCH_kernels.json`
+/// [`conv_cases`] layer's three passes, the [`TRAIN_STEPS`] and one
+/// parallel region on every available arm, single-threaded, and writes
+/// `BENCH_kernels.json`
 /// (override the path with `RTE_BENCH_JSON`) so the perf trajectory is
 /// machine-trackable from PR to PR.
 ///
@@ -419,7 +554,8 @@ fn emit_kernels_json(_c: &mut Criterion) {
     let sweep_shape = format!("{len}");
     for arm in arms() {
         let mut out = vec![0.0f32; m * n];
-        let mut cases: Vec<(String, String, f64)> = vec![
+        let gemm_macs = (m * k * n) as f64;
+        let mut cases: Vec<(String, String, f64, f64)> = vec![
             (
                 "matmul".into(),
                 gemm_shape.clone(),
@@ -434,6 +570,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
                         &mut out,
                     )
                 }),
+                gemm_macs,
             ),
             (
                 "matmul_tn".into(),
@@ -449,6 +586,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
                         &mut out,
                     )
                 }),
+                gemm_macs,
             ),
             (
                 "matmul_nt_acc".into(),
@@ -464,23 +602,39 @@ fn emit_kernels_json(_c: &mut Criterion) {
                         &mut out,
                     )
                 }),
+                gemm_macs,
             ),
-            ("axpy".into(), sweep_shape.clone(), {
-                let mut y = x.data().to_vec();
-                measure_ns(|| simd::axpy_with(arm, 0.37, black_box(g.data()), &mut y))
-            }),
-            ("sigmoid".into(), sweep_shape.clone(), {
-                let mut buf = x.data().to_vec();
-                measure_ns(|| {
-                    buf.copy_from_slice(x.data());
-                    simd::sigmoid_with(arm, black_box(&mut buf));
-                })
-            }),
-            ("sum".into(), sweep_shape.clone(), {
-                measure_ns(|| {
-                    black_box(simd::sum_with(arm, black_box(x.data())));
-                })
-            }),
+            (
+                "axpy".into(),
+                sweep_shape.clone(),
+                {
+                    let mut y = x.data().to_vec();
+                    measure_ns(|| simd::axpy_with(arm, 0.37, black_box(g.data()), &mut y))
+                },
+                0.0,
+            ),
+            (
+                "sigmoid".into(),
+                sweep_shape.clone(),
+                {
+                    let mut buf = x.data().to_vec();
+                    measure_ns(|| {
+                        buf.copy_from_slice(x.data());
+                        simd::sigmoid_with(arm, black_box(&mut buf));
+                    })
+                },
+                0.0,
+            ),
+            (
+                "sum".into(),
+                sweep_shape.clone(),
+                {
+                    measure_ns(|| {
+                        black_box(simd::sum_with(arm, black_box(x.data())));
+                    })
+                },
+                0.0,
+            ),
         ];
         // The convolutions and the train step dispatch on the
         // process-global arm and thread budget, so pin both for the
@@ -490,36 +644,31 @@ fn emit_kernels_json(_c: &mut Criterion) {
         simd::set_global(arm);
         parallel::set_global(serial);
         for case in conv_cases() {
-            let (x, w, b, dy) = case.tensors();
-            let spec = case.spec;
-            let forward = measure_ns(|| {
-                black_box(conv2d_with(black_box(&x), &w, Some(&b), spec, serial).unwrap());
+            for (pass, mut run) in case.passes(serial) {
+                let ns = measure_ns(&mut run);
+                let name = format!("conv2d_{pass}_{}", case.name);
+                cases.push((name, case.shape(), ns, case.macs()));
+            }
+        }
+        for (name, shape, build) in TRAIN_STEPS {
+            let mut step = build();
+            let ns = measure_ns(|| {
+                black_box(step.run());
             });
-            let backward = measure_ns(|| {
-                black_box(conv2d_backward_with(black_box(&x), &w, &dy, spec, serial).unwrap());
-            });
+            cases.push((name.into(), shape.into(), ns, 0.0));
+        }
+        // No kernel in it, so one row: with the baseline arm's.
+        if arm == SimdBackend::Scalar {
             cases.push((
-                format!("conv2d_forward_{}", case.name),
-                case.shape(),
-                forward,
-            ));
-            cases.push((
-                format!("conv2d_backward_{}", case.name),
-                case.shape(),
-                backward,
+                "parallel_region".into(),
+                "2 workers, no work".into(),
+                measure_ns(parallel_region),
+                0.0,
             ));
         }
-        let mut step = TrainStep::new();
-        cases.push((
-            "flnet_train_step".into(),
-            "batch 4, 6x16x16, hidden 16, k9".into(),
-            measure_ns(|| {
-                black_box(step.run());
-            }),
-        ));
         simd::set_global(before.0);
         parallel::set_global(before.1);
-        for (kernel, shape, ns) in cases {
+        for (kernel, shape, ns, macs) in cases {
             let baseline = entries
                 .iter()
                 .find(|e| e.kernel == kernel && e.arm == SimdBackend::Scalar.name())
@@ -531,6 +680,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
                 arm: arm.name(),
                 ns_per_iter: ns,
                 speedup_vs_scalar: baseline / ns,
+                macs,
             });
         }
     }
@@ -539,12 +689,14 @@ fn emit_kernels_json(_c: &mut Criterion) {
     for (i, e) in entries.iter().enumerate() {
         json.push_str(&format!(
             "  {{\"kernel\": \"{}\", \"shape\": \"{}\", \"arm\": \"{}\", \"threads\": 1, \
-             \"commit\": \"{commit}\", \"ns_per_iter\": {:.1}, \"speedup_vs_scalar\": {:.3}}}{}\n",
+             \"commit\": \"{commit}\", \"ns_per_iter\": {:.1}, \"speedup_vs_scalar\": {:.3}{}}}{}\n",
             e.kernel,
             e.shape,
             e.arm,
             e.ns_per_iter,
             e.speedup_vs_scalar,
+            e.gmac_per_s()
+                .map_or_else(String::new, |r| format!(", \"gmac_per_s\": {r:.2}")),
             if i + 1 == entries.len() { "" } else { "," }
         ));
     }
@@ -561,8 +713,14 @@ fn emit_kernels_json(_c: &mut Criterion) {
     }
     for e in &entries {
         println!(
-            "bench: json {:<34} {:>32} arm {:<6} {:>12.1} ns/iter  {:>6.2}x vs scalar",
-            e.kernel, e.shape, e.arm, e.ns_per_iter, e.speedup_vs_scalar
+            "bench: json {:<34} {:>33} arm {:<6} {:>12.1} ns/iter  {:>6.2}x vs scalar{}",
+            e.kernel,
+            e.shape,
+            e.arm,
+            e.ns_per_iter,
+            e.speedup_vs_scalar,
+            e.gmac_per_s()
+                .map_or_else(String::new, |r| format!("  {r:>6.2} GMAC/s"))
         );
     }
 }
@@ -571,6 +729,7 @@ criterion_group!(
     benches,
     bench_conv2d,
     bench_train_step,
+    bench_parallel_region,
     bench_matmul,
     bench_matmul_arms,
     bench_elementwise_arms,

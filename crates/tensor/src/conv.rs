@@ -2,14 +2,21 @@
 //! kernels in NCHW layout, with exact backward passes.
 //!
 //! Stride-1 convolutions (any padding, any dilation) run as *implicit*
-//! GEMMs: [`crate::simd::conv_fwd`], [`crate::simd::conv_dw_acc`] and
-//! [`crate::simd::conv_dx_acc`] read their operands straight from a
-//! per-thread zero-padded copy of one image and never build a column
-//! matrix. Strided convolutions and transposed convolutions lower to
-//! [`crate::linalg`] matrix products via [`im2col`] / [`col2im`] — the
-//! only path that serves them, and the reference the implicit kernels are
-//! tested against bit for bit (`tests/kernel_properties.rs`). The choice
-//! is made from [`Conv2dSpec::stride`] alone.
+//! GEMMs and never build a column matrix: the forward pass
+//! ([`crate::simd::conv_fwd_skip_with`]) and the weight gradient
+//! ([`crate::simd::conv_dw_acc_skip_with`]) read a per-thread zero-padded
+//! copy of one image, and the input gradient
+//! ([`crate::simd::conv_dx_acc_padded_with`]) gathers each pixel's taps
+//! from a per-thread zero-padded copy of `dy` straight into `dx`. This
+//! module knows which part of a padded image is padding, so it is also
+//! where [`crate::simd::skippable_rows`] decides — one scan of the
+//! weights per call, of `dy` per item — whether the kernels may leave the
+//! padding rows' products out. Strided convolutions and transposed
+//! convolutions lower to [`crate::linalg`] matrix products via
+//! [`im2col`] / [`col2im`] — the only path that serves them, and the
+//! reference the implicit kernels are tested against bit for bit
+//! (`tests/kernel_properties.rs`). The choice is made from
+//! [`Conv2dSpec::stride`] alone.
 //!
 //! These are the primitives that the `rte-nn` layer types wrap with
 //! parameter storage; they are exposed here as free functions so they can be
@@ -22,14 +29,25 @@ use crate::parallel::{self, Parallelism};
 use crate::simd::{self, ConvGeom};
 use crate::{Tensor, TensorError};
 
-/// Minimum per-batch-item multiply count before the batch loop fans out
-/// to worker threads; below this, thread spawn overhead dominates and the
+/// Minimum multiply-adds of one whole call — every batch item, every
+/// channel — before it fans out to worker threads; below this the
 /// kernels run inline (results are identical either way).
-const PAR_MIN_ITEM_FLOPS: usize = 1 << 16;
+///
+/// Opening and joining a two-worker [`parallel`] region that does
+/// nothing measured 33–75 µs across runs on the 2-core benchmark host
+/// (the `parallel_region` row of `BENCH_kernels.json`), and two workers
+/// beat one only once the call's serial time exceeds about twice that.
+/// The AVX2 kernels sustain 20–40 GMAC/s on the model layers, so 2²²
+/// multiply-adds are 100–200 µs of serial work. The gate used to compare
+/// *one item's* multiplies with 2¹⁶ — 2 µs of work at that rate — so
+/// every convolution on the main thread paid a region larger than
+/// itself.
+const PAR_MIN_CALL_MACS: usize = 1 << 22;
 
 std::thread_local! {
-    /// Per-thread scratch — the padded image of the implicit kernels,
-    /// the column matrix of the lowered ones — reused across kernel
+    /// Per-thread scratch — the padded image or padded `dy` of the
+    /// implicit kernels, the column matrix of the lowered ones — reused
+    /// across kernel
     /// *calls* (the training loop convolves thousands of times with
     /// identical geometry, so a per-call `Vec` is pure allocator churn).
     /// The lowered batch-parallel paths keep per-worker column buffers
@@ -405,10 +423,10 @@ impl ConvDims {
         })
     }
 
-    /// `par`, degraded to serial when a batch item is too small to pay
-    /// for a thread spawn.
+    /// `par`, degraded to serial when the whole call is too small to pay
+    /// for a parallel region.
     fn parallelism(&self, par: Parallelism) -> Parallelism {
-        if self.c_out * self.ckk() * self.ohw() < PAR_MIN_ITEM_FLOPS {
+        if self.n * self.c_out * self.ckk() * self.ohw() < PAR_MIN_CALL_MACS {
             Parallelism::serial()
         } else {
             par
@@ -428,16 +446,6 @@ impl ConvDims {
             for i in 0..self.h {
                 let (src, dst) = ((ci * self.h + i) * self.w, self.padded_row(ci, i));
                 xp[dst..dst + self.w].copy_from_slice(&x_n[src..src + self.w]);
-            }
-        }
-    }
-
-    /// Copies the centre of the padded image `xp` out into `x_n`.
-    fn crop(&self, xp: &[f32], x_n: &mut [f32]) {
-        for ci in 0..self.c_in {
-            for i in 0..self.h {
-                let (dst, src) = ((ci * self.h + i) * self.w, self.padded_row(ci, i));
-                x_n[dst..dst + self.w].copy_from_slice(&xp[src..src + self.w]);
             }
         }
     }
@@ -496,6 +504,8 @@ pub fn conv2d_with(
     }
     let (x_data, w_data) = (x.data(), w.data());
     let geom = d.implicit();
+    let arm = simd::global();
+    let skip = geom.map_or(0, |_| simd::skippable_rows(spec.padding, w_data));
     parallel::for_each_chunk_mut(
         d.parallelism(par),
         y.data_mut(),
@@ -506,7 +516,7 @@ pub fn conv2d_with(
             match &geom {
                 Some(g) => with_scratch(g.padded_len(), |xp| {
                     d.pad(x_n, xp);
-                    simd::conv_fwd(g, xp, w_data, y_n);
+                    simd::conv_fwd_skip_with(arm, g, skip, xp, w_data, y_n);
                 }),
                 None => with_scratch(ckk * ohw, |col| {
                     im2col(x_n, d.c_in, d.h, d.w, d.kh, d.kw, spec, col);
@@ -620,8 +630,8 @@ pub fn conv2d_backward_params_with(
 }
 
 /// Input gradient, one disjoint slice per batch item: the implicit
-/// kernel accumulates into a zeroed padded image whose centre is the
-/// item's gradient; the lowered path is `col2im(Wᵀ · dY_n)`.
+/// kernel gathers into the item's zeroed slice of `dx` itself; the
+/// lowered path is `col2im(Wᵀ · dY_n)`.
 fn input_grad(d: &ConvDims, w: &Tensor, dy: &Tensor, par: Parallelism) -> Tensor {
     let (ckk, ohw) = (d.ckk(), d.ohw());
     let mut dx = Tensor::zeros(&[d.n, d.c_in, d.h, d.w]);
@@ -631,7 +641,7 @@ fn input_grad(d: &ConvDims, w: &Tensor, dy: &Tensor, par: Parallelism) -> Tensor
         return dx;
     }
     let (w_data, dy_data) = (w.data(), dy.data());
-    let geom = d.implicit();
+    let (geom, arm) = (d.implicit(), simd::global());
     parallel::for_each_chunk_mut(
         d.parallelism(par),
         dx.data_mut(),
@@ -640,10 +650,8 @@ fn input_grad(d: &ConvDims, w: &Tensor, dy: &Tensor, par: Parallelism) -> Tensor
         |(), ni, dx_n| {
             let dy_n = &dy_data[ni * d.c_out * ohw..(ni + 1) * d.c_out * ohw];
             match &geom {
-                Some(g) => with_scratch(g.padded_len(), |dxp| {
-                    dxp.iter_mut().for_each(|v| *v = 0.0);
-                    simd::conv_dx_acc(g, w_data, dy_n, dxp);
-                    d.crop(dxp, dx_n);
+                Some(g) => with_scratch(g.dy_padded_len(), |dyp| {
+                    simd::conv_dx_acc_padded_with(arm, g, d.spec.padding, w_data, dy_n, dyp, dx_n);
                 }),
                 None => with_scratch(ckk * ohw, |dcol| {
                     matmul_tn(w_data, dy_n, ckk, d.c_out, ohw, dcol);
@@ -676,6 +684,7 @@ fn param_grads(d: &ConvDims, x: &Tensor, dy: &Tensor, par: Parallelism) -> Conv2
     let x_item = |ni: usize| &x_data[ni * d.chw()..(ni + 1) * d.chw()];
     let dy_item = |ni: usize| &dy_data[ni * c_out * ohw..(ni + 1) * c_out * ohw];
     if let Some(g) = d.implicit() {
+        let arm = simd::global();
         // Output channels are independent, so each worker owns an equal
         // group of them and adds every item's contribution straight
         // into its slice of `dw`, in batch order: no per-item partials,
@@ -696,7 +705,9 @@ fn param_grads(d: &ConvDims, x: &Tensor, dy: &Tensor, par: Parallelism) -> Conv2
                 with_scratch(g.padded_len(), |xp| {
                     for ni in 0..n {
                         d.pad(x_item(ni), xp);
-                        simd::conv_dw_acc(&g, xp, &dy_item(ni)[channels.clone()], dw_g);
+                        let dy_g = &dy_item(ni)[channels.clone()];
+                        let skip = simd::skippable_rows(d.spec.padding, dy_g);
+                        simd::conv_dw_acc_skip_with(arm, &g, skip, xp, dy_g, dw_g);
                     }
                 });
             },

@@ -2,9 +2,9 @@
 //! lane-ordered reductions.
 //!
 //! Every training method in the workspace bottoms out in a handful of
-//! `f32` kernels: the implicit-GEMM convolutions and the im2col matrix
-//! products behind [`crate::conv`], and the elementwise activation /
-//! optimizer sweeps in `rte-nn`. This module
+//! `f32` kernels: the implicit-GEMM convolutions (submodule `implicit`)
+//! and the im2col matrix products behind [`crate::conv`], and the
+//! elementwise activation / optimizer sweeps in `rte-nn`. This module
 //! multi-versions those kernels over instruction-set *arms* and picks one
 //! at runtime:
 //!
@@ -52,13 +52,29 @@
 //!    both arms evaluate one shared Cephes-style polynomial
 //!    ([`exp_lane`]) with an identical operation sequence, so the
 //!    vector arm is a pure 8-wide transcription of the scalar arm.
-//! 5. **Implicit-GEMM convolutions** ([`conv_fwd`], [`conv_dw_acc`],
-//!    [`conv_dx_acc`]) are rules 2 and 3 with the column matrix left
-//!    unbuilt: forward is [`matmul`]'s ascending chain per output
-//!    element, the weight gradient is [`matmul_nt_acc`]'s lanes over
-//!    the flattened output index, and the input gradient is
-//!    [`matmul_tn`]'s chain per tap added into each pixel in ascending
-//!    tap order — bit-identical to the im2col lowering on every arm.
+//! 5. **Implicit-GEMM convolutions** ([`conv_fwd_skip_with`],
+//!    [`conv_dw_acc_skip_with`], [`conv_dx_acc_padded_with`]) are rules 2
+//!    and 3 with the column matrix left unbuilt, and each is one generic
+//!    body over eight abstract lanes (`implicit::Lanes8`) that both arms
+//!    instantiate — the order below is stated once, not transcribed.
+//!    *Forward* is [`matmul`]'s ascending chain per output element.
+//!    The *weight gradient* is [`matmul_nt_acc`]'s lanes over the
+//!    flattened output index; its register tile (output channels × taps)
+//!    only decides which loads are shared, never which lane a product
+//!    lands in. The *input gradient* is a gather: each input pixel sums
+//!    the `c_out` chains ([`matmul_tn`]'s) of the taps that reach it, in
+//!    ascending tap order, in a register, and is written once; a tap
+//!    whose output position does not exist is left out by a loop bound
+//!    or a lane mask, as col2im leaves it out.
+//!    **Skip only a product known to be ±0.0:** forward and the weight
+//!    gradient may leave out the rows of a padded image that are zero
+//!    padding, but only when the *other* factor of every such product is
+//!    finite ([`skippable_rows`] scans it) — then the product is `±0.0`
+//!    and adding it to an accumulator that began at `+0.0`, which is
+//!    never `−0.0` afterwards, changes nothing. With one NaN or infinity
+//!    in that operand nothing is skipped and it propagates exactly as
+//!    through a column matrix. All of it is bit-identical to the im2col
+//!    lowering on every arm.
 //!
 //! `tests/simd_determinism.rs` pins the contract end to end: every
 //! kernel bitwise across arms over randomized shapes, and a full FedProx
@@ -72,7 +88,11 @@
 //! are only reachable through [`SimdBackend::Avx2`], and that variant is
 //! only ever constructed after `is_x86_feature_detected!` confirmed
 //! AVX2+FMA support** (or by a caller who explicitly forced it, which
-//! [`SimdBackend::from_env`] refuses to do on unsupported CPUs).
+//! [`SimdBackend::from_env`] refuses to do on unsupported CPUs). The
+//! convolution kernels themselves are safe code in the `implicit`
+//! submodule; their `unsafe` is confined to the AVX2 impl of `Lanes8`
+//! in this file, which reads only where a checked `implicit::Nest` has
+//! shown every read of the loop nest to be in bounds.
 #![allow(unsafe_code)]
 
 use std::fmt;
@@ -400,6 +420,12 @@ macro_rules! dispatch {
     };
 }
 
+mod implicit;
+pub use implicit::{
+    conv_dw_acc_skip_with, conv_dw_acc_with, conv_dx_acc_padded_with, conv_dx_acc_with,
+    conv_fwd_skip_with, conv_fwd_with, skippable_rows, ConvGeom,
+};
+
 /// `out = A @ B` (`A` is `m×k`, `B` is `k×n`, row-major) on the
 /// process-global arm. Per output element the `k` accumulation order is
 /// strictly ascending on every arm — bit-identical to the naive i-k-j
@@ -502,276 +528,6 @@ pub fn matmul_nt_acc_with(
         backend,
         scalar::matmul_nt_acc(a, b, m, k, n, out),
         avx2::matmul_nt_acc(a, b, m, k, n, out)
-    );
-}
-
-/// Geometry of one stride-1 convolution read straight from a zero-padded
-/// image — the operand layout of the implicit-GEMM kernels [`conv_fwd`],
-/// [`conv_dw_acc`] and [`conv_dx_acc`].
-///
-/// The padded image is `c_in × hp × wp` row-major (the `h × w` input
-/// centred inside `padding` zeros on every side) followed by
-/// [`LANES`] slack floats, so an 8-lane load whose valid lanes end at
-/// the last pixel stays inside the slice. Output position `(oi, oj)`
-/// reads tap `(ci, ki, kj)` at
-/// `ci·hp·wp + (oi + ki·dilation)·wp + oj + kj·dilation`: no bounds
-/// test per tap, and the padding zeros are multiplied like any other
-/// input — exactly what an im2col column matrix would hold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConvGeom {
-    /// Input channels.
-    pub c_in: usize,
-    /// Output channels.
-    pub c_out: usize,
-    /// Padded image height (`h + 2·padding`).
-    pub hp: usize,
-    /// Padded image width (`w + 2·padding`).
-    pub wp: usize,
-    /// Kernel height (≥ 1).
-    pub kh: usize,
-    /// Kernel width (≥ 1).
-    pub kw: usize,
-    /// Kernel dilation (≥ 1).
-    pub dilation: usize,
-}
-
-impl ConvGeom {
-    /// Output height (`hp` minus the dilated kernel's reach).
-    pub fn oh(&self) -> usize {
-        self.hp - self.dilation * (self.kh - 1)
-    }
-
-    /// Output width.
-    pub fn ow(&self) -> usize {
-        self.wp - self.dilation * (self.kw - 1)
-    }
-
-    /// Taps per output element, `c_in·kh·kw` — the implicit GEMM's `k`.
-    pub fn ckk(&self) -> usize {
-        self.c_in * self.kh * self.kw
-    }
-
-    /// Length of a padded image slice, slack included.
-    pub fn padded_len(&self) -> usize {
-        self.c_in * self.hp * self.wp + LANES
-    }
-
-    /// For each tap in ascending flattened order
-    /// `p = (ci·kh + ki)·kw + kj`, its offset from an output position's
-    /// own offset `oi·wp + oj` in the padded image.
-    fn tap_offsets(&self) -> TapOffsets {
-        TapOffsets {
-            left: self.ckk(),
-            kj: 0,
-            ki: 0,
-            kw: self.kw,
-            kh: self.kh,
-            next: 0,
-            row: 0,
-            plane: 0,
-            step: self.dilation,
-            row_step: self.dilation * self.wp,
-            plane_step: self.hp * self.wp,
-        }
-    }
-
-    /// The conditions every index computed from this geometry relies on;
-    /// checked at each kernel entry because the fields are public.
-    fn assert_valid(&self) {
-        assert!(
-            self.kh >= 1 && self.kw >= 1 && self.dilation >= 1,
-            "ConvGeom: zero kernel extent or dilation"
-        );
-        assert!(
-            self.dilation * (self.kh - 1) < self.hp && self.dilation * (self.kw - 1) < self.wp,
-            "ConvGeom: dilated kernel larger than the padded image"
-        );
-    }
-}
-
-/// [`ConvGeom::tap_offsets`]: three counters and three running offsets,
-/// because the kernels ask for every tap of every tile and unflattening
-/// `p` would cost four divisions a time.
-struct TapOffsets {
-    left: usize,
-    kj: usize,
-    ki: usize,
-    kw: usize,
-    kh: usize,
-    /// Offset of the tap `next()` returns, of its kernel row's first
-    /// tap, and of its channel's first tap.
-    next: usize,
-    row: usize,
-    plane: usize,
-    step: usize,
-    row_step: usize,
-    plane_step: usize,
-}
-
-impl Iterator for TapOffsets {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        if self.left == 0 {
-            return None;
-        }
-        self.left -= 1;
-        let off = self.next;
-        self.kj += 1;
-        self.next += self.step;
-        if self.kj == self.kw {
-            self.kj = 0;
-            self.ki += 1;
-            self.row += self.row_step;
-            if self.ki == self.kh {
-                self.ki = 0;
-                self.plane += self.plane_step;
-                self.row = self.plane;
-            }
-            self.next = self.row;
-        }
-        Some(off)
-    }
-}
-
-/// Convolution forward for one image on the process-global arm:
-/// `y[co, oi, oj] = Σ w[co, ci, ki, kj] · xp[ci, oi + ki·d, oj + kj·d]`,
-/// each output element adding its products from `0.0` in strictly
-/// ascending `(ci, ki, kj)` order on every arm — the order (and the
-/// bits) of [`matmul`] over an im2col matrix, without the matrix.
-///
-/// `xp` is the padded image described by [`ConvGeom`], `w` is
-/// `c_out × ckk` row-major, `y` is `c_out × oh × ow` and is overwritten.
-///
-/// # Panics
-///
-/// Panics if the geometry is degenerate or any slice length is
-/// inconsistent with it.
-pub fn conv_fwd(g: &ConvGeom, xp: &[f32], w: &[f32], y: &mut [f32]) {
-    conv_fwd_with(global(), g, xp, w, y);
-}
-
-/// [`conv_fwd`] with an explicit arm.
-///
-/// # Panics
-///
-/// Panics if the geometry is degenerate or any slice length is
-/// inconsistent with it.
-pub fn conv_fwd_with(backend: SimdBackend, g: &ConvGeom, xp: &[f32], w: &[f32], y: &mut [f32]) {
-    g.assert_valid();
-    assert!(xp.len() >= g.padded_len(), "conv_fwd: padded image length");
-    assert_eq!(w.len(), g.c_out * g.ckk(), "conv_fwd: weight length");
-    assert_eq!(y.len(), g.c_out * g.oh() * g.ow(), "conv_fwd: out length");
-    dispatch!(
-        backend,
-        scalar::conv_fwd(g, xp, w, y),
-        avx2::conv_fwd(g, xp, w, y)
-    );
-}
-
-/// Weight gradient of a run of output channels for one image,
-/// accumulated, on the process-global arm: for each channel `c` of the
-/// run and each tap `p`, `dw[c·ckk + p] += reduce8(lanes)` where the
-/// flattened output index `i = oi·ow + oj` adds
-/// `dy[c·ohw + i] · xp[tap p at i]` into lane `i % 8` in ascending `i` —
-/// the lanes (and the bits) of [`matmul_nt_acc`] over an im2col matrix.
-///
-/// `dy` holds the channels' `oh × ow` output gradients back to back and
-/// `dw` their `ckk` weight gradients; the run may be any contiguous
-/// subset of the layer's `c_out` channels (callers split channels
-/// across threads), so its length comes from the slices.
-///
-/// # Panics
-///
-/// Panics if the geometry is degenerate or any slice length is
-/// inconsistent with it.
-pub fn conv_dw_acc(g: &ConvGeom, xp: &[f32], dy: &[f32], dw: &mut [f32]) {
-    conv_dw_acc_with(global(), g, xp, dy, dw);
-}
-
-/// [`conv_dw_acc`] with an explicit arm.
-///
-/// # Panics
-///
-/// Panics if the geometry is degenerate or any slice length is
-/// inconsistent with it.
-pub fn conv_dw_acc_with(
-    backend: SimdBackend,
-    g: &ConvGeom,
-    xp: &[f32],
-    dy: &[f32],
-    dw: &mut [f32],
-) {
-    g.assert_valid();
-    assert!(
-        xp.len() >= g.padded_len(),
-        "conv_dw_acc: padded image length"
-    );
-    let (ohw, ckk) = (g.oh() * g.ow(), g.ckk());
-    assert_eq!(dy.len() % ohw, 0, "conv_dw_acc: dy length");
-    assert_eq!(dw.len(), dy.len() / ohw * ckk, "conv_dw_acc: dw length");
-    if ckk == 0 {
-        return;
-    }
-    dispatch!(
-        backend,
-        scalar::conv_dw_acc(g, xp, dy, dw),
-        avx2::conv_dw_acc(g, xp, dy, dw)
-    );
-}
-
-/// Input gradient for one image, accumulated into a *padded* gradient
-/// image, on the process-global arm: for every tap in ascending
-/// `(ci, ki, kj)` order,
-/// `dxp[ci, oi + ki·d, oj + kj·d] += Σ_co w[co, ci, ki, kj] · dy[co, oi, oj]`
-/// with the `co` chain summed from `0.0` in ascending order — per input
-/// pixel the chains (and the bits) of [`matmul_tn`] followed by col2im,
-/// once the caller crops the padding ring (which collects the taps
-/// col2im skips as out of range).
-///
-/// `w` is `c_out × ckk`, `dy` is `c_out × oh × ow`, `dxp` is a padded
-/// image the caller zeroed.
-///
-/// # Panics
-///
-/// Panics if the geometry is degenerate or any slice length is
-/// inconsistent with it.
-pub fn conv_dx_acc(g: &ConvGeom, w: &[f32], dy: &[f32], dxp: &mut [f32]) {
-    conv_dx_acc_with(global(), g, w, dy, dxp);
-}
-
-/// [`conv_dx_acc`] with an explicit arm.
-///
-/// # Panics
-///
-/// Panics if the geometry is degenerate or any slice length is
-/// inconsistent with it.
-pub fn conv_dx_acc_with(
-    backend: SimdBackend,
-    g: &ConvGeom,
-    w: &[f32],
-    dy: &[f32],
-    dxp: &mut [f32],
-) {
-    g.assert_valid();
-    assert_eq!(w.len(), g.c_out * g.ckk(), "conv_dx_acc: weight length");
-    assert_eq!(
-        dy.len(),
-        g.c_out * g.oh() * g.ow(),
-        "conv_dx_acc: dy length"
-    );
-    assert!(
-        dxp.len() >= g.padded_len(),
-        "conv_dx_acc: padded image length"
-    );
-    if g.ckk() == 0 {
-        return;
-    }
-    dispatch!(
-        backend,
-        scalar::conv_dx_acc(g, w, dy, dxp),
-        avx2::conv_dx_acc(g, w, dy, dxp)
     );
 }
 
@@ -1104,120 +860,6 @@ mod scalar {
         }
     }
 
-    /// Implicit-GEMM forward: the blocked [`matmul`] above with each `B`
-    /// row replaced by `oh` windows of the padded image. The output
-    /// block is the accumulator, so every element still adds its taps
-    /// in ascending `p` order.
-    pub(super) fn conv_fwd(g: &ConvGeom, xp: &[f32], w: &[f32], y: &mut [f32]) {
-        let (oh, ow, wp, ckk) = (g.oh(), g.ow(), g.wp, g.ckk());
-        let ohw = oh * ow;
-        y.iter_mut().for_each(|v| *v = 0.0);
-        let mut blocks = y.chunks_exact_mut(MR * ohw);
-        for (b, block) in blocks.by_ref().enumerate() {
-            let [r0, r1, r2, r3] = split_rows(block, ohw);
-            let w_rows = &w[b * MR * ckk..(b + 1) * MR * ckk];
-            for (p, off) in g.tap_offsets().enumerate() {
-                let coeffs = [
-                    w_rows[p],
-                    w_rows[ckk + p],
-                    w_rows[2 * ckk + p],
-                    w_rows[3 * ckk + p],
-                ];
-                for oi in 0..oh {
-                    let span = oi * ow..(oi + 1) * ow;
-                    saxpy4(
-                        [
-                            &mut r0[span.clone()],
-                            &mut r1[span.clone()],
-                            &mut r2[span.clone()],
-                            &mut r3[span],
-                        ],
-                        coeffs,
-                        &xp[off + oi * wp..off + oi * wp + ow],
-                    );
-                }
-            }
-        }
-        let co0 = g.c_out / MR * MR;
-        for (c, plane) in blocks.into_remainder().chunks_exact_mut(ohw).enumerate() {
-            let w_row = &w[(co0 + c) * ckk..(co0 + c + 1) * ckk];
-            for (&wv, off) in w_row.iter().zip(g.tap_offsets()) {
-                for (oi, y_row) in plane.chunks_exact_mut(ow).enumerate() {
-                    let x_row = &xp[off + oi * wp..off + oi * wp + ow];
-                    for (o, &xv) in y_row.iter_mut().zip(x_row.iter()) {
-                        *o += wv * xv;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Implicit-GEMM weight gradient: per tap, the `ohw` elements of its
-    /// column row are gathered once from the padded image into a
-    /// row-sized buffer (1 KB on a 16×16 grid — a row, never the
-    /// matrix) and every channel of the run takes [`dot_lanes`] against
-    /// it, exactly as [`matmul_nt_acc`] does against a stored row.
-    pub(super) fn conv_dw_acc(g: &ConvGeom, xp: &[f32], dy: &[f32], dw: &mut [f32]) {
-        let (ow, wp, ckk) = (g.ow(), g.wp, g.ckk());
-        let ohw = g.oh() * ow;
-        let mut col_row = vec![0.0f32; ohw];
-        for (p, off) in g.tap_offsets().enumerate() {
-            for (oi, dst) in col_row.chunks_exact_mut(ow).enumerate() {
-                dst.copy_from_slice(&xp[off + oi * wp..off + oi * wp + ow]);
-            }
-            for (dy_co, dw_co) in dy.chunks_exact(ohw).zip(dw.chunks_exact_mut(ckk)) {
-                dw_co[p] += dot_lanes(dy_co, &col_row);
-            }
-        }
-    }
-
-    /// Implicit-GEMM input gradient: [`matmul_tn`]'s four-row blocks
-    /// with the column rows kept in a `4·ohw` buffer instead of a
-    /// matrix — four taps' `c_out` chains are summed over the whole
-    /// output, then added window row by window row, in tap order, into
-    /// the padded pixels they read.
-    pub(super) fn conv_dx_acc(g: &ConvGeom, w: &[f32], dy: &[f32], dxp: &mut [f32]) {
-        let (ow, wp, ckk) = (g.ow(), g.wp, g.ckk());
-        let ohw = g.oh() * ow;
-        let mut add_window = |chain: &[f32], off: usize| {
-            for (oi, src) in chain.chunks_exact(ow).enumerate() {
-                let dst = &mut dxp[off + oi * wp..off + oi * wp + ow];
-                for (o, &c) in dst.iter_mut().zip(src.iter()) {
-                    *o += c;
-                }
-            }
-        };
-        let channels = || dy.chunks_exact(ohw).zip(w.chunks_exact(ckk));
-        let mut chains = vec![0.0f32; MR * ohw];
-        let mut taps = g.tap_offsets().enumerate();
-        for p0 in (0..ckk / MR * MR).step_by(MR) {
-            chains.iter_mut().for_each(|v| *v = 0.0);
-            let [c0, c1, c2, c3] = split_rows(&mut chains, ohw);
-            for (dy_co, w_co) in channels() {
-                let coeffs = [w_co[p0], w_co[p0 + 1], w_co[p0 + 2], w_co[p0 + 3]];
-                saxpy4(
-                    [&mut c0[..], &mut c1[..], &mut c2[..], &mut c3[..]],
-                    coeffs,
-                    dy_co,
-                );
-            }
-            for (chain, (_, off)) in chains.chunks_exact(ohw).zip(taps.by_ref()) {
-                add_window(chain, off);
-            }
-        }
-        // The taps a block of four leaves over, one chain at a time.
-        for (p, off) in taps {
-            let chain = &mut chains[..ohw];
-            chain.iter_mut().for_each(|v| *v = 0.0);
-            for (dy_co, w_co) in channels() {
-                for (c, &d) in chain.iter_mut().zip(dy_co.iter()) {
-                    *c += w_co[p] * d;
-                }
-            }
-            add_window(chain, off);
-        }
-    }
-
     pub(super) fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
         for (o, &xi) in y.iter_mut().zip(x.iter()) {
             *o = axpy_lane(alpha, xi, *o);
@@ -1306,6 +948,7 @@ mod scalar {
 /// safety argument lives at the single `unsafe` site.
 #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
 mod avx2 {
+    use super::implicit::{self, Lanes8, Nest};
     use super::*;
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
@@ -1692,219 +1335,175 @@ mod avx2 {
         }
     }
 
-    /// Implicit-GEMM forward. The register tile is `CT` output channels
-    /// × `RT` output rows × 8 columns (eight accumulators): 4 × 2 when
-    /// there are channels to share each image load, 1 × 8 otherwise, so
-    /// a single-channel layer still runs eight independent chains.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 (the [`dispatch!`] invariant) and the
-    /// slices must have the lengths [`conv_fwd_with`] asserts.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn conv_fwd(g: &ConvGeom, xp: &[f32], w: &[f32], y: &mut [f32]) {
-        if g.c_out >= 4 {
-            conv_fwd_tiled::<4, 2>(g, xp, w, y);
-        } else {
-            conv_fwd_tiled::<1, 8>(g, xp, w, y);
+    /// Eight lanes in one `ymm` register. The type is private to this
+    /// module, whose only entry points are `unsafe fn`s that require
+    /// AVX2, so none of the methods below can run on a CPU without it.
+    #[derive(Clone, Copy)]
+    struct Avx8(__m256);
+
+    impl Lanes8 for Avx8 {
+        const WIDE: bool = true;
+        #[inline(always)]
+        fn splat(v: f32) -> Self {
+            // SAFETY: AVX2 is present (see `Avx8`); no memory access.
+            Avx8(unsafe { _mm256_set1_ps(v) })
+        }
+        #[inline(always)]
+        fn to_array(self) -> [f32; LANES] {
+            let mut lanes = [0.0f32; LANES];
+            // SAFETY: AVX2 is present (see `Avx8`) and `lanes` is eight
+            // writable floats; the store needs no alignment.
+            unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), self.0) };
+            lanes
+        }
+        #[inline(always)]
+        fn add(self, rhs: Self) -> Self {
+            // SAFETY: AVX2 is present (see `Avx8`); no memory access.
+            Avx8(unsafe { _mm256_add_ps(self.0, rhs.0) })
+        }
+        #[inline(always)]
+        fn mul(self, rhs: Self) -> Self {
+            // SAFETY: AVX2 is present (see `Avx8`); no memory access.
+            Avx8(unsafe { _mm256_mul_ps(self.0, rhs.0) })
+        }
+        #[inline(always)]
+        fn and(self, mask: Self) -> Self {
+            // SAFETY: AVX2 is present (see `Avx8`); no memory access.
+            Avx8(unsafe { _mm256_and_ps(self.0, mask.0) })
+        }
+        /// `low128 + high128` of accumulators `t` and `t + 4` side by
+        /// side gives `(l0+l4, l1+l5, l2+l6, l3+l7)` of both, a 4×4
+        /// transpose in each half lines the eight accumulators' partial
+        /// sums up, and two more adds finish the tree
+        /// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` — the same additions
+        /// on the same operands as the scalar [`reduce8`], eight results
+        /// per instruction.
+        #[inline(always)]
+        fn reduce(acc: &[Self; LANES]) -> Self {
+            // SAFETY: AVX2 is present (see `Avx8`); no memory access.
+            unsafe {
+                let mut s = [_mm256_setzero_ps(); 4];
+                for (t, half) in s.iter_mut().enumerate() {
+                    let (a, b) = (acc[t].0, acc[t + 4].0);
+                    *half = _mm256_add_ps(
+                        _mm256_permute2f128_ps::<0x20>(a, b),
+                        _mm256_permute2f128_ps::<0x31>(a, b),
+                    );
+                }
+                let (t0, t1) = (
+                    _mm256_unpacklo_ps(s[0], s[1]),
+                    _mm256_unpackhi_ps(s[0], s[1]),
+                );
+                let (t2, t3) = (
+                    _mm256_unpacklo_ps(s[2], s[3]),
+                    _mm256_unpackhi_ps(s[2], s[3]),
+                );
+                let (s0, s1) = (
+                    _mm256_shuffle_ps::<0x44>(t0, t2),
+                    _mm256_shuffle_ps::<0xEE>(t0, t2),
+                );
+                let (s2, s3) = (
+                    _mm256_shuffle_ps::<0x44>(t1, t3),
+                    _mm256_shuffle_ps::<0xEE>(t1, t3),
+                );
+                Avx8(_mm256_add_ps(_mm256_add_ps(s0, s2), _mm256_add_ps(s1, s3)))
+            }
+        }
+        #[inline(always)]
+        fn run<const A: usize, const B: usize, const C: usize>(
+            nest: &Nest,
+            starts: (&[usize; A], &[usize; B], &[usize; C]),
+            part: [std::ops::Range<usize>; 3],
+            mut f: impl FnMut([Self; A], [Self; B], [Self; C]),
+        ) {
+            let Some(part) = nest.admit([starts.0, starts.1, starts.2], part) else {
+                return;
+            };
+            // SAFETY: AVX2 is present (see `Avx8`), and `p` is only ever
+            // where a walk of `nest` reads, from a start `admit` found
+            // safe, at an iteration inside `nest.counts` (`admit` again)
+            // — inside the walk's slice by `Walk::safe_starts`: one
+            // float there for a splat, eight for a load, which needs no
+            // alignment.
+            let read = |p: *const f32, splat: bool| unsafe {
+                Avx8(if splat {
+                    _mm256_broadcast_ss(&*p)
+                } else {
+                    _mm256_loadu_ps(p)
+                })
+            };
+            // One running offset per walk and loop, applied with
+            // `wrapping_offset`: the step past a loop's last iteration
+            // may leave the slice, and is never read.
+            let [a, b, c] = &nest.walks;
+            let first = std::array::from_fn(|l| part[l].start);
+            let pa = starts.0.map(|at| a.src.as_ptr().wrapping_add(at));
+            let pb = starts.1.map(|at| b.src.as_ptr().wrapping_add(at));
+            let pc = starts.2.map(|at| c.src.as_ptr().wrapping_add(at));
+            let mut outer = [a.offset(first), b.offset(first), c.offset(first)];
+            let advance = |offsets: &mut [isize; 3], l: usize| {
+                let steps = [a.steps[l], b.steps[l], c.steps[l]];
+                *offsets = std::array::from_fn(|w| offsets[w].wrapping_add(steps[w]));
+            };
+            for _ in part[0].clone() {
+                let mut middle = outer;
+                for _ in part[1].clone() {
+                    let mut inner = middle;
+                    for _ in part[2].clone() {
+                        f(
+                            std::array::from_fn(|i| read(pa[i].wrapping_offset(inner[0]), a.splat)),
+                            std::array::from_fn(|i| read(pb[i].wrapping_offset(inner[1]), b.splat)),
+                            std::array::from_fn(|i| read(pc[i].wrapping_offset(inner[2]), c.splat)),
+                        );
+                        advance(&mut inner, 2);
+                    }
+                    advance(&mut middle, 1);
+                }
+                advance(&mut outer, 0);
+            }
         }
     }
 
-    /// [`conv_fwd`] for one tile shape. Tiles that overhang `c_out` or
-    /// `oh` recompute the last valid channel/row and skip its store, so
-    /// there is no remainder kernel. Each accumulator adds its
-    /// `w · x` products from zero in ascending tap order — one
-    /// uninterrupted chain per output element, as in [`gemm_direct`].
+    /// [`implicit::conv_fwd`] over [`Avx8`].
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2, `xp` must hold
-    /// [`ConvGeom::padded_len`] floats (an 8-lane load at the last
-    /// column block of the last row ends at most 7 floats past the
-    /// image, inside the slack), `w` must be `c_out × ckk` and `y`
-    /// `c_out × oh × ow`; clamping keeps every other index inside those
-    /// extents.
+    /// The CPU must support AVX2 (the [`dispatch!`] invariant).
     #[target_feature(enable = "avx2")]
-    unsafe fn conv_fwd_tiled<const CT: usize, const RT: usize>(
+    pub(super) unsafe fn conv_fwd(g: &ConvGeom, skip: usize, xp: &[f32], w: &[f32], y: &mut [f32]) {
+        implicit::conv_fwd::<Avx8>(g, skip, xp, w, y);
+    }
+
+    /// [`implicit::conv_dw_acc`] over [`Avx8`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (the [`dispatch!`] invariant).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn conv_dw_acc(
         g: &ConvGeom,
+        skip: usize,
         xp: &[f32],
-        w: &[f32],
-        y: &mut [f32],
+        dy: &[f32],
+        dw: &mut [f32],
     ) {
-        let (oh, ow, wp, ckk) = (g.oh(), g.ow(), g.wp, g.ckk());
-        let (ohw, plane, step) = (oh * ow, g.hp * wp, g.dilation);
-        for co0 in (0..g.c_out).step_by(CT) {
-            let mut w_rows = [w.as_ptr(); CT];
-            for (c, row) in w_rows.iter_mut().enumerate() {
-                *row = w.as_ptr().add((co0 + c).min(g.c_out - 1) * ckk);
-            }
-            for oi0 in (0..oh).step_by(RT) {
-                for oj0 in (0..ow).step_by(LANES) {
-                    let mut x_rows = [xp.as_ptr(); RT];
-                    for (r, row) in x_rows.iter_mut().enumerate() {
-                        *row = xp.as_ptr().add((oi0 + r).min(oh - 1) * wp + oj0);
-                    }
-                    let mut acc = [[_mm256_setzero_ps(); RT]; CT];
-                    let mut p = 0;
-                    for ci in 0..g.c_in {
-                        for ki in 0..g.kh {
-                            let row_off = ci * plane + ki * step * wp;
-                            for kj in 0..g.kw {
-                                let off = row_off + kj * step;
-                                let mut wv = [_mm256_setzero_ps(); CT];
-                                for c in 0..CT {
-                                    wv[c] = _mm256_set1_ps(*w_rows[c].add(p));
-                                }
-                                for r in 0..RT {
-                                    let xv = _mm256_loadu_ps(x_rows[r].add(off));
-                                    for c in 0..CT {
-                                        acc[c][r] =
-                                            _mm256_add_ps(acc[c][r], _mm256_mul_ps(wv[c], xv));
-                                    }
-                                }
-                                p += 1;
-                            }
-                        }
-                    }
-                    let jw = (ow - oj0).min(LANES);
-                    for c in 0..CT.min(g.c_out - co0) {
-                        for r in 0..RT.min(oh - oi0) {
-                            let at = (co0 + c) * ohw + (oi0 + r) * ow + oj0;
-                            y[at..at + jw].copy_from_slice(&spill(acc[c][r])[..jw]);
-                        }
-                    }
-                }
-            }
-        }
+        implicit::conv_dw_acc::<Avx8>(g, skip, xp, dy, dw);
     }
 
-    /// [`reduce8`] of four accumulators at once: `low128 + high128` per
-    /// accumulator gives `(l0+l4, l1+l5, l2+l6, l3+l7)`, a 4×4 transpose
-    /// lines the four accumulators' partial sums up, and two more adds
-    /// finish the tree `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` — the
-    /// same additions on the same operands as the scalar [`reduce8`],
-    /// four results per instruction.
+    /// [`implicit::conv_dx_acc`] over [`Avx8`].
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2 (the [`dispatch!`] invariant); the
-    /// body is pure register arithmetic, no memory access.
+    /// The CPU must support AVX2 (the [`dispatch!`] invariant).
     #[target_feature(enable = "avx2")]
-    unsafe fn reduce8x4(acc: &[__m256]) -> __m128 {
-        let mut s = [_mm_setzero_ps(); 4];
-        for (half, a) in s.iter_mut().zip(acc.iter()) {
-            *half = _mm_add_ps(_mm256_castps256_ps128(*a), _mm256_extractf128_ps::<1>(*a));
-        }
-        let (t0, t1) = (_mm_unpacklo_ps(s[0], s[1]), _mm_unpackhi_ps(s[0], s[1]));
-        let (t2, t3) = (_mm_unpacklo_ps(s[2], s[3]), _mm_unpackhi_ps(s[2], s[3]));
-        let (s0, s1) = (_mm_movelh_ps(t0, t2), _mm_movehl_ps(t2, t0));
-        let (s2, s3) = (_mm_movelh_ps(t1, t3), _mm_movehl_ps(t3, t1));
-        _mm_add_ps(_mm_add_ps(s0, s2), _mm_add_ps(s1, s3))
-    }
-
-    /// Implicit-GEMM weight gradient, channel by channel: eight taps per
-    /// pass share every `dy` load, each tap an 8-lane accumulator over
-    /// the flattened output index, reduced with [`reduce8`]'s tree —
-    /// [`matmul_nt_acc`]'s lanes, with the column row read as windows of
-    /// the padded image. That holds when the output width is a multiple
-    /// of 8, so that every row starts at lane 0 (every layer of the
-    /// three models on the corpus grids); other widths rotate the lane
-    /// phase from row to row and run the scalar arm's kernel, which is
-    /// the same bits by contract. A last pass shorter than eight
-    /// recomputes taps of the pass before it and drops the copies.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and the slices must have the lengths
-    /// [`conv_dw_acc_with`] asserts: every load then covers
-    /// `dy_co[oi·ow + j .. +8]` or `xp[tap + oi·wp + j .. +8]` with
-    /// `j + 8 <= ow`, inside one output row and its window.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn conv_dw_acc(g: &ConvGeom, xp: &[f32], dy: &[f32], dw: &mut [f32]) {
-        let (oh, ow, wp, ckk) = (g.oh(), g.ow(), g.wp, g.ckk());
-        if ow % LANES != 0 {
-            return scalar::conv_dw_acc(g, xp, dy, dw);
-        }
-        for (dy_co, dw_co) in dy.chunks_exact(oh * ow).zip(dw.chunks_exact_mut(ckk)) {
-            let mut taps = g.tap_offsets();
-            let mut offs = [0usize; LANES];
-            for dw_pass in dw_co.chunks_mut(LANES) {
-                for (off, tap) in offs.iter_mut().zip(taps.by_ref()) {
-                    *off = tap;
-                }
-                let mut acc = [_mm256_setzero_ps(); LANES];
-                for oi in 0..oh {
-                    let x_row = xp.as_ptr().add(oi * wp);
-                    let dy_row = dy_co.as_ptr().add(oi * ow);
-                    for j in (0..ow).step_by(LANES) {
-                        let dyv = _mm256_loadu_ps(dy_row.add(j));
-                        for t in 0..LANES {
-                            let xv = _mm256_loadu_ps(x_row.add(offs[t] + j));
-                            acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(dyv, xv));
-                        }
-                    }
-                }
-                let mut sums = [0.0f32; LANES];
-                _mm_storeu_ps(sums.as_mut_ptr(), reduce8x4(&acc[..4]));
-                _mm_storeu_ps(sums.as_mut_ptr().add(4), reduce8x4(&acc[4..]));
-                for (out, &sum) in dw_pass.iter_mut().zip(sums.iter()) {
-                    *out += sum;
-                }
-            }
-        }
-    }
-
-    /// Implicit-GEMM input gradient, in bands of eight output rows.
-    /// Within a band taps run in ascending order: per tap, the band's
-    /// rows × 8 columns each sum their `c_out` chain (`w · dy`,
-    /// ascending from zero, as [`gemm_direct`] does for `matmul_tn`)
-    /// and add it once into the padded pixel the tap reads. Bands run
-    /// bottom-up: a pixel's lower taps come from lower output rows, so
-    /// every pixel still receives its chains in ascending tap order —
-    /// the scalar arm's order — while one band's `dy` rows stay cached
-    /// across all taps. A band that overhangs `oh` recomputes the last
-    /// row and skips its add. Output widths that are not a multiple of
-    /// 8 run the scalar arm's kernel (see [`conv_dw_acc`]).
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and the slices must have the lengths
-    /// [`conv_dx_acc_with`] asserts: vector accesses then cover
-    /// `dy[co·ohw + oi·ow + j .. +8]` and `dxp[tap + oi·wp + j .. +8]`
-    /// with `j + 8 <= ow`, inside one output row and its window.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn conv_dx_acc(g: &ConvGeom, w: &[f32], dy: &[f32], dxp: &mut [f32]) {
-        const RT: usize = 8;
-        let (oh, ow, wp, ckk) = (g.oh(), g.ow(), g.wp, g.ckk());
-        if ow % LANES != 0 {
-            return scalar::conv_dx_acc(g, w, dy, dxp);
-        }
-        for oi0 in (0..oh).step_by(RT).rev() {
-            let (mut dy_rows, mut dx_rows) = ([0usize; RT], [0usize; RT]);
-            for r in 0..RT {
-                let oi = (oi0 + r).min(oh - 1);
-                (dy_rows[r], dx_rows[r]) = (oi * ow, oi * wp);
-            }
-            let rows = (oh - oi0).min(RT);
-            for (p, off) in g.tap_offsets().enumerate() {
-                let tap = dxp.as_mut_ptr().add(off);
-                for j in (0..ow).step_by(LANES) {
-                    let mut acc = [_mm256_setzero_ps(); RT];
-                    for co in 0..g.c_out {
-                        let wv = _mm256_set1_ps(*w.as_ptr().add(co * ckk + p));
-                        let dy_co = dy.as_ptr().add(co * oh * ow + j);
-                        for r in 0..RT {
-                            let dv = _mm256_loadu_ps(dy_co.add(dy_rows[r]));
-                            acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(wv, dv));
-                        }
-                    }
-                    for r in 0..rows {
-                        let dst = tap.add(dx_rows[r] + j);
-                        _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), acc[r]));
-                    }
-                }
-            }
-        }
+    pub(super) unsafe fn conv_dx_acc(
+        g: &ConvGeom,
+        pad: usize,
+        w: &[f32],
+        dyp: &[f32],
+        dx: &mut [f32],
+    ) {
+        implicit::conv_dx_acc::<Avx8>(g, pad, w, dyp, dx);
     }
 
     /// Single 8-lane dot product (vector body + shared scalar tail).

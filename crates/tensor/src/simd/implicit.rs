@@ -1,0 +1,980 @@
+//! The implicit-GEMM convolution kernels of [`crate::simd`] — contract
+//! rule 5 of the parent module — each written **once**: a generic body
+//! over the eight abstract lanes of [`Lanes8`], instantiated for the
+//! portable [`Scalar8`] here and for the AVX2 lanes in the parent, so an
+//! accumulation order is stated in one place and an arm is one `impl`.
+//!
+//! The kernels contain no `unsafe`. They describe where they read as
+//! [`Walk`]s through a loop nest; a [`Nest`] works out, once per call,
+//! from which starting positions the whole nest stays inside its slices,
+//! and [`Lanes8::run`] compares each register tile's starts with that
+//! before it reads — which is what lets the AVX2 arm load through raw
+//! pointers without a bounds test per load.
+//!
+//! Three ways of not doing work, all bit-neutral (rule 5 has the
+//! arguments): *forward* and the *weight gradient* leave out the products
+//! of padding rows when [`skippable_rows`] says the other operand is all
+//! finite; the *input gradient* gathers, per pixel, only the taps whose
+//! output position exists.
+
+#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+use super::avx2;
+use super::{reduce8, scalar, SimdBackend, LANES};
+use std::ops::Range;
+
+/// Geometry of one stride-1 convolution read straight from a zero-padded
+/// image — the operand layout of the implicit-GEMM kernels behind
+/// [`conv_fwd_skip_with`], [`conv_dw_acc_skip_with`] and
+/// [`conv_dx_acc_padded_with`].
+///
+/// The padded image is `c_in × hp × wp` row-major (the `h × w` input
+/// centred inside `padding` zeros on every side) followed by
+/// `7·wp + LANES` slack floats, so that a register tile of eight output
+/// rows overhanging the last one, and an 8-lane load whose valid lanes
+/// end at the last pixel, still read inside the slice. Output position
+/// `(oi, oj)` reads tap `(ci, ki, kj)` at
+/// `ci·hp·wp + (oi + ki·dilation)·wp + oj + kj·dilation`: no bounds
+/// test per tap. The geometry does not say how wide the padding is: the
+/// `*_skip_with` and `*_padded_with` entry points are told what they
+/// need to know of it, and the ones without treat every float of the
+/// padded image as data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConvGeom {
+    /// Input channels.
+    pub c_in: usize,
+    /// Output channels.
+    pub c_out: usize,
+    /// Padded image height (`h + 2·padding`).
+    pub hp: usize,
+    /// Padded image width (`w + 2·padding`).
+    pub wp: usize,
+    /// Kernel height (≥ 1).
+    pub kh: usize,
+    /// Kernel width (≥ 1).
+    pub kw: usize,
+    /// Kernel dilation (≥ 1).
+    pub dilation: usize,
+}
+
+impl ConvGeom {
+    /// Output height (`hp` minus the dilated kernel's reach).
+    pub fn oh(&self) -> usize {
+        self.hp - self.dilation * (self.kh - 1)
+    }
+
+    /// Output width.
+    pub fn ow(&self) -> usize {
+        self.wp - self.reach()
+    }
+
+    /// Taps per output element, `c_in·kh·kw` — the implicit GEMM's `k`.
+    pub fn ckk(&self) -> usize {
+        self.c_in * self.kh * self.kw
+    }
+
+    /// Length of a padded image slice, slack included.
+    pub fn padded_len(&self) -> usize {
+        self.c_in * self.hp * self.wp + (LANES - 1) * self.wp + LANES
+    }
+
+    /// Length of the scratch [`conv_dx_acc_padded_with`] copies `dy` into:
+    /// every output row between `dilation·(kw − 1)` zeros on either side, so
+    /// a tap shifted off the row's end reads zeros, plus slack.
+    pub fn dy_padded_len(&self) -> usize {
+        self.c_out * self.oh() * (self.ow() + 2 * self.reach()) + LANES
+    }
+
+    /// Columns between a kernel row's first and last tap.
+    fn reach(&self) -> usize {
+        self.dilation * (self.kw - 1)
+    }
+
+    /// For each tap in ascending flattened order
+    /// `p = (ci·kh + ki)·kw + kj`, its offset from an output position's
+    /// own offset `oi·wp + oj` in the padded image, and its `ki`.
+    fn taps(&self) -> Taps {
+        Taps {
+            left: self.ckk(),
+            kj: 0,
+            ki: 0,
+            kw: self.kw,
+            kh: self.kh,
+            next: 0,
+            row: 0,
+            plane: 0,
+            step: self.dilation,
+            row_step: self.dilation * self.wp,
+            plane_step: self.hp * self.wp,
+        }
+    }
+
+    /// The kernel rows that read at least one image row outside the top
+    /// and bottom `skip` rows of the padded image, for output rows
+    /// `oi0..=oi1`: `skip ≤ oi + ki·d < hp − skip` for some `oi`.
+    fn live_kernel_rows(&self, skip: usize, oi0: usize, oi1: usize) -> Range<usize> {
+        let below = self.hp.saturating_sub(skip).saturating_sub(oi0);
+        let hi = below.div_ceil(self.dilation).min(self.kh);
+        skip.saturating_sub(oi1).div_ceil(self.dilation).min(hi)..hi
+    }
+
+    /// The output rows whose image row under kernel row `ki` lies
+    /// outside the top and bottom `skip` rows of the padded image.
+    fn live_output_rows(&self, skip: usize, ki: usize) -> (usize, usize) {
+        let up = ki * self.dilation;
+        let hi = self.hp.saturating_sub(skip).saturating_sub(up);
+        (skip.saturating_sub(up), hi.min(self.oh()))
+    }
+
+    /// The conditions every index computed from this geometry relies on;
+    /// checked at each kernel entry because the fields are public.
+    fn assert_valid(&self, padding: usize) {
+        assert!(
+            self.kh >= 1 && self.kw >= 1 && self.dilation >= 1,
+            "ConvGeom: zero kernel extent or dilation"
+        );
+        assert!(
+            self.dilation * (self.kh - 1) < self.hp && self.reach() < self.wp,
+            "ConvGeom: dilated kernel larger than the padded image"
+        );
+        assert!(
+            2 * padding <= self.hp.min(self.wp),
+            "ConvGeom: padding wider than the padded image"
+        );
+    }
+}
+
+/// [`ConvGeom::taps`]: three counters and three running offsets,
+/// because `dw` asks for every tap of every pass and unflattening `p`
+/// would cost four divisions a time.
+struct Taps {
+    left: usize,
+    kj: usize,
+    ki: usize,
+    kw: usize,
+    kh: usize,
+    /// Offset of the tap `next()` returns, of its kernel row's first
+    /// tap, and of its channel's first tap.
+    next: usize,
+    row: usize,
+    plane: usize,
+    step: usize,
+    row_step: usize,
+    plane_step: usize,
+}
+
+impl Iterator for Taps {
+    type Item = (usize, usize);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, usize)> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let tap = (self.next, self.ki);
+        self.kj += 1;
+        self.next += self.step;
+        if self.kj == self.kw {
+            self.kj = 0;
+            self.ki += 1;
+            self.row += self.row_step;
+            if self.ki == self.kh {
+                self.ki = 0;
+                self.plane += self.plane_step;
+                self.row = self.plane;
+            }
+            self.next = self.row;
+        }
+        Some(tap)
+    }
+}
+
+/// How many rows of zero padding a kernel may leave out: `padding` if
+/// every element of `other` — the operand those rows are multiplied by —
+/// is finite, else 0. A product `v · 0.0` is `±0.0` exactly when `v` is
+/// finite, and adding `±0.0` to an accumulator that started at `+0.0`
+/// (which no sum of such an accumulator ever turns into `−0.0`) leaves
+/// its bits alone; one NaN or infinity anywhere and every product is
+/// computed, so it poisons what it would in a column matrix.
+pub fn skippable_rows(padding: usize, other: &[f32]) -> usize {
+    let non_finite = other.iter().filter(|v| !v.is_finite()).count();
+    if non_finite == 0 {
+        padding
+    } else {
+        0
+    }
+}
+
+/// [`conv_fwd_skip_with`] skipping nothing: every float of `xp` is
+/// multiplied.
+///
+/// # Panics
+///
+/// Panics if the geometry is degenerate or any slice length is
+/// inconsistent with it.
+pub fn conv_fwd_with(backend: SimdBackend, g: &ConvGeom, xp: &[f32], w: &[f32], y: &mut [f32]) {
+    conv_fwd_skip_with(backend, g, 0, xp, w, y);
+}
+
+/// Convolution forward for one image:
+/// `y[co, oi, oj] = Σ w[co, ci, ki, kj] · xp[ci, oi + ki·d, oj + kj·d]`,
+/// each output element adding its products from `0.0` in strictly
+/// ascending `(ci, ki, kj)` order on every arm — the order (and the
+/// bits) of [`super::matmul`] over an im2col matrix, without the matrix.
+///
+/// `xp` is the padded image described by [`ConvGeom`], `w` is
+/// `c_out × ckk` row-major, `y` is `c_out × oh × ow` and is overwritten.
+/// `skip` is [`skippable_rows`] of the image's padding and `w`: the
+/// caller vouches that the top and bottom `skip` rows of `xp` are `+0.0`
+/// and, unless it is 0, that `w` is all finite. Kernel rows that meet
+/// only those rows are then not multiplied (`docs/ARCHITECTURE.md`,
+/// rule 5); the bits are those of multiplying them.
+///
+/// # Panics
+///
+/// Panics if the geometry is degenerate or any slice length is
+/// inconsistent with it.
+pub fn conv_fwd_skip_with(
+    backend: SimdBackend,
+    g: &ConvGeom,
+    skip: usize,
+    xp: &[f32],
+    w: &[f32],
+    y: &mut [f32],
+) {
+    g.assert_valid(skip);
+    assert!(xp.len() >= g.padded_len(), "conv_fwd: padded image length");
+    assert_eq!(w.len(), g.c_out * g.ckk(), "conv_fwd: weight length");
+    assert_eq!(y.len(), g.c_out * g.oh() * g.ow(), "conv_fwd: out length");
+    dispatch!(
+        backend,
+        conv_fwd::<Scalar8>(g, skip, xp, w, y),
+        avx2::conv_fwd(g, skip, xp, w, y)
+    );
+}
+
+/// [`conv_dw_acc_skip_with`] skipping nothing: every float of `xp` is
+/// multiplied.
+///
+/// # Panics
+///
+/// Panics if the geometry is degenerate or any slice length is
+/// inconsistent with it.
+pub fn conv_dw_acc_with(
+    backend: SimdBackend,
+    g: &ConvGeom,
+    xp: &[f32],
+    dy: &[f32],
+    dw: &mut [f32],
+) {
+    conv_dw_acc_skip_with(backend, g, 0, xp, dy, dw);
+}
+
+/// Weight gradient of a run of output channels for one image,
+/// accumulated: for each channel `c` of the run and each tap `p`,
+/// `dw[c·ckk + p] += reduce8(lanes)` where the flattened output index
+/// `i = oi·ow + oj` adds `dy[c·ohw + i] · xp[tap p at i]` into lane
+/// `i % 8` in ascending `i` — the lanes (and the bits) of
+/// [`super::matmul_nt_acc`] over an im2col matrix.
+///
+/// `dy` holds the channels' `oh × ow` output gradients back to back and
+/// `dw` their `ckk` weight gradients; the run may be any contiguous
+/// subset of the layer's `c_out` channels (callers split channels
+/// across threads), so its length comes from the slices. `skip` is as
+/// in [`conv_fwd_skip_with`], with `dy` the operand that must be finite:
+/// output rows whose image row under a tap is one of the skipped rows
+/// are not multiplied.
+///
+/// # Panics
+///
+/// Panics if the geometry is degenerate or any slice length is
+/// inconsistent with it.
+pub fn conv_dw_acc_skip_with(
+    backend: SimdBackend,
+    g: &ConvGeom,
+    skip: usize,
+    xp: &[f32],
+    dy: &[f32],
+    dw: &mut [f32],
+) {
+    g.assert_valid(skip);
+    assert!(
+        xp.len() >= g.padded_len(),
+        "conv_dw_acc: padded image length"
+    );
+    let (ohw, ckk) = (g.oh() * g.ow(), g.ckk());
+    assert_eq!(dy.len() % ohw, 0, "conv_dw_acc: dy length");
+    assert_eq!(dw.len(), dy.len() / ohw * ckk, "conv_dw_acc: dw length");
+    if ckk == 0 {
+        return;
+    }
+    dispatch!(
+        backend,
+        conv_dw_acc::<Scalar8>(g, skip, xp, dy, dw),
+        avx2::conv_dw_acc(g, skip, xp, dy, dw)
+    );
+}
+
+/// [`conv_dx_acc_padded_with`] over the whole padded image (`padding`
+/// 0): `dxp` is `c_in × hp × wp` plus slack, and the pixels of what a
+/// caller regards as the padding ring are gathered like any other —
+/// each holds the sum of the taps that reach it from inside the output,
+/// which are the taps col2im skips as out of range. Pads `dy` into a
+/// buffer of its own.
+///
+/// # Panics
+///
+/// Panics if the geometry is degenerate or any slice length is
+/// inconsistent with it.
+pub fn conv_dx_acc_with(
+    backend: SimdBackend,
+    g: &ConvGeom,
+    w: &[f32],
+    dy: &[f32],
+    dxp: &mut [f32],
+) {
+    g.assert_valid(0);
+    assert!(
+        dxp.len() >= g.padded_len(),
+        "conv_dx_acc: padded image length"
+    );
+    let mut dyp = vec![0.0f32; g.dy_padded_len()];
+    let image = g.c_in * g.hp * g.wp;
+    conv_dx_acc_padded_with(backend, g, 0, w, dy, &mut dyp, &mut dxp[..image]);
+}
+
+/// Input gradient for one image, accumulated, as a gather: each pixel
+/// `(ci, i, j)` of the `h × w` image inside `padding` sums, from `+0.0`
+/// and in ascending `(ki, kj)` order, the chains
+/// `Σ_co w[co, ci, ki, kj] · dy[co, i + padding − ki·d, j + padding − kj·d]`
+/// of the taps whose `dy` position exists, each chain in ascending `co`
+/// order, and the sum is added to `dx[ci, i, j]` once — per pixel the
+/// chains (and, into a zeroed `dx`, the bits) of [`super::matmul_tn`]
+/// followed by col2im. A tap whose position falls outside `dy` is left
+/// out, never multiplied by zero, so a non-finite weight reaches exactly
+/// the pixels col2im lets it reach.
+///
+/// `w` is `c_out × ckk`, `dy` is `c_out × oh × ow`, `dx` is the unpadded
+/// `c_in × h × w`, and `dyp` is [`ConvGeom::dy_padded_len`] floats of
+/// scratch (contents ignored) that receive a zero-padded copy of `dy`.
+///
+/// # Panics
+///
+/// Panics if the geometry is degenerate or any slice length is
+/// inconsistent with it.
+pub fn conv_dx_acc_padded_with(
+    backend: SimdBackend,
+    g: &ConvGeom,
+    padding: usize,
+    w: &[f32],
+    dy: &[f32],
+    dyp: &mut [f32],
+    dx: &mut [f32],
+) {
+    g.assert_valid(padding);
+    let (oh, ow, reach) = (g.oh(), g.ow(), g.reach());
+    assert_eq!(w.len(), g.c_out * g.ckk(), "conv_dx_acc: weight length");
+    assert_eq!(dy.len(), g.c_out * oh * ow, "conv_dx_acc: dy length");
+    assert_eq!(dyp.len(), g.dy_padded_len(), "conv_dx_acc: scratch length");
+    let image = (g.hp - 2 * padding) * (g.wp - 2 * padding);
+    assert_eq!(dx.len(), g.c_in * image, "conv_dx_acc: dx length");
+    if dx.is_empty() || g.c_out == 0 {
+        return;
+    }
+    dyp.iter_mut().for_each(|v| *v = 0.0);
+    let rows = dyp.chunks_exact_mut(ow + 2 * reach);
+    for (dst, src) in rows.zip(dy.chunks_exact(ow)) {
+        dst[reach..reach + ow].copy_from_slice(src);
+    }
+    dispatch!(
+        backend,
+        conv_dx_acc::<Scalar8>(g, padding, w, dyp, dx),
+        avx2::conv_dx_acc(g, padding, w, dyp, dx)
+    );
+}
+
+// ---------------------------------------------------------------------
+// The implicit-GEMM kernels, written once over eight abstract lanes.
+// ---------------------------------------------------------------------
+
+/// How a kernel's reads of one operand move while it runs a three-deep
+/// loop nest: from wherever a read starts, `steps[l]` (either way) with
+/// every iteration of loop `l`, outermost first. `splat` says whether a
+/// read takes the one float there, in every lane, or the eight lanes
+/// from there on.
+#[derive(Clone, Copy)]
+pub(super) struct Walk<'a> {
+    pub(super) src: &'a [f32],
+    pub(super) steps: [isize; 3],
+    pub(super) splat: bool,
+}
+
+impl Walk<'_> {
+    /// The first and last start positions from which every read of a
+    /// nest with `counts` iterations per loop stays inside `src` — the
+    /// nest moves furthest back and ahead of its start where each loop
+    /// is at whichever end its step points to — or `None` if there is no
+    /// such start.
+    fn safe_starts(&self, counts: [usize; 3]) -> Option<(usize, usize)> {
+        let width = if self.splat { 1 } else { LANES };
+        let (mut back, mut ahead) = (0isize, 0isize);
+        for l in 0..3 {
+            let last = isize::try_from(counts[l].checked_sub(1)?).ok()?;
+            let span = last.checked_mul(self.steps[l])?;
+            back = back.checked_add(span.min(0))?;
+            ahead = ahead.checked_add(span.max(0))?;
+        }
+        let first = usize::try_from(back.checked_neg()?).ok()?;
+        let room = self.src.len().checked_sub(width)?;
+        let last = room.checked_sub(usize::try_from(ahead).ok()?)?;
+        (first <= last).then_some((first, last))
+    }
+
+    /// How far a read has moved at iteration `at` of the nest.
+    #[inline(always)]
+    pub(super) fn offset(&self, at: [usize; 3]) -> isize {
+        (0..3).fold(0isize, |sum, l| {
+            sum.wrapping_add((at[l] as isize).wrapping_mul(self.steps[l]))
+        })
+    }
+}
+
+/// Three walks, the loop nest they run through, and for each walk the
+/// start positions that keep the whole nest inside its slice. An arm
+/// compares a tile's starts against those once ([`Nest::admit`]) and
+/// then reads without a bounds test per load, so nothing may change a
+/// nest after [`Nest::new`]: `counts` and `safe` are private to this
+/// module, and `walks` is only ever read.
+pub(super) struct Nest<'a> {
+    pub(super) walks: [Walk<'a>; 3],
+    counts: [usize; 3],
+    safe: [Option<(usize, usize)>; 3],
+}
+
+/// A walk of nothing, for a [`Nest`] that needs fewer than three.
+const NO_WALK: Walk<'static> = Walk {
+    src: &[],
+    steps: [0; 3],
+    splat: false,
+};
+
+impl<'a> Nest<'a> {
+    fn new(walks: [Walk<'a>; 3], counts: [usize; 3]) -> Self {
+        let safe = walks.map(|walk| walk.safe_starts(counts));
+        Nest {
+            walks,
+            counts,
+            safe,
+        }
+    }
+
+    /// `part` cut down to the nest — what an arm may iterate — or `None`
+    /// if that is nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one of `starts`, the positions the three walks are read
+    /// from, could take a read of the nest outside its walk's slice.
+    #[inline(always)]
+    pub(super) fn admit(
+        &self,
+        starts: [&[usize]; 3],
+        part: [Range<usize>; 3],
+    ) -> Option<[Range<usize>; 3]> {
+        let part: [_; 3] = std::array::from_fn(|l| part[l].start..part[l].end.min(self.counts[l]));
+        if part.iter().any(|range| range.is_empty()) {
+            return None;
+        }
+        for (safe, starts) in self.safe.iter().zip(starts) {
+            let inside = |&p: &usize| safe.is_some_and(|(first, last)| first <= p && p <= last);
+            assert!(
+                starts.iter().all(inside),
+                "simd: a kernel would read outside its operand"
+            );
+        }
+        Some(part)
+    }
+}
+
+/// Eight `f32` lanes — the register of the 8-lane virtual machine. A
+/// kernel body generic over this trait is the *one* statement of its
+/// accumulation order; an arm is an impl ([`Scalar8`], `avx2::Avx8`).
+/// Every arithmetic method is one IEEE-exact operation per lane, never
+/// fused.
+pub(super) trait Lanes8: Copy {
+    /// Whether the arm has registers for a tile of eight accumulators
+    /// beside its operands (sixteen 8-lane registers); an arm without
+    /// gets tiles of four. A tile's shape decides which loads are
+    /// shared, never what is added to what.
+    const WIDE: bool;
+    /// All lanes `v`.
+    fn splat(v: f32) -> Self;
+    /// The lanes, in order.
+    fn to_array(self) -> [f32; LANES];
+    /// Lane-wise `self + rhs`.
+    fn add(self, rhs: Self) -> Self;
+    /// Lane-wise `self · rhs`.
+    fn mul(self, rhs: Self) -> Self;
+    /// Lane-wise bitwise and: `self` where `mask`'s bits are all ones,
+    /// `+0.0` where they are all zero.
+    fn and(self, mask: Self) -> Self;
+    /// Lane `t` is [`reduce8`] of `acc[t]`.
+    fn reduce(acc: &[Self; LANES]) -> Self;
+    /// Runs the iterations `part` of `nest` in order, innermost loop
+    /// fastest, calling `f` with what the three walks read at each when
+    /// they start from `a`, `b` and `c`; panics, before the first call,
+    /// if a read would fall outside its slice.
+    fn run<const A: usize, const B: usize, const C: usize>(
+        nest: &Nest,
+        starts: (&[usize; A], &[usize; B], &[usize; C]),
+        part: [Range<usize>; 3],
+        f: impl FnMut([Self; A], [Self; B], [Self; C]),
+    );
+}
+
+/// The portable arm's lanes: an array the compiler may or may not
+/// vectorize; the operations per lane are the same either way.
+#[derive(Clone, Copy)]
+pub(super) struct Scalar8([f32; LANES]);
+
+impl Scalar8 {
+    /// What `walk` reads `offset` away from each of `starts`.
+    #[inline(always)]
+    fn read<const N: usize>(walk: &Walk, starts: &[usize; N], offset: isize) -> [Self; N] {
+        // (`from_fn`, not `map`: an array `map` of a closure this size
+        // is compiled as a call, with the accumulators spilled around it.)
+        std::array::from_fn(|i| {
+            let from = &walk.src[starts[i].wrapping_add_signed(offset)..];
+            if walk.splat {
+                Self::splat(from[0])
+            } else {
+                Scalar8(from[..LANES].try_into().expect("eight lanes"))
+            }
+        })
+    }
+}
+
+impl Lanes8 for Scalar8 {
+    // Sixteen 4-lane registers at best: eight of these values.
+    const WIDE: bool = false;
+    #[inline(always)]
+    fn splat(v: f32) -> Self {
+        Scalar8([v; LANES])
+    }
+    #[inline(always)]
+    fn to_array(self) -> [f32; LANES] {
+        self.0
+    }
+    #[inline(always)]
+    fn add(self, rhs: Self) -> Self {
+        Scalar8(std::array::from_fn(|l| self.0[l] + rhs.0[l]))
+    }
+    #[inline(always)]
+    fn mul(self, rhs: Self) -> Self {
+        Scalar8(std::array::from_fn(|l| self.0[l] * rhs.0[l]))
+    }
+    #[inline(always)]
+    fn and(self, mask: Self) -> Self {
+        Scalar8(std::array::from_fn(|l| {
+            f32::from_bits(self.0[l].to_bits() & mask.0[l].to_bits())
+        }))
+    }
+    #[inline(always)]
+    fn reduce(acc: &[Self; LANES]) -> Self {
+        Scalar8(std::array::from_fn(|t| reduce8(&acc[t].0)))
+    }
+    #[inline(always)]
+    fn run<const A: usize, const B: usize, const C: usize>(
+        nest: &Nest,
+        starts: (&[usize; A], &[usize; B], &[usize; C]),
+        part: [Range<usize>; 3],
+        mut f: impl FnMut([Self; A], [Self; B], [Self; C]),
+    ) {
+        let Some(part) = nest.admit([starts.0, starts.1, starts.2], part) else {
+            return;
+        };
+        // One running offset per walk and loop, as in the AVX2 arm.
+        let [a, b, c] = &nest.walks;
+        let first = std::array::from_fn(|l| part[l].start);
+        let mut outer = [a.offset(first), b.offset(first), c.offset(first)];
+        let advance = |offsets: &mut [isize; 3], l: usize| {
+            let steps = [a.steps[l], b.steps[l], c.steps[l]];
+            *offsets = std::array::from_fn(|w| offsets[w].wrapping_add(steps[w]));
+        };
+        for _ in part[0].clone() {
+            let mut middle = outer;
+            for _ in part[1].clone() {
+                let mut inner = middle;
+                for _ in part[2].clone() {
+                    f(
+                        Self::read(a, starts.0, inner[0]),
+                        Self::read(b, starts.1, inner[1]),
+                        Self::read(c, starts.2, inner[2]),
+                    );
+                    advance(&mut inner, 2);
+                }
+                advance(&mut middle, 1);
+            }
+            advance(&mut outer, 0);
+        }
+    }
+}
+
+/// Implicit-GEMM forward. The register tile is `CT` output channels ×
+/// `RT` output rows × 8 columns: on a [`Lanes8::WIDE`] arm eight
+/// accumulators, 4 × 2 when there are channels to share each image load
+/// and 1 × 8 otherwise, so a single-channel layer still runs eight
+/// independent chains; half as many rows on a narrow one.
+#[inline(always)]
+pub(super) fn conv_fwd<V: Lanes8>(g: &ConvGeom, skip: usize, xp: &[f32], w: &[f32], y: &mut [f32]) {
+    match (g.c_out >= 4, V::WIDE) {
+        (true, true) => conv_fwd_tiled::<V, 4, 2>(g, skip, xp, w, y),
+        (true, false) => conv_fwd_tiled::<V, 4, 1>(g, skip, xp, w, y),
+        (false, true) => conv_fwd_tiled::<V, 1, 8>(g, skip, xp, w, y),
+        (false, false) => conv_fwd_tiled::<V, 1, 4>(g, skip, xp, w, y),
+    }
+}
+
+/// [`conv_fwd`] for one tile shape (`c_out ≥ CT`). The last channel
+/// tile slides back over channels already stored rather than overhang
+/// `c_out`, and a row tile that overhangs `oh` reads on into the padded
+/// image's slack and skips those stores, so there is no remainder
+/// kernel. Each accumulator adds its `w · x` products from zero in
+/// ascending tap order — one uninterrupted chain per output element —
+/// over the kernel rows that are live for the tile's output rows
+/// ([`ConvGeom::live_kernel_rows`]; all of them when `skip` is 0).
+#[inline(always)]
+fn conv_fwd_tiled<V: Lanes8, const CT: usize, const RT: usize>(
+    g: &ConvGeom,
+    skip: usize,
+    xp: &[f32],
+    w: &[f32],
+    y: &mut [f32],
+) {
+    let (oh, ow, wp, ckk) = (g.oh(), g.ow(), g.wp, g.ckk());
+    let (ohw, plane, khw, step) = (oh * ow, g.hp * wp, g.kh * g.kw, g.dilation);
+    let weights = Walk {
+        src: w,
+        steps: [khw, g.kw, 1].map(|s| s as isize),
+        splat: true,
+    };
+    let windows = Walk {
+        src: xp,
+        steps: [plane, step * wp, step].map(|s| s as isize),
+        splat: false,
+    };
+    let nest = Nest::new([weights, windows, NO_WALK], [g.c_in, g.kh, g.kw]);
+    for co0 in (0..g.c_out).step_by(CT) {
+        let co0 = co0.min(g.c_out - CT);
+        let w_rows: [usize; CT] = std::array::from_fn(|c| (co0 + c) * ckk);
+        for oi0 in (0..oh).step_by(RT) {
+            let rows = RT.min(oh - oi0);
+            let taps = [
+                0..g.c_in,
+                g.live_kernel_rows(skip, oi0, oi0 + rows - 1),
+                0..g.kw,
+            ];
+            for oj0 in (0..ow).step_by(LANES) {
+                let x_rows: [usize; RT] = std::array::from_fn(|r| (oi0 + r) * wp + oj0);
+                let mut acc = [[V::splat(0.0); RT]; CT];
+                V::run(
+                    &nest,
+                    (&w_rows, &x_rows, &[]),
+                    taps.clone(),
+                    |wv, xv, []| {
+                        for r in 0..RT {
+                            for c in 0..CT {
+                                acc[c][r] = acc[c][r].add(wv[c].mul(xv[r]));
+                            }
+                        }
+                    },
+                );
+                let jw = (ow - oj0).min(LANES);
+                for c in 0..CT {
+                    for r in 0..rows {
+                        let at = (co0 + c) * ohw + (oi0 + r) * ow + oj0;
+                        y[at..at + jw].copy_from_slice(&acc[c][r].to_array()[..jw]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Implicit-GEMM weight gradient. When the output width is a multiple
+/// of 8 every output row starts at lane 0 (every layer of the three
+/// models on the corpus grids) and the register tile is `CT` channels ×
+/// `TT` taps: 4 × 2 when there are (four) channels to share each image
+/// window and 1 × 8 otherwise on a [`Lanes8::WIDE`] arm, 2 × 2 and 1 × 4
+/// on a narrow one. Other widths rotate the lane phase from row to row
+/// and gather each tap's column row instead.
+#[inline(always)]
+pub(super) fn conv_dw_acc<V: Lanes8>(
+    g: &ConvGeom,
+    skip: usize,
+    xp: &[f32],
+    dy: &[f32],
+    dw: &mut [f32],
+) {
+    let many = dy.len() >= 4 * g.oh() * g.ow();
+    if g.ow() % LANES != 0 {
+        conv_dw_acc_rotating(g, xp, dy, dw);
+    } else {
+        match (many, V::WIDE) {
+            (true, true) => conv_dw_acc_tiled::<V, 4, 2>(g, skip, xp, dy, dw),
+            (true, false) => conv_dw_acc_tiled::<V, 2, 2>(g, skip, xp, dy, dw),
+            (false, true) => conv_dw_acc_tiled::<V, 1, 8>(g, skip, xp, dy, dw),
+            (false, false) => conv_dw_acc_tiled::<V, 1, 4>(g, skip, xp, dy, dw),
+        }
+    }
+}
+
+/// [`conv_dw_acc`] for one tile shape (`CT · TT` ≤ 8 accumulators, at
+/// least `CT` channels). A pass takes `TT` consecutive taps, tabulated
+/// once and shared by every channel group: each accumulator is the 8
+/// lanes of one (channel, tap) over the flattened output index, each
+/// image window is loaded once per `CT` channels and each `dy` vector
+/// once per `TT` taps, and the eight are reduced together with
+/// [`reduce8`]'s tree — [`super::matmul_nt_acc`]'s lanes, with the
+/// column row read as windows of the padded image. Output rows that are
+/// dead for every tap of the pass ([`ConvGeom::live_output_rows`]) are
+/// left out. The last channel tile slides back over channels already
+/// done and the last pass keeps taps of the pass before it; neither copy
+/// is added.
+#[inline(always)]
+fn conv_dw_acc_tiled<V: Lanes8, const CT: usize, const TT: usize>(
+    g: &ConvGeom,
+    skip: usize,
+    xp: &[f32],
+    dy: &[f32],
+    dw: &mut [f32],
+) {
+    let (oh, ow, wp, ckk) = (g.oh(), g.ow(), g.wp, g.ckk());
+    let (ohw, channels) = (oh * ow, dy.len() / (oh * ow));
+    let grads = Walk {
+        src: dy,
+        steps: [0, ow, LANES].map(|s| s as isize),
+        splat: false,
+    };
+    let windows = Walk {
+        src: xp,
+        steps: [0, wp, LANES].map(|s| s as isize),
+        splat: false,
+    };
+    let nest = Nest::new([grads, windows, NO_WALK], [1, oh, ow / LANES]);
+    let mut taps = g.taps();
+    let mut offs = [0usize; TT];
+    for p0 in (0..ckk).step_by(TT) {
+        let tn = TT.min(ckk - p0);
+        // The live rows move up as `ki` grows, so the pass's lowest and
+        // highest kernel rows bound those of all its taps.
+        let (mut ki_min, mut ki_max) = (g.kh, 0);
+        for (off, (tap, ki)) in offs.iter_mut().zip(taps.by_ref().take(tn)) {
+            (*off, ki_min, ki_max) = (tap, ki_min.min(ki), ki_max.max(ki));
+        }
+        let (lo, hi) = (
+            g.live_output_rows(skip, ki_max).0,
+            g.live_output_rows(skip, ki_min).1,
+        );
+        for c0 in (0..channels).step_by(CT) {
+            let first = c0.min(channels - CT);
+            let dy_rows: [usize; CT] = std::array::from_fn(|c| (first + c) * ohw);
+            let mut acc = [[V::splat(0.0); TT]; CT];
+            let outputs = [0..1, lo..hi, 0..ow / LANES];
+            V::run(&nest, (&dy_rows, &offs, &[]), outputs, |dyv, xv, []| {
+                for t in 0..TT {
+                    for c in 0..CT {
+                        acc[c][t] = acc[c][t].add(dyv[c].mul(xv[t]));
+                    }
+                }
+            });
+            let zero = V::splat(0.0);
+            let tile = std::array::from_fn(|i| {
+                if i < CT * TT {
+                    acc[i / TT][i % TT]
+                } else {
+                    zero
+                }
+            });
+            let sums = V::reduce(&tile).to_array();
+            for c in c0 - first..CT {
+                let at = (first + c) * ckk + p0;
+                for (out, &sum) in dw[at..at + tn].iter_mut().zip(&sums[c * TT..]) {
+                    *out += sum;
+                }
+            }
+        }
+    }
+}
+
+/// Implicit-GEMM input gradient as a gather (see
+/// [`conv_dx_acc_padded_with`]). The input channels are taken in tiles
+/// of as many as there are accumulators for — on a [`Lanes8::WIDE`] arm
+/// four beside the four chains a `c_out > 1` layer carries, eight when
+/// `c_out` is 1 and a chain is one product; half that on a narrow arm —
+/// and what is left over in tiles of half that again, down to one.
+#[inline(always)]
+pub(super) fn conv_dx_acc<V: Lanes8>(
+    g: &ConvGeom,
+    pad: usize,
+    w: &[f32],
+    dyp: &[f32],
+    dx: &mut [f32],
+) {
+    let mut from = 0;
+    if g.c_out == 1 {
+        if V::WIDE {
+            from = conv_dx_acc_tiled::<V, 8, true>(g, pad, w, dyp, dx, from);
+        }
+        from = conv_dx_acc_tiled::<V, 4, true>(g, pad, w, dyp, dx, from);
+        from = conv_dx_acc_tiled::<V, 2, true>(g, pad, w, dyp, dx, from);
+        conv_dx_acc_tiled::<V, 1, true>(g, pad, w, dyp, dx, from);
+    } else {
+        if V::WIDE {
+            from = conv_dx_acc_tiled::<V, 4, false>(g, pad, w, dyp, dx, from);
+        }
+        from = conv_dx_acc_tiled::<V, 2, false>(g, pad, w, dyp, dx, from);
+        conv_dx_acc_tiled::<V, 1, false>(g, pad, w, dyp, dx, from);
+    }
+}
+
+/// [`conv_dx_acc`] for the whole tiles of `CT` input channels from
+/// channel `from` on (`ONE` iff `c_out` is 1); returns the first channel
+/// it left. The register tile is `CT` input channels × 8 pixels of one
+/// image row, its accumulators live across *all* taps: per tap one `dy`
+/// vector per output channel is shared by the channels' chains, and each
+/// chain is added once, under the tap's lane mask. The kernel rows are
+/// bounded to those whose `dy` row exists, and the taps along a row to
+/// those with a pixel in range. A masked-out lane adds `+0.0`, and a
+/// chain that is its one product (`ONE`) rather than `0.0 +` it can
+/// differ in the sign of a zero: either way a zero is added to an
+/// accumulator which started at `+0.0`, is therefore never `−0.0`, and
+/// keeps its bits.
+#[inline(always)]
+fn conv_dx_acc_tiled<V: Lanes8, const CT: usize, const ONE: bool>(
+    g: &ConvGeom,
+    pad: usize,
+    w: &[f32],
+    dyp: &[f32],
+    dx: &mut [f32],
+    from: usize,
+) -> usize {
+    let until = from + (g.c_in - from) / CT * CT;
+    if until == from {
+        return from;
+    }
+    let (oh, ow, step, ckk) = (g.oh(), g.ow(), g.dilation, g.ckk());
+    let (h, wd, khw) = (g.hp - 2 * pad, g.wp - 2 * pad, g.kh * g.kw);
+    let (reach, owp) = (g.reach(), g.ow() + 2 * g.reach());
+    let weights = Walk {
+        src: w,
+        steps: [g.kw, 1, ckk].map(|s| s as isize),
+        splat: true,
+    };
+    let grads = Walk {
+        src: dyp,
+        steps: [
+            -((step * owp) as isize),
+            -(step as isize),
+            (oh * owp) as isize,
+        ],
+        splat: false,
+    };
+    let mut masks: Vec<f32> = Vec::with_capacity(g.kw * LANES);
+    for j0 in (0..wd).step_by(LANES) {
+        let jw = (wd - j0).min(LANES);
+        // Lane `l` of tap `kj` reads `dy` column `j0 + l + pad − kj·d`:
+        // the taps with a lane in range are consecutive.
+        masks.clear();
+        let mut kj_lo = 0;
+        for kj in 0..g.kw {
+            let lanes = (kj * step).saturating_sub(pad + j0)
+                ..(kj * step + ow).saturating_sub(pad + j0).min(jw);
+            if !lanes.is_empty() {
+                let bits = |l| f32::from_bits(if lanes.contains(&l) { u32::MAX } else { 0 });
+                masks.extend((0..LANES).map(bits));
+            } else if masks.is_empty() {
+                kj_lo = kj + 1;
+            }
+        }
+        let lane_masks = Walk {
+            src: &masks,
+            steps: [0, LANES as isize, 0],
+            splat: false,
+        };
+        for i in 0..h {
+            // Kernel rows with `0 ≤ i + pad − ki·d < oh`.
+            let ki_lo = (i + pad + 1).saturating_sub(oh).div_ceil(step);
+            let ki_hi = ((i + pad) / step + 1).min(g.kh);
+            let taps = [ki_hi.saturating_sub(ki_lo), masks.len() / LANES, g.c_out];
+            let nest = Nest::new([weights, grads, lane_masks], taps);
+            let dy_row = (i + pad).saturating_sub(ki_lo * step) * owp
+                + (reach + pad + j0).saturating_sub(kj_lo * step);
+            for ci0 in (from..until).step_by(CT) {
+                let w_rows: [usize; CT] =
+                    std::array::from_fn(|c| (ci0 + c) * khw + ki_lo * g.kw + kj_lo);
+                let starts = (&w_rows, &[dy_row], &[0]);
+                let mut acc = [V::splat(0.0); CT];
+                if ONE {
+                    V::run(
+                        &nest,
+                        starts,
+                        taps.map(|count| 0..count),
+                        |wv, [dv], [mask]| {
+                            for c in 0..CT {
+                                acc[c] = acc[c].add(wv[c].mul(dv).and(mask));
+                            }
+                        },
+                    );
+                } else {
+                    let (mut chain, mut co) = ([V::splat(0.0); CT], 0);
+                    V::run(
+                        &nest,
+                        starts,
+                        taps.map(|count| 0..count),
+                        |wv, [dv], [mask]| {
+                            for c in 0..CT {
+                                chain[c] = chain[c].add(wv[c].mul(dv));
+                            }
+                            co += 1;
+                            if co == g.c_out {
+                                for c in 0..CT {
+                                    acc[c] = acc[c].add(chain[c].and(mask));
+                                }
+                                (chain, co) = ([V::splat(0.0); CT], 0);
+                            }
+                        },
+                    );
+                }
+                for c in 0..CT {
+                    let at = ((ci0 + c) * h + i) * wd + j0;
+                    for (out, sum) in dx[at..at + jw].iter_mut().zip(acc[c].to_array()) {
+                        *out += sum;
+                    }
+                }
+            }
+        }
+    }
+    until
+}
+
+/// Implicit-GEMM weight gradient for output widths that are not a
+/// multiple of 8, where the lane of an output position depends on
+/// its row: per tap, the `ohw` elements of its column row are
+/// gathered once from the padded image into a row-sized buffer (a
+/// row, never the matrix) and every channel of the run takes
+/// `dot_lanes` against it, exactly as [`super::matmul_nt_acc`] does
+/// against a stored row. Both arms run this.
+fn conv_dw_acc_rotating(g: &ConvGeom, xp: &[f32], dy: &[f32], dw: &mut [f32]) {
+    let (ow, wp, ckk) = (g.ow(), g.wp, g.ckk());
+    let ohw = g.oh() * ow;
+    let mut col_row = vec![0.0f32; ohw];
+    for (p, (off, _)) in g.taps().enumerate() {
+        for (oi, dst) in col_row.chunks_exact_mut(ow).enumerate() {
+            dst.copy_from_slice(&xp[off + oi * wp..off + oi * wp + ow]);
+        }
+        for (dy_co, dw_co) in dy.chunks_exact(ohw).zip(dw.chunks_exact_mut(ckk)) {
+            dw_co[p] += scalar::dot_lanes(dy_co, &col_row);
+        }
+    }
+}

@@ -128,8 +128,18 @@ fn seed_specials(t: &mut Tensor, rng: &mut Xoshiro256) {
     }
 }
 
+/// `local` cases, or as many as `PROPTEST_CASES` asks for: CI's release
+/// matrix raises it so that the register tiles' overhang and finite-gate
+/// draws below are made in every `RTE_THREADS` × `RTE_SIMD` cell.
+fn cases(local: u32) -> ProptestConfig {
+    let asked = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok());
+    ProptestConfig::with_cases(asked.unwrap_or(local))
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(cases(64))]
 
     /// Contract rule 5, convolutions: every stride-1 spec runs the
     /// implicit kernels, and forward, `dx`, `dw` and `db` — from the full
@@ -173,6 +183,89 @@ proptest! {
         }
         simd::set_global(before);
     }
+}
+
+/// Runs [`assert_conv_matches_lowered`] on both arms.
+fn assert_both_arms_match_lowered(
+    x: &Tensor,
+    w: &Tensor,
+    bias: &Tensor,
+    dy: &Tensor,
+    spec: Conv2dSpec,
+) {
+    let _guard = GLOBAL_ARM.lock().unwrap_or_else(|e| e.into_inner());
+    let before = simd::global();
+    for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
+        simd::set_global(arm);
+        assert_conv_matches_lowered(arm, x, w, bias, dy, spec);
+    }
+    simd::set_global(before);
+}
+
+proptest! {
+    #![proptest_config(cases(40))]
+
+    /// Contract rule 5 on the shapes the register tiles special-case and
+    /// at the edge of the "skip only a product known to be ±0.0" rule.
+    /// Shapes: a single output channel under up to 64 input channels
+    /// (the gather `dx` with no chain to carry, the 1 × 8 tiles), 8×8
+    /// maps under 7×7 and 9×9 kernels (most kernel rows meet padding),
+    /// channel and tap counts that are not multiples of a tile, batch 1.
+    /// Then exactly one NaN, +inf, −inf or −0.0 goes where leaving a
+    /// padding row out would hide it: a first- or last-row weight (which
+    /// the top or bottom output rows multiply only by padding — and which
+    /// `dx` must keep away from the pixels whose tap falls outside
+    /// `dy`), a first- or last-row `dy` element, or a corner pixel.
+    #[test]
+    fn tiled_and_gated_conv_matches_lowered_reference_bitwise(
+        seed in 0u64..1_000_000,
+        family in 0usize..3,
+        n in 1usize..3,
+        channels in 0usize..64,
+        small in 1usize..8,
+        wide in 0usize..2,
+        dilation in 1usize..3,
+        special in 0usize..5,
+        operand in 0usize..3,
+        far in 0usize..2,
+    ) {
+        let (c_in, c_out, h, wd, k) = match family {
+            0 => (channels + 1, 1, 8 + 8 * wide, 8 + 8 * (seed as usize % 2), [5, 9][seed as usize % 2]),
+            1 => (small + 2, channels % 9 + 1, 8, 8, [7, 9][wide]),
+            _ => ([1, 3, 5][channels % 3], small, 8 * (1 + wide), 16, [1, 3, 5][seed as usize % 3]),
+        };
+        let dilation = if family == 1 { 1 } else { dilation };
+        let spec = Conv2dSpec::same_dilated(k, dilation);
+        let mut rng = Xoshiro256::seed_from(seed);
+        let mut x = Tensor::from_fn(&[n, c_in, h, wd], |_| rng.normal());
+        let mut w = Tensor::from_fn(&[c_out, c_in, k, k], |_| rng.normal());
+        let bias = Tensor::from_fn(&[c_out], |_| rng.normal());
+        let mut dy = Tensor::from_fn(&[n, c_out, h, wd], |_| rng.normal());
+        if special > 0 {
+            let value = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0][special - 1];
+            let mut pick = |extent: usize| (rng.next_u64() % extent as u64) as usize;
+            match operand {
+                0 => w.set(&[pick(c_out), pick(c_in), far * (k - 1), pick(k)], value),
+                1 => dy.set(&[pick(n), pick(c_out), far * (h - 1), pick(wd)], value),
+                _ => x.set(&[pick(n), pick(c_in), far * (h - 1), far * (wd - 1)], value),
+            }
+        }
+        assert_both_arms_match_lowered(&x, &w, &bias, &dy, spec);
+    }
+}
+
+/// A convolution above `rte_tensor::conv`'s fan-out threshold (2²²
+/// multiply-adds a call), so that the thread counts of
+/// [`assert_conv_matches_lowered`] really run on worker threads: eight
+/// channels either side, so every tile of every kernel is a full one.
+#[test]
+fn implicit_conv_matches_lowered_reference_above_the_fan_out_gate() {
+    let (x, w) = (
+        rand_tensor(&[4, 8, 16, 16], 17),
+        rand_tensor(&[8, 8, 9, 9], 18),
+    );
+    let (bias, dy) = (rand_tensor(&[8], 19), rand_tensor(&[4, 8, 16, 16], 20));
+    assert_both_arms_match_lowered(&x, &w, &bias, &dy, Conv2dSpec::same(9));
 }
 
 /// The same comparison on shapes big enough that `conv2d_with` really

@@ -217,6 +217,86 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The padding-aware entry points of the implicit kernels: scalar vs
+    /// detected arm, bitwise, and against the entry points that know
+    /// nothing about the padding. On an image whose ring really is zero
+    /// and operands that really are finite, leaving the ring's rows out
+    /// (`conv_fwd_skip_with`, `conv_dw_acc_skip_with`) must not move a
+    /// bit; `conv_dx_acc_padded_with` into a zeroed `dx` must produce the
+    /// centre of what `conv_dx_acc_with` gathers over the whole padded
+    /// image, because the ring pixels it skips are cropped anyway.
+    #[test]
+    fn padded_conv_kernels_are_bitwise_arm_and_skip_invariant(
+        c_in in 1usize..10,
+        c_out in 1usize..7,
+        h in 1usize..12,
+        w_blocks in 1usize..3,
+        half_k in 0usize..4,
+        dilation in 1usize..3,
+        seed in 0u64..100_000,
+    ) {
+        // "Same" padding, output width a multiple of 8: the register
+        // tiles rather than the rotating fallback.
+        let (k, wd) = (2 * half_k + 1, 8 * w_blocks);
+        let padding = dilation * half_k;
+        let g = simd::ConvGeom {
+            c_in,
+            c_out,
+            hp: h + 2 * padding,
+            wp: wd + 2 * padding,
+            kh: k,
+            kw: k,
+            dilation,
+        };
+        let mut xp = vec![0.0f32; g.padded_len()];
+        let x = rand_vec(c_in * h * wd, seed);
+        for (row, src) in x.chunks_exact(wd).enumerate() {
+            let (ci, i) = (row / h, row % h);
+            let at = (ci * g.hp + i + padding) * g.wp + padding;
+            xp[at..at + wd].copy_from_slice(src);
+        }
+        let w = rand_vec(c_out * g.ckk(), seed ^ 1);
+        let dy = rand_vec(c_out * h * wd, seed ^ 2);
+        let skip = simd::skippable_rows(padding, &w);
+        prop_assert_eq!(skip, padding);
+
+        let mut full = vec![0.0f32; c_out * h * wd];
+        simd::conv_fwd_with(SimdBackend::Scalar, &g, &xp, &w, &mut full);
+        for arm in [SimdBackend::Scalar, detected()] {
+            let mut got = vec![f32::NAN; c_out * h * wd];
+            simd::conv_fwd_skip_with(arm, &g, skip, &xp, &w, &mut got);
+            assert_bits_eq(&got, &full, "conv_fwd_skip");
+        }
+
+        let dw0 = rand_vec(c_out * g.ckk(), seed ^ 3);
+        let mut full = dw0.clone();
+        simd::conv_dw_acc_with(SimdBackend::Scalar, &g, &xp, &dy, &mut full);
+        for arm in [SimdBackend::Scalar, detected()] {
+            let mut got = dw0.clone();
+            simd::conv_dw_acc_skip_with(arm, &g, skip, &xp, &dy, &mut got);
+            assert_bits_eq(&got, &full, "conv_dw_acc_skip");
+        }
+
+        let mut dxp = vec![0.0f32; g.padded_len()];
+        simd::conv_dx_acc_with(SimdBackend::Scalar, &g, &w, &dy, &mut dxp);
+        let centre: Vec<f32> = (0..c_in * h)
+            .flat_map(|row| {
+                let at = ((row / h) * g.hp + row % h + padding) * g.wp + padding;
+                dxp[at..at + wd].to_vec()
+            })
+            .collect();
+        for arm in [SimdBackend::Scalar, detected()] {
+            let mut dyp = rand_vec(g.dy_padded_len(), seed ^ 4);
+            let mut got = vec![0.0f32; c_in * h * wd];
+            simd::conv_dx_acc_padded_with(arm, &g, padding, &w, &dy, &mut dyp, &mut got);
+            assert_bits_eq(&got, &centre, "conv_dx_acc_padded");
+        }
+    }
+}
+
 /// A small heterogeneous client: labels keyed to channel 0 with a
 /// per-client threshold shift (mirrors `tests/parallel_determinism.rs`).
 fn synthetic_client(id: usize, n_train: usize, n_test: usize, seed: u64) -> Client {

@@ -16,8 +16,8 @@
 use rte_bench::BenchArgs;
 use rte_core::{build_experiment_clients, model_factory};
 use rte_fed::{
-    local_links, render_async_history, run_fedasync, run_rounds_over, AsyncConfig,
-    AsyncRoundRecord, LinkExecutor, LocalLink, Method, MethodOutcome,
+    local_links, render_async_history, run_fedasync, run_link_rounds, AsyncConfig,
+    AsyncRoundRecord, FaultPolicy, LinkExecutor, LocalLink, MethodOutcome,
 };
 use rte_nn::models::ModelKind;
 
@@ -75,14 +75,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Sync baseline: the barrier protocol, K trainings per round.
     let mut links = local_links(&clients, &factory, &config.fed, None)?;
-    let outcome: MethodOutcome = run_rounds_over(
-        Method::FedProx,
+    let outcome: MethodOutcome = run_link_rounds(
         &clients,
         &factory,
         &config.fed,
         &mut links,
         None,
-    )?;
+        &FaultPolicy::default(),
+        None,
+        None,
+    )?
+    .outcome;
     rows.push(Row {
         label: format!("sync FedProx (barrier, B={k})"),
         average_auc: outcome.average_auc,

@@ -1,0 +1,524 @@
+//! The synchronous round engine: the paper's collaborative flow (§4.1)
+//! written once.
+//!
+//! Every synchronous FedProx run in the workspace is `run_rounds`:
+//! select the round's participants → *exchange* the global state for
+//! their updates → *aggregate* → record → fire the hook. The two seams
+//! that really differ are parameters:
+//!
+//! - the `Exchange` — `InProcess` trains the participants on worker
+//!   threads and every update is present; `Links` deploys one shared
+//!   frame per round over `links[k]: Transport` and collects in fixed
+//!   participant order under a [`FaultPolicy`] (deadline, seeded
+//!   retries, stale-frame drain, quorum), logging typed [`RoundEvent`]s,
+//! - the `Stage` — `Plain` aggregates `Message::Update`s under
+//!   `FedConfig::aggregation`; `Masked` sums pairwise-masked
+//!   `Message::SecureUpdate`s ([`crate::secure`]).
+//!
+//! [`crate::methods::fedprox_rounds`] is the in-process configuration
+//! and [`run_link_rounds`] the link-side one; faultless they are
+//! bit-identical (`tests/transport_determinism.rs`), and under seeded
+//! chaos the link side replays bit for bit (contract rule 9).
+
+use std::time::Duration;
+
+use rte_net::{Frame, NetError, Transport};
+use rte_nn::StateDict;
+
+use crate::federation::COORDINATOR;
+use crate::methods::{mean_loss, ClientUpdate, Harness, MethodOutcome, RoundRecord, TrainJob};
+use crate::params::aggregate;
+use crate::resilient::{FaultPolicy, ResilientOutcome, ResumePoint, RoundEvent, RoundHook};
+use crate::secure::{aggregate_masked, MaskedUpdate, SecureConfig};
+use crate::wire::{deploy_frame, net_err, send_message, Message};
+use crate::{Aggregation, Client, FedConfig, FedError, Method, ModelFactory};
+
+/// Upper bound on a coordinator-side wait for one client reply that no
+/// [`FaultPolicy`] governs (the async link executor). Not a tuning
+/// knob — just the guarantee that a stalled or half-dead peer surfaces
+/// as a typed timeout instead of wedging the coordinator forever.
+pub(crate) const COLLECT_DEADLINE: Duration = Duration::from_secs(600);
+
+/// How many stale or duplicate frames one client slot may drain in one
+/// round before the slot is declared missed — bounds the loop when a
+/// duplicating link floods the queue.
+const STALE_BUDGET: u32 = 64;
+
+/// The aggregation seam: what one participant sends back and how a
+/// round's updates become the next global state.
+pub(crate) trait Stage {
+    /// One participant's contribution.
+    type Update;
+
+    /// Takes this stage's `(round, client, loss, update)` out of a
+    /// reply, or hands the message back when it is another kind.
+    fn parse(message: Message) -> Result<(u64, u32, f32, Self::Update), Message>;
+
+    /// Whether a round can only aggregate its *full* participant set
+    /// (every participant is then the quorum, whatever the policy asks).
+    const FULL_SET: bool;
+
+    /// Aggregates the round's updates (participant order) into the next
+    /// global state.
+    fn aggregate(
+        &self,
+        clients: &[Client],
+        config: &FedConfig,
+        participants: &[usize],
+        updates: Vec<ClientUpdate<Self::Update>>,
+    ) -> Result<StateDict, FedError>;
+}
+
+/// Raw parameters under `FedConfig::aggregation`. A round may complete
+/// with a subset of its participants: the weighted rules normalize by
+/// the surviving weight sum, which *is* the deterministic reweighting —
+/// same survivors, same weights, same bits.
+pub(crate) struct Plain;
+
+impl Stage for Plain {
+    type Update = StateDict;
+
+    fn parse(message: Message) -> Result<(u64, u32, f32, StateDict), Message> {
+        match message {
+            Message::Update {
+                round,
+                client,
+                loss,
+                state,
+            } => Ok((round, client, loss, state)),
+            other => Err(other),
+        }
+    }
+
+    const FULL_SET: bool = false;
+
+    fn aggregate(
+        &self,
+        clients: &[Client],
+        config: &FedConfig,
+        _participants: &[usize],
+        updates: Vec<ClientUpdate>,
+    ) -> Result<StateDict, FedError> {
+        let refs: Vec<(&StateDict, f64)> = updates
+            .iter()
+            .map(|u| (&u.state, clients[u.client].weight() as f64))
+            .collect();
+        aggregate(&refs, config.aggregation)
+    }
+}
+
+/// Pairwise-masked quantized updates: the coordinator recovers only the
+/// sum. The masks cancel only over the round's *full* participant set,
+/// so every participant is this stage's quorum — a slot still gets its
+/// deadline, its retries (re-masking a `(round, client)` slot is as
+/// stateless as re-training it) and its stale-frame drain, but a slot
+/// missed after its last attempt ends the run with
+/// [`FedError::QuorumLost`] instead of degrading.
+pub(crate) struct Masked(pub SecureConfig);
+
+impl Stage for Masked {
+    type Update = MaskedUpdate;
+
+    fn parse(message: Message) -> Result<(u64, u32, f32, MaskedUpdate), Message> {
+        match message {
+            Message::SecureUpdate {
+                round,
+                client,
+                loss,
+                masked,
+            } => Ok((round, client, loss, masked)),
+            other => Err(other),
+        }
+    }
+
+    const FULL_SET: bool = true;
+
+    fn aggregate(
+        &self,
+        clients: &[Client],
+        _config: &FedConfig,
+        participants: &[usize],
+        updates: Vec<ClientUpdate<MaskedUpdate>>,
+    ) -> Result<StateDict, FedError> {
+        let part_ids: Vec<u32> = participants.iter().map(|&k| k as u32).collect();
+        let weight_sum: f64 = participants
+            .iter()
+            .map(|&k| clients[k].weight() as f64)
+            .sum();
+        let masked: Vec<MaskedUpdate> = updates.into_iter().map(|u| u.state).collect();
+        aggregate_masked(&masked, &part_ids, weight_sum, &self.0)
+    }
+}
+
+/// The exchange seam: how one round's global state reaches the
+/// participants and which of stage `S`'s updates come back.
+pub(crate) trait Exchange<S: Stage> {
+    /// Deploys `global` to `participants` and returns the updates that
+    /// made it, in participant order.
+    fn round(
+        &mut self,
+        round: usize,
+        participants: &[usize],
+        global: &StateDict,
+    ) -> Result<Vec<ClientUpdate<S::Update>>, FedError>;
+
+    /// The coordinator's frame sequence counter after the last exchange
+    /// (what a checkpoint carries; 0 when no frames are involved).
+    fn seq(&self) -> u64;
+}
+
+/// The one synchronous round loop. Rounds `1..=done` are skipped and
+/// `global` is the state after them: participant selection and the
+/// per-`(round, client)` training streams are derived statelessly from
+/// the config seed, so the remaining rounds are bit-identical to an
+/// uninterrupted run's. `on_round` fires after every aggregated round
+/// with `(round, seq, global state)`; an error from it aborts the run.
+pub(crate) fn run_rounds<S: Stage>(
+    harness: &Harness<'_>,
+    stage: &S,
+    exchange: &mut impl Exchange<S>,
+    done: usize,
+    mut global: StateDict,
+    mut on_round: Option<&mut RoundHook<'_>>,
+) -> Result<(StateDict, Vec<RoundRecord>), FedError> {
+    let mut history = Vec::new();
+    for round in done + 1..=harness.config.rounds {
+        let participants = harness.participants(round);
+        let updates = exchange.round(round, &participants, &global)?;
+        let loss = mean_loss(&updates);
+        global = stage.aggregate(harness.clients, harness.config, &participants, updates)?;
+        if harness.should_record(round) {
+            let reports = harness.eval_global(&global)?;
+            history.push(RoundRecord::new(round, reports, loss));
+        }
+        if let Some(hook) = on_round.as_deref_mut() {
+            hook(round, exchange.seq(), &global)?;
+        }
+    }
+    Ok((global, history))
+}
+
+/// The in-process exchange: participants train concurrently on the
+/// harness' worker threads, each from its own deployed copy of the
+/// global parameters, and every update is present.
+pub(crate) struct InProcess<'h, 'a>(pub &'h Harness<'a>);
+
+impl Exchange<Plain> for InProcess<'_, '_> {
+    fn round(
+        &mut self,
+        round: usize,
+        participants: &[usize],
+        global: &StateDict,
+    ) -> Result<Vec<ClientUpdate>, FedError> {
+        let jobs: Vec<TrainJob<'_>> = participants
+            .iter()
+            .map(|&k| TrainJob {
+                client: k,
+                start: global,
+                reference: Some(global),
+            })
+            .collect();
+        self.0
+            .train_clients(&jobs, round, self.0.config.local_steps)
+    }
+
+    fn seq(&self) -> u64 {
+        0
+    }
+}
+
+/// The link-side exchange: `links[k]` speaks to fleet client `k`.
+struct Links<'l, T> {
+    links: &'l mut [T],
+    policy: &'l FaultPolicy,
+    steps: u64,
+    seq: u64,
+    events: Vec<RoundEvent>,
+    retries: u64,
+}
+
+impl<T: Transport> Links<'_, T> {
+    /// Sends the round's deploy to client `k` under the next sequence
+    /// number; returns the error's rendering when it did not leave.
+    fn deploy(&mut self, k: usize, deploy: &mut Frame) -> Option<String> {
+        deploy.seq = self.seq;
+        self.seq += 1;
+        let sent = self.links[k].send(deploy);
+        sent.err().map(|e| net_err(e).to_string())
+    }
+
+    /// Collects client `k`'s update for `round`: each slot gets the
+    /// policy's attempts, and a failed attempt — a deploy that did not
+    /// leave (`failure` on entry) or a reply that did not arrive —
+    /// re-deploys after the backoff before anything is waited on.
+    /// Re-training the slot is bit-identical, so a retried update
+    /// equals the lost one. `None` is a slot missed after its last
+    /// attempt (or flooded past the stale budget).
+    fn collect<S: Stage>(
+        &mut self,
+        round: usize,
+        k: usize,
+        deploy: &mut Frame,
+        mut failure: Option<String>,
+    ) -> Result<Option<ClientUpdate<S::Update>>, FedError> {
+        let attempts = self.policy.retry.max_attempts.max(1);
+        let mut attempt = 0u32;
+        let mut stale_budget = STALE_BUDGET;
+        loop {
+            if let Some(reason) = failure.take() {
+                self.events.push(RoundEvent::Retry {
+                    round,
+                    client: k,
+                    attempt,
+                    reason,
+                });
+                attempt += 1;
+                if attempt >= attempts {
+                    break;
+                }
+                self.retries += 1;
+                self.policy.retry.sleep(attempt - 1, k as u64);
+                failure = self.deploy(k, deploy);
+                continue;
+            }
+            match recv_update::<T, S>(&mut self.links[k], self.policy.deadline) {
+                Ok((got_round, got_client, loss, state)) => {
+                    if got_client != k as u32 {
+                        return Err(FedError::Transport {
+                            reason: format!(
+                                "link {k} delivered an update claiming client {got_client}"
+                            ),
+                        });
+                    }
+                    if got_round == round as u64 {
+                        return Ok(Some(ClientUpdate {
+                            client: k,
+                            state,
+                            loss,
+                        }));
+                    }
+                    // An earlier round's update surfacing late
+                    // (duplicate or reorder): drain and discard.
+                    self.events.push(RoundEvent::Stale {
+                        round,
+                        client: k,
+                        got_round,
+                    });
+                    if stale_budget == 0 {
+                        break;
+                    }
+                    stale_budget -= 1;
+                }
+                Err(RecvFailure::Fatal(e)) => return Err(e),
+                Err(RecvFailure::Slot(reason)) => failure = Some(reason),
+            }
+        }
+        self.events.push(RoundEvent::Missed {
+            round,
+            client: k,
+            attempts: attempt.max(1),
+        });
+        Ok(None)
+    }
+}
+
+impl<T: Transport, S: Stage> Exchange<S> for Links<'_, T> {
+    fn round(
+        &mut self,
+        round: usize,
+        participants: &[usize],
+        global: &StateDict,
+    ) -> Result<Vec<ClientUpdate<S::Update>>, FedError> {
+        let part_ids: Vec<u32> = participants.iter().map(|&k| k as u32).collect();
+        // The round's deploy, encoded and checksummed once: every send
+        // — first wave and retries — shares this payload and differs
+        // only in `seq`.
+        let mut deploy = deploy_frame(
+            round as u64,
+            self.steps,
+            &part_ids,
+            global,
+            COORDINATOR,
+            self.seq,
+        );
+        // First deploy wave, then the collect phase, both in fixed
+        // participant order.
+        let unsent: Vec<Option<String>> = participants
+            .iter()
+            .map(|&k| self.deploy(k, &mut deploy))
+            .collect();
+        let mut updates = Vec::with_capacity(participants.len());
+        for (&k, failure) in participants.iter().zip(unsent) {
+            updates.extend(self.collect::<S>(round, k, &mut deploy, failure)?);
+        }
+        let mut need = self.policy.min_quorum.max(1);
+        if S::FULL_SET {
+            need = need.max(participants.len());
+        }
+        if updates.len() < need {
+            return Err(FedError::QuorumLost {
+                round,
+                got: updates.len(),
+                need,
+            });
+        }
+        Ok(updates)
+    }
+
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+}
+
+/// Why one receive attempt did not produce a usable update.
+enum RecvFailure {
+    /// Worth retrying the slot: timeout, frame damage, short hang-up.
+    Slot(String),
+    /// Not a fault-injection survivor: abort the run.
+    Fatal(FedError),
+}
+
+/// Receives one frame under a deadline and parses it as stage `S`'s
+/// update.
+fn recv_update<T: Transport, S: Stage>(
+    link: &mut T,
+    deadline: Duration,
+) -> Result<(u64, u32, f32, S::Update), RecvFailure> {
+    let frame = match link.recv_timeout(deadline) {
+        Ok(frame) => frame,
+        // Every injected fault surfaces here as a typed error —
+        // timeouts for drops, CRC errors for corruption, `Closed` for a
+        // dead peer — and all of them are slot-level, not run-level.
+        Err(e @ (NetError::Timeout | NetError::Closed)) => {
+            return Err(RecvFailure::Slot(e.to_string()))
+        }
+        Err(
+            e @ (NetError::BadMagic
+            | NetError::HeaderCrc
+            | NetError::PayloadCrc
+            | NetError::Truncated { .. }
+            | NetError::Oversize { .. }
+            | NetError::UnsupportedVersion { .. }),
+        ) => return Err(RecvFailure::Slot(e.to_string())),
+        Err(e) => return Err(RecvFailure::Fatal(net_err(e))),
+    };
+    let message = match Message::from_frame(&frame) {
+        Ok(m) => m,
+        Err(e) => return Err(RecvFailure::Slot(e.to_string())),
+    };
+    S::parse(message).map_err(|other| {
+        RecvFailure::Fatal(FedError::Transport {
+            reason: format!(
+                "expected this run's update kind, got message kind {}",
+                other.kind()
+            ),
+        })
+    })
+}
+
+/// Runs the FedProx round loop with every client behind a transport
+/// link: `links[k]` speaks to fleet client `k`. Participants are
+/// deployed to and collected from in a fixed order, each slot under
+/// `policy`'s deadline, seeded retries and stale-frame drain, so a
+/// faultless run is bit-identical to [`crate::methods::run_method`]
+/// (`tests/transport_determinism.rs`). A round may complete with a
+/// subset of its participants — survivors reweight deterministically,
+/// missing clients become typed [`RoundEvent`]s — and only falling
+/// below `policy.min_quorum` aborts the run.
+///
+/// With `secure`, clients return pairwise-masked quantized updates and
+/// the aggregate is the exact masked weighted mean ([`crate::secure`]):
+/// privacy-preserving but quantized, so *not* bit-identical to the
+/// plain path, and every participant is the round's quorum (a lost
+/// slot is still retried; a missed one ends the run).
+///
+/// With `resume`, rounds `1..=resume.round` are skipped (their history
+/// is not re-recorded) and the rest are bit-identical to the
+/// uninterrupted run's. `on_round` — the checkpoint writer's hook —
+/// fires after every completed round with `(round, seq, global state)`.
+///
+/// # Errors
+///
+/// - [`FedError::InvalidConfig`] for a link/fleet size mismatch, a
+///   quorum larger than the fleet, a resume point past the end, or
+///   `secure` with a non-weighted-mean rule.
+/// - [`FedError::QuorumLost`] when a round's survivors fall below the
+///   quorum.
+/// - [`FedError::Transport`] for protocol violations no retry can fix.
+/// - [`FedError::SecureAggregation`] when masked updates cannot cancel.
+pub fn run_link_rounds<T: Transport>(
+    clients: &[Client],
+    factory: &ModelFactory,
+    config: &FedConfig,
+    links: &mut [T],
+    secure: Option<SecureConfig>,
+    policy: &FaultPolicy,
+    resume: Option<ResumePoint>,
+    on_round: Option<&mut RoundHook<'_>>,
+) -> Result<ResilientOutcome, FedError> {
+    if links.len() != clients.len() {
+        return Err(FedError::InvalidConfig {
+            reason: format!("{} links for {} clients", links.len(), clients.len()),
+        });
+    }
+    if policy.min_quorum > clients.len() {
+        return Err(FedError::InvalidConfig {
+            reason: format!(
+                "min_quorum {} exceeds the fleet of {}",
+                policy.min_quorum,
+                clients.len()
+            ),
+        });
+    }
+    if secure.is_some() && config.aggregation != Aggregation::WeightedMean {
+        return Err(FedError::InvalidConfig {
+            reason: "secure aggregation supports only the weighted mean \
+                     (robust rules need individual updates)"
+                .into(),
+        });
+    }
+    let mut harness = Harness::new(clients, factory, config)?;
+    let (done, seq, global) = match resume {
+        Some(point) if point.round >= config.rounds => {
+            return Err(FedError::InvalidConfig {
+                reason: format!(
+                    "resume point at round {} but the run has only {} rounds",
+                    point.round, config.rounds
+                ),
+            });
+        }
+        Some(point) => (point.round, point.seq, point.state),
+        None => (0, 0, harness.initial_state()),
+    };
+    let mut exchange = Links {
+        links,
+        policy,
+        steps: config.local_steps as u64,
+        seq,
+        events: Vec::new(),
+        retries: 0,
+    };
+    let (global, history) = match secure {
+        None => run_rounds(&harness, &Plain, &mut exchange, done, global, on_round)?,
+        Some(cfg) => run_rounds(
+            &harness,
+            &Masked(cfg),
+            &mut exchange,
+            done,
+            global,
+            on_round,
+        )?,
+    };
+    for link in exchange.links.iter_mut() {
+        // A client that already hung up is fine — the run is over.
+        let _ = send_message(link, Message::Shutdown, COORDINATOR, exchange.seq);
+        exchange.seq += 1;
+    }
+    let per_client = harness.eval_global(&global)?;
+    Ok(ResilientOutcome {
+        outcome: MethodOutcome::new(Method::FedProx, per_client, history),
+        events: exchange.events,
+        retries: exchange.retries,
+        completed_rounds: config.rounds,
+    })
+}

@@ -55,7 +55,8 @@ pub enum FedError {
         round: usize,
         /// Updates that actually arrived.
         got: usize,
-        /// The configured `min_quorum`.
+        /// The round's quorum: the configured `min_quorum`, or every
+        /// participant under secure aggregation.
         need: usize,
     },
     /// A checkpoint file could not be written, read, or validated.

@@ -23,10 +23,11 @@
 use rte_net::{EventQueue, SplitMix64, Transport, VirtualClock, WallClock};
 use rte_nn::StateDict;
 
+use crate::engine::COLLECT_DEADLINE;
 use crate::federation::{ClientSession, COORDINATOR};
 use crate::methods::{Harness, MethodOutcome};
 use crate::params::aggregate;
-use crate::wire::{deploy_frame, net_err, recv_message, send_message, Message};
+use crate::wire::{deploy_frame, net_err, recv_message_within, send_message, Message};
 use crate::{Aggregation, Client, FedConfig, FedError, Method, ModelFactory};
 
 /// Hyper-parameters of the asynchronous schedule.
@@ -235,7 +236,7 @@ impl<T: Transport> TrainExecutor for LinkExecutor<'_, T> {
         self.seq += 1;
         let deploy = deploy_frame(dispatch, steps as u64, &[], start, COORDINATOR, seq);
         self.links[client].send(&deploy).map_err(net_err)?;
-        let (_, message) = recv_message(&mut self.links[client])?;
+        let (_, message) = recv_message_within(&mut self.links[client], COLLECT_DEADLINE)?;
         match message {
             Message::Update {
                 round,
@@ -672,6 +673,34 @@ mod tests {
         let (b, rb) = run_fedasync(&clients, &factory, &config, &cfg, &mut wired).unwrap();
         assert_eq!(a, b);
         assert_eq!(ra, rb);
+    }
+
+    /// A peer that accepts a deploy and then never answers.
+    struct Silent;
+
+    impl Transport for Silent {
+        fn send(&mut self, _frame: &rte_net::Frame) -> Result<(), rte_net::NetError> {
+            Ok(())
+        }
+
+        fn recv(&mut self) -> Result<rte_net::Frame, rte_net::NetError> {
+            panic!("the link executor blocked on an unbounded read");
+        }
+
+        fn recv_timeout(
+            &mut self,
+            _timeout: std::time::Duration,
+        ) -> Result<rte_net::Frame, rte_net::NetError> {
+            Err(rte_net::NetError::Timeout)
+        }
+    }
+
+    #[test]
+    fn link_executor_times_out_on_a_silent_peer_instead_of_wedging() {
+        let mut links = [Silent];
+        let mut exec = LinkExecutor::new(&mut links);
+        let err = exec.train(0, 0, &StateDict::new(), 1).unwrap_err();
+        assert!(matches!(err, FedError::Transport { .. }), "{err}");
     }
 
     #[test]

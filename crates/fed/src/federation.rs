@@ -3,15 +3,15 @@
 //!
 //! This is the seam the paper's deployment story needs: the same
 //! FedProx round loop that `methods::fedprox` runs in-process, split
-//! into a coordinator half ([`run_rounds_over`]) and a client half
-//! ([`ClientSession`]) that only talk through [`crate::wire::Message`]s.
-//! The split is engineered to be *bit-identical* to the in-process
-//! path:
+//! into a coordinator half ([`crate::run_link_rounds`], the round
+//! engine over links) and a client half ([`ClientSession`]) that only
+//! talk through [`crate::wire::Message`]s. This module is the client
+//! half plus the in-process [`LocalLink`]. The split is engineered to
+//! be *bit-identical* to the in-process path:
 //!
 //! - both sides derive their RNG streams from the same
-//!   `methods::fleet_rng(seed)` root, and a client's training stream is
-//!   `round_client_rng(root, round, me)` — exactly what the in-process
-//!   round loop's workers draw,
+//!   `methods::fleet_rng(seed)` root and run the one slot body
+//!   (`methods::train_slot`), which draws the `(round, client)` stream,
 //! - the coordinator deploys to, and collects from, participants in the
 //!   same fixed order `Harness::participants` yields, so aggregation
 //!   sees updates in the identical order,
@@ -26,26 +26,16 @@
 //! coordinator can only recover the *sum* — never an individual update.
 
 use rte_net::{ChannelTransport, Frame, NetError, Transport};
-use rte_nn::{load_state_dict, state_dict, StateDict};
+use rte_nn::StateDict;
 use rte_tensor::rng::Xoshiro256;
 
-use crate::methods::{
-    fleet_rng, mean_loss, round_client_rng, ClientUpdate, Harness, MethodOutcome, RoundRecord,
-};
-use crate::params::aggregate;
-use crate::secure::{aggregate_masked, mask_update, MaskedUpdate, SecureConfig};
-use crate::wire::{deploy_frame, net_err, recv_message_within, send_message, Message};
-use crate::{Client, FedConfig, FedError, LocalTrainer, Method, ModelFactory};
+use crate::methods::{fleet_rng, train_slot, TrainJob};
+use crate::secure::{mask_update, SecureConfig};
+use crate::wire::{net_err, send_message, Message};
+use crate::{Client, FedConfig, FedError, LocalTrainer, ModelFactory};
 
 /// The coordinator's frame sender id (clients are `1 + fleet index`).
 pub const COORDINATOR: u32 = 0;
-
-/// Upper bound on how long the plain coordinator loop waits for any
-/// single client update. Not a tuning knob — just the guarantee that a
-/// stalled or half-dead peer surfaces as a typed timeout instead of
-/// wedging the coordinator forever (the resilient loop's
-/// [`crate::FaultPolicy`] is the configurable version).
-const COLLECT_DEADLINE: std::time::Duration = std::time::Duration::from_secs(600);
 
 /// Byte/frame counters a [`LocalLink`] accumulates — the measured
 /// communication cost of a federated run over the wire codec.
@@ -144,24 +134,22 @@ impl<'a> ClientSession<'a> {
         start: &StateDict,
     ) -> Result<(StateDict, f32), FedError> {
         let mut model = (self.factory)(self.config.seed);
-        load_state_dict(model.as_mut(), start)?;
-        let mut rng = round_client_rng(&self.root_rng, round as usize, self.me);
-        let loss = self.trainer.train(
+        let job = TrainJob {
+            client: self.me,
+            start,
+            reference: Some(start),
+        };
+        let update = train_slot(
             model.as_mut(),
-            &self.clients[self.me].train,
-            Some(start),
+            &self.trainer,
+            self.clients,
+            self.config,
+            &self.root_rng,
+            &job,
+            round as usize,
             steps,
-            &mut rng,
         )?;
-        let mut out = state_dict(model.as_mut());
-        if let Some(scenario) = &self.config.scenario {
-            if let Some(corrupted) =
-                scenario.corrupt_update(round as usize, self.me, start, &out)?
-            {
-                out = corrupted;
-            }
-        }
-        Ok((out, loss))
+        Ok((update.state, update.loss))
     }
 
     /// Handles one incoming message, returning the reply to send (or
@@ -421,167 +409,6 @@ impl Transport for LocalLink<'_> {
     }
 }
 
-/// Validates an update's envelope against what the coordinator expects.
-fn check_envelope(
-    round: usize,
-    expected: usize,
-    got_round: u64,
-    got_client: u32,
-) -> Result<(), FedError> {
-    if got_round != round as u64 || got_client != expected as u32 {
-        return Err(FedError::Transport {
-            reason: format!(
-                "expected round {round} update from client {expected}, \
-                 got round {got_round} from client {got_client}"
-            ),
-        });
-    }
-    Ok(())
-}
-
-/// Runs the FedProx round loop with every client behind a transport
-/// link: `links[k]` speaks to fleet client `k`. Deploys go to, and
-/// updates are collected from, participants in `Harness::participants`
-/// order, so the outcome is bit-identical to [`crate::methods::run_method`]
-/// on the same inputs (pinned by `tests/transport_determinism.rs`).
-///
-/// With `secure`, clients return pairwise-masked quantized updates and
-/// the aggregate is the exact masked weighted mean ([`crate::secure`]);
-/// this path is privacy-preserving but quantized, so it is *not*
-/// bit-identical to the plain path (it is bit-identical to the plain
-/// *quantized* path, which the secure-aggregation property tests pin).
-///
-/// # Errors
-///
-/// - [`FedError::InvalidConfig`] for a non-FedProx method, a link/fleet
-///   size mismatch, or secure mode with a non-weighted-mean rule.
-/// - [`FedError::Transport`] for wire damage or protocol violations.
-/// - [`FedError::SecureAggregation`] when masked updates cannot cancel.
-pub fn run_rounds_over<T: Transport>(
-    method: Method,
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-    links: &mut [T],
-    secure: Option<SecureConfig>,
-) -> Result<MethodOutcome, FedError> {
-    if method != Method::FedProx {
-        return Err(FedError::InvalidConfig {
-            reason: format!("only the FedProx family runs over a transport, not {method}"),
-        });
-    }
-    if links.len() != clients.len() {
-        return Err(FedError::InvalidConfig {
-            reason: format!("{} links for {} clients", links.len(), clients.len()),
-        });
-    }
-    if secure.is_some() && config.aggregation != crate::Aggregation::WeightedMean {
-        return Err(FedError::InvalidConfig {
-            reason: "secure aggregation supports only the weighted mean \
-                     (robust rules need individual updates)"
-                .into(),
-        });
-    }
-
-    let mut harness = Harness::new(clients, factory, config)?;
-    let mut global = harness.initial_state();
-    let mut history = Vec::new();
-    let mut seq = 0u64;
-    for round in 1..=config.rounds {
-        let participants = harness.participants(round);
-        let part_ids: Vec<u32> = participants.iter().map(|&k| k as u32).collect();
-        // Encoded and checksummed once; each send shares the payload.
-        let mut deploy = deploy_frame(
-            round as u64,
-            config.local_steps as u64,
-            &part_ids,
-            &global,
-            COORDINATOR,
-            seq,
-        );
-        for &k in &participants {
-            deploy.seq = seq;
-            links[k].send(&deploy).map_err(net_err)?;
-            seq += 1;
-        }
-        if let Some(cfg) = secure {
-            let mut masked: Vec<MaskedUpdate> = Vec::with_capacity(participants.len());
-            let mut losses: Vec<f32> = Vec::with_capacity(participants.len());
-            for &k in &participants {
-                let (_, message) = recv_message_within(&mut links[k], COLLECT_DEADLINE)?;
-                match message {
-                    Message::SecureUpdate {
-                        round: r,
-                        client,
-                        loss,
-                        masked: m,
-                    } => {
-                        check_envelope(round, k, r, client)?;
-                        masked.push(m);
-                        losses.push(loss);
-                    }
-                    other => {
-                        return Err(FedError::Transport {
-                            reason: format!("expected secure update, got kind {}", other.kind()),
-                        })
-                    }
-                }
-            }
-            let weight_sum: f64 = participants
-                .iter()
-                .map(|&k| clients[k].weight() as f64)
-                .sum();
-            global = aggregate_masked(&masked, &part_ids, weight_sum, &cfg)?;
-            if harness.should_record(round) {
-                let reports = harness.eval_global(&global)?;
-                let loss = losses.iter().map(|&l| l as f64).sum::<f64>() / losses.len() as f64;
-                history.push(RoundRecord::new(round, reports, loss));
-            }
-        } else {
-            let mut updates: Vec<ClientUpdate> = Vec::with_capacity(participants.len());
-            for &k in &participants {
-                let (_, message) = recv_message_within(&mut links[k], COLLECT_DEADLINE)?;
-                match message {
-                    Message::Update {
-                        round: r,
-                        client,
-                        loss,
-                        state,
-                    } => {
-                        check_envelope(round, k, r, client)?;
-                        updates.push(ClientUpdate {
-                            client: k,
-                            state,
-                            loss,
-                        });
-                    }
-                    other => {
-                        return Err(FedError::Transport {
-                            reason: format!("expected plain update, got kind {}", other.kind()),
-                        })
-                    }
-                }
-            }
-            let refs: Vec<(&StateDict, f64)> = updates
-                .iter()
-                .map(|u| (&u.state, clients[u.client].weight() as f64))
-                .collect();
-            global = aggregate(&refs, config.aggregation)?;
-            if harness.should_record(round) {
-                let reports = harness.eval_global(&global)?;
-                history.push(RoundRecord::new(round, reports, mean_loss(&updates)));
-            }
-        }
-    }
-    for link in links.iter_mut() {
-        // A client that already hung up is fine — the run is over.
-        let _ = send_message(link, Message::Shutdown, COORDINATOR, seq);
-        seq += 1;
-    }
-    let per_client = harness.eval_global(&global)?;
-    Ok(MethodOutcome::new(Method::FedProx, per_client, history))
-}
-
 /// Builds one [`LocalLink`] per fleet client — the channel-backend
 /// convenience used by the transport determinism tests and the
 /// `--transport channel` bench path.
@@ -609,6 +436,7 @@ mod tests {
     use super::*;
     use crate::methods::run_method;
     use crate::methods::test_support::{clients, factory};
+    use crate::{run_link_rounds, FaultPolicy, Method};
 
     #[test]
     fn channel_rounds_match_in_process_bitwise() {
@@ -618,15 +446,18 @@ mod tests {
         config.eval_every = 1;
         let reference = run_method(Method::FedProx, &clients, &factory, &config).unwrap();
         let mut links = local_links(&clients, &factory, &config, None).unwrap();
-        let wired = run_rounds_over(
-            Method::FedProx,
+        let wired = run_link_rounds(
             &clients,
             &factory,
             &config,
             &mut links,
             None,
+            &FaultPolicy::default(),
+            None,
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .outcome;
         assert_eq!(wired, reference);
         assert!(links[0].stats.frames_sent > 0);
         assert!(links[0].stats.bytes_received > 0);
@@ -639,35 +470,20 @@ mod tests {
         let config = FedConfig::tiny();
         let secure = Some(SecureConfig::default());
         let mut links = local_links(&clients, &factory, &config, secure).unwrap();
-        let outcome = run_rounds_over(
-            Method::FedProx,
+        let outcome = run_link_rounds(
             &clients,
             &factory,
             &config,
             &mut links,
             secure,
-        )
-        .unwrap();
-        assert_eq!(outcome.per_client_auc.len(), 3);
-        assert!(outcome.average_auc.is_finite());
-    }
-
-    #[test]
-    fn non_fedprox_methods_are_rejected() {
-        let clients = clients(2);
-        let factory = factory();
-        let config = FedConfig::tiny();
-        let mut links = local_links(&clients, &factory, &config, None).unwrap();
-        let err = run_rounds_over(
-            Method::LocalOnly,
-            &clients,
-            &factory,
-            &config,
-            &mut links,
+            &FaultPolicy::default(),
+            None,
             None,
         )
-        .unwrap_err();
-        assert!(matches!(err, FedError::InvalidConfig { .. }), "{err}");
+        .unwrap()
+        .outcome;
+        assert_eq!(outcome.per_client_auc.len(), 3);
+        assert!(outcome.average_auc.is_finite());
     }
 
     #[test]
@@ -676,12 +492,14 @@ mod tests {
         let factory = factory();
         let config = FedConfig::tiny();
         let mut links = local_links(&clients[..1], &factory, &config, None).unwrap();
-        assert!(run_rounds_over(
-            Method::FedProx,
+        assert!(run_link_rounds(
             &clients,
             &factory,
             &config,
             &mut links,
+            None,
+            &FaultPolicy::default(),
+            None,
             None
         )
         .is_err());

@@ -23,21 +23,27 @@
 //! - [`stream`] — bounded-memory data feeding: [`StreamingClientSet`]
 //!   lets every method train and evaluate a corpus that never fits in
 //!   memory, bit-identically to the in-memory path,
-//! - [`wire`] / [`federation`] — a federated round as an exchange of
-//!   serialized parameter deltas over an `rte_net` [`rte_net::Transport`]:
-//!   typed [`wire::Message`]s on hardened frames, the client-side
-//!   [`ClientSession`], and the coordinator loop [`run_rounds_over`]
-//!   that is bit-identical to the in-process FedProx path,
+//! - [`engine`] — the one synchronous round loop (select → exchange →
+//!   aggregate → record → hook), parameterized by the exchange (in
+//!   process, or over links under a [`FaultPolicy`]) and the aggregation
+//!   stage (plain or masked): [`methods::fedprox_rounds`] in process,
+//!   [`run_link_rounds`] over any `rte_net` [`rte_net::Transport`],
+//!   bit-identical to each other when nothing fails,
+//! - [`wire`] / [`federation`] — the client half of a link-side round:
+//!   typed [`wire::Message`]s on hardened frames, the [`ClientSession`]
+//!   that answers deploys with trained updates, and the in-process
+//!   [`LocalLink`],
 //! - [`secure`] — pairwise-masked secure aggregation with exact
 //!   fixed-point arithmetic (the coordinator recovers only the sum),
 //! - [`fedasync`] — buffered staleness-weighted asynchronous rounds on
 //!   a seeded virtual clock (determinism rule 8), with the wall-clock
 //!   opt-out,
-//! - [`resilient`] — the fault-tolerant coordinator loop: per-client
-//!   deadlines, seeded retries, and quorum-based graceful degradation
-//!   (missing clients become typed [`RoundEvent`]s, survivors reweight
-//!   deterministically) — built to pair with `rte_net`'s seeded
-//!   [`rte_net::ChaosTransport`] (determinism rule 9),
+//! - [`resilient`] — what a link-side run is configured with and
+//!   reports: [`FaultPolicy`] (per-client deadlines, seeded retries,
+//!   quorum), typed [`RoundEvent`]s for missing clients (survivors
+//!   reweight deterministically), [`ResumePoint`] / [`RoundHook`] —
+//!   built to pair with `rte_net`'s seeded [`rte_net::ChaosTransport`]
+//!   (determinism rule 9),
 //! - [`checkpoint`] — versioned CRC'd coordinator checkpoints written
 //!   atomically, so a killed run resumes bit-identically.
 //!
@@ -111,6 +117,7 @@ pub mod checkpoint;
 mod client;
 mod config;
 pub mod cost;
+pub mod engine;
 mod error;
 pub mod eval;
 pub mod fedasync;
@@ -130,15 +137,14 @@ pub use checkpoint::{
 };
 pub use client::{Client, ClientSet};
 pub use config::{Aggregation, FedConfig, Method};
+pub use engine::run_link_rounds;
 pub use error::FedError;
 pub use eval::{evaluate_auc, evaluate_report, EvalReport, Evaluator};
 pub use fedasync::{
     render_async_history, run_fedasync, run_fedasync_wall, AsyncConfig, AsyncRoundRecord,
     LinkExecutor, LocalExecutor, TrainExecutor,
 };
-pub use federation::{
-    local_links, run_rounds_over, ClientSession, LocalLink, ServeExit, WireStats,
-};
+pub use federation::{local_links, ClientSession, LocalLink, ServeExit, WireStats};
 pub use methods::{MethodOutcome, RoundRecord};
 pub use resilient::{
     run_rounds_resilient, FaultPolicy, ResilientOutcome, ResumePoint, RoundEvent, RoundHook,

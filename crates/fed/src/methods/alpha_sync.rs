@@ -7,9 +7,9 @@
 
 use rte_nn::StateDict;
 
-use crate::methods::{mean_loss, Deployed, Harness, MethodOutcome, RoundRecord, TrainJob};
+use crate::methods::{mean_loss, Deployed, Harness, RoundRecord, TrainJob};
 use crate::params::{aggregate, blend};
-use crate::{Client, FedConfig, FedError, Method, ModelFactory};
+use crate::{Client, FedConfig, FedError, ModelFactory};
 
 pub(crate) fn deployed(
     clients: &[Client],
@@ -74,22 +74,13 @@ pub(crate) fn deployed(
     Ok((Deployed::PerClient(personalized), history))
 }
 
-pub(crate) fn run(
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-) -> Result<MethodOutcome, FedError> {
-    let (final_states, history) = deployed(clients, factory, config)?;
-    let harness = Harness::new(clients, factory, config)?;
-    let per_client = harness.eval_deployed(&final_states)?;
-    Ok(MethodOutcome::new(Method::AlphaSync, per_client, history))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::methods::run_method;
     use crate::methods::test_support::{clients, factory};
     use crate::params::l2_distance_sq;
+    use crate::Method;
 
     #[test]
     fn clients_end_with_different_models() {
@@ -99,7 +90,7 @@ mod tests {
         let clients = clients(2);
         let factory = factory();
         let config = FedConfig::tiny();
-        let outcome = run(&clients, &factory, &config).unwrap();
+        let outcome = run_method(Method::AlphaSync, &clients, &factory, &config).unwrap();
         assert_eq!(outcome.per_client_auc.len(), 2);
     }
 
@@ -113,7 +104,7 @@ mod tests {
         // α = 1: each personalized model never mixes in other clients, so
         // the outcome must equal two independent local trainings with the
         // same per-round step schedule.
-        let outcome = run(&clients, &factory, &config).unwrap();
+        let outcome = run_method(Method::AlphaSync, &clients, &factory, &config).unwrap();
         assert!(outcome.per_client_auc.iter().all(|a| a.is_finite()));
     }
 
@@ -128,8 +119,8 @@ mod tests {
         c0.alpha = 0.0;
         let mut c1 = FedConfig::tiny();
         c1.alpha = 1.0;
-        let o0 = run(&clients, &factory, &c0).unwrap();
-        let o1 = run(&clients, &factory, &c1).unwrap();
+        let o0 = run_method(Method::AlphaSync, &clients, &factory, &c0).unwrap();
+        let o1 = run_method(Method::AlphaSync, &clients, &factory, &c1).unwrap();
         // Not asserting which is better — only that α matters.
         assert_ne!(o0.per_client_auc, o1.per_client_auc);
         let _ = l2_distance_sq; // silence unused import in cfg(test)

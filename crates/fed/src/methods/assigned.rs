@@ -5,9 +5,9 @@
 
 use rte_nn::StateDict;
 
-use crate::methods::{mean_loss, Deployed, Harness, MethodOutcome, RoundRecord, TrainJob};
+use crate::methods::{mean_loss, Deployed, Harness, RoundRecord, TrainJob};
 use crate::params::aggregate;
-use crate::{Client, FedConfig, FedError, Method, ModelFactory};
+use crate::{Client, FedConfig, FedError, ModelFactory};
 
 pub(crate) fn deployed(
     clients: &[Client],
@@ -73,25 +73,12 @@ pub(crate) fn deployed(
     Ok((Deployed::PerClient(per_client), history))
 }
 
-pub(crate) fn run(
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-) -> Result<MethodOutcome, FedError> {
-    let (final_states, history) = deployed(clients, factory, config)?;
-    let harness = Harness::new(clients, factory, config)?;
-    let per_client = harness.eval_deployed(&final_states)?;
-    Ok(MethodOutcome::new(
-        Method::AssignedClustering,
-        per_client,
-        history,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::methods::run_method;
     use crate::methods::test_support::{clients, factory};
+    use crate::Method;
 
     #[test]
     fn respects_fixed_assignment() {
@@ -99,7 +86,7 @@ mod tests {
         let factory = factory();
         let mut config = FedConfig::tiny();
         config.assigned_clusters = vec![vec![0, 2], vec![1]];
-        let outcome = run(&clients, &factory, &config).unwrap();
+        let outcome = run_method(Method::AssignedClustering, &clients, &factory, &config).unwrap();
         assert_eq!(outcome.per_client_auc.len(), 3);
     }
 
@@ -109,6 +96,6 @@ mod tests {
         let factory = factory();
         let mut config = FedConfig::tiny();
         config.assigned_clusters = vec![vec![0]]; // client 1 missing
-        assert!(run(&clients, &factory, &config).is_err());
+        assert!(run_method(Method::AssignedClustering, &clients, &factory, &config).is_err());
     }
 }

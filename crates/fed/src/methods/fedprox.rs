@@ -8,13 +8,14 @@
 
 use rte_nn::StateDict;
 
-use crate::methods::{mean_loss, Deployed, Harness, MethodOutcome, RoundRecord, TrainJob};
-use crate::params::aggregate;
-use crate::{Client, FedConfig, FedError, Method, ModelFactory};
+use crate::engine::{run_rounds, InProcess, Plain};
+use crate::methods::{Deployed, Harness, RoundRecord};
+use crate::{Client, FedConfig, FedError, ModelFactory};
 
 /// Runs the FedProx round loop and returns the final global state dict
-/// plus any recorded history. Shared by FedProx itself, FedProx +
-/// fine-tuning, and the convergence figure.
+/// plus any recorded history — the round engine ([`crate::engine`]) on
+/// its in-process exchange and plain aggregation stage. Shared by
+/// FedProx itself, FedProx + fine-tuning, and the convergence figure.
 ///
 /// # Errors
 ///
@@ -25,33 +26,8 @@ pub fn fedprox_rounds(
     config: &FedConfig,
 ) -> Result<(StateDict, Vec<RoundRecord>), FedError> {
     let mut harness = Harness::new(clients, factory, config)?;
-    let mut global = harness.initial_state();
-    let mut history = Vec::new();
-    for round in 1..=config.rounds {
-        // Participants train concurrently (each from its own deployed copy
-        // of the global parameters); the aggregation below runs on this
-        // thread in fixed participant order.
-        let jobs: Vec<TrainJob<'_>> = harness
-            .participants(round)
-            .into_iter()
-            .map(|k| TrainJob {
-                client: k,
-                start: &global,
-                reference: Some(&global),
-            })
-            .collect();
-        let updates = harness.train_clients(&jobs, round, config.local_steps)?;
-        let refs: Vec<(&StateDict, f64)> = updates
-            .iter()
-            .map(|u| (&u.state, clients[u.client].weight() as f64))
-            .collect();
-        global = aggregate(&refs, config.aggregation)?;
-        if harness.should_record(round) {
-            let reports = harness.eval_global(&global)?;
-            history.push(RoundRecord::new(round, reports, mean_loss(&updates)));
-        }
-    }
-    Ok((global, history))
+    let global = harness.initial_state();
+    run_rounds(&harness, &Plain, &mut InProcess(&harness), 0, global, None)
 }
 
 pub(crate) fn deployed(
@@ -63,22 +39,13 @@ pub(crate) fn deployed(
     Ok((Deployed::Global(global), history))
 }
 
-pub(crate) fn run(
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-) -> Result<MethodOutcome, FedError> {
-    let (final_states, history) = deployed(clients, factory, config)?;
-    let harness = Harness::new(clients, factory, config)?;
-    let per_client = harness.eval_deployed(&final_states)?;
-    Ok(MethodOutcome::new(Method::FedProx, per_client, history))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::methods::run_method;
     use crate::methods::test_support::{clients, factory};
     use crate::params::l2_distance_sq;
+    use crate::Method;
 
     #[test]
     fn aggregation_moves_the_global_model() {
@@ -112,7 +79,7 @@ mod tests {
         let mut config = FedConfig::tiny();
         config.rounds = 4;
         config.local_steps = 8;
-        let outcome = run(&clients, &factory, &config).unwrap();
+        let outcome = run_method(Method::FedProx, &clients, &factory, &config).unwrap();
         assert!(
             outcome.average_auc > 0.55,
             "average AUC {}",
@@ -124,8 +91,10 @@ mod tests {
 #[cfg(test)]
 mod participation_tests {
     use super::*;
+    use crate::methods::run_method;
     use crate::methods::test_support::{clients, factory};
     use crate::methods::Harness;
+    use crate::Method;
 
     #[test]
     fn full_participation_selects_everyone() {
@@ -163,7 +132,7 @@ mod participation_tests {
         let factory = factory();
         let mut config = FedConfig::tiny();
         config.participation = 0.5;
-        let outcome = run(&clients, &factory, &config).unwrap();
+        let outcome = run_method(Method::FedProx, &clients, &factory, &config).unwrap();
         assert_eq!(outcome.per_client_auc.len(), 3);
         assert!(outcome.per_client_auc.iter().all(|a| a.is_finite()));
     }

@@ -4,8 +4,8 @@
 //! paper's best personalization method (Table 3: 0.80 average).
 
 use crate::methods::fedprox::fedprox_rounds;
-use crate::methods::{Deployed, Harness, MethodOutcome, RoundRecord, TrainJob};
-use crate::{Client, FedConfig, FedError, Method, ModelFactory};
+use crate::methods::{Deployed, Harness, RoundRecord, TrainJob};
+use crate::{Client, FedConfig, FedError, ModelFactory};
 
 pub(crate) fn deployed(
     clients: &[Client],
@@ -37,25 +37,12 @@ pub(crate) fn deployed(
     Ok((Deployed::PerClient(states), history))
 }
 
-pub(crate) fn run(
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-) -> Result<MethodOutcome, FedError> {
-    let (final_states, history) = deployed(clients, factory, config)?;
-    let harness = Harness::new(clients, factory, config)?;
-    let per_client = harness.eval_deployed(&final_states)?;
-    Ok(MethodOutcome::new(
-        Method::FedProxFinetune,
-        per_client,
-        history,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::methods::run_method;
     use crate::methods::test_support::{clients, factory};
+    use crate::Method;
 
     #[test]
     fn finetuning_runs_and_scores_all_clients() {
@@ -63,7 +50,7 @@ mod tests {
         let factory = factory();
         let mut config = FedConfig::tiny();
         config.finetune_steps = 10;
-        let outcome = run(&clients, &factory, &config).unwrap();
+        let outcome = run_method(Method::FedProxFinetune, &clients, &factory, &config).unwrap();
         assert_eq!(outcome.method, Method::FedProxFinetune);
         assert_eq!(outcome.per_client_auc.len(), 2);
     }
@@ -74,7 +61,7 @@ mod tests {
         let factory = factory();
         let mut config = FedConfig::tiny();
         config.finetune_steps = 0;
-        let tuned = run(&clients, &factory, &config).unwrap();
+        let tuned = run_method(Method::FedProxFinetune, &clients, &factory, &config).unwrap();
         let prox = crate::methods::run_method(crate::Method::FedProx, &clients, &factory, &config)
             .unwrap();
         for (a, b) in tuned.per_client_auc.iter().zip(prox.per_client_auc.iter()) {

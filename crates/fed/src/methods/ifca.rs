@@ -7,9 +7,9 @@
 
 use rte_nn::StateDict;
 
-use crate::methods::{mean_loss, Deployed, Harness, MethodOutcome, RoundRecord, TrainJob};
+use crate::methods::{mean_loss, Deployed, Harness, RoundRecord, TrainJob};
 use crate::params::aggregate;
-use crate::{Client, FedConfig, FedError, Method, ModelFactory};
+use crate::{Client, FedConfig, FedError, ModelFactory};
 
 pub(crate) fn deployed(
     clients: &[Client],
@@ -74,21 +74,12 @@ pub(crate) fn deployed(
     Ok((Deployed::PerClient(per_client), history))
 }
 
-pub(crate) fn run(
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-) -> Result<MethodOutcome, FedError> {
-    let (final_states, history) = deployed(clients, factory, config)?;
-    let harness = Harness::new(clients, factory, config)?;
-    let per_client = harness.eval_deployed(&final_states)?;
-    Ok(MethodOutcome::new(Method::Ifca, per_client, history))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::methods::run_method;
     use crate::methods::test_support::{clients, factory};
+    use crate::Method;
 
     #[test]
     fn runs_with_more_clusters_than_needed() {
@@ -96,7 +87,7 @@ mod tests {
         let factory = factory();
         let mut config = FedConfig::tiny();
         config.clusters = 3;
-        let outcome = run(&clients, &factory, &config).unwrap();
+        let outcome = run_method(Method::Ifca, &clients, &factory, &config).unwrap();
         assert_eq!(outcome.per_client_auc.len(), 3);
         assert_eq!(outcome.method, Method::Ifca);
     }
@@ -107,7 +98,7 @@ mod tests {
         let factory = factory();
         let mut config = FedConfig::tiny();
         config.clusters = 1;
-        let outcome = run(&clients, &factory, &config).unwrap();
+        let outcome = run_method(Method::Ifca, &clients, &factory, &config).unwrap();
         assert!(outcome.per_client_auc.iter().all(|a| a.is_finite()));
     }
 }

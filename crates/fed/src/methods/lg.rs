@@ -5,9 +5,9 @@
 
 use rte_nn::StateDict;
 
-use crate::methods::{mean_loss, Deployed, Harness, MethodOutcome, RoundRecord, TrainJob};
+use crate::methods::{mean_loss, Deployed, Harness, RoundRecord, TrainJob};
 use crate::params::{aggregate, apply_updates, partition};
-use crate::{Client, FedConfig, FedError, Method, ModelFactory};
+use crate::{Client, FedConfig, FedError, ModelFactory};
 
 /// The paper sets "the output layers of the three models to be the local
 /// part" — all three model zoo members name theirs `output_conv`.
@@ -64,17 +64,6 @@ pub(crate) fn deployed(
     Ok((Deployed::PerClient(composites), history))
 }
 
-pub(crate) fn run(
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-) -> Result<MethodOutcome, FedError> {
-    let (final_states, history) = deployed(clients, factory, config)?;
-    let harness = Harness::new(clients, factory, config)?;
-    let per_client = harness.eval_deployed(&final_states)?;
-    Ok(MethodOutcome::new(Method::FedProxLg, per_client, history))
-}
-
 fn compose_all(
     template: &StateDict,
     global_part: &StateDict,
@@ -94,7 +83,9 @@ fn compose_all(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::methods::run_method;
     use crate::methods::test_support::{clients, factory};
+    use crate::Method;
 
     #[test]
     fn local_parts_diverge_across_clients() {
@@ -104,7 +95,7 @@ mod tests {
         // Run and inspect through the public outcome: personalization means
         // the two clients see different models, which (almost surely) gives
         // different AUCs on identical test data distributions.
-        let outcome = run(&clients, &factory, &config).unwrap();
+        let outcome = run_method(Method::FedProxLg, &clients, &factory, &config).unwrap();
         assert_eq!(outcome.per_client_auc.len(), 2);
         assert_eq!(outcome.method, Method::FedProxLg);
     }

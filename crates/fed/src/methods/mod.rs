@@ -147,18 +147,19 @@ pub(crate) struct TrainJob<'s> {
 }
 
 /// What one client sends back to the coordinator after local training.
-pub(crate) struct ClientUpdate {
+pub(crate) struct ClientUpdate<U = StateDict> {
     /// Client position (mirrors [`TrainJob::client`]).
     pub client: usize,
-    /// The locally trained parameters.
-    pub state: StateDict,
+    /// The locally trained parameters (or, on the masked aggregation
+    /// stage, their pairwise-masked quantization).
+    pub state: U,
     /// Mean training loss over the local steps (surfaced through
     /// [`RoundRecord::mean_train_loss`]).
     pub loss: f32,
 }
 
 /// Mean of the training losses a round's participants reported.
-pub(crate) fn mean_loss(updates: &[ClientUpdate]) -> f64 {
+pub(crate) fn mean_loss<U>(updates: &[ClientUpdate<U>]) -> f64 {
     if updates.is_empty() {
         return 0.0;
     }
@@ -337,17 +338,10 @@ impl<'a> Harness<'a> {
     /// [`FedConfig::parallelism`] at a time.
     ///
     /// Each worker builds its own model instance from the factory, then
-    /// for every job it claims: deploys `job.start`, derives the
-    /// per-`(round, client)` RNG stream, and runs local training — exactly
-    /// the computation the serial loop performed, on private state. The
+    /// runs [`train_slot`] for every job it claims, on private state. The
     /// returned updates are **in job order**, and aggregation stays with
     /// the caller on the coordinator thread, so outcomes are bit-identical
     /// for every thread count (`tests/determinism.rs` pins this down).
-    ///
-    /// When a scenario is active, Byzantine clients' updates are
-    /// corrupted here — after honest local training, before the caller
-    /// aggregates — on the coordinator thread in job order, from
-    /// per-`(round, client)` streams independent of the training RNG.
     ///
     /// # Errors
     ///
@@ -358,52 +352,74 @@ impl<'a> Harness<'a> {
         round: usize,
         steps: usize,
     ) -> Result<Vec<ClientUpdate>, FedError> {
-        let factory = self.factory;
-        let clients = self.clients;
-        let trainer = &self.trainer;
-        let root_rng = &self.root_rng;
-        let seed = self.config.seed;
+        // Borrowed piecewise: the scratch model keeps `self` from being
+        // shared with the workers.
+        let (factory, clients, config) = (self.factory, self.clients, self.config);
+        let (trainer, root_rng) = (&self.trainer, &self.root_rng);
         let results = rte_tensor::parallel::map_with(
-            self.config.parallelism,
+            config.parallelism,
             jobs,
-            || factory(seed),
-            |model, _, job| -> Result<ClientUpdate, FedError> {
-                load_state_dict(model.as_mut(), job.start)?;
-                let mut rng = round_client_rng(root_rng, round, job.client);
-                let loss = trainer.train(
+            || factory(config.seed),
+            |model, _, job| {
+                train_slot(
                     model.as_mut(),
-                    &clients[job.client].train,
-                    job.reference,
+                    trainer,
+                    clients,
+                    config,
+                    root_rng,
+                    job,
+                    round,
                     steps,
-                    &mut rng,
-                )?;
-                Ok(ClientUpdate {
-                    client: job.client,
-                    state: state_dict(model.as_mut()),
-                    loss,
-                })
+                )
             },
         );
-        let mut updates: Vec<ClientUpdate> = results.into_iter().collect::<Result<_, _>>()?;
-        if let Some(scenario) = &self.config.scenario {
-            for (job, update) in jobs.iter().zip(updates.iter_mut()) {
-                if let Some(corrupted) =
-                    scenario.corrupt_update(round, job.client, job.start, &update.state)?
-                {
-                    update.state = corrupted;
-                }
-            }
-        }
-        Ok(updates)
+        results.into_iter().collect()
     }
 }
 
+/// One training slot, the body shared by the harness' workers and the
+/// remote [`crate::federation::ClientSession`]: deploy `job.start` into
+/// `model`, draw the per-`(round, client)` minibatch stream, train
+/// `steps` against `job.reference`, then apply the scenario's Byzantine
+/// corruption if this client has one (after honest training, from a
+/// per-`(round, client)` stream independent of the training RNG).
+///
+/// # Errors
+///
+/// Returns any training failure.
+pub(crate) fn train_slot(
+    model: &mut dyn Layer,
+    trainer: &LocalTrainer,
+    clients: &[Client],
+    config: &FedConfig,
+    root_rng: &Xoshiro256,
+    job: &TrainJob<'_>,
+    round: usize,
+    steps: usize,
+) -> Result<ClientUpdate, FedError> {
+    load_state_dict(model, job.start)?;
+    let mut rng = round_client_rng(root_rng, round, job.client);
+    let data = &clients[job.client].train;
+    let loss = trainer.train(model, data, job.reference, steps, &mut rng)?;
+    let mut state = state_dict(model);
+    if let Some(scenario) = &config.scenario {
+        if let Some(corrupted) = scenario.corrupt_update(round, job.client, job.start, &state)? {
+            state = corrupted;
+        }
+    }
+    Ok(ClientUpdate {
+        client: job.client,
+        state,
+        loss,
+    })
+}
+
 /// The one place the per-`(round, client)` minibatch stream is derived:
-/// the serial [`Harness::round_rng`] helper, the parallel round loop's
-/// workers, and the remote [`crate::federation::ClientSession`] must all
-/// draw from exactly this stream, or serial, threaded, and over-the-wire
-/// schedules would silently train on different batches.
-pub(crate) fn round_client_rng(root: &Xoshiro256, round: usize, client: usize) -> Xoshiro256 {
+/// [`train_slot`] (every worker, every remote session) and the serial
+/// [`Harness::round_rng`] helper must draw from exactly this stream, or
+/// serial, threaded, and over-the-wire schedules would silently train
+/// on different batches.
+fn round_client_rng(root: &Xoshiro256, round: usize, client: usize) -> Xoshiro256 {
     root.derive(round as u64 + 1).derive(client as u64 + 1)
 }
 
@@ -430,12 +446,12 @@ pub fn run_method(
     match method {
         Method::LocalOnly => local::run(clients, factory, config),
         Method::Centralized => centralized::run(clients, factory, config),
-        Method::FedProx => fedprox::run(clients, factory, config),
-        Method::FedProxLg => lg::run(clients, factory, config),
-        Method::Ifca => ifca::run(clients, factory, config),
-        Method::FedProxFinetune => finetune::run(clients, factory, config),
-        Method::AssignedClustering => assigned::run(clients, factory, config),
-        Method::AlphaSync => alpha_sync::run(clients, factory, config),
+        _ => {
+            let (deployed, history) = deployed_states(method, clients, factory, config)?;
+            let harness = Harness::new(clients, factory, config)?;
+            let per_client = harness.eval_deployed(&deployed)?;
+            Ok(MethodOutcome::new(method, per_client, history))
+        }
     }
 }
 

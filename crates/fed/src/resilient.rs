@@ -1,43 +1,26 @@
-//! Fault-tolerant coordinator rounds: deadlines, retries, and
-//! quorum-based graceful degradation.
+//! The fault vocabulary of a link-side run, and its plain-stage entry.
 //!
-//! [`run_rounds_resilient`] is [`crate::run_rounds_over`]'s hardened
-//! sibling: every client read goes through
-//! [`Transport::recv_timeout`], a failed slot is re-deployed under a
-//! seeded [`RetryPolicy`], and a round may complete with a *subset* of
-//! its participants — survivors are reweighted deterministically (the
-//! weighted aggregate normalizes by the surviving weight sum), missing
-//! clients become typed [`RoundEvent`]s, and only falling below
-//! `min_quorum` aborts the run (as [`FedError::QuorumLost`]).
-//!
-//! Determinism under chaos (contract rule 9): re-training a re-deployed
-//! slot is bit-identical to the first attempt (the per-`(round, client)`
-//! RNG stream is derived statelessly), every fault decision comes from
-//! the chaos wrapper's seeded streams, and [`crate::LocalLink`]'s
-//! `recv_timeout` reports an empty queue as an immediate timeout — so a
-//! whole faulty run over the channel backend touches no wall clock and
-//! replays bit for bit.
-//!
-//! The loop is plain-aggregation only: secure aggregation's pairwise
-//! masks cancel only over the *full* mask set, so a quorum shortfall
-//! would make the sum garbage — the combination is rejected up front.
+//! Over transport links the round engine ([`crate::engine`]) reads every
+//! client reply through [`Transport::recv_timeout`], re-deploys a failed
+//! slot under a seeded [`RetryPolicy`], and lets a round complete with a
+//! *subset* of its participants — survivors are reweighted
+//! deterministically (the weighted aggregate normalizes by the surviving
+//! weight sum), missing clients become typed [`RoundEvent`]s, and only
+//! falling below `min_quorum` aborts the run (as
+//! [`FedError::QuorumLost`]). This module holds what a caller configures
+//! and reads back — [`FaultPolicy`], [`RoundEvent`], [`ResumePoint`],
+//! [`RoundHook`], [`ResilientOutcome`] — and [`run_rounds_resilient`],
+//! the engine's link-side entry on the plain aggregation stage.
 
 use std::fmt;
 use std::time::Duration;
 
-use rte_net::{NetError, RetryPolicy, Transport};
+use rte_net::{RetryPolicy, Transport};
 use rte_nn::StateDict;
 
-use crate::federation::COORDINATOR;
-use crate::methods::{mean_loss, ClientUpdate, Harness, MethodOutcome, RoundRecord};
-use crate::params::aggregate;
-use crate::wire::{deploy_frame, net_err, send_message, Message};
-use crate::{Client, FedConfig, FedError, Method, ModelFactory};
-
-/// How many stale or duplicate frames one client slot may drain in one
-/// round before the slot is declared missed — bounds the loop when a
-/// duplicating link floods the queue.
-const STALE_BUDGET: u32 = 64;
+use crate::engine::run_link_rounds;
+use crate::methods::MethodOutcome;
+use crate::{Client, FedConfig, FedError, ModelFactory};
 
 /// Deadlines, retry budget, and the survival threshold for one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,7 +33,8 @@ pub struct FaultPolicy {
     /// one attempt), with seeded-jitter backoff between them.
     pub retry: RetryPolicy,
     /// Minimum surviving updates a round needs; fewer aborts the run
-    /// with [`FedError::QuorumLost`]. Clamped to at least 1.
+    /// with [`FedError::QuorumLost`]. Clamped to at least 1 — and, under
+    /// secure aggregation, raised to every participant of the round.
     pub min_quorum: usize,
 }
 
@@ -163,25 +147,13 @@ pub struct ResilientOutcome {
 /// `(round, seq, global state)` — the checkpoint writer's shape.
 pub type RoundHook<'a> = dyn FnMut(usize, u64, &StateDict) -> Result<(), FedError> + 'a;
 
-/// Runs the FedProx round loop with per-client deadlines, seeded
-/// retries, and quorum degradation. `on_round` fires after every
-/// completed round with `(round, seq, global state)` — the checkpoint
-/// writer's hook; an error from it aborts the run.
-///
-/// With `resume`, rounds `1..=resume.round` are skipped and the global
-/// state starts from the resume point: because participant selection
-/// and per-`(round, client)` training streams are derived statelessly
-/// from the config seed, the remaining rounds are bit-identical to the
-/// uninterrupted run's (round history before the resume point is not
-/// re-recorded — resumed runs are for final-table workloads).
+/// [`run_link_rounds`] on the plain aggregation stage: the FedProx
+/// round loop over `links` with per-client deadlines, seeded retries,
+/// quorum degradation, resume and the per-round hook.
 ///
 /// # Errors
 ///
-/// - [`FedError::InvalidConfig`] for link/fleet mismatches, a quorum
-///   larger than the fleet, or a resume point past the end.
-/// - [`FedError::QuorumLost`] when a round's survivors fall below
-///   `min_quorum`.
-/// - [`FedError::Transport`] for protocol violations no retry can fix.
+/// As [`run_link_rounds`].
 pub fn run_rounds_resilient<T: Transport>(
     clients: &[Client],
     factory: &ModelFactory,
@@ -189,248 +161,20 @@ pub fn run_rounds_resilient<T: Transport>(
     links: &mut [T],
     policy: &FaultPolicy,
     resume: Option<ResumePoint>,
-    mut on_round: Option<&mut RoundHook<'_>>,
+    on_round: Option<&mut RoundHook<'_>>,
 ) -> Result<ResilientOutcome, FedError> {
-    if links.len() != clients.len() {
-        return Err(FedError::InvalidConfig {
-            reason: format!("{} links for {} clients", links.len(), clients.len()),
-        });
-    }
-    let min_quorum = policy.min_quorum.max(1);
-    if min_quorum > clients.len() {
-        return Err(FedError::InvalidConfig {
-            reason: format!(
-                "min_quorum {} exceeds the fleet of {}",
-                min_quorum,
-                clients.len()
-            ),
-        });
-    }
-
-    let mut harness = Harness::new(clients, factory, config)?;
-    let (start_round, mut seq, mut global) = match resume {
-        Some(point) => {
-            if point.round >= config.rounds {
-                return Err(FedError::InvalidConfig {
-                    reason: format!(
-                        "resume point at round {} but the run has only {} rounds",
-                        point.round, config.rounds
-                    ),
-                });
-            }
-            (point.round + 1, point.seq, point.state)
-        }
-        None => (1, 0u64, harness.initial_state()),
-    };
-
-    let mut history = Vec::new();
-    let mut events = Vec::new();
-    let mut retries = 0u64;
-    let mut completed = start_round.saturating_sub(1);
-    let attempts = policy.retry.max_attempts.max(1);
-
-    for round in start_round..=config.rounds {
-        let participants = harness.participants(round);
-        let part_ids: Vec<u32> = participants.iter().map(|&k| k as u32).collect();
-        // The round's deploy, encoded and checksummed once: every send
-        // below — first wave and retries — shares this payload and
-        // differs only in `seq`.
-        let mut deploy = deploy_frame(
-            round as u64,
-            config.local_steps as u64,
-            &part_ids,
-            &global,
-            COORDINATOR,
-            seq,
-        );
-        // First deploy wave, in fixed participant order. A send that
-        // fails outright marks the slot dead for this round (the
-        // collect phase records the miss).
-        let mut send_failed = vec![false; clients.len()];
-        for &k in &participants {
-            deploy.seq = seq;
-            if let Err(e) = links[k].send(&deploy).map_err(net_err) {
-                events.push(RoundEvent::Retry {
-                    round,
-                    client: k,
-                    attempt: 0,
-                    reason: e.to_string(),
-                });
-                send_failed[k] = true;
-            }
-            seq += 1;
-        }
-        // Collect phase, same fixed order: each slot gets `attempts`
-        // tries; a failed try re-deploys (re-training the slot is
-        // bit-identical, so a retried update equals the lost one).
-        let mut updates: Vec<ClientUpdate> = Vec::with_capacity(participants.len());
-        for &k in &participants {
-            let mut attempt = 0u32;
-            let mut stale_budget = STALE_BUDGET;
-            let collected = loop {
-                if send_failed[k] {
-                    send_failed[k] = false;
-                    // The deploy never left: skip straight to a retry.
-                    attempt += 1;
-                    if attempt >= attempts {
-                        break None;
-                    }
-                }
-                match recv_update(&mut links[k], policy.deadline) {
-                    Ok((got_round, got_client, loss, state)) => {
-                        if got_round == round as u64 && got_client == k as u32 {
-                            break Some(ClientUpdate {
-                                client: k,
-                                state,
-                                loss,
-                            });
-                        }
-                        if got_client != k as u32 {
-                            return Err(FedError::Transport {
-                                reason: format!(
-                                    "link {k} delivered an update claiming client {got_client}"
-                                ),
-                            });
-                        }
-                        // An earlier round's update surfacing late
-                        // (duplicate or reorder): drain and discard.
-                        events.push(RoundEvent::Stale {
-                            round,
-                            client: k,
-                            got_round,
-                        });
-                        if stale_budget == 0 {
-                            break None;
-                        }
-                        stale_budget -= 1;
-                    }
-                    Err(RecvFailure::Fatal(e)) => return Err(e),
-                    Err(RecvFailure::Slot(reason)) => {
-                        events.push(RoundEvent::Retry {
-                            round,
-                            client: k,
-                            attempt,
-                            reason,
-                        });
-                        attempt += 1;
-                        if attempt >= attempts {
-                            break None;
-                        }
-                        retries += 1;
-                        policy.retry.sleep(attempt - 1, k as u64);
-                        deploy.seq = seq;
-                        if links[k].send(&deploy).is_err() {
-                            send_failed[k] = true;
-                        }
-                        seq += 1;
-                    }
-                }
-            };
-            match collected {
-                Some(update) => updates.push(update),
-                None => events.push(RoundEvent::Missed {
-                    round,
-                    client: k,
-                    attempts: attempt.max(1),
-                }),
-            }
-        }
-        if updates.len() < min_quorum {
-            return Err(FedError::QuorumLost {
-                round,
-                got: updates.len(),
-                need: min_quorum,
-            });
-        }
-        // Survivors only: the weighted aggregate normalizes by the
-        // surviving weight sum, which *is* the deterministic reweighting
-        // — same survivors, same weights, same bits.
-        let refs: Vec<(&StateDict, f64)> = updates
-            .iter()
-            .map(|u| (&u.state, clients[u.client].weight() as f64))
-            .collect();
-        global = aggregate(&refs, config.aggregation)?;
-        completed = round;
-        if harness.should_record(round) {
-            let reports = harness.eval_global(&global)?;
-            history.push(RoundRecord::new(round, reports, mean_loss(&updates)));
-        }
-        if let Some(hook) = on_round.as_deref_mut() {
-            hook(round, seq, &global)?;
-        }
-    }
-    for link in links.iter_mut() {
-        // A client that already hung up is fine — the run is over.
-        let _ = send_message(link, Message::Shutdown, COORDINATOR, seq);
-        seq += 1;
-    }
-    let per_client = harness.eval_global(&global)?;
-    Ok(ResilientOutcome {
-        outcome: MethodOutcome::new(Method::FedProx, per_client, history),
-        events,
-        retries,
-        completed_rounds: completed,
-    })
-}
-
-/// Why one receive attempt did not produce a usable update.
-enum RecvFailure {
-    /// Worth retrying the slot: timeout, frame damage, short hang-up.
-    Slot(String),
-    /// Not a fault-injection survivor: abort the run.
-    Fatal(FedError),
-}
-
-/// Receives one frame under a deadline and parses it as a plain update.
-fn recv_update<T: Transport>(
-    link: &mut T,
-    deadline: Duration,
-) -> Result<(u64, u32, f32, StateDict), RecvFailure> {
-    let frame = match link.recv_timeout(deadline) {
-        Ok(frame) => frame,
-        // Every injected fault surfaces here as a typed error —
-        // timeouts for drops, CRC errors for corruption, `Closed` for a
-        // dead peer — and all of them are slot-level, not run-level.
-        Err(e @ (NetError::Timeout | NetError::Closed)) => {
-            return Err(RecvFailure::Slot(e.to_string()))
-        }
-        Err(
-            e @ (NetError::BadMagic
-            | NetError::HeaderCrc
-            | NetError::PayloadCrc
-            | NetError::Truncated { .. }
-            | NetError::Oversize { .. }
-            | NetError::UnsupportedVersion { .. }),
-        ) => return Err(RecvFailure::Slot(e.to_string())),
-        Err(e) => return Err(RecvFailure::Fatal(net_err(e))),
-    };
-    let message = match Message::from_frame(&frame) {
-        Ok(m) => m,
-        Err(e) => return Err(RecvFailure::Slot(e.to_string())),
-    };
-    match message {
-        Message::Update {
-            round,
-            client,
-            loss,
-            state,
-        } => Ok((round, client, loss, state)),
-        other => Err(RecvFailure::Fatal(FedError::Transport {
-            reason: format!(
-                "resilient rounds are plain-only, got message kind {}",
-                other.kind()
-            ),
-        })),
-    }
+    run_link_rounds(
+        clients, factory, config, links, None, policy, resume, on_round,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::federation::{local_links, run_rounds_over};
+    use crate::federation::local_links;
     use crate::methods::test_support::{clients, factory};
     use crate::WireStats;
-    use rte_net::{ChaosConfig, ChaosTransport, Frame};
+    use rte_net::{ChaosConfig, ChaosTransport, Frame, NetError};
 
     fn chaos_links<'a>(
         clients: &'a [Client],
@@ -542,6 +286,84 @@ mod tests {
         assert_eq!(stats, [quiet, retried, quiet]);
     }
 
+    /// A `LocalLink` whose next `send` can fail outright, and which
+    /// refuses to be waited on while its latest deploy never left.
+    struct FlakySend<'a> {
+        inner: crate::LocalLink<'a>,
+        fail_next_send: bool,
+        deploy_left: bool,
+    }
+
+    impl Transport for FlakySend<'_> {
+        fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
+            self.deploy_left = !std::mem::take(&mut self.fail_next_send);
+            if !self.deploy_left {
+                return Err(NetError::Closed);
+            }
+            self.inner.send(frame)
+        }
+
+        fn recv(&mut self) -> Result<Frame, NetError> {
+            self.inner.recv()
+        }
+
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame, NetError> {
+            assert!(
+                self.deploy_left,
+                "waited a deadline for the reply to a deploy that never left"
+            );
+            self.inner.recv_timeout(timeout)
+        }
+    }
+
+    #[test]
+    fn a_deploy_that_failed_to_send_is_resent_before_it_is_waited_on() {
+        let clients = clients(3);
+        let factory = factory();
+        let mut config = FedConfig::tiny();
+        config.rounds = 1;
+        let policy = FaultPolicy {
+            retry: RetryPolicy::immediate(2),
+            min_quorum: 3,
+            ..FaultPolicy::default()
+        };
+        let mut quiet = local_links(&clients, &factory, &config, None).unwrap();
+        let reference =
+            run_rounds_resilient(&clients, &factory, &config, &mut quiet, &policy, None, None)
+                .unwrap();
+        let mut links: Vec<FlakySend<'_>> = local_links(&clients, &factory, &config, None)
+            .unwrap()
+            .into_iter()
+            .map(|inner| FlakySend {
+                inner,
+                fail_next_send: false,
+                deploy_left: false,
+            })
+            .collect();
+        links[1].fail_next_send = true;
+        let run =
+            run_rounds_resilient(&clients, &factory, &config, &mut links, &policy, None, None)
+                .unwrap();
+        // One retry re-sent the deploy and the slot was collected: with
+        // two attempts the client is not missed, and the round's
+        // aggregate is the faultless one.
+        assert_eq!(run.retries, 1);
+        assert!(
+            matches!(
+                run.events[..],
+                [RoundEvent::Retry {
+                    round: 1,
+                    client: 1,
+                    attempt: 0,
+                    ..
+                }]
+            ),
+            "{:?}",
+            run.events
+        );
+        assert_eq!(run.outcome, reference.outcome);
+    }
+
     #[test]
     fn faultless_resilient_run_matches_the_plain_loop_bitwise() {
         let clients = clients(3);
@@ -549,15 +371,18 @@ mod tests {
         let mut config = FedConfig::tiny();
         config.eval_every = 1;
         let mut links = local_links(&clients, &factory, &config, None).unwrap();
-        let reference = run_rounds_over(
-            Method::FedProx,
+        let reference = run_link_rounds(
             &clients,
             &factory,
             &config,
             &mut links,
             None,
+            &FaultPolicy::default(),
+            None,
+            None,
         )
-        .unwrap();
+        .unwrap()
+        .outcome;
         let mut links = local_links(&clients, &factory, &config, None).unwrap();
         let policy = FaultPolicy {
             retry: RetryPolicy::immediate(2),

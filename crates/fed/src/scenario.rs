@@ -300,8 +300,8 @@ impl ScenarioConfig {
 
     /// The Byzantine corruption client `client` applies to its trained
     /// update in `round`: `None` for honest senders, `Some(corrupted)`
-    /// for [`Attack::SignFlip`] / [`Attack::ScaledNoise`]. Runs on the
-    /// coordinator thread, in job order.
+    /// for [`Attack::SignFlip`] / [`Attack::ScaledNoise`]. Stateless per
+    /// `(round, client)`, so it runs inside the training slot.
     ///
     /// # Errors
     ///

@@ -10,10 +10,14 @@
 //! the seeded virtual-clock buffered schedule (determinism rule 8);
 //! `--async wall` is the documented non-deterministic opt-out.
 //!
-//! Synchronous non-secure rounds run through the fault-tolerant loop
-//! ([`run_rounds_resilient`]) — faultless, it is bit-identical to the
-//! plain loop. On top of it this binary exposes:
+//! Synchronous rounds — plain or `--secure` — are one loop, the round
+//! engine's link-side entry ([`run_link_rounds`]); faultless, it is
+//! bit-identical to the in-process path. On it this binary exposes:
 //!
+//! - `--secure` — pairwise-masked aggregation: the coordinator recovers
+//!   only the sum. The masks cancel only over a round's full participant
+//!   set, so every participant is the quorum: retries still recover a
+//!   lost slot bit-identically, a missed one ends the run typed,
 //! - `--chaos-*` — seeded fault injection (determinism rule 9): every
 //!   coordinator-side link is wrapped in a [`ChaosTransport`] whose
 //!   drop/duplicate/reorder/corrupt/latency decisions replay bit-for-bit
@@ -28,12 +32,18 @@
 //!   with code 17 right after round N's checkpoint — the kill half of
 //!   the kill-and-resume test.
 //!
+//! All of these compose on both transports. What is refused — and
+//! [`Args::validate`] is the one place it is refused, before a fleet is
+//! built or a process spawned — is what the buffered async drivers do
+//! not have: `--secure`, `--chaos-*` and checkpointing under `--async`,
+//! plus `--async wall` off `--transport uds`.
+//!
 //! ```text
 //! rte-coordinator --clients 8 --clients-procs 8 --quick --seed 42
 //! rte-coordinator --transport channel --quick --async virtual
 //! rte-coordinator --transport channel --quick --rounds 4 \
 //!     --chaos-seed 7 --chaos-drop 0.2 --retries 4 --min-quorum 2
-//! rte-coordinator --transport channel --quick --rounds 4 \
+//! rte-coordinator --transport channel --quick --rounds 4 --secure \
 //!     --checkpoint-dir /tmp/ckpt --die-after 2   # then: --resume
 //! ```
 
@@ -49,9 +59,9 @@ use decentralized_routability::core::{
 };
 use decentralized_routability::fed::{
     config_digest, latest_checkpoint, local_links, read_checkpoint, render_async_history,
-    run_fedasync, run_fedasync_wall, run_rounds_over, run_rounds_resilient, write_checkpoint,
-    AsyncConfig, Checkpoint, Client, ClientSession, FaultPolicy, LinkExecutor, Method,
-    MethodOutcome, ModelFactory, ResumePoint, RoundHook, SecureConfig,
+    run_fedasync, run_fedasync_wall, run_link_rounds, write_checkpoint, AsyncConfig, Checkpoint,
+    Client, ClientSession, FaultPolicy, LinkExecutor, MethodOutcome, ModelFactory, ResumePoint,
+    RoundHook, SecureConfig,
 };
 use decentralized_routability::net::{
     ChaosConfig, ChaosTransport, FanIn, RetryPolicy, Transport, UdsListener, UdsTransport,
@@ -140,30 +150,11 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--socket" => out.socket = PathBuf::from(it.next().ok_or("--socket needs a path")?),
-            "--clients" => {
-                let v = it.next().ok_or("--clients needs a value")?;
-                out.clients = v.parse().map_err(|_| format!("bad client count {v}"))?;
-                if out.clients == 0 {
-                    return Err("--clients must be positive".into());
-                }
-            }
-            "--clients-procs" => {
-                let v = it.next().ok_or("--clients-procs needs a value")?;
-                out.clients_procs = v.parse().map_err(|_| format!("bad process count {v}"))?;
-            }
+            "--clients" => out.clients = parse_num(&mut it, "--clients")?,
+            "--clients-procs" => out.clients_procs = parse_num(&mut it, "--clients-procs")?,
             "--quick" => out.quick = true,
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                out.seed = v.parse().map_err(|_| format!("bad seed {v}"))?;
-            }
-            "--rounds" => {
-                let v = it.next().ok_or("--rounds needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad round count {v}"))?;
-                if n == 0 {
-                    return Err("--rounds must be positive".into());
-                }
-                out.rounds = Some(n);
-            }
+            "--seed" => out.seed = parse_num(&mut it, "--seed")?,
+            "--rounds" => out.rounds = Some(parse_num(&mut it, "--rounds")?),
             "--transport" => {
                 out.transport = match it.next().as_deref() {
                     Some("uds") => TransportKind::Uds,
@@ -182,14 +173,8 @@ fn parse_args() -> Result<Args, String> {
                 };
             }
             "--secure" => out.secure = true,
-            "--aggregations" => {
-                let v = it.next().ok_or("--aggregations needs a value")?;
-                out.aggregations = v.parse().map_err(|_| format!("bad aggregations {v}"))?;
-            }
-            "--buffer" => {
-                let v = it.next().ok_or("--buffer needs a value")?;
-                out.buffer = v.parse().map_err(|_| format!("bad buffer {v}"))?;
-            }
+            "--aggregations" => out.aggregations = parse_num(&mut it, "--aggregations")?,
+            "--buffer" => out.buffer = parse_num(&mut it, "--buffer")?,
             "--chaos-seed" => chaos_seed = Some(parse_num(&mut it, "--chaos-seed")?),
             "--chaos-drop" => out.chaos.drop_p = parse_prob(&mut it, "--chaos-drop")?,
             "--chaos-dup" => out.chaos.dup_p = parse_prob(&mut it, "--chaos-dup")?,
@@ -214,10 +199,7 @@ fn parse_args() -> Result<Args, String> {
                 ))
             }
             "--checkpoint-every" => {
-                out.checkpoint_every = parse_num(&mut it, "--checkpoint-every")?;
-                if out.checkpoint_every == 0 {
-                    return Err("--checkpoint-every must be positive".into());
-                }
+                out.checkpoint_every = parse_num(&mut it, "--checkpoint-every")?
             }
             "--resume" => out.resume = true,
             "--die-after" => out.die_after = Some(parse_num(&mut it, "--die-after")?),
@@ -231,35 +213,51 @@ fn parse_args() -> Result<Args, String> {
     // an explicit --chaos-seed lets the fault schedule vary while the
     // learning problem stays fixed.
     out.chaos.seed = chaos_seed.unwrap_or(out.seed);
-    out.chaos
-        .validate()
-        .map_err(|e| format!("bad chaos config: {e}"))?;
-    if out.secure && out.r#async != AsyncMode::Off {
-        return Err("--secure only applies to synchronous rounds".into());
-    }
-    if out.r#async == AsyncMode::Wall && out.transport != TransportKind::Uds {
-        return Err("--async wall needs --transport uds (real arrival order)".into());
-    }
-    if out.clients_procs > 0 && out.transport != TransportKind::Uds {
-        return Err("--clients-procs only applies to --transport uds".into());
-    }
-    let resilient_only = out.r#async == AsyncMode::Off && !out.secure;
-    if !out.chaos.is_noop() && !resilient_only {
-        return Err("--chaos-* needs synchronous non-secure rounds (the resilient loop)".into());
-    }
-    if (out.checkpoint_dir.is_some() || out.resume || out.die_after.is_some()) && !resilient_only {
-        return Err("checkpointing needs synchronous non-secure rounds".into());
-    }
-    if out.checkpoint_dir.is_none() && (out.resume || out.die_after.is_some()) {
-        return Err("--resume / --die-after need --checkpoint-dir".into());
-    }
-    if out.min_quorum == 0 || out.min_quorum > out.clients {
-        return Err(format!(
-            "--min-quorum must be in 1..={}, got {}",
-            out.clients, out.min_quorum
-        ));
-    }
+    out.validate()?;
     Ok(out)
+}
+
+impl Args {
+    /// Every refusal, in one place, before any work starts. Synchronous
+    /// rounds take every flag; the buffered async drivers have no masked
+    /// stage, no fault policy and no round hook.
+    fn validate(&self) -> Result<(), String> {
+        if self.clients == 0 || self.rounds == Some(0) || self.checkpoint_every == 0 {
+            return Err("--clients, --rounds and --checkpoint-every must be positive".into());
+        }
+        self.chaos
+            .validate()
+            .map_err(|e| format!("bad chaos config: {e}"))?;
+        let checkpointing =
+            self.checkpoint_dir.is_some() || self.resume || self.die_after.is_some();
+        if self.r#async != AsyncMode::Off {
+            if self.secure {
+                return Err("--secure only applies to synchronous rounds".into());
+            }
+            if !self.chaos.is_noop() {
+                return Err("--chaos-* only applies to synchronous rounds".into());
+            }
+            if checkpointing {
+                return Err("checkpointing only applies to synchronous rounds".into());
+            }
+        }
+        if self.r#async == AsyncMode::Wall && self.transport != TransportKind::Uds {
+            return Err("--async wall needs --transport uds (real arrival order)".into());
+        }
+        if self.clients_procs > 0 && self.transport != TransportKind::Uds {
+            return Err("--clients-procs only applies to --transport uds".into());
+        }
+        if self.checkpoint_dir.is_none() && checkpointing {
+            return Err("--resume / --die-after need --checkpoint-dir".into());
+        }
+        if self.min_quorum == 0 || self.min_quorum > self.clients {
+            return Err(format!(
+                "--min-quorum must be in 1..={}, got {}",
+                self.clients, self.min_quorum
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Parses the next argument as a number for flag `name`.
@@ -382,46 +380,65 @@ fn accept_fleet(
         .collect())
 }
 
-/// Runs the resilient loop over `links`, wrapping each in a seeded
-/// [`ChaosTransport`] (lane = fleet index) when the palette is armed.
-fn run_resilient<T: Transport>(
-    links: Vec<T>,
+/// Runs the schedule `--async` names over `links` — the one dispatch
+/// both transports share (`--async wall` needs the sockets themselves
+/// and stays with the uds arm of `main`). Synchronous rounds wrap each
+/// link in a seeded [`ChaosTransport`] (lane = fleet index) when the
+/// palette is armed.
+fn run_schedule<T: Transport>(
+    mut links: Vec<T>,
     fleet: &[Client],
     factory: &ModelFactory,
     config: &ExperimentConfig,
     args: &Args,
 ) -> Result<MethodOutcome, Box<dyn std::error::Error>> {
-    if args.chaos.is_noop() {
-        let mut links = links;
-        return drive_resilient(&mut links, fleet, factory, config, args);
+    match args.r#async {
+        AsyncMode::Off if args.chaos.is_noop() => {
+            run_sync(&mut links, fleet, factory, config, args)
+        }
+        AsyncMode::Off => {
+            let mut wrapped = links
+                .into_iter()
+                .enumerate()
+                .map(|(lane, link)| ChaosTransport::new(link, args.chaos.clone(), lane as u64))
+                .collect::<Result<Vec<_>, _>>()?;
+            let outcome = run_sync(&mut wrapped, fleet, factory, config, args)?;
+            let mut totals = (0u64, 0u64, 0u64, 0u64, 0u64);
+            for link in &wrapped {
+                let s = link.stats();
+                totals.0 += s.frames_sent;
+                totals.1 += s.drops;
+                totals.2 += s.dups;
+                totals.3 += s.reorders;
+                totals.4 += s.corruptions;
+            }
+            eprintln!(
+                "chaos: seed {} over {} frames: {} dropped, {} duplicated, {} reordered, {} corrupted",
+                args.chaos.seed, totals.0, totals.1, totals.2, totals.3, totals.4
+            );
+            Ok(outcome)
+        }
+        AsyncMode::Virtual => {
+            let async_cfg = AsyncConfig::new(args.aggregations, args.buffer);
+            let mut exec = LinkExecutor::new(&mut links);
+            let (outcome, records) =
+                run_fedasync(fleet, factory, &config.fed, &async_cfg, &mut exec)?;
+            println!(
+                "{}",
+                render_async_history("Async schedule (virtual clock)", &records)
+            );
+            Ok(outcome)
+        }
+        AsyncMode::Wall => unreachable!("main runs --async wall on the sockets themselves"),
     }
-    let mut wrapped = links
-        .into_iter()
-        .enumerate()
-        .map(|(lane, link)| ChaosTransport::new(link, args.chaos.clone(), lane as u64))
-        .collect::<Result<Vec<_>, _>>()?;
-    let outcome = drive_resilient(&mut wrapped, fleet, factory, config, args)?;
-    let mut totals = (0u64, 0u64, 0u64, 0u64, 0u64);
-    for link in &wrapped {
-        let s = link.stats();
-        totals.0 += s.frames_sent;
-        totals.1 += s.drops;
-        totals.2 += s.dups;
-        totals.3 += s.reorders;
-        totals.4 += s.corruptions;
-    }
-    eprintln!(
-        "chaos: seed {} over {} frames: {} dropped, {} duplicated, {} reordered, {} corrupted",
-        args.chaos.seed, totals.0, totals.1, totals.2, totals.3, totals.4
-    );
-    Ok(outcome)
 }
 
-/// The resilient run itself: fault policy from the flags, checkpoint
-/// hook (and the `--die-after` kill switch) when a checkpoint dir is
-/// configured, resume point from the newest valid checkpoint under
-/// `--resume`. Fault events go to stderr; stdout stays table-only.
-fn drive_resilient<T: Transport>(
+/// The synchronous run itself: the masked stage under `--secure`, fault
+/// policy from the flags, checkpoint hook (and the `--die-after` kill
+/// switch) when a checkpoint dir is configured, resume point from the
+/// newest valid checkpoint under `--resume`. Fault events go to stderr;
+/// stdout stays table-only.
+fn run_sync<T: Transport>(
     links: &mut [T],
     fleet: &[Client],
     factory: &ModelFactory,
@@ -495,7 +512,17 @@ fn drive_resilient<T: Transport>(
         None => None,
     };
 
-    let result = run_rounds_resilient(fleet, factory, &config.fed, links, &policy, resume, hook)?;
+    let secure = args.secure.then(SecureConfig::default);
+    let result = run_link_rounds(
+        fleet,
+        factory,
+        &config.fed,
+        links,
+        secure,
+        &policy,
+        resume,
+        hook,
+    )?;
     for event in &result.events {
         eprintln!("fault: {event}");
     }
@@ -547,35 +574,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut children = Vec::new();
     let outcome = match args.transport {
         TransportKind::Channel => {
-            let mut links = local_links(&fleet, &factory, &config.fed, secure)?;
-            match args.r#async {
-                AsyncMode::Off => {
-                    if args.secure {
-                        run_rounds_over(
-                            Method::FedProx,
-                            &fleet,
-                            &factory,
-                            &config.fed,
-                            &mut links,
-                            secure,
-                        )?
-                    } else {
-                        run_resilient(links, &fleet, &factory, &config, &args)?
-                    }
-                }
-                AsyncMode::Virtual => {
-                    let async_cfg = AsyncConfig::new(args.aggregations, args.buffer);
-                    let mut exec = LinkExecutor::new(&mut links);
-                    let (outcome, records) =
-                        run_fedasync(&fleet, &factory, &config.fed, &async_cfg, &mut exec)?;
-                    println!(
-                        "{}",
-                        render_async_history("Async schedule (virtual clock)", &records)
-                    );
-                    outcome
-                }
-                AsyncMode::Wall => unreachable!("rejected at parse time"),
-            }
+            let links = local_links(&fleet, &factory, &config.fed, secure)?;
+            run_schedule(links, &fleet, &factory, &config, &args)?
         }
         TransportKind::Uds => {
             let listener = UdsListener::bind(&args.socket)?;
@@ -583,57 +583,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 children = spawn_clients(&args, args.clients_procs)?;
             }
             serve_thread_clients(&args, &fleet, &factory, &config, secure);
-            let mut links = accept_fleet(&listener, fleet.len())?;
-            let outcome = match args.r#async {
-                AsyncMode::Off => {
-                    if args.secure {
-                        run_rounds_over(
-                            Method::FedProx,
-                            &fleet,
-                            &factory,
-                            &config.fed,
-                            &mut links,
-                            secure,
-                        )?
-                    } else {
-                        run_resilient(links, &fleet, &factory, &config, &args)?
-                    }
-                }
-                AsyncMode::Virtual => {
-                    let async_cfg = AsyncConfig::new(args.aggregations, args.buffer);
-                    let mut exec = LinkExecutor::new(&mut links);
-                    let (outcome, records) =
-                        run_fedasync(&fleet, &factory, &config.fed, &async_cfg, &mut exec)?;
-                    println!(
-                        "{}",
-                        render_async_history("Async schedule (virtual clock)", &records)
-                    );
-                    outcome
-                }
-                AsyncMode::Wall => {
-                    let async_cfg = AsyncConfig::new(args.aggregations, args.buffer);
-                    let mut send_links = links
-                        .iter()
-                        .map(UdsTransport::duplicate)
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let mut fan = FanIn::new(links);
-                    let (outcome, records) = run_fedasync_wall(
-                        &fleet,
-                        &factory,
-                        &config.fed,
-                        &async_cfg,
-                        &mut send_links,
-                        &mut fan,
-                    )?;
-                    println!(
-                        "{}",
-                        render_async_history(
-                            "Async schedule (wall clock — NOT reproducible)",
-                            &records
-                        )
-                    );
-                    outcome
-                }
+            let links = accept_fleet(&listener, fleet.len())?;
+            let outcome = if args.r#async == AsyncMode::Wall {
+                let async_cfg = AsyncConfig::new(args.aggregations, args.buffer);
+                let mut send_links = links
+                    .iter()
+                    .map(UdsTransport::duplicate)
+                    .collect::<Result<Vec<_>, _>>()?;
+                let mut fan = FanIn::new(links);
+                let (outcome, records) = run_fedasync_wall(
+                    &fleet,
+                    &factory,
+                    &config.fed,
+                    &async_cfg,
+                    &mut send_links,
+                    &mut fan,
+                )?;
+                println!(
+                    "{}",
+                    render_async_history(
+                        "Async schedule (wall clock — NOT reproducible)",
+                        &records
+                    )
+                );
+                outcome
+            } else {
+                run_schedule(links, &fleet, &factory, &config, &args)?
             };
             let _ = std::fs::remove_file(&args.socket);
             outcome

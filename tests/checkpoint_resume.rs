@@ -309,3 +309,92 @@ fn killed_coordinator_binary_resumes_to_identical_table_bytes() {
         "the resumed run must report where it picked up"
     );
 }
+
+/// Runs the `rte-coordinator` binary on a 3-round quick channel fleet.
+fn coordinator(extra: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_rte-coordinator"))
+        .args(["--transport", "channel", "--quick", "--rounds", "3"])
+        .args(extra)
+        .output()
+        .unwrap()
+}
+
+/// Release-gated end-to-end pin: `--secure` is a stage of the one
+/// synchronous loop, so it composes with seeded chaos + retries (the
+/// masked sum is recovered bit for bit, so the table bytes are those of
+/// the faultless secure run) and with kill-and-resume checkpoints.
+#[test]
+#[ignore = "release-only: five full coordinator runs (CI runs with --include-ignored)"]
+fn secure_coordinator_binary_composes_with_chaos_and_checkpoints() {
+    let secure = coordinator(&["--secure"]);
+    assert!(secure.status.success());
+    let table = String::from_utf8(secure.stdout).unwrap();
+
+    let chaotic = coordinator(&[
+        "--secure",
+        "--chaos-seed",
+        "7",
+        "--chaos-drop",
+        "0.2",
+        "--retries",
+        "6",
+    ]);
+    let stderr = String::from_utf8_lossy(&chaotic.stderr);
+    assert!(chaotic.status.success(), "secure + chaos failed: {stderr}");
+    assert!(stderr.contains("retrying"), "the palette never fired");
+    assert_eq!(String::from_utf8(chaotic.stdout).unwrap(), table);
+
+    let dir = temp_dir("secure-binary");
+    let dir_flag = dir.to_str().unwrap();
+    let killed = coordinator(&["--secure", "--checkpoint-dir", dir_flag, "--die-after", "1"]);
+    assert_eq!(
+        killed.status.code(),
+        Some(17),
+        "die-after must exit with its own code: {}",
+        String::from_utf8_lossy(&killed.stderr)
+    );
+    assert!(killed.stdout.is_empty());
+    let resumed = coordinator(&["--secure", "--checkpoint-dir", dir_flag, "--resume"]);
+    assert!(
+        String::from_utf8_lossy(&resumed.stderr).contains("resume: round 1"),
+        "the resumed run must report where it picked up"
+    );
+    assert_eq!(String::from_utf8(resumed.stdout).unwrap(), table);
+}
+
+/// Every flag combination the coordinator does not run is refused with
+/// exit code 2 and its message, before a fleet is built.
+#[test]
+fn coordinator_refusals_exit_2_with_their_message() {
+    let refused: [(&[&str], &str); 7] = [
+        (
+            &["--async", "virtual", "--secure"],
+            "--secure only applies to synchronous rounds",
+        ),
+        (
+            &["--async", "virtual", "--chaos-drop", "0.1"],
+            "--chaos-* only applies to synchronous rounds",
+        ),
+        (
+            &["--async", "virtual", "--checkpoint-dir", "unused"],
+            "checkpointing only applies to synchronous rounds",
+        ),
+        (&["--async", "wall"], "--async wall needs --transport uds"),
+        (
+            &["--resume"],
+            "--resume / --die-after need --checkpoint-dir",
+        ),
+        (&["--min-quorum", "9"], "--min-quorum must be in 1..=4"),
+        (
+            &["--clients-procs", "2"],
+            "--clients-procs only applies to --transport uds",
+        ),
+    ];
+    for (flags, message) in refused {
+        let out = coordinator(flags);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains(message), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?} printed a table");
+    }
+}

@@ -18,7 +18,7 @@ use std::sync::Mutex;
 
 use decentralized_routability::fed::methods::run_method;
 use decentralized_routability::fed::{
-    local_links, run_rounds_over, Client, ClientSession, ClientSet, FedConfig, Method,
+    local_links, run_link_rounds, Client, ClientSession, ClientSet, FaultPolicy, FedConfig, Method,
     MethodOutcome, ModelFactory, Parallelism, SecureConfig,
 };
 use decentralized_routability::net::{UdsListener, UdsTransport};
@@ -97,15 +97,18 @@ fn run_channel(config: &FedConfig, secure: Option<SecureConfig>) -> MethodOutcom
     let fleet = clients(4);
     let factory = factory();
     let mut links = local_links(&fleet, &factory, config, secure).unwrap();
-    run_rounds_over(
-        Method::FedProx,
+    run_link_rounds(
         &fleet,
         &factory,
         config,
         &mut links,
         secure,
+        &FaultPolicy::default(),
+        None,
+        None,
     )
     .unwrap()
+    .outcome
 }
 
 /// Leg 3: every parameter set crosses a real Unix-domain socket; each
@@ -152,15 +155,18 @@ fn run_uds(config: &FedConfig, secure: Option<SecureConfig>, tag: &str) -> Metho
     let mut links: Vec<UdsTransport> = slots.into_iter().map(Option::unwrap).collect();
 
     let factory = factory();
-    let outcome = run_rounds_over(
-        Method::FedProx,
+    let outcome = run_link_rounds(
         &fleet,
         &factory,
         config,
         &mut links,
         secure,
+        &FaultPolicy::default(),
+        None,
+        None,
     )
-    .unwrap();
+    .unwrap()
+    .outcome;
     for server in servers {
         server.join().unwrap();
     }

@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks for the tensor kernels that dominate
 //! training time (conv2d forward, weight gradient and input gradient on
-//! the layers the three models are built from, matmul across SIMD arms,
-//! elementwise sweeps, pixel shuffle), whole FLNet and RouteNet train
-//! steps and the cost of one parallel region, plus a machine-readable
+//! the layers the three models are built from, RouteNet's transposed
+//! convolution, matmul across SIMD arms, elementwise sweeps, pixel
+//! shuffle), whole FLNet and RouteNet train steps, building RouteNet and
+//! the cost of one parallel region, plus a machine-readable
 //! `BENCH_kernels.json` perf-trajectory dump.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -13,8 +14,8 @@ use rte_fed::{ClientSet, LocalTrainer};
 use rte_nn::models::{FlNet, FlNetConfig, RouteNet, RouteNetConfig};
 use rte_nn::{state_dict, Layer};
 use rte_tensor::conv::{
-    conv2d, conv2d_backward_params_with, conv2d_backward_with, conv2d_with, pixel_shuffle,
-    Conv2dSpec,
+    conv2d, conv2d_backward_params_with, conv2d_backward_with, conv2d_with, conv_transpose2d,
+    conv_transpose2d_backward, pixel_shuffle, Conv2dSpec,
 };
 use rte_tensor::linalg::{matmul, matmul_naive};
 use rte_tensor::parallel::{self, Parallelism};
@@ -165,6 +166,46 @@ fn conv_cases() -> Vec<ConvCase> {
     ]
 }
 
+/// Shape column and multiply-adds of [`upconv_passes`].
+const UPCONV_SHAPE: &str = "4x32x8x8->32 k4 s2 p1";
+const UPCONV_MACS: f64 = (BATCH * 32 * 32 * 4 * 4 * 8 * 8) as f64;
+
+/// RouteNet's `upconv` at the paper's widths, forward and the full
+/// backward: the one layer of its train step still lowered through
+/// im2col / col2im (ROADMAP item 3(b)), on the process-global arm and
+/// thread budget.
+fn upconv_passes() -> [Pass; 2] {
+    let spec = Conv2dSpec {
+        stride: 2,
+        padding: 1,
+        dilation: 1,
+    };
+    let x = rand_tensor(&[BATCH, 32, 8, 8], 1);
+    let w = rand_tensor(&[32, 32, 4, 4], 2);
+    let b = rand_tensor(&[32], 3);
+    let dy = rand_tensor(&[BATCH, 32, 16, 16], 4);
+    let forward = {
+        let (x, w) = (x.clone(), w.clone());
+        move || {
+            black_box(conv_transpose2d(black_box(&x), &w, Some(&b), spec).unwrap());
+        }
+    };
+    let backward = move || {
+        black_box(conv_transpose2d_backward(black_box(&x), &w, &dy, spec).unwrap());
+    };
+    [
+        ("forward", Box::new(forward)),
+        ("backward", Box::new(backward)),
+    ]
+}
+
+/// RouteNet at the paper's widths, built and Kaiming-initialised: what a
+/// federated slot used to pay before every deploy.
+fn routenet_paper_model_build() {
+    let mut rng = Xoshiro256::seed_from(22);
+    black_box(RouteNet::new(RouteNetConfig::new(6), &mut rng));
+}
+
 fn bench_conv2d(c: &mut Criterion) {
     for case in conv_cases() {
         for (pass, mut run) in case.passes(parallel::global()) {
@@ -172,6 +213,10 @@ fn bench_conv2d(c: &mut Criterion) {
                 bench.iter(&mut run)
             });
         }
+    }
+    for (pass, mut run) in upconv_passes() {
+        let name = format!("conv_transpose2d_{pass}_routenet_upconv");
+        c.bench_function(&name, |bench| bench.iter(&mut run));
     }
 }
 
@@ -254,6 +299,9 @@ fn bench_train_step(c: &mut Criterion) {
         let mut step = build();
         c.bench_function(name, |bench| bench.iter(|| black_box(step.run())));
     }
+    c.bench_function("routenet_paper_model_build", |bench| {
+        bench.iter(routenet_paper_model_build)
+    });
 }
 
 /// Opens and joins one two-worker region that does nothing: the price
@@ -529,8 +577,9 @@ fn commit() -> String {
 }
 
 /// Measures the GEMM family, the hot elementwise sweeps, every
-/// [`conv_cases`] layer's three passes, the [`TRAIN_STEPS`] and one
-/// parallel region on every available arm, single-threaded, and writes
+/// [`conv_cases`] layer's three passes, [`upconv_passes`], the
+/// [`TRAIN_STEPS`], one model build and one parallel region on every
+/// available arm, single-threaded, and writes
 /// `BENCH_kernels.json`
 /// (override the path with `RTE_BENCH_JSON`) so the perf trajectory is
 /// machine-trackable from PR to PR.
@@ -650,6 +699,11 @@ fn emit_kernels_json(_c: &mut Criterion) {
                 cases.push((name, case.shape(), ns, case.macs()));
             }
         }
+        for (pass, mut run) in upconv_passes() {
+            let name = format!("conv_transpose2d_{pass}_routenet_upconv");
+            let ns = measure_ns(&mut run);
+            cases.push((name, UPCONV_SHAPE.into(), ns, UPCONV_MACS));
+        }
         for (name, shape, build) in TRAIN_STEPS {
             let mut step = build();
             let ns = measure_ns(|| {
@@ -657,8 +711,14 @@ fn emit_kernels_json(_c: &mut Criterion) {
             });
             cases.push((name.into(), shape.into(), ns, 0.0));
         }
-        // No kernel in it, so one row: with the baseline arm's.
+        // No kernel in them, so one row each: with the baseline arm's.
         if arm == SimdBackend::Scalar {
+            cases.push((
+                "routenet_paper_model_build".into(),
+                "6 channels, base 32, mid 64".into(),
+                measure_ns(routenet_paper_model_build),
+                0.0,
+            ));
             cases.push((
                 "parallel_region".into(),
                 "2 workers, no work".into(),

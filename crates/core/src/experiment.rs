@@ -4,8 +4,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use rte_eda::corpus::{
-    generate_corpus_for_specs_with, universe_specs, ClientSpec, Corpus, CorpusConfig,
-    UniverseConfig, PAPER_CLIENTS,
+    generate_client_with, generate_corpus_for_specs_with, universe_specs, ClientData, ClientSpec,
+    Corpus, CorpusConfig, UniverseConfig, PAPER_CLIENTS,
 };
 use rte_eda::features::FEATURE_CHANNELS;
 use rte_eda::mmap::MmapShardReader;
@@ -252,19 +252,18 @@ impl TableResult {
 ///
 /// Propagates batching errors (e.g. an empty split).
 pub fn build_clients(corpus: &Corpus) -> Result<Vec<Client>, CoreError> {
-    corpus
-        .clients
-        .iter()
-        .map(|c| {
-            let (train_x, train_y) = c.train.full_batch()?;
-            let (test_x, test_y) = c.test.full_batch()?;
-            Ok(Client::new(
-                c.spec.index,
-                ClientSet::new(train_x, train_y).map_err(CoreError::Fed)?,
-                ClientSet::new(test_x, test_y).map_err(CoreError::Fed)?,
-            ))
-        })
-        .collect()
+    corpus.clients.iter().map(build_client).collect()
+}
+
+/// One generated client's data as its private tensors.
+fn build_client(data: &ClientData) -> Result<Client, CoreError> {
+    let (train_x, train_y) = data.train.full_batch()?;
+    let (test_x, test_y) = data.test.full_batch()?;
+    Ok(Client::new(
+        data.spec.index,
+        ClientSet::new(train_x, train_y).map_err(CoreError::Fed)?,
+        ClientSet::new(test_x, test_y).map_err(CoreError::Fed)?,
+    ))
 }
 
 /// [`RecordSource`] over one EDA shard file — the adapter that lets
@@ -496,6 +495,30 @@ pub fn build_experiment_clients(config: &ExperimentConfig) -> Result<Vec<Client>
     }
 }
 
+/// The client at fleet position `me` of [`build_experiment_clients`]'s
+/// fleet, bit for bit, without anybody else's data: an in-memory corpus
+/// synthesizes that one party's designs (every client's seed stream is
+/// its own), a `corpus_dir` opens the fleet's shards and keeps one.
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidConfig`] for a position outside the
+/// fleet; otherwise as [`build_experiment_clients`].
+pub fn build_experiment_client(config: &ExperimentConfig, me: usize) -> Result<Client, CoreError> {
+    let specs = config.client_specs()?;
+    let spec = specs.get(me).ok_or_else(|| CoreError::InvalidConfig {
+        reason: format!("client index {me} out of range for {} clients", specs.len()),
+    })?;
+    if config.corpus_dir.is_some() {
+        return Ok(build_streaming_clients(config)?.swap_remove(me));
+    }
+    build_client(&generate_client_with(
+        spec,
+        &config.corpus,
+        config.corpus_parallelism,
+    )?)
+}
+
 /// Builds a deterministic [`ModelFactory`] for the given estimator.
 pub fn model_factory(kind: ModelKind, scale: ModelScale) -> ModelFactory {
     Box::new(move |seed| {
@@ -606,6 +629,25 @@ mod tests {
         assert_eq!(clients[0].id, 1);
         assert_eq!(clients[0].weight(), 4); // 4 train designs × 1 placement
         assert_eq!(clients[8].weight(), 9);
+    }
+
+    #[test]
+    fn one_client_alone_is_the_fleet_member_bitwise() {
+        for config in [
+            ExperimentConfig::tiny(),
+            transport_config_with_rounds(3, 11, true, None),
+        ] {
+            let fleet = build_experiment_clients(&config).unwrap();
+            for (me, member) in fleet.iter().enumerate() {
+                let alone = build_experiment_client(&config, me).unwrap();
+                assert_eq!(alone.id, member.id);
+                for (got, want) in [(&alone.train, &member.train), (&alone.test, &member.test)] {
+                    assert_eq!(got.features(), want.features());
+                    assert_eq!(got.labels(), want.labels());
+                }
+            }
+            assert!(build_experiment_client(&config, fleet.len()).is_err());
+        }
     }
 
     #[test]

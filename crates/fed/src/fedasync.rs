@@ -24,7 +24,7 @@ use rte_net::{EventQueue, SplitMix64, Transport, VirtualClock, WallClock};
 use rte_nn::StateDict;
 
 use crate::engine::COLLECT_DEADLINE;
-use crate::federation::{ClientSession, COORDINATOR};
+use crate::federation::{sessions, ClientSession, COORDINATOR};
 use crate::methods::{Harness, MethodOutcome};
 use crate::params::aggregate;
 use crate::wire::{deploy_frame, net_err, recv_message_within, send_message, Message};
@@ -190,9 +190,7 @@ impl<'a> LocalExecutor<'a> {
         factory: &'a ModelFactory,
         config: &'a FedConfig,
     ) -> Result<Self, FedError> {
-        let sessions = (0..clients.len())
-            .map(|me| ClientSession::new(clients, me, factory, config, None))
-            .collect::<Result<_, _>>()?;
+        let sessions = sessions(clients, factory, config, None)?;
         Ok(LocalExecutor { sessions })
     }
 }

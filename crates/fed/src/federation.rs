@@ -25,8 +25,11 @@
 //! updates instead of raw parameters ([`crate::secure`]), and the
 //! coordinator can only recover the *sum* — never an individual update.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use rte_net::{ChannelTransport, Frame, NetError, Transport};
-use rte_nn::StateDict;
+use rte_nn::{Layer, StateDict};
 use rte_tensor::rng::Xoshiro256;
 
 use crate::methods::{fleet_rng, train_slot, TrainJob};
@@ -56,9 +59,13 @@ pub struct WireStats {
 /// updates. Works over any [`Transport`] via [`ClientSession::serve`],
 /// or pumped synchronously by a [`LocalLink`].
 pub struct ClientSession<'a> {
-    clients: &'a [Client],
+    client: &'a Client,
     me: usize,
-    factory: &'a ModelFactory,
+    /// Built once, not per slot: every deploy overwrites all of its
+    /// parameters and buffers before training, as a [`crate::Harness`]
+    /// worker's model is between jobs. Sessions that take turns on one
+    /// thread ([`sessions`]) share one.
+    model: Rc<RefCell<Box<dyn Layer>>>,
     config: &'a FedConfig,
     trainer: LocalTrainer,
     root_rng: Xoshiro256,
@@ -67,12 +74,9 @@ pub struct ClientSession<'a> {
 }
 
 impl<'a> ClientSession<'a> {
-    /// Builds the session for fleet position `me`.
-    ///
-    /// `clients` is the full fleet, deterministically rebuilt on both
-    /// sides from the shared experiment config — the session only ever
-    /// touches `clients[me]`'s private data, but needs the fleet shape
-    /// for its weight and id.
+    /// Builds the session for fleet position `me` of `clients`, the full
+    /// fleet; it only ever touches `clients[me]`
+    /// ([`ClientSession::for_client`] takes that client alone).
     ///
     /// # Errors
     ///
@@ -81,25 +85,52 @@ impl<'a> ClientSession<'a> {
     pub fn new(
         clients: &'a [Client],
         me: usize,
-        factory: &'a ModelFactory,
+        factory: &ModelFactory,
         config: &'a FedConfig,
         secure: Option<SecureConfig>,
     ) -> Result<Self, FedError> {
-        if me >= clients.len() {
-            return Err(FedError::InvalidConfig {
-                reason: format!(
-                    "client index {me} out of range for {} clients",
-                    clients.len()
-                ),
-            });
-        }
+        let client = clients.get(me).ok_or_else(|| FedError::InvalidConfig {
+            reason: format!(
+                "client index {me} out of range for {} clients",
+                clients.len()
+            ),
+        })?;
+        Self::for_client(client, me, factory, config, secure)
+    }
+
+    /// Builds the session of the party that holds `client`, fleet
+    /// position `me`, and nobody else's data: the position keys its RNG
+    /// streams, masks and scenario role, the client supplies the samples
+    /// and the aggregation weight.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FedError::InvalidConfig`] for an invalid config.
+    pub fn for_client(
+        client: &'a Client,
+        me: usize,
+        factory: &ModelFactory,
+        config: &'a FedConfig,
+        secure: Option<SecureConfig>,
+    ) -> Result<Self, FedError> {
+        let model = Rc::new(RefCell::new(factory(config.seed)));
+        Self::with_model(client, me, model, config, secure)
+    }
+
+    fn with_model(
+        client: &'a Client,
+        me: usize,
+        model: Rc<RefCell<Box<dyn Layer>>>,
+        config: &'a FedConfig,
+        secure: Option<SecureConfig>,
+    ) -> Result<Self, FedError> {
         config.validate_core()?;
         let trainer =
             LocalTrainer::new(config.lr, config.weight_decay, config.mu, config.batch_size);
         Ok(ClientSession {
-            clients,
+            client,
             me,
-            factory,
+            model,
             config,
             trainer,
             root_rng: fleet_rng(config.seed),
@@ -115,12 +146,12 @@ impl<'a> ClientSession<'a> {
 
     /// The client's aggregation weight (its training sample count).
     pub fn weight(&self) -> u64 {
-        self.clients[self.me].weight() as u64
+        self.client.weight() as u64
     }
 
     /// Trains one deployed slot: exactly the computation the in-process
-    /// round loop's worker performs for `(round, me)` — fresh model from
-    /// the shared factory, deployed start state, the per-`(round, client)`
+    /// round loop's worker performs for `(round, me)` — the shared
+    /// factory's model, deployed start state, the per-`(round, client)`
     /// RNG stream, proximal reference = start, then the scenario's
     /// Byzantine corruption if one is configured.
     ///
@@ -133,16 +164,15 @@ impl<'a> ClientSession<'a> {
         steps: usize,
         start: &StateDict,
     ) -> Result<(StateDict, f32), FedError> {
-        let mut model = (self.factory)(self.config.seed);
         let job = TrainJob {
             client: self.me,
             start,
             reference: Some(start),
         };
         let update = train_slot(
-            model.as_mut(),
+            self.model.borrow_mut().as_mut(),
             &self.trainer,
-            self.clients,
+            self.client,
             self.config,
             &self.root_rng,
             &job,
@@ -409,6 +439,25 @@ impl Transport for LocalLink<'_> {
     }
 }
 
+/// One session per fleet client, for a caller that runs them in turn on
+/// its own thread: they train in one model between them, which is one
+/// model built and one resident however large the fleet.
+///
+/// # Errors
+///
+/// Returns [`FedError::InvalidConfig`] for an invalid config.
+pub(crate) fn sessions<'a>(
+    clients: &'a [Client],
+    factory: &ModelFactory,
+    config: &'a FedConfig,
+    secure: Option<SecureConfig>,
+) -> Result<Vec<ClientSession<'a>>, FedError> {
+    let model = Rc::new(RefCell::new(factory(config.seed)));
+    let session =
+        |(me, client)| ClientSession::with_model(client, me, model.clone(), config, secure);
+    clients.iter().enumerate().map(session).collect()
+}
+
 /// Builds one [`LocalLink`] per fleet client — the channel-backend
 /// convenience used by the transport determinism tests and the
 /// `--transport channel` bench path.
@@ -418,17 +467,12 @@ impl Transport for LocalLink<'_> {
 /// Returns [`FedError::InvalidConfig`] for an invalid config.
 pub fn local_links<'a>(
     clients: &'a [Client],
-    factory: &'a ModelFactory,
+    factory: &ModelFactory,
     config: &'a FedConfig,
     secure: Option<SecureConfig>,
 ) -> Result<Vec<LocalLink<'a>>, FedError> {
-    (0..clients.len())
-        .map(|me| {
-            Ok(LocalLink::new(ClientSession::new(
-                clients, me, factory, config, secure,
-            )?))
-        })
-        .collect()
+    let sessions = sessions(clients, factory, config, secure)?;
+    Ok(sessions.into_iter().map(LocalLink::new).collect())
 }
 
 #[cfg(test)]
@@ -461,6 +505,85 @@ mod tests {
         assert_eq!(wired, reference);
         assert!(links[0].stats.frames_sent > 0);
         assert!(links[0].stats.bytes_received > 0);
+    }
+
+    /// A session trains every slot in the one model it built, so what a
+    /// slot leaves behind — BatchNorm running statistics, gradients,
+    /// cached activations — must not reach the next: three deploys to one
+    /// session of RouteNet at its paper widths (two rounds, then the
+    /// second again, as a retry would send it) are answered with the
+    /// bytes a fresh session per deploy sends, which are the harness's
+    /// update for that `(round, client)`.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "twenty unoptimized paper-width RouteNet steps take half a minute; CI's release matrix runs it"
+    )]
+    fn a_session_answers_like_a_fresh_one_per_deploy_bytewise() {
+        use crate::methods::Harness;
+        use crate::ClientSet;
+        use rte_nn::models::{RouteNet, RouteNetConfig};
+        use rte_tensor::Tensor;
+
+        let fleet: Vec<Client> = (0..2u64)
+            .map(|k| {
+                let mut rng = Xoshiro256::seed_from(40 + k);
+                let mut set = |n: usize| {
+                    let x = Tensor::from_fn(&[n, 6, 16, 16], |_| rng.uniform());
+                    let y = Tensor::from_fn(&[n, 1, 16, 16], |_| f32::from(rng.bernoulli(0.2)));
+                    ClientSet::new(x, y).unwrap()
+                };
+                Client::new(k as usize + 1, set(5), set(2))
+            })
+            .collect();
+        let factory: ModelFactory = Box::new(|seed| {
+            let mut rng = Xoshiro256::seed_from(seed);
+            Box::new(RouteNet::new(RouteNetConfig::new(6), &mut rng))
+        });
+        let mut config = FedConfig::tiny();
+        (config.batch_size, config.parallelism) = (4, crate::Parallelism::serial());
+        let (me, steps) = (1usize, 2usize);
+        let reply_bytes = |session: &mut ClientSession, round: u64, state: &StateDict| {
+            let deploy = Message::Deploy {
+                round,
+                steps: steps as u64,
+                participants: vec![0, 1],
+                state: state.clone(),
+            };
+            let reply = session.handle(deploy).unwrap().expect("an update");
+            reply
+                .into_frame(session.sender_id(), 0)
+                .unwrap()
+                .encode()
+                .unwrap()
+        };
+
+        let first = rte_nn::state_dict(factory(config.seed).as_mut());
+        let mut session = ClientSession::new(&fleet, me, &factory, &config, None).unwrap();
+        let (second, _) = session.train_slot(1, steps, &first).unwrap();
+        let harness = Harness::new(&fleet, &factory, &config).unwrap();
+        for (round, start) in [(1, &first), (2, &second), (2, &second)] {
+            let got = reply_bytes(&mut session, round, start);
+            let mut fresh = ClientSession::new(&fleet, me, &factory, &config, None).unwrap();
+            assert_eq!(got, reply_bytes(&mut fresh, round, start), "round {round}");
+            let job = TrainJob {
+                client: me,
+                start,
+                reference: Some(start),
+            };
+            let update = harness
+                .train_clients(&[job], round as usize, steps)
+                .unwrap();
+            let update = update.into_iter().next().expect("one job, one update");
+            let from_harness = Message::Update {
+                round,
+                client: me as u32,
+                loss: update.loss,
+                state: update.state,
+            };
+            let want = from_harness.into_frame(session.sender_id(), 0).unwrap();
+            assert_eq!(got, want.encode().unwrap(), "round {round} vs harness");
+        }
     }
 
     #[test]

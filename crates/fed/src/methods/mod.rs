@@ -364,7 +364,7 @@ impl<'a> Harness<'a> {
                 train_slot(
                     model.as_mut(),
                     trainer,
-                    clients,
+                    &clients[job.client],
                     config,
                     root_rng,
                     job,
@@ -380,7 +380,8 @@ impl<'a> Harness<'a> {
 /// One training slot, the body shared by the harness' workers and the
 /// remote [`crate::federation::ClientSession`]: deploy `job.start` into
 /// `model`, draw the per-`(round, client)` minibatch stream, train
-/// `steps` against `job.reference`, then apply the scenario's Byzantine
+/// `steps` on `client` — the data of fleet position `job.client` —
+/// against `job.reference`, then apply the scenario's Byzantine
 /// corruption if this client has one (after honest training, from a
 /// per-`(round, client)` stream independent of the training RNG).
 ///
@@ -390,7 +391,7 @@ impl<'a> Harness<'a> {
 pub(crate) fn train_slot(
     model: &mut dyn Layer,
     trainer: &LocalTrainer,
-    clients: &[Client],
+    client: &Client,
     config: &FedConfig,
     root_rng: &Xoshiro256,
     job: &TrainJob<'_>,
@@ -399,8 +400,7 @@ pub(crate) fn train_slot(
 ) -> Result<ClientUpdate, FedError> {
     load_state_dict(model, job.start)?;
     let mut rng = round_client_rng(root_rng, round, job.client);
-    let data = &clients[job.client].train;
-    let loss = trainer.train(model, data, job.reference, steps, &mut rng)?;
+    let loss = trainer.train(model, &client.train, job.reference, steps, &mut rng)?;
     let mut state = state_dict(model);
     if let Some(scenario) = &config.scenario {
         if let Some(corrupted) = scenario.corrupt_update(round, job.client, job.start, &state)? {

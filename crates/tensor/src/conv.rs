@@ -702,13 +702,17 @@ fn param_grads(d: &ConvDims, x: &Tensor, dy: &Tensor, par: Parallelism) -> Conv2
             || (),
             |(), group, dw_g| {
                 let channels = group * per_group * ohw..(group + 1) * per_group * ohw;
-                with_scratch(g.padded_len(), |xp| {
+                let scratch = g.padded_len() + g.dw_scratch_len(per_group);
+                with_scratch(scratch, |scratch| {
+                    let (xp, rest) = scratch.split_at_mut(g.padded_len());
+                    let mut batch = simd::DwBatch::new(&g, dw_g, rest);
                     for ni in 0..n {
                         d.pad(x_item(ni), xp);
                         let dy_g = &dy_item(ni)[channels.clone()];
                         let skip = simd::skippable_rows(d.spec.padding, dy_g);
-                        simd::conv_dw_acc_skip_with(arm, &g, skip, xp, dy_g, dw_g);
+                        batch.add(arm, skip, xp, dy_g);
                     }
+                    batch.finish();
                 });
             },
         );

@@ -58,20 +58,33 @@
 //!    body over eight abstract lanes (`implicit::Lanes8`) that both arms
 //!    instantiate — the order below is stated once, not transcribed.
 //!    *Forward* is [`matmul`]'s ascending chain per output element.
-//!    The *weight gradient* is [`matmul_nt_acc`]'s lanes over the
-//!    flattened output index; its register tile (output channels × taps)
-//!    only decides which loads are shared, never which lane a product
-//!    lands in. The *input gradient* is a gather: each input pixel sums
-//!    the `c_out` chains ([`matmul_tn`]'s) of the taps that reach it, in
-//!    ascending tap order, in a register, and is written once; a tap
+//!    The *weight gradient* is [`matmul_nt_acc`]'s summation tree per
+//!    output `dw[c, p]`: position `i` of the flattened output index goes
+//!    into **virtual** lane `i % 8` in ascending `i`, and the eight are
+//!    combined by [`reduce8`]. The rule fixes that tree — what is added
+//!    to what — and not where a partial sum is held. The (output
+//!    channels × taps) register tile keeps a virtual lane in a hardware
+//!    lane and reduces along registers; for rows one vector wide the
+//!    kernel keeps eight output *channels* in the hardware lanes and each
+//!    virtual lane in a register of its own, so `reduce8`'s tree is seven
+//!    vertical adds: the same additions on the same operands. The *input
+//!    gradient* is a gather with a tree per pixel: the `c_out` products
+//!    of a tap are a chain in ascending `co` ([`matmul_tn`]'s), the
+//!    chains of the taps that reach the pixel are added from `+0.0` in
+//!    ascending tap order, and the sum is added to `dx` once; how many
+//!    pixels' chains are in flight, and whether a pixel's running sum
+//!    waits in a register or in memory between taps, is free. A tap
 //!    whose output position does not exist is left out by a loop bound
 //!    or a lane mask, as col2im leaves it out.
 //!    **Skip only a product known to be ±0.0:** forward and the weight
 //!    gradient may leave out the rows of a padded image that are zero
-//!    padding, but only when the *other* factor of every such product is
-//!    finite ([`skippable_rows`] scans it) — then the product is `±0.0`
-//!    and adding it to an accumulator that began at `+0.0`, which is
-//!    never `−0.0` afterwards, changes nothing. With one NaN or infinity
+//!    padding (the weight gradient of one-vector-wide rows, where a
+//!    virtual lane is an output column, the padding columns too: such a
+//!    lane is the `+0.0` it would have summed to), but only when the
+//!    *other* factor of every such product is finite ([`skippable_rows`]
+//!    scans it) — then the product is `±0.0` and adding it to an
+//!    accumulator that began at `+0.0`, which is never `−0.0`
+//!    afterwards, changes nothing. With one NaN or infinity
 //!    in that operand nothing is skipped and it propagates exactly as
 //!    through a column matrix. All of it is bit-identical to the im2col
 //!    lowering on every arm.
@@ -423,7 +436,7 @@ macro_rules! dispatch {
 mod implicit;
 pub use implicit::{
     conv_dw_acc_skip_with, conv_dw_acc_with, conv_dx_acc_padded_with, conv_dx_acc_with,
-    conv_fwd_skip_with, conv_fwd_with, skippable_rows, ConvGeom,
+    conv_fwd_skip_with, conv_fwd_with, skippable_rows, ConvGeom, DwBatch,
 };
 
 /// `out = A @ B` (`A` is `m×k`, `B` is `k×n`, row-major) on the
@@ -1486,8 +1499,9 @@ mod avx2 {
         xp: &[f32],
         dy: &[f32],
         dw: &mut [f32],
+        lanes: bool,
     ) {
-        implicit::conv_dw_acc::<Avx8>(g, skip, xp, dy, dw);
+        implicit::conv_dw_acc::<Avx8>(g, skip, xp, dy, dw, lanes);
     }
 
     /// [`implicit::conv_dx_acc`] over [`Avx8`].

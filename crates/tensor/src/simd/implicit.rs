@@ -13,9 +13,10 @@
 //!
 //! Three ways of not doing work, all bit-neutral (rule 5 has the
 //! arguments): *forward* and the *weight gradient* leave out the products
-//! of padding rows when [`skippable_rows`] says the other operand is all
-//! finite; the *input gradient* gathers, per pixel, only the taps whose
-//! output position exists.
+//! of padding rows — the weight gradient of one-vector-wide rows those of
+//! padding columns too — when [`skippable_rows`] says the other operand
+//! is all finite; the *input gradient* gathers, per pixel, only the taps
+//! whose output position exists.
 
 #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
 use super::avx2;
@@ -84,6 +85,33 @@ impl ConvGeom {
         self.c_out * self.oh() * (self.ow() + 2 * self.reach()) + LANES
     }
 
+    /// Length of the scratch a [`DwBatch`] over `channels` output
+    /// channels needs: nothing, or — when the weight gradient puts
+    /// channels in the lanes — room for one image's `xp` and `dy` and for
+    /// `dw`, all three with the channels innermost and those of `dy` and
+    /// `dw` padded to whole groups of eight.
+    pub fn dw_scratch_len(&self, channels: usize) -> usize {
+        if self.channel_lanes(channels) {
+            let pitch = channels.next_multiple_of(LANES);
+            self.c_in * self.hp * self.wp + (self.oh() * self.ow() + self.ckk()) * pitch
+        } else {
+            0
+        }
+    }
+
+    /// Whether the weight gradient of a run of `channels` output channels
+    /// puts eight of them in the hardware lanes ([`conv_dw_acc_lanes`])
+    /// rather than eight output positions ([`conv_dw_acc_tiled`]): when a
+    /// row is one vector wide — a virtual lane is then a column, and a
+    /// tile's chains too short to pay for reducing them — and there are
+    /// the output channels to fill a vector and whole tiles of eight
+    /// input channels to fill the accumulators. A rule of the shape, like
+    /// the stride rule, and of nothing else; the bits are the same either
+    /// way.
+    fn channel_lanes(&self, channels: usize) -> bool {
+        self.ow() == LANES && channels >= LANES && self.c_in > 0 && self.c_in % LANES == 0
+    }
+
     /// Columns between a kernel row's first and last tap.
     fn reach(&self) -> usize {
         self.dilation * (self.kw - 1)
@@ -120,9 +148,13 @@ impl ConvGeom {
     /// The output rows whose image row under kernel row `ki` lies
     /// outside the top and bottom `skip` rows of the padded image.
     fn live_output_rows(&self, skip: usize, ki: usize) -> (usize, usize) {
-        let up = ki * self.dilation;
-        let hi = self.hp.saturating_sub(skip).saturating_sub(up);
-        (skip.saturating_sub(up), hi.min(self.oh()))
+        live_outputs(self.hp, self.oh(), skip, ki * self.dilation)
+    }
+
+    /// The output columns whose image column under kernel column `kj`
+    /// lies outside the left and right `skip` columns of the padded image.
+    fn live_output_cols(&self, skip: usize, kj: usize) -> (usize, usize) {
+        live_outputs(self.wp, self.ow(), skip, kj * self.dilation)
     }
 
     /// The conditions every index computed from this geometry relies on;
@@ -141,6 +173,15 @@ impl ConvGeom {
             "ConvGeom: padding wider than the padded image"
         );
     }
+}
+
+/// Along one axis of a padded image `padded` long with `skip` padding at
+/// either end: the first and one past the last of its `outputs` output
+/// positions whose image position under a tap `shift` further on is not
+/// padding.
+fn live_outputs(padded: usize, outputs: usize, skip: usize, shift: usize) -> (usize, usize) {
+    let hi = padded.saturating_sub(skip).saturating_sub(shift);
+    (skip.saturating_sub(shift), hi.min(outputs))
 }
 
 /// [`ConvGeom::taps`]: three counters and three running offsets,
@@ -189,9 +230,9 @@ impl Iterator for Taps {
     }
 }
 
-/// How many rows of zero padding a kernel may leave out: `padding` if
-/// every element of `other` — the operand those rows are multiplied by —
-/// is finite, else 0. A product `v · 0.0` is `±0.0` exactly when `v` is
+/// How many rows (and columns) of zero padding a kernel may leave out:
+/// `padding` if every element of `other` — the operand they are
+/// multiplied by — is finite, else 0. A product `v · 0.0` is `±0.0` exactly when `v` is
 /// finite, and adding `±0.0` to an accumulator that started at `+0.0`
 /// (which no sum of such an accumulator ever turns into `−0.0`) leaves
 /// its bits alone; one NaN or infinity anywhere and every product is
@@ -281,9 +322,12 @@ pub fn conv_dw_acc_with(
 /// `dw` their `ckk` weight gradients; the run may be any contiguous
 /// subset of the layer's `c_out` channels (callers split channels
 /// across threads), so its length comes from the slices. `skip` is as
-/// in [`conv_fwd_skip_with`], with `dy` the operand that must be finite:
-/// output rows whose image row under a tap is one of the skipped rows
-/// are not multiplied.
+/// in [`conv_fwd_skip_with`], with `dy` the operand that must be finite
+/// and the caller vouching for the left and right `skip` *columns* of
+/// `xp` as well: output rows whose image row under a tap is one of the
+/// skipped rows are not multiplied, nor — where the kernel takes the
+/// form that can tell them apart — output columns whose image column is
+/// a skipped one. One image of a [`DwBatch`].
 ///
 /// # Panics
 ///
@@ -298,21 +342,132 @@ pub fn conv_dw_acc_skip_with(
     dw: &mut [f32],
 ) {
     g.assert_valid(skip);
-    assert!(
-        xp.len() >= g.padded_len(),
-        "conv_dw_acc: padded image length"
-    );
     let (ohw, ckk) = (g.oh() * g.ow(), g.ckk());
     assert_eq!(dy.len() % ohw, 0, "conv_dw_acc: dy length");
     assert_eq!(dw.len(), dy.len() / ohw * ckk, "conv_dw_acc: dw length");
     if ckk == 0 {
         return;
     }
-    dispatch!(
-        backend,
-        conv_dw_acc::<Scalar8>(g, skip, xp, dy, dw),
-        avx2::conv_dw_acc(g, skip, xp, dy, dw)
-    );
+    let mut scratch = vec![0.0f32; g.dw_scratch_len(dy.len() / ohw)];
+    let mut batch = DwBatch::new(g, dw, &mut scratch);
+    batch.add(backend, skip, xp, dy);
+    batch.finish();
+}
+
+/// The weight gradients of a run of output channels while a batch of
+/// images is added to them, one [`DwBatch::add`] an image in batch
+/// order, then [`DwBatch::finish`]. Which form the kernel takes — and so
+/// whether the sums are kept transposed until the end — is the
+/// geometry's business (`ConvGeom::channel_lanes`), not the caller's.
+pub struct DwBatch<'a> {
+    g: ConvGeom,
+    dw: &'a mut [f32],
+    /// The operands of [`conv_dw_acc_lanes`] — the image and `dy` being
+    /// added, and `dw` — all empty unless the geometry puts channels in
+    /// the lanes.
+    xt: &'a mut [f32],
+    dyt: &'a mut [f32],
+    dwt: &'a mut [f32],
+}
+
+impl<'a> DwBatch<'a> {
+    /// Starts a batch into `dw`, the `ckk` weight gradients of each
+    /// channel of the run back to back (whatever they hold is added to),
+    /// with [`ConvGeom::dw_scratch_len`] floats of scratch, contents
+    /// ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is degenerate or has no taps, or a slice
+    /// length is inconsistent with it.
+    pub fn new(g: &ConvGeom, dw: &'a mut [f32], scratch: &'a mut [f32]) -> Self {
+        g.assert_valid(0);
+        let (ohw, ckk) = (g.oh() * g.ow(), g.ckk());
+        assert!(ckk > 0 && dw.len() % ckk == 0, "DwBatch: dw length");
+        let channels = dw.len() / ckk;
+        assert_eq!(
+            scratch.len(),
+            g.dw_scratch_len(channels),
+            "DwBatch: scratch length"
+        );
+        let image = if g.channel_lanes(channels) {
+            g.c_in * g.hp * g.wp
+        } else {
+            0
+        };
+        let (xt, rest) = scratch.split_at_mut(image);
+        // The padding channels of `dyᵀ` stay zero; `dwᵀ` starts there.
+        rest.iter_mut().for_each(|v| *v = 0.0);
+        let (dyt, dwt) = rest.split_at_mut(rest.len() / (ohw + ckk) * ohw);
+        DwBatch {
+            g: *g,
+            dw,
+            xt,
+            dyt,
+            dwt,
+        }
+    }
+
+    /// Adds one image's weight gradient: `xp` its padded image, `dy` the
+    /// run's `oh × ow` output gradients back to back, `skip` as in
+    /// [`conv_dw_acc_skip_with`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length is inconsistent with the geometry.
+    pub fn add(&mut self, backend: SimdBackend, skip: usize, xp: &[f32], dy: &[f32]) {
+        let g = &self.g;
+        g.assert_valid(skip);
+        assert!(
+            xp.len() >= g.padded_len(),
+            "conv_dw_acc: padded image length"
+        );
+        let (ohw, ckk) = (g.oh() * g.ow(), g.ckk());
+        assert_eq!(
+            dy.len() * ckk,
+            self.dw.len() * ohw,
+            "conv_dw_acc: dy length"
+        );
+        let lanes = !self.dwt.is_empty();
+        let (xp, dy, dw) = if lanes {
+            transpose(&xp[..self.xt.len()], g.c_in, self.xt);
+            transpose(dy, self.dyt.len() / ohw, self.dyt);
+            (&*self.xt, &*self.dyt, &mut *self.dwt)
+        } else {
+            (xp, dy, &mut *self.dw)
+        };
+        dispatch!(
+            backend,
+            conv_dw_acc::<Scalar8>(g, skip, xp, dy, dw, lanes),
+            avx2::conv_dw_acc(g, skip, xp, dy, dw, lanes)
+        );
+    }
+
+    /// Adds what the batch summed to `dw`.
+    pub fn finish(self) {
+        if self.dwt.is_empty() {
+            return;
+        }
+        let ckk = self.g.ckk();
+        let pitch = self.dwt.len() / ckk;
+        for (p, sums) in self.dwt.chunks_exact(pitch).enumerate() {
+            for (c, &sum) in sums[..self.dw.len() / ckk].iter().enumerate() {
+                self.dw[c * ckk + p] += sum;
+            }
+        }
+    }
+}
+
+/// `dst[i·pitch + c] = src[c·rows + i]`: the rows of `src`, `rows =
+/// dst.len() / pitch` long, become the first columns of `dst`; its other
+/// columns keep what they hold.
+fn transpose(src: &[f32], pitch: usize, dst: &mut [f32]) {
+    let row = dst.len() / pitch;
+    for (c, src_row) in src.chunks_exact(row).enumerate() {
+        for (i, &v) in src_row.iter().enumerate() {
+            dst[i * pitch + c] = v;
+        }
+    }
 }
 
 /// [`conv_dx_acc_padded_with`] over the whole padded image (`padding`
@@ -701,13 +856,15 @@ fn conv_fwd_tiled<V: Lanes8, const CT: usize, const RT: usize>(
     }
 }
 
-/// Implicit-GEMM weight gradient. When the output width is a multiple
-/// of 8 every output row starts at lane 0 (every layer of the three
-/// models on the corpus grids) and the register tile is `CT` channels ×
-/// `TT` taps: 4 × 2 when there are (four) channels to share each image
-/// window and 1 × 8 otherwise on a [`Lanes8::WIDE`] arm, 2 × 2 and 1 × 4
-/// on a narrow one. Other widths rotate the lane phase from row to row
-/// and gather each tap's column row instead.
+/// Implicit-GEMM weight gradient. `lanes` says the operands are the
+/// transposed ones of [`conv_dw_acc_lanes`], which [`DwBatch`] chooses
+/// for rows one vector wide. Otherwise, when the output width is a
+/// multiple of 8 every output row starts at lane 0 (every layer of the
+/// three models on the corpus grids) and the register tile is `CT`
+/// channels × `TT` taps: 4 × 2 when there are (four) channels to share
+/// each image window and 1 × 8 otherwise on a [`Lanes8::WIDE`] arm, 2 × 2
+/// and 1 × 4 on a narrow one. Other widths rotate the lane phase from row
+/// to row and gather each tap's column row instead.
 #[inline(always)]
 pub(super) fn conv_dw_acc<V: Lanes8>(
     g: &ConvGeom,
@@ -715,9 +872,12 @@ pub(super) fn conv_dw_acc<V: Lanes8>(
     xp: &[f32],
     dy: &[f32],
     dw: &mut [f32],
+    lanes: bool,
 ) {
     let many = dy.len() >= 4 * g.oh() * g.ow();
-    if g.ow() % LANES != 0 {
+    if lanes {
+        conv_dw_acc_lanes::<V>(g, skip, xp, dy, dw);
+    } else if g.ow() % LANES != 0 {
         conv_dw_acc_rotating(g, xp, dy, dw);
     } else {
         match (many, V::WIDE) {
@@ -807,12 +967,120 @@ fn conv_dw_acc_tiled<V: Lanes8, const CT: usize, const TT: usize>(
     }
 }
 
+/// [`reduce8`]'s tree across eight registers instead of along one: lane
+/// `t` of the result combines lane `t` of the eight, `r[l]` in the place
+/// of virtual lane `l`.
+#[inline(always)]
+fn reduce_across<V: Lanes8>(r: &[V; LANES]) -> V {
+    let (s0, s1) = (r[0].add(r[4]), r[1].add(r[5]));
+    let (s2, s3) = (r[2].add(r[6]), r[3].add(r[7]));
+    s0.add(s2).add(s1.add(s3))
+}
+
+/// [`conv_dw_acc`] for rows one vector wide, with eight output
+/// *channels* in the hardware lanes and every operand channels-innermost:
+/// `xt` is the padded image as `hp·wp` rows of `c_in`, `dyt` is `oh·ow`
+/// rows of the output channels padded with zeros to whole groups of
+/// eight, `dwt` is `ckk` rows of the same width. Rule 5 fixes what is
+/// added to what — position `i` into virtual lane `i % 8` in ascending
+/// `i`, the lanes combined by [`reduce8`]'s tree — not where a partial
+/// sum is held. The input channels are taken in tiles of as many as
+/// there are accumulators for: eight on a [`Lanes8::WIDE`] arm, four on
+/// a narrow one.
+#[inline(always)]
+fn conv_dw_acc_lanes<V: Lanes8>(
+    g: &ConvGeom,
+    skip: usize,
+    xt: &[f32],
+    dyt: &[f32],
+    dwt: &mut [f32],
+) {
+    if V::WIDE {
+        conv_dw_acc_lanes_tiled::<V, 8>(g, skip, xt, dyt, dwt);
+    } else {
+        conv_dw_acc_lanes_tiled::<V, 4>(g, skip, xt, dyt, dwt);
+    }
+}
+
+/// [`conv_dw_acc_lanes`] in tiles of `T` input channels (`c_in` is a
+/// whole number of them). With eight outputs to a row a virtual lane is
+/// an output column, and an accumulator is one lane of one (input
+/// channel, kernel position) for a group of eight output channels: down
+/// the column it adds a splat of the image times a row of `dyt`, which
+/// the `T` channels — neighbours in `xt`, so one pointer serves them —
+/// share. The columns are run one after the other and parked;
+/// [`reduce_across`] then combines them with seven vertical adds and the
+/// result is added to a row of `dwt` — nothing horizontal, and no scalar.
+/// Output rows that are padding under the kernel row are left out, and so
+/// are the columns that are padding under the kernel column: a lane of
+/// those is the `+0.0` it would have summed to.
+#[inline(always)]
+fn conv_dw_acc_lanes_tiled<V: Lanes8, const T: usize>(
+    g: &ConvGeom,
+    skip: usize,
+    xt: &[f32],
+    dyt: &[f32],
+    dwt: &mut [f32],
+) {
+    let (oh, wp, step) = (g.oh(), g.wp, g.dilation);
+    let pitch = dyt.len() / (oh * LANES);
+    let image = Walk {
+        src: xt,
+        steps: [0, g.c_in, wp * g.c_in].map(|s| s as isize),
+        splat: true,
+    };
+    let grads = Walk {
+        src: dyt,
+        steps: [0, pitch, LANES * pitch].map(|s| s as isize),
+        splat: false,
+    };
+    let nest = Nest::new([image, grads, NO_WALK], [1, LANES, oh]);
+    let zero = V::splat(0.0);
+    for ci0 in (0..g.c_in).step_by(T) {
+        for ki in 0..g.kh {
+            let (lo, hi) = g.live_output_rows(skip, ki);
+            let rows = hi.saturating_sub(lo);
+            for kj in 0..g.kw {
+                let (jl, jh) = g.live_output_cols(skip, kj);
+                let x_channels: [usize; T] =
+                    std::array::from_fn(|t| (ki * wp + kj) * step * g.c_in + ci0 + t);
+                // Parked as plain arrays: a vector-aligned local would have
+                // the whole function realign its stack, and the tiles beside
+                // this form lose a register to the frame pointer.
+                let mut lanes = [[Scalar8::splat(0.0); T]; LANES];
+                for group in (0..pitch).step_by(LANES) {
+                    let (mut acc, mut left, mut lane) = ([zero; T], rows, jl);
+                    let outputs = [0..1, jl..jh, lo..hi];
+                    V::run(
+                        &nest,
+                        (&x_channels, &[group], &[]),
+                        outputs,
+                        |xv, [dv], []| {
+                            for t in 0..T {
+                                acc[t] = acc[t].add(xv[t].mul(dv));
+                            }
+                            left -= 1;
+                            if left == 0 {
+                                lanes[lane] = acc.map(|sum| Scalar8(sum.to_array()));
+                                (acc, left, lane) = ([zero; T], rows, lane + 1);
+                            }
+                        },
+                    );
+                    for t in 0..T {
+                        let sums = reduce_across(&std::array::from_fn(|l| lanes[l][t]));
+                        let at = (((ci0 + t) * g.kh + ki) * g.kw + kj) * pitch + group;
+                        for (out, sum) in dwt[at..at + LANES].iter_mut().zip(sums.to_array()) {
+                            *out += sum;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Implicit-GEMM input gradient as a gather (see
-/// [`conv_dx_acc_padded_with`]). The input channels are taken in tiles
-/// of as many as there are accumulators for — on a [`Lanes8::WIDE`] arm
-/// four beside the four chains a `c_out > 1` layer carries, eight when
-/// `c_out` is 1 and a chain is one product; half that on a narrow arm —
-/// and what is left over in tiles of half that again, down to one.
+/// [`conv_dx_acc_padded_with`]).
 #[inline(always)]
 pub(super) fn conv_dx_acc<V: Lanes8>(
     g: &ConvGeom,
@@ -821,29 +1089,45 @@ pub(super) fn conv_dx_acc<V: Lanes8>(
     dyp: &[f32],
     dx: &mut [f32],
 ) {
-    let mut from = 0;
     if g.c_out == 1 {
-        if V::WIDE {
-            from = conv_dx_acc_tiled::<V, 8, true>(g, pad, w, dyp, dx, from);
-        }
-        from = conv_dx_acc_tiled::<V, 4, true>(g, pad, w, dyp, dx, from);
-        from = conv_dx_acc_tiled::<V, 2, true>(g, pad, w, dyp, dx, from);
-        conv_dx_acc_tiled::<V, 1, true>(g, pad, w, dyp, dx, from);
+        conv_dx_acc_tiles::<V, true>(g, pad, w, dyp, dx);
     } else {
-        if V::WIDE {
-            from = conv_dx_acc_tiled::<V, 4, false>(g, pad, w, dyp, dx, from);
-        }
-        from = conv_dx_acc_tiled::<V, 2, false>(g, pad, w, dyp, dx, from);
-        conv_dx_acc_tiled::<V, 1, false>(g, pad, w, dyp, dx, from);
+        conv_dx_acc_tiles::<V, false>(g, pad, w, dyp, dx);
     }
+}
+
+/// [`conv_dx_acc`] with `ONE` saying whether `c_out` is 1. The input
+/// channels are taken in tiles of eight on a [`Lanes8::WIDE`] arm — eight
+/// `c_out` chains in flight, which is what keeps their adds from waiting
+/// on each other — and on a narrow one of four when a chain is one
+/// product and of two beside the chains a `c_out > 1` layer carries; what
+/// is left over goes in tiles of half that, down to one.
+#[inline(always)]
+fn conv_dx_acc_tiles<V: Lanes8, const ONE: bool>(
+    g: &ConvGeom,
+    pad: usize,
+    w: &[f32],
+    dyp: &[f32],
+    dx: &mut [f32],
+) {
+    let mut from = 0;
+    if V::WIDE {
+        from = conv_dx_acc_tiled::<V, 8, ONE>(g, pad, w, dyp, dx, from);
+    }
+    if V::WIDE || ONE {
+        from = conv_dx_acc_tiled::<V, 4, ONE>(g, pad, w, dyp, dx, from);
+    }
+    from = conv_dx_acc_tiled::<V, 2, ONE>(g, pad, w, dyp, dx, from);
+    conv_dx_acc_tiled::<V, 1, ONE>(g, pad, w, dyp, dx, from);
 }
 
 /// [`conv_dx_acc`] for the whole tiles of `CT` input channels from
 /// channel `from` on (`ONE` iff `c_out` is 1); returns the first channel
 /// it left. The register tile is `CT` input channels × 8 pixels of one
-/// image row, its accumulators live across *all* taps: per tap one `dy`
-/// vector per output channel is shared by the channels' chains, and each
-/// chain is added once, under the tap's lane mask. The kernel rows are
+/// image row, its accumulators live across *all* taps (beside eight
+/// chains some of them on the stack, touched once a tap): per tap one
+/// `dy` vector per output channel is shared by the channels' chains, and
+/// each chain is added once, under the tap's lane mask. The kernel rows are
 /// bounded to those whose `dy` row exists, and the taps along a row to
 /// those with a pixel in range. A masked-out lane adds `+0.0`, and a
 /// chain that is its one product (`ONE`) rather than `0.0 +` it can

@@ -254,6 +254,69 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(cases(40))]
+
+    /// Contract rule 5 where the weight gradient changes form and where
+    /// it leaves padding *columns* out: maps one, two and three vectors
+    /// wide and of any height (one vector wide, with eight output channels
+    /// or more and whole tiles of eight input channels, is the
+    /// channels-in-the-lanes form; the rest are the tile), up to 40 output
+    /// channels (whole groups of 8 and 16 beside a remainder, and runs of
+    /// them split over threads), 1–20 input channels or — every other
+    /// case — 8, 16 or 24, dilation 1–2, and padding from none to more
+    /// than half the kernel. Then exactly one
+    /// NaN, +inf, −inf or −0.0 goes where leaving a padding row or column
+    /// out would hide it: a `dy` element or a weight on the first or last
+    /// row or column, which the taps (or outputs) on that side multiply
+    /// by padding only.
+    #[test]
+    fn lane_form_and_column_gate_match_lowered_reference_bitwise(
+        seed in 0u64..1_000_000,
+        n in 1usize..3,
+        c_in in 1usize..21,
+        whole_tiles in 0usize..2,
+        c_out in 1usize..41,
+        oh in 1usize..13,
+        ow_blocks in 1usize..4,
+        half_k in 0usize..5,
+        dilation in 1usize..3,
+        padding in 0usize..5,
+        special in 0usize..5,
+        in_w in 0usize..2,
+        edge in 0usize..4,
+    ) {
+        let (k, ow) = (2 * half_k + 1, 8 * ow_blocks);
+        let c_in = if whole_tiles == 1 { 8 * (1 + c_in % 3) } else { c_in };
+        let spec = Conv2dSpec { stride: 1, padding, dilation };
+        let reach = dilation * (k - 1);
+        prop_assume!(oh + reach > 2 * padding && ow + reach > 2 * padding);
+        let (h, wd) = (oh + reach - 2 * padding, ow + reach - 2 * padding);
+        let mut rng = Xoshiro256::seed_from(seed);
+        let x = Tensor::from_fn(&[n, c_in, h, wd], |_| rng.normal());
+        let mut w = Tensor::from_fn(&[c_out, c_in, k, k], |_| rng.normal());
+        let bias = Tensor::from_fn(&[c_out], |_| rng.normal());
+        let mut dy = Tensor::from_fn(&[n, c_out, oh, ow], |_| rng.normal());
+        if special > 0 {
+            let value = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0][special - 1];
+            let mut pick = |extent: usize| (rng.next_u64() % extent as u64) as usize;
+            // Along the first or last row (edges 0, 1) or column (2, 3).
+            let mut on_edge = |rows: usize, cols: usize| match edge {
+                0 | 1 => (edge * (rows - 1), pick(cols)),
+                _ => (pick(rows), (edge - 2) * (cols - 1)),
+            };
+            if in_w == 1 {
+                let (ki, kj) = on_edge(k, k);
+                w.set(&[pick(c_out), pick(c_in), ki, kj], value);
+            } else {
+                let (oi, oj) = on_edge(oh, ow);
+                dy.set(&[pick(n), pick(c_out), oi, oj], value);
+            }
+        }
+        assert_both_arms_match_lowered(&x, &w, &bias, &dy, spec);
+    }
+}
+
 /// A convolution above `rte_tensor::conv`'s fan-out threshold (2²²
 /// multiply-adds a call), so that the thread counts of
 /// [`assert_conv_matches_lowered`] really run on worker threads: eight
@@ -270,14 +333,18 @@ fn implicit_conv_matches_lowered_reference_above_the_fan_out_gate() {
 
 /// The same comparison on shapes big enough that `conv2d_with` really
 /// fans out (the proptest's small items mostly run inline): FLNet's two
-/// layers, a dilated PROS-style block, and an odd-width map whose output
-/// rows rotate through the 8 lanes.
+/// layers, RouteNet's two 8×8 layers at the paper's widths (whole tiles
+/// of eight input channels, four and eight groups of output channels), a
+/// dilated PROS-style block, and an odd-width map whose output rows
+/// rotate through the 8 lanes.
 #[test]
 fn implicit_conv_matches_lowered_reference_on_parallel_shapes() {
     let _guard = GLOBAL_ARM.lock().unwrap_or_else(|e| e.into_inner());
     for (n, c_in, c_out, h, wd, k, spec) in [
         (4, 6, 16, 16, 16, 9, Conv2dSpec::same(9)),
         (5, 16, 1, 16, 16, 9, Conv2dSpec::same(9)),
+        (2, 32, 64, 8, 8, 7, Conv2dSpec::same(7)),
+        (2, 64, 32, 8, 8, 9, Conv2dSpec::same(9)),
         (3, 16, 16, 8, 8, 3, Conv2dSpec::same_dilated(3, 2)),
         (
             3,

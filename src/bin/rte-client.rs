@@ -3,9 +3,11 @@
 //!
 //! The client rebuilds the *entire* experiment config from the shared
 //! `(clients, seed, quick)` triple, generates only its own private
-//! train/test split locally, connects to the coordinator's Unix-domain
-//! socket, and then answers deploy frames with locally trained
-//! parameter sets until the coordinator shuts the session down. Data
+//! train/test split locally (`build_experiment_client`: nobody else's
+//! designs are synthesized in this process), connects to the
+//! coordinator's Unix-domain socket, and then answers deploy frames with
+//! locally trained parameter sets until the coordinator shuts the
+//! session down. Data
 //! never leaves the process — the paper's privacy boundary, enforced by
 //! a process boundary.
 //!
@@ -24,7 +26,7 @@
 use std::path::PathBuf;
 
 use decentralized_routability::core::{
-    build_experiment_clients, model_factory, transport_config_with_rounds,
+    build_experiment_client, model_factory, transport_config_with_rounds,
 };
 use decentralized_routability::fed::{ClientSession, SecureConfig};
 use decentralized_routability::net::{RetryPolicy, UdsTransport};
@@ -115,10 +117,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
 
     let config = transport_config_with_rounds(args.clients, args.seed, args.quick, args.rounds);
-    let fleet = build_experiment_clients(&config)?;
+    let me = args.client_index;
+    let client = build_experiment_client(&config, me)?;
     let factory = model_factory(ModelKind::FlNet, config.model_scale);
     let secure = args.secure.then(SecureConfig::default);
-    let mut session = ClientSession::new(&fleet, args.client_index, &factory, &config.fed, secure)?;
+    let mut session = ClientSession::for_client(&client, me, &factory, &config.fed, secure)?;
 
     // Jittered backoff salted by the client index so a spawned fleet
     // does not dial (or re-dial) in lockstep.

@@ -1,67 +1,20 @@
-//! Criterion micro-benchmarks for the EDA data substrate: netlist
-//! generation, placement, routing demand, RUDY, full sample generation,
-//! and sharded corpus generation (1 thread vs all cores — byte-identical
-//! output, only wall-clock differs).
+//! Criterion micro-benchmarks for the EDA data substrate: the generation
+//! rows of [`rte_bench::generation`] (netlist synthesis, placement, the
+//! one-pass analysis and the whole sample for each benchmark family,
+//! and the Table-2 scaled corpus on one thread), and a miniature corpus
+//! on 1 thread vs all cores (byte-identical output, only wall-clock
+//! differs).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use rte_eda::congestion::{route_demand, rudy};
 use rte_eda::corpus::{generate_corpus_with, CorpusConfig};
-use rte_eda::dataset::generate_sample;
-use rte_eda::netlist::generate_netlist;
-use rte_eda::placement::{place, PlacementConfig};
-use rte_eda::Family;
 use rte_tensor::parallel::Parallelism;
 
-fn bench_netlist(c: &mut Criterion) {
-    c.bench_function("generate_netlist_itc99", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            generate_netlist(Family::Itc99, black_box(seed)).unwrap()
-        })
-    });
-    c.bench_function("generate_netlist_ispd15", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            generate_netlist(Family::Ispd15, black_box(seed)).unwrap()
-        })
-    });
-}
-
-fn bench_placement(c: &mut Criterion) {
-    let netlist = generate_netlist(Family::Itc99, 7).unwrap();
-    c.bench_function("place_itc99_16x16", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            place(&netlist, &PlacementConfig::new(16, 16, black_box(seed))).unwrap()
-        })
-    });
-}
-
-fn bench_routing(c: &mut Criterion) {
-    let netlist = generate_netlist(Family::Itc99, 7).unwrap();
-    let placement = place(&netlist, &PlacementConfig::new(16, 16, 1)).unwrap();
-    c.bench_function("route_demand_itc99", |b| {
-        b.iter(|| route_demand(black_box(&netlist), black_box(&placement)))
-    });
-    c.bench_function("rudy_itc99", |b| {
-        b.iter(|| rudy(black_box(&netlist), black_box(&placement)))
-    });
-}
-
-fn bench_sample(c: &mut Criterion) {
-    let netlist = generate_netlist(Family::Iwls05, 3).unwrap();
-    c.bench_function("generate_sample_end_to_end", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            generate_sample(&netlist, &PlacementConfig::new(16, 16, black_box(seed))).unwrap()
-        })
-    });
+fn bench_generation(c: &mut Criterion) {
+    for (name, mut row) in rte_bench::generation::rows() {
+        c.bench_function(&name, |b| b.iter(&mut row));
+    }
 }
 
 fn bench_sharded_corpus(c: &mut Criterion) {
@@ -81,12 +34,5 @@ fn bench_sharded_corpus(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    bench_netlist,
-    bench_placement,
-    bench_routing,
-    bench_sample,
-    bench_sharded_corpus
-);
+criterion_group!(benches, bench_generation, bench_sharded_corpus);
 criterion_main!(benches);

@@ -562,20 +562,6 @@ impl JsonEntry {
     }
 }
 
-/// `git describe --always --dirty` of the checkout being measured, so a
-/// row says which code produced it (the parent commit plus `-dirty` when
-/// run before committing).
-fn commit() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
-}
-
 /// Measures the GEMM family, the hot elementwise sweeps, every
 /// [`conv_cases`] layer's three passes, [`upconv_passes`], the
 /// [`TRAIN_STEPS`], one model build and one parallel region on every
@@ -744,7 +730,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
             });
         }
     }
-    let commit = commit();
+    let commit = rte_bench::commit();
     let mut json = String::from("[\n");
     for (i, e) in entries.iter().enumerate() {
         json.push_str(&format!(

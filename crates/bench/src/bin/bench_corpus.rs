@@ -1,7 +1,12 @@
-//! **Corpus-scale I/O benchmark**: measures the three data-path knobs
-//! added for out-of-core scaling and dumps a machine-readable
-//! `BENCH_corpus.json` trajectory next to `BENCH_kernels.json`:
+//! **Corpus-scale benchmark**: measures corpus generation and the three
+//! data-path knobs added for out-of-core scaling, and dumps a
+//! machine-readable `BENCH_corpus.json` trajectory next to
+//! `BENCH_kernels.json`, every record carrying its thread count, SIMD
+//! arm and commit:
 //!
+//! - the generation rows of [`rte_bench::generation`] (netlist,
+//!   placement, one-pass analysis and whole sample per benchmark family,
+//!   the Table-2 scaled corpus), one thread each,
 //! - full-pass shard read throughput, `seek`+`read` backend vs the
 //!   memory-mapped zero-copy backend (same bytes, different plumbing),
 //! - shard compaction with the delta+bitpack chunk codec, raw vs
@@ -16,7 +21,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use rte_bench::BenchArgs;
+use rte_bench::{generation, BenchArgs};
 use rte_core::{build_experiment_clients, run_method_on_clients, ExperimentConfig};
 use rte_eda::corpus::UniverseConfig;
 use rte_eda::mmap::MmapShardReader;
@@ -54,13 +59,21 @@ impl Entry {
     }
 }
 
+/// Renders the records, each closed with the provenance every number
+/// here needs: the SIMD arm and the commit measured.
 fn render_json(entries: &[Entry]) -> String {
+    let provenance = format!(
+        ", \"arm\": \"{}\", \"commit\": \"{}\"",
+        rte_tensor::simd::global().name(),
+        rte_bench::commit()
+    );
     let mut json = String::from("[\n");
     for (i, e) in entries.iter().enumerate() {
         json.push_str(&format!("  {{\"metric\": \"{}\"", e.metric));
         for (k, v) in &e.fields {
             json.push_str(&format!(", \"{k}\": {v}"));
         }
+        json.push_str(&provenance);
         json.push_str(if i + 1 == entries.len() {
             "}\n"
         } else {
@@ -69,6 +82,21 @@ fn render_json(entries: &[Entry]) -> String {
     }
     json.push_str("]\n");
     json
+}
+
+/// Mean microseconds per call of `row`: three warm-up calls, then at
+/// least five timed ones and as many more as fit in half a second.
+fn mean_us(row: &mut dyn FnMut()) -> f64 {
+    for _ in 0..3 {
+        row();
+    }
+    let start = Instant::now();
+    let mut calls = 0u32;
+    while calls < 5 || start.elapsed().as_secs_f64() < 0.5 {
+        row();
+        calls += 1;
+    }
+    start.elapsed().as_secs_f64() * 1e6 / f64::from(calls)
 }
 
 /// Full sequential pass over every shard via `seek`+`read`; returns
@@ -165,12 +193,25 @@ fn main() {
         .expect("shard generation");
     let gen_secs = gen_start.elapsed().as_secs_f64();
 
+    let threads = config.corpus_parallelism.resolve() as u64;
     let mut entries = Vec::new();
     entries.push(
         Entry::new("shard_generate")
             .int("clients", specs.len() as u64)
-            .num("elapsed_ms", gen_secs * 1e3),
+            .num("elapsed_ms", gen_secs * 1e3)
+            .int("threads", threads),
     );
+
+    for (name, mut row) in generation::rows() {
+        let us = mean_us(&mut row);
+        println!("bench: {name:<40} {us:>12.1} us");
+        entries.push(
+            Entry::new("generate")
+                .text("row", &name)
+                .num("us_per_iter", us)
+                .int("threads", 1),
+        );
+    }
 
     // Read-backend vs mmap-backend full pass (warm once to take file
     // creation out of the first-measured arm).
@@ -194,7 +235,8 @@ fn main() {
                 .text("backend", backend)
                 .int("samples", samples)
                 .num("elapsed_ms", secs * 1e3)
-                .num("samples_per_sec", samples as f64 / secs),
+                .num("samples_per_sec", samples as f64 / secs)
+                .int("threads", 1),
         );
     }
 
@@ -224,7 +266,8 @@ fn main() {
                 "ratio",
                 summary.raw_bytes as f64 / summary.compressed_bytes as f64,
             )
-            .num("elapsed_ms", pack_secs * 1e3),
+            .num("elapsed_ms", pack_secs * 1e3)
+            .int("threads", 1),
     );
 
     // End-to-end: one FedProx run over the full universe on whichever
@@ -247,7 +290,8 @@ fn main() {
             .int("clients", clients.len() as u64)
             .int("rounds", config.fed.rounds as u64)
             .num("average_auc", outcome.average_auc)
-            .num("elapsed_ms", e2e_secs * 1e3),
+            .num("elapsed_ms", e2e_secs * 1e3)
+            .int("threads", rte_tensor::parallel::global().resolve() as u64),
     );
 
     let json = render_json(&entries);

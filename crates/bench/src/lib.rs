@@ -17,11 +17,26 @@
 // (rte-lint rule L1 enforces this).
 #![forbid(unsafe_code)]
 
+pub mod generation;
 pub mod reference;
 
 use rte_core::ExperimentConfig;
 use rte_eda::corpus::UniverseConfig;
 use rte_fed::MethodOutcome;
+
+/// `git describe --always --dirty` of the checkout being measured, so a
+/// benchmark record says which code produced it (the parent commit plus
+/// `-dirty` when run before committing).
+pub fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+}
 
 /// Command-line options shared by the harness binaries.
 #[derive(Debug, Clone, PartialEq)]

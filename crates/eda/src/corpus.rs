@@ -23,7 +23,8 @@
 use rte_tensor::parallel::{self, map_with, Parallelism};
 use rte_tensor::rng::Xoshiro256;
 
-use crate::dataset::{generate_sample, Dataset, Sample};
+use crate::dataset::{sample_with, Dataset, GenScratch, Sample};
+use crate::drc::design_h_affinity;
 use crate::netlist::{generate_netlist, Netlist};
 use crate::placement::{GridDims, PlacementConfig};
 use crate::{EdaError, Family, FamilyMix};
@@ -319,17 +320,28 @@ pub(crate) fn build_jobs(
     (design_jobs, placement_jobs)
 }
 
+/// Phase-1 output: a design's netlist and the constant the DRC oracle
+/// derives from its name, computed once for all of its placements.
+pub(crate) struct Design {
+    pub(crate) netlist: Netlist,
+    h_affinity: f64,
+}
+
 /// Phase-1 work: synthesizes the netlist of one design job, replaying
 /// the job's seed stream from scratch.
 pub(crate) fn synthesize_design(
     specs: &[ClientSpec],
     config: &CorpusConfig,
     job: &DesignJob,
-) -> Result<Netlist, EdaError> {
+) -> Result<Design, EdaError> {
     let spec = &specs[job.spec_i];
     let mut stream = design_stream(config, spec, job.split, job.design);
     let design_seed = stream.next_u64();
-    generate_netlist(spec.family, design_seed)
+    let netlist = generate_netlist(spec.family, design_seed)?;
+    Ok(Design {
+        h_affinity: design_h_affinity(&netlist),
+        netlist,
+    })
 }
 
 /// Phase-2 work: generates one placement sample, replaying the design's
@@ -338,8 +350,9 @@ pub(crate) fn synthesize_design(
 pub(crate) fn placement_sample(
     specs: &[ClientSpec],
     config: &CorpusConfig,
-    netlists: &[Netlist],
+    designs: &[Design],
     job: &PlacementJob,
+    scratch: &mut GenScratch,
 ) -> Result<Sample, EdaError> {
     let spec = &specs[job.spec_i];
     let mut stream = design_stream(config, spec, job.split, job.design);
@@ -358,7 +371,13 @@ pub(crate) fn placement_sample(
         target_density: density,
         spread_iterations: 2 + p_stream.range_usize(0, 5),
     };
-    generate_sample(&netlists[job.netlist], &placement_config)
+    let design = &designs[job.netlist];
+    sample_with(
+        &design.netlist,
+        design.h_affinity,
+        &placement_config,
+        scratch,
+    )
 }
 
 /// The sharded generation core: synthesizes every design's netlist
@@ -373,7 +392,7 @@ fn generate_clients_sharded(
 ) -> Result<Vec<ClientData>, EdaError> {
     let (design_jobs, placement_jobs) = build_jobs(specs, config);
     // Phase 1: netlist synthesis, one worker item per design.
-    let netlists = map_with(
+    let designs = map_with(
         par,
         &design_jobs,
         || (),
@@ -384,12 +403,10 @@ fn generate_clients_sharded(
     // Phase 2: placement + features + labels, one worker item per
     // placement across the whole corpus (the dominant cost, and the
     // best-balanced unit: Table 2 clients differ 5× in placement count).
-    let samples = map_with(
-        par,
-        &placement_jobs,
-        || (),
-        |(), _, job| placement_sample(specs, config, &netlists, job),
-    )
+    // Each worker keeps one scratch for all of its placements.
+    let samples = map_with(par, &placement_jobs, GenScratch::new, |scratch, _, job| {
+        placement_sample(specs, config, &designs, job, scratch)
+    })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
     // Reduce: job order is (client, split, design, placement), so a

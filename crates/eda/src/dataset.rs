@@ -7,11 +7,11 @@
 use rte_tensor::rng::Xoshiro256;
 use rte_tensor::Tensor;
 
-use crate::congestion::route_demand;
-use crate::drc::drc_hotspots;
+use crate::congestion::Analysis;
+use crate::drc::{design_h_affinity, hotspots_with, DrcScratch};
 use crate::features::{extract_features, FEATURE_CHANNELS};
 use crate::netlist::Netlist;
-use crate::placement::{place, PlacementConfig};
+use crate::placement::{place_into, PlaceScratch, Placement, PlacementConfig};
 use crate::EdaError;
 
 /// One placement solution with features and ground-truth labels.
@@ -25,6 +25,30 @@ pub struct Sample {
     pub design: String,
 }
 
+/// Everything one worker needs between a placement config and a
+/// [`Sample`] that is not part of the sample: the placement itself, its
+/// analysis and every intermediate map. A worker that keeps one
+/// allocates, per sample in steady state, the sample's two tensors and
+/// its name.
+#[derive(Debug)]
+pub(crate) struct GenScratch {
+    place: PlaceScratch,
+    placement: Placement,
+    analysis: Analysis,
+    drc: DrcScratch,
+}
+
+impl GenScratch {
+    pub(crate) fn new() -> Self {
+        GenScratch {
+            place: PlaceScratch::default(),
+            placement: Placement::empty(),
+            analysis: Analysis::new(),
+            drc: DrcScratch::default(),
+        }
+    }
+}
+
 /// Generates one [`Sample`] by placing `netlist` with `config` and running
 /// the demand model and DRC oracle.
 ///
@@ -32,11 +56,33 @@ pub struct Sample {
 ///
 /// Propagates placement or labelling configuration errors.
 pub fn generate_sample(netlist: &Netlist, config: &PlacementConfig) -> Result<Sample, EdaError> {
-    let placement = place(netlist, config)?;
-    let demand = route_demand(netlist, &placement);
-    let features = extract_features(netlist, &placement)?;
+    sample_with(
+        netlist,
+        design_h_affinity(netlist),
+        config,
+        &mut GenScratch::new(),
+    )
+}
+
+/// [`generate_sample`] given the design's constant and a worker's
+/// scratch: place → analyse → features + labels.
+pub(crate) fn sample_with(
+    netlist: &Netlist,
+    h_affinity: f64,
+    config: &PlacementConfig,
+    scratch: &mut GenScratch,
+) -> Result<Sample, EdaError> {
+    place_into(netlist, config, &mut scratch.place, &mut scratch.placement)?;
+    scratch.analysis.run(netlist, &scratch.placement);
+    let features = extract_features(&scratch.analysis)?;
     let mut label_rng = Xoshiro256::seed_from(config.seed ^ 0x7AB3_15D0_0C0F_FEE5);
-    let label = drc_hotspots(netlist, &placement, &demand, &mut label_rng)?;
+    let label = hotspots_with(
+        netlist.family,
+        h_affinity,
+        &scratch.analysis,
+        &mut label_rng,
+        &mut scratch.drc,
+    );
     Ok(Sample {
         features,
         label,

@@ -12,10 +12,9 @@
 use rte_tensor::rng::Xoshiro256;
 use rte_tensor::Tensor;
 
-use crate::congestion::DemandMap;
+use crate::congestion::Analysis;
 use crate::netlist::Netlist;
-use crate::placement::Placement;
-use crate::EdaError;
+use crate::Family;
 
 /// Extra congestion pressure on gcells adjacent to macro blockages
 /// (routes detour around blockages).
@@ -39,8 +38,10 @@ const CHAOS_AMPLITUDE: f64 = 0.38;
 const CHAOS_GRID: usize = 4;
 
 /// Per-design systematic horizontal-affinity: family norm plus a stable
-/// per-design deviation derived from the design name.
-fn design_h_affinity(netlist: &Netlist) -> f64 {
+/// per-design deviation derived from the design name. A constant of the
+/// design — the corpus generator computes it once per netlist, not once
+/// per placement.
+pub(crate) fn design_h_affinity(netlist: &Netlist) -> f64 {
     let profile = netlist.family.profile();
     // Hash the design name into a deterministic standard-normal deviate.
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -52,12 +53,21 @@ fn design_h_affinity(netlist: &Netlist) -> f64 {
     (profile.h_affinity + DESIGN_AFFINITY_JITTER * rng.normal_f64()).clamp(0.05, 0.95)
 }
 
+/// The oracle's intermediate maps, kept by a worker between placements.
+#[derive(Debug, Default)]
+pub(crate) struct DrcScratch {
+    weighted: Vec<f64>,
+    score: Vec<f64>,
+    blurred: Vec<f64>,
+    chaos: Vec<f64>,
+}
+
 /// Smooth random field: `CHAOS_GRID × CHAOS_GRID` Gaussian knots,
 /// bilinearly interpolated to `w × h`.
-fn correlated_field(w: usize, h: usize, rng: &mut Xoshiro256) -> Vec<f64> {
+fn correlated_field(w: usize, h: usize, rng: &mut Xoshiro256, field: &mut Vec<f64>) {
     let g = CHAOS_GRID;
-    let knots: Vec<f64> = (0..g * g).map(|_| rng.normal_f64()).collect();
-    let mut field = vec![0.0f64; w * h];
+    let knots: [f64; CHAOS_GRID * CHAOS_GRID] = std::array::from_fn(|_| rng.normal_f64());
+    field.clear();
     for y in 0..h {
         // Map pixel to knot coordinates (cell centers).
         let fy = (y as f64 + 0.5) / h as f64 * (g - 1) as f64;
@@ -73,52 +83,55 @@ fn correlated_field(w: usize, h: usize, rng: &mut Xoshiro256) -> Vec<f64> {
             let k11 = knots[(y0 + 1) * g + x0 + 1];
             let top = k00 * (1.0 - tx) + k01 * tx;
             let bot = k10 * (1.0 - tx) + k11 * tx;
-            field[y * w + x] = top * (1.0 - ty) + bot * ty;
+            field.push(top * (1.0 - ty) + bot * ty);
         }
     }
-    field
 }
 
-/// Computes the `(1, H, W)` binary hotspot label map for a placement.
+/// Computes the `(1, H, W)` binary hotspot label map for an analysed
+/// placement of `netlist`.
 ///
 /// `label_rng` supplies the per-design capacity jitter and tile-flip
 /// noise; pass a stream derived from the placement seed for reproducible
 /// labels.
-///
-/// # Errors
-///
-/// Returns [`EdaError::InvalidConfig`] if `demand` does not match the
-/// placement grid.
-pub fn drc_hotspots(
-    netlist: &Netlist,
-    placement: &Placement,
-    demand: &DemandMap,
+pub fn drc_hotspots(netlist: &Netlist, analysis: &Analysis, label_rng: &mut Xoshiro256) -> Tensor {
+    hotspots_with(
+        netlist.family,
+        design_h_affinity(netlist),
+        analysis,
+        label_rng,
+        &mut DrcScratch::default(),
+    )
+}
+
+/// [`drc_hotspots`] given the design's constants and a worker's scratch.
+pub(crate) fn hotspots_with(
+    family: Family,
+    h_affinity: f64,
+    analysis: &Analysis,
     label_rng: &mut Xoshiro256,
-) -> Result<Tensor, EdaError> {
-    let (w, h) = (placement.grid.width, placement.grid.height);
-    if demand.width != w || demand.height != h {
-        return Err(EdaError::InvalidConfig {
-            reason: format!(
-                "demand map {}×{} does not match grid {w}×{h}",
-                demand.width, demand.height
-            ),
-        });
-    }
-    let profile = netlist.family.profile();
+    scratch: &mut DrcScratch,
+) -> Tensor {
+    let grid = analysis.grid();
+    let (w, h) = (grid.width, grid.height);
+    let profile = family.profile();
+    let demand = analysis.demand();
 
     // Direction-weighted demand: families load their routing layers
     // differently (h_affinity) and each design deviates systematically
     // from its family norm — the per-family and per-design twists a
     // cross-design model must reconcile.
-    let affinity = design_h_affinity(netlist);
-    let wh = 2.0 * affinity;
-    let wv = 2.0 * (1.0 - affinity);
-    let weighted: Vec<f64> = demand
-        .horizontal
-        .iter()
-        .zip(demand.vertical.iter())
-        .map(|(&hd, &vd)| wh * hd + wv * vd)
-        .collect();
+    let wh = 2.0 * h_affinity;
+    let wv = 2.0 * (1.0 - h_affinity);
+    let weighted = &mut scratch.weighted;
+    weighted.clear();
+    weighted.extend(
+        demand
+            .horizontal
+            .iter()
+            .zip(demand.vertical.iter())
+            .map(|(&hd, &vd)| wh * hd + wv * vd),
+    );
 
     // Per-design effective capacity: relative tightness × mean weighted
     // demand, jittered per design run.
@@ -126,12 +139,13 @@ pub fn drc_hotspots(
     let jitter = 1.0 + profile.capacity_jitter * label_rng.normal_f64();
     let capacity = (profile.route_capacity / 2.0) * mean * jitter.max(0.3);
 
-    let pins = placement.pin_density(netlist);
+    let pins = analysis.pin_density();
     let pin_mean = pins.iter().sum::<f64>() / (w * h) as f64;
-    let blockage = placement.blockage_mask();
+    let blockage = analysis.blockage();
 
     // Raw overflow score per gcell.
-    let mut score = vec![0.0f64; w * h];
+    let score = &mut scratch.score;
+    score.clear();
     for y in 0..h {
         for x in 0..w {
             let i = y * w + x;
@@ -151,21 +165,22 @@ pub fn drc_hotspots(
             } else {
                 s = 0.0; // Inside a macro there is nothing to route.
             }
-            score[i] = s;
+            score.push(s);
         }
     }
 
     // 3×3 binomial blur: DRC violations cluster spatially.
-    let mut blurred = blur3(&score, w, h);
+    let blurred = &mut scratch.blurred;
+    blur3(score, w, h, blurred);
 
     // Low-frequency unpredictable congestion (detailed-routing effects).
-    let chaos = correlated_field(w, h, label_rng);
+    let chaos = &mut scratch.chaos;
+    correlated_field(w, h, label_rng, chaos);
     for (b, c) in blurred.iter_mut().zip(chaos.iter()) {
         *b += CHAOS_AMPLITUDE * c;
     }
 
-    let mut label = Tensor::zeros(&[1, h, w]);
-    for i in 0..w * h {
+    Tensor::from_fn(&[1, h, w], |i| {
         let mut hot = blurred[i] > profile.hotspot_threshold;
         if label_rng.bernoulli(profile.label_noise) {
             hot = !hot;
@@ -173,9 +188,12 @@ pub fn drc_hotspots(
         if blockage[i] > 0.0 {
             hot = false;
         }
-        label.data_mut()[i] = if hot { 1.0 } else { 0.0 };
-    }
-    Ok(label)
+        if hot {
+            1.0
+        } else {
+            0.0
+        }
+    })
 }
 
 fn neighbors(x: usize, y: usize, w: usize, h: usize) -> [Option<(usize, usize)>; 4] {
@@ -187,10 +205,10 @@ fn neighbors(x: usize, y: usize, w: usize, h: usize) -> [Option<(usize, usize)>;
     ]
 }
 
-/// 3×3 binomial blur with edge clamping.
-fn blur3(src: &[f64], w: usize, h: usize) -> Vec<f64> {
+/// 3×3 binomial blur with edge clamping, `src` into `out`.
+fn blur3(src: &[f64], w: usize, h: usize, out: &mut Vec<f64>) {
     const K: [[f64; 3]; 3] = [[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]];
-    let mut out = vec![0.0; w * h];
+    out.clear();
     for y in 0..h {
         for x in 0..w {
             let mut acc = 0.0;
@@ -206,10 +224,9 @@ fn blur3(src: &[f64], w: usize, h: usize) -> Vec<f64> {
                     wsum += kv;
                 }
             }
-            out[y * w + x] = acc / wsum;
+            out.push(acc / wsum);
         }
     }
-    out
 }
 
 /// Fraction of hotspot tiles in a `(1, H, W)` label map.
@@ -223,7 +240,7 @@ pub fn hotspot_rate(label: &Tensor) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::congestion::route_demand;
+    use crate::congestion::analyse;
     use crate::netlist::generate_netlist;
     use crate::placement::{place, PlacementConfig};
     use crate::Family;
@@ -231,9 +248,8 @@ mod tests {
     fn labels_for(family: Family, seed: u64) -> (Tensor, f64) {
         let nl = generate_netlist(family, seed).unwrap();
         let pl = place(&nl, &PlacementConfig::new(16, 16, seed)).unwrap();
-        let d = route_demand(&nl, &pl);
         let mut rng = Xoshiro256::seed_from(seed ^ 0x1AB);
-        let l = drc_hotspots(&nl, &pl, &d, &mut rng).unwrap();
+        let l = drc_hotspots(&nl, &analyse(&nl, &pl), &mut rng);
         let r = hotspot_rate(&l);
         (l, r)
     }
@@ -277,9 +293,9 @@ mod tests {
     fn deterministic_given_rng() {
         let nl = generate_netlist(Family::Iwls05, 3).unwrap();
         let pl = place(&nl, &PlacementConfig::new(16, 16, 3)).unwrap();
-        let d = route_demand(&nl, &pl);
-        let a = drc_hotspots(&nl, &pl, &d, &mut Xoshiro256::seed_from(9)).unwrap();
-        let b = drc_hotspots(&nl, &pl, &d, &mut Xoshiro256::seed_from(9)).unwrap();
+        let d = analyse(&nl, &pl);
+        let a = drc_hotspots(&nl, &d, &mut Xoshiro256::seed_from(9));
+        let b = drc_hotspots(&nl, &d, &mut Xoshiro256::seed_from(9));
         assert_eq!(a, b);
     }
 
@@ -288,10 +304,10 @@ mod tests {
         // Tiles labelled hot must have systematically higher demand.
         let nl = generate_netlist(Family::Itc99, 5).unwrap();
         let pl = place(&nl, &PlacementConfig::new(16, 16, 5)).unwrap();
-        let d = route_demand(&nl, &pl);
+        let d = analyse(&nl, &pl);
         let mut rng = Xoshiro256::seed_from(1);
-        let l = drc_hotspots(&nl, &pl, &d, &mut rng).unwrap();
-        let combined = d.combined();
+        let l = drc_hotspots(&nl, &d, &mut rng);
+        let combined = d.demand().combined();
         let mut hot_sum = 0.0;
         let mut hot_n = 0.0;
         let mut cold_sum = 0.0;
@@ -314,19 +330,11 @@ mod tests {
     }
 
     #[test]
-    fn demand_grid_mismatch_is_error() {
-        let nl = generate_netlist(Family::Itc99, 6).unwrap();
-        let pl = place(&nl, &PlacementConfig::new(16, 16, 6)).unwrap();
-        let mut d = route_demand(&nl, &pl);
-        d.width = 8;
-        let mut rng = Xoshiro256::seed_from(0);
-        assert!(drc_hotspots(&nl, &pl, &d, &mut rng).is_err());
-    }
-
-    #[test]
     fn blur_preserves_constant_fields() {
         let src = vec![2.5; 25];
-        let out = blur3(&src, 5, 5);
+        let mut out = Vec::new();
+        blur3(&src, 5, 5, &mut out);
+        assert_eq!(out.len(), 25);
         assert!(out.iter().all(|&v| (v - 2.5).abs() < 1e-12));
     }
 }

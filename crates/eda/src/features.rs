@@ -28,9 +28,7 @@
 
 use rte_tensor::Tensor;
 
-use crate::congestion::{rudy, rudy_directional};
-use crate::netlist::Netlist;
-use crate::placement::Placement;
+use crate::congestion::Analysis;
 use crate::EdaError;
 
 /// Number of feature channels produced by [`extract_features`].
@@ -40,35 +38,38 @@ pub const FEATURE_CHANNELS: usize = 6;
 /// gcell values land mid-range.
 const CHANNEL_SCALES: [f64; FEATURE_CHANNELS] = [4.0, 12.0, 1.0, 25.0, 14.0, 14.0];
 
-/// Extracts the `(FEATURE_CHANNELS, H, W)` input tensor for one placement.
+/// Extracts the `(FEATURE_CHANNELS, H, W)` input tensor from one
+/// placement's [`Analysis`].
 ///
 /// # Errors
 ///
 /// Returns [`EdaError::Tensor`] only on internal shape inconsistencies
-/// (defensive; the geometry is derived from the placement itself).
-pub fn extract_features(netlist: &Netlist, placement: &Placement) -> Result<Tensor, EdaError> {
-    let (w, h) = (placement.grid.width, placement.grid.height);
-    let (fly_h, fly_v) = rudy_directional(netlist, placement);
-    let channels: [Vec<f64>; FEATURE_CHANNELS] = [
-        placement.cell_density(netlist),
-        placement.pin_density(netlist),
-        placement.blockage_mask(),
-        rudy(netlist, placement),
-        fly_h,
-        fly_v,
-    ];
-    let mut data = Vec::with_capacity(FEATURE_CHANNELS * h * w);
-    for (ci, channel) in channels.iter().enumerate() {
-        debug_assert_eq!(channel.len(), h * w);
-        let k = CHANNEL_SCALES[ci];
-        data.extend(channel.iter().map(|&v| (v / (v + k)) as f32));
-    }
-    Ok(Tensor::from_vec(data, &[FEATURE_CHANNELS, h, w])?)
+/// (defensive; the geometry is derived from the analysis itself).
+pub fn extract_features(analysis: &Analysis) -> Result<Tensor, EdaError> {
+    let grid = analysis.grid();
+    let mut data = Vec::with_capacity(FEATURE_CHANNELS * grid.cells());
+    squash_into(&mut data, 0, analysis.cell_density().iter().copied());
+    squash_into(&mut data, 1, analysis.pin_density().iter().copied());
+    squash_into(&mut data, 2, analysis.blockage().iter().copied());
+    squash_into(&mut data, 3, analysis.rudy());
+    squash_into(&mut data, 4, analysis.fly_h());
+    squash_into(&mut data, 5, analysis.fly_v());
+    Ok(Tensor::from_vec(
+        data,
+        &[FEATURE_CHANNELS, grid.height, grid.width],
+    )?)
+}
+
+/// Appends one channel's map, squashed with the channel's scale.
+fn squash_into(data: &mut Vec<f32>, channel: usize, values: impl Iterator<Item = f64>) {
+    let k = CHANNEL_SCALES[channel];
+    data.extend(values.map(|v| (v / (v + k)) as f32));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::congestion::analyse;
     use crate::netlist::generate_netlist;
     use crate::placement::{place, PlacementConfig};
     use crate::Family;
@@ -76,7 +77,7 @@ mod tests {
     fn sample(family: Family, seed: u64) -> Tensor {
         let nl = generate_netlist(family, seed).unwrap();
         let pl = place(&nl, &PlacementConfig::new(16, 16, seed ^ 0xF00)).unwrap();
-        extract_features(&nl, &pl).unwrap()
+        extract_features(&analyse(&nl, &pl)).unwrap()
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use std::io::{self, BufRead, Write};
 
-use crate::netlist::{Cell, CellId, Net, NetId, Netlist};
+use crate::netlist::{Cell, CellId, Netlist, Nets};
 use crate::placement::{GridDims, MacroRect, Placement};
 use crate::{EdaError, Family};
 
@@ -71,9 +71,9 @@ pub fn write_design<W: Write>(
         )?;
     }
     writeln!(writer, "nets {}", netlist.nets.len())?;
-    for net in &netlist.nets {
+    for net in netlist.nets.iter() {
         write!(writer, "n")?;
-        for c in &net.cells {
+        for c in net.cells {
             write!(writer, " {}", c.0)?;
         }
         writeln!(writer)?;
@@ -205,11 +205,12 @@ pub fn read_design<R: BufRead>(reader: R) -> Result<(Netlist, Option<Placement>)
         expect_keyword(nets_line.as_deref(), "nets", r.line_no)?,
         r.line_no,
     )?;
-    let mut nets = Vec::with_capacity(n_nets);
-    for i in 0..n_nets {
+    let mut nets = Nets::new();
+    let mut net_cells = Vec::new();
+    for _ in 0..n_nets {
         let line = r.next_line()?.map(str::to_owned);
         let body = expect_keyword(line.as_deref(), "n", r.line_no)?.to_owned();
-        let mut net_cells = Vec::new();
+        net_cells.clear();
         for token in body.split_whitespace() {
             let id: u32 = parse_num(token, r.line_no)?;
             if id as usize >= n_cells {
@@ -220,10 +221,7 @@ pub fn read_design<R: BufRead>(reader: R) -> Result<(Netlist, Option<Placement>)
         if net_cells.len() < 2 {
             return Err(parse_err(r.line_no, "net with fewer than two pins"));
         }
-        nets.push(Net {
-            id: NetId(i as u32),
-            cells: net_cells,
-        });
+        nets.push(&net_cells);
     }
     let netlist = Netlist {
         name,

@@ -33,20 +33,89 @@ pub struct Cell {
     pub cluster: u16,
 }
 
-/// A multi-pin net connecting two or more cells.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Net {
-    /// This net's id (its index in [`Netlist::nets`]).
+/// A multi-pin net connecting two or more cells: a borrowed view into
+/// its netlist's [`Nets`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Net<'a> {
+    /// This net's id (its position in [`Netlist::nets`]).
     pub id: NetId,
     /// Connected cells (first entry is the driver). At least two entries,
     /// all distinct.
-    pub cells: Vec<CellId>,
+    pub cells: &'a [CellId],
 }
 
-impl Net {
+impl Net<'_> {
     /// Number of pins on the net.
     pub fn degree(&self) -> usize {
         self.cells.len()
+    }
+}
+
+/// The connectivity of a design, stored flat: one pin array for all nets
+/// and one offset per net boundary, so walking every net's pins is one
+/// linear read and a netlist is two allocations however many nets it has.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Nets {
+    /// `offsets[i]..offsets[i + 1]` is net `i`'s range of `pins`; always
+    /// starts with 0.
+    offsets: Vec<u32>,
+    pins: Vec<CellId>,
+}
+
+impl Nets {
+    /// No nets.
+    pub fn new() -> Self {
+        Nets::with_capacity(0, 0)
+    }
+
+    /// No nets, with room for `nets` nets of `pins` pins in total.
+    pub fn with_capacity(nets: usize, pins: usize) -> Self {
+        let mut offsets = Vec::with_capacity(nets + 1);
+        offsets.push(0);
+        Nets {
+            offsets,
+            pins: Vec::with_capacity(pins),
+        }
+    }
+
+    /// Appends a net; its id is its position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the total pin count would exceed `u32::MAX`.
+    pub fn push(&mut self, cells: &[CellId]) {
+        self.pins.extend_from_slice(cells);
+        self.offsets
+            .push(u32::try_from(self.pins.len()).expect("pin count fits u32"));
+    }
+
+    /// Number of nets.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True when there are no nets.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total number of pins over all nets.
+    pub fn pin_count(&self) -> usize {
+        self.pins.len()
+    }
+
+    /// The nets in id order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Net<'_>> {
+        self.offsets.windows(2).enumerate().map(|(i, w)| Net {
+            id: NetId(i as u32),
+            cells: &self.pins[w[0] as usize..w[1] as usize],
+        })
+    }
+}
+
+impl Default for Nets {
+    fn default() -> Self {
+        Nets::new()
     }
 }
 
@@ -59,8 +128,8 @@ pub struct Netlist {
     pub family: Family,
     /// All cells; `cells[i].id == CellId(i)`.
     pub cells: Vec<Cell>,
-    /// All nets; `nets[i].id == NetId(i)`.
-    pub nets: Vec<Net>,
+    /// All nets, in id order.
+    pub nets: Nets,
     /// Number of logical clusters.
     pub cluster_count: usize,
 }
@@ -81,7 +150,7 @@ impl Netlist {
         if self.nets.is_empty() {
             return 0.0;
         }
-        self.nets.iter().map(|n| n.degree()).sum::<usize>() as f64 / self.nets.len() as f64
+        self.nets.pin_count() as f64 / self.nets.len() as f64
     }
 }
 
@@ -146,8 +215,13 @@ pub fn generate_netlist(family: Family, design_seed: u64) -> Result<Netlist, Eda
     }
 
     let n_nets = (n_cells as f64 * profile.nets_per_cell).round() as usize;
-    let mut nets = Vec::with_capacity(n_nets);
-    for ni in 0..n_nets {
+    let mut nets = Nets::with_capacity(
+        n_nets,
+        (n_nets as f64 * (profile.avg_fanout + 0.5)) as usize,
+    );
+    let mut sampler = IndexSampler::new(n_cells);
+    let mut chosen: Vec<CellId> = Vec::new();
+    for _ in 0..n_nets {
         // Degree: 2 + Poisson tail shaped by avg_fanout and the Rent
         // exponent (heavier tail for higher exponents).
         let extra = rng.poisson((profile.avg_fanout - 2.0).max(0.0));
@@ -159,32 +233,19 @@ pub fn generate_netlist(family: Family, design_seed: u64) -> Result<Netlist, Eda
         let degree = 2 + extra + tail_boost;
         let local = rng.uniform_f64() < profile.cluster_tightness;
         let home = rng.range_usize(0, n_clusters);
-        let pool: &[u32] = if local && members[home].len() >= degree {
-            &members[home]
+        chosen.clear();
+        if local && members[home].len() >= degree {
+            let pool = &members[home];
+            let picks = sampler.sample(&mut rng, pool.len(), degree);
+            chosen.extend(picks.iter().map(|&i| CellId(pool[i as usize])));
         } else {
-            &[]
-        };
-        let mut chosen: Vec<CellId> = Vec::with_capacity(degree);
-        if pool.is_empty() {
             // Global net: sample from the whole design.
-            for idx in rng.sample_indices(n_cells, degree.min(n_cells)) {
-                chosen.push(CellId(idx as u32));
-            }
-        } else {
-            for idx in rng.sample_indices(pool.len(), degree) {
-                chosen.push(CellId(pool[idx]));
-            }
+            let picks = sampler.sample(&mut rng, n_cells, degree.min(n_cells));
+            chosen.extend(picks.iter().map(|&i| CellId(i)));
         }
         if chosen.len() >= 2 {
-            nets.push(Net {
-                id: NetId(ni as u32),
-                cells: chosen,
-            });
+            nets.push(&chosen);
         }
-    }
-    // Re-index after any skips so `nets[i].id == NetId(i)` holds.
-    for (i, net) in nets.iter_mut().enumerate() {
-        net.id = NetId(i as u32);
     }
 
     Ok(Netlist {
@@ -194,6 +255,42 @@ pub fn generate_netlist(family: Family, design_seed: u64) -> Result<Netlist, Eda
         nets,
         cluster_count: n_clusters,
     })
+}
+
+/// `Xoshiro256::sample_indices` in O(k): the same partial Fisher–Yates,
+/// the same draws and the same picks, over one identity permutation that
+/// is kept between calls instead of `0..n` being rebuilt for every net.
+/// Each call first undoes the previous call's swaps (last one first), so
+/// the buffer is the identity again whenever a draw starts.
+struct IndexSampler {
+    idx: Vec<u32>,
+    /// Swap partner of position `i` in the last draw.
+    swapped: Vec<u32>,
+}
+
+impl IndexSampler {
+    /// A sampler for populations of up to `n_max`.
+    fn new(n_max: usize) -> Self {
+        IndexSampler {
+            idx: (0..n_max as u32).collect(),
+            swapped: Vec::new(),
+        }
+    }
+
+    /// `k` distinct indices of `0..n`, valid until the next call.
+    fn sample(&mut self, rng: &mut Xoshiro256, n: usize, k: usize) -> &[u32] {
+        assert!(k <= n && n <= self.idx.len(), "cannot sample {k} from {n}");
+        for (i, &j) in self.swapped.iter().enumerate().rev() {
+            self.idx.swap(i, j as usize);
+        }
+        self.swapped.clear();
+        for i in 0..k {
+            let j = rng.range_usize(i, n);
+            self.idx.swap(i, j);
+            self.swapped.push(j as u32);
+        }
+        &self.idx[..k]
+    }
 }
 
 fn family_slug(family: Family) -> &'static str {
@@ -257,9 +354,41 @@ mod tests {
             assert!(net.degree() >= 2, "net degree {}", net.degree());
             let distinct: HashSet<_> = net.cells.iter().collect();
             assert_eq!(distinct.len(), net.degree(), "duplicate pins");
-            for c in &net.cells {
+            for c in net.cells {
                 assert!((c.0 as usize) < nl.cells.len());
             }
+        }
+    }
+
+    /// The O(k) sampler against `Xoshiro256::sample_indices`, draw for
+    /// draw: same picks in the same order and the same generator state
+    /// afterwards, over mixed `(n, k)` on one sampler — so every draw
+    /// also checks that the previous one left the identity behind.
+    #[test]
+    fn index_sampler_replays_sample_indices() {
+        let n_max = 300;
+        let mut sampler = IndexSampler::new(n_max);
+        let mut shape = Xoshiro256::seed_from(0x5A3B);
+        for case in 0..2_000u64 {
+            let n = shape.range_usize(1, n_max + 1);
+            let k = match case % 4 {
+                0 => n,
+                1 => shape.range_usize(0, n.min(8) + 1),
+                _ => shape.range_usize(0, n + 1),
+            };
+            let mut ours = Xoshiro256::seed_from(case);
+            let mut theirs = ours.clone();
+            let picks: Vec<usize> = sampler
+                .sample(&mut ours, n, k)
+                .iter()
+                .map(|&i| i as usize)
+                .collect();
+            assert_eq!(
+                picks,
+                theirs.sample_indices(n, k),
+                "case {case}: {k} of {n}"
+            );
+            assert_eq!(ours.next_u64(), theirs.next_u64(), "case {case}: rng state");
         }
     }
 

@@ -95,31 +95,52 @@ pub struct Placement {
 }
 
 impl Placement {
+    /// No cells on no grid: what [`place_into`] fills.
+    pub(crate) fn empty() -> Self {
+        Placement {
+            grid: GridDims::new(0, 0),
+            x: Vec::new(),
+            y: Vec::new(),
+            macro_rects: Vec::new(),
+        }
+    }
+
     /// Per-gcell standard-cell counts (macros excluded), row-major.
     pub fn cell_density(&self, netlist: &Netlist) -> Vec<f64> {
-        let mut density = vec![0.0; self.grid.cells()];
-        for cell in &netlist.cells {
-            if !cell.is_macro {
-                let i = cell.id.0 as usize;
-                density[self.y[i] as usize * self.grid.width + self.x[i] as usize] += 1.0;
-            }
-        }
-        density
+        let mut cells = vec![0.0; self.grid.cells()];
+        self.densities_into(netlist, &mut cells, &mut vec![0.0; self.grid.cells()]);
+        cells
     }
 
     /// Per-gcell pin counts (all cells), row-major.
     pub fn pin_density(&self, netlist: &Netlist) -> Vec<f64> {
-        let mut density = vec![0.0; self.grid.cells()];
-        for cell in &netlist.cells {
-            let i = cell.id.0 as usize;
-            density[self.y[i] as usize * self.grid.width + self.x[i] as usize] += cell.pins as f64;
-        }
-        density
+        let mut pins = vec![0.0; self.grid.cells()];
+        self.densities_into(netlist, &mut vec![0.0; self.grid.cells()], &mut pins);
+        pins
     }
 
     /// Row-major blockage mask: 1.0 inside a macro rect, else 0.0.
     pub fn blockage_mask(&self) -> Vec<f64> {
         let mut mask = vec![0.0; self.grid.cells()];
+        self.blockage_into(&mut mask);
+        mask
+    }
+
+    /// Both density maps in one walk over the cells, added onto zeroed
+    /// row-major `cells` (standard cells only) and `pins` (all cells).
+    pub(crate) fn densities_into(&self, netlist: &Netlist, cells: &mut [f64], pins: &mut [f64]) {
+        for cell in &netlist.cells {
+            let i = cell.id.0 as usize;
+            let gcell = self.y[i] as usize * self.grid.width + self.x[i] as usize;
+            pins[gcell] += cell.pins as f64;
+            if !cell.is_macro {
+                cells[gcell] += 1.0;
+            }
+        }
+    }
+
+    /// Sets `mask` to 1.0 inside every macro rect (clipped to the grid).
+    pub(crate) fn blockage_into(&self, mask: &mut [f64]) {
         for rect in &self.macro_rects {
             for y in rect.y0..=rect.y1.min(self.grid.height - 1) {
                 for x in rect.x0..=rect.x1.min(self.grid.width - 1) {
@@ -127,9 +148,24 @@ impl Placement {
                 }
             }
         }
-        mask
     }
 }
+
+/// Buffers [`place`] works in and does not return; a worker keeps one
+/// and places design after design without allocating.
+#[derive(Debug, Default)]
+pub(crate) struct PlaceScratch {
+    blocked: Vec<bool>,
+    anchors: Vec<(f64, f64)>,
+    bin_count: Vec<usize>,
+    /// Spreading's bins as intrusive LIFO lists: the cell on top of each
+    /// bin, and under every cell the one pushed before it.
+    bin_top: Vec<u32>,
+    below: Vec<u32>,
+}
+
+/// End of a bin list.
+const NO_CELL: u32 = u32::MAX;
 
 /// Places `netlist` on the configured grid.
 ///
@@ -138,6 +174,23 @@ impl Placement {
 /// Returns [`EdaError::InvalidConfig`] for an empty grid, a grid too small
 /// for spreading, or a non-positive target density.
 pub fn place(netlist: &Netlist, config: &PlacementConfig) -> Result<Placement, EdaError> {
+    let mut placement = Placement::empty();
+    place_into(
+        netlist,
+        config,
+        &mut PlaceScratch::default(),
+        &mut placement,
+    )?;
+    Ok(placement)
+}
+
+/// [`place`] into an existing [`Placement`], every field overwritten.
+pub(crate) fn place_into(
+    netlist: &Netlist,
+    config: &PlacementConfig,
+    scratch: &mut PlaceScratch,
+    out: &mut Placement,
+) -> Result<(), EdaError> {
     let grid = config.grid;
     if grid.width < 4 || grid.height < 4 {
         return Err(EdaError::InvalidConfig {
@@ -153,14 +206,15 @@ pub fn place(netlist: &Netlist, config: &PlacementConfig) -> Result<Placement, E
 
     // 1. Macro rectangles, edge-biased, non-overlapping (best effort).
     let n_macros = netlist.macro_count();
-    let mut macro_rects: Vec<MacroRect> = Vec::with_capacity(n_macros);
-    let mut macro_cells: Vec<usize> = netlist
-        .cells
-        .iter()
-        .filter(|c| c.is_macro)
-        .map(|c| c.id.0 as usize)
-        .collect();
-    rng.shuffle(&mut macro_cells);
+    out.grid = grid;
+    let macro_rects = &mut out.macro_rects;
+    macro_rects.clear();
+    // The draws of a Fisher–Yates shuffle over the macro cells. Nothing
+    // ever read the shuffled list, but everything drawn after it depends
+    // on the generator having advanced past it.
+    for i in (1..n_macros).rev() {
+        rng.range_usize(0, i + 1);
+    }
     for _ in 0..n_macros {
         for _attempt in 0..8 {
             let mw = rng.range_usize(2, (grid.width / 4).max(3));
@@ -208,21 +262,21 @@ pub fn place(netlist: &Netlist, config: &PlacementConfig) -> Result<Placement, E
             }
         }
     }
-    let blocked: Vec<bool> = {
-        let mut b = vec![false; grid.cells()];
-        for rect in &macro_rects {
-            for y in rect.y0..=rect.y1 {
-                for x in rect.x0..=rect.x1 {
-                    b[y * grid.width + x] = true;
-                }
+    let blocked = &mut scratch.blocked;
+    blocked.clear();
+    blocked.resize(grid.cells(), false);
+    for rect in macro_rects.iter() {
+        for y in rect.y0..=rect.y1 {
+            for x in rect.x0..=rect.x1 {
+                blocked[y * grid.width + x] = true;
             }
         }
-        b
-    };
+    }
     let free_cells = blocked.iter().filter(|&&b| !b).count().max(1);
 
     // 2. Cluster anchors on free sites.
-    let mut anchors: Vec<(f64, f64)> = Vec::with_capacity(netlist.cluster_count);
+    let anchors = &mut scratch.anchors;
+    anchors.clear();
     for _ in 0..netlist.cluster_count {
         let mut x;
         let mut y;
@@ -240,8 +294,11 @@ pub fn place(netlist: &Netlist, config: &PlacementConfig) -> Result<Placement, E
     //    (denser targets cluster harder, like high-utilization runs).
     let spread =
         (grid.width.min(grid.height) as f64) * (0.10 + 0.22 * (1.0 - config.target_density as f64));
-    let mut xs = vec![0u16; netlist.cells.len()];
-    let mut ys = vec![0u16; netlist.cells.len()];
+    let (xs, ys) = (&mut out.x, &mut out.y);
+    for coords in [&mut *xs, &mut *ys] {
+        coords.clear();
+        coords.resize(netlist.cells.len(), 0);
+    }
     let mut macro_rect_iter = macro_rects.iter();
     for cell in &netlist.cells {
         let i = cell.id.0 as usize;
@@ -287,9 +344,18 @@ pub fn place(netlist: &Netlist, config: &PlacementConfig) -> Result<Placement, E
     let capacity = ((std_cells as f64 / free_cells as f64) / config.target_density as f64)
         .ceil()
         .max(1.0) as usize;
+    let (bin_count, bin_top, below) = (
+        &mut scratch.bin_count,
+        &mut scratch.bin_top,
+        &mut scratch.below,
+    );
+    below.clear();
+    below.resize(netlist.cells.len(), NO_CELL);
     for _ in 0..config.spread_iterations {
-        let mut bin_count = vec![0usize; grid.cells()];
-        let mut bin_members: Vec<Vec<usize>> = vec![Vec::new(); grid.cells()];
+        bin_count.clear();
+        bin_count.resize(grid.cells(), 0);
+        bin_top.clear();
+        bin_top.resize(grid.cells(), NO_CELL);
         for cell in &netlist.cells {
             if cell.is_macro {
                 continue;
@@ -297,7 +363,8 @@ pub fn place(netlist: &Netlist, config: &PlacementConfig) -> Result<Placement, E
             let i = cell.id.0 as usize;
             let b = ys[i] as usize * grid.width + xs[i] as usize;
             bin_count[b] += 1;
-            bin_members[b].push(i);
+            below[i] = bin_top[b];
+            bin_top[b] = cell.id.0;
         }
         let mut moved = false;
         for by in 0..grid.height {
@@ -328,13 +395,17 @@ pub fn place(netlist: &Netlist, config: &PlacementConfig) -> Result<Placement, E
                     if n_count + 1 >= bin_count[b] {
                         break; // No improvement possible.
                     }
-                    let cell = bin_members[b].pop().expect("overfull bin has members");
+                    // The cell that entered the bin last leaves first.
+                    let cell = bin_top[b] as usize;
+                    assert!(cell < below.len(), "overfull bin has members");
+                    bin_top[b] = below[cell];
                     xs[cell] = nx as u16;
                     ys[cell] = ny as u16;
                     bin_count[b] -= 1;
                     let nb = ny * grid.width + nx;
                     bin_count[nb] += 1;
-                    bin_members[nb].push(cell);
+                    below[cell] = bin_top[nb];
+                    bin_top[nb] = cell as u32;
                     moved = true;
                 }
             }
@@ -343,13 +414,7 @@ pub fn place(netlist: &Netlist, config: &PlacementConfig) -> Result<Placement, E
             break;
         }
     }
-
-    Ok(Placement {
-        grid,
-        x: xs,
-        y: ys,
-        macro_rects,
-    })
+    Ok(())
 }
 
 #[cfg(test)]

@@ -84,7 +84,7 @@ use rte_tensor::Tensor;
 
 use crate::corpus::{build_jobs, placement_sample, synthesize_design};
 use crate::corpus::{ClientSpec, CorpusConfig, Split, PAPER_CLIENTS};
-use crate::dataset::Sample;
+use crate::dataset::{GenScratch, Sample};
 use crate::placement::GridDims;
 use crate::{EdaError, Family, ShardError};
 
@@ -1554,7 +1554,7 @@ impl CorpusWriter {
         let (design_jobs, placement_jobs) = build_jobs(specs, config);
         // Phase 1: all netlists (74 at paper scale — small), parallel
         // over designs, exactly as the in-memory generator does it.
-        let netlists = map_with(
+        let designs = map_with(
             self.parallelism,
             &design_jobs,
             || (),
@@ -1568,11 +1568,11 @@ impl CorpusWriter {
         for (spec_i, spec) in specs.iter().enumerate() {
             let mut per_split = Vec::with_capacity(2);
             for split in Split::ALL {
-                let designs: Vec<String> = design_jobs
+                let names: Vec<String> = design_jobs
                     .iter()
-                    .zip(netlists.iter())
+                    .zip(designs.iter())
                     .filter(|(job, _)| job.spec_i == spec_i && job.split == split)
-                    .map(|(_, nl)| nl.name.clone())
+                    .map(|(_, design)| design.netlist.name.clone())
                     .collect();
                 let meta = ShardMeta {
                     seed: config.seed,
@@ -1582,7 +1582,7 @@ impl CorpusWriter {
                     grid: config.grid,
                     channels: crate::features::FEATURE_CHANNELS,
                     placement_scale: config.placement_scale,
-                    designs,
+                    designs: names,
                 };
                 let path = self.dir.join(format!("{}.tmp", meta.file_name()));
                 per_split.push(ShardWriter::create(path, meta)?);
@@ -1597,8 +1597,8 @@ impl CorpusWriter {
             let samples = map_with(
                 self.parallelism,
                 jobs,
-                || (),
-                |(), _, job| placement_sample(specs, config, &netlists, job),
+                GenScratch::new,
+                |scratch, _, job| placement_sample(specs, config, &designs, job, scratch),
             )
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;

@@ -40,12 +40,12 @@ impl DesignStats {
     pub fn from_demand(netlist: &Netlist, placement: &Placement, demand: &DemandMap) -> Self {
         let mut total_hpwl = 0.0f64;
         let mut max_hpwl = 0.0f64;
-        for net in &netlist.nets {
+        for net in netlist.nets.iter() {
             let mut x0 = usize::MAX;
             let mut x1 = 0usize;
             let mut y0 = usize::MAX;
             let mut y1 = 0usize;
-            for c in &net.cells {
+            for c in net.cells {
                 let px = placement.x[c.0 as usize] as usize;
                 let py = placement.y[c.0 as usize] as usize;
                 x0 = x0.min(px);

@@ -26,7 +26,9 @@ use rte_net::{Frame, NetError, Transport};
 use rte_nn::StateDict;
 
 use crate::federation::COORDINATOR;
-use crate::methods::{mean_loss, ClientUpdate, Harness, MethodOutcome, RoundRecord, TrainJob};
+use crate::methods::{
+    mean_loss, ClientUpdate, Deployed, Harness, MethodOutcome, RoundRecord, TrainJob,
+};
 use crate::params::aggregate;
 use crate::resilient::{FaultPolicy, ResilientOutcome, ResumePoint, RoundEvent, RoundHook};
 use crate::secure::{aggregate_masked, MaskedUpdate, SecureConfig};
@@ -514,7 +516,7 @@ pub fn run_link_rounds<T: Transport>(
         let _ = send_message(link, Message::Shutdown, COORDINATOR, exchange.seq);
         exchange.seq += 1;
     }
-    let per_client = harness.eval_global(&global)?;
+    let per_client = harness.eval_final(&Deployed::Global(global), &history)?;
     Ok(ResilientOutcome {
         outcome: MethodOutcome::new(Method::FedProx, per_client, history),
         events: exchange.events,

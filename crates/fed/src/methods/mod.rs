@@ -275,6 +275,23 @@ impl<'a> Harness<'a> {
         }
     }
 
+    /// The reports a finished run's outcome carries. A run that recorded
+    /// its final round (`eval_every > 0`) has already evaluated the
+    /// global state it deploys — the last record *is* that evaluation —
+    /// so it is reused; every other deployment is evaluated here.
+    pub(crate) fn eval_final(
+        &self,
+        deployed: &Deployed,
+        history: &[RoundRecord],
+    ) -> Result<Vec<EvalReport>, FedError> {
+        match (deployed, history.last()) {
+            (Deployed::Global(_), Some(last)) if last.round == self.config.rounds => {
+                Ok(last.per_client.clone())
+            }
+            _ => self.eval_deployed(deployed),
+        }
+    }
+
     /// Tolerantly evaluates a method's final deployment: diverged
     /// clients come back as typed [`FedError::ClientDiverged`] cells in
     /// their slots instead of aborting the evaluation (the scenario
@@ -449,7 +466,7 @@ pub fn run_method(
         _ => {
             let (deployed, history) = deployed_states(method, clients, factory, config)?;
             let harness = Harness::new(clients, factory, config)?;
-            let per_client = harness.eval_deployed(&deployed)?;
+            let per_client = harness.eval_final(&deployed, &history)?;
             Ok(MethodOutcome::new(method, per_client, history))
         }
     }
@@ -555,6 +572,41 @@ mod tests {
             assert_eq!(rec.round, i + 1);
             assert_eq!(rec.per_client_auc.len(), 2);
         }
+    }
+
+    /// With the final round recorded, the outcome reuses that record's
+    /// reports instead of evaluating the same state again: bitwise what
+    /// the separate evaluation of an unrecorded run returns, for both
+    /// methods that deploy the global state and for one that does not.
+    #[test]
+    fn recorded_final_round_is_the_outcome() {
+        let clients = clients(3);
+        let factory = factory();
+        let mut plain = FedConfig::tiny();
+        plain.finetune_steps = 0;
+        let mut recorded = plain.clone();
+        recorded.eval_every = 2;
+        for method in [Method::FedProx, Method::FedProxFinetune, Method::Ifca] {
+            let evaluated = run_method(method, &clients, &factory, &plain).unwrap();
+            let reused = run_method(method, &clients, &factory, &recorded).unwrap();
+            assert!(evaluated.history.is_empty(), "{method}");
+            assert_eq!(
+                reused.history.last().unwrap().round,
+                recorded.rounds,
+                "{method}"
+            );
+            assert_eq!(reused.per_client, evaluated.per_client, "{method}");
+            assert_eq!(
+                reused.average_auc.to_bits(),
+                evaluated.average_auc.to_bits(),
+                "{method}"
+            );
+        }
+        let fedprox = run_method(Method::FedProx, &clients, &factory, &recorded).unwrap();
+        assert_eq!(
+            fedprox.per_client,
+            fedprox.history.last().unwrap().per_client
+        );
     }
 
     #[test]

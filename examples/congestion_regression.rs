@@ -9,7 +9,7 @@
 //! cargo run --release --example congestion_regression
 //! ```
 
-use decentralized_routability::eda::congestion::route_demand;
+use decentralized_routability::eda::congestion::analyse;
 use decentralized_routability::eda::corpus::{CorpusConfig, PAPER_CLIENTS};
 use decentralized_routability::eda::features::{extract_features, FEATURE_CHANNELS};
 use decentralized_routability::eda::netlist::generate_netlist;
@@ -45,10 +45,11 @@ fn regression_client(
                     let mut ps = ds.derive(p as u64 + 1);
                     let config = PlacementConfig::new(16, 16, ps.next_u64());
                     let placement = place(&netlist, &config)?;
-                    let features = extract_features(&netlist, &placement)?;
+                    // One analysis gives the inputs and the regression target.
+                    let analysis = analyse(&netlist, &placement);
+                    let features = extract_features(&analysis)?;
                     // Continuous label: combined demand squashed to [0, 1).
-                    let demand = route_demand(&netlist, &placement);
-                    let combined = demand.combined();
+                    let combined = analysis.demand().combined();
                     let mean = combined.iter().sum::<f64>() / combined.len() as f64;
                     let label: Vec<f32> = combined
                         .iter()

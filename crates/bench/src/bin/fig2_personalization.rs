@@ -5,7 +5,7 @@
 //! figure can be watched doing their job.
 
 use rte_bench::BenchArgs;
-use rte_core::{build_clients, model_factory, run_method_on_clients};
+use rte_core::{build_clients, run_method_on_clients};
 use rte_eda::corpus::generate_corpus;
 use rte_fed::Method;
 use rte_nn::models::ModelKind;
@@ -18,9 +18,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("generating corpus …");
     let corpus = generate_corpus(&config.corpus)?;
     let clients = build_clients(&corpus)?;
-    // Keep `model_factory` linked for users extending this bin to other
-    // estimators.
-    let _ = model_factory(ModelKind::FlNet, config.model_scale);
 
     println!("Figure 2 counterpart: per-round average personalized ROC AUC (FLNet)\n");
     let variants = [

@@ -1,34 +1,43 @@
 //! The synchronous round engine: the paper's collaborative flow (§4.1)
 //! written once.
 //!
-//! Every synchronous FedProx run in the workspace is `run_rounds`:
-//! select the round's participants → *exchange* the global state for
-//! their updates → *aggregate* → record → fire the hook. The two seams
-//! that really differ are parameters:
+//! Every synchronous run of a round-based method in the workspace is
+//! `run_rounds`: select the round's participants → *exchange* each
+//! slot's start state for their updates → *advance* the deployment →
+//! record → fire the hook. The three seams that really differ are
+//! parameters:
 //!
 //! - the `Exchange` — `InProcess` trains the participants on worker
 //!   threads and every update is present; `Links` deploys one shared
-//!   frame per round over `links[k]: Transport` and collects in fixed
-//!   participant order under a [`FaultPolicy`] (deadline, seeded
-//!   retries, stale-frame drain, quorum), logging typed [`RoundEvent`]s,
+//!   frame per distinct start state over `links[k]: Transport` and
+//!   collects in fixed participant order under a [`FaultPolicy`]
+//!   (deadline, seeded retries, stale-frame drain, quorum), logging
+//!   typed [`RoundEvent`]s,
 //! - the `Stage` — `Plain` aggregates `Message::Update`s under
 //!   `FedConfig::aggregation`; `Masked` sums pairwise-masked
-//!   `Message::SecureUpdate`s ([`crate::secure`]).
+//!   `Message::SecureUpdate`s ([`crate::secure`]),
+//! - the `Deployment` — which state slot `k` starts from, how a round's
+//!   updates become the next coordinator state, and the per-client view
+//!   that is recorded and finally deployed. FedProx's one global state
+//!   is the one-state case; FedProx-LG, IFCA, assigned clustering and
+//!   α-sync keep one state per client or per cluster
+//!   ([`crate::methods`]).
 //!
 //! [`crate::methods::fedprox_rounds`] is the in-process configuration
 //! and [`run_link_rounds`] the link-side one; faultless they are
 //! bit-identical (`tests/transport_determinism.rs`), and under seeded
-//! chaos the link side replays bit for bit (contract rule 9).
+//! chaos the link side replays bit for bit (contract rule 9). Resume,
+//! the per-round hook (checkpoints) and the masked stage are properties
+//! of the one-state deployment only.
 
 use std::time::Duration;
 
 use rte_net::{Frame, NetError, Transport};
 use rte_nn::StateDict;
 
+use crate::eval::EvalReport;
 use crate::federation::COORDINATOR;
-use crate::methods::{
-    mean_loss, ClientUpdate, Deployed, Harness, MethodOutcome, RoundRecord, TrainJob,
-};
+use crate::methods::{mean_loss, ClientUpdate, Harness, MethodOutcome, RoundRecord, TrainJob};
 use crate::params::aggregate;
 use crate::resilient::{FaultPolicy, ResilientOutcome, ResumePoint, RoundEvent, RoundHook};
 use crate::secure::{aggregate_masked, MaskedUpdate, SecureConfig};
@@ -152,16 +161,66 @@ impl Stage for Masked {
     }
 }
 
-/// The exchange seam: how one round's global state reaches the
+/// The deployment seam: the coordinator state a run carries between
+/// rounds, seen one client at a time.
+pub(crate) trait Deployment<S: Stage = Plain> {
+    /// Re-derives which state each client takes — before every round
+    /// and once more before the final deploy — and says whether any
+    /// client's view moved. Only IFCA re-picks.
+    fn pick(&mut self, _harness: &Harness<'_>) -> Result<bool, FedError> {
+        Ok(false)
+    }
+
+    /// The state client `k` holds: where its next slot starts (and its
+    /// proximal reference), and its view — what a record evaluates on
+    /// its test split and what it is finally deployed with.
+    fn state(&self, k: usize) -> &StateDict;
+
+    /// Folds a round's updates, in participant order, into the next
+    /// coordinator state (a client absent from the round sends none).
+    fn advance(
+        &mut self,
+        stage: &S,
+        harness: &Harness<'_>,
+        participants: &[usize],
+        updates: Vec<ClientUpdate<S::Update>>,
+    ) -> Result<(), FedError>;
+}
+
+/// The one-state deployment: every client trains from, and is evaluated
+/// with, the one global state the stage aggregates.
+impl<S: Stage> Deployment<S> for StateDict {
+    fn state(&self, _k: usize) -> &StateDict {
+        self
+    }
+
+    fn advance(
+        &mut self,
+        stage: &S,
+        harness: &Harness<'_>,
+        participants: &[usize],
+        updates: Vec<ClientUpdate<S::Update>>,
+    ) -> Result<(), FedError> {
+        *self = stage.aggregate(harness.clients, harness.config, participants, updates)?;
+        Ok(())
+    }
+}
+
+/// The per-client view of `deployment`, in client order.
+fn view<S: Stage>(deployment: &(impl Deployment<S> + ?Sized), clients: usize) -> Vec<&StateDict> {
+    (0..clients).map(|k| deployment.state(k)).collect()
+}
+
+/// The exchange seam: how one round's start states reach the
 /// participants and which of stage `S`'s updates come back.
 pub(crate) trait Exchange<S: Stage> {
-    /// Deploys `global` to `participants` and returns the updates that
-    /// made it, in participant order.
+    /// Deploys `starts[i]` to `participants[i]` and returns the updates
+    /// that made it, in participant order.
     fn round(
         &mut self,
         round: usize,
         participants: &[usize],
-        global: &StateDict,
+        starts: &[&StateDict],
     ) -> Result<Vec<ClientUpdate<S::Update>>, FedError>;
 
     /// The coordinator's frame sequence counter after the last exchange
@@ -170,39 +229,60 @@ pub(crate) trait Exchange<S: Stage> {
 }
 
 /// The one synchronous round loop. Rounds `1..=done` are skipped and
-/// `global` is the state after them: participant selection and the
+/// `deployment` is the state after them: participant selection and the
 /// per-`(round, client)` training streams are derived statelessly from
 /// the config seed, so the remaining rounds are bit-identical to an
-/// uninterrupted run's. `on_round` fires after every aggregated round
-/// with `(round, seq, global state)`; an error from it aborts the run.
-pub(crate) fn run_rounds<S: Stage>(
+/// uninterrupted run's. `on_round` fires after every round with
+/// `(round, seq, deployment)`; an error from it aborts the run.
+pub(crate) fn run_rounds<S: Stage, D: Deployment<S> + ?Sized>(
     harness: &Harness<'_>,
     stage: &S,
     exchange: &mut impl Exchange<S>,
+    deployment: &mut D,
     done: usize,
-    mut global: StateDict,
-    mut on_round: Option<&mut RoundHook<'_>>,
-) -> Result<(StateDict, Vec<RoundRecord>), FedError> {
+    mut on_round: Option<&mut (dyn FnMut(usize, u64, &D) -> Result<(), FedError> + '_)>,
+) -> Result<Vec<RoundRecord>, FedError> {
     let mut history = Vec::new();
     for round in done + 1..=harness.config.rounds {
+        deployment.pick(harness)?;
         let participants = harness.participants(round);
-        let updates = exchange.round(round, &participants, &global)?;
+        let starts: Vec<&StateDict> = participants.iter().map(|&k| deployment.state(k)).collect();
+        let updates = exchange.round(round, &participants, &starts)?;
         let loss = mean_loss(&updates);
-        global = stage.aggregate(harness.clients, harness.config, &participants, updates)?;
+        deployment.advance(stage, harness, &participants, updates)?;
         if harness.should_record(round) {
-            let reports = harness.eval_global(&global)?;
+            let reports = harness.eval_states(&view(deployment, harness.clients.len()))?;
             history.push(RoundRecord::new(round, reports, loss));
         }
         if let Some(hook) = on_round.as_deref_mut() {
-            hook(round, exchange.seq(), &global)?;
+            hook(round, exchange.seq(), deployment)?;
         }
     }
-    Ok((global, history))
+    Ok(history)
+}
+
+/// Evaluates what a finished run deploys, one cell per client (a
+/// diverged client is a [`FedError::ClientDiverged`] cell): each
+/// client's view after a last [`Deployment::pick`]. A run that recorded
+/// its final round with that same view has already evaluated it — the
+/// last record *is* that evaluation — so it is reused.
+pub(crate) fn deploy<S: Stage>(
+    harness: &Harness<'_>,
+    deployment: &mut (impl Deployment<S> + ?Sized),
+    history: &[RoundRecord],
+) -> Result<Vec<Result<EvalReport, FedError>>, FedError> {
+    let moved = deployment.pick(harness)?;
+    match history.last() {
+        Some(last) if last.round == harness.config.rounds && !moved => {
+            Ok(last.per_client.iter().cloned().map(Ok).collect())
+        }
+        _ => harness.eval_cells(&view(deployment, harness.clients.len())),
+    }
 }
 
 /// The in-process exchange: participants train concurrently on the
-/// harness' worker threads, each from its own deployed copy of the
-/// global parameters, and every update is present.
+/// harness' worker threads, each from its own deployed copy of its
+/// start state, and every update is present.
 pub(crate) struct InProcess<'h, 'a>(pub &'h Harness<'a>);
 
 impl Exchange<Plain> for InProcess<'_, '_> {
@@ -210,14 +290,15 @@ impl Exchange<Plain> for InProcess<'_, '_> {
         &mut self,
         round: usize,
         participants: &[usize],
-        global: &StateDict,
+        starts: &[&StateDict],
     ) -> Result<Vec<ClientUpdate>, FedError> {
         let jobs: Vec<TrainJob<'_>> = participants
             .iter()
-            .map(|&k| TrainJob {
-                client: k,
-                start: global,
-                reference: Some(global),
+            .zip(starts)
+            .map(|(&client, &start)| TrainJob {
+                client,
+                start,
+                reference: Some(start),
             })
             .collect();
         self.0
@@ -329,29 +410,39 @@ impl<T: Transport, S: Stage> Exchange<S> for Links<'_, T> {
         &mut self,
         round: usize,
         participants: &[usize],
-        global: &StateDict,
+        starts: &[&StateDict],
     ) -> Result<Vec<ClientUpdate<S::Update>>, FedError> {
         let part_ids: Vec<u32> = participants.iter().map(|&k| k as u32).collect();
-        // The round's deploy, encoded and checksummed once: every send
-        // — first wave and retries — shares this payload and differs
-        // only in `seq`.
-        let mut deploy = deploy_frame(
-            round as u64,
-            self.steps,
-            &part_ids,
-            global,
-            COORDINATOR,
-            self.seq,
-        );
+        // One deploy per distinct start state (a global round has one),
+        // encoded and checksummed once: every send of it — first wave
+        // and retries — shares the payload and differs only in `seq`.
+        let mut deploys: Vec<(&StateDict, Frame)> = Vec::new();
+        let mut slot_deploy = Vec::with_capacity(starts.len());
+        for &start in starts {
+            let known = deploys.iter().position(|(s, _)| std::ptr::eq(*s, start));
+            slot_deploy.push(known.unwrap_or_else(|| {
+                let frame = deploy_frame(
+                    round as u64,
+                    self.steps,
+                    &part_ids,
+                    start,
+                    COORDINATOR,
+                    self.seq,
+                );
+                deploys.push((start, frame));
+                deploys.len() - 1
+            }));
+        }
         // First deploy wave, then the collect phase, both in fixed
         // participant order.
         let unsent: Vec<Option<String>> = participants
             .iter()
-            .map(|&k| self.deploy(k, &mut deploy))
+            .zip(&slot_deploy)
+            .map(|(&k, &i)| self.deploy(k, &mut deploys[i].1))
             .collect();
         let mut updates = Vec::with_capacity(participants.len());
-        for (&k, failure) in participants.iter().zip(unsent) {
-            updates.extend(self.collect::<S>(round, k, &mut deploy, failure)?);
+        for ((&k, &i), failure) in participants.iter().zip(&slot_deploy).zip(unsent) {
+            updates.extend(self.collect::<S>(round, k, &mut deploys[i].1, failure)?);
         }
         let mut need = self.policy.min_quorum.max(1);
         if S::FULL_SET {
@@ -480,7 +571,7 @@ pub fn run_link_rounds<T: Transport>(
         });
     }
     let mut harness = Harness::new(clients, factory, config)?;
-    let (done, seq, global) = match resume {
+    let (done, seq, mut global) = match resume {
         Some(point) if point.round >= config.rounds => {
             return Err(FedError::InvalidConfig {
                 reason: format!(
@@ -500,14 +591,14 @@ pub fn run_link_rounds<T: Transport>(
         events: Vec::new(),
         retries: 0,
     };
-    let (global, history) = match secure {
-        None => run_rounds(&harness, &Plain, &mut exchange, done, global, on_round)?,
+    let history = match secure {
+        None => run_rounds(&harness, &Plain, &mut exchange, &mut global, done, on_round)?,
         Some(cfg) => run_rounds(
             &harness,
             &Masked(cfg),
             &mut exchange,
+            &mut global,
             done,
-            global,
             on_round,
         )?,
     };
@@ -516,11 +607,132 @@ pub fn run_link_rounds<T: Transport>(
         let _ = send_message(link, Message::Shutdown, COORDINATOR, exchange.seq);
         exchange.seq += 1;
     }
-    let per_client = harness.eval_final(&Deployed::Global(global), &history)?;
+    let per_client = deploy::<Plain>(&harness, &mut global, &history)?
+        .into_iter()
+        .collect::<Result<_, _>>()?;
     Ok(ResilientOutcome {
         outcome: MethodOutcome::new(Method::FedProx, per_client, history),
         events: exchange.events,
         retries: exchange.retries,
         completed_rounds: config.rounds,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::federation::local_links;
+    use crate::methods::test_support::{clients, factory};
+    use crate::methods::{deployment, run_method};
+    use crate::wire::KIND_DEPLOY;
+    use crate::LocalLink;
+
+    /// A `LocalLink` that keeps every frame the coordinator sent it.
+    struct Recording<'a> {
+        inner: LocalLink<'a>,
+        sent: Vec<Frame>,
+    }
+
+    impl Transport for Recording<'_> {
+        fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
+            self.sent.push(frame.clone());
+            self.inner.send(frame)
+        }
+
+        fn recv(&mut self) -> Result<Frame, NetError> {
+            self.inner.recv()
+        }
+
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame, NetError> {
+            self.inner.recv_timeout(timeout)
+        }
+    }
+
+    /// `method`'s deployment through the engine over recording links,
+    /// deployed like [`run_method`] deploys it.
+    fn over_links<'a>(
+        method: Method,
+        clients: &'a [Client],
+        factory: &ModelFactory,
+        config: &'a FedConfig,
+    ) -> (MethodOutcome, Vec<Recording<'a>>) {
+        let mut links: Vec<Recording<'_>> = local_links(clients, factory, config, None)
+            .unwrap()
+            .into_iter()
+            .map(|inner| Recording {
+                inner,
+                sent: Vec::new(),
+            })
+            .collect();
+        let mut harness = Harness::new(clients, factory, config).unwrap();
+        let mut deployment = deployment(method, &mut harness).unwrap();
+        let policy = FaultPolicy::default();
+        let mut exchange = Links {
+            links: &mut links,
+            policy: &policy,
+            steps: config.local_steps as u64,
+            seq: 0,
+            events: Vec::new(),
+            retries: 0,
+        };
+        let history = run_rounds(
+            &harness,
+            &Plain,
+            &mut exchange,
+            deployment.as_mut(),
+            0,
+            None,
+        )
+        .unwrap();
+        let cells = deploy(&harness, deployment.as_mut(), &history).unwrap();
+        let per_client = cells.into_iter().collect::<Result<_, _>>().unwrap();
+        (MethodOutcome::new(method, per_client, history), links)
+    }
+
+    /// Personalization over a wire: a per-client and a per-cluster
+    /// deployment run through the link exchange bit for bit like in
+    /// process, every round's record included, with every client present
+    /// and with clients sitting rounds out.
+    #[test]
+    fn personalized_deployments_over_links_match_in_process_bitwise() {
+        let clients = clients(4);
+        let factory = factory();
+        for participation in [1.0, 0.5] {
+            let mut config = FedConfig::tiny();
+            (config.rounds, config.eval_every) = (3, 1);
+            config.participation = participation;
+            config.assigned_clusters = vec![vec![0, 2], vec![1, 3]];
+            for method in [Method::AssignedClustering, Method::AlphaSync] {
+                let (wired, _) = over_links(method, &clients, &factory, &config);
+                let in_process = run_method(method, &clients, &factory, &config).unwrap();
+                assert_eq!(wired.history.len(), config.rounds);
+                assert_eq!(wired, in_process, "{method}, participation {participation}");
+            }
+        }
+    }
+
+    /// Two clusters, two start states a round: two deploy payloads are
+    /// encoded, and each cluster's members share theirs.
+    #[test]
+    fn two_clusters_encode_two_deploy_payloads_a_round() {
+        let clients = clients(4);
+        let factory = factory();
+        let mut config = FedConfig::tiny();
+        config.assigned_clusters = vec![vec![0, 2], vec![1, 3]];
+        let (_, links) = over_links(Method::AssignedClustering, &clients, &factory, &config);
+        for link in &links {
+            assert_eq!(link.sent.len(), config.rounds);
+            assert!(link.sent.iter().all(|frame| frame.kind == KIND_DEPLOY));
+        }
+        for round in 0..config.rounds {
+            let payload = |k: usize| links[k].sent[round].payload.as_ptr();
+            assert_eq!(payload(0), payload(2), "round {round}: cluster 0");
+            assert_eq!(payload(1), payload(3), "round {round}: cluster 1");
+            assert_ne!(
+                payload(0),
+                payload(1),
+                "round {round}: one payload per cluster"
+            );
+        }
+    }
 }

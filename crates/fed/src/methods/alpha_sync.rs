@@ -7,80 +7,64 @@
 
 use rte_nn::StateDict;
 
-use crate::methods::{mean_loss, Deployed, Harness, RoundRecord, TrainJob};
+use crate::engine::{Deployment, Plain};
+use crate::methods::{ClientUpdate, Harness};
 use crate::params::{aggregate, blend};
-use crate::{Client, FedConfig, FedError, ModelFactory};
+use crate::FedError;
 
-pub(crate) fn deployed(
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-) -> Result<(Deployed, Vec<RoundRecord>), FedError> {
-    let mut harness = Harness::new(clients, factory, config)?;
-    let init = harness.initial_state();
-    let mut personalized: Vec<StateDict> = vec![init; clients.len()];
-    let mut history = Vec::new();
+/// α-sync's deployment: one personalized aggregate per client, where it
+/// trains from and what it is evaluated with.
+pub(super) struct AlphaSync(pub(super) Vec<StateDict>);
 
-    for round in 1..=config.rounds {
-        // The round's participants train from their own personalized
-        // aggregates; the per-client blending below stays on the
-        // coordinator thread. A client that sat the round out stands in
-        // with its previous personalized model (the developer's last
-        // known parameters for it).
-        let jobs: Vec<TrainJob<'_>> = harness
-            .participants(round)
-            .into_iter()
-            .map(|k| TrainJob {
-                client: k,
-                start: &personalized[k],
-                reference: Some(&personalized[k]),
-            })
-            .collect();
-        let updates = harness.train_clients(&jobs, round, config.local_steps)?;
-        let round_loss = mean_loss(&updates);
-        let mut latest: Vec<Option<StateDict>> = vec![None; clients.len()];
-        for update in updates {
-            latest[update.client] = Some(update.state);
-        }
-        let locals: Vec<&StateDict> = latest
-            .iter()
-            .zip(personalized.iter())
-            .map(|(fresh, previous)| fresh.as_ref().unwrap_or(previous))
-            .collect();
-        // Personalized aggregation per client.
-        let mut next: Vec<StateDict> = Vec::with_capacity(clients.len());
-        for k in 0..clients.len() {
-            let others: Vec<(&StateDict, f64)> = locals
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != k)
-                .map(|(j, sd)| (*sd, clients[j].weight() as f64))
-                .collect();
-            let blended = if others.is_empty() {
-                locals[k].clone()
-            } else {
-                let rest = aggregate(&others, config.aggregation)?;
-                blend(locals[k], &rest, config.alpha)?
-            };
-            next.push(blended);
-        }
-        personalized = next;
-        if harness.should_record(round) {
-            let reports = harness.eval_personalized(&personalized)?;
-            history.push(RoundRecord::new(round, reports, round_loss));
-        }
+impl Deployment for AlphaSync {
+    fn state(&self, k: usize) -> &StateDict {
+        &self.0[k]
     }
 
-    Ok((Deployed::PerClient(personalized), history))
+    /// Per-client blending on the coordinator thread. A client that sat
+    /// the round out stands in with its previous personalized model (the
+    /// developer's last known parameters for it).
+    fn advance(
+        &mut self,
+        _stage: &Plain,
+        harness: &Harness<'_>,
+        _participants: &[usize],
+        updates: Vec<ClientUpdate>,
+    ) -> Result<(), FedError> {
+        let (clients, config) = (harness.clients, harness.config);
+        let mut locals: Vec<&StateDict> = self.0.iter().collect();
+        for update in &updates {
+            locals[update.client] = &update.state;
+        }
+        let next = (0..clients.len())
+            .map(|k| {
+                let others: Vec<(&StateDict, f64)> = locals
+                    .iter()
+                    .enumerate()
+                    .filter(|(j, _)| *j != k)
+                    .map(|(j, sd)| (*sd, clients[j].weight() as f64))
+                    .collect();
+                if others.is_empty() {
+                    return Ok(locals[k].clone());
+                }
+                blend(
+                    locals[k],
+                    &aggregate(&others, config.aggregation)?,
+                    config.alpha,
+                )
+            })
+            .collect::<Result<_, FedError>>()?;
+        self.0 = next;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::run_method;
     use crate::methods::test_support::{clients, factory};
-    use crate::params::l2_distance_sq;
-    use crate::Method;
+    use crate::methods::{rounds, run_method};
+    use crate::{ClientSession, FedConfig, Method};
 
     #[test]
     fn clients_end_with_different_models() {
@@ -102,10 +86,24 @@ mod tests {
         config.alpha = 1.0;
         config.mu = 0.0;
         // α = 1: each personalized model never mixes in other clients, so
-        // the outcome must equal two independent local trainings with the
-        // same per-round step schedule.
-        let outcome = run_method(Method::AlphaSync, &clients, &factory, &config).unwrap();
-        assert!(outcome.per_client_auc.iter().all(|a| a.is_finite()));
+        // it must equal the client's own local training chained over the
+        // same per-round step schedule — by value, since `1·w + 0·rest`
+        // turns a −0.0 into +0.0.
+        let mut harness = Harness::new(&clients, &factory, &config).unwrap();
+        let init = harness.initial_state();
+        let mut alpha = AlphaSync(vec![init.clone(); 2]);
+        rounds(&harness, &mut alpha).unwrap();
+        for (k, deployed) in alpha.0.iter().enumerate() {
+            let mut session = ClientSession::new(&clients, k, &factory, &config, None).unwrap();
+            let mut local = init.clone();
+            for round in 1..=config.rounds as u64 {
+                local = session
+                    .train_slot(round, config.local_steps, &local)
+                    .unwrap()
+                    .0;
+            }
+            assert!(*deployed == local, "client {k}");
+        }
     }
 
     #[test]
@@ -123,6 +121,5 @@ mod tests {
         let o1 = run_method(Method::AlphaSync, &clients, &factory, &c1).unwrap();
         // Not asserting which is better — only that α matters.
         assert_ne!(o0.per_client_auc, o1.per_client_auc);
-        let _ = l2_distance_sq; // silence unused import in cfg(test)
     }
 }

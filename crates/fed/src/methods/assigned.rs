@@ -3,82 +3,36 @@
 //! the paper, the benchmark-suite grouping {1-3}, {4-6}, {7-8}, {9}.
 //! Within a cluster this is plain FedProx.
 
-use rte_nn::StateDict;
+use crate::methods::ifca::Clusters;
+use crate::methods::Harness;
+use crate::FedError;
 
-use crate::methods::{mean_loss, Deployed, Harness, RoundRecord, TrainJob};
-use crate::params::aggregate;
-use crate::{Client, FedConfig, FedError, ModelFactory};
-
-pub(crate) fn deployed(
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-) -> Result<(Deployed, Vec<RoundRecord>), FedError> {
-    config.validate_assignment(clients.len())?;
-    let mut harness = Harness::new(clients, factory, config)?;
+/// Assigned clustering's configuration of [`Clusters`]: the assignment
+/// read from `assigned_clusters` and never re-picked, every cluster
+/// starting from the one shared initialization (unlike IFCA there is no
+/// symmetry to break — membership is fixed).
+pub(super) fn clusters(harness: &mut Harness<'_>) -> Result<Clusters, FedError> {
+    let config = harness.config;
+    config.validate_assignment(harness.clients.len())?;
     let groups = &config.assigned_clusters;
-    // All clusters share one initialization (unlike IFCA there is no
-    // symmetry to break — membership is fixed).
-    let init = harness.initial_state();
-    let mut cluster_models: Vec<StateDict> = vec![init; groups.len()];
-    // client -> cluster lookup.
-    let mut cluster_of = vec![0usize; clients.len()];
+    let mut of = vec![0; harness.clients.len()];
     for (c, group) in groups.iter().enumerate() {
         for &k in group {
-            cluster_of[k] = c;
+            of[k] = c;
         }
     }
-    let mut history = Vec::new();
-
-    for round in 1..=config.rounds {
-        // Within-cluster FedProx: the round's participants train in
-        // parallel, the per-cluster grouping below runs in client order.
-        // A cluster whose members all dropped out keeps its model.
-        let jobs: Vec<TrainJob<'_>> = harness
-            .participants(round)
-            .into_iter()
-            .map(|k| TrainJob {
-                client: k,
-                start: &cluster_models[cluster_of[k]],
-                reference: Some(&cluster_models[cluster_of[k]]),
-            })
-            .collect();
-        let trained = harness.train_clients(&jobs, round, config.local_steps)?;
-        let round_loss = mean_loss(&trained);
-        let mut updates: Vec<Vec<(StateDict, f64)>> = vec![Vec::new(); groups.len()];
-        for update in trained {
-            let c = cluster_of[update.client];
-            updates[c].push((update.state, clients[update.client].weight() as f64));
-        }
-        for (c, cluster_updates) in updates.iter().enumerate() {
-            if cluster_updates.is_empty() {
-                continue;
-            }
-            let refs: Vec<(&StateDict, f64)> =
-                cluster_updates.iter().map(|(sd, w)| (sd, *w)).collect();
-            cluster_models[c] = aggregate(&refs, config.aggregation)?;
-        }
-        if harness.should_record(round) {
-            let per_client: Vec<&StateDict> =
-                cluster_of.iter().map(|&c| &cluster_models[c]).collect();
-            let reports = harness.eval_states(&per_client)?;
-            history.push(RoundRecord::new(round, reports, round_loss));
-        }
-    }
-
-    let per_client: Vec<StateDict> = cluster_of
-        .iter()
-        .map(|&c| cluster_models[c].clone())
-        .collect();
-    Ok((Deployed::PerClient(per_client), history))
+    Ok(Clusters {
+        models: vec![harness.initial_state(); groups.len()],
+        of,
+        repick: false,
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::methods::run_method;
     use crate::methods::test_support::{clients, factory};
-    use crate::Method;
+    use crate::{FedConfig, Method};
 
     #[test]
     fn respects_fixed_assignment() {

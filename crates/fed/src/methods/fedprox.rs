@@ -8,14 +8,14 @@
 
 use rte_nn::StateDict;
 
-use crate::engine::{run_rounds, InProcess, Plain};
-use crate::methods::{Deployed, Harness, RoundRecord};
+use crate::methods::{rounds, Harness, RoundRecord};
 use crate::{Client, FedConfig, FedError, ModelFactory};
 
 /// Runs the FedProx round loop and returns the final global state dict
 /// plus any recorded history — the round engine ([`crate::engine`]) on
-/// its in-process exchange and plain aggregation stage. Shared by
-/// FedProx itself, FedProx + fine-tuning, and the convergence figure.
+/// its in-process exchange, plain aggregation stage and one-state
+/// deployment, for callers that want the global state itself (the
+/// convergence figure, the deployment examples).
 ///
 /// # Errors
 ///
@@ -26,17 +26,9 @@ pub fn fedprox_rounds(
     config: &FedConfig,
 ) -> Result<(StateDict, Vec<RoundRecord>), FedError> {
     let mut harness = Harness::new(clients, factory, config)?;
-    let global = harness.initial_state();
-    run_rounds(&harness, &Plain, &mut InProcess(&harness), 0, global, None)
-}
-
-pub(crate) fn deployed(
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-) -> Result<(Deployed, Vec<RoundRecord>), FedError> {
-    let (global, history) = fedprox_rounds(clients, factory, config)?;
-    Ok((Deployed::Global(global), history))
+    let mut global = harness.initial_state();
+    let history = rounds(&harness, &mut global)?;
+    Ok((global, history))
 }
 
 #[cfg(test)]

@@ -3,46 +3,37 @@
 //! for `S'` extra steps without the decentralized restrictions. The
 //! paper's best personalization method (Table 3: 0.80 average).
 
-use crate::methods::fedprox::fedprox_rounds;
-use crate::methods::{Deployed, Harness, RoundRecord, TrainJob};
-use crate::{Client, FedConfig, FedError, ModelFactory};
+use rte_nn::StateDict;
 
-pub(crate) fn deployed(
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-) -> Result<(Deployed, Vec<RoundRecord>), FedError> {
-    let (global, history) = fedprox_rounds(clients, factory, config)?;
-    // `S' = 0` degenerates to plain FedProx: skip the training pass
-    // entirely (LocalTrainer rejects zero-step runs) and deploy the
-    // global model as-is.
-    if config.finetune_steps == 0 {
-        return Ok((Deployed::Global(global), history));
-    }
-    let mut harness = Harness::new(clients, factory, config)?;
+use crate::methods::{Cells, Harness, TrainJob};
+use crate::FedError;
+
+/// Every client fine-tunes FedProx's final `global` model on its own
+/// data for `S'` steps, and is evaluated with the result.
+pub(super) fn finetune(harness: &mut Harness<'_>, global: &StateDict) -> Result<Cells, FedError> {
+    let config = harness.config;
     // Fine-tuning happens outside the decentralized setting: no proximal
     // pull (the paper notes "such finetuning process is no longer under
     // the decentralized setting").
     harness.trainer.mu = 0.0;
-    let jobs: Vec<TrainJob<'_>> = (0..clients.len())
+    let jobs: Vec<TrainJob<'_>> = (0..harness.clients.len())
         .map(|k| TrainJob {
             client: k,
-            start: &global,
+            start: global,
             reference: None,
         })
         .collect();
     let tuned = harness.train_clients(&jobs, config.rounds + 1, config.finetune_steps)?;
     // Updates come back in job order == client order.
-    let states: Vec<rte_nn::StateDict> = tuned.into_iter().map(|u| u.state).collect();
-    Ok((Deployed::PerClient(states), history))
+    let states: Vec<&StateDict> = tuned.iter().map(|u| &u.state).collect();
+    harness.eval_cells(&states)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::methods::run_method;
     use crate::methods::test_support::{clients, factory};
-    use crate::Method;
+    use crate::{FedConfig, Method};
 
     #[test]
     fn finetuning_runs_and_scores_all_clients() {

@@ -1,85 +1,117 @@
 //! Iterative Federated Clustering Algorithm (§4.3, after Ghosh et al.):
 //! `C` cluster models, each client picks the cluster whose model has the
 //! lowest loss on its training data, trains it, and the developer
-//! aggregates per cluster. The clustering is re-derived every round.
-//! Both halves of the round — selection and training — run clients on
-//! worker threads.
+//! aggregates per cluster. The clustering is re-derived every round and
+//! once more at deploy time. Both halves of the round — selection and
+//! training — run clients on worker threads.
+//!
+//! [`Clusters`] is the engine configuration IFCA shares with assigned
+//! clustering (`assigned`), which fixes the assignment instead. IFCA
+//! stays in process: its pick reads every client's training loss on
+//! the coordinator, which no wire message carries.
 
-use rte_nn::StateDict;
+use rte_nn::{load_state_dict, state_dict, StateDict};
 
-use crate::methods::{mean_loss, Deployed, Harness, RoundRecord, TrainJob};
-use crate::params::aggregate;
-use crate::{Client, FedConfig, FedError, ModelFactory};
+use crate::engine::{Deployment, Plain, Stage};
+use crate::methods::{ClientUpdate, Harness};
+use crate::FedError;
 
-pub(crate) fn deployed(
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-) -> Result<(Deployed, Vec<RoundRecord>), FedError> {
-    config.validate_clusters(clients.len())?;
-    let harness = Harness::new(clients, factory, config)?;
-    // One model per cluster, each with its own initialization (IFCA needs
-    // distinct starting points for the clustering to break symmetry).
-    let mut cluster_models: Vec<StateDict> = (0..config.clusters)
-        .map(|c| {
-            let mut model = factory(config.seed.wrapping_add(1 + c as u64));
-            rte_nn::state_dict(model.as_mut())
+/// One model per cluster; client `k` starts from, and is evaluated
+/// with, `models[of[k]]`. Each cluster aggregates its own members'
+/// updates, and a cluster none of whose members took part in a round
+/// keeps its model.
+pub(super) struct Clusters {
+    pub(super) models: Vec<StateDict>,
+    pub(super) of: Vec<usize>,
+    /// Re-pick `of` by training loss before every round and at deploy
+    /// (IFCA); otherwise `of` is fixed.
+    pub(super) repick: bool,
+}
+
+impl Clusters {
+    /// IFCA's configuration: one model per cluster, each with its own
+    /// initialization (distinct starting points break the clustering's
+    /// symmetry), the assignment re-picked.
+    pub(super) fn ifca(harness: &Harness<'_>) -> Result<Self, FedError> {
+        let config = harness.config;
+        config.validate_clusters(harness.clients.len())?;
+        let init = |c: u64| state_dict((harness.factory)(config.seed.wrapping_add(1 + c)).as_mut());
+        Ok(Clusters {
+            models: (0..config.clusters as u64).map(init).collect(),
+            of: vec![0; harness.clients.len()],
+            repick: true,
         })
-        .collect();
-    let mut history = Vec::new();
+    }
+}
 
-    for round in 1..=config.rounds {
-        // 1. Cluster selection by training loss, clients in parallel.
-        let choice = harness.pick_clusters(&cluster_models)?;
-        // 2. Local training of the chosen cluster model, the round's
-        // participants in parallel; per-cluster grouping happens
-        // afterwards in client order so aggregation stays deterministic.
-        // (Selection is forward-only, so it runs for everyone; dropout
-        // only gates who trains and sends an update.)
-        let jobs: Vec<TrainJob<'_>> = harness
-            .participants(round)
-            .into_iter()
-            .map(|k| TrainJob {
-                client: k,
-                start: &cluster_models[choice[k]],
-                reference: Some(&cluster_models[choice[k]]),
-            })
-            .collect();
-        let trained = harness.train_clients(&jobs, round, config.local_steps)?;
-        let round_loss = mean_loss(&trained);
-        let mut updates: Vec<Vec<(StateDict, f64)>> = vec![Vec::new(); config.clusters];
-        for update in trained {
-            let c = choice[update.client];
-            updates[c].push((update.state, clients[update.client].weight() as f64));
+impl Deployment for Clusters {
+    /// For every client, `argmin_c L_k(W_c)` over the cluster models on
+    /// worker threads (forward-only, read-only per client, and run for
+    /// every client whether or not it takes part in the round). Ties
+    /// break towards the lower cluster index, and each worker iterates
+    /// clusters in order, so the pick is identical for every thread
+    /// count.
+    fn pick(&mut self, harness: &Harness<'_>) -> Result<bool, FedError> {
+        if !self.repick {
+            return Ok(false);
         }
-        // 3. Per-cluster aggregation; empty clusters keep their model.
-        for (c, cluster_updates) in updates.iter().enumerate() {
-            if cluster_updates.is_empty() {
-                continue;
-            }
-            let refs: Vec<(&StateDict, f64)> =
-                cluster_updates.iter().map(|(sd, w)| (sd, *w)).collect();
-            cluster_models[c] = aggregate(&refs, config.aggregation)?;
-        }
-        if harness.should_record(round) {
-            let per_client: Vec<&StateDict> = choice.iter().map(|&c| &cluster_models[c]).collect();
-            let reports = harness.eval_states(&per_client)?;
-            history.push(RoundRecord::new(round, reports, round_loss));
-        }
+        // Borrowed piecewise: the harness' scratch model is not shared
+        // with the workers.
+        let (clients, factory, trainer) = (harness.clients, harness.factory, &harness.trainer);
+        let (models, seed) = (&self.models, harness.config.seed);
+        let ks: Vec<usize> = (0..clients.len()).collect();
+        let of = rte_tensor::parallel::map_with(
+            harness.config.parallelism,
+            &ks,
+            || factory(seed),
+            |model, _, &k| -> Result<usize, FedError> {
+                let mut best = (0usize, f32::INFINITY);
+                for (c, sd) in models.iter().enumerate() {
+                    load_state_dict(model.as_mut(), sd)?;
+                    let loss = trainer.eval_loss(model.as_mut(), &clients[k].train)?;
+                    if loss < best.1 {
+                        best = (c, loss);
+                    }
+                }
+                Ok(best.0)
+            },
+        )
+        .into_iter()
+        .collect::<Result<Vec<usize>, FedError>>()?;
+        let moved = of != self.of;
+        self.of = of;
+        Ok(moved)
     }
 
-    // Deploy: each client re-picks its best cluster.
-    let choice = harness.pick_clusters(&cluster_models)?;
-    let per_client: Vec<StateDict> = choice.iter().map(|&c| cluster_models[c].clone()).collect();
-    Ok((Deployed::PerClient(per_client), history))
+    fn state(&self, k: usize) -> &StateDict {
+        &self.models[self.of[k]]
+    }
+
+    fn advance(
+        &mut self,
+        stage: &Plain,
+        harness: &Harness<'_>,
+        participants: &[usize],
+        updates: Vec<ClientUpdate>,
+    ) -> Result<(), FedError> {
+        let mut members: Vec<Vec<ClientUpdate>> = self.models.iter().map(|_| Vec::new()).collect();
+        for update in updates {
+            members[self.of[update.client]].push(update);
+        }
+        for (model, members) in self.models.iter_mut().zip(members) {
+            if !members.is_empty() {
+                *model = stage.aggregate(harness.clients, harness.config, participants, members)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::methods::run_method;
     use crate::methods::test_support::{clients, factory};
-    use crate::Method;
+    use crate::{FedConfig, Method};
 
     #[test]
     fn runs_with_more_clusters_than_needed() {

@@ -5,9 +5,10 @@
 
 use rte_nn::StateDict;
 
-use crate::methods::{mean_loss, Deployed, Harness, RoundRecord, TrainJob};
-use crate::params::{aggregate, apply_updates, partition};
-use crate::{Client, FedConfig, FedError, ModelFactory};
+use crate::engine::{Deployment, Plain, Stage};
+use crate::methods::{ClientUpdate, Harness};
+use crate::params::{apply_updates, partition};
+use crate::FedError;
 
 /// The paper sets "the output layers of the three models to be the local
 /// part" — all three model zoo members name theirs `output_conv`.
@@ -15,89 +16,76 @@ fn is_local(name: &str) -> bool {
     name.starts_with("output_conv")
 }
 
-pub(crate) fn deployed(
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-) -> Result<(Deployed, Vec<RoundRecord>), FedError> {
-    let mut harness = Harness::new(clients, factory, config)?;
-    let init = harness.initial_state();
-    let (init_local, init_global) = partition(&init, is_local);
-    let mut global_part = init_global;
-    let mut local_parts: Vec<StateDict> = vec![init_local; clients.len()];
-    let mut history = Vec::new();
+/// FedProx-LG's deployment: one composite `{G^r, l_k}` per client, both
+/// where the client starts (and what it is proximally pulled towards,
+/// matching Fig. 2a's objective) and what it is evaluated with.
+pub(super) struct Lg(pub(super) Vec<StateDict>);
 
-    for round in 1..=config.rounds {
-        // Compose {G^r, l_k} per client as both the start point and the
-        // proximal reference (matching Fig. 2a's objective), then train
-        // the round's participants in parallel. Absent clients keep
-        // their local part and contribute nothing to this round's
-        // global aggregate.
-        let composites = compose_all(&init, &global_part, &local_parts)?;
-        let jobs: Vec<TrainJob<'_>> = harness
-            .participants(round)
-            .into_iter()
-            .map(|k| TrainJob {
-                client: k,
-                start: &composites[k],
-                reference: Some(&composites[k]),
-            })
-            .collect();
-        let trained = harness.train_clients(&jobs, round, config.local_steps)?;
-        let round_loss = mean_loss(&trained);
-        let mut updates: Vec<(StateDict, f64)> = Vec::with_capacity(trained.len());
-        for update in trained {
-            let (local, global) = partition(&update.state, is_local);
-            local_parts[update.client] = local;
-            updates.push((global, clients[update.client].weight() as f64));
-        }
-        let refs: Vec<(&StateDict, f64)> = updates.iter().map(|(sd, w)| (sd, *w)).collect();
-        global_part = aggregate(&refs, config.aggregation)?;
-        if harness.should_record(round) {
-            let composites = compose_all(&init, &global_part, &local_parts)?;
-            let reports = harness.eval_personalized(&composites)?;
-            history.push(RoundRecord::new(round, reports, round_loss));
-        }
+impl Deployment for Lg {
+    fn state(&self, k: usize) -> &StateDict {
+        &self.0[k]
     }
 
-    let composites = compose_all(&init, &global_part, &local_parts)?;
-    Ok((Deployed::PerClient(composites), history))
-}
-
-fn compose_all(
-    template: &StateDict,
-    global_part: &StateDict,
-    local_parts: &[StateDict],
-) -> Result<Vec<StateDict>, FedError> {
-    local_parts
-        .iter()
-        .map(|local| {
-            let mut composed = template.clone();
-            apply_updates(&mut composed, global_part)?;
-            apply_updates(&mut composed, local)?;
-            Ok(composed)
-        })
-        .collect()
+    /// The participants' global parts aggregate into `G^{r+1}`; each
+    /// participant keeps its trained local part, an absent client the
+    /// one it had, and every composite takes the new global part.
+    fn advance(
+        &mut self,
+        stage: &Plain,
+        harness: &Harness<'_>,
+        participants: &[usize],
+        updates: Vec<ClientUpdate>,
+    ) -> Result<(), FedError> {
+        let global_parts = updates
+            .iter()
+            .map(|u| ClientUpdate {
+                state: partition(&u.state, is_local).1,
+                ..*u
+            })
+            .collect();
+        let global =
+            stage.aggregate(harness.clients, harness.config, participants, global_parts)?;
+        for update in updates {
+            self.0[update.client] = update.state;
+        }
+        for composite in &mut self.0 {
+            apply_updates(composite, &global)?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::run_method;
+    use crate::methods::rounds;
     use crate::methods::test_support::{clients, factory};
-    use crate::Method;
+    use crate::FedConfig;
 
     #[test]
     fn local_parts_diverge_across_clients() {
         let clients = clients(2);
         let factory = factory();
         let config = FedConfig::tiny();
-        // Run and inspect through the public outcome: personalization means
-        // the two clients see different models, which (almost surely) gives
-        // different AUCs on identical test data distributions.
-        let outcome = run_method(Method::FedProxLg, &clients, &factory, &config).unwrap();
-        assert_eq!(outcome.per_client_auc.len(), 2);
-        assert_eq!(outcome.method, Method::FedProxLg);
+        let mut harness = Harness::new(&clients, &factory, &config).unwrap();
+        let mut lg = Lg(vec![harness.initial_state(); 2]);
+        let history = rounds(&harness, &mut lg).unwrap();
+        assert!(history.is_empty());
+        // Personalization: the clients' output layers differ, and the
+        // global part every composite carries is one and the same.
+        let [a, b] = [lg.state(0), lg.state(1)];
+        assert_eq!(a.len(), b.len());
+        let mut locals = 0;
+        for ((name, ta), (name_b, tb)) in a.iter().zip(b) {
+            assert_eq!(name, name_b);
+            if is_local(name) {
+                locals += 1;
+                assert_ne!(ta, tb, "{name} is private per client");
+            } else {
+                assert_eq!(ta, tb, "{name} is shared");
+            }
+        }
+        assert!(locals > 0, "no output_conv entries");
     }
 
     #[test]

@@ -5,9 +5,26 @@
 //! [`MethodOutcome`] with one [`EvalReport`] per client (ROC AUC, average
 //! precision, confusion at the 0.5 deployment threshold, score
 //! histograms) plus an optional per-round history (used to regenerate the
-//! Fig. 1/2 convergence series). Evaluation fans out per client through
-//! [`crate::eval::Evaluator`], exactly like training fans out through
-//! the harness' internal `train_clients` round loop.
+//! Fig. 1/2 convergence series).
+//!
+//! The six round-based methods run on the one round loop,
+//! [`crate::engine`]'s `run_rounds`, and differ only in what they deploy
+//! — a configuration of the engine's deployment seam:
+//!
+//! - FedProx: the one global state,
+//! - FedProx-LG (`lg`): a global part plus one private output layer per
+//!   client, one composite per client,
+//! - IFCA (`ifca`) and assigned clustering (`assigned`): one model per
+//!   cluster, the assignment re-picked by training loss each round
+//!   (IFCA, distinct inits) or fixed from `assigned_clusters` (shared
+//!   init),
+//! - α-sync (`alpha_sync`): one personalized blend per client,
+//! - FedProx + fine-tuning: FedProx's global state, then per-client
+//!   fine-tuning at deploy time.
+//!
+//! The local and centralized baselines have no rounds. Training fans
+//! out per round through [`Harness::train_clients`] and evaluation per
+//! client through [`crate::eval::Evaluator`].
 
 mod alpha_sync;
 mod assigned;
@@ -23,6 +40,7 @@ pub use fedprox::fedprox_rounds;
 use rte_nn::{load_state_dict, state_dict, Layer, StateDict};
 use rte_tensor::rng::Xoshiro256;
 
+use crate::engine::{deploy, run_rounds, Deployment, InProcess, Plain};
 use crate::eval::{aucs, mean_auc, EvalReport, Evaluator};
 use crate::{Client, FedConfig, FedError, LocalTrainer, Method, ModelFactory};
 
@@ -96,43 +114,76 @@ impl MethodOutcome {
     }
 }
 
-/// The model(s) a finished method hands to deployment: one shared state
-/// dict (generalized methods) or one per client (personalized methods).
-/// This is the seam the scenario harness evaluates tolerantly — the same
-/// states [`run_method`] scores strictly.
-pub(crate) enum Deployed {
-    /// One shared model evaluated on every client.
-    Global(StateDict),
-    /// One model per client, in client order.
-    PerClient(Vec<StateDict>),
-}
+/// One evaluation cell per client: a report, or the typed error of a
+/// client whose deployed model diverged.
+pub(crate) type Cells = Vec<Result<EvalReport, FedError>>;
 
-/// Trains `method` to its final deployable state(s) without the final
-/// evaluation pass. [`run_method`] adds a strict evaluation;
-/// [`crate::scenario::run_scenario`] adds a tolerant per-cell one.
+/// The deployment `method` runs the round engine with ([`crate::engine`]'s
+/// seam): the configuration that makes it that method. FedProx +
+/// fine-tuning runs FedProx's; its fine-tuning pass comes after the
+/// rounds ([`deploy_method`]).
 ///
 /// # Errors
 ///
 /// Returns [`FedError::InvalidConfig`] for methods with no aggregation
-/// step (local-only, centralized train without a federation round loop),
-/// otherwise any training failure.
-pub(crate) fn deployed_states(
+/// step (local-only, centralized train without a federation round loop)
+/// and for an invalid cluster count or assignment.
+pub(crate) fn deployment(
     method: Method,
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-) -> Result<(Deployed, Vec<RoundRecord>), FedError> {
-    match method {
-        Method::FedProx => fedprox::deployed(clients, factory, config),
-        Method::FedProxLg => lg::deployed(clients, factory, config),
-        Method::Ifca => ifca::deployed(clients, factory, config),
-        Method::FedProxFinetune => finetune::deployed(clients, factory, config),
-        Method::AssignedClustering => assigned::deployed(clients, factory, config),
-        Method::AlphaSync => alpha_sync::deployed(clients, factory, config),
-        Method::LocalOnly | Method::Centralized => Err(FedError::InvalidConfig {
-            reason: format!("{method} has no aggregation step to defend against hostile clients"),
-        }),
+    harness: &mut Harness<'_>,
+) -> Result<Box<dyn Deployment>, FedError> {
+    let n = harness.clients.len();
+    Ok(match method {
+        Method::FedProx | Method::FedProxFinetune => Box::new(harness.initial_state()),
+        Method::FedProxLg => Box::new(lg::Lg(vec![harness.initial_state(); n])),
+        Method::Ifca => Box::new(ifca::Clusters::ifca(harness)?),
+        Method::AssignedClustering => Box::new(assigned::clusters(harness)?),
+        Method::AlphaSync => Box::new(alpha_sync::AlphaSync(vec![harness.initial_state(); n])),
+        Method::LocalOnly | Method::Centralized => {
+            return Err(FedError::InvalidConfig {
+                reason: format!(
+                    "{method} has no aggregation step to defend against hostile clients"
+                ),
+            })
+        }
+    })
+}
+
+/// Trains `method` on `harness`' fleet and evaluates what it deploys,
+/// one cell per client. [`run_method`] collects the cells strictly;
+/// [`crate::scenario::run_scenario`] keeps diverged clients as cells.
+///
+/// # Errors
+///
+/// As [`deployment`], otherwise any training failure.
+pub(crate) fn deploy_method(
+    method: Method,
+    harness: &mut Harness<'_>,
+) -> Result<(Cells, Vec<RoundRecord>), FedError> {
+    let mut deployment = deployment(method, harness)?;
+    let history = rounds(harness, deployment.as_mut())?;
+    // `S' = 0` degenerates to plain FedProx: no fine-tuning pass
+    // (LocalTrainer rejects zero-step runs), the global model as-is.
+    if method == Method::FedProxFinetune && harness.config.finetune_steps > 0 {
+        let cells = finetune::finetune(harness, deployment.state(0))?;
+        return Ok((cells, history));
     }
+    Ok((deploy(harness, deployment.as_mut(), &history)?, history))
+}
+
+/// The round engine in process on the plain stage, from round 1.
+fn rounds(
+    harness: &Harness<'_>,
+    deployment: &mut (impl Deployment + ?Sized),
+) -> Result<Vec<RoundRecord>, FedError> {
+    run_rounds(
+        harness,
+        &Plain,
+        &mut InProcess(harness),
+        deployment,
+        0,
+        None,
+    )
 }
 
 /// One client's training assignment within a round: where it starts and
@@ -254,10 +305,12 @@ impl<'a> Harness<'a> {
             .eval_states(self.factory, self.config.seed, self.clients, sds)
     }
 
-    /// Evaluates one state dict per client (personalized deployment).
-    pub fn eval_personalized(&self, sds: &[StateDict]) -> Result<Vec<EvalReport>, FedError> {
-        let refs: Vec<&StateDict> = sds.iter().collect();
-        self.eval_states(&refs)
+    /// Evaluates `sds[k]` on client `k`'s test split for every `k`,
+    /// keeping a diverged client as a [`FedError::ClientDiverged`] cell
+    /// in its slot instead of aborting the evaluation.
+    pub fn eval_cells(&self, sds: &[&StateDict]) -> Result<Cells, FedError> {
+        self.evaluator
+            .eval_states_cells(self.factory, self.config.seed, self.clients, sds)
     }
 
     /// Evaluates one shared state dict on every client (generalized
@@ -267,88 +320,10 @@ impl<'a> Harness<'a> {
             .eval_global(self.factory, self.config.seed, self.clients, sd)
     }
 
-    /// Strictly evaluates a method's final deployment (either shape).
-    pub fn eval_deployed(&self, deployed: &Deployed) -> Result<Vec<EvalReport>, FedError> {
-        match deployed {
-            Deployed::Global(sd) => self.eval_global(sd),
-            Deployed::PerClient(sds) => self.eval_personalized(sds),
-        }
-    }
-
-    /// The reports a finished run's outcome carries. A run that recorded
-    /// its final round (`eval_every > 0`) has already evaluated the
-    /// global state it deploys — the last record *is* that evaluation —
-    /// so it is reused; every other deployment is evaluated here.
-    pub(crate) fn eval_final(
-        &self,
-        deployed: &Deployed,
-        history: &[RoundRecord],
-    ) -> Result<Vec<EvalReport>, FedError> {
-        match (deployed, history.last()) {
-            (Deployed::Global(_), Some(last)) if last.round == self.config.rounds => {
-                Ok(last.per_client.clone())
-            }
-            _ => self.eval_deployed(deployed),
-        }
-    }
-
-    /// Tolerantly evaluates a method's final deployment: diverged
-    /// clients come back as typed [`FedError::ClientDiverged`] cells in
-    /// their slots instead of aborting the evaluation (the scenario
-    /// harness' grid path).
-    pub fn eval_deployed_cells(
-        &self,
-        deployed: &Deployed,
-    ) -> Result<Vec<Result<EvalReport, FedError>>, FedError> {
-        let states: Vec<&StateDict> = match deployed {
-            Deployed::Global(sd) => vec![sd; self.clients.len()],
-            Deployed::PerClient(sds) => sds.iter().collect(),
-        };
-        self.evaluator
-            .eval_states_cells(self.factory, self.config.seed, self.clients, &states)
-    }
-
     /// True when round `r` (1-based) should be recorded in the history.
     pub fn should_record(&self, round: usize) -> bool {
         self.config.eval_every > 0
             && (round % self.config.eval_every == 0 || round == self.config.rounds)
-    }
-
-    /// For every client, evaluates `argmin_c L_k(W_c)` over the cluster
-    /// models on worker threads (IFCA's selection step — forward-only,
-    /// read-only per client, and as embarrassingly parallel as the
-    /// training half of the round). Ties break towards the lower cluster
-    /// index, and each worker iterates clusters in order, so the result
-    /// is identical for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing client's [`FedError`] in client order.
-    pub fn pick_clusters(&self, cluster_models: &[StateDict]) -> Result<Vec<usize>, FedError> {
-        let factory = self.factory;
-        let clients = self.clients;
-        let trainer = &self.trainer;
-        let seed = self.config.seed;
-        let ks: Vec<usize> = (0..clients.len()).collect();
-        let results = rte_tensor::parallel::map_with(
-            self.config.parallelism,
-            &ks,
-            || factory(seed),
-            |model, _, &k| -> Result<usize, FedError> {
-                let mut best = 0usize;
-                let mut best_loss = f32::INFINITY;
-                for (c, sd) in cluster_models.iter().enumerate() {
-                    load_state_dict(model.as_mut(), sd)?;
-                    let loss = trainer.eval_loss(model.as_mut(), &clients[k].train)?;
-                    if loss < best_loss {
-                        best_loss = loss;
-                        best = c;
-                    }
-                }
-                Ok(best)
-            },
-        );
-        results.into_iter().collect()
     }
 
     /// Trains one round's participants on worker threads, up to
@@ -464,9 +439,9 @@ pub fn run_method(
         Method::LocalOnly => local::run(clients, factory, config),
         Method::Centralized => centralized::run(clients, factory, config),
         _ => {
-            let (deployed, history) = deployed_states(method, clients, factory, config)?;
-            let harness = Harness::new(clients, factory, config)?;
-            let per_client = harness.eval_final(&deployed, &history)?;
+            let mut harness = Harness::new(clients, factory, config)?;
+            let (cells, history) = deploy_method(method, &mut harness)?;
+            let per_client = cells.into_iter().collect::<Result<_, _>>()?;
             Ok(MethodOutcome::new(method, per_client, history))
         }
     }

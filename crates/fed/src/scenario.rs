@@ -46,7 +46,7 @@ use rte_tensor::rng::Xoshiro256;
 
 use crate::config::Aggregation;
 use crate::eval::EvalReport;
-use crate::methods::{deployed_states, Harness};
+use crate::methods::{deploy_method, Harness};
 use crate::{Client, ClientSet, FedConfig, FedError, Method, ModelFactory};
 
 /// Salt for the data-poisoning streams (one per hostile client).
@@ -434,9 +434,8 @@ pub fn run_scenario(
     let mut cfg = config.clone();
     cfg.scenario = Some(scenario.clone());
     cfg.eval_every = 0;
-    let (deployed, _history) = deployed_states(method, &poisoned, factory, &cfg)?;
-    let harness = Harness::new(&poisoned, factory, &cfg)?;
-    let cells = harness.eval_deployed_cells(&deployed)?;
+    let mut harness = Harness::new(&poisoned, factory, &cfg)?;
+    let (cells, _history) = deploy_method(method, &mut harness)?;
     for cell in &cells {
         if let Err(e) = cell {
             if !matches!(e, FedError::ClientDiverged { .. }) {

@@ -73,8 +73,7 @@ pub(crate) trait Stage {
     /// global state.
     fn aggregate(
         &self,
-        clients: &[Client],
-        config: &FedConfig,
+        harness: &Harness<'_>,
         participants: &[usize],
         updates: Vec<ClientUpdate<Self::Update>>,
     ) -> Result<StateDict, FedError>;
@@ -105,16 +104,15 @@ impl Stage for Plain {
 
     fn aggregate(
         &self,
-        clients: &[Client],
-        config: &FedConfig,
+        harness: &Harness<'_>,
         _participants: &[usize],
         updates: Vec<ClientUpdate>,
     ) -> Result<StateDict, FedError> {
         let refs: Vec<(&StateDict, f64)> = updates
             .iter()
-            .map(|u| (&u.state, clients[u.client].weight() as f64))
+            .map(|u| (&u.state, harness.clients[u.client].weight() as f64))
             .collect();
-        aggregate(&refs, config.aggregation)
+        aggregate(&refs, harness.config.aggregation)
     }
 }
 
@@ -146,15 +144,14 @@ impl Stage for Masked {
 
     fn aggregate(
         &self,
-        clients: &[Client],
-        _config: &FedConfig,
+        harness: &Harness<'_>,
         participants: &[usize],
         updates: Vec<ClientUpdate<MaskedUpdate>>,
     ) -> Result<StateDict, FedError> {
         let part_ids: Vec<u32> = participants.iter().map(|&k| k as u32).collect();
         let weight_sum: f64 = participants
             .iter()
-            .map(|&k| clients[k].weight() as f64)
+            .map(|&k| harness.clients[k].weight() as f64)
             .sum();
         let masked: Vec<MaskedUpdate> = updates.into_iter().map(|u| u.state).collect();
         aggregate_masked(&masked, &part_ids, weight_sum, &self.0)
@@ -201,7 +198,7 @@ impl<S: Stage> Deployment<S> for StateDict {
         participants: &[usize],
         updates: Vec<ClientUpdate<S::Update>>,
     ) -> Result<(), FedError> {
-        *self = stage.aggregate(harness.clients, harness.config, participants, updates)?;
+        *self = stage.aggregate(harness, participants, updates)?;
         Ok(())
     }
 }
@@ -228,6 +225,10 @@ pub(crate) trait Exchange<S: Stage> {
     fn seq(&self) -> u64;
 }
 
+/// A per-round observer of deployment `D`; on the one-state deployment
+/// it is exactly a [`RoundHook`].
+pub(crate) type Hook<'a, D> = dyn FnMut(usize, u64, &D) -> Result<(), FedError> + 'a;
+
 /// The one synchronous round loop. Rounds `1..=done` are skipped and
 /// `deployment` is the state after them: participant selection and the
 /// per-`(round, client)` training streams are derived statelessly from
@@ -240,7 +241,7 @@ pub(crate) fn run_rounds<S: Stage, D: Deployment<S> + ?Sized>(
     exchange: &mut impl Exchange<S>,
     deployment: &mut D,
     done: usize,
-    mut on_round: Option<&mut (dyn FnMut(usize, u64, &D) -> Result<(), FedError> + '_)>,
+    mut on_round: Option<&mut Hook<'_, D>>,
 ) -> Result<Vec<RoundRecord>, FedError> {
     let mut history = Vec::new();
     for round in done + 1..=harness.config.rounds {

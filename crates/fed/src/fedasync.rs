@@ -385,9 +385,8 @@ pub fn run_fedasync<E: TrainExecutor>(
     executor: &mut E,
 ) -> Result<(MethodOutcome, Vec<AsyncRoundRecord>), FedError> {
     async_cfg.validate(clients.len())?;
-    let harness = Harness::new(clients, factory, config)?;
-    let mut scratch = Harness::new(clients, factory, config)?;
-    let global = scratch.initial_state();
+    let mut harness = Harness::new(clients, factory, config)?;
+    let global = harness.initial_state();
     let mut state = Buffered::new(&harness, async_cfg.clone(), global);
     let mut schedule_rng = SplitMix64::new(async_cfg.seed);
     let mut queue: EventQueue<Event> = EventQueue::new();
@@ -525,9 +524,8 @@ pub fn run_fedasync_wall<S: Transport>(
             ),
         });
     }
-    let harness = Harness::new(clients, factory, config)?;
-    let mut scratch = Harness::new(clients, factory, config)?;
-    let global = scratch.initial_state();
+    let mut harness = Harness::new(clients, factory, config)?;
+    let global = harness.initial_state();
     let mut state = Buffered::new(&harness, async_cfg.clone(), global);
     let clock = WallClock::new();
     let mut seq = 0u64;

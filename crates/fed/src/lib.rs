@@ -14,7 +14,8 @@
 //!   fans per-client evaluation out to worker threads,
 //! - [`methods`] — the eight training methods of Tables 3-5:
 //!   local baselines, centralized training, FedProx, FedProx-LG, IFCA,
-//!   FedProx + fine-tuning, assigned clustering and α-portion sync,
+//!   FedProx + fine-tuning, assigned clustering and α-portion sync; the
+//!   six round-based ones are configurations of the [`engine`],
 //! - [`scenario`] — hostile-client scenario injection: per-client data
 //!   poisoning and Byzantine update corruption, per-round availability
 //!   traces, and the tolerant [`run_scenario`] grid runner whose robust
@@ -24,9 +25,11 @@
 //!   lets every method train and evaluate a corpus that never fits in
 //!   memory, bit-identically to the in-memory path,
 //! - [`engine`] — the one synchronous round loop (select → exchange →
-//!   aggregate → record → hook), parameterized by the exchange (in
-//!   process, or over links under a [`FaultPolicy`]) and the aggregation
-//!   stage (plain or masked): [`methods::fedprox_rounds`] in process,
+//!   advance the deployment → record → hook), parameterized by the
+//!   exchange (in process, or over links under a [`FaultPolicy`]), the
+//!   aggregation stage (plain or masked) and the deployment (FedProx's
+//!   one global state, or one state per client or per cluster for the
+//!   personalized methods): [`methods::fedprox_rounds`] in process,
 //!   [`run_link_rounds`] over any `rte_net` [`rte_net::Transport`],
 //!   bit-identical to each other when nothing fails,
 //! - [`wire`] / [`federation`] — the client half of a link-side round:

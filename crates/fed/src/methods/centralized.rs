@@ -2,23 +2,19 @@
 //! paper treats its accuracy as the empirical upper limit a decentralized
 //! method should aim for (no privacy, no heterogeneity penalty).
 
-use crate::methods::{Harness, MethodOutcome};
-use crate::{Client, ClientSet, FedConfig, FedError, Method, ModelFactory};
+use rte_nn::state_dict;
 
-pub(crate) fn run(
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-) -> Result<MethodOutcome, FedError> {
-    let mut harness = Harness::new(clients, factory, config)?;
+use crate::methods::{Cells, Harness};
+use crate::{ClientSet, FedError};
+
+pub(super) fn run(harness: &mut Harness<'_>) -> Result<Cells, FedError> {
     harness.trainer.mu = 0.0; // centralized training has no proximal term
-    let pooled_sets: Vec<&ClientSet> = clients.iter().map(|c| &c.train).collect();
+    let pooled_sets: Vec<&ClientSet> = harness.clients.iter().map(|c| &c.train).collect();
     let pooled = ClientSet::concat(&pooled_sets)?;
-    let init = harness.initial_state();
-    let total_steps = config.rounds * config.local_steps;
+    let total_steps = harness.config.rounds * harness.config.local_steps;
 
-    // Train directly on the pooled set using the scratch model.
-    rte_nn::load_state_dict(harness.scratch.as_mut(), &init)?;
+    // Train directly on the pooled set using the scratch model, which
+    // holds the initial state.
     let mut rng = harness.round_rng(0, usize::MAX - 1);
     harness.trainer.train(
         harness.scratch.as_mut(),
@@ -27,20 +23,15 @@ pub(crate) fn run(
         total_steps,
         &mut rng,
     )?;
-    let trained = rte_nn::state_dict(harness.scratch.as_mut());
-
-    let per_client = harness.eval_global(&trained)?;
-    Ok(MethodOutcome::new(
-        Method::Centralized,
-        per_client,
-        Vec::new(),
-    ))
+    let trained = state_dict(harness.scratch.as_mut());
+    harness.eval_cells(&vec![&trained; harness.clients.len()])
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::methods::run_method;
     use crate::methods::test_support::{clients, factory};
+    use crate::{FedConfig, Method};
 
     #[test]
     fn centralized_beats_chance_on_all_clients() {
@@ -49,7 +40,7 @@ mod tests {
         let mut config = FedConfig::tiny();
         config.rounds = 4;
         config.local_steps = 10;
-        let outcome = run(&clients, &factory, &config).unwrap();
+        let outcome = run_method(Method::Centralized, &clients, &factory, &config).unwrap();
         for (k, auc) in outcome.per_client_auc.iter().enumerate() {
             assert!(*auc > 0.55, "client {k}: AUC {auc}");
         }

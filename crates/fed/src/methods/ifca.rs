@@ -100,7 +100,7 @@ impl Deployment for Clusters {
         }
         for (model, members) in self.models.iter_mut().zip(members) {
             if !members.is_empty() {
-                *model = stage.aggregate(harness.clients, harness.config, participants, members)?;
+                *model = stage.aggregate(harness, participants, members)?;
             }
         }
         Ok(())

@@ -43,8 +43,7 @@ impl Deployment for Lg {
                 ..*u
             })
             .collect();
-        let global =
-            stage.aggregate(harness.clients, harness.config, participants, global_parts)?;
+        let global = stage.aggregate(harness, participants, global_parts)?;
         for update in updates {
             self.0[update.client] = update.state;
         }

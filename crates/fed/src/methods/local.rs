@@ -3,20 +3,17 @@
 //! alone, with the same total update budget as a federated run
 //! (`rounds × local_steps`), no proximal term.
 
-use crate::methods::{Harness, MethodOutcome, TrainJob};
-use crate::{Client, FedConfig, FedError, Method, ModelFactory};
+use rte_nn::StateDict;
 
-pub(crate) fn run(
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-) -> Result<MethodOutcome, FedError> {
-    let mut harness = Harness::new(clients, factory, config)?;
+use crate::methods::{Cells, Harness, TrainJob};
+use crate::FedError;
+
+pub(super) fn run(harness: &mut Harness<'_>) -> Result<Cells, FedError> {
     harness.trainer.mu = 0.0; // no proximal term for isolated training
     let init = harness.initial_state();
-    let total_steps = config.rounds * config.local_steps;
+    let total_steps = harness.config.rounds * harness.config.local_steps;
     // The baselines are fully independent — the ideal parallel workload.
-    let jobs: Vec<TrainJob<'_>> = (0..clients.len())
+    let jobs: Vec<TrainJob<'_>> = (0..harness.clients.len())
         .map(|k| TrainJob {
             client: k,
             start: &init,
@@ -26,19 +23,15 @@ pub(crate) fn run(
     let updates = harness.train_clients(&jobs, 0, total_steps)?;
     // Updates come back in job order == client order; evaluation fans
     // back out per client.
-    let states: Vec<&rte_nn::StateDict> = updates.iter().map(|u| &u.state).collect();
-    let per_client = harness.eval_states(&states)?;
-    Ok(MethodOutcome::new(
-        Method::LocalOnly,
-        per_client,
-        Vec::new(),
-    ))
+    let states: Vec<&StateDict> = updates.iter().map(|u| &u.state).collect();
+    harness.eval_cells(&states)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::methods::run_method;
     use crate::methods::test_support::{clients, factory};
+    use crate::{FedConfig, Method};
 
     #[test]
     fn local_models_learn_their_own_client() {
@@ -47,7 +40,7 @@ mod tests {
         let mut config = FedConfig::tiny();
         config.rounds = 4;
         config.local_steps = 10;
-        let outcome = run(&clients, &factory, &config).unwrap();
+        let outcome = run_method(Method::LocalOnly, &clients, &factory, &config).unwrap();
         // The synthetic task is learnable: both clients should beat chance.
         for (k, auc) in outcome.per_client_auc.iter().enumerate() {
             assert!(*auc > 0.55, "client {k}: AUC {auc}");

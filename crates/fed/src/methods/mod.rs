@@ -23,7 +23,7 @@
 //!   fine-tuning at deploy time.
 //!
 //! The local and centralized baselines have no rounds. Training fans
-//! out per round through [`Harness::train_clients`] and evaluation per
+//! out per round through the harness' `train_clients` and evaluation per
 //! client through [`crate::eval::Evaluator`].
 
 mod alpha_sync;
@@ -140,11 +140,9 @@ pub(crate) fn deployment(
         Method::AssignedClustering => Box::new(assigned::clusters(harness)?),
         Method::AlphaSync => Box::new(alpha_sync::AlphaSync(vec![harness.initial_state(); n])),
         Method::LocalOnly | Method::Centralized => {
-            return Err(FedError::InvalidConfig {
-                reason: format!(
-                    "{method} has no aggregation step to defend against hostile clients"
-                ),
-            })
+            let reason =
+                format!("{method} has no aggregation step to defend against hostile clients");
+            return Err(FedError::InvalidConfig { reason });
         }
     })
 }
@@ -435,16 +433,14 @@ pub fn run_method(
     factory: &ModelFactory,
     config: &FedConfig,
 ) -> Result<MethodOutcome, FedError> {
-    match method {
-        Method::LocalOnly => local::run(clients, factory, config),
-        Method::Centralized => centralized::run(clients, factory, config),
-        _ => {
-            let mut harness = Harness::new(clients, factory, config)?;
-            let (cells, history) = deploy_method(method, &mut harness)?;
-            let per_client = cells.into_iter().collect::<Result<_, _>>()?;
-            Ok(MethodOutcome::new(method, per_client, history))
-        }
-    }
+    let mut harness = Harness::new(clients, factory, config)?;
+    let (cells, history) = match method {
+        Method::LocalOnly => (local::run(&mut harness)?, Vec::new()),
+        Method::Centralized => (centralized::run(&mut harness)?, Vec::new()),
+        _ => deploy_method(method, &mut harness)?,
+    };
+    let per_client = cells.into_iter().collect::<Result<_, _>>()?;
+    Ok(MethodOutcome::new(method, per_client, history))
 }
 
 #[cfg(test)]

@@ -429,7 +429,6 @@ pub fn run_scenario(
     config: &FedConfig,
     scenario: &ScenarioConfig,
 ) -> Result<ScenarioOutcome, FedError> {
-    scenario.validate(clients.len())?;
     let poisoned = scenario.poison_clients(clients)?;
     let mut cfg = config.clone();
     cfg.scenario = Some(scenario.clone());

@@ -871,4 +871,25 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    #[test]
+    fn torn_shard_in_a_compacted_dir_says_how_to_recover() {
+        let dir = scratch_dir("torn");
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ExperimentConfig::tiny().with_corpus_dir(&dir);
+        CorpusWriter::new(&dir)
+            .write_specs(&config.client_specs().unwrap(), &config.corpus)
+            .unwrap();
+        compact_dir(&dir, DEFAULT_COMPRESS_CHUNK).unwrap();
+        // A renamed shard whose data never reached the disk.
+        std::fs::write(dir.join("client04.test.rtes"), b"").unwrap();
+        let err = build_experiment_clients(&config).unwrap_err();
+        match err {
+            CoreError::InvalidConfig { reason } => {
+                assert!(reason.contains("delete the directory"), "{reason}");
+            }
+            other => panic!("expected InvalidConfig, got {other}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

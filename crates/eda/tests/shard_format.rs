@@ -653,6 +653,111 @@ fn mmap_detects_record_corruption_per_chunk() {
 }
 
 // ---------------------------------------------------------------------
+// Torn writes: what a crash or a lost write can leave under a shard's
+// final name. Every cut length, the tail zero-filled from every offset
+// at full length (what a lost write leaves on ext4), and so the
+// all-zero file: each is a typed error from `open` or from a read —
+// never a panic, never different bits.
+// ---------------------------------------------------------------------
+
+/// Every torn form of `clean` with a label: each proper prefix, then the
+/// full-length file zero-filled from each offset (offset 0 is the
+/// all-zero file). A form equal to `clean` — a tail that was zero
+/// already — is not damage and is skipped.
+fn torn_forms(clean: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
+    let cuts = (0..clean.len()).map(|n| (format!("cut to {n} bytes"), clean[..n].to_vec()));
+    let zeroed = (0..clean.len()).map(|at| {
+        let mut bytes = clean.to_vec();
+        bytes[at..].fill(0);
+        (format!("zero-filled from byte {at}"), bytes)
+    });
+    cuts.chain(zeroed).filter(move |(_, bytes)| bytes != clean)
+}
+
+/// Every sample of the shard at `path`, read before it is damaged.
+fn read_all(path: &std::path::Path) -> Vec<Sample> {
+    let reader = ShardReader::open(path).unwrap();
+    (0..reader.len())
+        .map(|i| reader.read_sample(i).unwrap())
+        .collect()
+}
+
+/// Writes `torn` at `path`, then requires a typed [`ShardError`] from
+/// `open` or from at least one `read_sample`, and the original bits from
+/// every read that succeeds.
+fn assert_torn_is_typed(path: &std::path::Path, torn: &[u8], want: &[Sample], what: &str) {
+    std::fs::write(path, torn).unwrap();
+    let reader = match ShardReader::open(path) {
+        Err(EdaError::Shard(_)) => return,
+        Err(other) => panic!("{what}: open gave an untyped error: {other}"),
+        Ok(reader) => reader,
+    };
+    assert_eq!(reader.len(), want.len(), "{what}: the header survived");
+    let mut typed = false;
+    for (i, w) in want.iter().enumerate() {
+        match reader.read_sample(i) {
+            Ok(got) => {
+                assert_eq!(got.design, w.design, "{what}: sample {i}");
+                assert_eq!(
+                    tensor_bits(&got.features),
+                    tensor_bits(&w.features),
+                    "{what}"
+                );
+                assert_eq!(tensor_bits(&got.label), tensor_bits(&w.label), "{what}");
+            }
+            Err(EdaError::Shard(_)) => typed = true,
+            Err(other) => panic!("{what}: sample {i} gave an untyped error: {other}"),
+        }
+    }
+    assert!(typed, "{what}: every sample read back without an error");
+}
+
+/// The all-zero file of a shard's length carries no magic: `WrongMagic`.
+fn assert_all_zero_is_wrong_magic(path: &std::path::Path, len: usize) {
+    std::fs::write(path, vec![0u8; len]).unwrap();
+    assert!(matches!(
+        shard_err(ShardReader::open(path)),
+        ShardError::WrongMagic { .. }
+    ));
+}
+
+#[test]
+fn torn_raw_shards_are_typed_errors() {
+    let dir = scratch_dir();
+    let path = valid_shard(&dir, 3);
+    let want = read_all(&path);
+    let clean = std::fs::read(&path).unwrap();
+    for (what, torn) in torn_forms(&clean) {
+        assert_torn_is_typed(&path, &torn, &want, &what);
+        // The mapped reader validates the same bytes through the same
+        // header path and its own lazy record CRCs.
+        if let Ok(mapped) = MmapShardReader::open_with_chunk(&path, 2) {
+            let (mut f, mut l) = (Vec::new(), Vec::new());
+            let err = mapped.read_batch_into(0..3, &mut f, &mut l).unwrap_err();
+            assert!(matches!(err, EdaError::Shard(_)), "{what}: {err}");
+        }
+    }
+    assert_all_zero_is_wrong_magic(&path, clean.len());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn torn_compressed_shards_are_typed_errors() {
+    let dir = scratch_dir();
+    let raw = valid_shard(&dir, 5);
+    let path = dir.join("c.rtes");
+    // Three frames, the last one short.
+    compress_shard(&raw, &path, 2).unwrap();
+    let want = read_all(&path);
+    let clean = std::fs::read(&path).unwrap();
+    for (what, torn) in torn_forms(&clean) {
+        assert_torn_is_typed(&path, &torn, &want, &what);
+    }
+    assert_all_zero_is_wrong_magic(&path, clean.len());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------
 // Hostile-bytes property tests: flip any byte of a valid file.
 // ---------------------------------------------------------------------
 

@@ -415,22 +415,23 @@ pub fn build_streaming_clients(config: &ExperimentConfig) -> Result<Vec<Client>,
             .with_parallelism(config.corpus_parallelism)
             .write_specs(&specs, &config.corpus)?;
     }
-    if config.compress_shards {
-        // Idempotent: already-compressed shards are skipped, so a reused
-        // directory compacts at most once.
-        compact_dir(dir, DEFAULT_COMPRESS_CHUNK)?;
-    }
     // Shard files are present (writes are temp-name + rename, so these
     // are sealed shards, not generation debris) — if they still fail to
-    // open, tell the operator how to get unstuck instead of failing
-    // identically forever.
-    let reader = CorpusReader::open(dir).map_err(|e| CoreError::InvalidConfig {
+    // open, or a power cut left one short, tell the operator how to get
+    // unstuck instead of failing identically forever.
+    let unusable = |e: rte_eda::EdaError| CoreError::InvalidConfig {
         reason: format!(
             "corpus dir {} is unusable ({e}); delete the directory (or point \
              --corpus-dir elsewhere) to regenerate",
             dir.display()
         ),
-    })?;
+    };
+    if config.compress_shards {
+        // Idempotent: already-compressed shards are skipped, so a reused
+        // directory compacts at most once.
+        compact_dir(dir, DEFAULT_COMPRESS_CHUNK).map_err(unusable)?;
+    }
+    let reader = CorpusReader::open(dir).map_err(unusable)?;
     if reader.seed() != config.corpus.seed
         || reader.grid() != config.corpus.grid
         || reader.placement_scale().to_bits() != config.corpus.placement_scale.to_bits()
@@ -884,6 +885,15 @@ mod tests {
         // A renamed shard whose data never reached the disk.
         std::fs::write(dir.join("client04.test.rtes"), b"").unwrap();
         let err = build_experiment_clients(&config).unwrap_err();
+        match err {
+            CoreError::InvalidConfig { reason } => {
+                assert!(reason.contains("delete the directory"), "{reason}");
+            }
+            other => panic!("expected InvalidConfig, got {other}"),
+        }
+        // With compression on, the idempotent compaction meets the torn
+        // shard first: the same recovery error, not a bare decode error.
+        let err = build_experiment_clients(&config.with_compressed_shards()).unwrap_err();
         match err {
             CoreError::InvalidConfig { reason } => {
                 assert!(reason.contains("delete the directory"), "{reason}");

@@ -74,7 +74,7 @@
 //! [`MAX_COMPRESS_CHUNK`]) or by the real on-disk file length *before*
 //! it is used to allocate or do arithmetic.
 
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -713,12 +713,7 @@ impl ShardWriter {
                 ),
             });
         }
-        let file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|e| io_err(&path, &e))?;
+        let file = File::create(&path).map_err(|e| io_err(&path, &e))?;
         let mut writer = ShardWriter {
             file: BufWriter::new(file),
             path,
@@ -797,8 +792,14 @@ impl ShardWriter {
         Ok(())
     }
 
-    /// Seals the shard: rewrites the header with the final sample count
-    /// and flushes to disk. Returns the number of samples written.
+    /// Seals the shard: flushes the records and rewrites the header with
+    /// the final sample count. Returns the number of samples written.
+    ///
+    /// The bytes are handed to the operating system, not forced to the
+    /// disk: durability is one directory sync per corpus write
+    /// ([`CorpusWriter::write_specs`], [`compact_dir`]), and a shard a
+    /// power cut left short or zero-filled fails its length or CRC
+    /// checks on open or read.
     ///
     /// # Errors
     ///
@@ -811,7 +812,6 @@ impl ShardWriter {
         let header = encode_file_header(&self.meta, self.n_samples);
         file.write_all(&header)
             .map_err(|e| io_err(&self.path, &e))?;
-        file.sync_all().map_err(|e| io_err(&self.path, &e))?;
         Ok(self.n_samples)
     }
 }
@@ -831,6 +831,8 @@ impl ShardWriter {
 #[derive(Debug)]
 pub struct ShardReader {
     file: Mutex<File>,
+    /// The length `open` validated the layout against.
+    file_len: u64,
     path: PathBuf,
     meta: ShardMeta,
     n_samples: usize,
@@ -878,6 +880,7 @@ impl ShardReader {
         };
         Ok(ShardReader {
             file: Mutex::new(file),
+            file_len,
             path,
             meta: header.meta,
             n_samples: header.n_samples as usize,
@@ -1313,6 +1316,10 @@ pub struct CompressionStats {
 /// the source records, so reads through the compressed shard preserve
 /// the corpus byte-identity contract.
 ///
+/// Like [`ShardWriter::finish`], it flushes and patches the chunk
+/// directory but does not force the file to the disk; [`compact_dir`]
+/// syncs its directory once after its renames.
+///
 /// # Errors
 ///
 /// [`EdaError::InvalidConfig`] for a zero/oversized frame size or an
@@ -1323,7 +1330,17 @@ pub fn compress_shard(
     dst: impl AsRef<Path>,
     chunk_records: usize,
 ) -> Result<CompressionStats, EdaError> {
-    let dst = dst.as_ref();
+    let reader = ShardReader::open(src.as_ref())?;
+    compress_from(&reader, dst.as_ref(), chunk_records)
+}
+
+/// [`compress_shard`] from a source that is already open, so that
+/// [`compact_dir`] compresses through the reader it validated with.
+fn compress_from(
+    reader: &ShardReader,
+    dst: &Path,
+    chunk_records: usize,
+) -> Result<CompressionStats, EdaError> {
     if chunk_records == 0 || chunk_records > MAX_COMPRESS_CHUNK {
         return Err(EdaError::InvalidConfig {
             reason: format!(
@@ -1331,13 +1348,11 @@ pub fn compress_shard(
             ),
         });
     }
-    let reader = ShardReader::open(src.as_ref())?;
     if reader.is_compressed() {
         return Err(EdaError::InvalidConfig {
             reason: format!("{} is already compressed", reader.path().display()),
         });
     }
-    let raw_bytes = reader.data_offset + (reader.n_samples * reader.record_len) as u64;
     let info = CompressionInfo { chunk_records };
     let n_samples = reader.n_samples as u64;
     let n_frames = reader.n_samples.div_ceil(chunk_records);
@@ -1345,19 +1360,16 @@ pub fn compress_shard(
         SHARD_VERSION_COMPRESSED,
         reader.meta.encode_body_compressed(n_samples, info),
     );
-    let file = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(dst)
-        .map_err(|e| io_err(dst, &e))?;
+    let file = File::create(dst).map_err(|e| io_err(dst, &e))?;
     let mut out = BufWriter::new(file);
     out.write_all(&header).map_err(|e| io_err(dst, &e))?;
     // Directory placeholder, patched once the frame lengths are known.
     let dir_offset = header.len() as u64;
     out.write_all(&vec![0u8; n_frames * 8 + 4])
         .map_err(|e| io_err(dst, &e))?;
-    let mut frame_lens = Vec::with_capacity(n_frames);
+    let mut dir = Vec::with_capacity(n_frames * 8 + 4);
+    // Bytes written: header, directory, then each frame and its CRC.
+    let mut compressed_bytes = dir_offset + (n_frames * 12 + 4) as u64;
     for frame_i in 0..n_frames {
         let start = frame_i * chunk_records;
         let end = (start + chunk_records).min(reader.n_samples);
@@ -1366,24 +1378,19 @@ pub fn compress_shard(
         out.write_all(&payload).map_err(|e| io_err(dst, &e))?;
         out.write_all(&crc32(&payload).to_le_bytes())
             .map_err(|e| io_err(dst, &e))?;
-        frame_lens.push(payload.len() as u64);
+        put_u64(&mut dir, payload.len() as u64);
+        compressed_bytes += payload.len() as u64;
     }
     out.flush().map_err(|e| io_err(dst, &e))?;
-    let file = out.get_mut();
-    let compressed_bytes = file.metadata().map_err(|e| io_err(dst, &e))?.len();
-    let mut dir = Vec::with_capacity(n_frames * 8 + 4);
-    for len in &frame_lens {
-        put_u64(&mut dir, *len);
-    }
     let dir_crc = crc32(&dir);
     put_u32(&mut dir, dir_crc);
+    let file = out.get_mut();
     file.seek(SeekFrom::Start(dir_offset))
         .map_err(|e| io_err(dst, &e))?;
     file.write_all(&dir).map_err(|e| io_err(dst, &e))?;
-    file.sync_all().map_err(|e| io_err(dst, &e))?;
     Ok(CompressionStats {
         samples: n_samples,
-        raw_bytes,
+        raw_bytes: reader.file_len,
         compressed_bytes,
     })
 }
@@ -1408,9 +1415,14 @@ pub struct CompactionSummary {
 /// [`CorpusReader::open`] reads the result exactly as before — readers
 /// are version-agnostic.
 ///
+/// Each shard is opened once, and compressed from that reader. A failed
+/// compression or rename removes its `.tmp` file. After the last rename
+/// the directory is synced once (on unix), so the renames reach the
+/// disk together; a pass that rewrote nothing syncs nothing.
+///
 /// # Errors
 ///
-/// See [`compress_shard`]; directory scan failures surface as
+/// See [`compress_shard`]; directory scan and sync failures surface as
 /// [`ShardError::Io`].
 pub fn compact_dir(
     dir: impl AsRef<Path>,
@@ -1426,22 +1438,33 @@ pub fn compact_dir(
     let mut summary = CompactionSummary::default();
     for path in paths {
         let reader = ShardReader::open(&path)?;
-        let file_len = std::fs::metadata(&path)
-            .map_err(|e| io_err(&path, &e))?
-            .len();
         if reader.is_compressed() {
             summary.skipped += 1;
-            summary.raw_bytes += file_len;
-            summary.compressed_bytes += file_len;
+            summary.raw_bytes += reader.file_len;
+            summary.compressed_bytes += reader.file_len;
             continue;
         }
-        drop(reader);
         let tmp = path.with_extension("tmp");
-        let stats = compress_shard(&path, &tmp, chunk_records)?;
-        std::fs::rename(&tmp, &path).map_err(|e| io_err(&tmp, &e))?;
+        let compressed = compress_from(&reader, &tmp, chunk_records);
+        drop(reader);
+        let renamed = compressed.and_then(|stats| {
+            std::fs::rename(&tmp, &path).map_err(|e| io_err(&tmp, &e))?;
+            Ok(stats)
+        });
+        if renamed.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        let stats = renamed?;
         summary.compressed += 1;
         summary.raw_bytes += stats.raw_bytes;
         summary.compressed_bytes += stats.compressed_bytes;
+    }
+    // One durability barrier for every rename above.
+    #[cfg(unix)]
+    if summary.compressed > 0 {
+        File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io_err(dir, &e))?;
     }
     Ok(summary)
 }
@@ -1525,6 +1548,9 @@ impl CorpusWriter {
     /// sealed, so an interrupted or failed generation leaves no files
     /// that [`CorpusReader::open`] would try to treat as a corpus.
     /// Stale `.tmp` leftovers from a previous crash are removed first.
+    /// No shard file is synced on its own: after the last rename the
+    /// directory is synced once (on unix), the write's one durability
+    /// barrier.
     ///
     /// # Errors
     ///
@@ -1607,30 +1633,29 @@ impl CorpusWriter {
             }
         }
         // Seal every shard first, then rename the whole set: a failure
-        // anywhere before this loop completes leaves only `.tmp` files
-        // behind, never a half-corpus of valid-looking shards.
+        // anywhere before the renames leaves only `.tmp` files behind,
+        // never a half-corpus of valid-looking shards.
         let mut sealed = Vec::with_capacity(specs.len() * 2);
-        for per_split in writers {
-            for writer in per_split {
-                let tmp_path = writer.path.clone();
-                let final_path = self.dir.join(writer.meta.file_name());
-                let client_index = writer.meta.client_index;
-                let split = writer.meta.split;
-                let samples = writer.finish()?;
-                sealed.push((tmp_path, final_path, client_index, split, samples));
-            }
+        for writer in writers.into_iter().flatten() {
+            let tmp_path = writer.path.clone();
+            let summary = ShardSummary {
+                path: self.dir.join(writer.meta.file_name()),
+                client_index: writer.meta.client_index,
+                split: writer.meta.split,
+                samples: writer.finish()?,
+            };
+            sealed.push((tmp_path, summary));
         }
-        let mut summaries = Vec::with_capacity(sealed.len());
-        for (tmp_path, final_path, client_index, split, samples) in sealed {
-            std::fs::rename(&tmp_path, &final_path).map_err(|e| io_err(&tmp_path, &e))?;
-            summaries.push(ShardSummary {
-                path: final_path,
-                client_index,
-                split,
-                samples,
-            });
+        for (tmp_path, summary) in &sealed {
+            std::fs::rename(tmp_path, &summary.path).map_err(|e| io_err(tmp_path, &e))?;
         }
-        Ok(summaries)
+        // The write's one durability barrier: the renames above reach
+        // the disk together.
+        #[cfg(unix)]
+        File::open(&self.dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io_err(&self.dir, &e))?;
+        Ok(sealed.into_iter().map(|(_, summary)| summary).collect())
     }
 }
 

@@ -562,6 +562,32 @@ fn compact_dir_is_idempotent_and_readable() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A compaction whose write fails half-way (here: the temp name is a
+/// link to a device that is always full) removes its `.tmp` file and
+/// leaves the raw shard in place and readable.
+#[cfg(unix)]
+#[test]
+fn failed_compaction_leaves_no_tmp_file() {
+    let full = std::path::Path::new("/dev/full");
+    if !full.exists() {
+        return;
+    }
+    let dir = scratch_dir();
+    let path = valid_shard(&dir, 3);
+    let want = read_all(&path);
+    std::os::unix::fs::symlink(full, dir.join("client03.train.tmp")).unwrap();
+    assert!(compact_dir(&dir, 2).is_err());
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(names, ["client03.train.rtes"], "debris left");
+    let reader = ShardReader::open(&path).unwrap();
+    assert!(!reader.is_compressed());
+    assert_eq!(read_all(&path), want);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 // ---------------------------------------------------------------------
 // Memory-mapped reader.
 // ---------------------------------------------------------------------

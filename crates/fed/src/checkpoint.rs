@@ -338,7 +338,10 @@ pub fn checkpoint_file_name(round: u64) -> String {
 }
 
 /// Writes `checkpoint` into `dir` atomically: encode, write to a temp
-/// name, `rename` into place. Returns the final path.
+/// name, `rename` into place. Returns the final path. A failed write or
+/// rename removes the temp file. Nothing is synced: a checkpoint a power
+/// cut left short or zero-filled fails [`read_checkpoint`] with a typed
+/// error instead of resuming.
 ///
 /// # Errors
 ///
@@ -352,8 +355,7 @@ pub fn write_checkpoint(dir: &Path, checkpoint: &Checkpoint) -> Result<PathBuf, 
         checkpoint_file_name(checkpoint.round),
         std::process::id()
     ));
-    fs::write(&tmp_path, &bytes)?;
-    if let Err(e) = fs::rename(&tmp_path, &final_path) {
+    if let Err(e) = fs::write(&tmp_path, &bytes).and_then(|()| fs::rename(&tmp_path, &final_path)) {
         let _ = fs::remove_file(&tmp_path);
         return Err(e.into());
     }
@@ -491,6 +493,28 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains("tmp"))
             .collect();
         assert!(leftovers.is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A write that fails half-way (here: the temp name is a link to a
+    /// device that is always full) removes its temp file and leaves no
+    /// checkpoint behind.
+    #[cfg(unix)]
+    #[test]
+    fn failed_write_leaves_no_temp_file() {
+        let full = Path::new("/dev/full");
+        if !full.exists() {
+            return;
+        }
+        let dir = std::env::temp_dir().join(format!("rte-ckpt-full-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let ckpt = sample();
+        let name = checkpoint_file_name(ckpt.round);
+        let tmp = dir.join(format!(".{name}.tmp-{}", std::process::id()));
+        std::os::unix::fs::symlink(full, &tmp).unwrap();
+        assert!(write_checkpoint(&dir, &ckpt).is_err());
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "debris left");
         let _ = fs::remove_dir_all(&dir);
     }
 

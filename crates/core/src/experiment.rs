@@ -884,21 +884,15 @@ mod tests {
         compact_dir(&dir, DEFAULT_COMPRESS_CHUNK).unwrap();
         // A renamed shard whose data never reached the disk.
         std::fs::write(dir.join("client04.test.rtes"), b"").unwrap();
-        let err = build_experiment_clients(&config).unwrap_err();
-        match err {
-            CoreError::InvalidConfig { reason } => {
-                assert!(reason.contains("delete the directory"), "{reason}");
-            }
-            other => panic!("expected InvalidConfig, got {other}"),
-        }
         // With compression on, the idempotent compaction meets the torn
         // shard first: the same recovery error, not a bare decode error.
-        let err = build_experiment_clients(&config.with_compressed_shards()).unwrap_err();
-        match err {
-            CoreError::InvalidConfig { reason } => {
-                assert!(reason.contains("delete the directory"), "{reason}");
+        for config in [config.clone(), config.with_compressed_shards()] {
+            match build_experiment_clients(&config).unwrap_err() {
+                CoreError::InvalidConfig { reason } => {
+                    assert!(reason.contains("delete the directory"), "{reason}");
+                }
+                other => panic!("expected InvalidConfig, got {other}"),
             }
-            other => panic!("expected InvalidConfig, got {other}"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

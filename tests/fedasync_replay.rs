@@ -9,8 +9,9 @@
 use std::sync::Mutex;
 
 use decentralized_routability::fed::{
-    render_async_history, run_fedasync, AsyncConfig, AsyncRoundRecord, Client, ClientSet,
-    FedConfig, LocalExecutor, MethodOutcome, ModelFactory, Parallelism,
+    local_links, render_async_history, run_fedasync, AsyncConfig, AsyncRoundRecord, Client,
+    ClientSet, EvalReport, FedConfig, LinkExecutor, LocalExecutor, MethodOutcome, ModelFactory,
+    Parallelism,
 };
 use decentralized_routability::nn::models::{FlNet, FlNetConfig};
 use decentralized_routability::tensor::rng::Xoshiro256;
@@ -95,6 +96,120 @@ fn run_schedule(threads: usize, dropout: f64) -> (MethodOutcome, Vec<AsyncRoundR
         run_fedasync(&fleet, &factory, &config, &async_config(dropout), &mut exec).unwrap();
     let rendered = render_async_history("replay", &records);
     (outcome, records, rendered)
+}
+
+/// The same schedule with every dispatch a deploy/update exchange over
+/// `local_links`.
+fn run_over_links(threads: usize, dropout: f64) -> (MethodOutcome, Vec<AsyncRoundRecord>, String) {
+    let fleet = clients(4);
+    let factory = factory();
+    let config = fed_config(threads);
+    let mut links = local_links(&fleet, &factory, &config, None).unwrap();
+    let mut exec = LinkExecutor::new(&mut links);
+    let (outcome, records) =
+        run_fedasync(&fleet, &factory, &config, &async_config(dropout), &mut exec).unwrap();
+    let rendered = render_async_history("replay", &records);
+    (outcome, records, rendered)
+}
+
+/// FNV-1a over `to_bits`, as in `crates/fed/tests/method_golden.rs`.
+struct Fnv(u64);
+
+impl Fnv {
+    fn u64(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    fn report(&mut self, r: &EvalReport) {
+        self.f64(r.auc);
+        self.f64(r.average_precision);
+        let c = &r.confusion;
+        for n in [
+            c.true_positives,
+            c.false_positives,
+            c.true_negatives,
+            c.false_negatives,
+        ] {
+            self.u64(n as u64);
+        }
+        let h = &r.histogram;
+        self.u64(h.bins() as u64);
+        for i in 0..=h.bins() {
+            self.u64(u64::from(h.edge(i).to_bits()));
+        }
+        for &n in h.positives().iter().chain(h.negatives()) {
+            self.u64(n);
+        }
+    }
+}
+
+/// One digest over the outcome's reports, every `AsyncRoundRecord`
+/// and the rendered history bytes.
+fn digest(outcome: &MethodOutcome, records: &[AsyncRoundRecord], rendered: &str) -> u64 {
+    let mut h = Fnv(0xCBF2_9CE4_8422_2325);
+    h.u64(outcome.per_client.len() as u64);
+    outcome.per_client.iter().for_each(|r| h.report(r));
+    outcome.per_client_auc.iter().for_each(|&a| h.f64(a));
+    h.f64(outcome.average_auc);
+    h.u64(outcome.history.len() as u64);
+    h.u64(records.len() as u64);
+    for r in records {
+        h.u64(r.aggregation as u64);
+        h.u64(r.tick);
+        h.u64(r.arrivals.len() as u64);
+        for &(client, staleness) in &r.arrivals {
+            h.u64(client as u64);
+            h.u64(staleness);
+        }
+        h.f64(r.average_auc);
+        h.f64(r.mean_train_loss);
+    }
+    h.u64(rendered.len() as u64);
+    rendered.bytes().for_each(|b| h.u64(u64::from(b)));
+    h.0
+}
+
+/// `(dropout, digest)` of the pinned schedule, computed before the
+/// virtual-clock and wall-clock drivers became one loop. They must not
+/// change: the driver may be restructured, its bits may not.
+const GOLDEN: [(f64, u64); 2] = [(0.25, 0x1034a14ddc2b5cf6), (0.0, 0x6138351002785784)];
+
+/// Both dropout schedules, in process and over `local_links`, in every
+/// thread count × SIMD arm cell, match their golden digest.
+#[test]
+fn async_outcomes_match_their_golden_digests() {
+    let _guard = GLOBAL_ARM.lock().unwrap();
+    let before = simd::global();
+    let mut got = Vec::new();
+    for (dropout, _) in GOLDEN {
+        let mut cells = Vec::new();
+        for threads in [1usize, 4] {
+            for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
+                simd::set_global(arm);
+                for run in [run_schedule, run_over_links] {
+                    let (outcome, records, rendered) = run(threads, dropout);
+                    cells.push(digest(&outcome, &records, &rendered));
+                }
+            }
+        }
+        assert!(
+            cells.iter().all(|&d| d == cells[0]),
+            "dropout {dropout}: digests differ across paths and cells: {cells:#018x?}"
+        );
+        got.push((dropout, cells[0]));
+    }
+    simd::set_global(before);
+    let table: String = got
+        .iter()
+        .map(|(p, d)| format!("({p:?}, {d:#018x}), "))
+        .collect();
+    assert_eq!(got, GOLDEN, "today's digests: {table}");
 }
 
 /// `AsyncRoundRecord` carries a NaN sentinel in `average_auc` on

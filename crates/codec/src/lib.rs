@@ -6,6 +6,9 @@
 //! all checksum with CRC-32/IEEE. This leaf crate holds the one
 //! implementation they share; it depends on nothing, so both `rte-eda`
 //! and `rte-net` (which never see each other) can use it.
+//!
+//! It also holds [`SplitMix64`], the seed-expanding generator that
+//! `rte_tensor::rng` and `rte_net`'s clocks, chaos and retry streams share.
 
 // Pure safe Rust; all workspace `unsafe` lives in `rte_tensor::simd`
 // (rte-lint rule L1 enforces this).
@@ -78,6 +81,63 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         crc = t[0][((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
+}
+
+/// SplitMix64: seeds and derives the workspace's `Xoshiro256` streams,
+/// and draws the async schedule, chaos and retry-jitter decisions.
+///
+/// # Example
+///
+/// ```
+/// use rte_codec::SplitMix64;
+///
+/// let mut sm = SplitMix64::new(42);
+/// let a = sm.next_u64();
+/// let b = sm.next_u64();
+/// assert_ne!(a, b);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SplitMix64 {
+    state: u64,
+}
+
+impl SplitMix64 {
+    /// Creates a generator from a seed.
+    pub fn new(seed: u64) -> Self {
+        SplitMix64 { state: seed }
+    }
+
+    /// Next 64 uniform bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform draw in `[lo, hi]` (inclusive; `lo` when the range is
+    /// degenerate). Modulo bias is irrelevant here — these are latency
+    /// *shapes* for a simulator, not statistics.
+    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
+        if hi <= lo {
+            return lo;
+        }
+        lo + self.next_u64() % (hi - lo + 1)
+    }
+
+    /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
+    pub fn bernoulli(&mut self, p: f64) -> bool {
+        if p <= 0.0 {
+            return false;
+        }
+        if p >= 1.0 {
+            return true;
+        }
+        // Compare against the top 53 bits as a uniform in [0, 1).
+        let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        u < p
+    }
 }
 
 #[cfg(test)]

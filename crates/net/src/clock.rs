@@ -13,51 +13,9 @@
 
 use std::collections::BTreeMap;
 
-/// SplitMix64 — the stream-splitting generator (same constants as
-/// `rte_tensor::rng`, restated here so this crate stays dependency-free).
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Creates a generator from a seed.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next 64 uniform bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[lo, hi]` (inclusive; `lo` when the range is
-    /// degenerate). Modulo bias is irrelevant here — these are latency
-    /// *shapes* for a simulator, not statistics.
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
-        if hi <= lo {
-            return lo;
-        }
-        lo + self.next_u64() % (hi - lo + 1)
-    }
-
-    /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
-    pub fn bernoulli(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        if p >= 1.0 {
-            return true;
-        }
-        // Compare against the top 53 bits as a uniform in [0, 1).
-        let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        u < p
-    }
-}
+/// SplitMix64 — the stream-splitting generator, shared with
+/// `rte_tensor::rng` from the `rte-codec` leaf.
+pub use rte_codec::SplitMix64;
 
 /// A deterministic discrete-event queue keyed by `(tick, lane, seq)`.
 ///

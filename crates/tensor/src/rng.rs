@@ -8,37 +8,7 @@
 
 /// SplitMix64 generator, used to seed and to derive independent
 /// [`Xoshiro256`] streams from one master seed.
-///
-/// # Example
-///
-/// ```
-/// use rte_tensor::rng::SplitMix64;
-///
-/// let mut sm = SplitMix64::new(42);
-/// let a = sm.next_u64();
-/// let b = sm.next_u64();
-/// assert_ne!(a, b);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Creates a generator with the given seed.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// Returns the next 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
+pub use rte_codec::SplitMix64;
 
 /// xoshiro256** generator: the workhorse PRNG of the workspace.
 ///

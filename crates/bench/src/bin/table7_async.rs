@@ -17,7 +17,7 @@ use rte_bench::BenchArgs;
 use rte_core::{build_experiment_clients, model_factory};
 use rte_fed::{
     local_links, render_async_history, run_fedasync, run_link_rounds, AsyncConfig,
-    AsyncRoundRecord, FaultPolicy, LinkExecutor, LocalLink, MethodOutcome,
+    AsyncRoundRecord, FaultPolicy, LocalLink, MethodOutcome,
 };
 use rte_nn::models::ModelKind;
 
@@ -102,25 +102,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut async_cfg = AsyncConfig::new(budget.div_ceil(buffer), buffer);
         async_cfg.dropout = dropout;
         let mut links = local_links(&clients, &factory, &config.fed, None)?;
-        let records = {
-            let mut exec = LinkExecutor::new(&mut links);
-            let (outcome, records) =
-                run_fedasync(&clients, &factory, &config.fed, &async_cfg, &mut exec)?;
-            let (arrived, mean_staleness) = staleness_stats(&records);
-            rows.push(Row {
-                label: if dropout > 0.0 {
-                    format!("fedasync B={buffer}, {:.0}% dropout", dropout * 100.0)
-                } else {
-                    format!("fedasync B={buffer}")
-                },
-                average_auc: outcome.average_auc,
-                trainings: arrived,
-                mean_staleness,
-                wire_bytes: 0, // filled in below, after links are released
-            });
-            records
-        };
-        rows.last_mut().expect("row just pushed").wire_bytes = wire_bytes(&links);
+        let (run, records) = run_fedasync(
+            &clients,
+            &factory,
+            &config.fed,
+            &async_cfg,
+            &mut links,
+            &FaultPolicy::default(),
+        )?;
+        let (arrived, mean_staleness) = staleness_stats(&records);
+        rows.push(Row {
+            label: if dropout > 0.0 {
+                format!("fedasync B={buffer}, {:.0}% dropout", dropout * 100.0)
+            } else {
+                format!("fedasync B={buffer}")
+            },
+            average_auc: run.outcome.average_auc,
+            trainings: arrived,
+            mean_staleness,
+            wire_bytes: wire_bytes(&links),
+        });
         if dropout == 0.0 && buffer > 1 {
             shown_schedule = Some(records);
         }

@@ -44,12 +44,6 @@ use crate::secure::{aggregate_masked, MaskedUpdate, SecureConfig};
 use crate::wire::{deploy_frame, net_err, send_message, Message};
 use crate::{Aggregation, Client, FedConfig, FedError, Method, ModelFactory};
 
-/// Upper bound on a coordinator-side wait for one client reply that no
-/// [`FaultPolicy`] governs (the async link executor). Not a tuning
-/// knob — just the guarantee that a stalled or half-dead peer surfaces
-/// as a typed timeout instead of wedging the coordinator forever.
-pub(crate) const COLLECT_DEADLINE: Duration = Duration::from_secs(600);
-
 /// How many stale or duplicate frames one client slot may drain in one
 /// round before the slot is declared missed — bounds the loop when a
 /// duplicating link floods the queue.
@@ -311,8 +305,10 @@ impl Exchange<Plain> for InProcess<'_, '_> {
     }
 }
 
-/// The link-side exchange: `links[k]` speaks to fleet client `k`.
-struct Links<'l, T> {
+/// The link-side exchange: `links[k]` speaks to fleet client `k`. The
+/// async driver ([`crate::fedasync`]) dispatches and collects one slot
+/// at a time through it.
+pub(crate) struct Links<'l, T> {
     links: &'l mut [T],
     policy: &'l FaultPolicy,
     steps: u64,
@@ -321,7 +317,60 @@ struct Links<'l, T> {
     retries: u64,
 }
 
-impl<T: Transport> Links<'_, T> {
+impl<'l, T: Transport> Links<'l, T> {
+    /// Wraps one link per fleet client, each slot trained for `steps`
+    /// under `policy`, with frame sequence numbers continuing from `seq`.
+    ///
+    /// # Errors
+    ///
+    /// [`FedError::InvalidConfig`] when there is not one link per client.
+    pub(crate) fn new(
+        links: &'l mut [T],
+        clients: usize,
+        policy: &'l FaultPolicy,
+        steps: usize,
+        seq: u64,
+    ) -> Result<Self, FedError> {
+        if links.len() != clients {
+            return Err(FedError::InvalidConfig {
+                reason: format!("{} links for {clients} clients", links.len()),
+            });
+        }
+        Ok(Links {
+            links,
+            policy,
+            steps: steps as u64,
+            seq,
+            events: Vec::new(),
+            retries: 0,
+        })
+    }
+
+    /// Sends client `k` alone a deploy of `start` for `round`; returns
+    /// the frame (for [`Links::collect`]'s retries) and the error's
+    /// rendering when it did not leave.
+    pub(crate) fn dispatch(
+        &mut self,
+        round: u64,
+        k: usize,
+        start: &StateDict,
+    ) -> (Frame, Option<String>) {
+        let mut deploy = deploy_frame(round, self.steps, &[], start, COORDINATOR, self.seq);
+        let failure = self.deploy(k, &mut deploy);
+        (deploy, failure)
+    }
+
+    /// Sends every client a shutdown — one that already hung up is
+    /// fine, the run is over — and returns the run's fault log and
+    /// retry count.
+    pub(crate) fn shutdown(mut self) -> (Vec<RoundEvent>, u64) {
+        for link in self.links.iter_mut() {
+            let _ = send_message(link, Message::Shutdown, COORDINATOR, self.seq);
+            self.seq += 1;
+        }
+        (self.events, self.retries)
+    }
+
     /// Sends the round's deploy to client `k` under the next sequence
     /// number; returns the error's rendering when it did not leave.
     fn deploy(&mut self, k: usize, deploy: &mut Frame) -> Option<String> {
@@ -338,7 +387,7 @@ impl<T: Transport> Links<'_, T> {
     /// Re-training the slot is bit-identical, so a retried update
     /// equals the lost one. `None` is a slot missed after its last
     /// attempt (or flooded past the stale budget).
-    fn collect<S: Stage>(
+    pub(crate) fn collect<S: Stage>(
         &mut self,
         round: usize,
         k: usize,
@@ -550,11 +599,6 @@ pub fn run_link_rounds<T: Transport>(
     resume: Option<ResumePoint>,
     on_round: Option<&mut RoundHook<'_>>,
 ) -> Result<ResilientOutcome, FedError> {
-    if links.len() != clients.len() {
-        return Err(FedError::InvalidConfig {
-            reason: format!("{} links for {} clients", links.len(), clients.len()),
-        });
-    }
     if policy.min_quorum > clients.len() {
         return Err(FedError::InvalidConfig {
             reason: format!(
@@ -584,14 +628,7 @@ pub fn run_link_rounds<T: Transport>(
         Some(point) => (point.round, point.seq, point.state),
         None => (0, 0, harness.initial_state()),
     };
-    let mut exchange = Links {
-        links,
-        policy,
-        steps: config.local_steps as u64,
-        seq,
-        events: Vec::new(),
-        retries: 0,
-    };
+    let mut exchange = Links::new(links, clients.len(), policy, config.local_steps, seq)?;
     let history = match secure {
         None => run_rounds(&harness, &Plain, &mut exchange, &mut global, done, on_round)?,
         Some(cfg) => run_rounds(
@@ -603,18 +640,14 @@ pub fn run_link_rounds<T: Transport>(
             on_round,
         )?,
     };
-    for link in exchange.links.iter_mut() {
-        // A client that already hung up is fine — the run is over.
-        let _ = send_message(link, Message::Shutdown, COORDINATOR, exchange.seq);
-        exchange.seq += 1;
-    }
+    let (events, retries) = exchange.shutdown();
     let per_client = deploy::<Plain>(&harness, &mut global, &history)?
         .into_iter()
         .collect::<Result<_, _>>()?;
     Ok(ResilientOutcome {
         outcome: MethodOutcome::new(Method::FedProx, per_client, history),
-        events: exchange.events,
-        retries: exchange.retries,
+        events,
+        retries,
         completed_rounds: config.rounds,
     })
 }
@@ -668,14 +701,8 @@ mod tests {
         let mut harness = Harness::new(clients, factory, config).unwrap();
         let mut deployment = deployment(method, &mut harness).unwrap();
         let policy = FaultPolicy::default();
-        let mut exchange = Links {
-            links: &mut links,
-            policy: &policy,
-            steps: config.local_steps as u64,
-            seq: 0,
-            events: Vec::new(),
-            retries: 0,
-        };
+        let mut exchange =
+            Links::new(&mut links, clients.len(), &policy, config.local_steps, 0).unwrap();
         let history = run_rounds(
             &harness,
             &Plain,

@@ -1,4 +1,4 @@
-//! Buffered asynchronous federated rounds on a seeded virtual clock.
+//! Buffered asynchronous federated rounds: one loop on two clocks.
 //!
 //! Synchronous FedProx waits for the slowest participant each round; an
 //! asynchronous coordinator instead aggregates whenever a *buffer* of
@@ -8,26 +8,31 @@
 //! buffered mean into the global model with weight `mix` (FedAsync's
 //! `η`).
 //!
-//! Determinism contract rule 8: async outcomes are pinned by running
-//! the schedule on a **seeded virtual clock**. Client latencies,
-//! dropout draws, and rejoin times come from a [`SplitMix64`] stream
-//! seeded by [`AsyncConfig::seed`], and events replay through an
-//! [`EventQueue`] ordered by `(tick, lane, seq)` — so the arrival
-//! order, staleness values, and every aggregate are byte-identical
-//! across runs, thread counts, and machines
-//! (`tests/fedasync_replay.rs` pins this). The documented opt-out is
-//! [`run_fedasync_wall`], which takes true wall-clock arrival order
-//! from a [`rte_net::FanIn`] and is *not* reproducible — CI never runs
-//! it beyond a smoke check.
+//! One private loop drives both entries: dispatch every client, take
+//! the next arrival, offer it to the buffer, redispatch its client. The
+//! arrivals come from one of two sources. [`run_fedasync`] is
+//! determinism rule 8's pinned mode, a **seeded virtual clock**: client
+//! latencies, dropout draws and rejoin times come from a [`SplitMix64`]
+//! stream seeded by [`AsyncConfig::seed`], events replay through an
+//! [`EventQueue`] ordered by `(tick, lane, seq)`, and each dispatch is
+//! one deploy-and-collect over the round engine's link exchange under
+//! the caller's [`FaultPolicy`] — so the arrival order, staleness values
+//! and every aggregate are byte-identical across runs, thread counts and
+//! machines (`tests/fedasync_replay.rs`), and replay bit for bit under
+//! seeded chaos (`tests/chaos_determinism.rs`). A dispatch the links
+//! still miss after the policy's last attempt takes the dropout path:
+//! its client rejoins `rejoin_delay` ticks later. [`run_fedasync_wall`]
+//! is the documented opt-out: true wall-clock arrival order from a
+//! [`FanIn`], *not* reproducible, checked only to run to a table.
 
-use rte_net::{EventQueue, SplitMix64, Transport, VirtualClock, WallClock};
+use rte_net::{EventQueue, FanIn, SplitMix64, Transport, VirtualClock, WallClock};
 use rte_nn::StateDict;
 
-use crate::engine::COLLECT_DEADLINE;
-use crate::federation::{sessions, ClientSession, COORDINATOR};
-use crate::methods::{Harness, MethodOutcome};
+use crate::engine::{Links, Plain, Stage};
+use crate::methods::{mean_loss, ClientUpdate, Harness, MethodOutcome};
 use crate::params::aggregate;
-use crate::wire::{deploy_frame, net_err, recv_message_within, send_message, Message};
+use crate::resilient::{FaultPolicy, ResilientOutcome};
+use crate::wire::{net_err, Message};
 use crate::{Aggregation, Client, FedConfig, FedError, Method, ModelFactory};
 
 /// Hyper-parameters of the asynchronous schedule.
@@ -84,40 +89,23 @@ impl AsyncConfig {
     /// Returns [`FedError::InvalidConfig`] for an empty schedule, a
     /// buffer larger than the fleet, or out-of-range rates.
     pub fn validate(&self, n_clients: usize) -> Result<(), FedError> {
-        if self.aggregations == 0 || self.buffer == 0 {
-            return Err(FedError::InvalidConfig {
-                reason: "aggregations and buffer must be positive".into(),
-            });
-        }
-        if self.buffer > n_clients {
-            return Err(FedError::InvalidConfig {
-                reason: format!(
-                    "buffer {} exceeds fleet size {n_clients} (would deadlock)",
-                    self.buffer
-                ),
-            });
-        }
-        if !(0.0..1.0).contains(&self.dropout) {
-            return Err(FedError::InvalidConfig {
-                reason: format!("dropout {} outside [0, 1)", self.dropout),
-            });
-        }
-        if !(self.mix > 0.0 && self.mix <= 1.0) {
-            return Err(FedError::InvalidConfig {
-                reason: format!("mix {} outside (0, 1]", self.mix),
-            });
-        }
-        if self.staleness_decay < 0.0 {
-            return Err(FedError::InvalidConfig {
-                reason: format!("negative staleness decay {}", self.staleness_decay),
-            });
-        }
-        if self.max_latency == 0 {
-            return Err(FedError::InvalidConfig {
-                reason: "max_latency must be at least one tick".into(),
-            });
-        }
-        Ok(())
+        let reason = if self.aggregations == 0 || self.buffer == 0 {
+            "aggregations and buffer must be positive".to_string()
+        } else if self.buffer > n_clients {
+            let buffer = self.buffer;
+            format!("buffer {buffer} exceeds fleet size {n_clients} (would deadlock)")
+        } else if !(0.0..1.0).contains(&self.dropout) {
+            format!("dropout {} outside [0, 1)", self.dropout)
+        } else if !(self.mix > 0.0 && self.mix <= 1.0) {
+            format!("mix {} outside (0, 1]", self.mix)
+        } else if !(0.0..).contains(&self.staleness_decay) {
+            format!("staleness decay {} is not >= 0", self.staleness_decay)
+        } else if self.max_latency == 0 {
+            "max_latency must be at least one tick".to_string()
+        } else {
+            return Ok(());
+        };
+        Err(FedError::InvalidConfig { reason })
     }
 }
 
@@ -141,180 +129,45 @@ pub struct AsyncRoundRecord {
     pub mean_train_loss: f64,
 }
 
-/// Produces one `(client, dispatch)` update — the training half of an
-/// async slot. Implemented in-process ([`LocalExecutor`]) and over
-/// transport links ([`LinkExecutor`]); both compute the identical slot,
-/// which is what lets the replay test pin one against the other.
-pub trait TrainExecutor {
-    /// Trains `client` from `start` for `steps`, where `dispatch` is the
-    /// globally unique dispatch id feeding the per-slot RNG stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns any training or transport failure.
-    fn train(
-        &mut self,
-        client: usize,
-        dispatch: u64,
-        start: &StateDict,
-        steps: usize,
-    ) -> Result<(StateDict, f32), FedError>;
-
-    /// Releases the executor's clients once the schedule completes —
-    /// transport-backed executors send each link a shutdown so remote
-    /// serve loops exit cleanly instead of dying on a closed socket.
-    /// The in-process default is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Returns any transport failure.
-    fn shutdown(&mut self) -> Result<(), FedError> {
-        Ok(())
-    }
-}
-
-/// In-process executor: one [`ClientSession`] per fleet client, trained
-/// on the coordinator thread in event order.
-pub struct LocalExecutor<'a> {
-    sessions: Vec<ClientSession<'a>>,
-}
-
-impl<'a> LocalExecutor<'a> {
-    /// Builds one session per fleet client.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FedError::InvalidConfig`] for an invalid config.
-    pub fn new(
-        clients: &'a [Client],
-        factory: &'a ModelFactory,
-        config: &'a FedConfig,
-    ) -> Result<Self, FedError> {
-        let sessions = sessions(clients, factory, config, None)?;
-        Ok(LocalExecutor { sessions })
-    }
-}
-
-impl TrainExecutor for LocalExecutor<'_> {
-    fn train(
-        &mut self,
-        client: usize,
-        dispatch: u64,
-        start: &StateDict,
-        steps: usize,
-    ) -> Result<(StateDict, f32), FedError> {
-        self.sessions[client].train_slot(dispatch, steps, start)
-    }
-}
-
-/// Transport-backed executor: each slot is a synchronous deploy/update
-/// exchange on the client's link, with the dispatch id carried in the
-/// deploy's `round` field.
-pub struct LinkExecutor<'a, T: Transport> {
-    links: &'a mut [T],
-    seq: u64,
-}
-
-impl<'a, T: Transport> LinkExecutor<'a, T> {
-    /// Wraps `links`, where `links[k]` speaks to fleet client `k`.
-    pub fn new(links: &'a mut [T]) -> Self {
-        LinkExecutor { links, seq: 0 }
-    }
-}
-
-impl<T: Transport> TrainExecutor for LinkExecutor<'_, T> {
-    fn train(
-        &mut self,
-        client: usize,
-        dispatch: u64,
-        start: &StateDict,
-        steps: usize,
-    ) -> Result<(StateDict, f32), FedError> {
-        let seq = self.seq;
-        self.seq += 1;
-        let deploy = deploy_frame(dispatch, steps as u64, &[], start, COORDINATOR, seq);
-        self.links[client].send(&deploy).map_err(net_err)?;
-        let (_, message) = recv_message_within(&mut self.links[client], COLLECT_DEADLINE)?;
-        match message {
-            Message::Update {
-                round,
-                client: got,
-                loss,
-                state,
-            } => {
-                if round != dispatch || got != client as u32 {
-                    return Err(FedError::Transport {
-                        reason: format!(
-                            "expected dispatch {dispatch} update from client {client}, \
-                             got dispatch {round} from client {got}"
-                        ),
-                    });
-                }
-                Ok((state, loss))
-            }
-            other => Err(FedError::Transport {
-                reason: format!("expected async update, got kind {}", other.kind()),
-            }),
-        }
-    }
-
-    fn shutdown(&mut self) -> Result<(), FedError> {
-        for link in self.links.iter_mut() {
-            let seq = self.seq;
-            self.seq += 1;
-            send_message(link, Message::Shutdown, COORDINATOR, seq)?;
-        }
-        Ok(())
-    }
-}
-
-/// The staleness-weighted buffered aggregation core, shared by the
-/// virtual-clock and wall-clock drivers so the opt-out cannot drift
-/// from the pinned semantics.
+/// The staleness-weighted buffered aggregation core.
 struct Buffered<'h, 'a> {
     harness: &'h Harness<'a>,
-    cfg: AsyncConfig,
+    cfg: &'h AsyncConfig,
     global: StateDict,
     version: usize,
-    buffer: Vec<(StateDict, f64, usize, u64, f32)>,
+    /// The version each client's latest dispatch started from.
+    dispatched: Vec<usize>,
+    buffer: Vec<ClientUpdate>,
+    weights: Vec<f64>,
+    arrivals: Vec<(usize, u64)>,
     records: Vec<AsyncRoundRecord>,
 }
 
-impl<'h, 'a> Buffered<'h, 'a> {
-    fn new(harness: &'h Harness<'a>, cfg: AsyncConfig, global: StateDict) -> Self {
-        Buffered {
-            harness,
-            cfg,
-            global,
-            version: 0,
-            buffer: Vec::new(),
-            records: Vec::new(),
-        }
-    }
-
+impl Buffered<'_, '_> {
     fn done(&self) -> bool {
         self.version >= self.cfg.aggregations
     }
 
     /// Accepts one arrival; when the buffer fills, applies the buffered
-    /// aggregation and records it.
-    fn offer(
-        &mut self,
-        client: usize,
-        dispatched_version: usize,
-        state: StateDict,
-        loss: f32,
-        tick: u64,
-    ) -> Result<(), FedError> {
-        let staleness = (self.version - dispatched_version) as u64;
-        let weight = self.harness.clients[client].weight() as f64
-            * (1.0 + staleness as f64).powf(-self.cfg.staleness_decay);
-        self.buffer.push((state, weight, client, staleness, loss));
+    /// aggregation and records it. Returns the arrival's client.
+    fn offer(&mut self, update: ClientUpdate, tick: u64) -> Result<usize, FedError> {
+        let client = update.client;
+        let staleness = (self.version - self.dispatched[client]) as u64;
+        self.weights.push(
+            self.harness.clients[client].weight() as f64
+                * (1.0 + staleness as f64).powf(-self.cfg.staleness_decay),
+        );
+        self.arrivals.push((client, staleness));
+        self.buffer.push(update);
         if self.buffer.len() < self.cfg.buffer {
-            return Ok(());
+            return Ok(client);
         }
-        let refs: Vec<(&StateDict, f64)> =
-            self.buffer.iter().map(|(s, w, _, _, _)| (s, *w)).collect();
+        let refs: Vec<(&StateDict, f64)> = self
+            .buffer
+            .iter()
+            .map(|u| &u.state)
+            .zip(self.weights.drain(..))
+            .collect();
         let mean = aggregate(&refs, Aggregation::WeightedMean)?;
         // Server mixing in f64: g ← (1 − η)·g + η·mean, coordinate-wise
         // on the coordinator thread (determinism rule 6).
@@ -328,272 +181,280 @@ impl<'h, 'a> Buffered<'h, 'a> {
         let record_point = self.version == self.cfg.aggregations
             || (self.cfg.eval_every > 0 && self.version % self.cfg.eval_every == 0);
         let average_auc = if record_point {
-            let reports = self.harness.eval_global(&self.global)?;
-            crate::eval::mean_auc(&reports)
+            crate::eval::mean_auc(&self.harness.eval_global(&self.global)?)
         } else {
             f64::NAN
         };
-        let mean_train_loss = self
-            .buffer
-            .iter()
-            .map(|(_, _, _, _, l)| *l as f64)
-            .sum::<f64>()
-            / self.buffer.len() as f64;
         self.records.push(AsyncRoundRecord {
             aggregation: self.version,
             tick,
-            arrivals: self.buffer.iter().map(|(_, _, c, s, _)| (*c, *s)).collect(),
+            arrivals: std::mem::take(&mut self.arrivals),
             average_auc,
-            mean_train_loss,
+            mean_train_loss: mean_loss(&self.buffer),
         });
         self.buffer.clear();
-        Ok(())
+        Ok(client)
     }
 }
 
-/// One pending virtual-clock event.
+/// What becomes of one dispatch, at the tick it pops.
 enum Event {
     /// A client's trained update lands.
-    Arrival {
+    Arrival(ClientUpdate),
+    /// A client that dropped out, or whose dispatch was missed, comes
+    /// back online and can be redispatched.
+    Rejoin(usize),
+}
+
+/// Where the loop's arrivals come from: the seeded virtual clock
+/// ([`Virtual`]) or real arrival order ([`Wall`]).
+trait Arrivals<T> {
+    /// Dispatches `global` to `client` over `links`.
+    fn dispatch(
+        &mut self,
+        links: &mut Links<'_, T>,
         client: usize,
-        dispatched_version: usize,
-        state: StateDict,
-        loss: f32,
-    },
-    /// A dropped client comes back online and can be redispatched.
-    Rejoin { client: usize },
+        global: &StateDict,
+    ) -> Result<(), FedError>;
+
+    /// The next event and its tick (virtual ticks or wall milliseconds).
+    fn next(&mut self) -> Result<(u64, Event), FedError>;
+}
+
+/// Determinism rule 8's source: each dispatch draws a latency and a
+/// dropout from the seeded schedule stream and, unless it dropped out,
+/// is one deploy-and-collect over the links; the update lands `latency`
+/// ticks later. A dropout — or a dispatch still missed after the fault
+/// policy's last attempt — rejoins `rejoin_delay` ticks after that.
+struct Virtual<'c> {
+    cfg: &'c AsyncConfig,
+    rng: SplitMix64,
+    queue: EventQueue<Event>,
+    clock: VirtualClock,
+    dispatches: u64,
+    /// Whether each client's latest dispatch was missed on its link.
+    missed: Vec<bool>,
+}
+
+impl<T: Transport> Arrivals<T> for Virtual<'_> {
+    fn dispatch(
+        &mut self,
+        links: &mut Links<'_, T>,
+        client: usize,
+        global: &StateDict,
+    ) -> Result<(), FedError> {
+        let latency = self.clock.now() + self.rng.next_range(1, self.cfg.max_latency);
+        let dropped = self.cfg.dropout > 0.0 && self.rng.bernoulli(self.cfg.dropout);
+        let mut update = None;
+        if !dropped {
+            let id = self.dispatches;
+            self.dispatches += 1;
+            let (mut deploy, failure) = links.dispatch(id, client, global);
+            update = links.collect::<Plain>(id as usize, client, &mut deploy, failure)?;
+            self.missed[client] = update.is_none();
+            if self.missed.iter().all(|&m| m) {
+                let round = id as usize;
+                return Err(FedError::QuorumLost {
+                    round,
+                    got: 0,
+                    need: 1,
+                });
+            }
+        }
+        let (tick, event) = match update {
+            Some(update) => (latency, Event::Arrival(update)),
+            None => (latency + self.cfg.rejoin_delay, Event::Rejoin(client)),
+        };
+        self.queue.push(tick, client as u64, event);
+        Ok(())
+    }
+
+    fn next(&mut self) -> Result<(u64, Event), FedError> {
+        let (tick, _, event) = self.queue.pop().ok_or_else(|| FedError::InvalidConfig {
+            reason: "async schedule starved: every client is offline \
+                     and none will rejoin"
+                .into(),
+        })?;
+        self.clock.advance_to(tick);
+        Ok((tick, event))
+    }
+}
+
+/// The documented opt-out's source: deploys go out on write-only links
+/// and updates are taken in the order a [`FanIn`] delivers them, stamped
+/// with [`WallClock`] milliseconds. Real clients are as slow as they
+/// really are, so there is no latency or dropout draw.
+struct Wall<'f> {
+    fan: &'f mut FanIn,
+    clock: WallClock,
+    dispatches: u64,
+}
+
+impl<T: Transport> Arrivals<T> for Wall<'_> {
+    fn dispatch(
+        &mut self,
+        links: &mut Links<'_, T>,
+        client: usize,
+        global: &StateDict,
+    ) -> Result<(), FedError> {
+        let (_, failure) = links.dispatch(self.dispatches, client, global);
+        self.dispatches += 1;
+        match failure {
+            Some(reason) => Err(net_failure(format!("deploy to client {client}: {reason}"))),
+            None => Ok(()),
+        }
+    }
+
+    fn next(&mut self) -> Result<(u64, Event), FedError> {
+        let (index, frame) = self.fan.recv_any().map_err(net_err)?;
+        match Plain::parse(Message::from_frame(&frame)?) {
+            Ok((_, client, loss, state)) if client as usize == index => {
+                let update = ClientUpdate {
+                    client: index,
+                    state,
+                    loss,
+                };
+                Ok((self.clock.elapsed_ms(), Event::Arrival(update)))
+            }
+            _ => Err(net_failure(format!(
+                "link {index} sent other than its client's update"
+            ))),
+        }
+    }
+}
+
+fn net_failure(reason: String) -> FedError {
+    FedError::Transport { reason }
+}
+
+/// The one buffered-async loop, on either clock: dispatch every client,
+/// then take the next arrival, offer it to the buffer and redispatch
+/// its client; after the last aggregation, shut the clients down and
+/// evaluate the global state.
+fn drive<T: Transport>(
+    clients: &[Client],
+    factory: &ModelFactory,
+    config: &FedConfig,
+    cfg: &AsyncConfig,
+    mut links: Links<'_, T>,
+    arrivals: &mut impl Arrivals<T>,
+) -> Result<(ResilientOutcome, Vec<AsyncRoundRecord>), FedError> {
+    cfg.validate(clients.len())?;
+    let mut harness = Harness::new(clients, factory, config)?;
+    let mut state = Buffered {
+        global: harness.initial_state(),
+        harness: &harness,
+        cfg,
+        version: 0,
+        dispatched: vec![0; clients.len()],
+        buffer: Vec::new(),
+        weights: Vec::new(),
+        arrivals: Vec::new(),
+        records: Vec::new(),
+    };
+    for client in 0..clients.len() {
+        arrivals.dispatch(&mut links, client, &state.global)?;
+    }
+    while !state.done() {
+        let (tick, event) = arrivals.next()?;
+        let client = match event {
+            Event::Arrival(update) => state.offer(update, tick)?,
+            Event::Rejoin(client) => client,
+        };
+        if !state.done() {
+            state.dispatched[client] = state.version;
+            arrivals.dispatch(&mut links, client, &state.global)?;
+        }
+    }
+    let (events, retries) = links.shutdown();
+    let outcome = ResilientOutcome {
+        outcome: MethodOutcome::new(
+            Method::FedProx,
+            harness.eval_global(&state.global)?,
+            Vec::new(),
+        ),
+        events,
+        retries,
+        completed_rounds: cfg.aggregations,
+    };
+    Ok((outcome, state.records))
 }
 
 /// Runs the buffered async schedule on the seeded virtual clock
-/// (determinism rule 8's pinned mode), returning the final outcome and
-/// the per-aggregation records.
+/// (determinism rule 8's pinned mode) over `links`, where `links[k]`
+/// speaks to fleet client `k`, returning the outcome with its fault log
+/// and the per-aggregation records.
 ///
 /// Every client is dispatched at tick 0 and redispatched as soon as its
-/// update arrives (or after `rejoin_delay` when a dropout draw eats the
-/// update). Training executes in event order through `executor`, so
-/// in-process and over-the-wire runs produce byte-identical traces.
+/// update arrives, or after `rejoin_delay` when a dropout draw eats the
+/// dispatch or the link misses it. Each dispatch is one deploy-and-
+/// collect under `policy` — deadline, seeded retries, stale-frame drain
+/// — whose faults are logged as [`crate::RoundEvent`]s keyed by the
+/// dispatch id. So over `local_links` the trace is byte-identical at
+/// every thread count, and under seeded chaos it replays bit for bit.
 ///
 /// # Errors
 ///
-/// Returns [`FedError::InvalidConfig`] for an invalid schedule, or any
-/// training/transport failure.
-pub fn run_fedasync<E: TrainExecutor>(
+/// Returns [`FedError::InvalidConfig`] for an invalid schedule or a
+/// link/fleet size mismatch, [`FedError::QuorumLost`] when every
+/// client's latest dispatch was missed, or any training/transport
+/// failure.
+pub fn run_fedasync<T: Transport>(
     clients: &[Client],
     factory: &ModelFactory,
     config: &FedConfig,
     async_cfg: &AsyncConfig,
-    executor: &mut E,
-) -> Result<(MethodOutcome, Vec<AsyncRoundRecord>), FedError> {
-    async_cfg.validate(clients.len())?;
-    let mut harness = Harness::new(clients, factory, config)?;
-    let global = harness.initial_state();
-    let mut state = Buffered::new(&harness, async_cfg.clone(), global);
-    let mut schedule_rng = SplitMix64::new(async_cfg.seed);
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    let mut clock = VirtualClock::new();
-    let mut dispatches: u64 = 0;
-
-    let dispatch = |client: usize,
-                    now: u64,
-                    version: usize,
-                    global: &StateDict,
-                    rng: &mut SplitMix64,
-                    queue: &mut EventQueue<Event>,
-                    dispatches: &mut u64,
-                    executor: &mut E|
-     -> Result<(), FedError> {
-        let latency = rng.next_range(1, async_cfg.max_latency);
-        let dropped = async_cfg.dropout > 0.0 && rng.bernoulli(async_cfg.dropout);
-        if dropped {
-            queue.push(
-                now + latency + async_cfg.rejoin_delay,
-                client as u64,
-                Event::Rejoin { client },
-            );
-            return Ok(());
-        }
-        let id = *dispatches;
-        *dispatches += 1;
-        let (trained, loss) = executor.train(client, id, global, config.local_steps)?;
-        queue.push(
-            now + latency,
-            client as u64,
-            Event::Arrival {
-                client,
-                dispatched_version: version,
-                state: trained,
-                loss,
-            },
-        );
-        Ok(())
+    links: &mut [T],
+    policy: &FaultPolicy,
+) -> Result<(ResilientOutcome, Vec<AsyncRoundRecord>), FedError> {
+    let links = Links::new(links, clients.len(), policy, config.local_steps, 0)?;
+    let mut arrivals = Virtual {
+        cfg: async_cfg,
+        rng: SplitMix64::new(async_cfg.seed),
+        queue: EventQueue::new(),
+        clock: VirtualClock::new(),
+        dispatches: 0,
+        missed: vec![false; clients.len()],
     };
-
-    for client in 0..clients.len() {
-        dispatch(
-            client,
-            0,
-            0,
-            &state.global,
-            &mut schedule_rng,
-            &mut queue,
-            &mut dispatches,
-            executor,
-        )?;
-    }
-
-    while !state.done() {
-        let Some((tick, _, event)) = queue.pop() else {
-            return Err(FedError::InvalidConfig {
-                reason: "async schedule starved: every client is offline \
-                         and none will rejoin"
-                    .into(),
-            });
-        };
-        clock.advance_to(tick);
-        match event {
-            Event::Arrival {
-                client,
-                dispatched_version,
-                state: trained,
-                loss,
-            } => {
-                state.offer(client, dispatched_version, trained, loss, tick)?;
-                if !state.done() {
-                    dispatch(
-                        client,
-                        tick,
-                        state.version,
-                        &state.global,
-                        &mut schedule_rng,
-                        &mut queue,
-                        &mut dispatches,
-                        executor,
-                    )?;
-                }
-            }
-            Event::Rejoin { client } => {
-                dispatch(
-                    client,
-                    tick,
-                    state.version,
-                    &state.global,
-                    &mut schedule_rng,
-                    &mut queue,
-                    &mut dispatches,
-                    executor,
-                )?;
-            }
-        }
-    }
-
-    executor.shutdown()?;
-    let per_client = harness.eval_global(&state.global)?;
-    let outcome = MethodOutcome::new(Method::FedProx, per_client, Vec::new());
-    Ok((outcome, state.records))
+    drive(clients, factory, config, async_cfg, links, &mut arrivals)
 }
 
-/// The documented **non-deterministic** opt-out: buffered async driven
-/// by true wall-clock arrival order from a [`rte_net::FanIn`].
+/// The documented **non-deterministic** opt-out: the same loop driven
+/// by true wall-clock arrival order from a [`FanIn`].
 ///
 /// `send_links[k]` must be the write side of the connection whose read
-/// side went into `fan` at index `k`. Dropout/rejoin simulation is a
-/// virtual-clock feature and does not apply here — real clients are as
-/// slow as they really are. Record `tick`s are wall milliseconds.
-/// Nothing about this mode is reproducible; CI only smoke-checks it.
+/// side went into `fan` at index `k`. Dropout/rejoin simulation and the
+/// fault policy are virtual-clock features and do not apply here. Record
+/// `tick`s are wall milliseconds. Nothing about this mode is
+/// reproducible; CI and one release-gated test only check that it runs
+/// to a table.
 ///
 /// # Errors
 ///
-/// Returns [`FedError::InvalidConfig`] for an invalid schedule, or any
-/// training/transport failure.
+/// Returns [`FedError::InvalidConfig`] for an invalid schedule or a
+/// link/fleet size mismatch, or any training/transport failure.
 pub fn run_fedasync_wall<S: Transport>(
     clients: &[Client],
     factory: &ModelFactory,
     config: &FedConfig,
     async_cfg: &AsyncConfig,
     send_links: &mut [S],
-    fan: &mut rte_net::FanIn,
-) -> Result<(MethodOutcome, Vec<AsyncRoundRecord>), FedError> {
-    async_cfg.validate(clients.len())?;
-    if send_links.len() != clients.len() || fan.links() != clients.len() {
+    fan: &mut FanIn,
+) -> Result<(ResilientOutcome, Vec<AsyncRoundRecord>), FedError> {
+    if fan.links() != clients.len() {
         return Err(FedError::InvalidConfig {
-            reason: format!(
-                "{} send links / {} fan links for {} clients",
-                send_links.len(),
-                fan.links(),
-                clients.len()
-            ),
+            reason: format!("{} fan links for {} clients", fan.links(), clients.len()),
         });
     }
-    let mut harness = Harness::new(clients, factory, config)?;
-    let global = harness.initial_state();
-    let mut state = Buffered::new(&harness, async_cfg.clone(), global);
-    let clock = WallClock::new();
-    let mut seq = 0u64;
-    let mut dispatched_at = vec![0usize; clients.len()];
-
-    let deploy = |client: usize,
-                  version: usize,
-                  global: &StateDict,
-                  seq: &mut u64,
-                  dispatched_at: &mut [usize],
-                  send_links: &mut [S]|
-     -> Result<(), FedError> {
-        dispatched_at[client] = version;
-        let s = *seq;
-        *seq += 1;
-        let frame = deploy_frame(s, config.local_steps as u64, &[], global, COORDINATOR, s);
-        send_links[client].send(&frame).map_err(net_err)
+    // Never consulted: the wall source only sends on these links.
+    let policy = FaultPolicy::default();
+    let links = Links::new(send_links, clients.len(), &policy, config.local_steps, 0)?;
+    let mut arrivals = Wall {
+        fan,
+        clock: WallClock::new(),
+        dispatches: 0,
     };
-
-    for client in 0..clients.len() {
-        deploy(
-            client,
-            0,
-            &state.global,
-            &mut seq,
-            &mut dispatched_at,
-            send_links,
-        )?;
-    }
-    while !state.done() {
-        let (index, frame) = fan.recv_any().map_err(net_err)?;
-        let message = Message::from_frame(&frame)?;
-        let Message::Update {
-            client,
-            loss,
-            state: trained,
-            ..
-        } = message
-        else {
-            return Err(FedError::Transport {
-                reason: format!("expected async update, got kind {}", message.kind()),
-            });
-        };
-        if client as usize != index {
-            return Err(FedError::Transport {
-                reason: format!("client {client} answered on link {index}"),
-            });
-        }
-        let landed = clock.elapsed_ms();
-        state.offer(index, dispatched_at[index], trained, loss, landed)?;
-        if !state.done() {
-            deploy(
-                index,
-                state.version,
-                &state.global,
-                &mut seq,
-                &mut dispatched_at,
-                send_links,
-            )?;
-        }
-    }
-    for link in send_links.iter_mut() {
-        let _ = send_message(link, Message::Shutdown, COORDINATOR, seq);
-        seq += 1;
-    }
-    let per_client = harness.eval_global(&state.global)?;
-    let outcome = MethodOutcome::new(Method::FedProx, per_client, Vec::new());
-    Ok((outcome, state.records))
+    drive(clients, factory, config, async_cfg, links, &mut arrivals)
 }
 
 /// Renders an async history as a fixed-format table (one line per
@@ -627,6 +488,8 @@ mod tests {
     use super::*;
     use crate::federation::local_links;
     use crate::methods::test_support::{clients, factory};
+    use crate::RoundEvent;
+    use rte_net::{ChaosConfig, ChaosTransport, RetryPolicy};
 
     fn async_cfg() -> AsyncConfig {
         AsyncConfig {
@@ -645,30 +508,68 @@ mod tests {
         let config = FedConfig::tiny();
         let cfg = async_cfg();
         let run = || {
-            let mut exec = LocalExecutor::new(&clients, &factory, &config).unwrap();
-            run_fedasync(&clients, &factory, &config, &cfg, &mut exec).unwrap()
+            let mut links = local_links(&clients, &factory, &config, None).unwrap();
+            let policy = FaultPolicy::default();
+            run_fedasync(&clients, &factory, &config, &cfg, &mut links, &policy).unwrap()
         };
         let (a, ra) = run();
         let (b, rb) = run();
         assert_eq!(a, b);
         assert_eq!(ra, rb);
+        assert!(a.events.is_empty());
         assert_eq!(ra.len(), 3);
         assert!(ra.iter().all(|r| r.arrivals.len() == 2));
     }
 
+    /// A dispatch missed after its last attempt takes the dropout path:
+    /// with client 1's link dead, the run completes without it, and
+    /// every one of its dispatches is a typed miss.
     #[test]
-    fn link_executor_matches_local_executor_bitwise() {
+    fn a_missed_dispatch_rejoins_like_a_dropout() {
         let clients = clients(3);
         let factory = factory();
         let config = FedConfig::tiny();
-        let cfg = async_cfg();
-        let mut local = LocalExecutor::new(&clients, &factory, &config).unwrap();
-        let (a, ra) = run_fedasync(&clients, &factory, &config, &cfg, &mut local).unwrap();
-        let mut links = local_links(&clients, &factory, &config, None).unwrap();
-        let mut wired = LinkExecutor::new(&mut links);
-        let (b, rb) = run_fedasync(&clients, &factory, &config, &cfg, &mut wired).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(ra, rb);
+        let mut links: Vec<_> = local_links(&clients, &factory, &config, None)
+            .unwrap()
+            .into_iter()
+            .enumerate()
+            .map(|(lane, link)| {
+                let chaos = ChaosConfig {
+                    seed: 3,
+                    drop_p: if lane == 1 { 1.0 } else { 0.0 },
+                    ..ChaosConfig::default()
+                };
+                ChaosTransport::new(link, chaos, lane as u64).unwrap()
+            })
+            .collect();
+        let policy = FaultPolicy {
+            retry: RetryPolicy::immediate(2),
+            ..FaultPolicy::default()
+        };
+        let (run, records) = run_fedasync(
+            &clients,
+            &factory,
+            &config,
+            &async_cfg(),
+            &mut links,
+            &policy,
+        )
+        .unwrap();
+        assert_eq!(records.len(), 3);
+        assert!(records
+            .iter()
+            .flat_map(|r| &r.arrivals)
+            .all(|&(c, _)| c != 1));
+        let missed = |e: &&RoundEvent| matches!(e, RoundEvent::Missed { client: 1, .. });
+        assert!(
+            run.events.iter().filter(missed).count() > 1,
+            "{:?}",
+            run.events
+        );
+        assert_eq!(
+            run.retries as usize,
+            run.events.iter().filter(missed).count()
+        );
     }
 
     /// A peer that accepts a deploy and then never answers.
@@ -680,7 +581,7 @@ mod tests {
         }
 
         fn recv(&mut self) -> Result<rte_net::Frame, rte_net::NetError> {
-            panic!("the link executor blocked on an unbounded read");
+            panic!("the async driver blocked on an unbounded read");
         }
 
         fn recv_timeout(
@@ -692,11 +593,25 @@ mod tests {
     }
 
     #[test]
-    fn link_executor_times_out_on_a_silent_peer_instead_of_wedging() {
-        let mut links = [Silent];
-        let mut exec = LinkExecutor::new(&mut links);
-        let err = exec.train(0, 0, &StateDict::new(), 1).unwrap_err();
-        assert!(matches!(err, FedError::Transport { .. }), "{err}");
+    fn silent_peers_end_the_run_typed_instead_of_wedging() {
+        let clients = clients(2);
+        let factory = factory();
+        let config = FedConfig::tiny();
+        let policy = FaultPolicy {
+            retry: RetryPolicy::immediate(2),
+            ..FaultPolicy::default()
+        };
+        let cfg = AsyncConfig::new(2, 1);
+        let err = run_fedasync(
+            &clients,
+            &factory,
+            &config,
+            &cfg,
+            &mut [Silent, Silent],
+            &policy,
+        )
+        .unwrap_err();
+        assert!(matches!(err, FedError::QuorumLost { got: 0, .. }), "{err}");
     }
 
     #[test]
@@ -705,9 +620,24 @@ mod tests {
         let factory = factory();
         let config = FedConfig::tiny();
         let cfg = AsyncConfig::new(2, 5);
-        let mut exec = LocalExecutor::new(&clients, &factory, &config).unwrap();
-        let err = run_fedasync(&clients, &factory, &config, &cfg, &mut exec).unwrap_err();
+        let mut links = local_links(&clients, &factory, &config, None).unwrap();
+        let policy = FaultPolicy::default();
+        let err = run_fedasync(&clients, &factory, &config, &cfg, &mut links, &policy).unwrap_err();
         assert!(matches!(err, FedError::InvalidConfig { .. }), "{err}");
+    }
+
+    /// `decay < 0.0` is false for NaN, which would make every arrival
+    /// weight NaN.
+    #[test]
+    fn nan_staleness_decay_is_rejected() {
+        let cfg = AsyncConfig {
+            staleness_decay: f64::NAN,
+            ..AsyncConfig::new(2, 1)
+        };
+        assert!(matches!(
+            cfg.validate(2),
+            Err(FedError::InvalidConfig { .. })
+        ));
     }
 
     #[test]

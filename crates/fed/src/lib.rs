@@ -38,9 +38,9 @@
 //!   [`LocalLink`],
 //! - [`secure`] — pairwise-masked secure aggregation with exact
 //!   fixed-point arithmetic (the coordinator recovers only the sum),
-//! - [`fedasync`] — buffered staleness-weighted asynchronous rounds on
-//!   a seeded virtual clock (determinism rule 8), with the wall-clock
-//!   opt-out,
+//! - [`fedasync`] — buffered staleness-weighted asynchronous rounds
+//!   over the engine's link collect, on a seeded virtual clock
+//!   (determinism rule 8) or, as the opt-out, on the wall clock,
 //! - [`resilient`] — what a link-side run is configured with and
 //!   reports: [`FaultPolicy`] (per-client deadlines, seeded retries,
 //!   quorum), typed [`RoundEvent`]s for missing clients (survivors
@@ -145,7 +145,6 @@ pub use error::FedError;
 pub use eval::{evaluate_auc, evaluate_report, EvalReport, Evaluator};
 pub use fedasync::{
     render_async_history, run_fedasync, run_fedasync_wall, AsyncConfig, AsyncRoundRecord,
-    LinkExecutor, LocalExecutor, TrainExecutor,
 };
 pub use federation::{local_links, ClientSession, LocalLink, ServeExit, WireStats};
 pub use methods::{MethodOutcome, RoundRecord};

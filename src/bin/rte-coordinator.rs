@@ -6,13 +6,16 @@
 //! quick)` config, and only serialized parameter sets cross the socket.
 //! In the default sync mode the printed table is byte-identical to the
 //! in-process `rte-bench` FedProx row for the same config
-//! (`tests/transport_determinism.rs` pins this). `--async virtual` runs
-//! the seeded virtual-clock buffered schedule (determinism rule 8);
-//! `--async wall` is the documented non-deterministic opt-out.
+//! (`tests/transport_determinism.rs` pins this).
 //!
 //! Synchronous rounds — plain or `--secure` — are one loop, the round
 //! engine's link-side entry ([`run_link_rounds`]); faultless, it is
-//! bit-identical to the in-process path. On it this binary exposes:
+//! bit-identical to the in-process path. `--async virtual` runs the
+//! seeded virtual-clock buffered schedule (determinism rule 8), each
+//! dispatch collected through that same link exchange ([`run_fedasync`]);
+//! `--async wall` is the same schedule on real arrival order, the
+//! documented non-deterministic opt-out. On the links this binary
+//! exposes:
 //!
 //! - `--secure` — pairwise-masked aggregation: the coordinator recovers
 //!   only the sum. The masks cancel only over a round's full participant
@@ -24,7 +27,9 @@
 //!   under the same `--chaos-seed`,
 //! - `--deadline-ms` / `--retries` / `--backoff-ms` / `--min-quorum` —
 //!   per-client read deadlines, seeded-jitter retry budget, and quorum
-//!   degradation (missed clients are reported on stderr, never stdout),
+//!   degradation (missed clients are reported on stderr, never stdout);
+//!   under `--async virtual` a dispatch missed after its last attempt
+//!   rejoins like a dropout,
 //! - `--checkpoint-dir` / `--checkpoint-every` / `--resume` — versioned
 //!   CRC'd checkpoints written atomically after a round; a resumed run
 //!   prints the same table bytes as an uninterrupted one
@@ -34,9 +39,11 @@
 //!
 //! All of these compose on both transports. What is refused — and
 //! [`Args::validate`] is the one place it is refused, before a fleet is
-//! built or a process spawned — is what the buffered async drivers do
-//! not have: `--secure`, `--chaos-*` and checkpointing under `--async`,
-//! plus `--async wall` off `--transport uds`.
+//! built or a process spawned — is `--secure` and checkpointing under
+//! `--async` (a buffer's participant set is not known at dispatch, and
+//! the schedule has no round hook), `--chaos-*` under `--async wall`,
+//! `--async wall` off `--transport uds`, and an async schedule
+//! [`AsyncConfig::validate`] rejects.
 //!
 //! ```text
 //! rte-coordinator --clients 8 --clients-procs 8 --quick --seed 42
@@ -60,11 +67,12 @@ use decentralized_routability::core::{
 use decentralized_routability::fed::{
     config_digest, latest_checkpoint, local_links, read_checkpoint, render_async_history,
     run_fedasync, run_fedasync_wall, run_link_rounds, write_checkpoint, AsyncConfig, Checkpoint,
-    Client, ClientSession, FaultPolicy, LinkExecutor, MethodOutcome, ModelFactory, ResumePoint,
+    Client, ClientSession, FaultPolicy, MethodOutcome, ModelFactory, ResilientOutcome, ResumePoint,
     RoundHook, SecureConfig,
 };
 use decentralized_routability::net::{
-    ChaosConfig, ChaosTransport, FanIn, RetryPolicy, Transport, UdsListener, UdsTransport,
+    ChaosConfig, ChaosStats, ChaosTransport, FanIn, RetryPolicy, Transport, UdsListener,
+    UdsTransport,
 };
 use decentralized_routability::nn::models::ModelKind;
 use decentralized_routability::nn::StateDict;
@@ -218,9 +226,14 @@ fn parse_args() -> Result<Args, String> {
 }
 
 impl Args {
+    /// The buffered async schedule `--aggregations` / `--buffer` name.
+    fn schedule(&self) -> AsyncConfig {
+        AsyncConfig::new(self.aggregations, self.buffer)
+    }
+
     /// Every refusal, in one place, before any work starts. Synchronous
-    /// rounds take every flag; the buffered async drivers have no masked
-    /// stage, no fault policy and no round hook.
+    /// rounds take every flag. The buffered async schedule has no masked
+    /// stage and no round hook, and the wall clock no fault policy.
     fn validate(&self) -> Result<(), String> {
         if self.clients == 0 || self.rounds == Some(0) || self.checkpoint_every == 0 {
             return Err("--clients, --rounds and --checkpoint-every must be positive".into());
@@ -234,15 +247,20 @@ impl Args {
             if self.secure {
                 return Err("--secure only applies to synchronous rounds".into());
             }
-            if !self.chaos.is_noop() {
-                return Err("--chaos-* only applies to synchronous rounds".into());
-            }
             if checkpointing {
                 return Err("checkpointing only applies to synchronous rounds".into());
             }
+            self.schedule()
+                .validate(self.clients)
+                .map_err(|e| format!("bad async schedule: {e}"))?;
         }
-        if self.r#async == AsyncMode::Wall && self.transport != TransportKind::Uds {
-            return Err("--async wall needs --transport uds (real arrival order)".into());
+        if self.r#async == AsyncMode::Wall {
+            if self.transport != TransportKind::Uds {
+                return Err("--async wall needs --transport uds (real arrival order)".into());
+            }
+            if !self.chaos.is_noop() {
+                return Err("--chaos-* does not apply to --async wall".into());
+            }
         }
         if self.clients_procs > 0 && self.transport != TransportKind::Uds {
             return Err("--clients-procs only applies to --transport uds".into());
@@ -382,69 +400,22 @@ fn accept_fleet(
 
 /// Runs the schedule `--async` names over `links` — the one dispatch
 /// both transports share (`--async wall` needs the sockets themselves
-/// and stays with the uds arm of `main`). Synchronous rounds wrap each
-/// link in a seeded [`ChaosTransport`] (lane = fleet index) when the
-/// palette is armed.
+/// and stays with the uds arm of `main`): synchronous rounds, or the
+/// virtual-clock async schedule, under the fault policy the flags name.
+/// Each link is wrapped in a seeded [`ChaosTransport`] (lane = fleet
+/// index), a pass-through unless the palette is armed.
 fn run_schedule<T: Transport>(
-    mut links: Vec<T>,
+    links: Vec<T>,
     fleet: &[Client],
     factory: &ModelFactory,
     config: &ExperimentConfig,
     args: &Args,
 ) -> Result<MethodOutcome, Box<dyn std::error::Error>> {
-    match args.r#async {
-        AsyncMode::Off if args.chaos.is_noop() => {
-            run_sync(&mut links, fleet, factory, config, args)
-        }
-        AsyncMode::Off => {
-            let mut wrapped = links
-                .into_iter()
-                .enumerate()
-                .map(|(lane, link)| ChaosTransport::new(link, args.chaos.clone(), lane as u64))
-                .collect::<Result<Vec<_>, _>>()?;
-            let outcome = run_sync(&mut wrapped, fleet, factory, config, args)?;
-            let mut totals = (0u64, 0u64, 0u64, 0u64, 0u64);
-            for link in &wrapped {
-                let s = link.stats();
-                totals.0 += s.frames_sent;
-                totals.1 += s.drops;
-                totals.2 += s.dups;
-                totals.3 += s.reorders;
-                totals.4 += s.corruptions;
-            }
-            eprintln!(
-                "chaos: seed {} over {} frames: {} dropped, {} duplicated, {} reordered, {} corrupted",
-                args.chaos.seed, totals.0, totals.1, totals.2, totals.3, totals.4
-            );
-            Ok(outcome)
-        }
-        AsyncMode::Virtual => {
-            let async_cfg = AsyncConfig::new(args.aggregations, args.buffer);
-            let mut exec = LinkExecutor::new(&mut links);
-            let (outcome, records) =
-                run_fedasync(fleet, factory, &config.fed, &async_cfg, &mut exec)?;
-            println!(
-                "{}",
-                render_async_history("Async schedule (virtual clock)", &records)
-            );
-            Ok(outcome)
-        }
-        AsyncMode::Wall => unreachable!("main runs --async wall on the sockets themselves"),
-    }
-}
-
-/// The synchronous run itself: the masked stage under `--secure`, fault
-/// policy from the flags, checkpoint hook (and the `--die-after` kill
-/// switch) when a checkpoint dir is configured, resume point from the
-/// newest valid checkpoint under `--resume`. Fault events go to stderr;
-/// stdout stays table-only.
-fn run_sync<T: Transport>(
-    links: &mut [T],
-    fleet: &[Client],
-    factory: &ModelFactory,
-    config: &ExperimentConfig,
-    args: &Args,
-) -> Result<MethodOutcome, Box<dyn std::error::Error>> {
+    let mut links = links
+        .into_iter()
+        .enumerate()
+        .map(|(lane, link)| ChaosTransport::new(link, args.chaos.clone(), lane as u64))
+        .collect::<Result<Vec<_>, _>>()?;
     let policy = FaultPolicy {
         deadline: Duration::from_millis(args.deadline_ms.max(1)),
         retry: RetryPolicy {
@@ -455,6 +426,63 @@ fn run_sync<T: Transport>(
         },
         min_quorum: args.min_quorum,
     };
+    let result = match args.r#async {
+        AsyncMode::Off => run_sync(&mut links, fleet, factory, config, args, &policy)?,
+        AsyncMode::Virtual => {
+            let schedule = args.schedule();
+            let (result, records) =
+                run_fedasync(fleet, factory, &config.fed, &schedule, &mut links, &policy)?;
+            let history = render_async_history("Async schedule (virtual clock)", &records);
+            println!("{history}");
+            result
+        }
+        AsyncMode::Wall => unreachable!("main runs --async wall on the sockets themselves"),
+    };
+    if !args.chaos.is_noop() {
+        let sum =
+            |count: fn(&ChaosStats) -> u64| links.iter().map(|l| count(l.stats())).sum::<u64>();
+        eprintln!(
+            "chaos: seed {} over {} frames: {} dropped, {} duplicated, {} reordered, {} corrupted",
+            args.chaos.seed,
+            sum(|s| s.frames_sent),
+            sum(|s| s.drops),
+            sum(|s| s.dups),
+            sum(|s| s.reorders),
+            sum(|s| s.corruptions)
+        );
+    }
+    Ok(report_faults(result))
+}
+
+/// Logs a run's fault events to stderr (stdout stays table-only) and
+/// returns its outcome.
+fn report_faults(result: ResilientOutcome) -> MethodOutcome {
+    for event in &result.events {
+        eprintln!("fault: {event}");
+    }
+    if result.retries > 0 || !result.events.is_empty() {
+        eprintln!(
+            "resilient: {} rounds completed, {} retries, {} fault events",
+            result.completed_rounds,
+            result.retries,
+            result.events.len()
+        );
+    }
+    result.outcome
+}
+
+/// The synchronous run itself: the masked stage under `--secure`, the
+/// checkpoint hook (and the `--die-after` kill switch) when a checkpoint
+/// dir is configured, resume point from the newest valid checkpoint
+/// under `--resume`.
+fn run_sync<T: Transport>(
+    links: &mut [T],
+    fleet: &[Client],
+    factory: &ModelFactory,
+    config: &ExperimentConfig,
+    args: &Args,
+    policy: &FaultPolicy,
+) -> Result<ResilientOutcome, Box<dyn std::error::Error>> {
     let digest = config_digest(&config.fed, fleet);
 
     let resume = match &args.checkpoint_dir {
@@ -513,28 +541,16 @@ fn run_sync<T: Transport>(
     };
 
     let secure = args.secure.then(SecureConfig::default);
-    let result = run_link_rounds(
+    Ok(run_link_rounds(
         fleet,
         factory,
         &config.fed,
         links,
         secure,
-        &policy,
+        policy,
         resume,
         hook,
-    )?;
-    for event in &result.events {
-        eprintln!("fault: {event}");
-    }
-    if result.retries > 0 || !result.events.is_empty() {
-        eprintln!(
-            "resilient: {} rounds completed, {} retries, {} fault events",
-            result.completed_rounds,
-            result.retries,
-            result.events.len()
-        );
-    }
-    Ok(result.outcome)
+    )?)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -585,28 +601,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             serve_thread_clients(&args, &fleet, &factory, &config, secure);
             let links = accept_fleet(&listener, fleet.len())?;
             let outcome = if args.r#async == AsyncMode::Wall {
-                let async_cfg = AsyncConfig::new(args.aggregations, args.buffer);
                 let mut send_links = links
                     .iter()
                     .map(UdsTransport::duplicate)
                     .collect::<Result<Vec<_>, _>>()?;
                 let mut fan = FanIn::new(links);
-                let (outcome, records) = run_fedasync_wall(
+                let (run, records) = run_fedasync_wall(
                     &fleet,
                     &factory,
                     &config.fed,
-                    &async_cfg,
+                    &args.schedule(),
                     &mut send_links,
                     &mut fan,
                 )?;
-                println!(
-                    "{}",
-                    render_async_history(
-                        "Async schedule (wall clock — NOT reproducible)",
-                        &records
-                    )
-                );
-                outcome
+                let title = "Async schedule (wall clock — NOT reproducible)";
+                println!("{}", render_async_history(title, &records));
+                run.outcome
             } else {
                 run_schedule(links, &fleet, &factory, &config, &args)?
             };

@@ -10,8 +10,9 @@
 use std::sync::Mutex;
 
 use decentralized_routability::fed::{
-    local_links, run_rounds_resilient, Client, ClientSession, ClientSet, FaultPolicy, FedConfig,
-    ModelFactory, Parallelism, ResilientOutcome, RoundEvent,
+    local_links, run_fedasync, run_rounds_resilient, AsyncConfig, AsyncRoundRecord, Client,
+    ClientSession, ClientSet, FaultPolicy, FedConfig, LocalLink, ModelFactory, Parallelism,
+    ResilientOutcome, RoundEvent,
 };
 use decentralized_routability::net::{
     ChaosConfig, ChaosTransport, RetryPolicy, Transport, UdsListener, UdsTransport,
@@ -91,16 +92,54 @@ fn palette(seed: u64) -> ChaosConfig {
     }
 }
 
-fn run_chaos(config: &FedConfig, chaos: &ChaosConfig, policy: &FaultPolicy) -> ResilientOutcome {
-    let fleet = clients(3);
-    let factory = factory();
-    let mut links: Vec<ChaosTransport<_>> = local_links(&fleet, &factory, config, None)
+/// `local_links` to `fleet`, each behind a seeded `ChaosTransport`
+/// (lane = fleet index).
+fn chaos_links<'a>(
+    fleet: &'a [Client],
+    factory: &ModelFactory,
+    config: &'a FedConfig,
+    chaos: &ChaosConfig,
+) -> Vec<ChaosTransport<LocalLink<'a>>> {
+    local_links(fleet, factory, config, None)
         .unwrap()
         .into_iter()
         .enumerate()
         .map(|(lane, link)| ChaosTransport::new(link, chaos.clone(), lane as u64).unwrap())
-        .collect();
+        .collect()
+}
+
+fn run_chaos(config: &FedConfig, chaos: &ChaosConfig, policy: &FaultPolicy) -> ResilientOutcome {
+    let fleet = clients(3);
+    let factory = factory();
+    let mut links = chaos_links(&fleet, &factory, config, chaos);
     run_rounds_resilient(&fleet, &factory, config, &mut links, policy, None, None).unwrap()
+}
+
+/// One async record with its float fields as bits (a non-eval
+/// aggregation carries a NaN AUC, which `==` never matches).
+type RecordBits = (usize, u64, Vec<(usize, u64)>, u64, u64);
+
+/// The buffered async schedule over the chaos links: stragglers,
+/// dropout and rejoins on the virtual clock, every dispatch one collect
+/// under `policy`.
+fn run_async_chaos(
+    config: &FedConfig,
+    chaos: &ChaosConfig,
+    policy: &FaultPolicy,
+) -> (ResilientOutcome, Vec<RecordBits>) {
+    let fleet = clients(3);
+    let factory = factory();
+    let mut links = chaos_links(&fleet, &factory, config, chaos);
+    let mut schedule = AsyncConfig::new(4, 2);
+    schedule.dropout = 0.2;
+    schedule.eval_every = 2;
+    let (run, records) =
+        run_fedasync(&fleet, &factory, config, &schedule, &mut links, policy).unwrap();
+    let bits = |r: &AsyncRoundRecord| {
+        let (auc, loss) = (r.average_auc.to_bits(), r.mean_train_loss.to_bits());
+        (r.aggregation, r.tick, r.arrivals.clone(), auc, loss)
+    };
+    (run, records.iter().map(bits).collect())
 }
 
 /// Rule 9 core: the whole faulty run — outcome bits, event log, retry
@@ -161,6 +200,47 @@ fn chaos_seed_selects_the_fault_schedule() {
     assert_ne!(
         (&a.events, a.retries),
         (&b.events, b.retries),
+        "different chaos seeds must give different fault schedules"
+    );
+    simd::set_global(before);
+}
+
+/// Rule 9 on the async driver: under the same palette, its records,
+/// outcome and event log replay bit for bit in every thread count ×
+/// SIMD arm cell, and another chaos seed changes the events.
+#[test]
+fn async_chaos_replays_bitwise_and_follows_the_chaos_seed() {
+    let _guard = GLOBAL_ARM.lock().unwrap();
+    let before = simd::global();
+    let policy = FaultPolicy {
+        retry: RetryPolicy::immediate(4),
+        min_quorum: 1,
+        ..FaultPolicy::default()
+    };
+
+    simd::set_global(SimdBackend::Scalar);
+    let reference = run_async_chaos(&config(1), &palette(0xC0FFEE), &policy);
+    assert!(
+        !reference.0.events.is_empty(),
+        "the palette never fired — raise the rates"
+    );
+    assert_eq!(reference.1.len(), 4, "every aggregation is recorded");
+
+    for threads in [1usize, 4] {
+        for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
+            simd::set_global(arm);
+            let cell = run_async_chaos(&config(threads), &palette(0xC0FFEE), &policy);
+            assert_eq!(
+                cell, reference,
+                "async chaos run drifted at {threads} threads / {arm} arm"
+            );
+        }
+    }
+
+    simd::set_global(SimdBackend::Scalar);
+    let other = run_async_chaos(&config(1), &palette(0xBEEF), &policy);
+    assert_ne!(
+        other.0.events, reference.0.events,
         "different chaos seeds must give different fault schedules"
     );
     simd::set_global(before);

@@ -366,20 +366,35 @@ fn secure_coordinator_binary_composes_with_chaos_and_checkpoints() {
 /// exit code 2 and its message, before a fleet is built.
 #[test]
 fn coordinator_refusals_exit_2_with_their_message() {
-    let refused: [(&[&str], &str); 7] = [
+    let refused: [(&[&str], &str); 9] = [
         (
             &["--async", "virtual", "--secure"],
             "--secure only applies to synchronous rounds",
         ),
         (
-            &["--async", "virtual", "--chaos-drop", "0.1"],
-            "--chaos-* only applies to synchronous rounds",
+            &[
+                "--transport",
+                "uds",
+                "--async",
+                "wall",
+                "--chaos-drop",
+                "0.1",
+            ],
+            "--chaos-* does not apply to --async wall",
         ),
         (
             &["--async", "virtual", "--checkpoint-dir", "unused"],
             "checkpointing only applies to synchronous rounds",
         ),
         (&["--async", "wall"], "--async wall needs --transport uds"),
+        (
+            &["--async", "virtual", "--buffer", "9"],
+            "buffer 9 exceeds fleet size 4",
+        ),
+        (
+            &["--async", "virtual", "--aggregations", "0"],
+            "aggregations and buffer must be positive",
+        ),
         (
             &["--resume"],
             "--resume / --die-after need --checkpoint-dir",

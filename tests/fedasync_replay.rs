@@ -10,8 +10,7 @@ use std::sync::Mutex;
 
 use decentralized_routability::fed::{
     local_links, render_async_history, run_fedasync, AsyncConfig, AsyncRoundRecord, Client,
-    ClientSet, EvalReport, FedConfig, LinkExecutor, LocalExecutor, MethodOutcome, ModelFactory,
-    Parallelism,
+    ClientSet, EvalReport, FaultPolicy, FedConfig, MethodOutcome, ModelFactory, Parallelism,
 };
 use decentralized_routability::nn::models::{FlNet, FlNetConfig};
 use decentralized_routability::tensor::rng::Xoshiro256;
@@ -87,29 +86,26 @@ fn async_config(dropout: f64) -> AsyncConfig {
     cfg
 }
 
+/// The pinned schedule, every dispatch a deploy/update exchange over
+/// `local_links`.
 fn run_schedule(threads: usize, dropout: f64) -> (MethodOutcome, Vec<AsyncRoundRecord>, String) {
     let fleet = clients(4);
     let factory = factory();
     let config = fed_config(threads);
-    let mut exec = LocalExecutor::new(&fleet, &factory, &config).unwrap();
-    let (outcome, records) =
-        run_fedasync(&fleet, &factory, &config, &async_config(dropout), &mut exec).unwrap();
-    let rendered = render_async_history("replay", &records);
-    (outcome, records, rendered)
-}
-
-/// The same schedule with every dispatch a deploy/update exchange over
-/// `local_links`.
-fn run_over_links(threads: usize, dropout: f64) -> (MethodOutcome, Vec<AsyncRoundRecord>, String) {
-    let fleet = clients(4);
-    let factory = factory();
-    let config = fed_config(threads);
     let mut links = local_links(&fleet, &factory, &config, None).unwrap();
-    let mut exec = LinkExecutor::new(&mut links);
-    let (outcome, records) =
-        run_fedasync(&fleet, &factory, &config, &async_config(dropout), &mut exec).unwrap();
+    let policy = FaultPolicy::default();
+    let (run, records) = run_fedasync(
+        &fleet,
+        &factory,
+        &config,
+        &async_config(dropout),
+        &mut links,
+        &policy,
+    )
+    .unwrap();
+    assert!(run.events.is_empty(), "faultless links log no events");
     let rendered = render_async_history("replay", &records);
-    (outcome, records, rendered)
+    (run.outcome, records, rendered)
 }
 
 /// FNV-1a over `to_bits`, as in `crates/fed/tests/method_golden.rs`.
@@ -180,8 +176,9 @@ fn digest(outcome: &MethodOutcome, records: &[AsyncRoundRecord], rendered: &str)
 /// change: the driver may be restructured, its bits may not.
 const GOLDEN: [(f64, u64); 2] = [(0.25, 0x1034a14ddc2b5cf6), (0.0, 0x6138351002785784)];
 
-/// Both dropout schedules, in process and over `local_links`, in every
-/// thread count × SIMD arm cell, match their golden digest.
+/// Both dropout schedules, in every thread count × SIMD arm cell, match
+/// their golden digest. The digests were taken with training both in
+/// process and over `local_links`; the driver now has the link path only.
 #[test]
 fn async_outcomes_match_their_golden_digests() {
     let _guard = GLOBAL_ARM.lock().unwrap();
@@ -192,10 +189,8 @@ fn async_outcomes_match_their_golden_digests() {
         for threads in [1usize, 4] {
             for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
                 simd::set_global(arm);
-                for run in [run_schedule, run_over_links] {
-                    let (outcome, records, rendered) = run(threads, dropout);
-                    cells.push(digest(&outcome, &records, &rendered));
-                }
+                let (outcome, records, rendered) = run_schedule(threads, dropout);
+                cells.push(digest(&outcome, &records, &rendered));
             }
         }
         assert!(
@@ -304,4 +299,35 @@ fn dropout_changes_the_trace_but_not_its_reproducibility() {
     let (_, with_dropout_again, _) = run_schedule(1, 0.25);
     assert_records_bitwise_equal(&with_dropout, &with_dropout_again, "dropout replay");
     simd::set_global(before);
+}
+
+/// The documented opt-out runs to a table: `--async wall` over real
+/// sockets applies every aggregation, each of a full buffer. Its ticks
+/// and arrival order are wall-clock and deliberately not checked.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only: a full coordinator run over sockets"
+)]
+fn wall_clock_async_runs_to_a_table() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rte-coordinator"))
+        .args(["--clients", "4", "--quick", "--async", "wall"])
+        .args(["--aggregations", "8", "--buffer", "2"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let rows: Vec<&str> = stdout
+        .lines()
+        .skip_while(|line| !line.starts_with("agg "))
+        .skip(1)
+        .take_while(|line| !line.is_empty())
+        .collect();
+    assert_eq!(rows.len(), 8, "one history row per aggregation:\n{stdout}");
+    for row in rows {
+        let arrivals = row.split_whitespace().filter(|t| t.contains(':')).count();
+        assert_eq!(arrivals, 2, "a full buffer per aggregation: {row}");
+    }
+    assert!(stdout.contains("FedProx"), "the table follows:\n{stdout}");
 }

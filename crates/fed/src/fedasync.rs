@@ -243,7 +243,7 @@ impl<T: Transport> Arrivals<T> for Virtual<'_> {
         client: usize,
         global: &StateDict,
     ) -> Result<(), FedError> {
-        let latency = self.clock.now() + self.rng.next_range(1, self.cfg.max_latency);
+        let lands = self.clock.now() + self.rng.next_range(1, self.cfg.max_latency);
         let dropped = self.cfg.dropout > 0.0 && self.rng.bernoulli(self.cfg.dropout);
         let mut update = None;
         if !dropped {
@@ -253,17 +253,16 @@ impl<T: Transport> Arrivals<T> for Virtual<'_> {
             update = links.collect::<Plain>(id as usize, client, &mut deploy, failure)?;
             self.missed[client] = update.is_none();
             if self.missed.iter().all(|&m| m) {
-                let round = id as usize;
                 return Err(FedError::QuorumLost {
-                    round,
+                    round: id as usize,
                     got: 0,
                     need: 1,
                 });
             }
         }
         let (tick, event) = match update {
-            Some(update) => (latency, Event::Arrival(update)),
-            None => (latency + self.cfg.rejoin_delay, Event::Rejoin(client)),
+            Some(update) => (lands, Event::Arrival(update)),
+            None => (lands + self.cfg.rejoin_delay, Event::Rejoin(client)),
         };
         self.queue.push(tick, client as u64, event);
         Ok(())
@@ -300,7 +299,9 @@ impl<T: Transport> Arrivals<T> for Wall<'_> {
         let (_, failure) = links.dispatch(self.dispatches, client, global);
         self.dispatches += 1;
         match failure {
-            Some(reason) => Err(net_failure(format!("deploy to client {client}: {reason}"))),
+            Some(reason) => Err(FedError::Transport {
+                reason: format!("deploy to client {client}: {reason}"),
+            }),
             None => Ok(()),
         }
     }
@@ -316,15 +317,11 @@ impl<T: Transport> Arrivals<T> for Wall<'_> {
                 };
                 Ok((self.clock.elapsed_ms(), Event::Arrival(update)))
             }
-            _ => Err(net_failure(format!(
-                "link {index} sent other than its client's update"
-            ))),
+            _ => Err(FedError::Transport {
+                reason: format!("link {index} sent other than its client's update"),
+            }),
         }
     }
-}
-
-fn net_failure(reason: String) -> FedError {
-    FedError::Transport { reason }
 }
 
 /// The one buffered-async loop, on either clock: dispatch every client,

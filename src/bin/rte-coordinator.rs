@@ -451,12 +451,7 @@ fn run_schedule<T: Transport>(
             sum(|s| s.corruptions)
         );
     }
-    Ok(report_faults(result))
-}
-
-/// Logs a run's fault events to stderr (stdout stays table-only) and
-/// returns its outcome.
-fn report_faults(result: ResilientOutcome) -> MethodOutcome {
+    // Fault events go to stderr; stdout stays table-only.
     for event in &result.events {
         eprintln!("fault: {event}");
     }
@@ -468,7 +463,7 @@ fn report_faults(result: ResilientOutcome) -> MethodOutcome {
             result.events.len()
         );
     }
-    result.outcome
+    Ok(result.outcome)
 }
 
 /// The synchronous run itself: the masked stage under `--secure`, the

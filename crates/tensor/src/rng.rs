@@ -8,6 +8,17 @@
 
 /// SplitMix64 generator, used to seed and to derive independent
 /// [`Xoshiro256`] streams from one master seed.
+///
+/// # Example
+///
+/// ```
+/// use rte_tensor::rng::SplitMix64;
+///
+/// let mut sm = SplitMix64::new(42);
+/// let a = sm.next_u64();
+/// let b = sm.next_u64();
+/// assert_ne!(a, b);
+/// ```
 pub use rte_codec::SplitMix64;
 
 /// xoshiro256** generator: the workhorse PRNG of the workspace.

@@ -4,6 +4,9 @@
 //! `BENCH_kernels.json`, every record carrying its thread count, SIMD
 //! arm and commit:
 //!
+//! - streamed shard generation: wall time and, on Linux, the write
+//!   side's peak resident set (`VmHWM` right after the write, which is
+//!   the binary's first stage),
 //! - the generation rows of [`rte_bench::generation`] (netlist,
 //!   placement, one-pass analysis and whole sample per benchmark family,
 //!   the Table-2 scaled corpus), one thread each,
@@ -99,6 +102,15 @@ fn mean_us(row: &mut dyn FnMut()) -> f64 {
     start.elapsed().as_secs_f64() * 1e6 / f64::from(calls)
 }
 
+/// The process's peak resident set so far (`VmHWM`), in MB of 1024 kB;
+/// `None` where `/proc/self/status` does not exist (non-Linux).
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 /// Full sequential pass over every shard via `seek`+`read`; returns
 /// `(samples, seconds)`.
 fn read_pass(dir: &Path) -> (u64, f64) {
@@ -192,15 +204,17 @@ fn main() {
         .write_specs(&specs, &config.corpus)
         .expect("shard generation");
     let gen_secs = gen_start.elapsed().as_secs_f64();
+    // The write is the first stage, so the peak so far is its own.
+    let write_peak = peak_rss_mb();
 
     let threads = config.corpus_parallelism.resolve() as u64;
-    let mut entries = Vec::new();
-    entries.push(
-        Entry::new("shard_generate")
-            .int("clients", specs.len() as u64)
-            .num("elapsed_ms", gen_secs * 1e3)
-            .int("threads", threads),
-    );
+    let mut generate = Entry::new("shard_generate")
+        .int("clients", specs.len() as u64)
+        .num("elapsed_ms", gen_secs * 1e3);
+    if let Some(mb) = write_peak {
+        generate = generate.num("peak_rss_mb", mb);
+    }
+    let mut entries = vec![generate.int("threads", threads)];
 
     for (name, mut row) in generation::rows() {
         let us = mean_us(&mut row);

@@ -40,9 +40,11 @@ pub struct ExperimentConfig {
     /// `None` (the default) keeps the in-memory path. Outcomes are
     /// bit-identical either way.
     pub corpus_dir: Option<PathBuf>,
-    /// Samples per streamed chunk when `corpus_dir` is set: streaming
-    /// peak memory is proportional to this, never to the corpus size. A
-    /// pure memory/wall-clock knob — results do not change.
+    /// Samples per streamed chunk when `corpus_dir` is set, and
+    /// placements per generated chunk when the shards are written (a
+    /// chunk holds at most this many netlists): peak memory on both
+    /// sides is proportional to this, never to the corpus size. A pure
+    /// memory/wall-clock knob — results do not change.
     pub stream_chunk: usize,
     /// Which reader serves shard files when `corpus_dir` is set. A pure
     /// wall-clock knob — every backend yields bit-identical outcomes
@@ -426,12 +428,18 @@ pub fn build_streaming_clients(config: &ExperimentConfig) -> Result<Vec<Client>,
             dir.display()
         ),
     };
-    if config.compress_shards {
-        // Idempotent: already-compressed shards are skipped, so a reused
-        // directory compacts at most once.
+    let mut reader = CorpusReader::open(dir).map_err(unusable)?;
+    let raw = reader
+        .clients()
+        .iter()
+        .any(|c| !c.train.is_compressed() || !c.test.is_compressed());
+    if config.compress_shards && raw {
+        // Only a directory holding a raw shard is compacted and
+        // reopened; a reused, compacted one is opened once.
+        drop(reader);
         compact_dir(dir, DEFAULT_COMPRESS_CHUNK).map_err(unusable)?;
+        reader = CorpusReader::open(dir).map_err(unusable)?;
     }
-    let reader = CorpusReader::open(dir).map_err(unusable)?;
     if reader.seed() != config.corpus.seed
         || reader.grid() != config.corpus.grid
         || reader.placement_scale().to_bits() != config.corpus.placement_scale.to_bits()

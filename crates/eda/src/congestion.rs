@@ -122,9 +122,8 @@ impl Analysis {
     ///
     /// Panics if the placement does not hold one coordinate pair per
     /// cell of the netlist. Every coordinate must lie on the placement's
-    /// own grid, as [`crate::placement::place`] and
-    /// [`crate::interchange::read_design`] guarantee; one that does not
-    /// either panics or is counted in another row.
+    /// own grid, as [`crate::placement::place`] guarantees; one that
+    /// does not either panics or is counted in another row.
     pub fn run(&mut self, netlist: &Netlist, placement: &Placement) {
         assert!(
             placement.x.len() == netlist.cells.len() && placement.y.len() == netlist.cells.len(),

@@ -11,12 +11,15 @@
 //!
 //! Every placement's RNG stream is derived purely from
 //! `(seed, client, split, design, placement)`, so samples are independent
-//! work items: [`generate_corpus`] and [`generate_client`] shard netlist
-//! synthesis over designs and sample generation over *all* placements
-//! (across clients) onto worker threads, then assemble the datasets in
-//! fixed `(client, split, design, placement)` order on the caller's
-//! thread. The output is **byte-identical to the serial path at every
-//! thread count** — the parallelism budget (explicit via the `_with`
+//! work items. One driver walks the placement jobs of *all* clients in
+//! fixed `(client, split, design, placement)` order, a chunk at a time,
+//! sharding netlist synthesis over designs and sample generation over
+//! placements onto worker threads. [`generate_corpus`] and
+//! [`generate_client`] run it with one chunk of every placement and
+//! assemble the datasets on the caller's thread;
+//! [`crate::shard::CorpusWriter`] runs it with bounded chunks. The
+//! output is **byte-identical to the serial path at every thread
+//! count** — the parallelism budget (explicit via the `_with`
 //! variants, otherwise the process-global `rte_tensor::parallel` default)
 //! is a pure wall-clock knob, exactly like training and evaluation.
 
@@ -327,6 +330,18 @@ pub(crate) struct Design {
     h_affinity: f64,
 }
 
+/// The seed a design job's netlist is synthesized from.
+fn design_seed(specs: &[ClientSpec], config: &CorpusConfig, job: &DesignJob) -> u64 {
+    design_stream(config, &specs[job.spec_i], job.split, job.design).next_u64()
+}
+
+/// The name [`synthesize_design`] gives a design job's netlist, without
+/// synthesizing it: a shard header lists its designs before the first
+/// of them exists.
+pub(crate) fn design_name(specs: &[ClientSpec], config: &CorpusConfig, job: &DesignJob) -> String {
+    crate::netlist::design_name(specs[job.spec_i].family, design_seed(specs, config, job))
+}
+
 /// Phase-1 work: synthesizes the netlist of one design job, replaying
 /// the job's seed stream from scratch.
 pub(crate) fn synthesize_design(
@@ -334,23 +349,21 @@ pub(crate) fn synthesize_design(
     config: &CorpusConfig,
     job: &DesignJob,
 ) -> Result<Design, EdaError> {
-    let spec = &specs[job.spec_i];
-    let mut stream = design_stream(config, spec, job.split, job.design);
-    let design_seed = stream.next_u64();
-    let netlist = generate_netlist(spec.family, design_seed)?;
+    let netlist = generate_netlist(specs[job.spec_i].family, design_seed(specs, config, job))?;
     Ok(Design {
         h_affinity: design_h_affinity(&netlist),
         netlist,
     })
 }
 
-/// Phase-2 work: generates one placement sample, replaying the design's
-/// seed stream up to the placement's derivation point so the output is a
-/// pure function of `(seed, client, split, design, placement)`.
+/// Phase-2 work: generates one placement sample of `design`, replaying
+/// the design's seed stream up to the placement's derivation point so
+/// the output is a pure function of
+/// `(seed, client, split, design, placement)`.
 pub(crate) fn placement_sample(
     specs: &[ClientSpec],
     config: &CorpusConfig,
-    designs: &[Design],
+    design: &Design,
     job: &PlacementJob,
     scratch: &mut GenScratch,
 ) -> Result<Sample, EdaError> {
@@ -371,7 +384,6 @@ pub(crate) fn placement_sample(
         target_density: density,
         spread_iterations: 2 + p_stream.range_usize(0, 5),
     };
-    let design = &designs[job.netlist];
     sample_with(
         &design.netlist,
         design.h_affinity,
@@ -380,38 +392,78 @@ pub(crate) fn placement_sample(
     )
 }
 
-/// The sharded generation core: synthesizes every design's netlist
-/// (phase 1, parallel over designs), then every placement sample
-/// (phase 2, parallel over all placements of all clients), and assembles
-/// the per-client datasets in fixed `(client, split, design, placement)`
-/// order on the caller's thread.
+/// The generation driver: walks `jobs` (in [`build_jobs`] order)
+/// `chunk` placements at a time and hands each chunk's outputs, in job
+/// order, to `sink`.
+///
+/// A chunk runs two parallel regions: one synthesizes the designs it
+/// places that no earlier chunk did, one generates its placements. Jobs
+/// are in design order, so a chunk needs only its own contiguous range
+/// of designs: the designs before it are dropped when it starts, and at
+/// most `chunk` designs are live at any time. With one chunk of every
+/// placement this is one region over all designs and one over all
+/// placements.
+pub(crate) fn drive_chunks<D, T>(
+    jobs: &[PlacementJob],
+    par: Parallelism,
+    chunk: usize,
+    synthesize: impl Fn(usize) -> Result<D, EdaError> + Sync,
+    place: impl Fn(&D, &PlacementJob, &mut GenScratch) -> Result<T, EdaError> + Sync,
+    mut sink: impl FnMut(&[PlacementJob], Vec<T>) -> Result<(), EdaError>,
+) -> Result<(), EdaError>
+where
+    D: Send + Sync,
+    T: Send,
+{
+    // The live designs: `window[i]` is design `base + i`.
+    let (mut window, mut base) = (Vec::new(), 0);
+    for jobs in jobs.chunks(chunk) {
+        let first = jobs[0].netlist;
+        window.drain(..(first - base).min(window.len()));
+        base = first;
+        let fresh: Vec<usize> = (base + window.len()..=jobs[jobs.len() - 1].netlist).collect();
+        for design in map_with(par, &fresh, || (), |(), _, &d| synthesize(d)) {
+            window.push(design?);
+        }
+        let outputs = map_with(par, jobs, GenScratch::new, |scratch, _, job| {
+            place(&window[job.netlist - base], job, scratch)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        sink(jobs, outputs)?;
+    }
+    Ok(())
+}
+
+/// [`drive_chunks`] over the generator itself: the placements of
+/// [`build_jobs`]' lists, `chunk` at a time, as samples.
+pub(crate) fn generate_chunked(
+    specs: &[ClientSpec],
+    config: &CorpusConfig,
+    (design_jobs, placement_jobs): &(Vec<DesignJob>, Vec<PlacementJob>),
+    par: Parallelism,
+    chunk: usize,
+    sink: impl FnMut(&[PlacementJob], Vec<Sample>) -> Result<(), EdaError>,
+) -> Result<(), EdaError> {
+    drive_chunks(
+        placement_jobs,
+        par,
+        chunk,
+        |d| synthesize_design(specs, config, &design_jobs[d]),
+        |design, job, scratch| placement_sample(specs, config, design, job, scratch),
+        sink,
+    )
+}
+
+/// The in-memory generator: [`generate_chunked`] with one chunk of every
+/// placement, so each design is synthesized once for all of its
+/// placements, and the per-client datasets are assembled in fixed
+/// `(client, split, design, placement)` order on the caller's thread.
 fn generate_clients_sharded(
     specs: &[ClientSpec],
     config: &CorpusConfig,
     par: Parallelism,
 ) -> Result<Vec<ClientData>, EdaError> {
-    let (design_jobs, placement_jobs) = build_jobs(specs, config);
-    // Phase 1: netlist synthesis, one worker item per design.
-    let designs = map_with(
-        par,
-        &design_jobs,
-        || (),
-        |(), _, job| synthesize_design(specs, config, job),
-    )
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
-    // Phase 2: placement + features + labels, one worker item per
-    // placement across the whole corpus (the dominant cost, and the
-    // best-balanced unit: Table 2 clients differ 5× in placement count).
-    // Each worker keeps one scratch for all of its placements.
-    let samples = map_with(par, &placement_jobs, GenScratch::new, |scratch, _, job| {
-        placement_sample(specs, config, &designs, job, scratch)
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
-    // Reduce: job order is (client, split, design, placement), so a
-    // sequential pass rebuilds every dataset exactly as the serial loop
-    // did.
     let mut clients: Vec<ClientData> = specs
         .iter()
         .map(|spec| ClientData {
@@ -420,13 +472,17 @@ fn generate_clients_sharded(
             test: Dataset::new(),
         })
         .collect();
-    for (job, sample) in placement_jobs.iter().zip(samples) {
-        let client = &mut clients[job.spec_i];
-        match job.split {
-            Split::Train => client.train.push(sample),
-            Split::Test => client.test.push(sample),
+    let jobs = build_jobs(specs, config);
+    generate_chunked(specs, config, &jobs, par, usize::MAX, |jobs, samples| {
+        for (job, sample) in jobs.iter().zip(samples) {
+            let client = &mut clients[job.spec_i];
+            match job.split {
+                Split::Train => client.train.push(sample),
+                Split::Test => client.test.push(sample),
+            }
         }
-    }
+        Ok(())
+    })?;
     Ok(clients)
 }
 
@@ -654,6 +710,7 @@ pub fn universe_specs(
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
     #[test]
     fn table2_totals_match_paper() {
@@ -757,6 +814,84 @@ mod tests {
         for threads in [2, 3, 8] {
             let sharded = generate_client_with(spec, &config, Parallelism::new(threads)).unwrap();
             assert_eq!(serial, sharded, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn design_names_match_the_synthesized_netlists() {
+        let config = CorpusConfig::tiny();
+        let universe = universe_specs(&config, &UniverseConfig::new(10, 40)).unwrap();
+        for specs in [&PAPER_CLIENTS[..], &universe] {
+            let (design_jobs, _) = build_jobs(specs, &config);
+            for job in &design_jobs {
+                let design = synthesize_design(specs, &config, job).unwrap();
+                assert_eq!(design_name(specs, &config, job), design.netlist.name);
+            }
+        }
+    }
+
+    /// A stand-in design that counts the live ones.
+    struct Live<'a> {
+        netlist: usize,
+        live: &'a AtomicUsize,
+    }
+
+    impl Drop for Live<'_> {
+        fn drop(&mut self) {
+            self.live.fetch_sub(1, SeqCst);
+        }
+    }
+
+    #[test]
+    fn driver_synthesizes_each_design_once_and_holds_at_most_chunk() {
+        let tiny = CorpusConfig::tiny();
+        let universe = universe_specs(&tiny, &UniverseConfig::new(100, 400)).unwrap();
+        for (specs, config) in [
+            (&PAPER_CLIENTS[..], CorpusConfig::scaled()),
+            (&universe[..], tiny),
+        ] {
+            let (design_jobs, jobs) = build_jobs(specs, &config);
+            for (chunk, threads) in [(1, 1), (7, 1), (7, 3), (64, 1), (64, 3)] {
+                let what = format!(
+                    "{} designs, chunk {chunk}, {threads} threads",
+                    design_jobs.len()
+                );
+                let synthesized: Vec<AtomicUsize> =
+                    design_jobs.iter().map(|_| AtomicUsize::new(0)).collect();
+                let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                let mut placed = 0;
+                drive_chunks(
+                    &jobs,
+                    Parallelism::new(threads),
+                    chunk,
+                    |netlist| {
+                        synthesized[netlist].fetch_add(1, SeqCst);
+                        peak.fetch_max(live.fetch_add(1, SeqCst) + 1, SeqCst);
+                        Ok(Live {
+                            netlist,
+                            live: &live,
+                        })
+                    },
+                    |design, job, _| {
+                        assert_eq!(design.netlist, job.netlist, "{what}");
+                        Ok(job.placement)
+                    },
+                    |chunk_jobs, outputs| {
+                        // Consecutive slices of the job list, in order.
+                        assert!(std::ptr::eq(&chunk_jobs[0], &jobs[placed]), "{what}");
+                        assert!(chunk_jobs.len() <= chunk, "{what}");
+                        let expected: Vec<usize> = chunk_jobs.iter().map(|j| j.placement).collect();
+                        assert_eq!(outputs, expected, "{what}");
+                        placed += chunk_jobs.len();
+                        Ok(())
+                    },
+                )
+                .unwrap();
+                assert_eq!(placed, jobs.len(), "{what}");
+                assert!(synthesized.iter().all(|n| n.load(SeqCst) == 1), "{what}");
+                assert!(peak.load(SeqCst) <= chunk, "{what}: {peak:?} live");
+                assert_eq!(live.load(SeqCst), 0, "{what}");
+            }
         }
     }
 

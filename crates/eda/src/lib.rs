@@ -86,7 +86,6 @@ pub mod drc;
 mod error;
 mod family;
 pub mod features;
-pub mod interchange;
 pub mod mmap;
 pub mod netlist;
 pub mod placement;

@@ -249,7 +249,7 @@ pub fn generate_netlist(family: Family, design_seed: u64) -> Result<Netlist, Eda
     }
 
     Ok(Netlist {
-        name: format!("{}_{design_seed:08x}", family_slug(family)),
+        name: design_name(family, design_seed),
         family,
         cells,
         nets,
@@ -291,6 +291,12 @@ impl IndexSampler {
         }
         &self.idx[..k]
     }
+}
+
+/// The name [`generate_netlist`] gives the design of `(family, seed)`,
+/// without synthesizing it.
+pub(crate) fn design_name(family: Family, design_seed: u64) -> String {
+    format!("{}_{design_seed:08x}", family_slug(family))
 }
 
 fn family_slug(family: Family) -> &'static str {

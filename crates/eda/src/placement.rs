@@ -184,6 +184,16 @@ pub fn place(netlist: &Netlist, config: &PlacementConfig) -> Result<Placement, E
     Ok(placement)
 }
 
+/// The smallest grid [`place`] spreads on is 4×4.
+pub(crate) fn check_grid(grid: GridDims) -> Result<(), EdaError> {
+    if grid.width < 4 || grid.height < 4 {
+        return Err(EdaError::InvalidConfig {
+            reason: format!("grid {}×{} too small (min 4×4)", grid.width, grid.height),
+        });
+    }
+    Ok(())
+}
+
 /// [`place`] into an existing [`Placement`], every field overwritten.
 pub(crate) fn place_into(
     netlist: &Netlist,
@@ -192,11 +202,7 @@ pub(crate) fn place_into(
     out: &mut Placement,
 ) -> Result<(), EdaError> {
     let grid = config.grid;
-    if grid.width < 4 || grid.height < 4 {
-        return Err(EdaError::InvalidConfig {
-            reason: format!("grid {}×{} too small (min 4×4)", grid.width, grid.height),
-        });
-    }
+    check_grid(grid)?;
     if !(0.0..=1.0).contains(&config.target_density) || config.target_density <= 0.0 {
         return Err(EdaError::InvalidConfig {
             reason: format!("target density {} out of (0, 1]", config.target_density),

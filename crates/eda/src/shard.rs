@@ -14,9 +14,11 @@
 //! - [`CorpusWriter`] — generates the Table 2 corpus *directly into
 //!   shard files* in bounded-memory chunks: placement jobs are processed
 //!   `chunk` at a time on the [`rte_tensor::parallel`] pool and appended
-//!   in fixed `(client, split, design, placement)` order, so peak memory
-//!   is proportional to the chunk size, not the corpus, and the bytes
-//!   written are **identical for every thread count and chunk size**.
+//!   in fixed `(client, split, design, placement)` order. A netlist
+//!   lives only while a chunk places it and a shard is open only from
+//!   its first record to its last, so peak memory is proportional to
+//!   the chunk size, not the corpus, and the bytes written are
+//!   **identical for every thread count and chunk size**.
 //! - [`CorpusReader`] — opens a shard directory back into per-client
 //!   [`ShardReader`] pairs, validating that the files form one coherent
 //!   corpus (same seed, grid and channel count everywhere).
@@ -79,13 +81,13 @@ use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use rte_tensor::parallel::{map_with, Parallelism};
+use rte_tensor::parallel::Parallelism;
 use rte_tensor::Tensor;
 
-use crate::corpus::{build_jobs, placement_sample, synthesize_design};
+use crate::corpus::{build_jobs, design_name, generate_chunked, DesignJob, PlacementJob};
 use crate::corpus::{ClientSpec, CorpusConfig, Split, PAPER_CLIENTS};
-use crate::dataset::{GenScratch, Sample};
-use crate::placement::GridDims;
+use crate::dataset::Sample;
+use crate::placement::{check_grid, GridDims};
 use crate::{EdaError, Family, ShardError};
 
 /// First eight bytes of every shard file.
@@ -303,6 +305,47 @@ impl ShardMeta {
             self.split.token(),
             SHARD_EXTENSION
         )
+    }
+
+    /// The metadata [`ShardWriter::create`] refuses: no designs, a
+    /// zero-sized sample, a geometry beyond the readers' validation
+    /// limits, or a design name longer than a `u16` length field.
+    fn check(&self) -> Result<(), EdaError> {
+        if self.designs.is_empty() {
+            return Err(EdaError::InvalidConfig {
+                reason: "shard with an empty design table".into(),
+            });
+        }
+        if self.grid.width == 0 || self.grid.height == 0 || self.channels == 0 {
+            return Err(EdaError::InvalidConfig {
+                reason: "shard with zero-sized sample geometry".into(),
+            });
+        }
+        if self.grid.width > MAX_GRID_DIM
+            || self.grid.height > MAX_GRID_DIM
+            || self.channels > MAX_CHANNELS
+            || self.designs.len() > MAX_DESIGNS
+        {
+            return Err(EdaError::InvalidConfig {
+                reason: format!(
+                    "shard geometry {}x{}x{} / {} designs exceeds the format's validation \
+                     limits (readers would reject it)",
+                    self.channels,
+                    self.grid.height,
+                    self.grid.width,
+                    self.designs.len()
+                ),
+            });
+        }
+        if let Some(name) = self.designs.iter().find(|n| n.len() > u16::MAX as usize) {
+            return Err(EdaError::InvalidConfig {
+                reason: format!(
+                    "design name of {} bytes exceeds the format limit",
+                    name.len()
+                ),
+            });
+        }
+        Ok(())
     }
 
     fn encode_body(&self, n_samples: u64) -> Vec<u8> {
@@ -679,40 +722,7 @@ impl ShardWriter {
     /// name longer than a `u16` length field).
     pub fn create(path: impl Into<PathBuf>, meta: ShardMeta) -> Result<Self, EdaError> {
         let path = path.into();
-        if meta.designs.is_empty() {
-            return Err(EdaError::InvalidConfig {
-                reason: "shard with an empty design table".into(),
-            });
-        }
-        if meta.grid.width == 0 || meta.grid.height == 0 || meta.channels == 0 {
-            return Err(EdaError::InvalidConfig {
-                reason: "shard with zero-sized sample geometry".into(),
-            });
-        }
-        if meta.grid.width > MAX_GRID_DIM
-            || meta.grid.height > MAX_GRID_DIM
-            || meta.channels > MAX_CHANNELS
-            || meta.designs.len() > MAX_DESIGNS
-        {
-            return Err(EdaError::InvalidConfig {
-                reason: format!(
-                    "shard geometry {}x{}x{} / {} designs exceeds the format's validation \
-                     limits (readers would reject it)",
-                    meta.channels,
-                    meta.grid.height,
-                    meta.grid.width,
-                    meta.designs.len()
-                ),
-            });
-        }
-        if let Some(name) = meta.designs.iter().find(|n| n.len() > u16::MAX as usize) {
-            return Err(EdaError::InvalidConfig {
-                reason: format!(
-                    "design name of {} bytes exceeds the format limit",
-                    name.len()
-                ),
-            });
-        }
+        meta.check()?;
         let file = File::create(&path).map_err(|e| io_err(&path, &e))?;
         let mut writer = ShardWriter {
             file: BufWriter::new(file),
@@ -1491,13 +1501,16 @@ pub struct ShardSummary {
 /// Unlike [`crate::corpus::generate_corpus`], which materializes every
 /// client's tensors before returning, this writer walks the same fixed
 /// `(client, split, design, placement)` job list in chunks of
-/// [`CorpusWriter::with_chunk`] placements: each chunk is generated in
-/// parallel on the [`rte_tensor::parallel`] pool, appended to the
-/// per-`(client, split)` [`ShardWriter`]s in job order, then dropped.
-/// Peak sample residency is therefore one chunk — not the corpus — and
-/// because every placement's RNG stream is a pure function of its
-/// coordinates, **the shard bytes are identical for every thread count
-/// and every chunk size**.
+/// [`CorpusWriter::with_chunk`] placements on the corpus generation
+/// driver: each chunk is generated in parallel on the
+/// [`rte_tensor::parallel`] pool, appended in job order, then dropped.
+/// A design's netlist lives from the first chunk that places it to the
+/// last, and a `(client, split)` shard is open from its first record to
+/// its last, so at most one chunk of samples, `chunk` netlists and one
+/// open shard are resident — never the corpus. Because every
+/// placement's RNG stream is a pure function of its coordinates, **the
+/// shard bytes are identical for every thread count and every chunk
+/// size**.
 #[derive(Debug, Clone)]
 pub struct CorpusWriter {
     dir: PathBuf,
@@ -1516,7 +1529,8 @@ impl CorpusWriter {
         }
     }
 
-    /// Sets the placements generated (and resident) per chunk.
+    /// Sets the placements generated (and resident) per chunk; it also
+    /// bounds the netlists resident at once.
     #[must_use]
     pub fn with_chunk(mut self, chunk: usize) -> Self {
         self.chunk = chunk;
@@ -1543,20 +1557,24 @@ impl CorpusWriter {
     /// Writes shards for an explicit client list (one train + one test
     /// shard per spec), creating the directory if needed.
     ///
+    /// The configuration is validated before anything touches the disk.
     /// Shards are written under temporary `.tmp` names and renamed to
-    /// their final `.rtes` names only after *every* writer has been
+    /// their final `.rtes` names only after *every* shard has been
     /// sealed, so an interrupted or failed generation leaves no files
-    /// that [`CorpusReader::open`] would try to treat as a corpus.
-    /// Stale `.tmp` leftovers from a previous crash are removed first.
-    /// No shard file is synced on its own: after the last rename the
+    /// that [`CorpusReader::open`] would try to treat as a corpus. A
+    /// failed write removes every `.tmp` file it created, and stale
+    /// `.tmp` leftovers from a previous crash are removed first. No
+    /// shard file is synced on its own: after the last rename the
     /// directory is synced once (on unix), the write's one durability
     /// barrier.
     ///
     /// # Errors
     ///
-    /// [`EdaError::InvalidConfig`] for a zero chunk size, generation
-    /// errors from the placement/labelling pipeline, or
-    /// [`ShardError::Io`] on filesystem failures.
+    /// [`EdaError::InvalidConfig`] for a zero chunk size, a grid smaller
+    /// than 4×4, or a spec the shard format cannot hold (e.g. a split
+    /// without designs); generation errors from the
+    /// placement/labelling pipeline, or [`ShardError::Io`] on
+    /// filesystem failures.
     pub fn write_specs(
         &self,
         specs: &[ClientSpec],
@@ -1566,6 +1584,34 @@ impl CorpusWriter {
             return Err(EdaError::InvalidConfig {
                 reason: "streaming chunk size must be positive".into(),
             });
+        }
+        check_grid(config.grid)?;
+        let jobs = build_jobs(specs, config);
+        // One header per (client, split), in job order, design tables by
+        // name: every one is checked before the first file is created.
+        let metas: Vec<ShardMeta> = specs
+            .iter()
+            .enumerate()
+            .flat_map(|(spec_i, spec)| {
+                Split::ALL.map(|split| ShardMeta {
+                    seed: config.seed,
+                    client_index: spec.index,
+                    split,
+                    family: spec.family,
+                    grid: config.grid,
+                    channels: crate::features::FEATURE_CHANNELS,
+                    placement_scale: config.placement_scale,
+                    designs: jobs
+                        .0
+                        .iter()
+                        .filter(|job| job.spec_i == spec_i && job.split == split)
+                        .map(|job| design_name(specs, config, job))
+                        .collect(),
+                })
+            })
+            .collect();
+        for meta in &metas {
+            meta.check()?;
         }
         std::fs::create_dir_all(&self.dir).map_err(|e| io_err(&self.dir, &e))?;
         // Sweep debris from a previously interrupted generation.
@@ -1577,85 +1623,82 @@ impl CorpusWriter {
                 }
             }
         }
-        let (design_jobs, placement_jobs) = build_jobs(specs, config);
-        // Phase 1: all netlists (74 at paper scale — small), parallel
-        // over designs, exactly as the in-memory generator does it.
-        let designs = map_with(
-            self.parallelism,
-            &design_jobs,
-            || (),
-            |(), _, job| synthesize_design(specs, config, job),
-        )
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        // One writer per (client, split), design tables drawn from the
-        // phase-1 names in design order.
-        let mut writers: Vec<Vec<ShardWriter>> = Vec::with_capacity(specs.len());
-        for (spec_i, spec) in specs.iter().enumerate() {
-            let mut per_split = Vec::with_capacity(2);
-            for split in Split::ALL {
-                let names: Vec<String> = design_jobs
-                    .iter()
-                    .zip(designs.iter())
-                    .filter(|(job, _)| job.spec_i == spec_i && job.split == split)
-                    .map(|(_, design)| design.netlist.name.clone())
-                    .collect();
-                let meta = ShardMeta {
-                    seed: config.seed,
-                    client_index: spec.index,
-                    split,
-                    family: spec.family,
-                    grid: config.grid,
-                    channels: crate::features::FEATURE_CHANNELS,
-                    placement_scale: config.placement_scale,
-                    designs: names,
-                };
-                let path = self.dir.join(format!("{}.tmp", meta.file_name()));
-                per_split.push(ShardWriter::create(path, meta)?);
-            }
-            writers.push(per_split);
-        }
-        // Phase 2, chunked: generate `chunk` placements in parallel,
-        // append them in job order, drop them. The job list is already
-        // in (client, split, design, placement) order, so appends land
-        // in exactly the order the in-memory path assembles datasets.
-        for jobs in placement_jobs.chunks(self.chunk) {
-            let samples = map_with(
-                self.parallelism,
-                jobs,
-                GenScratch::new,
-                |scratch, _, job| placement_sample(specs, config, &designs, job, scratch),
-            )
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
-            for (job, sample) in jobs.iter().zip(&samples) {
-                writers[job.spec_i][split_code(job.split) as usize].append(sample)?;
+        let mut created = Vec::with_capacity(metas.len());
+        let written = self
+            .seal_shards(specs, config, &jobs, &metas, &mut created)
+            .and_then(|sealed| {
+                // Every shard is sealed before the first rename: a
+                // failure before this point never leaves a half-corpus
+                // of valid-looking shards.
+                for (tmp_path, summary) in created.iter().zip(&sealed) {
+                    std::fs::rename(tmp_path, &summary.path).map_err(|e| io_err(tmp_path, &e))?;
+                }
+                // The write's one durability barrier: the renames above
+                // reach the disk together.
+                #[cfg(unix)]
+                File::open(&self.dir)
+                    .and_then(|d| d.sync_all())
+                    .map_err(|e| io_err(&self.dir, &e))?;
+                Ok(sealed)
+            });
+        if written.is_err() {
+            // A renamed shard is no longer under its temp name.
+            for tmp_path in &created {
+                let _ = std::fs::remove_file(tmp_path);
             }
         }
-        // Seal every shard first, then rename the whole set: a failure
-        // anywhere before the renames leaves only `.tmp` files behind,
-        // never a half-corpus of valid-looking shards.
-        let mut sealed = Vec::with_capacity(specs.len() * 2);
-        for writer in writers.into_iter().flatten() {
-            let tmp_path = writer.path.clone();
-            let summary = ShardSummary {
+        written
+    }
+
+    /// Generates every shard under its `.tmp` name and seals it, in job
+    /// order. A shard's writer is created at its first record and sealed
+    /// after its last; each temp path is pushed onto `created` before
+    /// its file is, so `created[i]` belongs to the `i`-th summary.
+    fn seal_shards(
+        &self,
+        specs: &[ClientSpec],
+        config: &CorpusConfig,
+        jobs: &(Vec<DesignJob>, Vec<PlacementJob>),
+        metas: &[ShardMeta],
+        created: &mut Vec<PathBuf>,
+    ) -> Result<Vec<ShardSummary>, EdaError> {
+        let seal = |writer: ShardWriter| -> Result<ShardSummary, EdaError> {
+            Ok(ShardSummary {
                 path: self.dir.join(writer.meta.file_name()),
                 client_index: writer.meta.client_index,
                 split: writer.meta.split,
                 samples: writer.finish()?,
-            };
-            sealed.push((tmp_path, summary));
+            })
+        };
+        let mut sealed = Vec::with_capacity(metas.len());
+        let mut open: Option<(usize, ShardWriter)> = None;
+        generate_chunked(
+            specs,
+            config,
+            jobs,
+            self.parallelism,
+            self.chunk,
+            |jobs, samples| {
+                for (job, sample) in jobs.iter().zip(&samples) {
+                    let shard = 2 * job.spec_i + usize::from(split_code(job.split));
+                    if open.as_ref().map(|(i, _)| *i) != Some(shard) {
+                        if let Some((_, writer)) = open.take() {
+                            sealed.push(seal(writer)?);
+                        }
+                        let meta = metas[shard].clone();
+                        let path = self.dir.join(format!("{}.tmp", meta.file_name()));
+                        created.push(path.clone());
+                        open = Some((shard, ShardWriter::create(path, meta)?));
+                    }
+                    open.as_mut().expect("opened above").1.append(sample)?;
+                }
+                Ok(())
+            },
+        )?;
+        if let Some((_, writer)) = open {
+            sealed.push(seal(writer)?);
         }
-        for (tmp_path, summary) in &sealed {
-            std::fs::rename(tmp_path, &summary.path).map_err(|e| io_err(tmp_path, &e))?;
-        }
-        // The write's one durability barrier: the renames above reach
-        // the disk together.
-        #[cfg(unix)]
-        File::open(&self.dir)
-            .and_then(|d| d.sync_all())
-            .map_err(|e| io_err(&self.dir, &e))?;
-        Ok(sealed.into_iter().map(|(_, summary)| summary).collect())
+        Ok(sealed)
     }
 }
 

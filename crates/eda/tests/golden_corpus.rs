@@ -10,12 +10,15 @@
 //! experiment downstream and has to say so.
 //!
 //! Everything here goes through API that predates the pins
-//! (`generate_corpus_*`, `write_design`, `place`, `CorpusWriter`,
-//! `compact_dir`), so this file compiles unchanged on both sides of a
-//! generator change. To regenerate after a deliberate change: the
+//! (`generate_corpus_*`, `place`, `CorpusWriter`, `compact_dir`), so
+//! this file compiles unchanged on both sides of a generator change.
+//! `write_design`, the text form the netlist digests hash, lived in the
+//! library's former `interchange` module and is kept here byte for
+//! byte, so the digests do not move. To regenerate after a deliberate change: the
 //! assertion messages print the new digests, and the fixture test
 //! leaves the new shard bytes under `CARGO_TARGET_TMPDIR`.
 
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use rte_eda::corpus::{
@@ -23,9 +26,8 @@ use rte_eda::corpus::{
     UniverseConfig, PAPER_CLIENTS,
 };
 use rte_eda::dataset::Sample;
-use rte_eda::interchange::write_design;
-use rte_eda::netlist::generate_netlist;
-use rte_eda::placement::{place, GridDims, PlacementConfig};
+use rte_eda::netlist::{generate_netlist, Netlist};
+use rte_eda::placement::{place, GridDims, Placement, PlacementConfig};
 use rte_eda::shard::{compact_dir, CorpusWriter, ShardReader, DEFAULT_COMPRESS_CHUNK};
 use rte_eda::Family;
 use rte_tensor::parallel::Parallelism;
@@ -161,6 +163,62 @@ fn quick_universe_is_golden() {
         h.word(d);
     }
     assert_eq!(h.0, UNIVERSE_100C_400D, "universe moved: {:#018x}", h.0);
+}
+
+fn family_token(family: Family) -> &'static str {
+    match family {
+        Family::Iscas89 => "ISCAS89",
+        Family::Itc99 => "ITC99",
+        Family::Iwls05 => "IWLS05",
+        Family::Ispd15 => "ISPD15",
+    }
+}
+
+/// Writes a design (and optionally its placement) in the interchange
+/// format. Pass `&mut writer` to keep using the writer afterwards.
+///
+/// # Errors
+///
+/// Returns any underlying I/O error.
+pub fn write_design<W: Write>(
+    mut writer: W,
+    netlist: &Netlist,
+    placement: Option<&Placement>,
+) -> io::Result<()> {
+    writeln!(writer, "rtedesign 1")?;
+    writeln!(writer, "name {}", netlist.name)?;
+    writeln!(writer, "family {}", family_token(netlist.family))?;
+    writeln!(writer, "clusters {}", netlist.cluster_count)?;
+    writeln!(writer, "cells {}", netlist.cells.len())?;
+    for cell in &netlist.cells {
+        writeln!(
+            writer,
+            "c {} {} {}",
+            cell.pins,
+            u8::from(cell.is_macro),
+            cell.cluster
+        )?;
+    }
+    writeln!(writer, "nets {}", netlist.nets.len())?;
+    for net in netlist.nets.iter() {
+        write!(writer, "n")?;
+        for c in net.cells {
+            write!(writer, " {}", c.0)?;
+        }
+        writeln!(writer)?;
+    }
+    if let Some(p) = placement {
+        writeln!(writer, "grid {} {}", p.grid.width, p.grid.height)?;
+        for i in 0..p.x.len() {
+            writeln!(writer, "p {} {}", p.x[i], p.y[i])?;
+        }
+        writeln!(writer, "macros {}", p.macro_rects.len())?;
+        for r in &p.macro_rects {
+            writeln!(writer, "m {} {} {} {}", r.x0, r.y0, r.x1, r.y1)?;
+        }
+    }
+    writeln!(writer, "end")?;
+    Ok(())
 }
 
 /// Every field of a netlist: the interchange text carries name, family,

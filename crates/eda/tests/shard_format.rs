@@ -353,6 +353,49 @@ fn corpus_writer_leaves_no_tmp_files_and_sweeps_stale_ones() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A config error is refused before the first file exists, and a write
+/// that fails after creating its shards removes every `.tmp` file it
+/// created.
+#[test]
+fn failed_corpus_write_leaves_no_tmp_files() {
+    use rte_eda::corpus::CorpusConfig;
+    use rte_eda::shard::CorpusWriter;
+    let dir = scratch_dir();
+    let files = |dir: &PathBuf| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let mut small = CorpusConfig::tiny();
+    small.grid = GridDims::new(2, 2);
+    let err = CorpusWriter::new(&dir).write(&small).unwrap_err();
+    assert!(
+        matches!(&err, EdaError::InvalidConfig { reason } if reason.contains("too small")),
+        "{err}"
+    );
+    assert!(files(&dir).is_empty(), "{:?}", files(&dir));
+    // Every shard is sealed, then a directory squatting on one final
+    // name fails its rename.
+    std::fs::create_dir(dir.join("client05.test.rtes")).unwrap();
+    let err = CorpusWriter::new(&dir)
+        .with_chunk(4)
+        .write(&CorpusConfig::tiny())
+        .unwrap_err();
+    assert!(
+        matches!(err, EdaError::Shard(ShardError::Io { .. })),
+        "{err}"
+    );
+    let debris: Vec<String> = files(&dir)
+        .into_iter()
+        .filter(|name| name.ends_with(".tmp"))
+        .collect();
+    assert!(debris.is_empty(), "tmp debris left: {debris:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -19,7 +19,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use decentralized_routability::core::{
     build_clients, build_experiment_clients, ExperimentConfig, ShardBackend,
 };
-use decentralized_routability::eda::corpus::{generate_corpus, CorpusConfig};
+use decentralized_routability::eda::corpus::{
+    generate_corpus, universe_specs, CorpusConfig, UniverseConfig, PAPER_CLIENTS,
+};
 use decentralized_routability::eda::shard::CorpusWriter;
 use decentralized_routability::fed::{
     methods, Client, EvalReport, Evaluator, Method, MethodOutcome, Parallelism,
@@ -97,45 +99,63 @@ fn assert_outcomes_bitwise_equal(a: &MethodOutcome, b: &MethodOutcome, what: &st
 /// Streamed generation writes byte-identical shard files at every
 /// `(threads, chunk)` combination — the on-disk analogue of the
 /// in-memory thread-invariance guarantee, with the chunk-size axis on
-/// top.
+/// top. Two corpora: Table 2 with several placements per design, and a
+/// quick-profile universe with one, where a chunk of several placements
+/// spans designs and shards.
 #[test]
 fn shard_files_are_thread_and_chunk_invariant() {
-    let config = corpus_config();
-    let reference_dir = scratch_dir("ref");
-    CorpusWriter::new(&reference_dir)
-        .with_chunk(1)
-        .with_parallelism(Parallelism::serial())
-        .write(&config)
-        .unwrap();
-    let mut reference_files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&reference_dir)
-        .unwrap()
-        .map(|e| {
-            let path = e.unwrap().path();
-            (
-                path.file_name().unwrap().to_string_lossy().into_owned(),
-                std::fs::read(&path).unwrap(),
-            )
-        })
-        .collect();
-    reference_files.sort();
-    assert_eq!(reference_files.len(), 18, "9 clients × 2 splits");
-    for (threads, chunk) in [(1, 7), (4, 1), (4, 7), (4, 1000)] {
-        let dir = scratch_dir(&format!("t{threads}c{chunk}"));
-        CorpusWriter::new(&dir)
-            .with_chunk(chunk)
-            .with_parallelism(Parallelism::new(threads))
-            .write(&config)
-            .unwrap();
-        for (name, reference_bytes) in &reference_files {
-            let bytes = std::fs::read(dir.join(name)).unwrap();
-            assert_eq!(
-                &bytes, reference_bytes,
-                "{name} drifted at threads={threads} chunk={chunk}"
-            );
+    let quick = CorpusConfig::tiny();
+    let universe = universe_specs(&quick, &UniverseConfig::new(10, 40)).unwrap();
+    let all = usize::MAX;
+    let cases = [
+        (
+            &PAPER_CLIENTS[..],
+            corpus_config(),
+            vec![(1, 7), (4, 1), (4, 7), (4, 1000)],
+        ),
+        (
+            &universe[..],
+            quick,
+            vec![(1, 3), (1, 8), (1, all), (4, 1), (4, 3), (4, 8), (4, all)],
+        ),
+    ];
+    for (specs, config, cells) in cases {
+        let write = |threads: usize, chunk: usize| {
+            let dir = scratch_dir(&format!("{}c-t{threads}c{chunk}", specs.len()));
+            CorpusWriter::new(&dir)
+                .with_chunk(chunk)
+                .with_parallelism(Parallelism::new(threads))
+                .write_specs(specs, &config)
+                .unwrap();
+            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| {
+                    let path = e.unwrap().path();
+                    (
+                        path.file_name().unwrap().to_string_lossy().into_owned(),
+                        std::fs::read(&path).unwrap(),
+                    )
+                })
+                .collect();
+            files.sort();
+            std::fs::remove_dir_all(&dir).unwrap();
+            files
+        };
+        let reference = write(1, 1);
+        assert_eq!(reference.len(), 2 * specs.len(), "one shard per split");
+        for (threads, chunk) in cells {
+            let files = write(threads, chunk);
+            assert_eq!(files.len(), reference.len());
+            for ((name, bytes), (ref_name, ref_bytes)) in files.iter().zip(&reference) {
+                assert_eq!(name, ref_name);
+                assert!(
+                    bytes == ref_bytes,
+                    "{name} of {} clients drifted at threads={threads} chunk={chunk}",
+                    specs.len()
+                );
+            }
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
-    std::fs::remove_dir_all(&reference_dir).unwrap();
 }
 
 /// Samples streamed back from shards equal the in-memory generator's

@@ -16,19 +16,25 @@
 //!   compressed bytes on disk plus a bitwise round-trip check,
 //! - an end-to-end FedProx round on a synthesized client universe
 //!   (`--clients`, default 100) — the population-scale smoke the CI
-//!   matrix runs with `--quick`.
+//!   matrix runs with `--quick`,
+//! - one FedProx run per client-data backend on the scaled Table-2
+//!   fleet (3 rounds, 1 thread, `--seed` applies): in memory, `read` on
+//!   raw shards, `read` on compressed shards, and `mmap` on raw shards,
+//!   with the compressed frames each run decoded.
 //!
-//! All three are pure wall-clock/disk knobs: the determinism suites pin
-//! every one of them to bit-identical outcomes.
+//! The data-path knobs are pure wall-clock/disk knobs: the determinism
+//! suites pin every one of them to bit-identical outcomes.
 
 use std::path::Path;
 use std::time::Instant;
 
 use rte_bench::{generation, BenchArgs};
-use rte_core::{build_experiment_clients, run_method_on_clients, ExperimentConfig};
+use rte_core::{build_experiment_clients, run_method_on_clients, ExperimentConfig, ShardBackend};
 use rte_eda::corpus::UniverseConfig;
 use rte_eda::mmap::MmapShardReader;
-use rte_eda::shard::{compact_dir, CorpusReader, CorpusWriter, DEFAULT_COMPRESS_CHUNK};
+use rte_eda::shard::{
+    compact_dir, frames_decoded, CorpusReader, CorpusWriter, DEFAULT_COMPRESS_CHUNK,
+};
 use rte_fed::Method;
 use rte_nn::models::ModelKind;
 
@@ -178,6 +184,69 @@ fn first_sample_bits(dir: &Path) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// One FedProx run per client-data backend on the scaled Table-2 fleet,
+/// 3 rounds on 1 thread; only the run is timed, not the client build.
+/// Every backend must reach the same average AUC bit for bit.
+fn backend_rows(seed: Option<u64>, scratch: &Path) -> Vec<Entry> {
+    let mut flags = vec!["--rounds", "3", "--threads", "1"]
+        .into_iter()
+        .map(String::from)
+        .collect::<Vec<_>>();
+    if let Some(seed) = seed {
+        flags.extend(["--seed".to_string(), seed.to_string()]);
+    }
+    let base = BenchArgs::parse_from(flags)
+        .expect("fixed flags parse")
+        .experiment_config();
+    let raw_dir = scratch.join("table2-raw");
+    let backends = [
+        ("memory", base.clone()),
+        ("read", base.clone().with_corpus_dir(&raw_dir)),
+        (
+            "read_compressed",
+            base.clone()
+                .with_corpus_dir(scratch.join("table2-packed"))
+                .with_compressed_shards(),
+        ),
+        (
+            "mmap",
+            base.clone()
+                .with_corpus_dir(&raw_dir)
+                .with_shard_backend(ShardBackend::Mmap),
+        ),
+    ];
+    let mut auc_bits = None;
+    let mut entries = Vec::new();
+    for (backend, config) in backends {
+        let clients = build_experiment_clients(&config).expect("client build");
+        let frames_before = frames_decoded();
+        let start = Instant::now();
+        let outcome = run_method_on_clients(Method::FedProx, &clients, ModelKind::FlNet, &config)
+            .expect("fedprox run");
+        let secs = start.elapsed().as_secs_f64();
+        let frames = frames_decoded() - frames_before;
+        assert_eq!(
+            *auc_bits.get_or_insert(outcome.average_auc.to_bits()),
+            outcome.average_auc.to_bits(),
+            "backend {backend} must reproduce the in-memory outcome"
+        );
+        println!(
+            "bench: fedprox table2 {backend:<16} {:>9.1} ms  {frames:>6} frames decoded",
+            secs * 1e3
+        );
+        entries.push(
+            Entry::new("fedprox_backend")
+                .text("backend", backend)
+                .int("rounds", config.fed.rounds as u64)
+                .num("average_auc", outcome.average_auc)
+                .num("elapsed_ms", secs * 1e3)
+                .int("frames_decoded", frames)
+                .int("threads", config.fed.parallelism.resolve() as u64),
+        );
+    }
+    entries
+}
+
 fn main() {
     let args = BenchArgs::parse();
     let mut config: ExperimentConfig = args.experiment_config();
@@ -307,6 +376,10 @@ fn main() {
             .num("elapsed_ms", e2e_secs * 1e3)
             .int("threads", rte_tensor::parallel::global().resolve() as u64),
     );
+
+    // Last, because its `--threads 1` retunes the process-wide kernel
+    // default.
+    entries.extend(backend_rows(args.seed, &scratch));
 
     let json = render_json(&entries);
     // Same convention as the kernels dump: workspace root by default,

@@ -15,8 +15,8 @@ use rte_eda::shard::{
 };
 use rte_fed::stream::RecordSource;
 use rte_fed::{
-    methods, Client, ClientSet, FedConfig, FedError, MappedClientSet, Method, MethodOutcome,
-    ModelFactory, Parallelism, StreamingClientSet,
+    methods, Client, ClientSet, FedConfig, FedError, Method, MethodOutcome, ModelFactory,
+    Parallelism, StreamingClientSet,
 };
 use rte_nn::models::{build_model, ModelKind, ModelScale};
 use rte_tensor::rng::Xoshiro256;
@@ -219,8 +219,8 @@ impl ExperimentConfig {
 /// bytes; they differ only in *how* records reach the trainer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardBackend {
-    /// `seek`+`read` through a double-buffered chunk cache (the
-    /// default; works for raw and compressed shards).
+    /// `seek`+`read` straight into each batch (the default; works for
+    /// raw and compressed shards).
     #[default]
     Read,
     /// Memory-mapped zero-copy reads with lazy per-chunk CRC (raw
@@ -297,9 +297,33 @@ impl RecordSource for ShardSource {
             })
     }
 
+    fn read_rows_into(
+        &self,
+        rows: &[usize],
+        features: &mut Vec<f32>,
+        labels: &mut Vec<f32>,
+    ) -> Result<(), FedError> {
+        self.reader
+            .read_rows_into(rows, features, labels)
+            .map_err(|e| FedError::Stream {
+                reason: e.to_string(),
+            })
+    }
+
     fn descriptor(&self) -> String {
         self.reader.path().display().to_string()
     }
+}
+
+/// A streaming client split over `source`, `chunk` records per read.
+fn source_client_set(
+    source: impl RecordSource + 'static,
+    chunk: usize,
+) -> Result<ClientSet, CoreError> {
+    Ok(ClientSet::streaming(StreamingClientSet::new(
+        Arc::new(source),
+        chunk,
+    )?))
 }
 
 /// Wraps one shard file as a streaming client split.
@@ -308,15 +332,13 @@ impl RecordSource for ShardSource {
 ///
 /// Returns [`CoreError::Fed`] for a zero chunk size.
 pub fn shard_client_set(reader: ShardReader, chunk: usize) -> Result<ClientSet, CoreError> {
-    let source: Arc<dyn RecordSource> = Arc::new(ShardSource { reader });
-    Ok(ClientSet::streaming(StreamingClientSet::new(
-        source, chunk,
-    )?))
+    source_client_set(ShardSource { reader }, chunk)
 }
 
 /// [`RecordSource`] over a memory-mapped shard — the zero-copy sibling
 /// of [`ShardSource`]: records decode straight from the mapped pages
-/// (lazy per-chunk CRC on first touch), no seek, no scratch buffer.
+/// (lazy per-chunk CRC on first touch), no seek, no scratch buffer. Its
+/// descriptor is the path prefixed with `mmap:`.
 struct MmapShardSource {
     reader: MmapShardReader,
 }
@@ -344,14 +366,20 @@ impl RecordSource for MmapShardSource {
     }
 
     fn descriptor(&self) -> String {
-        self.reader.path().display().to_string()
+        format!("mmap:{}", self.reader.path().display())
     }
 }
 
-/// Wraps one memory-mapped shard as a mapped (cache-less) client split.
-pub fn mmap_shard_client_set(reader: MmapShardReader) -> ClientSet {
-    let source: Arc<dyn RecordSource> = Arc::new(MmapShardSource { reader });
-    ClientSet::mapped(MappedClientSet::new(source))
+/// Wraps one memory-mapped shard as a streaming client split.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Fed`] for a zero chunk size.
+pub fn mmap_shard_client_set(
+    reader: MmapShardReader,
+    chunk: usize,
+) -> Result<ClientSet, CoreError> {
+    source_client_set(MmapShardSource { reader }, chunk)
 }
 
 /// Builds one client split on the configured [`ShardBackend`].
@@ -364,10 +392,10 @@ fn backend_client_set(
         ShardBackend::Mmap => {
             let path = reader.path().to_path_buf();
             drop(reader); // the mapping replaces the descriptor
-            Ok(mmap_shard_client_set(MmapShardReader::open_with_chunk(
-                path,
+            mmap_shard_client_set(
+                MmapShardReader::open_with_chunk(path, config.stream_chunk)?,
                 config.stream_chunk,
-            )?))
+            )
         }
     }
 }
@@ -748,7 +776,8 @@ mod tests {
         for (r, m) in read_clients.iter().zip(&mapped_clients) {
             assert_eq!(r.id, m.id);
             assert_eq!(r.weight(), m.weight());
-            assert!(m.train.as_mapped().is_some());
+            let source = m.train.as_streaming().unwrap().source();
+            assert!(source.descriptor().starts_with("mmap:"));
             // Same bytes behind both backends.
             assert_eq!(
                 r.test.minibatch_range(0..r.test.len()),

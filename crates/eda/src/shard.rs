@@ -79,6 +79,7 @@
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use rte_tensor::parallel::Parallelism;
@@ -148,6 +149,15 @@ pub const MAX_DESIGNS: usize = 65_536;
 pub const MAX_COMPRESS_CHUNK: usize = 1 << 20;
 
 pub(crate) const PRELUDE_LEN: usize = 20;
+
+/// Compressed frames decoded by every [`ShardReader`] in this process.
+static FRAMES_DECODED: AtomicU64 = AtomicU64::new(0);
+
+/// Compressed frames every [`ShardReader`] in this process has decoded
+/// so far — a statistic for benchmarks; no output depends on it.
+pub fn frames_decoded() -> u64 {
+    FRAMES_DECODED.load(Ordering::Relaxed)
+}
 
 // ---------------------------------------------------------------------
 // CRC-32 (IEEE 802.3, the zlib polynomial): the workspace's one
@@ -1002,6 +1012,7 @@ impl ShardReader {
             .into());
         }
         let raw = pack::decompress(payload, frame_records * self.record_len, &path_str)?;
+        FRAMES_DECODED.fetch_add(1, Ordering::Relaxed);
         Ok(raw)
     }
 
@@ -1052,6 +1063,68 @@ impl ShardReader {
         let raw = self.read_raw(range.clone())?;
         for (i, record) in raw.chunks_exact(self.record_len).enumerate() {
             self.decode_record(range.start + i, record, features, labels)?;
+        }
+        Ok(())
+    }
+
+    /// Reads the records at `rows`, appending their planes in `rows`
+    /// order exactly as [`ShardReader::read_batch_into`] would one row
+    /// at a time. Raw shards read each run of consecutive rows with one
+    /// seek; compressed shards visit the rows frame by frame, so a
+    /// frame that several rows share is decoded once per call and only
+    /// one decoded frame is held at a time.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ShardReader::read_batch_into`].
+    pub fn read_rows_into(
+        &self,
+        rows: &[usize],
+        features: &mut Vec<f32>,
+        labels: &mut Vec<f32>,
+    ) -> Result<(), EdaError> {
+        for &row in rows {
+            self.check_range(&(row..row + 1))?;
+        }
+        let Some(info) = self.compression else {
+            let mut i = 0usize;
+            while i < rows.len() {
+                let start = rows[i];
+                let mut j = i + 1;
+                while j < rows.len() && rows[j] == start + (j - i) {
+                    j += 1;
+                }
+                self.read_batch_into(start..start + (j - i), features, labels)?;
+                i = j;
+            }
+            return Ok(());
+        };
+        let chunk = info.chunk_records;
+        let (c, h, w) = self.geometry();
+        let (xs, ys) = (c * h * w, h * w);
+        let (f0, l0) = (features.len(), labels.len());
+        features.resize(f0 + rows.len() * xs, 0.0);
+        labels.resize(l0 + rows.len() * ys, 0.0);
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by_key(|&k| rows[k]);
+        let mut frame: Option<(usize, Vec<u8>)> = None;
+        let (mut f, mut l) = (Vec::with_capacity(xs), Vec::with_capacity(ys));
+        for k in order {
+            let (row, frame_i) = (rows[k], rows[k] / chunk);
+            let raw = match &frame {
+                Some((i, raw)) if *i == frame_i => raw,
+                _ => {
+                    let frame_records = chunk.min(self.n_samples - frame_i * chunk);
+                    let raw = self.read_frame(frame_i, frame_records)?;
+                    &frame.insert((frame_i, raw)).1
+                }
+            };
+            let at = (row - frame_i * chunk) * self.record_len;
+            f.clear();
+            l.clear();
+            self.decode_record(row, &raw[at..at + self.record_len], &mut f, &mut l)?;
+            features[f0 + k * xs..f0 + (k + 1) * xs].copy_from_slice(&f);
+            labels[l0 + k * ys..l0 + (k + 1) * ys].copy_from_slice(&l);
         }
         Ok(())
     }

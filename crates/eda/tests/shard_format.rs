@@ -571,6 +571,37 @@ fn compressed_shard_round_trips_bitwise() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Row gathers return exactly the one-record reads, in the order asked
+/// for, on raw and compressed shards: out of order, repeated, inside a
+/// frame and across frame boundaries.
+#[test]
+fn row_reads_match_one_record_reads_in_batch_order() {
+    let dir = scratch_dir();
+    let path = valid_shard(&dir, 7);
+    let cpath = dir.join("client03.train.c.rtes");
+    compress_shard(&path, &cpath, 3).unwrap();
+    let rows = [5, 0, 6, 2, 3, 3, 1, 4];
+    for reader in [
+        ShardReader::open(&path).unwrap(),
+        ShardReader::open(&cpath).unwrap(),
+    ] {
+        let (mut want_f, mut want_l) = (Vec::new(), Vec::new());
+        for &r in &rows {
+            reader
+                .read_batch_into(r..r + 1, &mut want_f, &mut want_l)
+                .unwrap();
+        }
+        // Rows append after what the buffers already hold.
+        let (mut f, mut l) = (vec![7.0f32], vec![7.0f32]);
+        reader.read_rows_into(&rows, &mut f, &mut l).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&f[1..]), bits(&want_f));
+        assert_eq!(bits(&l[1..]), bits(&want_l));
+        assert!(reader.read_rows_into(&[1, 7], &mut f, &mut l).is_err());
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// compact_dir rewrites raw shards in place, skips already-compressed
 /// ones on a second pass, and the directory keeps opening cleanly.
 #[test]

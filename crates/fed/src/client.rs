@@ -1,25 +1,22 @@
 //! Client-side data containers.
 //!
-//! A [`ClientSet`] is one private data split. It has three backends
+//! A [`ClientSet`] is one private data split. It has two backends
 //! behind one API: the default **in-memory** backend (pre-batched NCHW
-//! tensors, exactly as before the streaming subsystem existed), the
+//! tensors, exactly as before the streaming subsystem existed) and the
 //! **streaming** backend ([`crate::stream::StreamingClientSet`]), which
-//! feeds the same minibatches from bounded-memory chunk reads so corpora
-//! larger than RAM can train and evaluate, and the **mapped** backend
-//! ([`crate::stream::MappedClientSet`]), which serves batches straight
-//! from a zero-copy record source (memory-mapped shards) with no
-//! userspace chunk cache at all. Minibatch *index selection* lives here,
-//! in one place, for every backend — which is what makes the streamed
-//! and mapped paths bit-identical to the in-memory one.
+//! reads each batch straight from a record source (a shard file read
+//! with `seek`+`read`, a memory-mapped shard, or a splice of sources)
+//! and keeps nothing between reads, so corpora larger than RAM can
+//! train and evaluate. Minibatch *index selection* lives here, in one
+//! place, for both backends — which is what makes the streamed path
+//! bit-identical to the in-memory one.
 
 use std::sync::Arc;
 
 use rte_tensor::rng::Xoshiro256;
 use rte_tensor::Tensor;
 
-use crate::stream::{
-    ConcatSource, MappedClientSet, RecordSource, StreamingClientSet, TensorSource,
-};
+use crate::stream::{ConcatSource, RecordSource, StreamingClientSet, TensorSource};
 use crate::FedError;
 
 /// Storage backend of a [`ClientSet`].
@@ -34,11 +31,8 @@ enum Backend {
         features: Arc<Tensor>,
         labels: Arc<Tensor>,
     },
-    /// Bounded-memory chunk streaming from a [`RecordSource`].
+    /// Batches read straight from a [`RecordSource`], nothing kept.
     Streaming(StreamingClientSet),
-    /// Direct zero-copy reads from a mapped [`RecordSource`] (no
-    /// userspace cache — the OS page cache is the buffer).
-    Mapped(MappedClientSet),
 }
 
 /// One data split held privately by a client: features `(N, C, H, W)` and
@@ -91,29 +85,12 @@ impl ClientSet {
         }
     }
 
-    /// Wraps a memory-mapped split (the zero-copy backend). Batches
-    /// drawn from it are bit-identical to the other two backends over
-    /// the same records.
-    pub fn mapped(set: MappedClientSet) -> Self {
-        ClientSet {
-            backend: Backend::Mapped(set),
-        }
-    }
-
     /// The streaming backend, when this set uses one (the benches and
-    /// determinism tests read its bounded-memory counters).
+    /// determinism tests reach its record source through it).
     pub fn as_streaming(&self) -> Option<&StreamingClientSet> {
         match &self.backend {
             Backend::Streaming(s) => Some(s),
-            Backend::InMemory { .. } | Backend::Mapped(_) => None,
-        }
-    }
-
-    /// The mapped backend, when this set uses one.
-    pub fn as_mapped(&self) -> Option<&MappedClientSet> {
-        match &self.backend {
-            Backend::Mapped(m) => Some(m),
-            Backend::InMemory { .. } | Backend::Streaming(_) => None,
+            Backend::InMemory { .. } => None,
         }
     }
 
@@ -122,7 +99,6 @@ impl ClientSet {
         match &self.backend {
             Backend::InMemory { features, .. } => features.dim(0),
             Backend::Streaming(s) => s.len(),
-            Backend::Mapped(m) => m.len(),
         }
     }
 
@@ -138,24 +114,23 @@ impl ClientSet {
                 (features.dim(1), features.dim(2), features.dim(3))
             }
             Backend::Streaming(s) => s.geometry(),
-            Backend::Mapped(m) => m.geometry(),
         }
     }
 
-    /// The full feature tensor — `None` for streaming and mapped
-    /// splits, whose whole point is never materializing it.
+    /// The full feature tensor — `None` for streaming splits, whose
+    /// whole point is never materializing it.
     pub fn features(&self) -> Option<&Tensor> {
         match &self.backend {
             Backend::InMemory { features, .. } => Some(features.as_ref()),
-            Backend::Streaming(_) | Backend::Mapped(_) => None,
+            Backend::Streaming(_) => None,
         }
     }
 
-    /// The full label tensor — `None` for streaming and mapped splits.
+    /// The full label tensor — `None` for streaming splits.
     pub fn labels(&self) -> Option<&Tensor> {
         match &self.backend {
             Backend::InMemory { labels, .. } => Some(labels.as_ref()),
-            Backend::Streaming(_) | Backend::Mapped(_) => None,
+            Backend::Streaming(_) => None,
         }
     }
 
@@ -191,7 +166,6 @@ impl ClientSet {
                 Ok((x, y))
             }
             Backend::Streaming(s) => s.gather(indices),
-            Backend::Mapped(m) => m.gather(indices),
         }
     }
 
@@ -208,8 +182,8 @@ impl ClientSet {
 
     /// Copies the contiguous samples `range` into a minibatch. For the
     /// in-memory backend this is two bulk `copy_from_slice` calls (the
-    /// evaluation hot path); for the streaming backend it flows through
-    /// the double-buffered chunk cache.
+    /// evaluation hot path); the streaming backend reads it from its
+    /// source at most `chunk` records per call.
     ///
     /// # Errors
     ///
@@ -242,7 +216,6 @@ impl ClientSet {
                 Ok((x, y))
             }
             Backend::Streaming(s) => s.range_batch(range),
-            Backend::Mapped(m) => m.range_batch(range),
         }
     }
 
@@ -300,11 +273,8 @@ impl ClientSet {
 
     /// Concatenates several splits into one (used by centralized
     /// training). All-in-memory inputs pool eagerly into one tensor
-    /// pair; otherwise the result stays out-of-core (a [`ConcatSource`]
-    /// over the parts), so pooling never forces the corpus into memory —
-    /// all-mapped inputs stay mapped, and any streamed part makes the
-    /// result stream (its chunk cache still bounds the read-based
-    /// parts).
+    /// pair; otherwise the result streams from a [`ConcatSource`] over
+    /// the parts, so pooling never forces the corpus into memory.
     ///
     /// # Errors
     ///
@@ -359,17 +329,9 @@ impl ClientSet {
                     chunk = chunk.max(stream.chunk_len());
                     sources.push(Arc::clone(stream.source()));
                 }
-                Backend::Mapped(mapped) => {
-                    sources.push(Arc::clone(mapped.source()));
-                }
             }
         }
         let concat: Arc<dyn RecordSource> = Arc::new(ConcatSource::new(sources)?);
-        if chunk == 0 {
-            // No streamed part: mapped (plus any in-memory) sources are
-            // all direct-read, so the result keeps the cache-less path.
-            return Ok(ClientSet::mapped(MappedClientSet::new(concat)));
-        }
         Ok(ClientSet::streaming(StreamingClientSet::new(
             concat, chunk,
         )?))
@@ -515,52 +477,15 @@ mod tests {
         assert!(memory.features().is_some());
     }
 
-    /// The same split, behind the cache-less mapped backend.
-    fn mapped(n: usize, fill: f32) -> ClientSet {
-        let source = TensorSource::new(
-            Tensor::full(&[n, 2, 4, 4], fill),
-            Tensor::zeros(&[n, 1, 4, 4]),
-        )
-        .unwrap();
-        ClientSet::mapped(MappedClientSet::new(Arc::new(source)))
-    }
-
     #[test]
-    fn mapped_backend_serves_identical_minibatches() {
-        let features = Tensor::from_fn(&[6, 2, 4, 4], |i| (i % 97) as f32 * 0.25);
-        let labels = Tensor::from_fn(&[6, 1, 4, 4], |i| (i % 3 == 0) as u8 as f32);
-        let memory = ClientSet::new(features.clone(), labels.clone()).unwrap();
-        let mapped = ClientSet::mapped(MappedClientSet::new(Arc::new(
-            TensorSource::new(features, labels).unwrap(),
-        )));
-        assert_eq!(memory.len(), mapped.len());
-        assert_eq!(memory.geometry(), mapped.geometry());
-        assert_eq!(memory.minibatch(&[4, 1, 1]), mapped.minibatch(&[4, 1, 1]));
-        assert_eq!(memory.minibatch_range(1..5), mapped.minibatch_range(1..5));
-        let mut rng_a = Xoshiro256::seed_from(9);
-        let mut rng_b = Xoshiro256::seed_from(9);
-        assert_eq!(
-            memory.sample_minibatch(3, &mut rng_a),
-            mapped.sample_minibatch(3, &mut rng_b)
-        );
-        assert!(mapped.features().is_none());
-        assert!(mapped.as_mapped().is_some());
-        assert!(mapped.as_streaming().is_none());
-    }
-
-    #[test]
-    fn concat_of_mapped_parts_stays_mapped() {
-        let a = mapped(2, 1.0);
-        let b = mapped(3, 2.0);
+    fn concat_of_streamed_parts_keeps_the_largest_chunk() {
+        let a = streamed(2, 1.0, 2);
+        let b = streamed(3, 2.0, 5);
         let all = ClientSet::concat(&[&a, &b]).unwrap();
         assert_eq!(all.len(), 5);
-        assert!(all.as_mapped().is_some(), "all-mapped concat stays mapped");
+        assert_eq!(all.as_streaming().unwrap().chunk_len(), 5);
         let eager = ClientSet::concat(&[&set(2, 1.0), &set(3, 2.0)]).unwrap();
         assert_eq!(all.minibatch_range(0..5), eager.minibatch_range(0..5));
-        // A streamed part pulls the result onto the chunk-cached path.
-        let c = streamed(2, 3.0, 2);
-        let with_stream = ClientSet::concat(&[&a, &c]).unwrap();
-        assert!(with_stream.as_streaming().is_some());
     }
 
     #[test]

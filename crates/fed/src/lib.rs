@@ -154,7 +154,7 @@ pub use resilient::{
 pub use rte_tensor::parallel::Parallelism;
 pub use scenario::{run_scenario, Attack, ScenarioConfig, ScenarioOutcome};
 pub use secure::{aggregate_masked, mask_update, plain_update, MaskedUpdate, SecureConfig};
-pub use stream::{MappedClientSet, RecordSource, StreamingClientSet};
+pub use stream::{RecordSource, StreamingClientSet};
 pub use trainer::LocalTrainer;
 
 use rte_nn::Layer;

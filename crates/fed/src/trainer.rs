@@ -78,10 +78,24 @@ impl LocalTrainer {
             reference.map(|sd| sd.iter().map(|(n, t)| (n.as_str(), t)).collect());
         let mut optimizer = Adam::new(self.lr, self.weight_decay);
         let mut total_loss = 0.0f64;
+        // A split no larger than the batch is the whole minibatch at
+        // every step, drawn without touching the RNG: read it once.
+        let whole = if data.len() <= self.batch_size {
+            Some(data.try_sample_minibatch(self.batch_size, rng)?)
+        } else {
+            None
+        };
         for _ in 0..steps {
-            let (x, y) = data.try_sample_minibatch(self.batch_size, rng)?;
-            let pred = model.forward(&x, true)?;
-            let loss = mse(&pred, &y)?;
+            let sampled;
+            let (x, y) = match &whole {
+                Some(batch) => batch,
+                None => {
+                    sampled = data.try_sample_minibatch(self.batch_size, rng)?;
+                    &sampled
+                }
+            };
+            let pred = model.forward(x, true)?;
+            let loss = mse(&pred, y)?;
             total_loss += loss.value as f64;
             model.zero_grad();
             // Nothing reads the gradient w.r.t. the minibatch itself.

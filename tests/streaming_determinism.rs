@@ -13,8 +13,10 @@
 //!   clients, at 1 and 4 threads and two chunk sizes,
 //! - the parallel `Evaluator` on streamed clients vs in-memory clients.
 
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use decentralized_routability::core::{
     build_clients, build_experiment_clients, ExperimentConfig, ShardBackend,
@@ -24,7 +26,8 @@ use decentralized_routability::eda::corpus::{
 };
 use decentralized_routability::eda::shard::CorpusWriter;
 use decentralized_routability::fed::{
-    methods, Client, EvalReport, Evaluator, Method, MethodOutcome, Parallelism,
+    methods, Client, ClientSet, EvalReport, Evaluator, FedError, Method, MethodOutcome,
+    Parallelism, RecordSource, StreamingClientSet,
 };
 use decentralized_routability::nn::state_dict;
 
@@ -45,6 +48,54 @@ fn corpus_config() -> CorpusConfig {
     let mut config = CorpusConfig::tiny();
     config.placement_scale = 0.02;
     config
+}
+
+/// A client split's record source that remembers the widest range any
+/// one read asked it for.
+struct WidestRead {
+    inner: Arc<dyn RecordSource>,
+    widest: Arc<AtomicUsize>,
+}
+
+impl RecordSource for WidestRead {
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn geometry(&self) -> (usize, usize, usize) {
+        self.inner.geometry()
+    }
+
+    fn read_into(
+        &self,
+        range: Range<usize>,
+        features: &mut Vec<f32>,
+        labels: &mut Vec<f32>,
+    ) -> Result<(), FedError> {
+        self.widest.fetch_max(range.len(), Ordering::Relaxed);
+        self.inner.read_into(range, features, labels)
+    }
+
+    fn descriptor(&self) -> String {
+        self.inner.descriptor()
+    }
+}
+
+/// `clients` with every split re-wrapped in a [`WidestRead`] that
+/// reports into `widest`.
+fn watch_reads(clients: &[Client], chunk: usize, widest: &Arc<AtomicUsize>) -> Vec<Client> {
+    let watch = |set: &ClientSet| {
+        let stream = set.as_streaming().expect("streamed backend");
+        let source = WidestRead {
+            inner: Arc::clone(stream.source()),
+            widest: Arc::clone(widest),
+        };
+        ClientSet::streaming(StreamingClientSet::new(Arc::new(source), chunk).unwrap())
+    };
+    clients
+        .iter()
+        .map(|c| Client::new(c.id, watch(&c.train), watch(&c.test)))
+        .collect()
 }
 
 /// Every [`EvalReport`] field, compared bit for bit.
@@ -252,6 +303,8 @@ fn streamed_evaluation_is_bitwise_identical_to_in_memory() {
             .with_stream_chunk(chunk);
         config.corpus = corpus_config();
         let (in_memory, streamed) = both_client_sets(&config);
+        let widest = Arc::new(AtomicUsize::new(0));
+        let streamed = watch_reads(&streamed, chunk, &widest);
         let factory = decentralized_routability::core::model_factory(
             decentralized_routability::nn::models::ModelKind::FlNet,
             config.model_scale,
@@ -271,17 +324,12 @@ fn streamed_evaluation_is_bitwise_identical_to_in_memory() {
                 &format!("evaluator threads={threads} chunk={chunk}"),
             );
         }
-        // The streamed pass stayed within the double-buffer bound.
-        for client in &streamed {
-            let stream = client.test.as_streaming().expect("streamed backend");
-            assert!(
-                stream.peak_resident_samples() <= 2 * chunk,
-                "client {}: peak {} exceeds 2×chunk {}",
-                client.id,
-                stream.peak_resident_samples(),
-                2 * chunk
-            );
-        }
+        // No read of the streamed pass asked for more than one chunk.
+        let widest = widest.load(Ordering::Relaxed);
+        assert!(
+            (1..=chunk).contains(&widest),
+            "widest read {widest} records, chunk {chunk}"
+        );
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -303,7 +351,11 @@ fn mmap_backend_is_bitwise_identical_at_every_cell() {
             build_experiment_clients(&config.clone().with_shard_backend(ShardBackend::Mmap))
                 .unwrap();
         for ((m, s), p) in in_memory.iter().zip(&streamed).zip(&mapped) {
-            assert!(p.train.as_mapped().is_some(), "mapped backend selected");
+            let source = p.train.as_streaming().expect("streamed backend").source();
+            assert!(
+                source.descriptor().starts_with("mmap:"),
+                "mmap source selected"
+            );
             let want = m.test.minibatch_range(0..m.test.len());
             assert_eq!(want, p.test.minibatch_range(0..p.test.len()));
             assert_eq!(

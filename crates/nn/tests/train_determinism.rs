@@ -94,3 +94,44 @@ fn ten_train_steps_are_bitwise_arm_and_thread_invariant() {
     simd::set_global(before.0);
     parallel::set_global(before.1);
 }
+
+/// FNV-1a over the little-endian bytes of 32-bit words.
+fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for word in words {
+        for b in word.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
+/// `(model, digest)` of [`train`]'s loss and final state, computed at
+/// `88a5b1b`: the same bits on every arm and thread budget, and across
+/// commits.
+const GOLDEN: [(&str, u64); 3] = [
+    ("FLNet", 0x55b5_90d9_915a_1525),
+    ("RouteNet", 0x799f_357c_c89b_d63b),
+    ("PROS", 0x0061_9b63_2e45_8dee),
+];
+
+/// Ten steps of each model leave the bits they left when the digests
+/// were taken — on whatever arm and thread budget the process runs
+/// (`RTE_SIMD`, `RTE_THREADS`). The invariance test above compares
+/// arms and thread counts within one commit; this one pins the result
+/// across commits, so a kernel rewrite that moves a bit of any layer's
+/// forward or backward shows here.
+#[test]
+fn ten_train_steps_match_their_golden_digests() {
+    for ((name, build), (golden_name, golden)) in models().into_iter().zip(GOLDEN) {
+        assert_eq!(name, golden_name);
+        let (loss, state) = train(build);
+        let words = std::iter::once(loss.to_bits()).chain(
+            state
+                .iter()
+                .flat_map(|(_, t)| t.data().iter().map(|v| v.to_bits())),
+        );
+        let got = fnv1a(words);
+        assert_eq!(got, golden, "{name}: digest {got:#018x}");
+    }
+}

@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks for the tensor kernels that dominate
 //! training time (conv2d forward, weight gradient and input gradient on
 //! the layers the three models are built from, RouteNet's transposed
-//! convolution, matmul across SIMD arms, elementwise sweeps, pixel
-//! shuffle), whole FLNet and RouteNet train steps, building RouteNet and
-//! the cost of one parallel region, plus a machine-readable
-//! `BENCH_kernels.json` perf-trajectory dump.
+//! convolution, elementwise sweeps across SIMD arms, pixel shuffle),
+//! whole FLNet and RouteNet train steps, building RouteNet and the cost
+//! of one parallel region, plus a machine-readable `BENCH_kernels.json`
+//! perf-trajectory dump.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -17,7 +17,6 @@ use rte_tensor::conv::{
     conv2d, conv2d_backward_params_with, conv2d_backward_with, conv2d_with, conv_transpose2d,
     conv_transpose2d_backward, pixel_shuffle, Conv2dSpec,
 };
-use rte_tensor::linalg::{matmul, matmul_naive};
 use rte_tensor::parallel::{self, Parallelism};
 use rte_tensor::rng::Xoshiro256;
 use rte_tensor::simd::{self, ConvGeom, SimdBackend};
@@ -39,7 +38,7 @@ fn arms() -> Vec<SimdBackend> {
 
 /// One convolution layer as a model runs it: batch 4 on the 16×16 grid
 /// every corpus config uses (8×8 behind RouteNet's pool and PROS's
-/// stride-2 stage).
+/// stride-2 stage, which takes the grid down to it).
 struct ConvCase {
     name: &'static str,
     c_in: usize,
@@ -56,22 +55,32 @@ const BATCH: usize = 4;
 type Pass = (&'static str, Box<dyn FnMut()>);
 
 impl ConvCase {
+    /// Output extent of the layer.
+    fn out_extent(&self) -> usize {
+        self.spec.out_extent(self.extent, self.kernel)
+    }
+
     /// `(x, w, bias, dy)` for the layer.
     fn tensors(&self) -> (Tensor, Tensor, Tensor, Tensor) {
-        let (k, e) = (self.kernel, self.extent);
+        let (k, e, o) = (self.kernel, self.extent, self.out_extent());
         (
             rand_tensor(&[BATCH, self.c_in, e, e], 1),
             rand_tensor(&[self.c_out, self.c_in, k, k], 2),
             rand_tensor(&[self.c_out], 3),
-            rand_tensor(&[BATCH, self.c_out, e, e], 4),
+            rand_tensor(&[BATCH, self.c_out, o, o], 4),
         )
     }
 
-    /// Shape column of the JSON dump.
+    /// Shape column of the JSON dump (the stride only where it is not 1).
     fn shape(&self) -> String {
         let (k, e, s) = (self.kernel, self.extent, self.spec);
+        let stride = if s.stride == 1 {
+            String::new()
+        } else {
+            format!(" s{}", s.stride)
+        };
         format!(
-            "{BATCH}x{}x{e}x{e}->{} k{k} p{} d{}",
+            "{BATCH}x{}x{e}x{e}->{} k{k}{stride} p{} d{}",
             self.c_in, self.c_out, s.padding, s.dilation
         )
     }
@@ -81,7 +90,7 @@ impl ConvCase {
     /// GMAC/s column.
     fn macs(&self) -> f64 {
         let taps = self.c_in * self.kernel * self.kernel;
-        (BATCH * self.c_out * taps * self.extent * self.extent) as f64
+        (BATCH * self.c_out * taps * self.out_extent().pow(2)) as f64
     }
 
     /// The three passes of the layer, each a closure over its own
@@ -112,6 +121,7 @@ impl ConvCase {
             wp: padded,
             kh: self.kernel,
             kw: self.kernel,
+            stride: spec.stride,
             dilation: spec.dilation,
         };
         let mut dyp = vec![0.0f32; g.dy_padded_len()];
@@ -144,8 +154,8 @@ impl ConvCase {
 /// FLNet's two layers at scaled capacity, its output layer at the
 /// paper's 64 filters (a single output channel: the shape a GEMM
 /// lowering serves worst), RouteNet's two 8×8 encoder layers and its
-/// single-channel head at the paper's widths, and a PROS-style dilated
-/// 3×3 block.
+/// single-channel head at the paper's widths, a PROS-style dilated 3×3
+/// block, and PROS's stride-2 `down_conv` at the paper's widths.
 fn conv_cases() -> Vec<ConvCase> {
     let case = |name, c_in, c_out, extent, kernel, spec| ConvCase {
         name,
@@ -163,6 +173,18 @@ fn conv_cases() -> Vec<ConvCase> {
         case("routenet_conv3", 64, 32, 8, 9, Conv2dSpec::same(9)),
         case("routenet_head", 32, 1, 16, 5, Conv2dSpec::same(5)),
         case("pros_dilated", 16, 16, 8, 3, Conv2dSpec::same_dilated(3, 2)),
+        case(
+            "pros_down_conv",
+            32,
+            64,
+            16,
+            3,
+            Conv2dSpec {
+                stride: 2,
+                padding: 1,
+                dilation: 1,
+            },
+        ),
     ]
 }
 
@@ -171,9 +193,8 @@ const UPCONV_SHAPE: &str = "4x32x8x8->32 k4 s2 p1";
 const UPCONV_MACS: f64 = (BATCH * 32 * 32 * 4 * 4 * 8 * 8) as f64;
 
 /// RouteNet's `upconv` at the paper's widths, forward and the full
-/// backward: the one layer of its train step still lowered through
-/// im2col / col2im (ROADMAP item 3(b)), on the process-global arm and
-/// thread budget.
+/// backward — the convolution kernels with the operands swapped — on the
+/// process-global arm and thread budget.
 fn upconv_passes() -> [Pass; 2] {
     let spec = Conv2dSpec {
         stride: 2,
@@ -323,87 +344,6 @@ fn parallel_region() {
 
 fn bench_parallel_region(c: &mut Criterion) {
     c.bench_function("parallel_region", |bench| bench.iter(parallel_region));
-}
-
-fn bench_matmul(c: &mut Criterion) {
-    // im2col-shaped product: (16 × 486) · (486 × 256).
-    let a = rand_tensor(&[16 * 486], 4);
-    let b = rand_tensor(&[486 * 256], 5);
-    let mut out = vec![0.0f32; 16 * 256];
-    c.bench_function("matmul_16x486x256", |bench| {
-        bench.iter(|| {
-            matmul(
-                black_box(a.data()),
-                black_box(b.data()),
-                16,
-                486,
-                256,
-                &mut out,
-            );
-            black_box(out[0])
-        })
-    });
-}
-
-fn bench_matmul_arms(c: &mut Criterion) {
-    // The acceptance workload: a 128×729×576 im2col-shaped product
-    // (≈ 107 MFLOP). Naive scalar i-k-j baseline, then each SIMD arm of
-    // the GEMM family — outputs are bit-identical, only wall-clock
-    // differs.
-    let (m, k, n) = (128, 729, 576);
-    let a = rand_tensor(&[m * k], 7);
-    let b = rand_tensor(&[k * n], 8);
-    let mut out = vec![0.0f32; m * n];
-    c.bench_function("matmul_naive_128x729x576", |bench| {
-        bench.iter(|| {
-            matmul_naive(black_box(a.data()), black_box(b.data()), m, k, n, &mut out);
-            black_box(out[0])
-        })
-    });
-    for arm in arms() {
-        c.bench_function(&format!("matmul_{arm}_128x729x576"), |bench| {
-            bench.iter(|| {
-                simd::matmul_with(
-                    arm,
-                    black_box(a.data()),
-                    black_box(b.data()),
-                    m,
-                    k,
-                    n,
-                    &mut out,
-                );
-                black_box(out[0])
-            })
-        });
-        c.bench_function(&format!("matmul_tn_{arm}_128x729x576"), |bench| {
-            bench.iter(|| {
-                simd::matmul_tn_with(
-                    arm,
-                    black_box(&a.data()[..k * m]),
-                    black_box(b.data()),
-                    m,
-                    k,
-                    n,
-                    &mut out,
-                );
-                black_box(out[0])
-            })
-        });
-        c.bench_function(&format!("matmul_nt_acc_{arm}_128x729x576"), |bench| {
-            bench.iter(|| {
-                simd::matmul_nt_acc_with(
-                    arm,
-                    black_box(a.data()),
-                    black_box(&b.data()[..n * k]),
-                    m,
-                    k,
-                    n,
-                    &mut out,
-                );
-                black_box(out[0])
-            })
-        });
-    }
 }
 
 fn bench_elementwise_arms(c: &mut Criterion) {
@@ -562,7 +502,7 @@ impl JsonEntry {
     }
 }
 
-/// Measures the GEMM family, the hot elementwise sweeps, every
+/// Measures the hot elementwise sweeps, every
 /// [`conv_cases`] layer's three passes, [`upconv_passes`], the
 /// [`TRAIN_STEPS`], one model build and one parallel region on every
 /// available arm, single-threaded, and writes
@@ -578,67 +518,13 @@ fn emit_kernels_json(_c: &mut Criterion) {
         println!("bench: filter given, skipping BENCH_kernels.json dump");
         return;
     }
-    let (m, k, n) = (128, 729, 576);
-    let a = rand_tensor(&[m * k], 7);
-    let b = rand_tensor(&[k * n], 8);
     let len = 1 << 20;
     let x = rand_tensor(&[len], 9);
     let g = rand_tensor(&[len], 10);
     let mut entries: Vec<JsonEntry> = Vec::new();
-    let gemm_shape = format!("{m}x{k}x{n}");
     let sweep_shape = format!("{len}");
     for arm in arms() {
-        let mut out = vec![0.0f32; m * n];
-        let gemm_macs = (m * k * n) as f64;
         let mut cases: Vec<(String, String, f64, f64)> = vec![
-            (
-                "matmul".into(),
-                gemm_shape.clone(),
-                measure_ns(|| {
-                    simd::matmul_with(
-                        arm,
-                        black_box(a.data()),
-                        black_box(b.data()),
-                        m,
-                        k,
-                        n,
-                        &mut out,
-                    )
-                }),
-                gemm_macs,
-            ),
-            (
-                "matmul_tn".into(),
-                gemm_shape.clone(),
-                measure_ns(|| {
-                    simd::matmul_tn_with(
-                        arm,
-                        black_box(&a.data()[..k * m]),
-                        black_box(b.data()),
-                        m,
-                        k,
-                        n,
-                        &mut out,
-                    )
-                }),
-                gemm_macs,
-            ),
-            (
-                "matmul_nt_acc".into(),
-                gemm_shape.clone(),
-                measure_ns(|| {
-                    simd::matmul_nt_acc_with(
-                        arm,
-                        black_box(a.data()),
-                        black_box(&b.data()[..n * k]),
-                        m,
-                        k,
-                        n,
-                        &mut out,
-                    )
-                }),
-                gemm_macs,
-            ),
             (
                 "axpy".into(),
                 sweep_shape.clone(),
@@ -776,8 +662,6 @@ criterion_group!(
     bench_conv2d,
     bench_train_step,
     bench_parallel_region,
-    bench_matmul,
-    bench_matmul_arms,
     bench_elementwise_arms,
     bench_conv2d_parallel,
     bench_pixel_shuffle,

@@ -1,22 +1,24 @@
 //! 2-D convolution, transposed convolution, pooling and pixel-shuffle
 //! kernels in NCHW layout, with exact backward passes.
 //!
-//! Stride-1 convolutions (any padding, any dilation) run as *implicit*
-//! GEMMs and never build a column matrix: the forward pass
+//! Every convolution — any stride, padding and dilation — runs as an
+//! *implicit* GEMM and never builds a column matrix: the forward pass
 //! ([`crate::simd::conv_fwd_skip_with`]) and the weight gradient
-//! ([`crate::simd::conv_dw_acc_skip_with`]) read a per-thread zero-padded
-//! copy of one image, and the input gradient
+//! ([`crate::simd::DwBatch`]) read a per-thread zero-padded copy of one
+//! image, and the input gradient
 //! ([`crate::simd::conv_dx_acc_padded_with`]) gathers each pixel's taps
-//! from a per-thread zero-padded copy of `dy` straight into `dx`. This
-//! module knows which part of a padded image is padding, so it is also
-//! where [`crate::simd::skippable_rows`] decides — one scan of the
-//! weights per call, of `dy` per item — whether the kernels may leave the
-//! padding rows' products out. Strided convolutions and transposed
-//! convolutions lower to [`crate::linalg`] matrix products via
-//! [`im2col`] / [`col2im`] — the only path that serves them, and the
-//! reference the implicit kernels are tested against bit for bit
-//! (`tests/kernel_properties.rs`). The choice is made from
-//! [`Conv2dSpec::stride`] alone.
+//! from a per-thread zero-padded copy of `dy` straight into `dx`. A
+//! transposed convolution is the adjoint of the convolution with the
+//! same weights, so it runs on the same three kernels with the operands
+//! swapped: its forward pass is that convolution's input gradient, its
+//! input gradient that convolution's forward pass, and its weight
+//! gradient that convolution's, with the transposed input in the place
+//! of `dy`. This module knows which part of a padded image is padding,
+//! so it is also where [`crate::simd::skippable_rows`] decides — one
+//! scan of the weights per call, of `dy` per item — whether the kernels
+//! may leave the padding rows' products out. The bits are those of the
+//! im2col lowering, which `tests/kernel_properties.rs` keeps as the
+//! oracle.
 //!
 //! These are the primitives that the `rte-nn` layer types wrap with
 //! parameter storage; they are exposed here as free functions so they can be
@@ -24,7 +26,6 @@
 
 use std::cell::RefCell;
 
-use crate::linalg::{matmul, matmul_nt_acc, matmul_tn};
 use crate::parallel::{self, Parallelism};
 use crate::simd::{self, ConvGeom};
 use crate::{Tensor, TensorError};
@@ -46,22 +47,19 @@ const PAR_MIN_CALL_MACS: usize = 1 << 22;
 
 std::thread_local! {
     /// Per-thread scratch — the padded image or padded `dy` of the
-    /// implicit kernels, the column matrix of the lowered ones — reused
-    /// across kernel
-    /// *calls* (the training loop convolves thousands of times with
-    /// identical geometry, so a per-call `Vec` is pure allocator churn).
-    /// The lowered batch-parallel paths keep per-worker column buffers
-    /// via the pool's `init` hook instead.
+    /// kernels — reused across kernel *calls* (the training loop
+    /// convolves thousands of times with identical geometry, so a
+    /// per-call `Vec` is pure allocator churn).
     static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` on a thread-local scratch slice of exactly `len` elements.
 ///
-/// Contents are unspecified on entry — every caller overwrites the full
-/// slice (the padded images are zero-filled first; im2col writes padding
-/// explicitly; the matmuls zero their output). Falls back to a fresh
-/// allocation if the scratch is already borrowed (re-entrant kernels),
-/// so nesting degrades instead of panicking.
+/// Contents are unspecified on entry — every caller writes what it reads
+/// (the padded images are zero-filled first, and the kernels clear the
+/// scratch they are handed). Falls back to a fresh allocation if the
+/// scratch is already borrowed (re-entrant kernels), so nesting degrades
+/// instead of panicking.
 fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut buf) => {
@@ -181,151 +179,6 @@ impl Conv2dSpec {
     }
 }
 
-/// The output positions `oj ∈ [lo, hi)` whose source column
-/// `jj = oj*stride + jj0` lies inside `[0, w)` — everything outside is
-/// zero padding. Splitting the row this way lets the copy loops run
-/// branch-free (and as a straight `memcpy` at stride 1).
-fn valid_col_range(jj0: isize, stride: usize, w: usize, ow: usize) -> (usize, usize) {
-    let s = stride as isize;
-    let lo = if jj0 >= 0 { 0 } else { (-jj0 + s - 1) / s }.clamp(0, ow as isize) as usize;
-    let limit = w as isize - jj0; // jj < w  ⇔  oj < ceil(limit / s)
-    let hi = if limit <= 0 {
-        0
-    } else {
-        ((limit + s - 1) / s).clamp(lo as isize, ow as isize) as usize
-    };
-    (lo, hi.max(lo))
-}
-
-/// Unfolds one image (`c × h × w`) into a column matrix
-/// (`c*kh*kw × oh*ow`) for the given convolution spec.
-///
-/// Each output row is written as explicit zero-pad prefix/suffix around
-/// a branch-free interior copy — a single `copy_from_slice` at stride 1
-/// (the paper models' only stride for their large 9×9 kernels).
-///
-/// # Panics
-///
-/// Panics if `col` does not have exactly `c*kh*kw*oh*ow` elements.
-pub fn im2col(
-    img: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    spec: Conv2dSpec,
-    col: &mut [f32],
-) {
-    let oh = spec.out_extent(h, kh);
-    let ow = spec.out_extent(w, kw);
-    assert_eq!(col.len(), c * kh * kw * oh * ow, "im2col: col buffer size");
-    let mut row = 0usize;
-    for ci in 0..c {
-        let img_c = &img[ci * h * w..(ci + 1) * h * w];
-        for ki in 0..kh {
-            for kj in 0..kw {
-                let base = row * oh * ow;
-                row += 1;
-                let jj0 = (kj * spec.dilation) as isize - spec.padding as isize;
-                let (lo, hi) = valid_col_range(jj0, spec.stride, w, ow);
-                for oi in 0..oh {
-                    let ii =
-                        (oi * spec.stride + ki * spec.dilation) as isize - spec.padding as isize;
-                    let out_row = &mut col[base + oi * ow..base + (oi + 1) * ow];
-                    if ii < 0 || ii >= h as isize {
-                        out_row.iter_mut().for_each(|x| *x = 0.0);
-                        continue;
-                    }
-                    let src = &img_c[ii as usize * w..(ii as usize + 1) * w];
-                    out_row[..lo].iter_mut().for_each(|x| *x = 0.0);
-                    out_row[hi..].iter_mut().for_each(|x| *x = 0.0);
-                    if lo >= hi {
-                        // Kernel column entirely in padding: the fills
-                        // above already wrote the whole row (and
-                        // jj0 + lo could be negative here).
-                        continue;
-                    }
-                    if spec.stride == 1 {
-                        let j_start = (jj0 + lo as isize) as usize;
-                        out_row[lo..hi].copy_from_slice(&src[j_start..j_start + (hi - lo)]);
-                    } else {
-                        let mut jj = (jj0 + (lo * spec.stride) as isize) as usize;
-                        for o in out_row[lo..hi].iter_mut() {
-                            *o = src[jj];
-                            jj += spec.stride;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Folds a column matrix back into an image, accumulating overlapping
-/// contributions (the adjoint of [`im2col`]).
-///
-/// `img` is zeroed before accumulation.
-///
-/// # Panics
-///
-/// Panics if buffer sizes are inconsistent with the given geometry.
-pub fn col2im(
-    col: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    spec: Conv2dSpec,
-    img: &mut [f32],
-) {
-    let oh = spec.out_extent(h, kh);
-    let ow = spec.out_extent(w, kw);
-    assert_eq!(col.len(), c * kh * kw * oh * ow, "col2im: col buffer size");
-    assert_eq!(img.len(), c * h * w, "col2im: img buffer size");
-    img.iter_mut().for_each(|x| *x = 0.0);
-    let mut row = 0usize;
-    for ci in 0..c {
-        let img_c = &mut img[ci * h * w..(ci + 1) * h * w];
-        for ki in 0..kh {
-            for kj in 0..kw {
-                let base = row * oh * ow;
-                row += 1;
-                let jj0 = (kj * spec.dilation) as isize - spec.padding as isize;
-                let (lo, hi) = valid_col_range(jj0, spec.stride, w, ow);
-                if lo >= hi {
-                    // Kernel column entirely in padding: nothing to
-                    // fold back (and jj0 + lo could be negative).
-                    continue;
-                }
-                for oi in 0..oh {
-                    let ii =
-                        (oi * spec.stride + ki * spec.dilation) as isize - spec.padding as isize;
-                    if ii < 0 || ii >= h as isize {
-                        continue;
-                    }
-                    let ii = ii as usize;
-                    let src = &col[base + oi * ow..base + (oi + 1) * ow];
-                    if spec.stride == 1 {
-                        let j_start = (jj0 + lo as isize) as usize;
-                        let dst = &mut img_c[ii * w + j_start..ii * w + j_start + (hi - lo)];
-                        for (d, &s) in dst.iter_mut().zip(src[lo..hi].iter()) {
-                            *d += s;
-                        }
-                    } else {
-                        let mut jj = (jj0 + (lo * spec.stride) as isize) as usize;
-                        for &s in src[lo..hi].iter() {
-                            img_c[ii * w + jj] += s;
-                            jj += spec.stride;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 fn expect_rank4(t: &Tensor, what: &str) -> Result<(), TensorError> {
     if t.shape().rank() != 4 {
         return Err(TensorError::InvalidShape {
@@ -394,6 +247,39 @@ impl ConvDims {
         Ok(d)
     }
 
+    /// The convolution whose adjoint is the transposed convolution of `x`
+    /// by `w`: `w`, laid out `(C_in, C_out, KH, KW)`, is that
+    /// convolution's `(c_out, c_in, kh, kw)` weight, its input is shaped
+    /// like the transposed output and its output like `x`.
+    fn transposed(
+        x: &Tensor,
+        w: &Tensor,
+        spec: Conv2dSpec,
+        what: &str,
+    ) -> Result<Self, TensorError> {
+        expect_rank4(x, "conv_transpose2d input")?;
+        expect_rank4(w, "conv_transpose2d weight")?;
+        let (n, c_in, h, w_in) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
+        let (wc_in, c_out, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
+        if c_in != wc_in {
+            return Err(TensorError::InvalidShape {
+                reason: format!("{what}: input has {c_in} channels but weight expects {wc_in}"),
+            });
+        }
+        Ok(ConvDims {
+            n,
+            c_in: c_out,
+            h: spec.transpose_out_extent(h, kh),
+            w: spec.transpose_out_extent(w_in, kw),
+            c_out: c_in,
+            kh,
+            kw,
+            oh: h,
+            ow: w_in,
+            spec,
+        })
+    }
+
     /// Taps per output element (the GEMM's `k`).
     fn ckk(&self) -> usize {
         self.c_in * self.kh * self.kw
@@ -409,18 +295,20 @@ impl ConvDims {
         self.c_in * self.h * self.w
     }
 
-    /// The implicit kernels' geometry, or `None` when the spec is
-    /// strided and the call lowers through im2col / col2im instead.
-    fn implicit(&self) -> Option<ConvGeom> {
-        (self.spec.stride == 1).then_some(ConvGeom {
+    /// The implicit kernels' geometry.
+    fn geom(&self) -> ConvGeom {
+        let g = ConvGeom {
             c_in: self.c_in,
             c_out: self.c_out,
             hp: self.h + 2 * self.spec.padding,
             wp: self.w + 2 * self.spec.padding,
             kh: self.kh,
             kw: self.kw,
+            stride: self.spec.stride,
             dilation: self.spec.dilation,
-        })
+        };
+        debug_assert_eq!((g.oh(), g.ow()), (self.oh, self.ow));
+        g
     }
 
     /// `par`, degraded to serial when the whole call is too small to pay
@@ -490,47 +378,26 @@ pub fn conv2d_with(
     par: Parallelism,
 ) -> Result<Tensor, TensorError> {
     let d = ConvDims::new(x, w, spec, "conv2d")?;
-    if let Some(b) = bias {
-        if b.shape().dims() != [d.c_out] {
-            return Err(TensorError::InvalidShape {
-                reason: format!("conv2d: bias shape {} != [{}]", b.shape(), d.c_out),
-            });
-        }
+    check_bias(bias, d.c_out, "conv2d")?;
+    Ok(forward(&d, x.data(), w.data(), bias.map(Tensor::data), par))
+}
+
+/// Refuses a bias that is not one value per output channel.
+fn check_bias(bias: Option<&Tensor>, channels: usize, what: &str) -> Result<(), TensorError> {
+    match bias {
+        Some(b) if b.shape().dims() != [channels] => Err(TensorError::InvalidShape {
+            reason: format!("{what}: bias shape {} != [{channels}]", b.shape()),
+        }),
+        _ => Ok(()),
     }
-    let (ckk, ohw) = (d.ckk(), d.ohw());
-    let mut y = Tensor::zeros(&[d.n, d.c_out, d.oh, d.ow]);
-    if d.n == 0 || d.c_out == 0 {
-        return Ok(y);
+}
+
+/// Adds `bias[c]` to every element of channel `c` of `y`, whose channel
+/// planes are `plane` long (one image or a batch of them).
+fn add_bias(y: &mut [f32], bias: &[f32], plane: usize) {
+    for (y_c, &b) in y.chunks_exact_mut(plane).zip(bias.iter().cycle()) {
+        y_c.iter_mut().for_each(|v| *v += b);
     }
-    let (x_data, w_data) = (x.data(), w.data());
-    let geom = d.implicit();
-    let arm = simd::global();
-    let skip = geom.map_or(0, |_| simd::skippable_rows(spec.padding, w_data));
-    parallel::for_each_chunk_mut(
-        d.parallelism(par),
-        y.data_mut(),
-        d.c_out * ohw,
-        || (),
-        |(), ni, y_n| {
-            let x_n = &x_data[ni * d.chw()..(ni + 1) * d.chw()];
-            match &geom {
-                Some(g) => with_scratch(g.padded_len(), |xp| {
-                    d.pad(x_n, xp);
-                    simd::conv_fwd_skip_with(arm, g, skip, xp, w_data, y_n);
-                }),
-                None => with_scratch(ckk * ohw, |col| {
-                    im2col(x_n, d.c_in, d.h, d.w, d.kh, d.kw, spec, col);
-                    matmul(w_data, col, d.c_out, ckk, ohw, y_n);
-                }),
-            }
-            if let Some(b) = bias {
-                for (y_co, &bv) in y_n.chunks_exact_mut(ohw).zip(b.data().iter()) {
-                    y_co.iter_mut().for_each(|v| *v += bv);
-                }
-            }
-        },
-    );
-    Ok(y)
 }
 
 /// Gradients of [`conv2d`] with respect to input, weight and bias.
@@ -575,11 +442,10 @@ pub fn conv2d_backward(
 /// [`conv2d_backward`] with an explicit thread budget.
 ///
 /// `dx` fans out over batch items (disjoint slices). The batch-summed
-/// `dw`/`db` add each item's exact contribution in batch order whatever
-/// the thread count — implicit specs fan out over output channels, each
-/// worker walking the batch in order; lowered specs reduce per-item
-/// partials on the caller's thread — so the summation tree is fixed and
-/// the gradients are bit-identical for every `par` (including serial).
+/// `dw` fans out over output channels, each worker adding every item's
+/// exact contribution in batch order, and `db` is summed on the caller's
+/// thread, so the summation tree is fixed and the gradients are
+/// bit-identical for every `par` (including serial).
 ///
 /// # Errors
 ///
@@ -592,9 +458,11 @@ pub fn conv2d_backward_with(
     par: Parallelism,
 ) -> Result<Conv2dGrads, TensorError> {
     let d = ConvDims::with_dy(x, w, dy, spec)?;
-    let dx = input_grad(&d, w, dy, par);
-    let Conv2dParamGrads { dw, db } = param_grads(&d, x, dy, par);
-    Ok(Conv2dGrads { dx, dw, db })
+    Ok(Conv2dGrads {
+        dx: input_grad(&d, w.data(), dy.data(), par),
+        dw: weight_grad(&d, x.data(), dy.data(), par),
+        db: bias_grad(dy.data(), d.c_out, d.ohw()),
+    })
 }
 
 /// The `dw`/`db` half of [`conv2d_backward`] with the process-global
@@ -626,138 +494,127 @@ pub fn conv2d_backward_params_with(
     par: Parallelism,
 ) -> Result<Conv2dParamGrads, TensorError> {
     let d = ConvDims::with_dy(x, w, dy, spec)?;
-    Ok(param_grads(&d, x, dy, par))
+    Ok(Conv2dParamGrads {
+        dw: weight_grad(&d, x.data(), dy.data(), par),
+        db: bias_grad(dy.data(), d.c_out, d.ohw()),
+    })
 }
 
-/// Input gradient, one disjoint slice per batch item: the implicit
-/// kernel gathers into the item's zeroed slice of `dx` itself; the
-/// lowered path is `col2im(Wᵀ · dY_n)`.
-fn input_grad(d: &ConvDims, w: &Tensor, dy: &Tensor, par: Parallelism) -> Tensor {
-    let (ckk, ohw) = (d.ckk(), d.ohw());
+/// The convolution of every image of `x` by `w`, plus `bias`: one
+/// disjoint slice of the output per batch item.
+fn forward(d: &ConvDims, x: &[f32], w: &[f32], bias: Option<&[f32]>, par: Parallelism) -> Tensor {
+    let ohw = d.ohw();
+    let mut y = Tensor::zeros(&[d.n, d.c_out, d.oh, d.ow]);
+    if d.n == 0 || d.c_out == 0 {
+        return y;
+    }
+    let (g, arm) = (d.geom(), simd::global());
+    let skip = simd::skippable_rows(d.spec.padding, w);
+    parallel::for_each_chunk_mut(
+        d.parallelism(par),
+        y.data_mut(),
+        d.c_out * ohw,
+        || (),
+        |(), ni, y_n| {
+            let x_n = &x[ni * d.chw()..(ni + 1) * d.chw()];
+            with_scratch(g.padded_len(), |xp| {
+                d.pad(x_n, xp);
+                simd::conv_fwd_skip_with(arm, &g, skip, xp, w, y_n);
+            });
+            if let Some(b) = bias {
+                add_bias(y_n, b, ohw);
+            }
+        },
+    );
+    y
+}
+
+/// Input gradient, one disjoint slice per batch item, which the kernel
+/// gathers into (zeroed) itself.
+fn input_grad(d: &ConvDims, w: &[f32], dy: &[f32], par: Parallelism) -> Tensor {
+    let ohw = d.ohw();
     let mut dx = Tensor::zeros(&[d.n, d.c_in, d.h, d.w]);
     // A zero-channel input (dx has no elements) trivially has no input
     // gradient to compute.
     if d.n == 0 || d.c_out == 0 || d.chw() == 0 {
         return dx;
     }
-    let (w_data, dy_data) = (w.data(), dy.data());
-    let (geom, arm) = (d.implicit(), simd::global());
+    let (g, arm) = (d.geom(), simd::global());
     parallel::for_each_chunk_mut(
         d.parallelism(par),
         dx.data_mut(),
         d.chw(),
         || (),
         |(), ni, dx_n| {
-            let dy_n = &dy_data[ni * d.c_out * ohw..(ni + 1) * d.c_out * ohw];
-            match &geom {
-                Some(g) => with_scratch(g.dy_padded_len(), |dyp| {
-                    simd::conv_dx_acc_padded_with(arm, g, d.spec.padding, w_data, dy_n, dyp, dx_n);
-                }),
-                None => with_scratch(ckk * ohw, |dcol| {
-                    matmul_tn(w_data, dy_n, ckk, d.c_out, ohw, dcol);
-                    col2im(dcol, d.c_in, d.h, d.w, d.kh, d.kw, d.spec, dx_n);
-                }),
-            }
+            let dy_n = &dy[ni * d.c_out * ohw..(ni + 1) * d.c_out * ohw];
+            with_scratch(g.dy_padded_len(), |dyp| {
+                simd::conv_dx_acc_padded_with(arm, &g, d.spec.padding, w, dy_n, dyp, dx_n);
+            });
         },
     );
     dx
 }
 
-/// Weight and bias gradients, summed over the batch in batch order.
-fn param_grads(d: &ConvDims, x: &Tensor, dy: &Tensor, par: Parallelism) -> Conv2dParamGrads {
+/// Weight gradient, summed over the batch in batch order. Output
+/// channels are independent, so each worker owns an equal group of them
+/// and adds every item's contribution straight into its slice of `dw`,
+/// in batch order: no per-item partials, nothing to reduce, and the
+/// serial schedule is the one-group case of the same loop.
+fn weight_grad(d: &ConvDims, x: &[f32], dy: &[f32], par: Parallelism) -> Tensor {
     let (n, c_out, ckk, ohw) = (d.n, d.c_out, d.ckk(), d.ohw());
     let mut dw = Tensor::zeros(&[c_out, d.c_in, d.kh, d.kw]);
-    let mut db = Tensor::zeros(&[c_out]);
-    if n == 0 || c_out == 0 {
-        return Conv2dParamGrads { dw, db };
-    }
-    let (x_data, dy_data) = (x.data(), dy.data());
-    for dy_n in dy_data.chunks_exact(c_out * ohw) {
-        for (acc, dy_co) in db.data_mut().iter_mut().zip(dy_n.chunks_exact(ohw)) {
-            *acc += simd::sum(dy_co);
-        }
-    }
-    if ckk == 0 {
-        return Conv2dParamGrads { dw, db };
+    if n == 0 || c_out == 0 || ckk == 0 {
+        return dw;
     }
     let par = d.parallelism(par);
-    let x_item = |ni: usize| &x_data[ni * d.chw()..(ni + 1) * d.chw()];
-    let dy_item = |ni: usize| &dy_data[ni * c_out * ohw..(ni + 1) * c_out * ohw];
-    if let Some(g) = d.implicit() {
-        let arm = simd::global();
-        // Output channels are independent, so each worker owns an equal
-        // group of them and adds every item's contribution straight
-        // into its slice of `dw`, in batch order: no per-item partials,
-        // nothing to reduce, and the serial schedule is the one-group
-        // case of the same loop.
-        let groups = (1..=par.workers_for(c_out))
-            .rev()
-            .find(|k| c_out % k == 0)
-            .unwrap_or(1);
-        let per_group = c_out / groups;
-        parallel::for_each_chunk_mut(
-            par,
-            dw.data_mut(),
-            per_group * ckk,
-            || (),
-            |(), group, dw_g| {
-                let channels = group * per_group * ohw..(group + 1) * per_group * ohw;
-                let scratch = g.padded_len() + g.dw_scratch_len(per_group);
-                with_scratch(scratch, |scratch| {
-                    let (xp, rest) = scratch.split_at_mut(g.padded_len());
-                    let mut batch = simd::DwBatch::new(&g, dw_g, rest);
-                    for ni in 0..n {
-                        d.pad(x_item(ni), xp);
-                        let dy_g = &dy_item(ni)[channels.clone()];
-                        let skip = simd::skippable_rows(d.spec.padding, dy_g);
-                        batch.add(arm, skip, xp, dy_g);
-                    }
-                    batch.finish();
-                });
-            },
-        );
-        return Conv2dParamGrads { dw, db };
-    }
-    // Lowered path. Serially, accumulate in place in batch order (no
-    // extra buffers). In parallel, compute exact per-item contributions
-    // concurrently and reduce them in batch order on this thread. Both
-    // add the same per-item accumulators in the same order, so they are
-    // bit-identical — `matmul_nt_acc` computes each item's contribution
-    // into a local `acc` before the `+=`, whether the target is `dw`
-    // directly or a zeroed partial. `dw` flattened as (c_out, ckk) is
-    // exactly the tensor's storage layout.
-    let item = |ni: usize, dw_acc: &mut [f32]| {
-        with_scratch(ckk * ohw, |col| {
-            im2col(x_item(ni), d.c_in, d.h, d.w, d.kh, d.kw, d.spec, col);
-            matmul_nt_acc(dy_item(ni), col, c_out, ohw, ckk, dw_acc);
-        });
-    };
-    if par.workers_for(n) <= 1 {
-        for ni in 0..n {
-            item(ni, dw.data_mut());
-        }
-    } else {
-        let batch: Vec<usize> = (0..n).collect();
-        let partials = parallel::map_with(
-            par,
-            &batch,
-            || (),
-            |(), _, &ni| {
-                let mut dw_n = vec![0.0f32; c_out * ckk];
-                item(ni, &mut dw_n);
-                dw_n
-            },
-        );
-        for dw_n in &partials {
-            for (acc, &v) in dw.data_mut().iter_mut().zip(dw_n.iter()) {
-                *acc += v;
-            }
-        }
-    }
-    Conv2dParamGrads { dw, db }
+    let (g, arm) = (d.geom(), simd::global());
+    let groups = (1..=par.workers_for(c_out))
+        .rev()
+        .find(|k| c_out % k == 0)
+        .unwrap_or(1);
+    let per_group = c_out / groups;
+    parallel::for_each_chunk_mut(
+        par,
+        dw.data_mut(),
+        per_group * ckk,
+        || (),
+        |(), group, dw_g| {
+            let channels = group * per_group * ohw..(group + 1) * per_group * ohw;
+            let scratch = g.padded_len() + g.dw_scratch_len(per_group);
+            with_scratch(scratch, |scratch| {
+                let (xp, rest) = scratch.split_at_mut(g.padded_len());
+                let mut batch = simd::DwBatch::new(&g, dw_g, rest);
+                for ni in 0..n {
+                    d.pad(&x[ni * d.chw()..(ni + 1) * d.chw()], xp);
+                    let dy_g = &dy[ni * c_out * ohw..][channels.clone()];
+                    let skip = simd::skippable_rows(d.spec.padding, dy_g);
+                    batch.add(arm, skip, xp, dy_g);
+                }
+                batch.finish();
+            });
+        },
+    );
+    dw
 }
 
-/// Transposed 2-D convolution (a.k.a. deconvolution) forward pass.
+/// Bias gradient: each channel's `plane`-long gradients summed per item
+/// and added up in batch order.
+fn bias_grad(dy: &[f32], channels: usize, plane: usize) -> Tensor {
+    let mut db = Tensor::zeros(&[channels]);
+    if channels * plane == 0 {
+        return db;
+    }
+    for dy_n in dy.chunks_exact(channels * plane) {
+        for (acc, dy_c) in db.data_mut().iter_mut().zip(dy_n.chunks_exact(plane)) {
+            *acc += simd::sum(dy_c);
+        }
+    }
+    db
+}
+
+/// Transposed 2-D convolution (a.k.a. deconvolution) forward pass: the
+/// input gradient of the convolution by the same weights, gathered into
+/// each output pixel, plus `bias`.
 ///
 /// * `x`: input `(N, C_in, H, W)`
 /// * `w`: kernels `(C_in, C_out, KH, KW)` (PyTorch `ConvTranspose2d` layout)
@@ -775,54 +632,20 @@ pub fn conv_transpose2d(
     bias: Option<&Tensor>,
     spec: Conv2dSpec,
 ) -> Result<Tensor, TensorError> {
-    expect_rank4(x, "conv_transpose2d input")?;
-    expect_rank4(w, "conv_transpose2d weight")?;
-    let (n, c_in, h, w_in) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let (wc_in, c_out, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
-    if c_in != wc_in {
-        return Err(TensorError::InvalidShape {
-            reason: format!(
-                "conv_transpose2d: input has {c_in} channels but weight expects {wc_in}"
-            ),
-        });
-    }
-    let oh = spec.transpose_out_extent(h, kh);
-    let ow = spec.transpose_out_extent(w_in, kw);
-    // Sanity: a conv over (oh, ow) with this spec must produce (h, w).
-    debug_assert_eq!(spec.out_extent(oh, kh), h);
-    debug_assert_eq!(spec.out_extent(ow, kw), w_in);
+    let d = ConvDims::transposed(x, w, spec, "conv_transpose2d")?;
+    check_bias(bias, d.c_in, "conv_transpose2d")?;
+    let mut y = input_grad(&d, w.data(), x.data(), parallel::global());
     if let Some(b) = bias {
-        if b.shape().dims() != [c_out] {
-            return Err(TensorError::InvalidShape {
-                reason: format!("conv_transpose2d: bias shape {} != [{c_out}]", b.shape()),
-            });
-        }
+        add_bias(y.data_mut(), b.data(), d.h * d.w);
     }
-    let ckk = c_out * kh * kw;
-    let hw = h * w_in;
-    let mut y = Tensor::zeros(&[n, c_out, oh, ow]);
-    with_scratch(ckk * hw, |col| {
-        for ni in 0..n {
-            let x_n = &x.data()[ni * c_in * hw..(ni + 1) * c_in * hw];
-            // col = Wᵀ_flat · x_n, where W_flat is (C_in, C_out*KH*KW).
-            matmul_tn(w.data(), x_n, ckk, c_in, hw, col);
-            let y_n = &mut y.data_mut()[ni * c_out * oh * ow..(ni + 1) * c_out * oh * ow];
-            col2im(col, c_out, oh, ow, kh, kw, spec, y_n);
-            if let Some(b) = bias {
-                for co in 0..c_out {
-                    let bv = b.data()[co];
-                    for v in &mut y_n[co * oh * ow..(co + 1) * oh * ow] {
-                        *v += bv;
-                    }
-                }
-            }
-        }
-    });
     Ok(y)
 }
 
 /// Transposed-convolution backward pass; field meanings mirror
-/// [`Conv2dGrads`] with `dw` shaped `(C_in, C_out, KH, KW)`.
+/// [`Conv2dGrads`] with `dw` shaped `(C_in, C_out, KH, KW)`. The input
+/// gradient is the forward pass of the convolution by the same weights
+/// over `dy`, and the weight gradient that convolution's, with `x` as
+/// its output gradient.
 ///
 /// # Errors
 ///
@@ -833,51 +656,26 @@ pub fn conv_transpose2d_backward(
     dy: &Tensor,
     spec: Conv2dSpec,
 ) -> Result<Conv2dGrads, TensorError> {
-    expect_rank4(x, "conv_transpose2d input")?;
-    expect_rank4(w, "conv_transpose2d weight")?;
+    let d = ConvDims::transposed(x, w, spec, "conv_transpose2d_backward")?;
     expect_rank4(dy, "conv_transpose2d output grad")?;
-    let (n, c_in, h, w_in) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
-    let (wc_in, c_out, kh, kw) = (w.dim(0), w.dim(1), w.dim(2), w.dim(3));
-    if c_in != wc_in {
+    if dy.shape().dims() != [d.n, d.c_in, d.h, d.w] {
         return Err(TensorError::InvalidShape {
             reason: format!(
-                "conv_transpose2d_backward: input has {c_in} channels but weight expects {wc_in}"
+                "conv_transpose2d_backward: dy shape {} != [{}, {}, {}, {}]",
+                dy.shape(),
+                d.n,
+                d.c_in,
+                d.h,
+                d.w
             ),
         });
     }
-    let oh = spec.transpose_out_extent(h, kh);
-    let ow = spec.transpose_out_extent(w_in, kw);
-    if dy.shape().dims() != [n, c_out, oh, ow] {
-        return Err(TensorError::InvalidShape {
-            reason: format!(
-                "conv_transpose2d_backward: dy shape {} != [{n}, {c_out}, {oh}, {ow}]",
-                dy.shape()
-            ),
-        });
-    }
-    let ckk = c_out * kh * kw;
-    let hw = h * w_in;
-    let mut dx = Tensor::zeros(&[n, c_in, h, w_in]);
-    let mut dw = Tensor::zeros(&[c_in, c_out, kh, kw]);
-    let mut db = Tensor::zeros(&[c_out]);
-    with_scratch(ckk * hw, |col| {
-        for ni in 0..n {
-            let x_n = &x.data()[ni * c_in * hw..(ni + 1) * c_in * hw];
-            let dy_n = &dy.data()[ni * c_out * oh * ow..(ni + 1) * c_out * oh * ow];
-            // The forward was y = col2im(Wᵀ x); its adjoint is im2col.
-            im2col(dy_n, c_out, oh, ow, kh, kw, spec, col);
-            // dX_n = W_flat · col  (C_in × ckk)·(ckk × hw).
-            let dx_n = &mut dx.data_mut()[ni * c_in * hw..(ni + 1) * c_in * hw];
-            matmul(w.data(), col, c_in, ckk, hw, dx_n);
-            // dW += x_n · colᵀ  (C_in × hw)·(hw × ckk).
-            matmul_nt_acc(x_n, col, c_in, hw, ckk, dw.data_mut());
-            for co in 0..c_out {
-                let s = simd::sum(&dy_n[co * oh * ow..(co + 1) * oh * ow]);
-                db.data_mut()[co] += s;
-            }
-        }
-    });
-    Ok(Conv2dGrads { dx, dw, db })
+    let par = parallel::global();
+    Ok(Conv2dGrads {
+        dx: forward(&d, dy.data(), w.data(), None, par),
+        dw: weight_grad(&d, dy.data(), x.data(), par),
+        db: bias_grad(dy.data(), d.c_in, d.h * d.w),
+    })
 }
 
 /// Output of [`max_pool2d`]: pooled tensor plus flat argmax indices used by
@@ -1384,50 +1182,10 @@ mod tests {
         assert!(pixel_shuffle(&x, 2).is_err());
     }
 
-    /// Per-element reference im2col (the pre-fast-path logic), for
-    /// cross-checking the split-row rewrite on pathological geometry.
-    fn im2col_reference(
-        img: &[f32],
-        c: usize,
-        h: usize,
-        w: usize,
-        kh: usize,
-        kw: usize,
-        spec: Conv2dSpec,
-        col: &mut [f32],
-    ) {
-        let oh = spec.out_extent(h, kh);
-        let ow = spec.out_extent(w, kw);
-        let mut row = 0usize;
-        for ci in 0..c {
-            let img_c = &img[ci * h * w..(ci + 1) * h * w];
-            for ki in 0..kh {
-                for kj in 0..kw {
-                    let base = row * oh * ow;
-                    row += 1;
-                    for oi in 0..oh {
-                        let ii = (oi * spec.stride + ki * spec.dilation) as isize
-                            - spec.padding as isize;
-                        for oj in 0..ow {
-                            let jj = (oj * spec.stride + kj * spec.dilation) as isize
-                                - spec.padding as isize;
-                            let inside = ii >= 0 && ii < h as isize && jj >= 0 && jj < w as isize;
-                            col[base + oi * ow + oj] = if inside {
-                                img_c[ii as usize * w + jj as usize]
-                            } else {
-                                0.0
-                            };
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Regression: a kernel column that lies *entirely* in padding
-    /// (valid output range empty, e.g. w=1 with kw=6, padding=3) must
-    /// produce zeros, not a wrapped negative slice index. Covers both
-    /// the im2col fast path and col2im (via the backward pass).
+    /// (no output position reads the image through it, e.g. w=1 with
+    /// kw=6, padding=3) must contribute nothing, not a wrapped negative
+    /// index — forward and backward, strided and not.
     #[test]
     fn fully_padded_kernel_columns_are_zero() {
         for (h, w, kh, kw, stride, padding, dilation) in [
@@ -1441,50 +1199,15 @@ mod tests {
                 padding,
                 dilation,
             };
-            let oh = spec.out_extent(h, kh);
-            let ow = spec.out_extent(w, kw);
             let c = 2;
-            let x = rand_tensor(&[c, h, w], 97);
-            let mut got = vec![0.0f32; c * kh * kw * oh * ow];
-            im2col(x.data(), c, h, w, kh, kw, spec, &mut got);
-            let mut want = vec![f32::NAN; c * kh * kw * oh * ow];
-            im2col_reference(x.data(), c, h, w, kh, kw, spec, &mut want);
-            assert_eq!(got, want, "im2col {h}x{w} k{kh}x{kw} s{stride} p{padding}");
-
-            // The backward pass exercises col2im on the same geometry.
             let xb = rand_tensor(&[1, c, h, w], 98);
             let wt = rand_tensor(&[1, c, kh, kw], 99);
             let y = conv2d(&xb, &wt, None, spec).unwrap();
+            assert!(y.data().iter().all(|v| v.is_finite()));
             let grads = conv2d_backward(&xb, &wt, &y, spec).unwrap();
             assert!(grads.dx.data().iter().all(|v| v.is_finite()));
+            assert!(grads.dw.data().iter().all(|v| v.is_finite()));
         }
-    }
-
-    #[test]
-    fn im2col_col2im_adjoint() {
-        // <im2col(x), c> == <x, col2im(c)> — adjointness of unfold/fold.
-        let spec = Conv2dSpec::same(3);
-        let (c, h, w) = (2, 5, 5);
-        let oh = spec.out_extent(h, 3);
-        let ow = spec.out_extent(w, 3);
-        let x = rand_tensor(&[c, h, w], 61);
-        let cvec = rand_tensor(&[c * 9 * oh * ow], 62);
-        let mut col = vec![0.0f32; c * 9 * oh * ow];
-        im2col(x.data(), c, h, w, 3, 3, spec, &mut col);
-        let mut img = vec![0.0f32; c * h * w];
-        col2im(cvec.data(), c, h, w, 3, 3, spec, &mut img);
-        let lhs: f64 = col
-            .iter()
-            .zip(cvec.data().iter())
-            .map(|(&a, &b)| a as f64 * b as f64)
-            .sum();
-        let rhs: f64 = x
-            .data()
-            .iter()
-            .zip(img.iter())
-            .map(|(&a, &b)| a as f64 * b as f64)
-            .sum();
-        assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
 
     #[test]

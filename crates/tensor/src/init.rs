@@ -24,35 +24,6 @@ pub fn kaiming_uniform(dims: &[usize], fan_in: usize, rng: &mut Xoshiro256) -> T
     Tensor::from_fn(dims, |_| rng.uniform_in(-bound, bound))
 }
 
-/// Kaiming (He) normal initialization: `N(0, sqrt(2 / fan_in))`.
-///
-/// # Panics
-///
-/// Panics if `fan_in` is zero.
-pub fn kaiming_normal(dims: &[usize], fan_in: usize, rng: &mut Xoshiro256) -> Tensor {
-    assert!(fan_in > 0, "kaiming_normal: fan_in must be positive");
-    let std = (2.0 / fan_in as f64).sqrt() as f32;
-    Tensor::from_fn(dims, |_| rng.normal() * std)
-}
-
-/// Xavier/Glorot uniform initialization: `U(-b, b)` with
-/// `b = sqrt(6 / (fan_in + fan_out))`. Used for the output layers that feed
-/// a sigmoid.
-///
-/// # Panics
-///
-/// Panics if `fan_in + fan_out` is zero.
-pub fn xavier_uniform(
-    dims: &[usize],
-    fan_in: usize,
-    fan_out: usize,
-    rng: &mut Xoshiro256,
-) -> Tensor {
-    assert!(fan_in + fan_out > 0, "xavier_uniform: zero fan sum");
-    let bound = (6.0 / (fan_in + fan_out) as f64).sqrt() as f32;
-    Tensor::from_fn(dims, |_| rng.uniform_in(-bound, bound))
-}
-
 /// Uniform bias initialization matching PyTorch's conv default:
 /// `U(-1/sqrt(fan_in), 1/sqrt(fan_in))`.
 ///
@@ -78,30 +49,6 @@ mod tests {
         // Not degenerate: spread over the interval.
         assert!(t.max().unwrap() > bound * 0.5);
         assert!(t.min().unwrap() < -bound * 0.5);
-    }
-
-    #[test]
-    fn kaiming_normal_std() {
-        let mut rng = Xoshiro256::seed_from(2);
-        let t = kaiming_normal(&[64, 8, 3, 3], 72, &mut rng);
-        let mean = t.mean();
-        let var = t
-            .data()
-            .iter()
-            .map(|&x| (x - mean) * (x - mean))
-            .sum::<f32>()
-            / t.numel() as f32;
-        let expect = 2.0 / 72.0;
-        assert!(mean.abs() < 0.01, "mean {mean}");
-        assert!((var - expect).abs() < expect * 0.2, "var {var}");
-    }
-
-    #[test]
-    fn xavier_uniform_within_bound() {
-        let mut rng = Xoshiro256::seed_from(3);
-        let t = xavier_uniform(&[1, 64, 9, 9], 64 * 81, 81, &mut rng);
-        let bound = (6.0f64 / (64.0 * 81.0 + 81.0)).sqrt() as f32;
-        assert!(t.data().iter().all(|&x| x.abs() <= bound));
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //! - [`Tensor`]: an owned, row-major, N-dimensional `f32` array,
 //! - [`conv`]: 2-D convolution forward/backward with stride, padding and
 //!   dilation (NCHW layout), transposed convolution and max pooling,
-//! - [`linalg`]: matrix multiplication primitives (thin dispatchers over
-//!   [`simd`], plus the naive reference kernel),
+//! - [`linalg`]: the scalar reference matrix product,
 //! - [`simd`]: the runtime-dispatched SIMD backend (AVX2 / scalar arms,
 //!   `RTE_SIMD` knob) with bit-identical lane-ordered reductions,
 //! - [`parallel`]: a dependency-free scoped thread pool with a
 //!   bit-determinism contract (same results at any thread count),
 //! - [`rng`]: a seedable xoshiro256** PRNG with SplitMix64 stream derivation
 //!   so every experiment in the workspace is bit-reproducible,
-//! - [`init`]: weight initializers (Kaiming/Xavier uniform & normal).
+//! - [`init`]: weight initializers (Kaiming uniform weights, uniform
+//!   biases).
 //!
 //! # Example
 //!

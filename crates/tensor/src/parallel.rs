@@ -253,7 +253,7 @@ where
 ///
 /// Chunk `i` covers `data[i*chunk_len .. (i+1)*chunk_len]`; chunks are
 /// disjoint, so workers write concurrently without synchronization. `init`
-/// builds per-worker scratch (e.g. an im2col buffer) on the worker thread.
+/// builds per-worker scratch (e.g. a padded image) on the worker thread.
 /// Assignment is static (round-robin by chunk index), which is ideal for
 /// the uniform per-chunk cost of batched kernels.
 ///

@@ -3,6 +3,9 @@
 //! over the eight abstract lanes of [`Lanes8`], instantiated for the
 //! portable [`Scalar8`] here and for the AVX2 lanes in the parent, so an
 //! accumulation order is stated in one place and an arm is one `impl`.
+//! They serve every [`crate::conv::Conv2dSpec`] — any stride, padding
+//! and dilation — and, with the operands swapped, the transposed
+//! convolution, which is the adjoint of this one.
 //!
 //! The kernels contain no `unsafe`. They describe where they read as
 //! [`Walk`]s through a loop nest; a [`Nest`] works out, once per call,
@@ -23,22 +26,22 @@ use super::avx2;
 use super::{reduce8, scalar, SimdBackend, LANES};
 use std::ops::Range;
 
-/// Geometry of one stride-1 convolution read straight from a zero-padded
-/// image — the operand layout of the implicit-GEMM kernels behind
+/// Geometry of one convolution read straight from a zero-padded image —
+/// the operand layout of the implicit-GEMM kernels behind
 /// [`conv_fwd_skip_with`], [`conv_dw_acc_skip_with`] and
 /// [`conv_dx_acc_padded_with`].
 ///
 /// The padded image is `c_in × hp × wp` row-major (the `h × w` input
 /// centred inside `padding` zeros on every side) followed by
-/// `7·wp + LANES` slack floats, so that a register tile of eight output
-/// rows overhanging the last one, and an 8-lane load whose valid lanes
-/// end at the last pixel, still read inside the slice. Output position
-/// `(oi, oj)` reads tap `(ci, ki, kj)` at
-/// `ci·hp·wp + (oi + ki·dilation)·wp + oj + kj·dilation`: no bounds
-/// test per tap. The geometry does not say how wide the padding is: the
-/// `*_skip_with` and `*_padded_with` entry points are told what they
-/// need to know of it, and the ones without treat every float of the
-/// padded image as data.
+/// `stride · (7·wp + LANES)` slack floats, so that a register tile of
+/// eight output rows overhanging the last one, and an 8-lane read whose
+/// valid lanes end at the last pixel, still read inside the slice.
+/// Output position `(oi, oj)` reads tap `(ci, ki, kj)` at
+/// `ci·hp·wp + (oi·stride + ki·dilation)·wp + oj·stride + kj·dilation`:
+/// no bounds test per tap. The geometry does not say how wide the
+/// padding is: the `*_skip_with` and `*_padded_with` entry points are
+/// told what they need to know of it, and the ones without treat every
+/// float of the padded image as data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvGeom {
     /// Input channels.
@@ -53,19 +56,21 @@ pub struct ConvGeom {
     pub kh: usize,
     /// Kernel width (≥ 1).
     pub kw: usize,
+    /// Stride (≥ 1).
+    pub stride: usize,
     /// Kernel dilation (≥ 1).
     pub dilation: usize,
 }
 
 impl ConvGeom {
-    /// Output height (`hp` minus the dilated kernel's reach).
+    /// Output height: the windows that fit in `hp`, `stride` apart.
     pub fn oh(&self) -> usize {
-        self.hp - self.dilation * (self.kh - 1)
+        (self.hp - self.dilation * (self.kh - 1) - 1) / self.stride + 1
     }
 
     /// Output width.
     pub fn ow(&self) -> usize {
-        self.wp - self.reach()
+        (self.wp - self.reach() - 1) / self.stride + 1
     }
 
     /// Taps per output element, `c_in·kh·kw` — the implicit GEMM's `k`.
@@ -75,7 +80,7 @@ impl ConvGeom {
 
     /// Length of a padded image slice, slack included.
     pub fn padded_len(&self) -> usize {
-        self.c_in * self.hp * self.wp + (LANES - 1) * self.wp + LANES
+        self.c_in * self.hp * self.wp + self.stride * ((LANES - 1) * self.wp + LANES)
     }
 
     /// Length of the scratch [`conv_dx_acc_padded_with`] copies `dy` into:
@@ -119,7 +124,8 @@ impl ConvGeom {
 
     /// For each tap in ascending flattened order
     /// `p = (ci·kh + ki)·kw + kj`, its offset from an output position's
-    /// own offset `oi·wp + oj` in the padded image, and its `ki`.
+    /// own offset `oi·stride·wp + oj·stride` in the padded image, and its
+    /// `ki`.
     fn taps(&self) -> Taps {
         Taps {
             left: self.ckk(),
@@ -136,33 +142,61 @@ impl ConvGeom {
         }
     }
 
-    /// The kernel rows that read at least one image row outside the top
-    /// and bottom `skip` rows of the padded image, for output rows
-    /// `oi0..=oi1`: `skip ≤ oi + ki·d < hp − skip` for some `oi`.
+    /// The kernel rows that may read an image row outside the top and
+    /// bottom `skip` rows of the padded image for output rows
+    /// `oi0..=oi1`: `skip ≤ oi·stride + ki·d < hp − skip` for some
+    /// `oi·stride` in the range `oi0·stride..=oi1·stride`. (Between
+    /// strided rows that is more than the rows that do; a kernel row
+    /// kept that only meets padding adds its `±0.0` products.)
     fn live_kernel_rows(&self, skip: usize, oi0: usize, oi1: usize) -> Range<usize> {
-        let below = self.hp.saturating_sub(skip).saturating_sub(oi0);
+        let (top, bottom) = (oi0 * self.stride, oi1 * self.stride);
+        let below = self.hp.saturating_sub(skip).saturating_sub(top);
         let hi = below.div_ceil(self.dilation).min(self.kh);
-        skip.saturating_sub(oi1).div_ceil(self.dilation).min(hi)..hi
+        skip.saturating_sub(bottom).div_ceil(self.dilation).min(hi)..hi
     }
 
     /// The output rows whose image row under kernel row `ki` lies
     /// outside the top and bottom `skip` rows of the padded image.
     fn live_output_rows(&self, skip: usize, ki: usize) -> (usize, usize) {
-        live_outputs(self.hp, self.oh(), skip, ki * self.dilation)
+        self.live_outputs(self.hp, self.oh(), skip, ki * self.dilation)
     }
 
     /// The output columns whose image column under kernel column `kj`
     /// lies outside the left and right `skip` columns of the padded image.
     fn live_output_cols(&self, skip: usize, kj: usize) -> (usize, usize) {
-        live_outputs(self.wp, self.ow(), skip, kj * self.dilation)
+        self.live_outputs(self.wp, self.ow(), skip, kj * self.dilation)
+    }
+
+    /// Along one axis of a padded image `padded` long with `skip` padding
+    /// at either end: the first and one past the last of its `outputs`
+    /// output positions, `stride` apart, whose image position under a tap
+    /// `shift` further on is not padding.
+    fn live_outputs(
+        &self,
+        padded: usize,
+        outputs: usize,
+        skip: usize,
+        shift: usize,
+    ) -> (usize, usize) {
+        let (lo, hi) = (
+            skip.saturating_sub(shift),
+            padded.saturating_sub(skip).saturating_sub(shift),
+        );
+        // (No division where there is nothing to divide by: this runs
+        // once a pass of taps.)
+        let (lo, hi) = match self.stride {
+            1 => (lo, hi),
+            stride => (lo.div_ceil(stride), hi.div_ceil(stride)),
+        };
+        (lo, hi.min(outputs))
     }
 
     /// The conditions every index computed from this geometry relies on;
     /// checked at each kernel entry because the fields are public.
     fn assert_valid(&self, padding: usize) {
         assert!(
-            self.kh >= 1 && self.kw >= 1 && self.dilation >= 1,
-            "ConvGeom: zero kernel extent or dilation"
+            self.kh >= 1 && self.kw >= 1 && self.stride >= 1 && self.dilation >= 1,
+            "ConvGeom: zero kernel extent, stride or dilation"
         );
         assert!(
             self.dilation * (self.kh - 1) < self.hp && self.reach() < self.wp,
@@ -173,15 +207,6 @@ impl ConvGeom {
             "ConvGeom: padding wider than the padded image"
         );
     }
-}
-
-/// Along one axis of a padded image `padded` long with `skip` padding at
-/// either end: the first and one past the last of its `outputs` output
-/// positions whose image position under a tap `shift` further on is not
-/// padding.
-fn live_outputs(padded: usize, outputs: usize, skip: usize, shift: usize) -> (usize, usize) {
-    let hi = padded.saturating_sub(skip).saturating_sub(shift);
-    (skip.saturating_sub(shift), hi.min(outputs))
 }
 
 /// [`ConvGeom::taps`]: three counters and three running offsets,
@@ -258,10 +283,10 @@ pub fn conv_fwd_with(backend: SimdBackend, g: &ConvGeom, xp: &[f32], w: &[f32], 
 }
 
 /// Convolution forward for one image:
-/// `y[co, oi, oj] = Σ w[co, ci, ki, kj] · xp[ci, oi + ki·d, oj + kj·d]`,
+/// `y[co, oi, oj] = Σ w[co, ci, ki, kj] · xp[ci, oi·s + ki·d, oj·s + kj·d]`,
 /// each output element adding its products from `0.0` in strictly
 /// ascending `(ci, ki, kj)` order on every arm — the order (and the
-/// bits) of [`super::matmul`] over an im2col matrix, without the matrix.
+/// bits) of a matrix product over an im2col matrix, without the matrix.
 ///
 /// `xp` is the padded image described by [`ConvGeom`], `w` is
 /// `c_out × ckk` row-major, `y` is `c_out × oh × ow` and is overwritten.
@@ -315,8 +340,8 @@ pub fn conv_dw_acc_with(
 /// accumulated: for each channel `c` of the run and each tap `p`,
 /// `dw[c·ckk + p] += reduce8(lanes)` where the flattened output index
 /// `i = oi·ow + oj` adds `dy[c·ohw + i] · xp[tap p at i]` into lane
-/// `i % 8` in ascending `i` — the lanes (and the bits) of
-/// [`super::matmul_nt_acc`] over an im2col matrix.
+/// `i % 8` in ascending `i` — the lanes (and the bits) of an 8-lane dot
+/// product against a row of an im2col matrix, without the matrix.
 ///
 /// `dy` holds the channels' `oh × ow` output gradients back to back and
 /// `dw` their `ckk` weight gradients; the run may be any contiguous
@@ -473,9 +498,8 @@ fn transpose(src: &[f32], pitch: usize, dst: &mut [f32]) {
 /// [`conv_dx_acc_padded_with`] over the whole padded image (`padding`
 /// 0): `dxp` is `c_in × hp × wp` plus slack, and the pixels of what a
 /// caller regards as the padding ring are gathered like any other —
-/// each holds the sum of the taps that reach it from inside the output,
-/// which are the taps col2im skips as out of range. Pads `dy` into a
-/// buffer of its own.
+/// each holds the sum of the taps that reach it from inside the output.
+/// Pads `dy` into a buffer of its own.
 ///
 /// # Panics
 ///
@@ -501,13 +525,15 @@ pub fn conv_dx_acc_with(
 /// Input gradient for one image, accumulated, as a gather: each pixel
 /// `(ci, i, j)` of the `h × w` image inside `padding` sums, from `+0.0`
 /// and in ascending `(ki, kj)` order, the chains
-/// `Σ_co w[co, ci, ki, kj] · dy[co, i + padding − ki·d, j + padding − kj·d]`
-/// of the taps whose `dy` position exists, each chain in ascending `co`
-/// order, and the sum is added to `dx[ci, i, j]` once — per pixel the
-/// chains (and, into a zeroed `dx`, the bits) of [`super::matmul_tn`]
-/// followed by col2im. A tap whose position falls outside `dy` is left
-/// out, never multiplied by zero, so a non-finite weight reaches exactly
-/// the pixels col2im lets it reach.
+/// `Σ_co w[co, ci, ki, kj] · dy[co, (i + padding − ki·d)/s, (j + padding − kj·d)/s]`
+/// of the taps whose `dy` position exists (both divisions exact), each
+/// chain in ascending `co` order, and the sum is added to `dx[ci, i, j]`
+/// once — per pixel the chains (and, into a zeroed `dx`, the bits) of
+/// the transposed matrix product of `w` and `dy` folded back by col2im.
+/// A tap with no `dy` position is left out, never multiplied by zero, so
+/// a non-finite weight reaches exactly the pixels col2im lets it reach.
+/// With the operands swapped this is the forward pass of the transposed
+/// convolution.
 ///
 /// `w` is `c_out × ckk`, `dy` is `c_out × oh × ow`, `dx` is the unpadded
 /// `c_in × h × w`, and `dyp` is [`ConvGeom::dy_padded_len`] floats of
@@ -554,14 +580,15 @@ pub fn conv_dx_acc_padded_with(
 
 /// How a kernel's reads of one operand move while it runs a three-deep
 /// loop nest: from wherever a read starts, `steps[l]` (either way) with
-/// every iteration of loop `l`, outermost first. `splat` says whether a
-/// read takes the one float there, in every lane, or the eight lanes
-/// from there on.
+/// every iteration of loop `l`, outermost first. `lane` is how far apart
+/// the eight lanes of a read are: 0 takes the one float there in every
+/// lane, 1 the eight floats from there on, and `s` every `s`-th float
+/// of the `7·s + 1` from there on.
 #[derive(Clone, Copy)]
 pub(super) struct Walk<'a> {
     pub(super) src: &'a [f32],
     pub(super) steps: [isize; 3],
-    pub(super) splat: bool,
+    pub(super) lane: usize,
 }
 
 impl Walk<'_> {
@@ -571,7 +598,7 @@ impl Walk<'_> {
     /// is at whichever end its step points to — or `None` if there is no
     /// such start.
     fn safe_starts(&self, counts: [usize; 3]) -> Option<(usize, usize)> {
-        let width = if self.splat { 1 } else { LANES };
+        let width = self.lane.checked_mul(LANES - 1)?.checked_add(1)?;
         let (mut back, mut ahead) = (0isize, 0isize);
         for l in 0..3 {
             let last = isize::try_from(counts[l].checked_sub(1)?).ok()?;
@@ -599,8 +626,11 @@ impl Walk<'_> {
 /// compares a tile's starts against those once ([`Nest::admit`]) and
 /// then reads without a bounds test per load, so nothing may change a
 /// nest after [`Nest::new`]: `counts` and `safe` are private to this
-/// module, and `walks` is only ever read.
-pub(super) struct Nest<'a> {
+/// module, and `walks` is only ever read. `STRIDED` says whether a walk
+/// may read lanes more than one float apart — a property of the kernel,
+/// fixed when it is compiled, so that the reads of a nest without are
+/// the splats and loads they would be anyway.
+pub(super) struct Nest<'a, const STRIDED: bool> {
     pub(super) walks: [Walk<'a>; 3],
     counts: [usize; 3],
     safe: [Option<(usize, usize)>; 3],
@@ -610,11 +640,16 @@ pub(super) struct Nest<'a> {
 const NO_WALK: Walk<'static> = Walk {
     src: &[],
     steps: [0; 3],
-    splat: false,
+    lane: 1,
 };
 
-impl<'a> Nest<'a> {
+impl<'a, const STRIDED: bool> Nest<'a, STRIDED> {
+    #[inline]
     fn new(walks: [Walk<'a>; 3], counts: [usize; 3]) -> Self {
+        assert!(
+            STRIDED || walks.iter().all(|walk| walk.lane <= 1),
+            "simd: a strided walk in a nest without strided reads"
+        );
         let safe = walks.map(|walk| walk.safe_starts(counts));
         Nest {
             walks,
@@ -679,8 +714,8 @@ pub(super) trait Lanes8: Copy {
     /// fastest, calling `f` with what the three walks read at each when
     /// they start from `a`, `b` and `c`; panics, before the first call,
     /// if a read would fall outside its slice.
-    fn run<const A: usize, const B: usize, const C: usize>(
-        nest: &Nest,
+    fn run<const STRIDED: bool, const A: usize, const B: usize, const C: usize>(
+        nest: &Nest<STRIDED>,
         starts: (&[usize; A], &[usize; B], &[usize; C]),
         part: [Range<usize>; 3],
         f: impl FnMut([Self; A], [Self; B], [Self; C]),
@@ -695,15 +730,19 @@ pub(super) struct Scalar8([f32; LANES]);
 impl Scalar8 {
     /// What `walk` reads `offset` away from each of `starts`.
     #[inline(always)]
-    fn read<const N: usize>(walk: &Walk, starts: &[usize; N], offset: isize) -> [Self; N] {
+    fn read<const STRIDED: bool, const N: usize>(
+        walk: &Walk,
+        starts: &[usize; N],
+        offset: isize,
+    ) -> [Self; N] {
         // (`from_fn`, not `map`: an array `map` of a closure this size
         // is compiled as a call, with the accumulators spilled around it.)
         std::array::from_fn(|i| {
             let from = &walk.src[starts[i].wrapping_add_signed(offset)..];
-            if walk.splat {
-                Self::splat(from[0])
-            } else {
-                Scalar8(from[..LANES].try_into().expect("eight lanes"))
+            match walk.lane {
+                0 => Self::splat(from[0]),
+                step if STRIDED && step > 1 => Scalar8(std::array::from_fn(|l| from[l * step])),
+                _ => Scalar8(from[..LANES].try_into().expect("eight lanes")),
             }
         })
     }
@@ -739,8 +778,8 @@ impl Lanes8 for Scalar8 {
         Scalar8(std::array::from_fn(|t| reduce8(&acc[t].0)))
     }
     #[inline(always)]
-    fn run<const A: usize, const B: usize, const C: usize>(
-        nest: &Nest,
+    fn run<const STRIDED: bool, const A: usize, const B: usize, const C: usize>(
+        nest: &Nest<STRIDED>,
         starts: (&[usize; A], &[usize; B], &[usize; C]),
         part: [Range<usize>; 3],
         mut f: impl FnMut([Self; A], [Self; B], [Self; C]),
@@ -762,9 +801,9 @@ impl Lanes8 for Scalar8 {
                 let mut inner = middle;
                 for _ in part[2].clone() {
                     f(
-                        Self::read(a, starts.0, inner[0]),
-                        Self::read(b, starts.1, inner[1]),
-                        Self::read(c, starts.2, inner[2]),
+                        Self::read::<STRIDED, A>(a, starts.0, inner[0]),
+                        Self::read::<STRIDED, B>(b, starts.1, inner[1]),
+                        Self::read::<STRIDED, C>(c, starts.2, inner[2]),
                     );
                     advance(&mut inner, 2);
                 }
@@ -782,11 +821,28 @@ impl Lanes8 for Scalar8 {
 /// independent chains; half as many rows on a narrow one.
 #[inline(always)]
 pub(super) fn conv_fwd<V: Lanes8>(g: &ConvGeom, skip: usize, xp: &[f32], w: &[f32], y: &mut [f32]) {
+    if g.stride == 1 {
+        conv_fwd_shaped::<V, false>(g, skip, xp, w, y);
+    } else {
+        conv_fwd_shaped::<V, true>(g, skip, xp, w, y);
+    }
+}
+
+/// [`conv_fwd`] with the image read `stride` floats a lane apart
+/// (`STRIDED`) or contiguously.
+#[inline(always)]
+fn conv_fwd_shaped<V: Lanes8, const STRIDED: bool>(
+    g: &ConvGeom,
+    skip: usize,
+    xp: &[f32],
+    w: &[f32],
+    y: &mut [f32],
+) {
     match (g.c_out >= 4, V::WIDE) {
-        (true, true) => conv_fwd_tiled::<V, 4, 2>(g, skip, xp, w, y),
-        (true, false) => conv_fwd_tiled::<V, 4, 1>(g, skip, xp, w, y),
-        (false, true) => conv_fwd_tiled::<V, 1, 8>(g, skip, xp, w, y),
-        (false, false) => conv_fwd_tiled::<V, 1, 4>(g, skip, xp, w, y),
+        (true, true) => conv_fwd_tiled::<V, 4, 2, STRIDED>(g, skip, xp, w, y),
+        (true, false) => conv_fwd_tiled::<V, 4, 1, STRIDED>(g, skip, xp, w, y),
+        (false, true) => conv_fwd_tiled::<V, 1, 8, STRIDED>(g, skip, xp, w, y),
+        (false, false) => conv_fwd_tiled::<V, 1, 4, STRIDED>(g, skip, xp, w, y),
     }
 }
 
@@ -799,26 +855,26 @@ pub(super) fn conv_fwd<V: Lanes8>(g: &ConvGeom, skip: usize, xp: &[f32], w: &[f3
 /// over the kernel rows that are live for the tile's output rows
 /// ([`ConvGeom::live_kernel_rows`]; all of them when `skip` is 0).
 #[inline(always)]
-fn conv_fwd_tiled<V: Lanes8, const CT: usize, const RT: usize>(
+fn conv_fwd_tiled<V: Lanes8, const CT: usize, const RT: usize, const STRIDED: bool>(
     g: &ConvGeom,
     skip: usize,
     xp: &[f32],
     w: &[f32],
     y: &mut [f32],
 ) {
-    let (oh, ow, wp, ckk) = (g.oh(), g.ow(), g.wp, g.ckk());
+    let (oh, ow, wp, ckk, stride) = (g.oh(), g.ow(), g.wp, g.ckk(), g.stride);
     let (ohw, plane, khw, step) = (oh * ow, g.hp * wp, g.kh * g.kw, g.dilation);
     let weights = Walk {
         src: w,
         steps: [khw, g.kw, 1].map(|s| s as isize),
-        splat: true,
+        lane: 0,
     };
     let windows = Walk {
         src: xp,
         steps: [plane, step * wp, step].map(|s| s as isize),
-        splat: false,
+        lane: stride,
     };
-    let nest = Nest::new([weights, windows, NO_WALK], [g.c_in, g.kh, g.kw]);
+    let nest = Nest::<STRIDED>::new([weights, windows, NO_WALK], [g.c_in, g.kh, g.kw]);
     for co0 in (0..g.c_out).step_by(CT) {
         let co0 = co0.min(g.c_out - CT);
         let w_rows: [usize; CT] = std::array::from_fn(|c| (co0 + c) * ckk);
@@ -830,7 +886,7 @@ fn conv_fwd_tiled<V: Lanes8, const CT: usize, const RT: usize>(
                 0..g.kw,
             ];
             for oj0 in (0..ow).step_by(LANES) {
-                let x_rows: [usize; RT] = std::array::from_fn(|r| (oi0 + r) * wp + oj0);
+                let x_rows: [usize; RT] = std::array::from_fn(|r| ((oi0 + r) * wp + oj0) * stride);
                 let mut acc = [[V::splat(0.0); RT]; CT];
                 V::run(
                     &nest,
@@ -874,18 +930,32 @@ pub(super) fn conv_dw_acc<V: Lanes8>(
     dw: &mut [f32],
     lanes: bool,
 ) {
-    let many = dy.len() >= 4 * g.oh() * g.ow();
     if lanes {
         conv_dw_acc_lanes::<V>(g, skip, xp, dy, dw);
     } else if g.ow() % LANES != 0 {
         conv_dw_acc_rotating(g, xp, dy, dw);
+    } else if g.stride == 1 {
+        conv_dw_acc_shaped::<V, false>(g, skip, xp, dy, dw);
     } else {
-        match (many, V::WIDE) {
-            (true, true) => conv_dw_acc_tiled::<V, 4, 2>(g, skip, xp, dy, dw),
-            (true, false) => conv_dw_acc_tiled::<V, 2, 2>(g, skip, xp, dy, dw),
-            (false, true) => conv_dw_acc_tiled::<V, 1, 8>(g, skip, xp, dy, dw),
-            (false, false) => conv_dw_acc_tiled::<V, 1, 4>(g, skip, xp, dy, dw),
-        }
+        conv_dw_acc_shaped::<V, true>(g, skip, xp, dy, dw);
+    }
+}
+
+/// [`conv_dw_acc`]'s register tile, with the image read `stride` floats
+/// a lane apart (`STRIDED`) or contiguously.
+#[inline(always)]
+fn conv_dw_acc_shaped<V: Lanes8, const STRIDED: bool>(
+    g: &ConvGeom,
+    skip: usize,
+    xp: &[f32],
+    dy: &[f32],
+    dw: &mut [f32],
+) {
+    match (dy.len() >= 4 * g.oh() * g.ow(), V::WIDE) {
+        (true, true) => conv_dw_acc_tiled::<V, 4, 2, STRIDED>(g, skip, xp, dy, dw),
+        (true, false) => conv_dw_acc_tiled::<V, 2, 2, STRIDED>(g, skip, xp, dy, dw),
+        (false, true) => conv_dw_acc_tiled::<V, 1, 8, STRIDED>(g, skip, xp, dy, dw),
+        (false, false) => conv_dw_acc_tiled::<V, 1, 4, STRIDED>(g, skip, xp, dy, dw),
     }
 }
 
@@ -895,33 +965,33 @@ pub(super) fn conv_dw_acc<V: Lanes8>(
 /// lanes of one (channel, tap) over the flattened output index, each
 /// image window is loaded once per `CT` channels and each `dy` vector
 /// once per `TT` taps, and the eight are reduced together with
-/// [`reduce8`]'s tree — [`super::matmul_nt_acc`]'s lanes, with the
-/// column row read as windows of the padded image. Output rows that are
+/// [`reduce8`]'s tree — an 8-lane dot product's lanes, with the column
+/// row read as windows of the padded image. Output rows that are
 /// dead for every tap of the pass ([`ConvGeom::live_output_rows`]) are
 /// left out. The last channel tile slides back over channels already
 /// done and the last pass keeps taps of the pass before it; neither copy
 /// is added.
 #[inline(always)]
-fn conv_dw_acc_tiled<V: Lanes8, const CT: usize, const TT: usize>(
+fn conv_dw_acc_tiled<V: Lanes8, const CT: usize, const TT: usize, const STRIDED: bool>(
     g: &ConvGeom,
     skip: usize,
     xp: &[f32],
     dy: &[f32],
     dw: &mut [f32],
 ) {
-    let (oh, ow, wp, ckk) = (g.oh(), g.ow(), g.wp, g.ckk());
+    let (oh, ow, wp, ckk, stride) = (g.oh(), g.ow(), g.wp, g.ckk(), g.stride);
     let (ohw, channels) = (oh * ow, dy.len() / (oh * ow));
     let grads = Walk {
         src: dy,
         steps: [0, ow, LANES].map(|s| s as isize),
-        splat: false,
+        lane: 1,
     };
     let windows = Walk {
         src: xp,
-        steps: [0, wp, LANES].map(|s| s as isize),
-        splat: false,
+        steps: [0, stride * wp, stride * LANES].map(|s| s as isize),
+        lane: stride,
     };
-    let nest = Nest::new([grads, windows, NO_WALK], [1, oh, ow / LANES]);
+    let nest = Nest::<STRIDED>::new([grads, windows, NO_WALK], [1, oh, ow / LANES]);
     let mut taps = g.taps();
     let mut offs = [0usize; TT];
     for p0 in (0..ckk).step_by(TT) {
@@ -1022,19 +1092,19 @@ fn conv_dw_acc_lanes_tiled<V: Lanes8, const T: usize>(
     dyt: &[f32],
     dwt: &mut [f32],
 ) {
-    let (oh, wp, step) = (g.oh(), g.wp, g.dilation);
+    let (oh, wp, step, stride) = (g.oh(), g.wp, g.dilation, g.stride);
     let pitch = dyt.len() / (oh * LANES);
     let image = Walk {
         src: xt,
-        steps: [0, g.c_in, wp * g.c_in].map(|s| s as isize),
-        splat: true,
+        steps: [0, stride * g.c_in, stride * wp * g.c_in].map(|s| s as isize),
+        lane: 0,
     };
     let grads = Walk {
         src: dyt,
         steps: [0, pitch, LANES * pitch].map(|s| s as isize),
-        splat: false,
+        lane: 1,
     };
-    let nest = Nest::new([image, grads, NO_WALK], [1, LANES, oh]);
+    let nest = Nest::<false>::new([image, grads, NO_WALK], [1, LANES, oh]);
     let zero = V::splat(0.0);
     for ci0 in (0..g.c_in).step_by(T) {
         for ki in 0..g.kh {
@@ -1124,16 +1194,20 @@ fn conv_dx_acc_tiles<V: Lanes8, const ONE: bool>(
 /// [`conv_dx_acc`] for the whole tiles of `CT` input channels from
 /// channel `from` on (`ONE` iff `c_out` is 1); returns the first channel
 /// it left. The register tile is `CT` input channels × 8 pixels of one
-/// image row, its accumulators live across *all* taps (beside eight
-/// chains some of them on the stack, touched once a tap): per tap one
-/// `dy` vector per output channel is shared by the channels' chains, and
-/// each chain is added once, under the tap's lane mask. The kernel rows are
-/// bounded to those whose `dy` row exists, and the taps along a row to
-/// those with a pixel in range. A masked-out lane adds `+0.0`, and a
-/// chain that is its one product (`ONE`) rather than `0.0 +` it can
-/// differ in the sign of a zero: either way a zero is added to an
-/// accumulator which started at `+0.0`, is therefore never `−0.0`, and
-/// keeps its bits.
+/// image row and one column phase — pixels `stride` apart, which the
+/// same taps reach from consecutive `dy` columns — and its accumulators
+/// live across *all* taps (beside eight chains some of them on the
+/// stack, touched once a tap): per tap one `dy` vector per output channel
+/// is shared by the channels' chains, and each chain is added once, under
+/// the tap's lane mask. A tap reaches a pixel only if its shift is a
+/// multiple of the stride from it, so along either axis the taps that do
+/// are `stride / gcd(stride, dilation)` kernel positions apart; the
+/// kernel rows are bounded to those whose `dy` row exists, and the taps
+/// along a row to those with a pixel in range. A masked-out lane adds
+/// `+0.0`, and a chain that is its one product (`ONE`) rather than
+/// `0.0 +` it can differ in the sign of a zero: either way a zero is
+/// added to an accumulator which started at `+0.0`, is therefore never
+/// `−0.0`, and keeps its bits.
 #[inline(always)]
 fn conv_dx_acc_tiled<V: Lanes8, const CT: usize, const ONE: bool>(
     g: &ConvGeom,
@@ -1147,93 +1221,127 @@ fn conv_dx_acc_tiled<V: Lanes8, const CT: usize, const ONE: bool>(
     if until == from {
         return from;
     }
-    let (oh, ow, step, ckk) = (g.oh(), g.ow(), g.dilation, g.ckk());
+    let (oh, ow, step, stride, ckk) = (g.oh(), g.ow(), g.dilation, g.stride, g.ckk());
     let (h, wd, khw) = (g.hp - 2 * pad, g.wp - 2 * pad, g.kh * g.kw);
     let (reach, owp) = (g.reach(), g.ow() + 2 * g.reach());
+    // From one tap that reaches a pixel to the next: `apart` kernel
+    // positions, `back` `dy` positions.
+    let apart = stride / gcd(stride, step);
+    let back = step * apart / stride;
     let weights = Walk {
         src: w,
-        steps: [g.kw, 1, ckk].map(|s| s as isize),
-        splat: true,
+        steps: [apart * g.kw, apart, ckk].map(|s| s as isize),
+        lane: 0,
     };
     let grads = Walk {
         src: dyp,
         steps: [
-            -((step * owp) as isize),
-            -(step as isize),
+            -((back * owp) as isize),
+            -(back as isize),
             (oh * owp) as isize,
         ],
-        splat: false,
+        lane: 1,
     };
+    // The `dy` position of tap offset `shifted = position + pad − k·d`,
+    // if the stride divides it (no division where there is nothing to
+    // divide by).
+    let on_stride = |shifted: isize| match stride as isize {
+        1 => Some(shifted),
+        stride => (shifted % stride == 0).then_some(shifted / stride),
+    };
+    // Per image row, its first kernel row whose `dy` row exists, exactly
+    // — `0 ≤ (i + pad − ki·d) / stride < oh` — that `dy` row, and how
+    // many kernel rows do.
+    let rows: Vec<(usize, usize, usize)> = (0..h)
+        .map(|i| {
+            let row = |ki: usize| on_stride((i + pad) as isize - (ki * step) as isize);
+            let mut live =
+                (0..g.kh).filter(|&ki| row(ki).is_some_and(|r| r >= 0 && r < oh as isize));
+            live.next().map_or((0, 0, 0), |ki| {
+                let dy_row = row(ki).map_or(0, |r| r as usize);
+                (ki, dy_row, 1 + live.count())
+            })
+        })
+        .collect();
     let mut masks: Vec<f32> = Vec::with_capacity(g.kw * LANES);
-    for j0 in (0..wd).step_by(LANES) {
-        let jw = (wd - j0).min(LANES);
-        // Lane `l` of tap `kj` reads `dy` column `j0 + l + pad − kj·d`:
-        // the taps with a lane in range are consecutive.
-        masks.clear();
-        let mut kj_lo = 0;
-        for kj in 0..g.kw {
-            let lanes = (kj * step).saturating_sub(pad + j0)
-                ..(kj * step + ow).saturating_sub(pad + j0).min(jw);
-            if !lanes.is_empty() {
-                let bits = |l| f32::from_bits(if lanes.contains(&l) { u32::MAX } else { 0 });
-                masks.extend((0..LANES).map(bits));
-            } else if masks.is_empty() {
-                kj_lo = kj + 1;
-            }
-        }
-        let lane_masks = Walk {
-            src: &masks,
-            steps: [0, LANES as isize, 0],
-            splat: false,
-        };
-        for i in 0..h {
-            // Kernel rows with `0 ≤ i + pad − ki·d < oh`.
-            let ki_lo = (i + pad + 1).saturating_sub(oh).div_ceil(step);
-            let ki_hi = ((i + pad) / step + 1).min(g.kh);
-            let taps = [ki_hi.saturating_sub(ki_lo), masks.len() / LANES, g.c_out];
-            let nest = Nest::new([weights, grads, lane_masks], taps);
-            let dy_row = (i + pad).saturating_sub(ki_lo * step) * owp
-                + (reach + pad + j0).saturating_sub(kj_lo * step);
-            for ci0 in (from..until).step_by(CT) {
-                let w_rows: [usize; CT] =
-                    std::array::from_fn(|c| (ci0 + c) * khw + ki_lo * g.kw + kj_lo);
-                let starts = (&w_rows, &[dy_row], &[0]);
-                let mut acc = [V::splat(0.0); CT];
-                if ONE {
-                    V::run(
-                        &nest,
-                        starts,
-                        taps.map(|count| 0..count),
-                        |wv, [dv], [mask]| {
-                            for c in 0..CT {
-                                acc[c] = acc[c].add(wv[c].mul(dv).and(mask));
-                            }
-                        },
-                    );
-                } else {
-                    let (mut chain, mut co) = ([V::splat(0.0); CT], 0);
-                    V::run(
-                        &nest,
-                        starts,
-                        taps.map(|count| 0..count),
-                        |wv, [dv], [mask]| {
-                            for c in 0..CT {
-                                chain[c] = chain[c].add(wv[c].mul(dv));
-                            }
-                            co += 1;
-                            if co == g.c_out {
-                                for c in 0..CT {
-                                    acc[c] = acc[c].add(chain[c].and(mask));
-                                }
-                                (chain, co) = ([V::splat(0.0); CT], 0);
-                            }
-                        },
-                    );
+    for phase in 0..stride {
+        let pixels = wd.saturating_sub(phase).div_ceil(stride);
+        for m0 in (0..pixels).step_by(LANES) {
+            let (j0, jw) = (phase + m0 * stride, (pixels - m0).min(LANES));
+            // Lane `l` of tap `kj` reads `dy` column `col + l`: the taps
+            // with a lane in range are consecutive among those on the
+            // stride.
+            masks.clear();
+            let mut first = None;
+            for kj in 0..g.kw {
+                let Some(col) = on_stride((j0 + pad) as isize - (kj * step) as isize) else {
+                    continue;
+                };
+                let lanes = (-col).max(0)..(ow as isize - col).min(jw as isize);
+                if !lanes.is_empty() {
+                    first.get_or_insert((kj, col));
+                    let bits = |l| f32::from_bits(if lanes.contains(&l) { u32::MAX } else { 0 });
+                    masks.extend((0..LANES as isize).map(bits));
                 }
-                for c in 0..CT {
-                    let at = ((ci0 + c) * h + i) * wd + j0;
-                    for (out, sum) in dx[at..at + jw].iter_mut().zip(acc[c].to_array()) {
-                        *out += sum;
+            }
+            let (kj_lo, col_lo) = first.unwrap_or((0, 0));
+            let lane_masks = Walk {
+                src: &masks,
+                steps: [0, LANES as isize, 0],
+                lane: 1,
+            };
+            for (i, &(ki_lo, dy_row, ki_count)) in rows.iter().enumerate() {
+                let taps = [ki_count, masks.len() / LANES, g.c_out];
+                let nest = Nest::<false>::new([weights, grads, lane_masks], taps);
+                let dy_row = dy_row * owp + (reach as isize + col_lo) as usize;
+                for ci0 in (from..until).step_by(CT) {
+                    let w_rows: [usize; CT] =
+                        std::array::from_fn(|c| (ci0 + c) * khw + ki_lo * g.kw + kj_lo);
+                    let starts = (&w_rows, &[dy_row], &[0]);
+                    let mut acc = [V::splat(0.0); CT];
+                    if ONE {
+                        V::run(
+                            &nest,
+                            starts,
+                            taps.map(|count| 0..count),
+                            |wv, [dv], [mask]| {
+                                for c in 0..CT {
+                                    acc[c] = acc[c].add(wv[c].mul(dv).and(mask));
+                                }
+                            },
+                        );
+                    } else {
+                        let (mut chain, mut co) = ([V::splat(0.0); CT], 0);
+                        V::run(
+                            &nest,
+                            starts,
+                            taps.map(|count| 0..count),
+                            |wv, [dv], [mask]| {
+                                for c in 0..CT {
+                                    chain[c] = chain[c].add(wv[c].mul(dv));
+                                }
+                                co += 1;
+                                if co == g.c_out {
+                                    for c in 0..CT {
+                                        acc[c] = acc[c].add(chain[c].and(mask));
+                                    }
+                                    (chain, co) = ([V::splat(0.0); CT], 0);
+                                }
+                            },
+                        );
+                    }
+                    for c in 0..CT {
+                        let (at, sums) = (((ci0 + c) * h + i) * wd + j0, acc[c].to_array());
+                        if stride == 1 {
+                            for (out, sum) in dx[at..at + jw].iter_mut().zip(sums) {
+                                *out += sum;
+                            }
+                        } else {
+                            let pixels = dx[at..].iter_mut().step_by(stride);
+                            for (out, sum) in pixels.zip(&sums[..jw]) {
+                                *out += sum;
+                            }
+                        }
                     }
                 }
             }
@@ -1242,20 +1350,31 @@ fn conv_dx_acc_tiled<V: Lanes8, const CT: usize, const ONE: bool>(
     until
 }
 
+/// Greatest common divisor.
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
 /// Implicit-GEMM weight gradient for output widths that are not a
 /// multiple of 8, where the lane of an output position depends on
 /// its row: per tap, the `ohw` elements of its column row are
 /// gathered once from the padded image into a row-sized buffer (a
 /// row, never the matrix) and every channel of the run takes
-/// `dot_lanes` against it, exactly as [`super::matmul_nt_acc`] does
-/// against a stored row. Both arms run this.
+/// `dot_lanes` against it. Both arms run this.
 fn conv_dw_acc_rotating(g: &ConvGeom, xp: &[f32], dy: &[f32], dw: &mut [f32]) {
-    let (ow, wp, ckk) = (g.ow(), g.wp, g.ckk());
+    let (ow, wp, ckk, stride) = (g.ow(), g.wp, g.ckk(), g.stride);
     let ohw = g.oh() * ow;
     let mut col_row = vec![0.0f32; ohw];
     for (p, (off, _)) in g.taps().enumerate() {
         for (oi, dst) in col_row.chunks_exact_mut(ow).enumerate() {
-            dst.copy_from_slice(&xp[off + oi * wp..off + oi * wp + ow]);
+            let row = &xp[off + oi * stride * wp..];
+            for (oj, v) in dst.iter_mut().enumerate() {
+                *v = row[oj * stride];
+            }
         }
         for (dy_co, dw_co) in dy.chunks_exact(ohw).zip(dw.chunks_exact_mut(ckk)) {
             dw_co[p] += scalar::dot_lanes(dy_co, &col_row);

@@ -1,18 +1,21 @@
 //! Property-based tests of the tensor kernels: the algebraic identities
 //! that make backpropagation correct must hold for arbitrary geometries,
-//! not just the hand-picked unit-test shapes.
+//! not just the hand-picked unit-test shapes — and every convolution
+//! entry point must reproduce, bit for bit, the im2col → matrix product
+//! → col2im lowering kept here as the oracle.
 
 use std::sync::Mutex;
 
 use proptest::prelude::*;
 
 use rte_tensor::conv::{
-    col2im, conv2d, conv2d_backward, conv2d_backward_params_with, conv2d_backward_with,
-    conv2d_with, conv_transpose2d_backward, im2col, max_pool2d, max_pool2d_backward, Conv2dSpec,
+    conv2d, conv2d_backward, conv2d_backward_params_with, conv2d_backward_with, conv2d_with,
+    conv_transpose2d, conv_transpose2d_backward, max_pool2d, max_pool2d_backward, Conv2dSpec,
 };
-use rte_tensor::parallel::Parallelism;
+use rte_tensor::linalg::matmul;
+use rte_tensor::parallel::{self, Parallelism};
 use rte_tensor::rng::Xoshiro256;
-use rte_tensor::simd::{self, SimdBackend};
+use rte_tensor::simd::{self, reduce8, SimdBackend, LANES};
 use rte_tensor::{Tensor, TensorError};
 
 fn rand_tensor(dims: &[usize], seed: u64) -> Tensor {
@@ -28,14 +31,162 @@ fn inner(a: &Tensor, b: &Tensor) -> f64 {
         .sum()
 }
 
-/// Serializes the tests that switch the process-global SIMD arm.
+/// Serializes the tests that switch the process-global SIMD arm or
+/// thread budget.
 static GLOBAL_ARM: Mutex<()> = Mutex::new(());
 
-/// The im2col → GEMM → col2im lowering of a convolution on one arm: the
-/// reference the implicit stride-1 kernels must reproduce bit for bit.
-/// Returns `(y, dx, dw, db)`.
+// ---------------------------------------------------------------------
+// The oracle: a convolution lowered to matrix products over an explicit
+// column matrix, each product in the accumulation order the implicit
+// kernels' contract (rule 5) states.
+// ---------------------------------------------------------------------
+
+/// The output positions `oj ∈ [lo, hi)` whose source column
+/// `jj = oj*stride + jj0` lies inside `[0, w)` — everything outside is
+/// zero padding.
+fn valid_col_range(jj0: isize, stride: usize, w: usize, ow: usize) -> (usize, usize) {
+    let s = stride as isize;
+    let lo = if jj0 >= 0 { 0 } else { (-jj0 + s - 1) / s }.clamp(0, ow as isize) as usize;
+    let limit = w as isize - jj0; // jj < w  ⇔  oj < ceil(limit / s)
+    let hi = if limit <= 0 {
+        0
+    } else {
+        ((limit + s - 1) / s).clamp(lo as isize, ow as isize) as usize
+    };
+    (lo, hi.max(lo))
+}
+
+/// Unfolds one image (`c × h × w`) into a column matrix
+/// (`c*kh*kw × oh*ow`) for the given convolution spec.
+fn im2col(
+    img: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    spec: Conv2dSpec,
+    col: &mut [f32],
+) {
+    let oh = spec.out_extent(h, kh);
+    let ow = spec.out_extent(w, kw);
+    assert_eq!(col.len(), c * kh * kw * oh * ow, "im2col: col buffer size");
+    let mut row = 0usize;
+    for ci in 0..c {
+        let img_c = &img[ci * h * w..(ci + 1) * h * w];
+        for ki in 0..kh {
+            for kj in 0..kw {
+                let base = row * oh * ow;
+                row += 1;
+                let jj0 = (kj * spec.dilation) as isize - spec.padding as isize;
+                let (lo, hi) = valid_col_range(jj0, spec.stride, w, ow);
+                for oi in 0..oh {
+                    let ii =
+                        (oi * spec.stride + ki * spec.dilation) as isize - spec.padding as isize;
+                    let out_row = &mut col[base + oi * ow..base + (oi + 1) * ow];
+                    out_row.iter_mut().for_each(|x| *x = 0.0);
+                    if ii < 0 || ii >= h as isize || lo >= hi {
+                        continue;
+                    }
+                    let src = &img_c[ii as usize * w..(ii as usize + 1) * w];
+                    let mut jj = (jj0 + (lo * spec.stride) as isize) as usize;
+                    for o in out_row[lo..hi].iter_mut() {
+                        *o = src[jj];
+                        jj += spec.stride;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Folds a column matrix back into an image, accumulating overlapping
+/// contributions in ascending row order (the adjoint of [`im2col`]).
+/// `img` is zeroed first.
+fn col2im(
+    col: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    spec: Conv2dSpec,
+    img: &mut [f32],
+) {
+    let oh = spec.out_extent(h, kh);
+    let ow = spec.out_extent(w, kw);
+    assert_eq!(col.len(), c * kh * kw * oh * ow, "col2im: col buffer size");
+    assert_eq!(img.len(), c * h * w, "col2im: img buffer size");
+    img.iter_mut().for_each(|x| *x = 0.0);
+    let mut row = 0usize;
+    for ci in 0..c {
+        let img_c = &mut img[ci * h * w..(ci + 1) * h * w];
+        for ki in 0..kh {
+            for kj in 0..kw {
+                let base = row * oh * ow;
+                row += 1;
+                let jj0 = (kj * spec.dilation) as isize - spec.padding as isize;
+                let (lo, hi) = valid_col_range(jj0, spec.stride, w, ow);
+                if lo >= hi {
+                    continue;
+                }
+                for oi in 0..oh {
+                    let ii =
+                        (oi * spec.stride + ki * spec.dilation) as isize - spec.padding as isize;
+                    if ii < 0 || ii >= h as isize {
+                        continue;
+                    }
+                    let src = &col[base + oi * ow..base + (oi + 1) * ow];
+                    let mut jj = ii as usize * w + (jj0 + (lo * spec.stride) as isize) as usize;
+                    for &v in src[lo..hi].iter() {
+                        img_c[jj] += v;
+                        jj += spec.stride;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `out = Aᵀ @ B` (`A` stored `k×m`): each element adds its `k` products
+/// from `0.0` in ascending order, like [`matmul`].
+fn matmul_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    out.iter_mut().for_each(|x| *x = 0.0);
+    for p in 0..k {
+        for i in 0..m {
+            let a_pi = a[p * m + i];
+            for (o, &b_pj) in out[i * n..(i + 1) * n]
+                .iter_mut()
+                .zip(&b[p * n..(p + 1) * n])
+            {
+                *o += a_pi * b_pj;
+            }
+        }
+    }
+}
+
+/// `out += A @ Bᵀ` (`A` is `m×k`, `B` is `n×k`): each element an 8-lane
+/// dot product — element `p` into lane `p % 8` in ascending `p`, the
+/// lanes combined by [`reduce8`] — added once.
+fn matmul_nt_acc(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    for i in 0..m {
+        for j in 0..n {
+            let mut lanes = [0.0f32; LANES];
+            for (p, (&x, &y)) in a[i * k..(i + 1) * k]
+                .iter()
+                .zip(&b[j * k..(j + 1) * k])
+                .enumerate()
+            {
+                lanes[p % LANES] += x * y;
+            }
+            out[i * n + j] += reduce8(&lanes);
+        }
+    }
+}
+
+/// The lowered convolution: `(y, dx, dw, db)` of `x` by `w` with `bias`
+/// and output gradient `dy`, in the orders the kernels must reproduce.
 fn lowered_reference(
-    arm: SimdBackend,
     x: &Tensor,
     w: &Tensor,
     bias: &Tensor,
@@ -57,19 +208,131 @@ fn lowered_reference(
         let dy_n = &dy.data()[ni * c_out * ohw..(ni + 1) * c_out * ohw];
         im2col(x_n, c_in, h, wd, kh, kw, spec, &mut col);
         let y_n = &mut y.data_mut()[ni * c_out * ohw..(ni + 1) * c_out * ohw];
-        simd::matmul_with(arm, w.data(), &col, c_out, ckk, ohw, y_n);
+        matmul(w.data(), &col, c_out, ckk, ohw, y_n);
         for (y_co, &b) in y_n.chunks_exact_mut(ohw).zip(bias.data()) {
             y_co.iter_mut().for_each(|v| *v += b);
         }
-        simd::matmul_tn_with(arm, w.data(), dy_n, ckk, c_out, ohw, &mut dcol);
+        matmul_tn(w.data(), dy_n, ckk, c_out, ohw, &mut dcol);
         let dx_n = &mut dx.data_mut()[ni * chw..(ni + 1) * chw];
         col2im(&dcol, c_in, h, wd, kh, kw, spec, dx_n);
-        simd::matmul_nt_acc_with(arm, dy_n, &col, c_out, ohw, ckk, dw.data_mut());
+        matmul_nt_acc(dy_n, &col, c_out, ohw, ckk, dw.data_mut());
         for (acc, dy_co) in db.data_mut().iter_mut().zip(dy_n.chunks_exact(ohw)) {
-            *acc += simd::sum_with(arm, dy_co);
+            *acc += simd::sum_with(SimdBackend::Scalar, dy_co);
         }
     }
     (y, dx, dw, db)
+}
+
+/// The lowered transposed convolution of `x` by `w` (`(C_in, C_out, KH,
+/// KW)`) with `bias` and output gradient `dy`: `y` is `col2im(Wᵀ·x)`,
+/// `dx` is `W·im2col(dy)`, `dw` sums `x·im2col(dy)ᵀ` over the batch.
+/// Returns `(y, dx, dw, db)`.
+fn lowered_transpose_reference(
+    x: &Tensor,
+    w: &Tensor,
+    bias: &Tensor,
+    dy: &Tensor,
+    spec: Conv2dSpec,
+) -> (Tensor, Tensor, Tensor, Tensor) {
+    let (n, c_in, h, wd) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
+    let (c_out, kh, kw) = (w.dim(1), w.dim(2), w.dim(3));
+    let (oh, ow) = (dy.dim(2), dy.dim(3));
+    let (ckk, hw, ohw) = (c_out * kh * kw, h * wd, oh * ow);
+    let mut y = Tensor::zeros(&[n, c_out, oh, ow]);
+    let mut dx = Tensor::zeros(&[n, c_in, h, wd]);
+    let mut dw = Tensor::zeros(&[c_in, c_out, kh, kw]);
+    let mut db = Tensor::zeros(&[c_out]);
+    let mut col = vec![0.0f32; ckk * hw];
+    for ni in 0..n {
+        let x_n = &x.data()[ni * c_in * hw..(ni + 1) * c_in * hw];
+        let dy_n = &dy.data()[ni * c_out * ohw..(ni + 1) * c_out * ohw];
+        matmul_tn(w.data(), x_n, ckk, c_in, hw, &mut col);
+        let y_n = &mut y.data_mut()[ni * c_out * ohw..(ni + 1) * c_out * ohw];
+        col2im(&col, c_out, oh, ow, kh, kw, spec, y_n);
+        for (y_co, &b) in y_n.chunks_exact_mut(ohw).zip(bias.data()) {
+            y_co.iter_mut().for_each(|v| *v += b);
+        }
+        im2col(dy_n, c_out, oh, ow, kh, kw, spec, &mut col);
+        let dx_n = &mut dx.data_mut()[ni * c_in * hw..(ni + 1) * c_in * hw];
+        matmul(w.data(), &col, c_in, ckk, hw, dx_n);
+        matmul_nt_acc(x_n, &col, c_in, hw, ckk, dw.data_mut());
+        for (acc, dy_co) in db.data_mut().iter_mut().zip(dy_n.chunks_exact(ohw)) {
+            *acc += simd::sum_with(SimdBackend::Scalar, dy_co);
+        }
+    }
+    (y, dx, dw, db)
+}
+
+/// The oracle's unfold against the per-element definition of a column
+/// matrix, on the geometries where a kernel column lies entirely in
+/// padding (w = 1 under kw = 6 with padding 3, and the like) and a split
+/// row's bounds could wrap.
+#[test]
+fn im2col_matches_its_per_element_definition() {
+    for (h, w, kh, kw, stride, padding, dilation) in [
+        (1usize, 1usize, 6usize, 6usize, 1usize, 3usize, 1usize),
+        (4, 1, 3, 6, 1, 3, 1),
+        (1, 2, 5, 7, 2, 4, 1),
+        (3, 1, 3, 5, 1, 4, 2),
+        (7, 9, 3, 4, 3, 2, 2),
+    ] {
+        let spec = Conv2dSpec {
+            stride,
+            padding,
+            dilation,
+        };
+        let (oh, ow, c) = (spec.out_extent(h, kh), spec.out_extent(w, kw), 2);
+        let x = rand_tensor(&[c, h, w], 97);
+        let mut got = vec![f32::NAN; c * kh * kw * oh * ow];
+        im2col(x.data(), c, h, w, kh, kw, spec, &mut got);
+        let mut at = 0;
+        for ci in 0..c {
+            for ki in 0..kh {
+                for kj in 0..kw {
+                    for oi in 0..oh {
+                        for oj in 0..ow {
+                            let ii = (oi * stride + ki * dilation) as isize - padding as isize;
+                            let jj = (oj * stride + kj * dilation) as isize - padding as isize;
+                            let inside =
+                                (0..h as isize).contains(&ii) && (0..w as isize).contains(&jj);
+                            let want = if inside {
+                                x.at(&[ci, ii as usize, jj as usize])
+                            } else {
+                                0.0
+                            };
+                            assert_eq!(got[at], want, "{spec:?} k{kh}x{kw} at {at}");
+                            at += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn matmul_tn_matches_explicit_transpose() {
+    // A is k×m = 3×2; compute Aᵀ@B with B k×n = 3×2.
+    let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // rows: [1 2],[3 4],[5 6]
+    let b = [7.0, 8.0, 9.0, 10.0, 11.0, 12.0];
+    let mut got = [0.0; 4];
+    matmul_tn(&a, &b, 2, 3, 2, &mut got);
+    // Aᵀ = [1 3 5; 2 4 6]
+    let at = [1.0, 3.0, 5.0, 2.0, 4.0, 6.0];
+    let mut want = [0.0; 4];
+    matmul(&at, &b, 2, 3, 2, &mut want);
+    assert_eq!(got, want);
+}
+
+#[test]
+fn matmul_nt_acc_matches_and_accumulates() {
+    // A m×k = 2×3, B n×k = 2×3 → A@Bᵀ is 2×2.
+    let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+    let b = [1.0, 1.0, 1.0, 0.0, 1.0, 0.0];
+    let mut out = [10.0, 0.0, 0.0, 0.0];
+    matmul_nt_acc(&a, &b, 2, 3, 2, &mut out);
+    // A@Bᵀ = [[6, 2], [15, 5]]; first entry accumulates onto 10.
+    assert_eq!(out, [16.0, 2.0, 15.0, 5.0]);
 }
 
 /// Bitwise equality, except that any NaN equals any NaN: the kernels
@@ -86,9 +349,10 @@ fn assert_same_bits(got: &Tensor, want: &Tensor, what: &str) {
     }
 }
 
-/// Asserts that the convolution entry points, on the process-global arm
-/// and at 1, 2 and 4 threads, reproduce [`lowered_reference`] on `arm`:
-/// forward, the full backward, and the params-only backward.
+/// Asserts that the convolution entry points, on `arm` (the
+/// process-global one) and at 1, 2 and 4 threads, reproduce
+/// [`lowered_reference`]: forward, the full backward, and the
+/// params-only backward.
 fn assert_conv_matches_lowered(
     arm: SimdBackend,
     x: &Tensor,
@@ -97,7 +361,7 @@ fn assert_conv_matches_lowered(
     dy: &Tensor,
     spec: Conv2dSpec,
 ) {
-    let (y, dx, dw, db) = lowered_reference(arm, x, w, bias, dy, spec);
+    let (y, dx, dw, db) = lowered_reference(x, w, bias, dy, spec);
     for threads in [1, 2, 4] {
         let par = Parallelism::new(threads);
         let tag = format!(
@@ -129,8 +393,9 @@ fn seed_specials(t: &mut Tensor, rng: &mut Xoshiro256) {
 }
 
 /// `local` cases, or as many as `PROPTEST_CASES` asks for: CI's release
-/// matrix raises it so that the register tiles' overhang and finite-gate
-/// draws below are made in every `RTE_THREADS` × `RTE_SIMD` cell.
+/// matrix raises it so that the register tiles' overhang, stride and
+/// finite-gate draws below are made in every `RTE_THREADS` × `RTE_SIMD`
+/// cell.
 fn cases(local: u32) -> ProptestConfig {
     let asked = std::env::var("PROPTEST_CASES")
         .ok()
@@ -141,11 +406,11 @@ fn cases(local: u32) -> ProptestConfig {
 proptest! {
     #![proptest_config(cases(64))]
 
-    /// Contract rule 5, convolutions: every stride-1 spec runs the
-    /// implicit kernels, and forward, `dx`, `dw` and `db` — from the full
-    /// backward and from the params-only one — equal the im2col
-    /// lowering bit for bit, on both arms and at every thread count.
-    /// Channels include 1, extents straddle multiples of 8 and 16 and go
+    /// Contract rule 5, convolutions: every spec runs the implicit
+    /// kernels, and forward, `dx`, `dw` and `db` — from the full backward
+    /// and from the params-only one — equal the im2col lowering bit for
+    /// bit, on both arms and at every thread count. Strides are 1–3,
+    /// channels include 1, extents straddle multiples of 8 and 16 and go
     /// below the kernel's reach, and the data carries NaN, ±inf and −0.0.
     #[test]
     fn implicit_conv_matches_lowered_reference_bitwise(
@@ -156,12 +421,13 @@ proptest! {
         h in 1usize..21,
         wd in 1usize..21,
         half_k in 0usize..5,
+        stride in 1usize..4,
         dilation in 1usize..4,
         pad_sel in 0usize..10,
         specials in 0u32..3,
     ) {
         let k = 2 * half_k + 1;
-        let spec = Conv2dSpec { stride: 1, padding: pad_sel % (k + 1), dilation };
+        let spec = Conv2dSpec { stride, padding: pad_sel % (k + 1), dilation };
         let eff = spec.effective_kernel(k);
         prop_assume!(h + 2 * spec.padding >= eff && wd + 2 * spec.padding >= eff);
         let mut rng = Xoshiro256::seed_from(seed);
@@ -215,7 +481,8 @@ proptest! {
     /// padding row out would hide it: a first- or last-row weight (which
     /// the top or bottom output rows multiply only by padding — and which
     /// `dx` must keep away from the pixels whose tap falls outside
-    /// `dy`), a first- or last-row `dy` element, or a corner pixel.
+    /// `dy`), a first- or last-row `dy` element, or a corner pixel. Each
+    /// family is drawn at stride 1, 2 and 3.
     #[test]
     fn tiled_and_gated_conv_matches_lowered_reference_bitwise(
         seed in 0u64..1_000_000,
@@ -224,6 +491,7 @@ proptest! {
         channels in 0usize..64,
         small in 1usize..8,
         wide in 0usize..2,
+        stride in 1usize..4,
         dilation in 1usize..3,
         special in 0usize..5,
         operand in 0usize..3,
@@ -235,18 +503,19 @@ proptest! {
             _ => ([1, 3, 5][channels % 3], small, 8 * (1 + wide), 16, [1, 3, 5][seed as usize % 3]),
         };
         let dilation = if family == 1 { 1 } else { dilation };
-        let spec = Conv2dSpec::same_dilated(k, dilation);
+        let spec = Conv2dSpec { stride, ..Conv2dSpec::same_dilated(k, dilation) };
+        let (oh, ow) = (spec.out_extent(h, k), spec.out_extent(wd, k));
         let mut rng = Xoshiro256::seed_from(seed);
         let mut x = Tensor::from_fn(&[n, c_in, h, wd], |_| rng.normal());
         let mut w = Tensor::from_fn(&[c_out, c_in, k, k], |_| rng.normal());
         let bias = Tensor::from_fn(&[c_out], |_| rng.normal());
-        let mut dy = Tensor::from_fn(&[n, c_out, h, wd], |_| rng.normal());
+        let mut dy = Tensor::from_fn(&[n, c_out, oh, ow], |_| rng.normal());
         if special > 0 {
             let value = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0][special - 1];
             let mut pick = |extent: usize| (rng.next_u64() % extent as u64) as usize;
             match operand {
                 0 => w.set(&[pick(c_out), pick(c_in), far * (k - 1), pick(k)], value),
-                1 => dy.set(&[pick(n), pick(c_out), far * (h - 1), pick(wd)], value),
+                1 => dy.set(&[pick(n), pick(c_out), far * (oh - 1), pick(ow)], value),
                 _ => x.set(&[pick(n), pick(c_in), far * (h - 1), far * (wd - 1)], value),
             }
         }
@@ -269,7 +538,8 @@ proptest! {
     /// NaN, +inf, −inf or −0.0 goes where leaving a padding row or column
     /// out would hide it: a `dy` element or a weight on the first or last
     /// row or column, which the taps (or outputs) on that side multiply
-    /// by padding only.
+    /// by padding only. Strides are 1–3, the image as small as gives
+    /// those outputs.
     #[test]
     fn lane_form_and_column_gate_match_lowered_reference_bitwise(
         seed in 0u64..1_000_000,
@@ -280,6 +550,7 @@ proptest! {
         oh in 1usize..13,
         ow_blocks in 1usize..4,
         half_k in 0usize..5,
+        stride in 1usize..4,
         dilation in 1usize..3,
         padding in 0usize..5,
         special in 0usize..5,
@@ -288,10 +559,11 @@ proptest! {
     ) {
         let (k, ow) = (2 * half_k + 1, 8 * ow_blocks);
         let c_in = if whole_tiles == 1 { 8 * (1 + c_in % 3) } else { c_in };
-        let spec = Conv2dSpec { stride: 1, padding, dilation };
-        let reach = dilation * (k - 1);
-        prop_assume!(oh + reach > 2 * padding && ow + reach > 2 * padding);
-        let (h, wd) = (oh + reach - 2 * padding, ow + reach - 2 * padding);
+        let spec = Conv2dSpec { stride, padding, dilation };
+        // The padded extent whose last window starts at `(o − 1)·stride`.
+        let span = |o: usize| (o - 1) * stride + dilation * (k - 1) + 1;
+        prop_assume!(span(oh) > 2 * padding && span(ow) > 2 * padding);
+        let (h, wd) = (span(oh) - 2 * padding, span(ow) - 2 * padding);
         let mut rng = Xoshiro256::seed_from(seed);
         let x = Tensor::from_fn(&[n, c_in, h, wd], |_| rng.normal());
         let mut w = Tensor::from_fn(&[c_out, c_in, k, k], |_| rng.normal());
@@ -335,8 +607,8 @@ fn implicit_conv_matches_lowered_reference_above_the_fan_out_gate() {
 /// fans out (the proptest's small items mostly run inline): FLNet's two
 /// layers, RouteNet's two 8×8 layers at the paper's widths (whole tiles
 /// of eight input channels, four and eight groups of output channels), a
-/// dilated PROS-style block, and an odd-width map whose output rows
-/// rotate through the 8 lanes.
+/// dilated PROS-style block, PROS's stride-2 `down_conv`, and an
+/// odd-width map whose output rows rotate through the 8 lanes.
 #[test]
 fn implicit_conv_matches_lowered_reference_on_parallel_shapes() {
     let _guard = GLOBAL_ARM.lock().unwrap_or_else(|e| e.into_inner());
@@ -346,6 +618,19 @@ fn implicit_conv_matches_lowered_reference_on_parallel_shapes() {
         (2, 32, 64, 8, 8, 7, Conv2dSpec::same(7)),
         (2, 64, 32, 8, 8, 9, Conv2dSpec::same(9)),
         (3, 16, 16, 8, 8, 3, Conv2dSpec::same_dilated(3, 2)),
+        (
+            4,
+            32,
+            64,
+            16,
+            16,
+            3,
+            Conv2dSpec {
+                stride: 2,
+                padding: 1,
+                dilation: 1,
+            },
+        ),
         (
             3,
             5,
@@ -367,6 +652,120 @@ fn implicit_conv_matches_lowered_reference_on_parallel_shapes() {
         let dy = rand_tensor(&[n, c_out, oh, ow], 10);
         assert_conv_matches_lowered(simd::global(), &x, &w, &bias, &dy, spec);
     }
+}
+
+/// Asserts that `conv_transpose2d` and its backward pass, on `arm` (the
+/// process-global one) and at 1, 2 and 4 threads (the process-global
+/// budget), reproduce [`lowered_transpose_reference`]. The caller holds
+/// [`GLOBAL_ARM`].
+fn assert_transpose_matches_lowered(
+    arm: SimdBackend,
+    x: &Tensor,
+    w: &Tensor,
+    bias: &Tensor,
+    dy: &Tensor,
+    spec: Conv2dSpec,
+) {
+    let (y, dx, dw, db) = lowered_transpose_reference(x, w, bias, dy, spec);
+    let before = parallel::global();
+    for threads in [1, 2, 4] {
+        parallel::set_global(Parallelism::new(threads));
+        let tag = format!(
+            "[transposed, {arm}, {threads} threads, x {}, w {}, {spec:?}]",
+            x.shape(),
+            w.shape()
+        );
+        let got_y = conv_transpose2d(x, w, Some(bias), spec).unwrap();
+        assert_same_bits(&got_y, &y, &format!("y {tag}"));
+        let grads = conv_transpose2d_backward(x, w, dy, spec).unwrap();
+        assert_same_bits(&grads.dx, &dx, &format!("dx {tag}"));
+        assert_same_bits(&grads.dw, &dw, &format!("dw {tag}"));
+        assert_same_bits(&grads.db, &db, &format!("db {tag}"));
+    }
+    parallel::set_global(before);
+}
+
+/// Runs [`assert_transpose_matches_lowered`] on both arms.
+fn assert_both_arms_match_lowered_transpose(
+    x: &Tensor,
+    w: &Tensor,
+    bias: &Tensor,
+    dy: &Tensor,
+    spec: Conv2dSpec,
+) {
+    let _guard = GLOBAL_ARM.lock().unwrap_or_else(|e| e.into_inner());
+    let before = simd::global();
+    for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
+        simd::set_global(arm);
+        assert_transpose_matches_lowered(arm, x, w, bias, dy, spec);
+    }
+    simd::set_global(before);
+}
+
+proptest! {
+    #![proptest_config(cases(48))]
+
+    /// Contract rule 5, transposed convolutions: they run on the
+    /// convolution's own kernels with the operands swapped, and forward,
+    /// `dx`, `dw` and `db` equal the lowering — `col2im(Wᵀ·x)` forward,
+    /// `W·im2col(dy)` and `x·im2col(dy)ᵀ` backward — bit for bit, on both
+    /// arms and at every thread count. Strides are 1–3, kernels 1–5 wide
+    /// (even ones too), dilation 1–2, padding up to what leaves an output;
+    /// every other case has eight-wide inputs and whole tiles of eight
+    /// channels (the weight gradient's channels-in-the-lanes form), and
+    /// the data carries NaN, ±inf and −0.0.
+    #[test]
+    fn conv_transpose2d_matches_lowered_reference_bitwise(
+        seed in 0u64..1_000_000,
+        n in 1usize..4,
+        c_in in 1usize..10,
+        c_out in 1usize..10,
+        h in 1usize..10,
+        wd in 1usize..10,
+        k in 1usize..6,
+        stride in 1usize..4,
+        dilation in 1usize..3,
+        pad_sel in 0usize..10,
+        lanes in 0usize..2,
+        specials in 0u32..3,
+    ) {
+        let reach = dilation * (k - 1);
+        let spec = Conv2dSpec { stride, padding: pad_sel % (reach / 2 + 1), dilation };
+        let (c_in, c_out, wd) = if lanes == 1 {
+            (8 * (1 + c_in % 2), 8 * (1 + c_out % 2), 8)
+        } else {
+            (c_in, c_out, wd)
+        };
+        let (oh, ow) = (spec.transpose_out_extent(h, k), spec.transpose_out_extent(wd, k));
+        let mut rng = Xoshiro256::seed_from(seed);
+        let mut x = Tensor::from_fn(&[n, c_in, h, wd], |_| rng.normal());
+        let mut w = Tensor::from_fn(&[c_in, c_out, k, k], |_| rng.normal());
+        let bias = Tensor::from_fn(&[c_out], |_| rng.normal());
+        let mut dy = Tensor::from_fn(&[n, c_out, oh, ow], |_| rng.normal());
+        if specials > 0 {
+            seed_specials(&mut x, &mut rng);
+            seed_specials(&mut w, &mut rng);
+            seed_specials(&mut dy, &mut rng);
+        }
+        assert_both_arms_match_lowered_transpose(&x, &w, &bias, &dy, spec);
+    }
+}
+
+/// RouteNet's `upconv` at the paper's widths and batch 4 — k4 s2 p1,
+/// 32 → 32 channels, 8×8 → 16×16 — above the fan-out gate.
+#[test]
+fn conv_transpose2d_matches_lowered_reference_at_routenet_upconv() {
+    let spec = Conv2dSpec {
+        stride: 2,
+        padding: 1,
+        dilation: 1,
+    };
+    let (x, w) = (
+        rand_tensor(&[4, 32, 8, 8], 31),
+        rand_tensor(&[32, 32, 4, 4], 32),
+    );
+    let (bias, dy) = (rand_tensor(&[32], 33), rand_tensor(&[4, 32, 16, 16], 34));
+    assert_both_arms_match_lowered_transpose(&x, &w, &bias, &dy, spec);
 }
 
 /// Regression: `conv2d_backward` used to ignore the weight's

@@ -4,9 +4,10 @@
 //! CI). This is the guarantee that lets `RTE_SIMD` be a pure wall-clock
 //! knob, exactly like `RTE_THREADS` — pinned here at two levels:
 //!
-//! - kernel level: randomized shapes (including empty, `k = 0` and
-//!   non-multiple-of-8 tails) through the GEMM family and every
-//!   elementwise sweep,
+//! - kernel level: randomized shapes (including empty and
+//!   non-multiple-of-8 tails) through every elementwise sweep, and
+//!   randomized geometries — strided, dilated, transposed — through the
+//!   convolution kernels,
 //! - system level: a full FedProx experiment whose [`MethodOutcome`]
 //!   (losses, per-client AUCs, every `EvalReport` field) must not drift
 //!   by a single bit when the process-global arm changes.
@@ -23,6 +24,9 @@ use decentralized_routability::fed::{
     methods, Client, ClientSet, FedConfig, Method, MethodOutcome, ModelFactory, Parallelism,
 };
 use decentralized_routability::nn::models::{FlNet, FlNetConfig};
+use decentralized_routability::tensor::conv::{
+    conv_transpose2d, conv_transpose2d_backward, Conv2dSpec,
+};
 use decentralized_routability::tensor::rng::Xoshiro256;
 use decentralized_routability::tensor::simd::{self, SimdBackend};
 use decentralized_routability::tensor::Tensor;
@@ -51,40 +55,6 @@ fn detected() -> SimdBackend {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// GEMM family: scalar vs detected arm, bitwise, over random shapes
-    /// including degenerate dimensions and register-tile remainders.
-    #[test]
-    fn matmul_family_is_bitwise_arm_invariant(
-        m in 0usize..20,
-        k in 0usize..40,
-        n in 0usize..36,
-        seed in 0u64..100_000,
-    ) {
-        let a = rand_vec(m * k, seed);
-        let b = rand_vec(k * n, seed ^ 1);
-        let at = rand_vec(k * m, seed ^ 2);
-        let bt = rand_vec(n * k, seed ^ 3);
-        let acc0 = rand_vec(m * n, seed ^ 4);
-
-        let mut want = vec![0.0f32; m * n];
-        simd::matmul_with(SimdBackend::Scalar, &a, &b, m, k, n, &mut want);
-        let mut got = vec![0.0f32; m * n];
-        simd::matmul_with(detected(), &a, &b, m, k, n, &mut got);
-        assert_bits_eq(&got, &want, &format!("matmul {m}x{k}x{n}"));
-
-        let mut want_tn = vec![0.0f32; m * n];
-        simd::matmul_tn_with(SimdBackend::Scalar, &at, &b, m, k, n, &mut want_tn);
-        let mut got_tn = vec![0.0f32; m * n];
-        simd::matmul_tn_with(detected(), &at, &b, m, k, n, &mut got_tn);
-        assert_bits_eq(&got_tn, &want_tn, &format!("matmul_tn {m}x{k}x{n}"));
-
-        let mut want_nt = acc0.clone();
-        simd::matmul_nt_acc_with(SimdBackend::Scalar, &a, &bt, m, k, n, &mut want_nt);
-        let mut got_nt = acc0;
-        simd::matmul_nt_acc_with(detected(), &a, &bt, m, k, n, &mut got_nt);
-        assert_bits_eq(&got_nt, &want_nt, &format!("matmul_nt_acc {m}x{k}x{n}"));
-    }
 
     /// Elementwise sweeps and reductions: scalar vs detected arm,
     /// bitwise, over random lengths crossing the 8-lane boundary.
@@ -168,11 +138,12 @@ proptest! {
     }
 
     /// Implicit-GEMM convolution kernels: scalar vs detected arm,
-    /// bitwise, over random stride-1 geometries — single and multiple
-    /// channels on either side (both register-tile shapes), output
-    /// widths on and off the 8-lane boundary, dilation 1–3. The kernels
-    /// never test a tap against the image border, so a fully random
-    /// "padded image" exercises them as well as a zero-bordered one.
+    /// bitwise, over random geometries — single and multiple channels on
+    /// either side (both register-tile shapes), output widths on and off
+    /// the 8-lane boundary, stride 1–3 (the strided reads of either
+    /// arm), dilation 1–3. The kernels never test a tap against the image
+    /// border, so a fully random "padded image" exercises them as well as
+    /// a zero-bordered one.
     #[test]
     fn implicit_conv_kernels_are_bitwise_arm_invariant(
         c_in in 1usize..6,
@@ -181,16 +152,18 @@ proptest! {
         ow in 1usize..20,
         kh in 1usize..5,
         kw in 1usize..5,
+        stride in 1usize..4,
         dilation in 1usize..4,
         seed in 0u64..100_000,
     ) {
         let g = simd::ConvGeom {
             c_in,
             c_out,
-            hp: oh + dilation * (kh - 1),
-            wp: ow + dilation * (kw - 1),
+            hp: (oh - 1) * stride + dilation * (kh - 1) + 1,
+            wp: (ow - 1) * stride + dilation * (kw - 1) + 1,
             kh,
             kw,
+            stride,
             dilation,
         };
         let xp = rand_vec(g.padded_len(), seed);
@@ -227,7 +200,8 @@ proptest! {
     /// (`conv_fwd_skip_with`, `conv_dw_acc_skip_with`) must not move a
     /// bit; `conv_dx_acc_padded_with` into a zeroed `dx` must produce the
     /// centre of what `conv_dx_acc_with` gathers over the whole padded
-    /// image, because the ring pixels it skips are cropped anyway.
+    /// image, because the ring pixels it skips are cropped anyway. At
+    /// stride 1–3.
     #[test]
     fn padded_conv_kernels_are_bitwise_arm_and_skip_invariant(
         c_in in 1usize..10,
@@ -235,11 +209,12 @@ proptest! {
         h in 1usize..12,
         w_blocks in 1usize..3,
         half_k in 0usize..4,
+        stride in 1usize..4,
         dilation in 1usize..3,
         seed in 0u64..100_000,
     ) {
-        // "Same" padding, output width a multiple of 8: the register
-        // tiles rather than the rotating fallback.
+        // "Same" padding, image width a multiple of 8: at stride 1 the
+        // register tiles rather than the rotating fallback.
         let (k, wd) = (2 * half_k + 1, 8 * w_blocks);
         let padding = dilation * half_k;
         let g = simd::ConvGeom {
@@ -249,8 +224,10 @@ proptest! {
             wp: wd + 2 * padding,
             kh: k,
             kw: k,
+            stride,
             dilation,
         };
+        let (oh, ow) = (g.oh(), g.ow());
         let mut xp = vec![0.0f32; g.padded_len()];
         let x = rand_vec(c_in * h * wd, seed);
         for (row, src) in x.chunks_exact(wd).enumerate() {
@@ -259,14 +236,14 @@ proptest! {
             xp[at..at + wd].copy_from_slice(src);
         }
         let w = rand_vec(c_out * g.ckk(), seed ^ 1);
-        let dy = rand_vec(c_out * h * wd, seed ^ 2);
+        let dy = rand_vec(c_out * oh * ow, seed ^ 2);
         let skip = simd::skippable_rows(padding, &w);
         prop_assert_eq!(skip, padding);
 
-        let mut full = vec![0.0f32; c_out * h * wd];
+        let mut full = vec![0.0f32; c_out * oh * ow];
         simd::conv_fwd_with(SimdBackend::Scalar, &g, &xp, &w, &mut full);
         for arm in [SimdBackend::Scalar, detected()] {
-            let mut got = vec![f32::NAN; c_out * h * wd];
+            let mut got = vec![f32::NAN; c_out * oh * ow];
             simd::conv_fwd_skip_with(arm, &g, skip, &xp, &w, &mut got);
             assert_bits_eq(&got, &full, "conv_fwd_skip");
         }
@@ -294,6 +271,47 @@ proptest! {
             simd::conv_dx_acc_padded_with(arm, &g, padding, &w, &dy, &mut dyp, &mut got);
             assert_bits_eq(&got, &centre, "conv_dx_acc_padded");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Transposed convolutions — the convolution kernels with the
+    /// operands swapped — forward and backward: scalar vs detected
+    /// process-global arm, bitwise, at stride 1–3, kernels 1–4 wide,
+    /// padding up to what leaves an output.
+    #[test]
+    fn transposed_conv_is_bitwise_arm_invariant(
+        n in 1usize..3,
+        c_in in 1usize..6,
+        c_out in 1usize..6,
+        h in 1usize..8,
+        wd in 1usize..10,
+        k in 1usize..5,
+        stride in 1usize..4,
+        pad_sel in 0usize..4,
+        seed in 0u64..100_000,
+    ) {
+        let spec = Conv2dSpec { stride, padding: pad_sel % ((k - 1) / 2 + 1), dilation: 1 };
+        let (oh, ow) = (spec.transpose_out_extent(h, k), spec.transpose_out_extent(wd, k));
+        let x = Tensor::from_vec(rand_vec(n * c_in * h * wd, seed), &[n, c_in, h, wd]).unwrap();
+        let w = Tensor::from_vec(rand_vec(c_in * c_out * k * k, seed ^ 1), &[c_in, c_out, k, k]).unwrap();
+        let b = Tensor::from_vec(rand_vec(c_out, seed ^ 2), &[c_out]).unwrap();
+        let dy = Tensor::from_vec(rand_vec(n * c_out * oh * ow, seed ^ 3), &[n, c_out, oh, ow]).unwrap();
+        let _guard = GLOBAL_ARM.lock().unwrap_or_else(|e| e.into_inner());
+        let before = simd::global();
+        let runs = [SimdBackend::Scalar, detected()].map(|arm| {
+            simd::set_global(arm);
+            let y = conv_transpose2d(&x, &w, Some(&b), spec).unwrap();
+            (y, conv_transpose2d_backward(&x, &w, &dy, spec).unwrap())
+        });
+        simd::set_global(before);
+        let [(want_y, want), (got_y, got)] = &runs;
+        assert_bits_eq(got_y.data(), want_y.data(), "conv_transpose2d");
+        assert_bits_eq(got.dx.data(), want.dx.data(), "conv_transpose2d dx");
+        assert_bits_eq(got.dw.data(), want.dw.data(), "conv_transpose2d dw");
+        assert_bits_eq(got.db.data(), want.db.data(), "conv_transpose2d db");
     }
 }
 

@@ -735,14 +735,22 @@ impl Scalar8 {
         starts: &[usize; N],
         offset: isize,
     ) -> [Self; N] {
+        let from = |i: usize| &walk.src[starts[i].wrapping_add_signed(offset)..];
+        if STRIDED && walk.lane > 1 {
+            let step = walk.lane;
+            return std::array::from_fn(|i| {
+                let from = &from(i)[..(LANES - 1) * step + 1];
+                Scalar8(std::array::from_fn(|l| from[l * step]))
+            });
+        }
         // (`from_fn`, not `map`: an array `map` of a closure this size
         // is compiled as a call, with the accumulators spilled around it.)
         std::array::from_fn(|i| {
-            let from = &walk.src[starts[i].wrapping_add_signed(offset)..];
-            match walk.lane {
-                0 => Self::splat(from[0]),
-                step if STRIDED && step > 1 => Scalar8(std::array::from_fn(|l| from[l * step])),
-                _ => Scalar8(from[..LANES].try_into().expect("eight lanes")),
+            let from = from(i);
+            if walk.lane == 0 {
+                Self::splat(from[0])
+            } else {
+                Scalar8(from[..LANES].try_into().expect("eight lanes"))
             }
         })
     }

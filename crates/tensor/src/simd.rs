@@ -747,10 +747,10 @@ mod avx2 {
 
     /// The eight floats `lane` apart from `p` on, `lane` ≥ 2: for a
     /// stride of 2 the even floats of two loads that overlap in one, for
-    /// a wider one a gather. A function of its own, with the target
-    /// feature, so that the closure that reads the lanes stays a few
-    /// calls long and is inlined into the kernel — whose target feature
-    /// it lacks, so that nothing it calls is inlined into it alone.
+    /// a wider one a gather. Kept out of the closure that reads a walk's
+    /// lanes: a closure lacks the kernel's target feature, so nothing it
+    /// calls is inlined into it, and it is itself inlined into the
+    /// kernel only while it stays a few calls long.
     ///
     /// # Safety
     ///
@@ -860,9 +860,6 @@ mod avx2 {
             let Some(part) = nest.admit([starts.0, starts.1, starts.2], part) else {
                 return;
             };
-            // One running offset per walk and loop, applied with
-            // `wrapping_offset`: the step past a loop's last iteration
-            // may leave the slice, and is never read.
             // SAFETY: AVX2 is present (see `Avx8`), and `p` is only ever
             // where a walk of `nest` reads, from a start `admit` found
             // safe, at an iteration inside `nest.counts` (`admit` again)
@@ -878,6 +875,9 @@ mod avx2 {
                     read_strided(p, lane)
                 })
             };
+            // One running offset per walk and loop, applied with
+            // `wrapping_offset`: the step past a loop's last iteration
+            // may leave the slice, and is never read.
             let [a, b, c] = &nest.walks;
             let first = std::array::from_fn(|l| part[l].start);
             let pa = starts.0.map(|at| a.src.as_ptr().wrapping_add(at));
@@ -893,11 +893,6 @@ mod avx2 {
                 for _ in part[1].clone() {
                     let mut inner = middle;
                     for _ in part[2].clone() {
-                        // SAFETY: AVX2 is present (see `Avx8`), and each
-                        // pointer is where a walk of `nest` reads, from a
-                        // start `admit` found safe, at an iteration inside
-                        // `nest.counts` (`admit` again) — inside the walk's
-                        // slice by `Walk::safe_starts`.
                         f(
                             std::array::from_fn(|i| read(pa[i].wrapping_offset(inner[0]), a.lane)),
                             std::array::from_fn(|i| read(pb[i].wrapping_offset(inner[1]), b.lane)),

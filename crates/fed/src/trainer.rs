@@ -101,40 +101,7 @@ impl LocalTrainer {
             // Nothing reads the gradient w.r.t. the minibatch itself.
             model.backward_params(&loss.grad)?;
             if let (Some(map), true) = (&reference_map, self.mu > 0.0) {
-                let mu = self.mu;
-                let mut prox_error: Option<FedError> = None;
-                model.visit_params("", &mut |name, p| {
-                    if prox_error.is_some() {
-                        return;
-                    }
-                    match map.get(name.as_str()) {
-                        Some(global) => {
-                            if global.numel() != p.value.numel() {
-                                prox_error = Some(FedError::AggregationMismatch {
-                                    reason: format!(
-                                        "reference {name} has {} elements, parameter has {}",
-                                        global.numel(),
-                                        p.value.numel()
-                                    ),
-                                });
-                                return;
-                            }
-                            // d/dw μ‖w − W‖² = 2μ(w − W)
-                            let pairs = p.value.data().iter().zip(global.data());
-                            for (g, (&w, &w_ref)) in p.grad.data_mut().iter_mut().zip(pairs) {
-                                *g += 2.0 * mu * (w - w_ref);
-                            }
-                        }
-                        None => {
-                            prox_error = Some(FedError::AggregationMismatch {
-                                reason: format!("reference dict lacks {name}"),
-                            });
-                        }
-                    }
-                });
-                if let Some(e) = prox_error {
-                    return Err(e);
-                }
+                add_proximal_grad(model, map, self.mu)?;
             }
             optimizer.step(model);
         }
@@ -165,6 +132,46 @@ impl LocalTrainer {
         }
         Ok((total / n as f64) as f32)
     }
+}
+
+/// Adds the FedProx term's gradient `d/dw μ‖w − W‖² = 2μ(w − W)` to
+/// every parameter gradient of `model`, `W` the parameter of the same
+/// name in `reference`.
+fn add_proximal_grad(
+    model: &mut dyn Layer,
+    reference: &BTreeMap<&str, &rte_tensor::Tensor>,
+    mu: f32,
+) -> Result<(), FedError> {
+    let mut prox_error: Option<FedError> = None;
+    model.visit_params("", &mut |name, p| {
+        if prox_error.is_some() {
+            return;
+        }
+        match reference.get(name.as_str()) {
+            Some(global) => {
+                if global.numel() != p.value.numel() {
+                    prox_error = Some(FedError::AggregationMismatch {
+                        reason: format!(
+                            "reference {name} has {} elements, parameter has {}",
+                            global.numel(),
+                            p.value.numel()
+                        ),
+                    });
+                    return;
+                }
+                let pairs = p.value.data().iter().zip(global.data());
+                for (g, (&w, &w_ref)) in p.grad.data_mut().iter_mut().zip(pairs) {
+                    *g += 2.0 * mu * (w - w_ref);
+                }
+            }
+            None => {
+                prox_error = Some(FedError::AggregationMismatch {
+                    reason: format!("reference dict lacks {name}"),
+                });
+            }
+        }
+    });
+    prox_error.map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -328,5 +335,56 @@ mod tests {
             state_dict(&mut model)
         };
         assert_eq!(run(), run());
+    }
+    /// The FedProx term's gradient against a central difference of
+    /// `μ‖w − W‖²`, summed in `f64` over every parameter: the term is
+    /// quadratic, so the difference is exact but for the rounding of
+    /// `w ± eps` to `f32`.
+    #[test]
+    fn proximal_grad_matches_finite_differences() {
+        let mu = 0.3;
+        let mut model = small_model(15);
+        let reference = state_dict(&mut small_model(16));
+        let map: BTreeMap<&str, &Tensor> = reference.iter().map(|(n, t)| (n.as_str(), t)).collect();
+        model.zero_grad();
+        add_proximal_grad(&mut model, &map, mu).unwrap();
+        let prox = |model: &mut FlNet| {
+            let dist: f64 = state_dict(model)
+                .iter()
+                .zip(reference.iter())
+                .flat_map(|((_, w), (_, w_ref))| w.data().iter().zip(w_ref.data()))
+                .map(|(&w, &w_ref)| (f64::from(w) - f64::from(w_ref)).powi(2))
+                .sum();
+            f64::from(mu) * dist
+        };
+        let mut grads = Vec::new();
+        model.visit_params("", &mut |name, p| grads.push((name, p.grad.clone())));
+        const EPS: f32 = 1e-2;
+        for (name, grad) in grads {
+            for i in (0..grad.numel()).step_by(7) {
+                // Sets the element, returning what it held.
+                let set = |model: &mut FlNet, to: f32| {
+                    let mut was = 0.0;
+                    model.visit_params("", &mut |n, p| {
+                        if n == name {
+                            was = std::mem::replace(&mut p.value.data_mut()[i], to);
+                        }
+                    });
+                    was
+                };
+                let w = set(&mut model, 0.0);
+                set(&mut model, w + EPS);
+                let up = prox(&mut model);
+                set(&mut model, w - EPS);
+                let down = prox(&mut model);
+                set(&mut model, w);
+                let numeric = (up - down) / f64::from(2.0 * EPS);
+                let analytic = f64::from(grad.data()[i]);
+                assert!(
+                    (numeric - analytic).abs() < 1e-4 * (1.0 + analytic.abs()),
+                    "{name}[{i}]: numeric {numeric} vs analytic {analytic}"
+                );
+            }
+        }
     }
 }

@@ -378,13 +378,6 @@ fn bench_elementwise_arms(c: &mut Criterion) {
         c.bench_function(&format!("sum_{arm}_1m"), |bench| {
             bench.iter(|| black_box(simd::sum_with(arm, black_box(x.data()))))
         });
-        c.bench_function(&format!("sgd_step_{arm}_1m"), |bench| {
-            let mut value = x.data().to_vec();
-            bench.iter(|| {
-                simd::sgd_step_with(arm, &mut value, black_box(g.data()), 2e-4, 1e-5);
-                black_box(value[0])
-            })
-        });
     }
 }
 

@@ -10,8 +10,7 @@
 //! - layers: [`Conv2d`], [`ConvTranspose2d`], [`BatchNorm2d`], [`Relu`],
 //!   [`Sigmoid`], [`MaxPool2d`], [`PixelShuffle`], [`Sequential`],
 //! - [`loss`]: MSE (the paper's Eq. 1 data term) and BCE,
-//! - [`optim`]: Adam (the paper's optimizer) and SGD, both with L2
-//!   regularization,
+//! - [`optim`]: Adam (the paper's optimizer) with L2 regularization,
 //! - [`models`]: **FLNet** (Table 1), a **RouteNet** replica and a **PROS**
 //!   replica,
 //! - [`state_dict`] / [`load_state_dict`]: ordered named parameter

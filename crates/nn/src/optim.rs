@@ -1,9 +1,9 @@
 //! Optimizers.
 //!
 //! The paper trains with Adam (lr 2e-4) plus an L2 regularization strength
-//! of 1e-5; both Adam and plain SGD (with momentum) are provided. Optimizer
-//! state is keyed by parameter path so it survives parameter re-loading
-//! during federated rounds. The state maps are `BTreeMap`, not `HashMap`:
+//! of 1e-5, and Adam is the optimizer provided. Optimizer state is keyed
+//! by parameter path so it survives parameter re-loading during federated
+//! rounds. The state maps are `BTreeMap`, not `HashMap`:
 //! updates are applied in `visit_params` order regardless, but any code
 //! that ever *iterates* the state (serialization, federated state sync,
 //! debugging dumps) must see the same lexicographic order on every run
@@ -32,76 +32,6 @@ pub trait Optimizer {
 
     /// Overrides the learning rate (used by fine-tuning schedules).
     fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Stochastic gradient descent with optional momentum and decoupled L2
-/// weight decay.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: BTreeMap<String, Tensor>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive or `momentum` is not in `[0, 1)`.
-    pub fn new(lr: f32, momentum: f32, weight_decay: f32) -> Self {
-        assert!(lr > 0.0, "Sgd: non-positive learning rate");
-        assert!((0.0..1.0).contains(&momentum), "Sgd: momentum out of range");
-        Sgd {
-            lr,
-            momentum,
-            weight_decay,
-            velocity: BTreeMap::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, model: &mut dyn Layer) {
-        let lr = self.lr;
-        let momentum = self.momentum;
-        let wd = self.weight_decay;
-        let velocity = &mut self.velocity;
-        model.visit_params("", &mut |name, p: &mut Param| {
-            if momentum <= 0.0 {
-                // Momentum-free path (the constructor validates
-                // momentum ∈ [0, 1), so this is exactly the complement
-                // of the historical `momentum > 0.0` velocity branch):
-                // one fused sweep, no gradient clone. The expression
-                // matches the unfused axpy pair below bit for bit; the
-                // kernel folds the decay term only when its wd is
-                // nonzero, so the historical `wd > 0.0` guard is
-                // reproduced by zeroing it here.
-                let wd = if wd > 0.0 { wd } else { 0.0 };
-                simd::sgd_step(p.value.data_mut(), p.grad.data(), lr, wd);
-                return;
-            }
-            let mut g = p.grad.clone();
-            if wd > 0.0 {
-                g.axpy(wd, &p.value).expect("grad/value shapes match");
-            }
-            let v = velocity
-                .entry(name)
-                .or_insert_with(|| Tensor::zeros(g.shape().dims()));
-            v.scale_in_place(momentum);
-            v.add_assign(&g).expect("velocity shape");
-            p.value.axpy(-lr, v).expect("param shape");
-        });
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// Adam optimizer with L2 regularization folded into the gradient
@@ -156,14 +86,6 @@ impl Adam {
             first: BTreeMap::new(),
             second: BTreeMap::new(),
         }
-    }
-
-    /// Resets the step counter and moment estimates (used when a client
-    /// restarts training from freshly deployed global parameters).
-    pub fn reset_state(&mut self) {
-        self.t = 0;
-        self.first.clear();
-        self.second.clear();
     }
 }
 
@@ -241,64 +163,34 @@ mod tests {
     }
 
     #[test]
-    fn sgd_reduces_loss() {
-        let mut net = tiny_model(1);
-        let mut opt = Sgd::new(0.5, 0.9, 0.0);
-        let mut rng = Xoshiro256::seed_from(2);
+    fn adam_reduces_loss() {
+        let mut rng = Xoshiro256::seed_from(3);
         let x = Tensor::from_fn(&[4, 1, 5, 5], |_| rng.normal());
         let t = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        let first = train_step(&mut net, &mut opt, &x, &t);
+        let mut net = tiny_model(7);
+        let mut adam = Adam::new(0.01, 0.0);
+        let first = train_step(&mut net, &mut adam, &x, &t);
         let mut last = first;
-        for _ in 0..50 {
-            last = train_step(&mut net, &mut opt, &x, &t);
+        for _ in 0..60 {
+            last = train_step(&mut net, &mut adam, &x, &t);
         }
         assert!(last < first * 0.6, "loss {first} -> {last}");
     }
 
     #[test]
-    fn adam_reduces_loss_faster_than_plain_sgd_small_lr() {
-        let mut rng = Xoshiro256::seed_from(3);
-        let x = Tensor::from_fn(&[4, 1, 5, 5], |_| rng.normal());
-        let t = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-
-        let mut net_adam = tiny_model(7);
-        let mut adam = Adam::new(0.01, 0.0);
-        let mut net_sgd = tiny_model(7);
-        let mut sgd = Sgd::new(0.01, 0.0, 0.0);
-        let mut l_adam = 0.0;
-        let mut l_sgd = 0.0;
-        for _ in 0..60 {
-            l_adam = train_step(&mut net_adam, &mut adam, &x, &t);
-            l_sgd = train_step(&mut net_sgd, &mut sgd, &x, &t);
-        }
-        assert!(l_adam < l_sgd, "adam {l_adam} vs sgd {l_sgd}");
-    }
-
-    #[test]
     fn weight_decay_shrinks_weights() {
         let mut net = tiny_model(5);
-        // Zero gradient + pure decay should shrink the norm.
+        // With a zero gradient, the only push on a weight is the decay
+        // term folded into it: Adam's first step moves every nonzero
+        // weight by `lr` against its sign.
         let mut before = 0.0;
         net.visit_params("", &mut |_, p| before += p.value.norm_sq());
-        let mut opt = Sgd::new(0.1, 0.0, 0.5);
+        let mut opt = Adam::new(0.01, 0.5);
         net.zero_grad();
         opt.step(&mut net);
         let mut after = 0.0;
         net.visit_params("", &mut |_, p| after += p.value.norm_sq());
         assert!(after < before, "{after} !< {before}");
-    }
-
-    #[test]
-    fn adam_reset_state_clears_moments() {
-        let mut net = tiny_model(9);
-        let mut opt = Adam::new(0.01, 0.0);
-        let x = Tensor::ones(&[1, 1, 4, 4]);
-        let t = Tensor::zeros(&[1, 1, 4, 4]);
-        train_step(&mut net, &mut opt, &x, &t);
-        assert!(!opt.first.is_empty());
-        opt.reset_state();
-        assert!(opt.first.is_empty());
-        assert_eq!(opt.t, 0);
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl Sequential {
     pub fn is_empty(&self) -> bool {
         self.stages.is_empty()
     }
-
-    /// Names of the stages, in execution order.
-    pub fn stage_names(&self) -> Vec<&str> {
-        self.stages.iter().map(|(n, _)| n.as_str()).collect()
-    }
 }
 
 impl Layer for Sequential {
@@ -152,7 +147,6 @@ mod tests {
         let net = small_net();
         let dbg = format!("{net:?}");
         assert!(dbg.contains("c1") && dbg.contains("act") && dbg.contains("c2"));
-        assert_eq!(net.stage_names(), vec!["c1", "act", "c2"]);
         assert_eq!(net.len(), 3);
         assert!(!net.is_empty());
     }

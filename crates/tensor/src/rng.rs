@@ -201,25 +201,6 @@ impl Xoshiro256 {
         idx.truncate(k);
         idx
     }
-
-    /// Samples an index according to unnormalized non-negative `weights`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or sums to a non-positive value.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "weighted_index: empty weights");
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "weighted_index: non-positive total weight");
-        let mut target = self.uniform_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            target -= w;
-            if target <= 0.0 {
-                return i;
-            }
-        }
-        weights.len() - 1
-    }
 }
 
 #[cfg(test)]
@@ -328,19 +309,6 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 30);
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let mut rng = Xoshiro256::seed_from(31);
-        let weights = [0.0, 1.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..10_000 {
-            counts[rng.weighted_index(&weights)] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        let ratio = counts[2] as f64 / counts[1] as f64;
-        assert!((ratio - 3.0).abs() < 0.4, "ratio {ratio}");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! arm implements the same **fixed 8-lane virtual-SIMD accumulation
 //! order**:
 //!
-//! 1. **Elementwise maps** (`axpy`, `scale`, SGD/Adam steps, ReLU and
+//! 1. **Elementwise maps** (`axpy`, `scale`, the Adam step, ReLU and
 //!    sigmoid forward/backward) evaluate one fixed expression per
 //!    element, built only from IEEE-exact operations (`+ - * / sqrt`,
 //!    comparisons/selects). Vector lanes are independent, so any
@@ -365,12 +365,6 @@ fn sigmoid_backward_lane(dy: f32, y: f32) -> f32 {
     (dy * y) * (1.0 - y)
 }
 
-#[inline]
-fn sgd_lane(value: f32, grad: f32, lr: f32, wd: f32) -> f32 {
-    let g = if wd != 0.0 { grad + wd * value } else { grad };
-    value + (-lr) * g
-}
-
 /// Hyper-parameters of one fused Adam step (see [`adam_step`]); the
 /// bias corrections are precomputed by the caller because they depend
 /// on the step counter, not the parameter.
@@ -479,31 +473,6 @@ pub fn sum(x: &[f32]) -> f32 {
 /// [`sum`] with an explicit arm.
 pub fn sum_with(backend: SimdBackend, x: &[f32]) -> f32 {
     dispatch!(backend, scalar::sum(x), avx2::sum(x))
-}
-
-/// Fused SGD step `value -= lr * (grad + wd * value)` (no momentum) on
-/// the process-global arm; the `wd` term is skipped exactly when
-/// `wd == 0` so the expression matches the unfused axpy pair bit for bit.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn sgd_step(value: &mut [f32], grad: &[f32], lr: f32, wd: f32) {
-    sgd_step_with(global(), value, grad, lr, wd);
-}
-
-/// [`sgd_step`] with an explicit arm.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn sgd_step_with(backend: SimdBackend, value: &mut [f32], grad: &[f32], lr: f32, wd: f32) {
-    assert_eq!(value.len(), grad.len(), "sgd_step: length mismatch");
-    dispatch!(
-        backend,
-        scalar::sgd_step(value, grad, lr, wd),
-        avx2::sgd_step(value, grad, lr, wd)
-    );
 }
 
 /// Fused Adam step on the process-global arm: updates the moment
@@ -666,12 +635,6 @@ mod scalar {
     pub(super) fn sum_tail(lanes: &mut [f32; LANES], x: &[f32]) {
         for (l, &v) in x.iter().enumerate() {
             lanes[l] += v;
-        }
-    }
-
-    pub(super) fn sgd_step(value: &mut [f32], grad: &[f32], lr: f32, wd: f32) {
-        for (v, &g) in value.iter_mut().zip(grad.iter()) {
-            *v = sgd_lane(*v, g, lr, wd);
         }
     }
 
@@ -1019,39 +982,6 @@ mod avx2 {
         }
     }
 
-    /// SGD update `value -= lr * (grad + wd * value)`, elementwise,
-    /// op-for-op the scalar [`sgd_lane`] (weight decay folded first,
-    /// separate mul/add — never contracted).
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 (the [`dispatch!`] invariant) and
-    /// `grad` must be at least as long as `value` (loads/stores are
-    /// bounded by `value.len()`).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sgd_step(value: &mut [f32], grad: &[f32], lr: f32, wd: f32) {
-        let full = value.len() / LANES * LANES;
-        let neg_lr = _mm256_set1_ps(-lr);
-        let wdv = _mm256_set1_ps(wd);
-        let fold_wd = wd != 0.0;
-        let mut p = 0;
-        while p < full {
-            let v = _mm256_loadu_ps(value.as_ptr().add(p));
-            let mut g = _mm256_loadu_ps(grad.as_ptr().add(p));
-            if fold_wd {
-                g = _mm256_add_ps(g, _mm256_mul_ps(wdv, v));
-            }
-            _mm256_storeu_ps(
-                value.as_mut_ptr().add(p),
-                _mm256_add_ps(v, _mm256_mul_ps(neg_lr, g)),
-            );
-            p += LANES;
-        }
-        for (v, &g) in value[full..].iter_mut().zip(grad[full..].iter()) {
-            *v = sgd_lane(*v, g, lr, wd);
-        }
-    }
-
     /// Adam update, elementwise, op-for-op the scalar [`adam_lane`]
     /// (same moment/bias-correction expression tree, separate mul/add —
     /// never contracted).
@@ -1359,14 +1289,6 @@ mod tests {
                 let want = super::scalar::sum(&x);
                 let got = sum_with(arm, &x);
                 assert_eq!(got.to_bits(), want.to_bits(), "sum {tag}");
-
-                for wd in [0.0f32, 1e-5] {
-                    let mut want = x.clone();
-                    super::scalar::sgd_step(&mut want, &g, 0.01, wd);
-                    let mut got = x.clone();
-                    sgd_step_with(arm, &mut got, &g, 0.01, wd);
-                    assert_bits_eq(&got, &want, &format!("sgd(wd={wd}) {tag}"));
-                }
 
                 let step = AdamStep {
                     beta1: 0.9,

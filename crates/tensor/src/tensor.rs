@@ -262,11 +262,6 @@ impl Tensor {
         out
     }
 
-    /// Scales in place (vectorized via [`crate::simd`]).
-    pub fn scale_in_place(&mut self, alpha: f32) {
-        simd::scale(alpha, &mut self.data);
-    }
-
     /// Fills the tensor with a constant.
     pub fn fill(&mut self, value: f32) {
         self.data.iter_mut().for_each(|x| *x = value);

@@ -1,7 +1,7 @@
 //! The implicit-GEMM convolution kernels of [`crate::simd`] — contract
 //! rule 5 of the parent module — each written **once**: a generic body
 //! over the eight abstract lanes of [`Lanes8`], instantiated for the
-//! portable [`Scalar8`] here and for the AVX2 lanes in the parent, so an
+//! portable [`Scalar8`] and for the AVX2 lanes in the parent, so an
 //! accumulation order is stated in one place and an arm is one `impl`.
 //! They serve every [`crate::conv::Conv2dSpec`] — any stride, padding
 //! and dilation — and, with the operands swapped, the transposed
@@ -23,7 +23,8 @@
 
 #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
 use super::avx2;
-use super::{reduce8, scalar, SimdBackend, LANES};
+use super::lanes::{Lanes8, Scalar8};
+use super::{reduce8, SimdBackend, LANES};
 use std::ops::Range;
 
 /// Geometry of one convolution read straight from a zero-padded image —
@@ -686,142 +687,6 @@ impl<'a, const STRIDED: bool> Nest<'a, STRIDED> {
     }
 }
 
-/// Eight `f32` lanes — the register of the 8-lane virtual machine. A
-/// kernel body generic over this trait is the *one* statement of its
-/// accumulation order; an arm is an impl ([`Scalar8`], `avx2::Avx8`).
-/// Every arithmetic method is one IEEE-exact operation per lane, never
-/// fused.
-pub(super) trait Lanes8: Copy {
-    /// Whether the arm has registers for a tile of eight accumulators
-    /// beside its operands (sixteen 8-lane registers); an arm without
-    /// gets tiles of four. A tile's shape decides which loads are
-    /// shared, never what is added to what.
-    const WIDE: bool;
-    /// All lanes `v`.
-    fn splat(v: f32) -> Self;
-    /// The lanes, in order.
-    fn to_array(self) -> [f32; LANES];
-    /// Lane-wise `self + rhs`.
-    fn add(self, rhs: Self) -> Self;
-    /// Lane-wise `self · rhs`.
-    fn mul(self, rhs: Self) -> Self;
-    /// Lane-wise bitwise and: `self` where `mask`'s bits are all ones,
-    /// `+0.0` where they are all zero.
-    fn and(self, mask: Self) -> Self;
-    /// Lane `t` is [`reduce8`] of `acc[t]`.
-    fn reduce(acc: &[Self; LANES]) -> Self;
-    /// Runs the iterations `part` of `nest` in order, innermost loop
-    /// fastest, calling `f` with what the three walks read at each when
-    /// they start from `a`, `b` and `c`; panics, before the first call,
-    /// if a read would fall outside its slice.
-    fn run<const STRIDED: bool, const A: usize, const B: usize, const C: usize>(
-        nest: &Nest<STRIDED>,
-        starts: (&[usize; A], &[usize; B], &[usize; C]),
-        part: [Range<usize>; 3],
-        f: impl FnMut([Self; A], [Self; B], [Self; C]),
-    );
-}
-
-/// The portable arm's lanes: an array the compiler may or may not
-/// vectorize; the operations per lane are the same either way.
-#[derive(Clone, Copy)]
-pub(super) struct Scalar8([f32; LANES]);
-
-impl Scalar8 {
-    /// What `walk` reads `offset` away from each of `starts`.
-    #[inline(always)]
-    fn read<const STRIDED: bool, const N: usize>(
-        walk: &Walk,
-        starts: &[usize; N],
-        offset: isize,
-    ) -> [Self; N] {
-        let from = |i: usize| &walk.src[starts[i].wrapping_add_signed(offset)..];
-        if STRIDED && walk.lane > 1 {
-            let step = walk.lane;
-            return std::array::from_fn(|i| {
-                let from = &from(i)[..(LANES - 1) * step + 1];
-                Scalar8(std::array::from_fn(|l| from[l * step]))
-            });
-        }
-        // (`from_fn`, not `map`: an array `map` of a closure this size
-        // is compiled as a call, with the accumulators spilled around it.)
-        std::array::from_fn(|i| {
-            let from = from(i);
-            if walk.lane == 0 {
-                Self::splat(from[0])
-            } else {
-                Scalar8(from[..LANES].try_into().expect("eight lanes"))
-            }
-        })
-    }
-}
-
-impl Lanes8 for Scalar8 {
-    // Sixteen 4-lane registers at best: eight of these values.
-    const WIDE: bool = false;
-    #[inline(always)]
-    fn splat(v: f32) -> Self {
-        Scalar8([v; LANES])
-    }
-    #[inline(always)]
-    fn to_array(self) -> [f32; LANES] {
-        self.0
-    }
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        Scalar8(std::array::from_fn(|l| self.0[l] + rhs.0[l]))
-    }
-    #[inline(always)]
-    fn mul(self, rhs: Self) -> Self {
-        Scalar8(std::array::from_fn(|l| self.0[l] * rhs.0[l]))
-    }
-    #[inline(always)]
-    fn and(self, mask: Self) -> Self {
-        Scalar8(std::array::from_fn(|l| {
-            f32::from_bits(self.0[l].to_bits() & mask.0[l].to_bits())
-        }))
-    }
-    #[inline(always)]
-    fn reduce(acc: &[Self; LANES]) -> Self {
-        Scalar8(std::array::from_fn(|t| reduce8(&acc[t].0)))
-    }
-    #[inline(always)]
-    fn run<const STRIDED: bool, const A: usize, const B: usize, const C: usize>(
-        nest: &Nest<STRIDED>,
-        starts: (&[usize; A], &[usize; B], &[usize; C]),
-        part: [Range<usize>; 3],
-        mut f: impl FnMut([Self; A], [Self; B], [Self; C]),
-    ) {
-        let Some(part) = nest.admit([starts.0, starts.1, starts.2], part) else {
-            return;
-        };
-        // One running offset per walk and loop, as in the AVX2 arm.
-        let [a, b, c] = &nest.walks;
-        let first = std::array::from_fn(|l| part[l].start);
-        let mut outer = [a.offset(first), b.offset(first), c.offset(first)];
-        let advance = |offsets: &mut [isize; 3], l: usize| {
-            let steps = [a.steps[l], b.steps[l], c.steps[l]];
-            *offsets = std::array::from_fn(|w| offsets[w].wrapping_add(steps[w]));
-        };
-        for _ in part[0].clone() {
-            let mut middle = outer;
-            for _ in part[1].clone() {
-                let mut inner = middle;
-                for _ in part[2].clone() {
-                    f(
-                        Self::read::<STRIDED, A>(a, starts.0, inner[0]),
-                        Self::read::<STRIDED, B>(b, starts.1, inner[1]),
-                        Self::read::<STRIDED, C>(c, starts.2, inner[2]),
-                    );
-                    advance(&mut inner, 2);
-                }
-                advance(&mut middle, 1);
-            }
-            advance(&mut outer, 0);
-        }
-    }
-}
-
 /// Implicit-GEMM forward. The register tile is `CT` output channels ×
 /// `RT` output rows × 8 columns: on a [`Lanes8::WIDE`] arm eight
 /// accumulators, 4 × 2 when there are channels to share each image load
@@ -1385,7 +1250,21 @@ fn conv_dw_acc_rotating(g: &ConvGeom, xp: &[f32], dy: &[f32], dw: &mut [f32]) {
             }
         }
         for (dy_co, dw_co) in dy.chunks_exact(ohw).zip(dw.chunks_exact_mut(ckk)) {
-            dw_co[p] += scalar::dot_lanes(dy_co, &col_row);
+            dw_co[p] += dot_lanes(dy_co, &col_row);
         }
     }
+}
+
+/// 8-lane dot product: lane `i % 8` accumulates element `i` in ascending
+/// order, reduced with [`reduce8`] — the weight gradient's summation tree
+/// (rule 5) over one stored row, which both arms run where an output row
+/// does not start at lane 0.
+fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; LANES];
+    for (ca, cb) in a.chunks(LANES).zip(b.chunks(LANES)) {
+        for (lane, (&x, &y)) in lanes.iter_mut().zip(ca.iter().zip(cb)) {
+            *lane += x * y;
+        }
+    }
+    reduce8(&lanes)
 }

@@ -1,8 +1,9 @@
 //! Property-based tests of the tensor kernels: the algebraic identities
 //! that make backpropagation correct must hold for arbitrary geometries,
-//! not just the hand-picked unit-test shapes — and every convolution
-//! entry point must reproduce, bit for bit, the im2col → matrix product
-//! → col2im lowering kept here as the oracle.
+//! not just the hand-picked unit-test shapes — every convolution entry
+//! point must reproduce, bit for bit, the im2col → matrix product →
+//! col2im lowering kept here as the oracle, and every elementwise sweep
+//! the per-element expression kept here beside it.
 
 use std::sync::Mutex;
 
@@ -15,7 +16,7 @@ use rte_tensor::conv::{
 use rte_tensor::linalg::matmul;
 use rte_tensor::parallel::{self, Parallelism};
 use rte_tensor::rng::Xoshiro256;
-use rte_tensor::simd::{self, reduce8, SimdBackend, LANES};
+use rte_tensor::simd::{self, reduce8, AdamStep, SimdBackend, LANES};
 use rte_tensor::{Tensor, TensorError};
 
 fn rand_tensor(dims: &[usize], seed: u64) -> Tensor {
@@ -950,4 +951,304 @@ proptest! {
         let reshaped = t.clone().reshape(&[1, len]).unwrap().reshape(&[len]).unwrap();
         prop_assert_eq!(t, reshaped);
     }
+}
+
+// ---------------------------------------------------------------------
+// The oracle of the elementwise sweeps: each one's expression for one
+// element, in scalar code. Contract rules 1, 3 and 4 make every arm
+// reproduce it bit for bit, wherever the element falls in the slice.
+// ---------------------------------------------------------------------
+
+/// `min` with x86 `vminps` semantics: `if a < b { a } else { b }`
+/// (`b` when either is NaN or both compare equal).
+fn min_ps(a: f32, b: f32) -> f32 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// `max` with x86 `vmaxps` semantics: `if a > b { a } else { b }`.
+fn max_ps(a: f32, b: f32) -> f32 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// Exponent clamp bounds of the kernels' `exp`.
+const EXP_HI: f32 = 88.722_84;
+const EXP_LO: f32 = -87.336_55;
+
+/// The kernels' polynomial `expf`: Cephes-style range reduction
+/// (`x = n·ln2 + r`), a degree-5 minimax polynomial and an exponent-bit
+/// `2ⁿ` scale. `x` is the second operand of the clamp, so a NaN passes
+/// through it, and through everything after, unchanged but for being
+/// quieted.
+fn exp_lane(x: f32) -> f32 {
+    const MAGIC: f32 = 12_582_912.0;
+    let xc = max_ps(EXP_LO, min_ps(EXP_HI, x));
+    let n = (xc * std::f32::consts::LOG2_E + MAGIC) - MAGIC;
+    let r = xc - n * 0.693_359_4;
+    let r = r - n * -2.121_944_4e-4;
+    let mut y = 1.987_569_1e-4;
+    y = y * r + 1.398_2e-3;
+    y = y * r + 8.333_452e-3;
+    y = y * r + 4.166_579_6e-2;
+    y = y * r + 1.666_666_5e-1;
+    y = y * r + 5.000_000_3e-1;
+    let y = ((y * r) * r + r) + 1.0;
+    // `as` takes a NaN to 0: its scale is 1.
+    let scale = f32::from_bits((((n as i32) + 127) << 23) as u32);
+    y * scale
+}
+
+fn axpy_lane(alpha: f32, x: f32, y: f32) -> f32 {
+    y + alpha * x
+}
+
+fn scale_lane(alpha: f32, x: f32) -> f32 {
+    x * alpha
+}
+
+fn relu_lane(x: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        0.0
+    }
+}
+
+fn relu_backward_lane(dy: f32, x: f32) -> f32 {
+    if x > 0.0 {
+        dy
+    } else {
+        0.0
+    }
+}
+
+fn sigmoid_lane(x: f32) -> f32 {
+    1.0 / (1.0 + exp_lane(-x))
+}
+
+fn sigmoid_backward_lane(dy: f32, y: f32) -> f32 {
+    (dy * y) * (1.0 - y)
+}
+
+/// One Adam element: updates `(m, v)` and returns the new value.
+fn adam_lane(value: f32, m: &mut f32, v: &mut f32, grad: f32, s: &AdamStep) -> f32 {
+    let g = if s.weight_decay != 0.0 {
+        grad + s.weight_decay * value
+    } else {
+        grad
+    };
+    *m = s.beta1 * *m + (1.0 - s.beta1) * g;
+    *v = s.beta2 * *v + ((1.0 - s.beta2) * g) * g;
+    let m_hat = *m / s.bias1;
+    let v_hat = *v / s.bias2;
+    value - (s.lr * m_hat) / (v_hat.sqrt() + s.eps)
+}
+
+/// Rule 3's sum: element `i` into lane `i % 8` in ascending `i`, only
+/// the elements there are, the lanes combined by [`reduce8`].
+fn sum_lanes(x: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; LANES];
+    for (i, &v) in x.iter().enumerate() {
+        lanes[i % LANES] += v;
+    }
+    reduce8(&lanes)
+}
+
+/// Values a sweep must carry through bit for bit: NaN, ±inf, both
+/// zeros, subnormals, the edges of the `exp` clamp, and values past it.
+const SWEEP_SPECIALS: [f32; 12] = [
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    -0.0,
+    0.0,
+    1e-40,
+    -1e-40,
+    f32::MIN_POSITIVE,
+    88.7,
+    -88.7,
+    100.0,
+    -100.0,
+];
+
+/// `len` normal values scaled by `scale`, about one in five replaced by
+/// a [`SWEEP_SPECIALS`] value when `specials` is set.
+fn sweep_operand(rng: &mut Xoshiro256, len: usize, scale: f32, specials: bool) -> Vec<f32> {
+    (0..len)
+        .map(|_| {
+            if specials && rng.bernoulli(0.2) {
+                SWEEP_SPECIALS[(rng.next_u64() % SWEEP_SPECIALS.len() as u64) as usize]
+            } else {
+                scale * rng.normal()
+            }
+        })
+        .collect()
+}
+
+/// What every sweep leaves, by name: `scale`, ReLU and the sigmoid on
+/// `x`, `axpy` into `g`, the backward passes on `g` behind `x` (as the
+/// sigmoid's output), the Adam step of `x` by `g` with moments `m` and
+/// `v`, and the sum of `x`.
+type SweepOutputs = Vec<(&'static str, Vec<f32>)>;
+
+/// [`SweepOutputs`] of the kernels on `arm`.
+fn sweep_outputs(
+    arm: SimdBackend,
+    [x, g, m, v]: [&[f32]; 4],
+    alpha: f32,
+    step: &AdamStep,
+) -> SweepOutputs {
+    let run = |from: &[f32], f: &dyn Fn(&mut [f32])| {
+        let mut out = from.to_vec();
+        f(&mut out);
+        out
+    };
+    let (mut value, mut m, mut v) = (x.to_vec(), m.to_vec(), v.to_vec());
+    simd::adam_step_with(arm, &mut value, &mut m, &mut v, g, step);
+    vec![
+        ("axpy", run(g, &|y| simd::axpy_with(arm, alpha, x, y))),
+        ("scale", run(x, &|x| simd::scale_with(arm, alpha, x))),
+        ("sum", vec![simd::sum_with(arm, x)]),
+        ("relu", run(x, &|x| simd::relu_with(arm, x))),
+        (
+            "relu_backward",
+            run(g, &|dy| simd::relu_backward_with(arm, dy, x)),
+        ),
+        ("sigmoid", run(x, &|x| simd::sigmoid_with(arm, x))),
+        (
+            "sigmoid_backward",
+            run(g, &|dy| simd::sigmoid_backward_with(arm, dy, x)),
+        ),
+        ("adam value", value),
+        ("adam m", m),
+        ("adam v", v),
+    ]
+}
+
+/// [`SweepOutputs`] of the oracle.
+fn sweep_oracle([x, g, m, v]: [&[f32]; 4], alpha: f32, step: &AdamStep) -> SweepOutputs {
+    let map = |f: &dyn Fn(f32) -> f32| x.iter().map(|&v| f(v)).collect();
+    let zip = |f: &dyn Fn(f32, f32) -> f32| g.iter().zip(x).map(|(&g, &x)| f(g, x)).collect();
+    let (mut m, mut v) = (m.to_vec(), v.to_vec());
+    let value = (0..x.len())
+        .map(|i| adam_lane(x[i], &mut m[i], &mut v[i], g[i], step))
+        .collect();
+    vec![
+        ("axpy", zip(&|y, x| axpy_lane(alpha, x, y))),
+        ("scale", map(&|x| scale_lane(alpha, x))),
+        ("sum", vec![sum_lanes(x)]),
+        ("relu", map(&relu_lane)),
+        ("relu_backward", zip(&relu_backward_lane)),
+        ("sigmoid", map(&sigmoid_lane)),
+        ("sigmoid_backward", zip(&sigmoid_backward_lane)),
+        ("adam value", value),
+        ("adam m", m),
+        ("adam v", v),
+    ]
+}
+
+/// Asserts `got` and `want` equal sweep by sweep, element by element,
+/// in [`nan_blind_bits`].
+fn assert_outputs_eq(got: &SweepOutputs, want: &SweepOutputs, what: &str) {
+    for ((name, got), (_, want)) in got.iter().zip(want) {
+        assert_eq!(got.len(), want.len(), "{name} {what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let (g_bits, w_bits) = (nan_blind_bits(*g), nan_blind_bits(*w));
+            assert_eq!(g_bits, w_bits, "{name}[{i}] {what}: {g} vs {w}");
+        }
+    }
+}
+
+/// The bits of `v`, with every NaN the same NaN. Where two NaNs meet in
+/// one `+` or `·`, x86 returns the first operand's sign and payload, and
+/// the compiler may swap the operands of either (on either arm), so only
+/// that a NaN comes out is fixed.
+fn nan_blind_bits(v: f32) -> u32 {
+    if v.is_nan() {
+        f32::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
+proptest! {
+    #![proptest_config(cases(64))]
+
+    /// Contract rules 1, 3 and 4, sweeps: `axpy`, `scale`, `sum`, ReLU
+    /// and sigmoid forward and backward, and the Adam step (value and
+    /// both moments) equal their per-element oracle bit for bit on both
+    /// arms (a NaN's sign and payload aside, see [`nan_blind_bits`]), at
+    /// every length from empty to past eight full chunks, so every tail
+    /// length is drawn. The data is normal at scales that
+    /// reach the `exp` clamp, with NaN, ±inf, −0.0, subnormals and ±88.7
+    /// drawn in; Adam runs with and without weight decay.
+    #[test]
+    fn sweeps_match_their_per_element_oracle_bitwise(
+        seed in 0u64..1_000_000,
+        len in 0usize..68,
+        scale_sel in 0usize..3,
+        specials in 0u32..3,
+        decay in 0u32..2,
+    ) {
+        let mut rng = Xoshiro256::seed_from(seed);
+        let scale = [1.0, 30.0, 1e-3][scale_sel];
+        let specials = specials > 0;
+        let x = sweep_operand(&mut rng, len, scale, specials);
+        let g = sweep_operand(&mut rng, len, 1.0, specials);
+        let m = sweep_operand(&mut rng, len, 0.1, specials);
+        let v: Vec<f32> = sweep_operand(&mut rng, len, 0.01, specials)
+            .iter()
+            .map(|v| v * v)
+            .collect();
+        let t = 1 + (rng.next_u64() % 50) as i32;
+        let step = AdamStep {
+            beta1: 0.9,
+            beta2: 0.999,
+            bias1: 1.0 - 0.9f32.powi(t),
+            bias2: 1.0 - 0.999f32.powi(t),
+            lr: 2e-4,
+            eps: 1e-8,
+            weight_decay: if decay > 0 { 1e-5 } else { 0.0 },
+        };
+        let alpha = scale * rng.normal();
+        let operands = [&x[..], &g, &m, &v];
+        let want = sweep_oracle(operands, alpha, &step);
+        for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
+            let got = sweep_outputs(arm, operands, alpha, &step);
+            assert_outputs_eq(&got, &want, &format!("[{arm}, len {len}]"));
+        }
+    }
+}
+
+/// The kernels' `exp` — through its oracle, which the sweeps match bit
+/// for bit — stays within 1e-5 of libm inside its clamp, saturates
+/// outside it, and carries the sigmoid's limits and NaN.
+#[test]
+fn exp_oracle_tracks_libm() {
+    for i in -800..=800 {
+        let x = i as f32 * 0.11;
+        if !(EXP_LO..=EXP_HI).contains(&x) {
+            continue;
+        }
+        let (got, want) = (f64::from(exp_lane(x)), f64::from(x).exp());
+        let rel = ((got - want) / want).abs();
+        assert!(rel < 1e-5, "exp({x}): {got} vs {want} (rel {rel})");
+    }
+    assert_eq!(exp_lane(0.0), 1.0);
+    assert!(exp_lane(f32::NAN).is_nan());
+    assert_eq!(exp_lane(1000.0), f32::INFINITY);
+    assert!(exp_lane(-1000.0) > 0.0, "deep negative saturates, not 0");
+    assert!(
+        sigmoid_lane(f32::NAN).is_nan(),
+        "sigmoid must propagate NaN"
+    );
+    assert_eq!(sigmoid_lane(f32::INFINITY), 1.0);
+    assert_eq!(sigmoid_lane(f32::NEG_INFINITY), 0.0);
 }

@@ -346,38 +346,93 @@ fn bench_parallel_region(c: &mut Criterion) {
     c.bench_function("parallel_region", |bench| bench.iter(parallel_region));
 }
 
+/// Length of every elementwise sweep row: a paper-round-sized 1M
+/// elements.
+const SWEEP_LEN: usize = 1 << 20;
+
+/// The Adam row's step: the paper's β and lr at step 3.
+const ADAM: simd::AdamStep = simd::AdamStep {
+    beta1: 0.9,
+    beta2: 0.999,
+    bias1: 0.271,
+    bias2: 0.00299,
+    lr: 2e-4,
+    eps: 1e-8,
+    weight_decay: 1e-5,
+};
+
+/// Every elementwise sweep on `arm`, over [`SWEEP_LEN`] elements. A
+/// sweep that rewrites its operand in place starts every iteration from
+/// a fresh copy of it, the copy inside the row, so that repeating it
+/// never drifts into zeros or subnormals.
+fn sweep_passes(arm: SimdBackend) -> Vec<Pass> {
+    let x = rand_tensor(&[SWEEP_LEN], 9).data().to_vec();
+    let g = rand_tensor(&[SWEEP_LEN], 10).data().to_vec();
+    let mut sig = x.clone();
+    simd::sigmoid_with(arm, &mut sig);
+    // `f(arm, buf, operand)` with `buf` reset to `from` first.
+    let fresh = |from: &[f32],
+                 operand: &[f32],
+                 f: fn(SimdBackend, &mut [f32], &[f32])|
+     -> Box<dyn FnMut()> {
+        let (from, operand, mut buf) = (from.to_vec(), operand.to_vec(), from.to_vec());
+        Box::new(move || {
+            buf.copy_from_slice(&from);
+            f(arm, black_box(&mut buf), black_box(&operand));
+        })
+    };
+    let passes: Vec<Pass> = vec![
+        (
+            "scale",
+            fresh(&x, &[], |arm, b, _| simd::scale_with(arm, 0.37, b)),
+        ),
+        ("relu", fresh(&x, &[], |arm, b, _| simd::relu_with(arm, b))),
+        ("relu_backward", fresh(&g, &x, simd::relu_backward_with)),
+        (
+            "sigmoid",
+            fresh(&x, &[], |arm, b, _| simd::sigmoid_with(arm, b)),
+        ),
+        (
+            "sigmoid_backward",
+            fresh(&g, &sig, simd::sigmoid_backward_with),
+        ),
+    ];
+    let (mut y, mut value, mut m, mut v) = (
+        x.clone(),
+        x.clone(),
+        vec![0.0; SWEEP_LEN],
+        vec![0.0; SWEEP_LEN],
+    );
+    let (gx, gm) = (g.clone(), g);
+    [
+        (
+            "axpy",
+            Box::new(move || simd::axpy_with(arm, 0.37, black_box(&gx), &mut y))
+                as Box<dyn FnMut()>,
+        ),
+        (
+            "sum",
+            Box::new(move || {
+                black_box(simd::sum_with(arm, black_box(&x)));
+            }),
+        ),
+        (
+            "adam_step",
+            Box::new(move || {
+                simd::adam_step_with(arm, &mut value, &mut m, &mut v, black_box(&gm), &ADAM)
+            }),
+        ),
+    ]
+    .into_iter()
+    .chain(passes)
+    .collect()
+}
+
 fn bench_elementwise_arms(c: &mut Criterion) {
-    // The hot elementwise sweeps at a paper-round-sized 1M elements.
-    let len = 1 << 20;
-    let x = rand_tensor(&[len], 9);
-    let g = rand_tensor(&[len], 10);
     for arm in arms() {
-        let mut y = x.data().to_vec();
-        c.bench_function(&format!("axpy_{arm}_1m"), |bench| {
-            bench.iter(|| {
-                simd::axpy_with(arm, 0.37, black_box(g.data()), &mut y);
-                black_box(y[0])
-            })
-        });
-        c.bench_function(&format!("sigmoid_{arm}_1m"), |bench| {
-            let mut buf = x.data().to_vec();
-            bench.iter(|| {
-                buf.copy_from_slice(x.data());
-                simd::sigmoid_with(arm, black_box(&mut buf));
-                black_box(buf[0])
-            })
-        });
-        c.bench_function(&format!("relu_{arm}_1m"), |bench| {
-            let mut buf = x.data().to_vec();
-            bench.iter(|| {
-                buf.copy_from_slice(x.data());
-                simd::relu_with(arm, black_box(&mut buf));
-                black_box(buf[0])
-            })
-        });
-        c.bench_function(&format!("sum_{arm}_1m"), |bench| {
-            bench.iter(|| black_box(simd::sum_with(arm, black_box(x.data()))))
-        });
+        for (name, mut run) in sweep_passes(arm) {
+            c.bench_function(&format!("{name}_{arm}_1m"), |bench| bench.iter(&mut run));
+        }
     }
 }
 
@@ -511,45 +566,13 @@ fn emit_kernels_json(_c: &mut Criterion) {
         println!("bench: filter given, skipping BENCH_kernels.json dump");
         return;
     }
-    let len = 1 << 20;
-    let x = rand_tensor(&[len], 9);
-    let g = rand_tensor(&[len], 10);
     let mut entries: Vec<JsonEntry> = Vec::new();
-    let sweep_shape = format!("{len}");
+    let sweep_shape = format!("{SWEEP_LEN}");
     for arm in arms() {
-        let mut cases: Vec<(String, String, f64, f64)> = vec![
-            (
-                "axpy".into(),
-                sweep_shape.clone(),
-                {
-                    let mut y = x.data().to_vec();
-                    measure_ns(|| simd::axpy_with(arm, 0.37, black_box(g.data()), &mut y))
-                },
-                0.0,
-            ),
-            (
-                "sigmoid".into(),
-                sweep_shape.clone(),
-                {
-                    let mut buf = x.data().to_vec();
-                    measure_ns(|| {
-                        buf.copy_from_slice(x.data());
-                        simd::sigmoid_with(arm, black_box(&mut buf));
-                    })
-                },
-                0.0,
-            ),
-            (
-                "sum".into(),
-                sweep_shape.clone(),
-                {
-                    measure_ns(|| {
-                        black_box(simd::sum_with(arm, black_box(x.data())));
-                    })
-                },
-                0.0,
-            ),
-        ];
+        let mut cases: Vec<(String, String, f64, f64)> = sweep_passes(arm)
+            .into_iter()
+            .map(|(name, mut run)| (name.into(), sweep_shape.clone(), measure_ns(&mut run), 0.0))
+            .collect();
         // The convolutions and the train step dispatch on the
         // process-global arm and thread budget, so pin both for the
         // measurement.

@@ -51,7 +51,7 @@ pub(super) trait Lanes8: Copy {
     /// in `[−126, 128]` (128 gives `+∞`); a NaN lane gives 1.0 on every
     /// arm.
     fn exp2i(self) -> Self;
-    /// The eight floats of one `chunks_exact(8)` chunk.
+    /// The eight floats of one chunk of a slice.
     fn load(chunk: &[f32; LANES]) -> Self;
     /// Writes the lanes to one chunk.
     fn store(self, chunk: &mut [f32; LANES]);

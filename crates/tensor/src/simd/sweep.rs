@@ -15,6 +15,11 @@ use super::{reduce8, AdamStep, LANES};
 /// padded with `−0.0`, whose dead lanes are never stored. `−0.0` is the
 /// identity of `+`, bit for bit, so a dead lane adds nothing to a
 /// lane-wise sum either.
+///
+/// Every `f` below is `#[inline(always)]`: a closure does not take on
+/// the target feature of the AVX2 wrapper it ends up in, so one that is
+/// not inlined into it calls each intrinsic instead of emitting it (the
+/// sigmoid ran 25× slower so).
 #[inline(always)]
 fn lanes<V: Lanes8, const R: usize, const W: usize>(
     len: usize,

@@ -33,8 +33,8 @@ fn lanes<V: Lanes8, const R: usize, const W: usize>(
             std::array::from_fn(|k| V::load(chunk(read[k], i))),
             std::array::from_fn(|k| V::load(chunk(write[k], i))),
         );
-        for (lanes, s) in out.into_iter().zip(&mut write) {
-            lanes.store(chunk_mut(s, i));
+        for k in 0..W {
+            out[k].store(chunk_mut(write[k], i));
         }
     }
     let tail = full * LANES..len;

@@ -110,13 +110,14 @@
 //! AVX2+FMA support** (or by a caller who explicitly forced it, which
 //! [`SimdBackend::from_env`] refuses to do on unsupported CPUs). The
 //! kernels themselves, convolutions (`implicit`) and sweeps (`sweep`)
-//! alike, are safe code generic over `Lanes8`; the intrinsics, and with
-//! them every `unsafe` block, are confined to the AVX2 impl of `Lanes8`
-//! in this file and the strided read it calls. A sweep's loads and
-//! stores take one 8-float chunk by reference, so their bounds are the
-//! type's; the convolutions' reads go only where a checked
-//! `implicit::Nest` has shown every read of the loop nest to be in
-//! bounds.
+//! alike, are safe code generic over `Lanes8`; the intrinsics, and the
+//! `unsafe` blocks that call them, are confined to the AVX2 impl of
+//! `Lanes8` in this file and the strided read it calls (the one other
+//! `unsafe` block is `dispatch!`'s call into an AVX2 wrapper, whose
+//! safety argument is above). A sweep's loads and stores take one
+//! 8-float chunk by reference, so their bounds are the type's; the
+//! convolutions' reads go only where a checked `implicit::Nest` has
+//! shown every read of the loop nest to be in bounds.
 #![allow(unsafe_code)]
 
 use std::fmt;

@@ -780,6 +780,33 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Xoshiro256;
+
+    fn rand_vec(len: usize, seed: u64) -> Vec<f32> {
+        let mut rng = Xoshiro256::seed_from(seed);
+        (0..len).map(|_| rng.normal()).collect()
+    }
+
+    /// Every arm this machine can run; each is checked against the
+    /// `Scalar` arm, the `Scalar8` instantiation of the same bodies.
+    fn arms() -> Vec<SimdBackend> {
+        let mut arms = vec![SimdBackend::Scalar];
+        if SimdBackend::detect() == SimdBackend::Avx2 {
+            arms.push(SimdBackend::Avx2);
+        }
+        arms
+    }
+
+    fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}[{i}]: {g} vs {w} (bits differ)"
+            );
+        }
+    }
 
     #[test]
     fn parse_selects_arms() {
@@ -811,6 +838,115 @@ mod tests {
         let s3 = lanes[3] + lanes[7];
         let want = (s0 + s2) + (s1 + s3);
         assert_eq!(reduce8(&lanes).to_bits(), want.to_bits());
+    }
+
+    #[test]
+    fn elementwise_ops_are_bitwise_identical_across_arms() {
+        let scalar = SimdBackend::Scalar;
+        for len in [0usize, 1, 7, 8, 9, 64, 100, 1000] {
+            let x = rand_vec(len, 100 + len as u64);
+            let g = rand_vec(len, 200 + len as u64);
+            for arm in arms() {
+                let tag = format!("[{arm}] len {len}");
+
+                let mut want = x.clone();
+                axpy_with(scalar, 0.37, &g, &mut want);
+                let mut got = x.clone();
+                axpy_with(arm, 0.37, &g, &mut got);
+                assert_bits_eq(&got, &want, &format!("axpy {tag}"));
+
+                let mut want = x.clone();
+                scale_with(scalar, -1.3, &mut want);
+                let mut got = x.clone();
+                scale_with(arm, -1.3, &mut got);
+                assert_bits_eq(&got, &want, &format!("scale {tag}"));
+
+                let want = sum_with(scalar, &x);
+                let got = sum_with(arm, &x);
+                assert_eq!(got.to_bits(), want.to_bits(), "sum {tag}");
+
+                let step = AdamStep {
+                    beta1: 0.9,
+                    beta2: 0.999,
+                    bias1: 0.1,
+                    bias2: 0.001,
+                    lr: 2e-4,
+                    eps: 1e-8,
+                    weight_decay: 1e-5,
+                };
+                let m0 = rand_vec(len, 300 + len as u64);
+                let v0: Vec<f32> = rand_vec(len, 400 + len as u64)
+                    .iter()
+                    .map(|v| v.abs())
+                    .collect();
+                let (mut wp, mut wm, mut wv) = (x.clone(), m0.clone(), v0.clone());
+                adam_step_with(scalar, &mut wp, &mut wm, &mut wv, &g, &step);
+                let (mut gp, mut gm, mut gv) = (x.clone(), m0.clone(), v0.clone());
+                adam_step_with(arm, &mut gp, &mut gm, &mut gv, &g, &step);
+                assert_bits_eq(&gp, &wp, &format!("adam value {tag}"));
+                assert_bits_eq(&gm, &wm, &format!("adam m {tag}"));
+                assert_bits_eq(&gv, &wv, &format!("adam v {tag}"));
+
+                let mut want = x.clone();
+                relu_with(scalar, &mut want);
+                let mut got = x.clone();
+                relu_with(arm, &mut got);
+                assert_bits_eq(&got, &want, &format!("relu {tag}"));
+
+                let mut want = g.clone();
+                relu_backward_with(scalar, &mut want, &x);
+                let mut got = g.clone();
+                relu_backward_with(arm, &mut got, &x);
+                assert_bits_eq(&got, &want, &format!("relu_backward {tag}"));
+
+                let mut want = x.clone();
+                sigmoid_with(scalar, &mut want);
+                let mut got = x.clone();
+                sigmoid_with(arm, &mut got);
+                assert_bits_eq(&got, &want, &format!("sigmoid {tag}"));
+
+                let y = want;
+                let mut want = g.clone();
+                sigmoid_backward_with(scalar, &mut want, &y);
+                let mut got = g.clone();
+                sigmoid_backward_with(arm, &mut got, &y);
+                assert_bits_eq(&got, &want, &format!("sigmoid_backward {tag}"));
+            }
+        }
+    }
+
+    #[test]
+    fn special_values_are_preserved_across_arms() {
+        let x = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1.0,
+            -1.0,
+            f32::MIN_POSITIVE,
+            100.0,
+        ];
+        for arm in arms() {
+            let mut relu_s = x;
+            relu_with(SimdBackend::Scalar, &mut relu_s);
+            let mut relu_a = x;
+            relu_with(arm, &mut relu_a);
+            assert_bits_eq(&relu_a, &relu_s, &format!("relu specials [{arm}]"));
+
+            let mut sig_s = x;
+            sigmoid_with(SimdBackend::Scalar, &mut sig_s);
+            let mut sig_a = x;
+            sigmoid_with(arm, &mut sig_a);
+            assert_bits_eq(&sig_a, &sig_s, &format!("sigmoid specials [{arm}]"));
+            assert!(sig_a[0].is_nan(), "sigmoid must propagate NaN");
+            assert_eq!(sig_a[1], 1.0, "sigmoid(+inf) = 1");
+            assert_eq!(sig_a[2], 0.0, "sigmoid(-inf) = 0");
+            let want = 1.0 / (1.0 + (-1.0f64).exp());
+            let rel = ((sig_a[5] as f64 - want) / want).abs();
+            assert!(rel < 1e-5, "sigmoid(1) = {} vs {want}", sig_a[5]);
+        }
     }
 
     #[test]

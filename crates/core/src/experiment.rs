@@ -4,8 +4,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use rte_eda::corpus::{
-    generate_client_with, generate_corpus_for_specs_with, universe_specs, ClientData, ClientSpec,
-    Corpus, CorpusConfig, UniverseConfig, PAPER_CLIENTS,
+    generate_fleet_with, universe_specs, ClientSpec, ClientTensors, Corpus, CorpusConfig,
+    UniverseConfig, PAPER_CLIENTS,
 };
 use rte_eda::features::FEATURE_CHANNELS;
 use rte_eda::mmap::MmapShardReader;
@@ -254,18 +254,39 @@ impl TableResult {
 ///
 /// Propagates batching errors (e.g. an empty split).
 pub fn build_clients(corpus: &Corpus) -> Result<Vec<Client>, CoreError> {
-    corpus.clients.iter().map(build_client).collect()
+    corpus
+        .clients
+        .iter()
+        .map(|data| {
+            build_client(ClientTensors {
+                spec: data.spec,
+                train: data.train.full_batch()?,
+                test: data.test.full_batch()?,
+            })
+        })
+        .collect()
 }
 
-/// One generated client's data as its private tensors.
-fn build_client(data: &ClientData) -> Result<Client, CoreError> {
-    let (train_x, train_y) = data.train.full_batch()?;
-    let (test_x, test_y) = data.test.full_batch()?;
+/// One generated client's stacked splits as its private tensors.
+fn build_client(tensors: ClientTensors) -> Result<Client, CoreError> {
+    let ((train_x, train_y), (test_x, test_y)) = (tensors.train, tensors.test);
     Ok(Client::new(
-        data.spec.index,
-        ClientSet::new(train_x, train_y).map_err(CoreError::Fed)?,
-        ClientSet::new(test_x, test_y).map_err(CoreError::Fed)?,
+        tensors.spec.index,
+        ClientSet::new(train_x, train_y)?,
+        ClientSet::new(test_x, test_y)?,
     ))
+}
+
+/// The in-memory fleet of `specs`, each sample generated straight into
+/// its client's tensors.
+fn generate_fleet(
+    specs: &[ClientSpec],
+    config: &ExperimentConfig,
+) -> Result<Vec<Client>, CoreError> {
+    generate_fleet_with(specs, &config.corpus, config.corpus_parallelism)?
+        .into_iter()
+        .map(build_client)
+        .collect()
 }
 
 /// [`RecordSource`] over one EDA shard file — the adapter that lets
@@ -513,8 +534,10 @@ pub fn build_streaming_clients(config: &ExperimentConfig) -> Result<Vec<Client>,
 }
 
 /// Builds the experiment's clients on whichever path the config selects:
-/// streaming from `corpus_dir` when set, otherwise generating the corpus
-/// in memory.
+/// streaming from `corpus_dir` when set, otherwise generating the fleet
+/// in memory, every sample straight into its client's tensors (the same
+/// bits as [`build_clients`] over the generated corpus, each sample held
+/// once).
 ///
 /// # Errors
 ///
@@ -523,12 +546,7 @@ pub fn build_experiment_clients(config: &ExperimentConfig) -> Result<Vec<Client>
     if config.corpus_dir.is_some() {
         build_streaming_clients(config)
     } else {
-        let corpus = generate_corpus_for_specs_with(
-            &config.client_specs()?,
-            &config.corpus,
-            config.corpus_parallelism,
-        )?;
-        build_clients(&corpus)
+        generate_fleet(&config.client_specs()?, config)
     }
 }
 
@@ -549,11 +567,7 @@ pub fn build_experiment_client(config: &ExperimentConfig, me: usize) -> Result<C
     if config.corpus_dir.is_some() {
         return Ok(build_streaming_clients(config)?.swap_remove(me));
     }
-    build_client(&generate_client_with(
-        spec,
-        &config.corpus,
-        config.corpus_parallelism,
-    )?)
+    Ok(generate_fleet(std::slice::from_ref(spec), config)?.swap_remove(0))
 }
 
 /// Builds a deterministic [`ModelFactory`] for the given estimator.
@@ -685,6 +699,22 @@ mod tests {
             }
             assert!(build_experiment_client(&config, fleet.len()).is_err());
         }
+    }
+
+    #[test]
+    fn the_fleet_refuses_an_empty_split_as_build_clients_does() {
+        let config = ExperimentConfig::tiny();
+        let mut spec = PAPER_CLIENTS[1];
+        spec.test_designs = 0;
+        let corpus = rte_eda::corpus::generate_corpus_for_specs_with(
+            &[spec],
+            &config.corpus,
+            config.corpus_parallelism,
+        )
+        .unwrap();
+        let refused = build_clients(&corpus).err();
+        assert!(refused.is_some());
+        assert_eq!(generate_fleet(&[spec], &config).err(), refused);
     }
 
     #[test]

@@ -16,20 +16,26 @@
 //! sharding netlist synthesis over designs and sample generation over
 //! placements onto worker threads. [`generate_corpus`] and
 //! [`generate_client`] run it with one chunk of every placement and
-//! assemble the datasets on the caller's thread;
+//! assemble the datasets on the caller's thread; [`generate_fleet_with`]
+//! runs it with one chunk too, each worker copying its sample into its
+//! rows of the clients' stacked tensors;
 //! [`crate::shard::CorpusWriter`] runs it with bounded chunks. The
 //! output is **byte-identical to the serial path at every thread
 //! count** — the parallelism budget (explicit via the `_with`
 //! variants, otherwise the process-global `rte_tensor::parallel` default)
 //! is a pure wall-clock knob, exactly like training and evaluation.
 
+use std::sync::Mutex;
+
 use rte_tensor::parallel::{self, map_with, Parallelism};
 use rte_tensor::rng::Xoshiro256;
+use rte_tensor::Tensor;
 
 use crate::dataset::{sample_with, Dataset, GenScratch, Sample};
 use crate::drc::design_h_affinity;
+use crate::features::FEATURE_CHANNELS;
 use crate::netlist::{generate_netlist, Netlist};
-use crate::placement::{GridDims, PlacementConfig};
+use crate::placement::{check_grid, GridDims, PlacementConfig};
 use crate::{EdaError, Family, FamilyMix};
 
 /// One row of the paper's Table 2.
@@ -394,7 +400,7 @@ pub(crate) fn placement_sample(
 
 /// The generation driver: walks `jobs` (in [`build_jobs`] order)
 /// `chunk` placements at a time and hands each chunk's outputs, in job
-/// order, to `sink`.
+/// order, to `sink`. `place` also receives the job's index in `jobs`.
 ///
 /// A chunk runs two parallel regions: one synthesizes the designs it
 /// places that no earlier chunk did, one generates its placements. Jobs
@@ -408,7 +414,7 @@ pub(crate) fn drive_chunks<D, T>(
     par: Parallelism,
     chunk: usize,
     synthesize: impl Fn(usize) -> Result<D, EdaError> + Sync,
-    place: impl Fn(&D, &PlacementJob, &mut GenScratch) -> Result<T, EdaError> + Sync,
+    place: impl Fn(&D, usize, &PlacementJob, &mut GenScratch) -> Result<T, EdaError> + Sync,
     mut sink: impl FnMut(&[PlacementJob], Vec<T>) -> Result<(), EdaError>,
 ) -> Result<(), EdaError>
 where
@@ -417,6 +423,7 @@ where
 {
     // The live designs: `window[i]` is design `base + i`.
     let (mut window, mut base) = (Vec::new(), 0);
+    let mut done = 0;
     for jobs in jobs.chunks(chunk) {
         let first = jobs[0].netlist;
         window.drain(..(first - base).min(window.len()));
@@ -425,11 +432,12 @@ where
         for design in map_with(par, &fresh, || (), |(), _, &d| synthesize(d)) {
             window.push(design?);
         }
-        let outputs = map_with(par, jobs, GenScratch::new, |scratch, _, job| {
-            place(&window[job.netlist - base], job, scratch)
+        let outputs = map_with(par, jobs, GenScratch::new, |scratch, i, job| {
+            place(&window[job.netlist - base], done + i, job, scratch)
         })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
+        done += jobs.len();
         sink(jobs, outputs)?;
     }
     Ok(())
@@ -450,7 +458,7 @@ pub(crate) fn generate_chunked(
         par,
         chunk,
         |d| synthesize_design(specs, config, &design_jobs[d]),
-        |design, job, scratch| placement_sample(specs, config, design, job, scratch),
+        |design, _, job, scratch| placement_sample(specs, config, design, job, scratch),
         sink,
     )
 }
@@ -575,6 +583,111 @@ pub fn generate_corpus_for_specs_with(
         clients,
         grid: config.grid,
     })
+}
+
+/// One client's splits as the stacked tensors a trainer consumes:
+/// features `(N, FEATURE_CHANNELS, H, W)` and labels `(N, 1, H, W)`,
+/// rows in `(design, placement)` order, exactly as
+/// [`Dataset::full_batch`] stacks the client's [`ClientData`] split.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClientTensors {
+    /// The spec this client realizes.
+    pub spec: ClientSpec,
+    /// Training split as `(features, labels)`.
+    pub train: (Tensor, Tensor),
+    /// Testing split as `(features, labels)`.
+    pub test: (Tensor, Tensor),
+}
+
+/// Generates every spec's splits straight into their stacked tensors:
+/// bit for bit [`generate_corpus_for_specs_with`] followed by
+/// [`Dataset::full_batch`] on every split, for every budget, but each
+/// sample is held once. Every `(client, split)`'s two tensors are sized
+/// from the placement job list before generation starts; the driver
+/// runs with one chunk of every placement, and each placement's worker
+/// copies its sample into the rows of its job, so no `Vec<Sample>` of
+/// the fleet and no second copy ever exist.
+///
+/// # Errors
+///
+/// [`EdaError::InvalidConfig`] for an empty spec list, a grid smaller
+/// than 4×4, or a spec with a split without designs (refused as the
+/// `"empty batch"` [`Dataset::full_batch`] refuses), all before any
+/// design is synthesized; otherwise the same conditions as
+/// [`generate_corpus`].
+pub fn generate_fleet_with(
+    specs: &[ClientSpec],
+    config: &CorpusConfig,
+    par: Parallelism,
+) -> Result<Vec<ClientTensors>, EdaError> {
+    if specs.is_empty() {
+        return Err(EdaError::InvalidConfig {
+            reason: "corpus generation needs at least one client spec".into(),
+        });
+    }
+    check_grid(config.grid)?;
+    if specs
+        .iter()
+        .any(|spec| spec.train_designs == 0 || spec.test_designs == 0)
+    {
+        return Err(EdaError::InvalidConfig {
+            reason: "empty batch".into(),
+        });
+    }
+    let (design_jobs, placement_jobs) = build_jobs(specs, config);
+    let (h, w) = (config.grid.height, config.grid.width);
+    let (x_len, y_len) = (FEATURE_CHANNELS * h * w, h * w);
+    // Rows of `(client, split)` at `2 × client + split`: the order the
+    // jobs visit them in.
+    let mut rows = vec![0; 2 * specs.len()];
+    for job in &placement_jobs {
+        rows[2 * job.spec_i + usize::from(job.split == Split::Test)] += 1;
+    }
+    let mut buffers: Vec<(Vec<f32>, Vec<f32>)> = rows
+        .iter()
+        .map(|&n| (vec![0.0; n * x_len], vec![0.0; n * y_len]))
+        .collect();
+    {
+        // Job `j`'s rows, at index `j`: each split's jobs are one
+        // contiguous run in job order. A slot is locked once, by its own
+        // placement, so the lock only proves the write exclusive.
+        let slots: Vec<Mutex<(&mut [f32], &mut [f32])>> = buffers
+            .iter_mut()
+            .flat_map(|(x, y)| x.chunks_exact_mut(x_len).zip(y.chunks_exact_mut(y_len)))
+            .map(Mutex::new)
+            .collect();
+        drive_chunks(
+            &placement_jobs,
+            par,
+            usize::MAX,
+            |d| synthesize_design(specs, config, &design_jobs[d]),
+            |design, j, job, scratch| {
+                let sample = placement_sample(specs, config, design, job, scratch)?;
+                let mut slot = slots[j].lock().expect("a slot's one writer never panics");
+                slot.0.copy_from_slice(sample.features.data());
+                slot.1.copy_from_slice(sample.label.data());
+                Ok(())
+            },
+            |_, _| Ok(()),
+        )?;
+    }
+    let mut splits = rows.into_iter().zip(buffers).map(|(n, (x, y))| {
+        Ok::<_, EdaError>((
+            Tensor::from_vec(x, &[n, FEATURE_CHANNELS, h, w])?,
+            Tensor::from_vec(y, &[n, 1, h, w])?,
+        ))
+    });
+    specs
+        .iter()
+        .map(|spec| {
+            let mut next = || splits.next().expect("two splits a spec");
+            Ok(ClientTensors {
+                spec: *spec,
+                train: next()?,
+                test: next()?,
+            })
+        })
+        .collect()
 }
 
 /// Settings of a synthesized client universe (the `--clients N
@@ -872,7 +985,8 @@ mod tests {
                             live: &live,
                         })
                     },
-                    |design, job, _| {
+                    |design, index, job, _| {
+                        assert!(std::ptr::eq(job, &jobs[index]), "{what}");
                         assert_eq!(design.netlist, job.netlist, "{what}");
                         Ok(job.placement)
                     },
@@ -893,6 +1007,39 @@ mod tests {
                 assert_eq!(live.load(SeqCst), 0, "{what}");
             }
         }
+    }
+
+    #[test]
+    fn fleet_is_the_stacked_corpus_at_every_budget() {
+        let mut config = CorpusConfig::tiny();
+        config.placement_scale = 0.02; // several placements per design
+        let specs = &PAPER_CLIENTS[2..5];
+        let corpus = generate_corpus_for_specs_with(specs, &config, Parallelism::serial()).unwrap();
+        for threads in [1, 3] {
+            let fleet = generate_fleet_with(specs, &config, Parallelism::new(threads)).unwrap();
+            assert_eq!(fleet.len(), specs.len());
+            for (got, want) in fleet.iter().zip(&corpus.clients) {
+                assert_eq!(got.spec, want.spec);
+                assert_eq!(got.train, want.train.full_batch().unwrap(), "{threads}");
+                assert_eq!(got.test, want.test.full_batch().unwrap(), "{threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn fleet_refuses_what_it_cannot_stack() {
+        let config = CorpusConfig::tiny();
+        let serial = Parallelism::serial();
+        let mut spec = PAPER_CLIENTS[0];
+        spec.test_designs = 0;
+        assert_eq!(
+            generate_fleet_with(&[PAPER_CLIENTS[1], spec], &config, serial).unwrap_err(),
+            Dataset::new().full_batch().unwrap_err()
+        );
+        assert!(generate_fleet_with(&[], &config, serial).is_err());
+        let mut small = config;
+        small.grid = GridDims::new(3, 16);
+        assert!(generate_fleet_with(&PAPER_CLIENTS[..1], &small, serial).is_err());
     }
 
     #[test]

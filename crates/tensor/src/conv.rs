@@ -35,11 +35,12 @@ use crate::{Tensor, TensorError};
 /// kernels run inline (results are identical either way).
 ///
 /// Opening and joining a two-worker [`parallel`] region that does
-/// nothing measured 33–75 µs across runs on the 2-core benchmark host
+/// nothing measured 81.7 µs at `1accf12` on the 2-core benchmark host
 /// (the `parallel_region` row of `BENCH_kernels.json`), and two workers
 /// beat one only once the call's serial time exceeds about twice that.
 /// The AVX2 kernels sustain 20–40 GMAC/s on the model layers, so 2²²
-/// multiply-adds are 100–200 µs of serial work. The gate used to compare
+/// multiply-adds are 100–200 µs of serial work, near that break-even
+/// point. The gate used to compare
 /// *one item's* multiplies with 2¹⁶ — 2 µs of work at that rate — so
 /// every convolution on the main thread paid a region larger than
 /// itself.

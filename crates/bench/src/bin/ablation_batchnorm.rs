@@ -6,8 +6,7 @@
 //! removed.
 
 use rte_bench::BenchArgs;
-use rte_core::{build_clients, run_method_on_clients, ExperimentConfig};
-use rte_eda::corpus::generate_corpus;
+use rte_core::{build_experiment_clients, ExperimentConfig};
 use rte_eda::features::FEATURE_CHANNELS;
 use rte_fed::{methods, Method, ModelFactory};
 use rte_nn::models::{RouteNet, RouteNetConfig};
@@ -25,14 +24,10 @@ fn routenet_factory(batchnorm: bool) -> ModelFactory {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(env!("CARGO_BIN_NAME"));
     let config: ExperimentConfig = args.experiment_config();
-    eprintln!("generating corpus …");
-    let corpus = generate_corpus(&config.corpus)?;
-    let clients = build_clients(&corpus)?;
-    // Reference: the zoo RouteNet (with BN) under the same config, to show
-    // this harness agrees with the table binaries.
-    let _ = run_method_on_clients;
+    eprintln!("building clients …");
+    let clients = build_experiment_clients(&config)?;
 
     println!("Ablation B: BatchNorm under federated aggregation (RouteNet replica)\n");
     println!(

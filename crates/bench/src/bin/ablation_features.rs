@@ -5,8 +5,7 @@
 //! feature set is reported.
 
 use rte_bench::BenchArgs;
-use rte_core::build_clients;
-use rte_eda::corpus::generate_corpus;
+use rte_core::build_experiment_clients;
 use rte_eda::features::FEATURE_CHANNELS;
 use rte_fed::{methods, Method, ModelFactory};
 use rte_nn::models::{FlNet, FlNetConfig};
@@ -81,11 +80,10 @@ fn masked_factory(masked: Option<usize>) -> ModelFactory {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(env!("CARGO_BIN_NAME"));
     let config = args.experiment_config();
-    eprintln!("generating corpus …");
-    let corpus = generate_corpus(&config.corpus)?;
-    let clients = build_clients(&corpus)?;
+    eprintln!("building clients …");
+    let clients = build_experiment_clients(&config)?;
 
     println!("Feature ablation: centralized FLNet, one channel removed at a time\n");
     let full = methods::run_method(

@@ -5,8 +5,7 @@
 //! at or near the top, and deeper variants should lose more under FL.
 
 use rte_bench::BenchArgs;
-use rte_core::build_clients;
-use rte_eda::corpus::generate_corpus;
+use rte_core::build_experiment_clients;
 use rte_eda::features::FEATURE_CHANNELS;
 use rte_fed::{methods, Method, ModelFactory};
 use rte_nn::models::{FlNet, FlNetConfig};
@@ -26,11 +25,10 @@ fn flnet_factory(kernel: usize, depth: usize) -> ModelFactory {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(env!("CARGO_BIN_NAME"));
     let config = args.experiment_config();
-    eprintln!("generating corpus …");
-    let corpus = generate_corpus(&config.corpus)?;
-    let clients = build_clients(&corpus)?;
+    eprintln!("building clients …");
+    let clients = build_experiment_clients(&config)?;
 
     println!("Ablation A: FLNet architecture sweep under FedProx (average ROC AUC)\n");
     println!("{:<10} {:>8} {:>8}", "kernel", "depth 2", "depth 4");

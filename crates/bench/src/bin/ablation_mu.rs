@@ -4,18 +4,16 @@
 //! around that value and both failure modes outside it.
 
 use rte_bench::BenchArgs;
-use rte_core::{build_clients, model_factory};
-use rte_eda::corpus::generate_corpus;
+use rte_core::{build_experiment_clients, model_factory};
 use rte_fed::methods;
 use rte_fed::Method;
 use rte_nn::models::ModelKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(env!("CARGO_BIN_NAME"));
     let config = args.experiment_config();
-    eprintln!("generating corpus …");
-    let corpus = generate_corpus(&config.corpus)?;
-    let clients = build_clients(&corpus)?;
+    eprintln!("building clients …");
+    let clients = build_experiment_clients(&config)?;
     let factory = model_factory(ModelKind::FlNet, config.model_scale);
 
     println!("Ablation C: FedProx proximal strength sweep (FLNet, average ROC AUC)\n");

@@ -24,15 +24,15 @@ fn human_bytes(b: u64) -> String {
     }
 }
 
-fn main() {
-    let args = BenchArgs::parse();
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let args = BenchArgs::parse(env!("CARGO_BIN_NAME"));
     let config = args.experiment_config();
     let scale = if args.paper_scale {
         ModelScale::Paper
     } else {
         ModelScale::Scaled
     };
-    let k = 9u64;
+    let k = config.client_specs()?.len() as u64;
 
     for kind in ModelKind::ALL {
         let mut rng = Xoshiro256::seed_from(0);
@@ -71,4 +71,5 @@ fn main() {
          sync pays only in server aggregations; FedProx-LG communicates less than\n\
          FedProx; IFCA's downloads scale with the cluster count C."
     );
+    Ok(())
 }

@@ -6,7 +6,8 @@
 //! contrast that drives every federated result in Tables 3-5.
 
 use rte_bench::BenchArgs;
-use rte_eda::corpus::generate_corpus;
+use rte_core::build_experiment_clients;
+use rte_eda::drc::hotspot_rate;
 use rte_eda::features::FEATURE_CHANNELS;
 
 const CHANNEL_NAMES: [&str; FEATURE_CHANNELS] = [
@@ -19,10 +20,11 @@ const CHANNEL_NAMES: [&str; FEATURE_CHANNELS] = [
 ];
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = BenchArgs::parse();
-    let config = args.experiment_config().corpus;
-    eprintln!("generating corpus …");
-    let corpus = generate_corpus(&config)?;
+    let args = BenchArgs::parse(env!("CARGO_BIN_NAME"));
+    let config = args.experiment_config();
+    let specs = config.client_specs()?;
+    eprintln!("building clients …");
+    let clients = build_experiment_clients(&config)?;
 
     // Per-client mean feature vector (over training tiles).
     let mut means: Vec<Vec<f64>> = Vec::new();
@@ -32,25 +34,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         print!(" {name:>14}");
     }
     println!(" {:>9}", "hotspot%");
-    for client in &corpus.clients {
+    for client in &clients {
+        let (features, labels) = client.train.minibatch_range(0..client.train.len());
+        let (_, h, w) = client.train.geometry();
+        let hw = h * w;
         let mut sums = [0.0f64; FEATURE_CHANNELS];
-        let mut tiles = 0usize;
-        for s in client.train.samples() {
-            let hw = s.features.dim(1) * s.features.dim(2);
-            for c in 0..FEATURE_CHANNELS {
-                sums[c] += s.features.data()[c * hw..(c + 1) * hw]
-                    .iter()
-                    .map(|&v| v as f64)
-                    .sum::<f64>();
+        for sample in features.data().chunks_exact(FEATURE_CHANNELS * hw) {
+            for (c, plane) in sample.chunks_exact(hw).enumerate() {
+                sums[c] += plane.iter().map(|&v| v as f64).sum::<f64>();
             }
-            tiles += hw;
         }
+        let tiles = client.train.len() * hw;
         let mean: Vec<f64> = sums.iter().map(|s| s / tiles as f64).collect();
-        print!("C{:<9}", client.spec.index);
+        print!("C{:<9}", client.id);
         for v in &mean {
             print!(" {v:>14.4}");
         }
-        println!(" {:>8.1}%", 100.0 * client.train.hotspot_rate());
+        println!(" {:>8.1}%", 100.0 * hotspot_rate(&labels));
         means.push(mean);
     }
 
@@ -64,26 +64,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!("\nPairwise client distance (L2 over mean features, ×1000):");
     print!("{:<5}", "");
-    for j in 1..=9 {
-        print!(" {:>6}", format!("C{j}"));
+    for client in &clients {
+        print!(" {:>6}", format!("C{}", client.id));
     }
     println!();
-    for i in 0..9 {
-        print!("C{:<4}", i + 1);
-        for j in 0..9 {
-            print!(" {:>6.1}", 1000.0 * dist(&means[i], &means[j]));
+    for (client, a) in clients.iter().zip(&means) {
+        print!("C{:<4}", client.id);
+        for b in &means {
+            print!(" {:>6.1}", 1000.0 * dist(a, b));
         }
         println!();
     }
 
     // Intra-family vs inter-family contrast.
-    let family_of = |i: usize| corpus.clients[i].spec.family;
     let mut intra = Vec::new();
     let mut inter = Vec::new();
-    for i in 0..9 {
-        for j in i + 1..9 {
+    for i in 0..clients.len() {
+        for j in i + 1..clients.len() {
             let d = dist(&means[i], &means[j]);
-            if family_of(i) == family_of(j) {
+            if specs[i].family == specs[j].family {
                 intra.push(d);
             } else {
                 inter.push(d);

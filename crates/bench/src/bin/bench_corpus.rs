@@ -248,7 +248,7 @@ fn backend_rows(seed: Option<u64>, scratch: &Path) -> Vec<Entry> {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(env!("CARGO_BIN_NAME"));
     let mut config: ExperimentConfig = args.experiment_config();
     if args.clients.is_none() {
         // The benchmark's reason to exist is population scale: default

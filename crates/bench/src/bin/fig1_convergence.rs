@@ -6,20 +6,18 @@
 //! the proximal term's stabilizing effect on heterogeneous clients.
 
 use rte_bench::BenchArgs;
-use rte_core::{build_clients, model_factory};
-use rte_eda::corpus::generate_corpus;
+use rte_core::{build_experiment_clients, model_factory};
 use rte_fed::methods::fedprox_rounds;
 use rte_fed::MethodOutcome;
 use rte_nn::models::ModelKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(env!("CARGO_BIN_NAME"));
     let mut config = args.experiment_config();
     config.fed.eval_every = 1;
 
-    eprintln!("generating corpus …");
-    let corpus = generate_corpus(&config.corpus)?;
-    let clients = build_clients(&corpus)?;
+    eprintln!("building clients …");
+    let clients = build_experiment_clients(&config)?;
     let factory = model_factory(ModelKind::FlNet, config.model_scale);
 
     println!("Figure 1 counterpart: per-round average ROC AUC of the aggregated model (FLNet)");

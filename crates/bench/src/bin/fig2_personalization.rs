@@ -5,19 +5,17 @@
 //! figure can be watched doing their job.
 
 use rte_bench::BenchArgs;
-use rte_core::{build_clients, run_method_on_clients};
-use rte_eda::corpus::generate_corpus;
+use rte_core::{build_experiment_clients, run_method_on_clients};
 use rte_fed::Method;
 use rte_nn::models::ModelKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(env!("CARGO_BIN_NAME"));
     let mut config = args.experiment_config();
     config.fed.eval_every = 1;
 
-    eprintln!("generating corpus …");
-    let corpus = generate_corpus(&config.corpus)?;
-    let clients = build_clients(&corpus)?;
+    eprintln!("building clients …");
+    let clients = build_experiment_clients(&config)?;
 
     println!("Figure 2 counterpart: per-round average personalized ROC AUC (FLNet)\n");
     let variants = [

@@ -11,6 +11,8 @@ use rte_nn::Layer;
 use rte_tensor::rng::Xoshiro256;
 
 fn main() {
+    // Every shared flag is refused: the table is a constant of the code.
+    rte_bench::BenchArgs::parse(env!("CARGO_BIN_NAME"));
     let config = FlNetConfig::new(FEATURE_CHANNELS);
     let mut rng = Xoshiro256::seed_from(0);
     let mut model = FlNet::new(config, &mut rng);

@@ -5,16 +5,17 @@
 use std::collections::HashSet;
 
 use rte_bench::BenchArgs;
-use rte_eda::corpus::{generate_corpus, PAPER_CLIENTS};
+use rte_eda::corpus::generate_corpus_for_specs_with;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = BenchArgs::parse();
-    let config = args.experiment_config().corpus;
+    let args = BenchArgs::parse(env!("CARGO_BIN_NAME"));
+    let config = args.experiment_config();
+    let specs = config.client_specs()?;
     eprintln!(
         "generating corpus (seed {:#x}, scale {:.3}) …",
-        config.seed, config.placement_scale
+        config.corpus.seed, config.corpus.placement_scale
     );
-    let corpus = generate_corpus(&config)?;
+    let corpus = generate_corpus_for_specs_with(&specs, &config.corpus, config.corpus_parallelism)?;
 
     println!("Table 2: Experiment Data Setup for Each Client");
     println!(
@@ -58,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         corpus.total_train(),
         corpus.total_test()
     );
-    let paper_total: usize = PAPER_CLIENTS
+    let paper_total: usize = specs
         .iter()
         .map(|c| c.train_placements + c.test_placements)
         .sum();

@@ -12,6 +12,7 @@ use rte_nn::models::ModelKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     rte_bench::table_main(
+        env!("CARGO_BIN_NAME"),
         ModelKind::RouteNet,
         &TABLE4_ROUTENET,
         &[

@@ -11,6 +11,7 @@ use rte_nn::models::ModelKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     rte_bench::table_main(
+        env!("CARGO_BIN_NAME"),
         ModelKind::Pros,
         &TABLE5_PROS,
         &[

@@ -73,24 +73,18 @@ impl ScenarioArgs {
             adversaries,
             dropout,
             scenario_seed,
-            shared: BenchArgs::parse_from(rest)?,
+            shared: BenchArgs::parse_for(env!("CARGO_BIN_NAME"), rest)?,
         })
     }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = match ScenarioArgs::parse() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: [--adversaries N] [--dropout F] [--scenario-seed N] [--paper-scale] \
-                 [--quick] [--seed N] [--rounds N] [--data-scale F] [--threads N] \
-                 [--corpus-dir PATH] [--stream-chunk N]"
-            );
-            std::process::exit(2);
-        }
-    };
+    let args = ScenarioArgs::parse().unwrap_or_else(|e| {
+        eprintln!(
+            "table6_robustness also takes [--adversaries N] [--dropout F] [--scenario-seed N]"
+        );
+        rte_bench::usage_exit(&e)
+    });
     let config = args.shared.experiment_config();
 
     // The attack palette: one grid per attack. The amplified sign-flip

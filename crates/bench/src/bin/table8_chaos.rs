@@ -114,7 +114,7 @@ fn render_json(cells: &[Cell]) -> String {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(env!("CARGO_BIN_NAME"));
     let config = args.experiment_config();
     let clients = build_experiment_clients(&config)?;
     let factory = model_factory(ModelKind::FlNet, config.model_scale);

@@ -61,13 +61,13 @@ pub struct BenchArgs {
     /// chunks. `None` keeps the in-memory default. Results are
     /// bit-identical either way.
     pub corpus_dir: Option<std::path::PathBuf>,
-    /// Samples per streamed chunk (only meaningful with `--corpus-dir`).
+    /// Samples per streamed chunk (refused without `--corpus-dir`).
     pub stream_chunk: Option<usize>,
-    /// Serve shards through the memory-mapped zero-copy backend (only
-    /// meaningful with `--corpus-dir`). Results are bit-identical.
+    /// Serve shards through the memory-mapped zero-copy backend (refused
+    /// without `--corpus-dir`). Results are bit-identical.
     pub mmap: bool,
     /// Compact shard files with the delta+bitpack chunk codec before
-    /// training (only meaningful with `--corpus-dir`; incompatible with
+    /// training (refused without `--corpus-dir`; incompatible with
     /// `--mmap`). Results are bit-identical.
     pub compress_shards: bool,
     /// Train a synthesized client universe of this size instead of the
@@ -77,14 +77,106 @@ pub struct BenchArgs {
     pub designs: Option<usize>,
 }
 
+/// Every flag [`BenchArgs`] parses.
+pub const FLAGS: &[&str] = &[
+    "--paper-scale",
+    "--quick",
+    "--seed",
+    "--rounds",
+    "--data-scale",
+    "--threads",
+    "--corpus-dir",
+    "--stream-chunk",
+    "--mmap",
+    "--compress-shards",
+    "--clients",
+    "--designs",
+];
+
+/// The flags each harness binary under `src/bin` refuses, because
+/// nothing it prints depends on them; every other flag changes the
+/// configuration its run reads. A binary without a row refuses to start.
+pub const REFUSED_FLAGS: &[(&str, &[&str])] = &[
+    ("ablation_batchnorm", &[]),
+    ("ablation_features", &[]),
+    ("ablation_flnet_arch", &[]),
+    ("ablation_mu", &[]),
+    // Analytic costs: only the fleet size and the fed schedule count.
+    (
+        "analysis_comm_cost",
+        &[
+            "--seed",
+            "--data-scale",
+            "--threads",
+            "--corpus-dir",
+            "--stream-chunk",
+            "--mmap",
+            "--compress-shards",
+            "--designs",
+        ],
+    ),
+    ("analysis_heterogeneity", &["--rounds"]),
+    ("bench_corpus", &[]),
+    ("fig1_convergence", &[]),
+    ("fig2_personalization", &[]),
+    // The architecture table is a constant of the code.
+    ("table1_flnet_arch", FLAGS),
+    (
+        "table2_data_setup",
+        &[
+            "--rounds",
+            "--corpus-dir",
+            "--stream-chunk",
+            "--mmap",
+            "--compress-shards",
+        ],
+    ),
+    ("table3_flnet", &[]),
+    ("table4_routenet", &[]),
+    ("table5_pros", &[]),
+    ("table6_robustness", &[]),
+    ("table7_async", &[]),
+    ("table8_chaos", &[]),
+];
+
 impl BenchArgs {
-    /// Parses from an explicit iterator (testable).
+    /// Parses from an explicit iterator (testable), refusing no flag a
+    /// binary could not honour: binaries parse with
+    /// [`BenchArgs::parse_for`].
     ///
     /// # Errors
     ///
-    /// Returns a message for unknown flags or malformed values, so a typo
+    /// Returns a message for unknown flags, malformed values and flags
+    /// that contradict each other or need one that is missing, so a typo
     /// cannot silently run the wrong experiment.
     pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+        Self::parse_refusing("", &[], args)
+    }
+
+    /// Parses `binary`'s arguments, refusing the flags its row of
+    /// [`REFUSED_FLAGS`] names as soon as they appear.
+    ///
+    /// # Errors
+    ///
+    /// As [`BenchArgs::parse_from`], plus a message naming `binary` and
+    /// the flag for a refused flag, and one for a binary without a row.
+    pub fn parse_for<I: IntoIterator<Item = String>>(
+        binary: &str,
+        args: I,
+    ) -> Result<Self, String> {
+        let refused = REFUSED_FLAGS
+            .iter()
+            .find(|(name, _)| *name == binary)
+            .ok_or_else(|| format!("{binary} has no row in rte_bench::REFUSED_FLAGS"))?
+            .1;
+        Self::parse_refusing(binary, refused, args)
+    }
+
+    fn parse_refusing<I: IntoIterator<Item = String>>(
+        binary: &str,
+        refused: &[&str],
+        args: I,
+    ) -> Result<Self, String> {
         let mut out = BenchArgs {
             paper_scale: false,
             seed: None,
@@ -101,6 +193,9 @@ impl BenchArgs {
         };
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
+            if refused.contains(&arg.as_str()) {
+                return Err(format!("{binary} cannot honour {arg}, so it refuses it"));
+            }
             match arg.as_str() {
                 "--paper-scale" => out.paper_scale = true,
                 "--quick" => out.quick = true,
@@ -149,6 +244,16 @@ impl BenchArgs {
                 other => return Err(format!("unknown flag {other}")),
             }
         }
+        if out.corpus_dir.is_none() {
+            let shard_flags = [
+                ("--stream-chunk", out.stream_chunk.is_some()),
+                ("--mmap", out.mmap),
+                ("--compress-shards", out.compress_shards),
+            ];
+            if let Some((flag, _)) = shard_flags.iter().find(|(_, given)| *given) {
+                return Err(format!("{flag} only works together with --corpus-dir"));
+            }
+        }
         if out.mmap && out.compress_shards {
             return Err("--mmap cannot read compressed shards; drop one of the flags".into());
         }
@@ -163,20 +268,10 @@ impl BenchArgs {
         Ok(out)
     }
 
-    /// Parses the process arguments, exiting with usage on error.
-    pub fn parse() -> Self {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!(
-                    "usage: [--paper-scale] [--quick] [--seed N] [--rounds N] [--data-scale F] \
-                     [--threads N] [--corpus-dir PATH] [--stream-chunk N] [--mmap] \
-                     [--compress-shards] [--clients N] [--designs D]"
-                );
-                std::process::exit(2);
-            }
-        }
+    /// Parses `binary`'s process arguments ([`BenchArgs::parse_for`]),
+    /// exiting with status 2 and usage on error, before any work starts.
+    pub fn parse(binary: &str) -> Self {
+        Self::parse_for(binary, std::env::args().skip(1)).unwrap_or_else(|e| usage_exit(&e))
     }
 
     /// Builds the experiment configuration these options select.
@@ -227,6 +322,18 @@ impl BenchArgs {
         }
         config
     }
+}
+
+/// Prints `error` and the shared usage line to stderr and exits with
+/// status 2 (the harness binaries' answer to arguments they refuse).
+pub fn usage_exit(error: &str) -> ! {
+    eprintln!("error: {error}");
+    eprintln!(
+        "usage: [--paper-scale] [--quick] [--seed N] [--rounds N] [--data-scale F] \
+         [--threads N] [--corpus-dir PATH [--stream-chunk N] [--mmap] [--compress-shards]] \
+         [--clients N [--designs D]]"
+    );
+    std::process::exit(2);
 }
 
 /// Renders a *paper vs measured* comparison for one table.
@@ -285,7 +392,7 @@ pub fn ordering_checks(
         .collect()
 }
 
-/// Full main body for a table binary: parse args, run the experiment
+/// Full main body for a table binary: parse `binary`'s args, run the experiment
 /// matrix for `kind`, print the measured table, the paper comparison and
 /// the qualitative ordering checks.
 ///
@@ -293,11 +400,12 @@ pub fn ordering_checks(
 ///
 /// Propagates experiment failures.
 pub fn table_main(
+    binary: &str,
     kind: rte_nn::models::ModelKind,
     paper: &reference::PaperTable,
     checks: &[(&str, &str, &str)],
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(binary);
     let config = args.experiment_config();
     eprintln!(
         "running {} experiment matrix ({} methods, {} rounds, scale {:.3}) …",
@@ -424,7 +532,17 @@ mod tests {
 
     #[test]
     fn corpus_scale_flags_plumb_into_config() {
-        let a = args(&["--quick", "--mmap", "--clients", "100", "--designs", "400"]).unwrap();
+        let a = args(&[
+            "--quick",
+            "--corpus-dir",
+            "/tmp/corpus",
+            "--mmap",
+            "--clients",
+            "100",
+            "--designs",
+            "400",
+        ])
+        .unwrap();
         assert!(a.mmap);
         assert_eq!(a.clients, Some(100));
         assert_eq!(a.designs, Some(400));
@@ -438,9 +556,14 @@ mod tests {
             .experiment_config();
         assert_eq!(c.population.expect("population").designs, 40);
         // Compression plumbs through; default keeps raw shards.
-        let c = args(&["--quick", "--compress-shards"])
-            .unwrap()
-            .experiment_config();
+        let c = args(&[
+            "--quick",
+            "--corpus-dir",
+            "/tmp/corpus",
+            "--compress-shards",
+        ])
+        .unwrap()
+        .experiment_config();
         assert!(c.compress_shards);
         assert!(
             !args(&["--quick"])
@@ -449,7 +572,11 @@ mod tests {
                 .compress_shards
         );
         // Contradictory or malformed combinations are rejected loudly.
-        assert!(args(&["--mmap", "--compress-shards"]).is_err());
+        assert!(args(&["--corpus-dir", "d", "--mmap", "--compress-shards"]).is_err());
+        // The shard flags only work together with --corpus-dir.
+        assert!(args(&["--quick", "--mmap"]).is_err());
+        assert!(args(&["--quick", "--compress-shards"]).is_err());
+        assert!(args(&["--quick", "--stream-chunk", "16"]).is_err());
         assert!(args(&["--designs", "40"]).is_err());
         assert!(args(&["--clients", "0"]).is_err());
         assert!(args(&["--clients", "10", "--designs", "5"]).is_err());

@@ -336,24 +336,16 @@ impl RecordSource for ShardSource {
     }
 }
 
-/// A streaming client split over `source`, `chunk` records per read.
-fn source_client_set(
-    source: impl RecordSource + 'static,
-    chunk: usize,
-) -> Result<ClientSet, CoreError> {
-    Ok(ClientSet::streaming(StreamingClientSet::new(
-        Arc::new(source),
-        chunk,
-    )?))
-}
-
 /// Wraps one shard file as a streaming client split.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Fed`] for a zero chunk size.
 pub fn shard_client_set(reader: ShardReader, chunk: usize) -> Result<ClientSet, CoreError> {
-    source_client_set(ShardSource { reader }, chunk)
+    let source = Arc::new(ShardSource { reader });
+    Ok(ClientSet::streaming(StreamingClientSet::new(
+        source, chunk,
+    )?))
 }
 
 /// [`RecordSource`] over a memory-mapped shard — the zero-copy sibling
@@ -391,34 +383,25 @@ impl RecordSource for MmapShardSource {
     }
 }
 
-/// Wraps one memory-mapped shard as a streaming client split.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Fed`] for a zero chunk size.
-pub fn mmap_shard_client_set(
-    reader: MmapShardReader,
-    chunk: usize,
-) -> Result<ClientSet, CoreError> {
-    source_client_set(MmapShardSource { reader }, chunk)
-}
-
 /// Builds one client split on the configured [`ShardBackend`].
 fn backend_client_set(
     reader: ShardReader,
     config: &ExperimentConfig,
 ) -> Result<ClientSet, CoreError> {
-    match config.shard_backend {
-        ShardBackend::Read => shard_client_set(reader, config.stream_chunk),
+    let source: Arc<dyn RecordSource> = match config.shard_backend {
+        ShardBackend::Read => Arc::new(ShardSource { reader }),
         ShardBackend::Mmap => {
             let path = reader.path().to_path_buf();
             drop(reader); // the mapping replaces the descriptor
-            mmap_shard_client_set(
-                MmapShardReader::open_with_chunk(path, config.stream_chunk)?,
-                config.stream_chunk,
-            )
+            Arc::new(MmapShardSource {
+                reader: MmapShardReader::open_with_chunk(path, config.stream_chunk)?,
+            })
         }
-    }
+    };
+    Ok(ClientSet::streaming(StreamingClientSet::new(
+        source,
+        config.stream_chunk,
+    )?))
 }
 
 /// True when `dir` exists and holds at least one shard file.
@@ -445,7 +428,7 @@ fn has_shards(dir: &Path) -> bool {
 /// Returns [`CoreError`] on generation/validation failures, when the
 /// directory's shards belong to a different corpus, or when the
 /// directory holds damaged shards (the error says how to recover).
-pub fn build_streaming_clients(config: &ExperimentConfig) -> Result<Vec<Client>, CoreError> {
+fn build_streaming_clients(config: &ExperimentConfig) -> Result<Vec<Client>, CoreError> {
     let dir = config
         .corpus_dir
         .as_ref()
@@ -693,8 +676,10 @@ mod tests {
                 let alone = build_experiment_client(&config, me).unwrap();
                 assert_eq!(alone.id, member.id);
                 for (got, want) in [(&alone.train, &member.train), (&alone.test, &member.test)] {
-                    assert_eq!(got.features(), want.features());
-                    assert_eq!(got.labels(), want.labels());
+                    assert_eq!(
+                        got.minibatch_range(0..got.len()),
+                        want.minibatch_range(0..want.len())
+                    );
                 }
             }
             assert!(build_experiment_client(&config, fleet.len()).is_err());
@@ -781,7 +766,7 @@ mod tests {
         for (s, m) in streamed.iter().zip(&in_memory) {
             assert_eq!(s.id, m.id);
             assert_eq!(s.weight(), m.weight());
-            assert!(s.train.as_streaming().is_some());
+            assert!(s.train.source().descriptor().ends_with(SHARD_EXTENSION));
             // Same bytes behind the streaming facade.
             assert_eq!(
                 s.test.minibatch_range(0..s.test.len()),
@@ -806,7 +791,7 @@ mod tests {
         for (r, m) in read_clients.iter().zip(&mapped_clients) {
             assert_eq!(r.id, m.id);
             assert_eq!(r.weight(), m.weight());
-            let source = m.train.as_streaming().unwrap().source();
+            let source = m.train.source();
             assert!(source.descriptor().starts_with("mmap:"));
             // Same bytes behind both backends.
             assert_eq!(

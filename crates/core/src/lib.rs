@@ -29,7 +29,7 @@ pub mod report;
 
 pub use error::CoreError;
 pub use experiment::{
-    build_clients, build_experiment_client, build_experiment_clients, build_streaming_clients,
-    mmap_shard_client_set, model_factory, run_method_on_clients, run_table, shard_client_set,
-    transport_config, transport_config_with_rounds, ExperimentConfig, ShardBackend, TableResult,
+    build_clients, build_experiment_client, build_experiment_clients, model_factory,
+    run_method_on_clients, run_table, shard_client_set, transport_config,
+    transport_config_with_rounds, ExperimentConfig, ShardBackend, TableResult,
 };

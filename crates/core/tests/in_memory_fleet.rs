@@ -26,10 +26,8 @@ fn bits(t: &Tensor) -> (Vec<usize>, Vec<u32>) {
 }
 
 fn split_bits(set: &ClientSet) -> [(Vec<usize>, Vec<u32>); 2] {
-    [
-        bits(set.features().expect("in-memory split")),
-        bits(set.labels().expect("in-memory split")),
-    ]
+    let (features, labels) = set.minibatch_range(0..set.len());
+    [bits(&features), bits(&labels)]
 }
 
 fn assert_same_client(got: &Client, want: &Client, what: &str) {

@@ -1,15 +1,15 @@
 //! Client-side data containers.
 //!
-//! A [`ClientSet`] is one private data split. It has two backends
-//! behind one API: the default **in-memory** backend (pre-batched NCHW
-//! tensors, exactly as before the streaming subsystem existed) and the
-//! **streaming** backend ([`crate::stream::StreamingClientSet`]), which
-//! reads each batch straight from a record source (a shard file read
-//! with `seek`+`read`, a memory-mapped shard, or a splice of sources)
-//! and keeps nothing between reads, so corpora larger than RAM can
-//! train and evaluate. Minibatch *index selection* lives here, in one
-//! place, for both backends — which is what makes the streamed path
-//! bit-identical to the in-memory one.
+//! A [`ClientSet`] is one private data split: a
+//! [`crate::stream::StreamingClientSet`] over a [`RecordSource`]. A split
+//! built from tensors ([`ClientSet::new`]) reads from a
+//! [`TensorSource`]; a split on disk reads from a shard file (with
+//! `seek`+`read` or through a memory map) and keeps nothing between
+//! reads, so corpora larger than RAM can train and evaluate. The gather,
+//! the range read and the pooling are the same code for every source.
+//! Minibatch *index selection* lives here, in one place, whatever the
+//! source — which is what makes every source yield the same batches bit
+//! for bit.
 
 use std::sync::Arc;
 
@@ -19,87 +19,47 @@ use rte_tensor::Tensor;
 use crate::stream::{ConcatSource, RecordSource, StreamingClientSet, TensorSource};
 use crate::FedError;
 
-/// Storage backend of a [`ClientSet`].
-///
-/// In-memory tensors sit behind [`Arc`] so cloning a client (and pooling
-/// splits into a [`ConcatSource`]) shares the planes instead of deep-
-/// copying them.
-#[derive(Debug, Clone, PartialEq)]
-enum Backend {
-    /// Pre-batched tensors resident in memory (the default).
-    InMemory {
-        features: Arc<Tensor>,
-        labels: Arc<Tensor>,
-    },
-    /// Batches read straight from a [`RecordSource`], nothing kept.
-    Streaming(StreamingClientSet),
-}
-
 /// One data split held privately by a client: features `(N, C, H, W)` and
-/// labels `(N, 1, H, W)`, resident in memory or streamed out-of-core.
+/// labels `(N, 1, H, W)`, read from a [`RecordSource`].
+///
+/// Equality compares the source's provenance: content for tensors, the
+/// path for shard files.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientSet {
-    backend: Backend,
+    stream: StreamingClientSet,
 }
 
 impl ClientSet {
-    /// Wraps pre-batched feature/label tensors (the in-memory backend).
+    /// Wraps pre-batched feature/label tensors. The chunk is the split's
+    /// length, so any range read is one bulk copy from the tensors.
     ///
     /// # Errors
     ///
     /// Returns [`FedError::InvalidConfig`] if ranks, batch sizes or
     /// spatial extents disagree, or the label tensor is not single-channel.
     pub fn new(features: Tensor, labels: Tensor) -> Result<Self, FedError> {
-        if features.shape().rank() != 4 || labels.shape().rank() != 4 {
-            return Err(FedError::InvalidConfig {
-                reason: "features and labels must be rank-4 (NCHW)".into(),
-            });
-        }
-        if features.dim(0) != labels.dim(0)
-            || labels.dim(1) != 1
-            || features.dim(2) != labels.dim(2)
-            || features.dim(3) != labels.dim(3)
-        {
-            return Err(FedError::InvalidConfig {
-                reason: format!(
-                    "feature shape {} incompatible with label shape {}",
-                    features.shape(),
-                    labels.shape()
-                ),
-            });
-        }
-        Ok(ClientSet {
-            backend: Backend::InMemory {
-                features: Arc::new(features),
-                labels: Arc::new(labels),
-            },
-        })
+        let source = TensorSource::new(features, labels)?;
+        let chunk = source.len().max(1);
+        Ok(ClientSet::streaming(StreamingClientSet::new(
+            Arc::new(source),
+            chunk,
+        )?))
     }
 
-    /// Wraps a streaming split (the out-of-core backend). Minibatches
-    /// drawn from it are bit-identical to an in-memory set holding the
-    /// same records.
-    pub fn streaming(set: StreamingClientSet) -> Self {
-        ClientSet {
-            backend: Backend::Streaming(set),
-        }
+    /// Wraps a streaming split. Minibatches drawn from it are
+    /// bit-identical to a tensor-backed set holding the same records.
+    pub fn streaming(stream: StreamingClientSet) -> Self {
+        ClientSet { stream }
     }
 
-    /// The streaming backend, when this set uses one (the benches and
-    /// determinism tests reach its record source through it).
-    pub fn as_streaming(&self) -> Option<&StreamingClientSet> {
-        match &self.backend {
-            Backend::Streaming(s) => Some(s),
-            Backend::InMemory { .. } => None,
-        }
+    /// The shared record source the split reads from.
+    pub fn source(&self) -> &Arc<dyn RecordSource> {
+        self.stream.source()
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::InMemory { features, .. } => features.dim(0),
-            Backend::Streaming(s) => s.len(),
-        }
+        self.stream.len()
     }
 
     /// True when the split holds no samples.
@@ -109,29 +69,7 @@ impl ClientSet {
 
     /// `(channels, height, width)` of every sample.
     pub fn geometry(&self) -> (usize, usize, usize) {
-        match &self.backend {
-            Backend::InMemory { features, .. } => {
-                (features.dim(1), features.dim(2), features.dim(3))
-            }
-            Backend::Streaming(s) => s.geometry(),
-        }
-    }
-
-    /// The full feature tensor — `None` for streaming splits, whose
-    /// whole point is never materializing it.
-    pub fn features(&self) -> Option<&Tensor> {
-        match &self.backend {
-            Backend::InMemory { features, .. } => Some(features.as_ref()),
-            Backend::Streaming(_) => None,
-        }
-    }
-
-    /// The full label tensor — `None` for streaming splits.
-    pub fn labels(&self) -> Option<&Tensor> {
-        match &self.backend {
-            Backend::InMemory { labels, .. } => Some(labels.as_ref()),
-            Backend::Streaming(_) => None,
-        }
+        self.stream.geometry()
     }
 
     /// Copies the samples at `indices` into a contiguous minibatch.
@@ -139,51 +77,25 @@ impl ClientSet {
     /// # Errors
     ///
     /// Returns [`FedError::InvalidConfig`] for out-of-bounds indices and
-    /// [`FedError::Stream`] when a streaming backend's storage fails.
+    /// [`FedError::Stream`] when the source's storage fails.
     pub fn try_minibatch(&self, indices: &[usize]) -> Result<(Tensor, Tensor), FedError> {
-        match &self.backend {
-            Backend::InMemory { features, labels } => {
-                let n = indices.len();
-                let (c, h, w) = (features.dim(1), features.dim(2), features.dim(3));
-                let xs = c * h * w;
-                let ys = h * w;
-                let mut x = Tensor::zeros(&[n, c, h, w]);
-                let mut y = Tensor::zeros(&[n, 1, h, w]);
-                for (bi, &si) in indices.iter().enumerate() {
-                    if si >= self.len() {
-                        return Err(FedError::InvalidConfig {
-                            reason: format!(
-                                "minibatch index {si} out of bounds ({} samples)",
-                                self.len()
-                            ),
-                        });
-                    }
-                    x.data_mut()[bi * xs..(bi + 1) * xs]
-                        .copy_from_slice(&features.data()[si * xs..(si + 1) * xs]);
-                    y.data_mut()[bi * ys..(bi + 1) * ys]
-                        .copy_from_slice(&labels.data()[si * ys..(si + 1) * ys]);
-                }
-                Ok((x, y))
-            }
-            Backend::Streaming(s) => s.gather(indices),
-        }
+        self.stream.gather(indices)
     }
 
     /// Copies the samples at `indices` into a contiguous minibatch.
     ///
     /// # Panics
     ///
-    /// Panics if any index is out of bounds or streaming storage fails —
-    /// fallible callers use [`ClientSet::try_minibatch`].
+    /// Panics if any index is out of bounds or the source's storage
+    /// fails — fallible callers use [`ClientSet::try_minibatch`].
     pub fn minibatch(&self, indices: &[usize]) -> (Tensor, Tensor) {
         self.try_minibatch(indices)
             .expect("minibatch index out of bounds")
     }
 
-    /// Copies the contiguous samples `range` into a minibatch. For the
-    /// in-memory backend this is two bulk `copy_from_slice` calls (the
-    /// evaluation hot path); the streaming backend reads it from its
-    /// source at most `chunk` records per call.
+    /// Copies the contiguous samples `range` into a minibatch (the
+    /// evaluation hot path), reading at most the split's chunk of
+    /// records per source call.
     ///
     /// # Errors
     ///
@@ -193,37 +105,14 @@ impl ClientSet {
         &self,
         range: std::ops::Range<usize>,
     ) -> Result<(Tensor, Tensor), FedError> {
-        match &self.backend {
-            Backend::InMemory { features, labels } => {
-                if range.start >= range.end || range.end > self.len() {
-                    return Err(FedError::InvalidConfig {
-                        reason: format!(
-                            "minibatch range {range:?} invalid for {} samples",
-                            self.len()
-                        ),
-                    });
-                }
-                let n = range.len();
-                let (c, h, w) = (features.dim(1), features.dim(2), features.dim(3));
-                let xs = c * h * w;
-                let ys = h * w;
-                let mut x = Tensor::zeros(&[n, c, h, w]);
-                let mut y = Tensor::zeros(&[n, 1, h, w]);
-                x.data_mut()
-                    .copy_from_slice(&features.data()[range.start * xs..range.end * xs]);
-                y.data_mut()
-                    .copy_from_slice(&labels.data()[range.start * ys..range.end * ys]);
-                Ok((x, y))
-            }
-            Backend::Streaming(s) => s.range_batch(range),
-        }
+        self.stream.range_batch(range)
     }
 
     /// Copies the contiguous samples `range` into a minibatch.
     ///
     /// # Panics
     ///
-    /// Panics if the range is empty, ends past `len()`, or streaming
+    /// Panics if the range is empty, ends past `len()`, or the source's
     /// storage fails — fallible callers use
     /// [`ClientSet::try_minibatch_range`].
     pub fn minibatch_range(&self, range: std::ops::Range<usize>) -> (Tensor, Tensor) {
@@ -233,13 +122,13 @@ impl ClientSet {
 
     /// Samples a random minibatch of `batch_size` (the full split, in
     /// order, when `batch_size >= len`). This is the **single derivation
-    /// point** of training minibatch indices: both backends consume the
-    /// RNG identically, so streamed training replays the in-memory batch
-    /// sequence exactly.
+    /// point** of training minibatch indices: the RNG is consumed the
+    /// same way whatever the source, so streamed training replays the
+    /// tensor-backed batch sequence exactly.
     ///
     /// # Errors
     ///
-    /// Returns [`FedError::Stream`] when streaming storage fails.
+    /// Returns [`FedError::Stream`] when the source's storage fails.
     pub fn try_sample_minibatch(
         &self,
         batch_size: usize,
@@ -247,9 +136,9 @@ impl ClientSet {
     ) -> Result<(Tensor, Tensor), FedError> {
         let n = self.len();
         if batch_size >= n && n > 0 {
-            // Full-set "batch": the contiguous range path is one bulk
-            // copy (or one streamed read) and yields the same bytes as
-            // gathering indices 0..n one by one.
+            // Full-set "batch": the contiguous range path reads in
+            // chunks and yields the same bytes as gathering indices 0..n
+            // one by one.
             return self.try_minibatch_range(0..n);
         }
         let indices: Vec<usize> = if batch_size >= n {
@@ -264,7 +153,7 @@ impl ClientSet {
     ///
     /// # Panics
     ///
-    /// Panics if streaming storage fails — fallible callers use
+    /// Panics if the source's storage fails — fallible callers use
     /// [`ClientSet::try_sample_minibatch`].
     pub fn sample_minibatch(&self, batch_size: usize, rng: &mut Xoshiro256) -> (Tensor, Tensor) {
         self.try_sample_minibatch(batch_size, rng)
@@ -272,68 +161,21 @@ impl ClientSet {
     }
 
     /// Concatenates several splits into one (used by centralized
-    /// training). All-in-memory inputs pool eagerly into one tensor
-    /// pair; otherwise the result streams from a [`ConcatSource`] over
-    /// the parts, so pooling never forces the corpus into memory.
+    /// training): a [`ConcatSource`] over the parts' sources, so pooling
+    /// copies no record and never forces the corpus into memory. The
+    /// chunk carries over from the largest part's (any chunk yields the
+    /// same bytes).
     ///
     /// # Errors
     ///
     /// Returns [`FedError::InvalidConfig`] if the splits disagree on
-    /// geometry or the list is empty.
+    /// geometry or the list is empty ([`ConcatSource::new`]'s checks).
     pub fn concat(sets: &[&ClientSet]) -> Result<ClientSet, FedError> {
-        let first = sets.first().ok_or_else(|| FedError::InvalidConfig {
-            reason: "concat of zero client sets".into(),
-        })?;
-        let (c, h, w) = first.geometry();
-        for s in sets {
-            if s.geometry() != (c, h, w) {
-                return Err(FedError::InvalidConfig {
-                    reason: "client sets disagree on geometry".into(),
-                });
-            }
-        }
-        if sets
-            .iter()
-            .all(|s| matches!(s.backend, Backend::InMemory { .. }))
-        {
-            let total: usize = sets.iter().map(|s| s.len()).sum();
-            let mut x = Vec::with_capacity(total * c * h * w);
-            let mut y = Vec::with_capacity(total * h * w);
-            for s in sets {
-                let features = s.features().expect("in-memory backend");
-                let labels = s.labels().expect("in-memory backend");
-                x.extend_from_slice(features.data());
-                y.extend_from_slice(labels.data());
-            }
-            return ClientSet::new(
-                Tensor::from_vec(x, &[total, c, h, w])?,
-                Tensor::from_vec(y, &[total, 1, h, w])?,
-            );
-        }
-        // Mixed or fully out-of-core: splice the sources logically. The
-        // chunk size carries over from the largest streamed part (a pure
-        // wall-clock/memory knob — any value yields the same bytes).
-        let mut sources: Vec<Arc<dyn RecordSource>> = Vec::with_capacity(sets.len());
-        let mut chunk = 0usize;
-        for s in sets {
-            match &s.backend {
-                Backend::InMemory { features, labels } => {
-                    // Shares the Arc'd planes — no deep copy of the
-                    // in-memory parts.
-                    sources.push(Arc::new(TensorSource::from_shared(
-                        Arc::clone(features),
-                        Arc::clone(labels),
-                    )?));
-                }
-                Backend::Streaming(stream) => {
-                    chunk = chunk.max(stream.chunk_len());
-                    sources.push(Arc::clone(stream.source()));
-                }
-            }
-        }
-        let concat: Arc<dyn RecordSource> = Arc::new(ConcatSource::new(sources)?);
+        let sources = sets.iter().map(|s| Arc::clone(s.source())).collect();
+        let chunk = sets.iter().map(|s| s.stream.chunk_len()).max().unwrap_or(1);
         Ok(ClientSet::streaming(StreamingClientSet::new(
-            concat, chunk,
+            Arc::new(ConcatSource::new(sources)?),
+            chunk,
         )?))
     }
 }
@@ -473,8 +315,6 @@ mod tests {
             memory.sample_minibatch(3, &mut rng_a),
             stream.sample_minibatch(3, &mut rng_b)
         );
-        assert!(stream.features().is_none());
-        assert!(memory.features().is_some());
     }
 
     #[test]
@@ -483,9 +323,15 @@ mod tests {
         let b = streamed(3, 2.0, 5);
         let all = ClientSet::concat(&[&a, &b]).unwrap();
         assert_eq!(all.len(), 5);
-        assert_eq!(all.as_streaming().unwrap().chunk_len(), 5);
-        let eager = ClientSet::concat(&[&set(2, 1.0), &set(3, 2.0)]).unwrap();
-        assert_eq!(all.minibatch_range(0..5), eager.minibatch_range(0..5));
+        let spliced = |chunk| {
+            let parts = vec![Arc::clone(a.source()), Arc::clone(b.source())];
+            let source = Arc::new(ConcatSource::new(parts).unwrap());
+            ClientSet::streaming(StreamingClientSet::new(source, chunk).unwrap())
+        };
+        assert_eq!(all, spliced(5));
+        assert_ne!(all, spliced(2));
+        let pooled = ClientSet::concat(&[&set(2, 1.0), &set(3, 2.0)]).unwrap();
+        assert_eq!(all.minibatch_range(0..5), pooled.minibatch_range(0..5));
     }
 
     #[test]
@@ -494,9 +340,12 @@ mod tests {
         let b = set(3, 2.0);
         let all = ClientSet::concat(&[&a, &b]).unwrap();
         assert_eq!(all.len(), 5);
-        assert_eq!(all.features().unwrap().data()[0], 1.0);
-        assert_eq!(all.features().unwrap().data()[2 * 32], 2.0);
+        let (x, _) = all.minibatch_range(0..5);
+        assert_eq!(x.data()[0], 1.0);
+        assert_eq!(x.data()[2 * 32], 2.0);
         assert!(ClientSet::concat(&[]).is_err());
+        let other = ClientSet::new(Tensor::zeros(&[1, 3, 4, 4]), Tensor::zeros(&[1, 1, 4, 4]));
+        assert!(ClientSet::concat(&[&a, &other.unwrap()]).is_err());
     }
 
     #[test]
@@ -505,10 +354,10 @@ mod tests {
         let b = streamed(3, 2.0, 2);
         let all = ClientSet::concat(&[&a, &b]).unwrap();
         assert_eq!(all.len(), 5);
-        assert!(all.as_streaming().is_some(), "must not materialize");
-        // Same bytes as the eager concat of the same data.
-        let eager = ClientSet::concat(&[&a, &set(3, 2.0)]).unwrap();
-        assert_eq!(all.minibatch_range(0..5), eager.minibatch_range(0..5));
+        // Pooling splices the parts' sources; no record is copied.
+        assert!(all.source().descriptor().starts_with("concat["));
+        let pooled = ClientSet::concat(&[&a, &set(3, 2.0)]).unwrap();
+        assert_eq!(all.minibatch_range(0..5), pooled.minibatch_range(0..5));
     }
 
     #[test]

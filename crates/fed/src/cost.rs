@@ -6,7 +6,7 @@
 //! model's state-dict size and a [`FedConfig`], it computes per-method
 //! upload/download volume and local update counts analytically.
 
-use rte_nn::{Layer, StateDict};
+use rte_nn::Layer;
 
 use crate::{FedConfig, Method};
 
@@ -34,11 +34,6 @@ impl MethodCost {
     pub fn total_bytes(&self) -> u64 {
         self.total_params() * 4
     }
-}
-
-/// Number of scalars in a state dict.
-pub fn state_dict_params(sd: &StateDict) -> u64 {
-    sd.iter().map(|(_, t)| t.numel() as u64).sum()
 }
 
 /// Number of scalars in the model's communicated state (parameters plus

@@ -268,7 +268,7 @@ impl<'a> ClientSession<'a> {
     ///
     /// Returns [`FedError::Transport`] for wire damage or protocol
     /// violations, or any training failure.
-    pub fn serve_once<T: Transport>(&mut self, transport: &mut T) -> Result<ServeExit, FedError> {
+    fn serve_once<T: Transport>(&mut self, transport: &mut T) -> Result<ServeExit, FedError> {
         loop {
             let frame = match transport.recv() {
                 Ok(frame) => frame,
@@ -295,8 +295,8 @@ impl<'a> ClientSession<'a> {
     ///
     /// Reconnects (after a hang-up or a wire error) draw from `policy`:
     /// up to `max_attempts` dials total, backing off with the
-    /// per-client-salted jitter stream. A [`ServeExit::Shutdown`] ends
-    /// the session for good.
+    /// per-client-salted jitter stream. An explicit
+    /// [`Message::Shutdown`] ends the session for good.
     ///
     /// # Errors
     ///
@@ -352,7 +352,7 @@ impl<'a> ClientSession<'a> {
 
 /// How a [`ClientSession::serve_once`] call ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeExit {
+enum ServeExit {
     /// The coordinator sent an explicit shutdown: the run is over.
     Shutdown,
     /// The peer hung up without a shutdown — worth reconnecting.

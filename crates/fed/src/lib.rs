@@ -21,9 +21,10 @@
 //!   traces, and the tolerant [`run_scenario`] grid runner whose robust
 //!   defenses ([`Aggregation::Median`], [`Aggregation::TrimmedMean`])
 //!   live in [`params`],
-//! - [`stream`] — bounded-memory data feeding: [`StreamingClientSet`]
-//!   lets every method train and evaluate a corpus that never fits in
-//!   memory, bit-identically to the in-memory path,
+//! - [`stream`] — bounded-memory data feeding: every [`ClientSet`] is a
+//!   [`StreamingClientSet`] over a [`RecordSource`] (tensors in memory,
+//!   or shard files), so every method trains and evaluates a corpus
+//!   that never fits in memory bit-identically to one that does,
 //! - [`engine`] — the one synchronous round loop (select → exchange →
 //!   advance the deployment → record → hook), parameterized by the
 //!   exchange (in process, or over links under a [`FaultPolicy`]), the
@@ -51,8 +52,8 @@
 //!   atomically, so a killed run resumes bit-identically.
 //!
 //! The default simulation is single-process: clients are [`Client`]
-//! values holding private train/test splits (in-memory tensors or
-//! streamed chunks), and "communication" is the movement of
+//! values holding private train/test splits (each read from its own
+//! record source), and "communication" is the movement of
 //! [`rte_nn::StateDict`]s — mirroring the restriction that only model
 //! parameters, never data, leave a client. The `rte-coordinator` /
 //! `rte-client` binaries run the same rounds across real process
@@ -105,8 +106,9 @@
 //! ```
 //!
 //! To stream the same run out-of-core, back each split with a
-//! [`StreamingClientSet`] (`ClientSet::streaming`) — every method, and
-//! the example above, behaves identically.
+//! [`StreamingClientSet`] over another [`RecordSource`]
+//! (`ClientSet::streaming`) — every method, and the example above,
+//! behaves identically.
 
 // Pure safe Rust; all workspace `unsafe` lives in `rte_tensor::simd`
 // (rte-lint rule L1 enforces this).
@@ -146,7 +148,7 @@ pub use eval::{evaluate_auc, evaluate_report, EvalReport, Evaluator};
 pub use fedasync::{
     render_async_history, run_fedasync, run_fedasync_wall, AsyncConfig, AsyncRoundRecord,
 };
-pub use federation::{local_links, ClientSession, LocalLink, ServeExit, WireStats};
+pub use federation::{local_links, ClientSession, LocalLink, WireStats};
 pub use methods::{MethodOutcome, RoundRecord};
 pub use resilient::{
     run_rounds_resilient, FaultPolicy, ResilientOutcome, ResumePoint, RoundEvent, RoundHook,

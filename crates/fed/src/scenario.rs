@@ -102,7 +102,7 @@ impl Attack {
 
     /// True when the attack rewrites the client's training data before
     /// training starts.
-    pub fn poisons_data(&self) -> bool {
+    fn poisons_data(&self) -> bool {
         matches!(
             self,
             Attack::LabelNoise { .. } | Attack::FeatureDrift { .. }
@@ -110,7 +110,7 @@ impl Attack {
     }
 
     /// True when the attack corrupts the update the client sends back.
-    pub fn is_byzantine(&self) -> bool {
+    fn is_byzantine(&self) -> bool {
         matches!(self, Attack::SignFlip { .. } | Attack::ScaledNoise { .. })
     }
 

@@ -1,30 +1,31 @@
-//! Bounded-memory streaming data feeding for clients whose corpora do
-//! not fit in RAM.
+//! Bounded-memory data feeding: every client split reads its records
+//! from a source, so corpora that do not fit in RAM train like ones that
+//! do.
 //!
 //! The federated formulation assumes clients iterate local data they
 //! cannot hold (or share) wholesale; this module models that directly:
 //!
 //! - [`RecordSource`] — the minimal random-access contract a sample
 //!   store must offer (length, geometry, "read records `a..b` into flat
-//!   f32 buffers"). The EDA shard files implement it via an adapter in
-//!   `rte-core`; [`TensorSource`] backs it with in-memory tensors (for
-//!   tests and for mixed concatenation), and [`ConcatSource`] splices
-//!   several sources into one logical store.
-//! - [`StreamingClientSet`] — the out-of-core [`crate::ClientSet`]
-//!   backend (the other one holds tensors in memory). It feeds
-//!   [`crate::LocalTrainer`] and [`crate::eval::Evaluator`] by reading
-//!   each batch straight from its source, at most `chunk` records per
-//!   range read, and holds nothing between calls. A seekable shard file
-//!   and a memory-mapped one are just two sources behind it.
+//!   f32 buffers"). The EDA shard files implement it via adapters in
+//!   `rte-core` (`seek`+`read`, and a memory map); [`TensorSource`] backs
+//!   it with in-memory tensors, and [`ConcatSource`] splices several
+//!   sources into one logical store.
+//! - [`StreamingClientSet`] — the one storage of a [`crate::ClientSet`].
+//!   It feeds [`crate::LocalTrainer`] and [`crate::eval::Evaluator`] by
+//!   reading each batch straight from its source, at most `chunk`
+//!   records per range read, and holds nothing between calls. Tensors in
+//!   memory, a seekable shard file and a memory-mapped one are three
+//!   sources behind it.
 //!
 //! # Determinism contract
 //!
-//! Streaming changes *where bytes are read from*, never *which bytes a
+//! The source changes *where bytes are read from*, never *which bytes a
 //! minibatch holds*: minibatch index sampling stays in
-//! [`crate::ClientSet`] (one derivation point for both backends), and
-//! records hold the same f32 bit patterns the in-memory tensors would.
+//! [`crate::ClientSet`] (one derivation point for every source), and
+//! records hold the same f32 bit patterns the generated tensors do.
 //! Streamed training and evaluation are therefore **bit-identical to
-//! the in-memory path at any thread count and any chunk size** —
+//! the tensor-backed path at any thread count and any chunk size** —
 //! `tests/streaming_determinism.rs` pins the full `MethodOutcome` and
 //! every `EvalReport` field across both axes.
 
@@ -103,16 +104,13 @@ pub trait RecordSource: Send + Sync {
     fn descriptor(&self) -> String;
 }
 
-/// [`RecordSource`] over in-memory NCHW tensors — the bridge that lets
-/// streaming and in-memory data mix (and the natural source for tests).
-///
-/// The planes sit behind [`Arc`], so building a source over tensors that
-/// are already shared (e.g. pooling an in-memory [`crate::ClientSet`]
-/// into a [`ConcatSource`]) copies pointers, not data.
+/// [`RecordSource`] over in-memory NCHW tensors — what
+/// [`crate::ClientSet::new`] reads from. Random gathers use the trait's
+/// default [`RecordSource::read_rows_into`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TensorSource {
-    features: Arc<Tensor>,
-    labels: Arc<Tensor>,
+    features: Tensor,
+    labels: Tensor,
 }
 
 impl TensorSource {
@@ -121,18 +119,10 @@ impl TensorSource {
     ///
     /// # Errors
     ///
-    /// Returns [`FedError::InvalidConfig`] for rank/shape disagreements,
-    /// exactly like [`crate::ClientSet::new`].
+    /// Returns [`FedError::InvalidConfig`] if ranks, batch sizes or
+    /// spatial extents disagree, or the label tensor is not
+    /// single-channel.
     pub fn new(features: Tensor, labels: Tensor) -> Result<Self, FedError> {
-        TensorSource::from_shared(Arc::new(features), Arc::new(labels))
-    }
-
-    /// [`TensorSource::new`] over already-shared tensors — zero-copy.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TensorSource::new`].
-    pub fn from_shared(features: Arc<Tensor>, labels: Arc<Tensor>) -> Result<Self, FedError> {
         if features.shape().rank() != 4 || labels.shape().rank() != 4 {
             return Err(FedError::InvalidConfig {
                 reason: "features and labels must be rank-4 (NCHW)".into(),
@@ -192,7 +182,7 @@ impl RecordSource for TensorSource {
         // data must not compare equal through the wrapping client set's
         // descriptor-based PartialEq.
         let mut hash = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
-        for t in [self.features.as_ref(), self.labels.as_ref()] {
+        for t in [&self.features, &self.labels] {
             for v in t.data() {
                 hash ^= u64::from(v.to_bits());
                 hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
@@ -631,7 +621,7 @@ mod tests {
         src.read_into(0..3, &mut f, &mut l).unwrap();
         assert_eq!(f, features.data());
         assert_eq!(l, labels.data());
-        // Shape validation mirrors ClientSet::new.
+        // Shape validation is ClientSet::new's.
         assert!(
             TensorSource::new(Tensor::zeros(&[2, 2, 2, 2]), Tensor::zeros(&[3, 1, 2, 2])).is_err()
         );

@@ -6,8 +6,9 @@
 //! cargo run --release --example federated_training
 //! ```
 
-use decentralized_routability::core::{build_clients, run_method_on_clients, ExperimentConfig};
-use decentralized_routability::eda::corpus::generate_corpus;
+use decentralized_routability::core::{
+    build_experiment_clients, run_method_on_clients, ExperimentConfig,
+};
 use decentralized_routability::fed::Method;
 use decentralized_routability::nn::models::ModelKind;
 
@@ -20,8 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.fed.local_steps = 10;
 
     println!("generating the nine-client Table 2 corpus …");
-    let corpus = generate_corpus(&config.corpus)?;
-    let clients = build_clients(&corpus)?;
+    let clients = build_experiment_clients(&config)?;
     for c in &clients {
         println!(
             "  client {}: {} train / {} test placements",

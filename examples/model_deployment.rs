@@ -8,8 +8,7 @@
 
 use std::fs::File;
 
-use decentralized_routability::core::{build_clients, model_factory, ExperimentConfig};
-use decentralized_routability::eda::corpus::generate_corpus;
+use decentralized_routability::core::{build_experiment_clients, model_factory, ExperimentConfig};
 use decentralized_routability::fed::evaluate_auc;
 use decentralized_routability::fed::methods::fedprox_rounds;
 use decentralized_routability::nn::load_state_dict;
@@ -23,8 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.fed.local_steps = 8;
 
     println!("training a generalized FLNet with FedProx …");
-    let corpus = generate_corpus(&config.corpus)?;
-    let clients = build_clients(&corpus)?;
+    let clients = build_experiment_clients(&config)?;
     let factory = model_factory(ModelKind::FlNet, ModelScale::Scaled);
     let (global, _) = fedprox_rounds(&clients, &factory, &config.fed)?;
 

@@ -6,8 +6,9 @@
 //! cargo run --release --example personalization
 //! ```
 
-use decentralized_routability::core::{build_clients, run_method_on_clients, ExperimentConfig};
-use decentralized_routability::eda::corpus::generate_corpus;
+use decentralized_routability::core::{
+    build_experiment_clients, run_method_on_clients, ExperimentConfig,
+};
 use decentralized_routability::fed::Method;
 use decentralized_routability::nn::models::ModelKind;
 
@@ -19,8 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.fed.finetune_steps = 60;
 
     println!("generating corpus and running FedProx vs FedProx + fine-tuning …");
-    let corpus = generate_corpus(&config.corpus)?;
-    let clients = build_clients(&corpus)?;
+    let clients = build_experiment_clients(&config)?;
 
     let generalized = run_method_on_clients(Method::FedProx, &clients, ModelKind::FlNet, &config)?;
     let personalized =

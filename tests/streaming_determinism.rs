@@ -85,9 +85,8 @@ impl RecordSource for WidestRead {
 /// reports into `widest`.
 fn watch_reads(clients: &[Client], chunk: usize, widest: &Arc<AtomicUsize>) -> Vec<Client> {
     let watch = |set: &ClientSet| {
-        let stream = set.as_streaming().expect("streamed backend");
         let source = WidestRead {
-            inner: Arc::clone(stream.source()),
+            inner: Arc::clone(set.source()),
             widest: Arc::clone(widest),
         };
         ClientSet::streaming(StreamingClientSet::new(Arc::new(source), chunk).unwrap())
@@ -351,7 +350,7 @@ fn mmap_backend_is_bitwise_identical_at_every_cell() {
             build_experiment_clients(&config.clone().with_shard_backend(ShardBackend::Mmap))
                 .unwrap();
         for ((m, s), p) in in_memory.iter().zip(&streamed).zip(&mapped) {
-            let source = p.train.as_streaming().expect("streamed backend").source();
+            let source = p.train.source();
             assert!(
                 source.descriptor().starts_with("mmap:"),
                 "mmap source selected"

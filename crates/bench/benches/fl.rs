@@ -200,10 +200,7 @@ fn bench_simd_arms_round(c: &mut Criterion) {
     config.batch_size = 4;
     config.parallelism = Parallelism::serial();
     let before = simd::global();
-    let mut arms = vec![SimdBackend::Scalar];
-    if SimdBackend::detect() == SimdBackend::Avx2 {
-        arms.push(SimdBackend::Avx2);
-    }
+    let arms = SimdBackend::supported();
     for arm in arms {
         simd::set_global(arm);
         c.bench_function(&format!("fedprox_round_simd_{arm}"), |b| {

@@ -29,11 +29,7 @@ fn rand_tensor(dims: &[usize], seed: u64) -> Tensor {
 
 /// The arms available on this machine, scalar first (the baseline).
 fn arms() -> Vec<SimdBackend> {
-    let mut arms = vec![SimdBackend::Scalar];
-    if SimdBackend::detect() == SimdBackend::Avx2 {
-        arms.push(SimdBackend::Avx2);
-    }
-    arms
+    SimdBackend::supported()
 }
 
 /// One convolution layer as a model runs it: batch 4 on the 16×16 grid

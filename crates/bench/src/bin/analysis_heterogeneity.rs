@@ -7,7 +7,6 @@
 
 use rte_bench::BenchArgs;
 use rte_core::build_experiment_clients;
-use rte_eda::drc::hotspot_rate;
 use rte_eda::features::FEATURE_CHANNELS;
 
 const CHANNEL_NAMES: [&str; FEATURE_CHANNELS] = [
@@ -35,22 +34,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(" {:>9}", "hotspot%");
     for client in &clients {
-        let (features, labels) = client.train.minibatch_range(0..client.train.len());
         let (_, h, w) = client.train.geometry();
         let hw = h * w;
-        let mut sums = [0.0f64; FEATURE_CHANNELS];
-        for sample in features.data().chunks_exact(FEATURE_CHANNELS * hw) {
-            for (c, plane) in sample.chunks_exact(hw).enumerate() {
-                sums[c] += plane.iter().map(|&v| v as f64).sum::<f64>();
+        // The split is read `stream_chunk` samples at a time, each sample
+        // added in order, so no more than a chunk is resident at once.
+        let (mut sums, mut hot) = ([0.0f64; FEATURE_CHANNELS], 0usize);
+        let len = client.train.len();
+        for start in (0..len).step_by(config.stream_chunk.max(1)) {
+            let end = len.min(start + config.stream_chunk.max(1));
+            let (features, labels) = client.train.minibatch_range(start..end);
+            for sample in features.data().chunks_exact(FEATURE_CHANNELS * hw) {
+                for (c, plane) in sample.chunks_exact(hw).enumerate() {
+                    sums[c] += plane.iter().map(|&v| v as f64).sum::<f64>();
+                }
             }
+            // `hotspot_rate`'s count, kept across chunks.
+            hot += labels.data().iter().filter(|&&v| v > 0.5).count();
         }
-        let tiles = client.train.len() * hw;
+        let tiles = len * hw;
         let mean: Vec<f64> = sums.iter().map(|s| s / tiles as f64).collect();
         print!("C{:<9}", client.id);
         for v in &mean {
             print!(" {v:>14.4}");
         }
-        println!(" {:>8.1}%", 100.0 * hotspot_rate(&labels));
+        let rate = if tiles == 0 {
+            0.0
+        } else {
+            hot as f64 / tiles as f64
+        };
+        println!(" {:>8.1}%", 100.0 * rate);
         means.push(mean);
     }
 

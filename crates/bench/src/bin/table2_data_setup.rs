@@ -54,16 +54,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!("{}", "-".repeat(78));
+    // The paper's figures describe its nine clients, not a synthesised
+    // `--clients N` universe.
+    let paper = config.population.is_none();
     println!(
-        "Totals: {} training + {} testing placements (paper: 7,131 across 74 designs)",
+        "Totals: {} training + {} testing placements{}",
         corpus.total_train(),
-        corpus.total_test()
+        corpus.total_test(),
+        if paper {
+            " (paper: 7,131 across 74 designs)"
+        } else {
+            ""
+        }
     );
-    let paper_total: usize = specs
-        .iter()
-        .map(|c| c.train_placements + c.test_placements)
-        .sum();
-    println!("Paper-scale totals this config would target at scale 1.0: {paper_total} placements");
+    if paper {
+        let paper_total: usize = specs
+            .iter()
+            .map(|c| c.train_placements + c.test_placements)
+            .sum();
+        println!(
+            "Paper-scale totals this config would target at scale 1.0: {paper_total} placements"
+        );
+    }
     println!(
         "Per-client hotspot rates (label balance): {}",
         corpus

@@ -5,8 +5,8 @@
 //! monospace text so a bench run can be diffed against the paper at a
 //! glance. Every method outcome now carries a full
 //! [`EvalReport`] per client, so [`render_metric_table`] renders the
-//! same grid for any companion metric (average precision, accuracy or F1
-//! at the paper's 0.5 deployment threshold, …).
+//! same grid for any companion metric (average precision, accuracy at
+//! the paper's 0.5 deployment threshold, …).
 
 use rte_fed::{EvalReport, MethodOutcome, ScenarioOutcome};
 
@@ -38,7 +38,7 @@ pub fn render_row(outcome: &MethodOutcome) -> String {
 /// Renders the per-client grid of an arbitrary [`EvalReport`] projection
 /// in the paper's table layout — the companion view of [`render_table`]
 /// for the metrics the paper does not print (average precision,
-/// thresholded accuracy, F1, …).
+/// thresholded accuracy, …).
 pub fn render_metric_table(
     table: &TableResult,
     title: &str,

@@ -393,7 +393,7 @@ pub(crate) fn place_into(
                         if blocked[nb] {
                             continue;
                         }
-                        if best.map_or(true, |(_, _, c)| bin_count[nb] < c) {
+                        if best.is_none_or(|(_, _, c)| bin_count[nb] < c) {
                             best = Some((nx, ny, bin_count[nb]));
                         }
                     }

@@ -2060,8 +2060,7 @@ mod tests {
         let back = pack::decompress(&payload, raw.len(), "mem").unwrap();
         assert_eq!(back, raw);
         // Runs of equal words compress far below raw size.
-        let flat: Vec<u8> = std::iter::repeat(0.5f32.to_bits().to_le_bytes())
-            .take(512)
+        let flat: Vec<u8> = std::iter::repeat_n(0.5f32.to_bits().to_le_bytes(), 512)
             .flatten()
             .collect();
         let packed = pack::compress(&flat);

@@ -403,7 +403,7 @@ pub fn latest_checkpoint(dir: &Path) -> Result<Option<PathBuf>, CheckpointError>
             continue;
         }
         // Lexicographic max over zero-padded names = numeric max.
-        if best.as_ref().map_or(true, |b| path > *b) {
+        if best.as_ref().is_none_or(|b| path > *b) {
             best = Some(path);
         }
     }

@@ -24,18 +24,6 @@ pub struct MethodCost {
     pub aggregations: u64,
 }
 
-impl MethodCost {
-    /// Total communicated parameters (upload + download).
-    pub fn total_params(&self) -> u64 {
-        self.upload_params + self.download_params
-    }
-
-    /// Total communicated bytes assuming f32 parameters.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_params() * 4
-    }
-}
-
 /// Number of scalars in the model's communicated state (parameters plus
 /// buffers — BatchNorm statistics travel too).
 pub fn model_params(model: &mut dyn Layer) -> u64 {
@@ -157,7 +145,11 @@ mod tests {
         let c = config();
         for method in [Method::LocalOnly, Method::Centralized] {
             let cost = method_cost(method, 1000, 0, 9, &c);
-            assert_eq!(cost.total_params(), 0, "{method}");
+            assert_eq!(
+                (cost.upload_params, cost.download_params),
+                (0, 0),
+                "{method}"
+            );
             assert_eq!(cost.aggregations, 0);
         }
     }
@@ -175,7 +167,7 @@ mod tests {
     fn lg_saves_the_local_part() {
         let full = method_cost(Method::FedProx, 1000, 0, 9, &config());
         let lg = method_cost(Method::FedProxLg, 1000, 300, 9, &config());
-        assert!(lg.total_params() < full.total_params());
+        assert!(lg.upload_params + lg.download_params < full.upload_params + full.download_params);
         assert_eq!(lg.upload_params, 10 * 9 * 700);
     }
 
@@ -193,7 +185,10 @@ mod tests {
         let c = config();
         let ft = method_cost(Method::FedProxFinetune, 1000, 0, 9, &c);
         let prox = method_cost(Method::FedProx, 1000, 0, 9, &c);
-        assert_eq!(ft.total_params(), prox.total_params());
+        assert_eq!(
+            (ft.upload_params, ft.download_params),
+            (prox.upload_params, prox.download_params)
+        );
         assert_eq!(ft.local_steps, prox.local_steps + 9 * 100);
     }
 
@@ -204,14 +199,11 @@ mod tests {
         let c = config();
         let alpha = method_cost(Method::AlphaSync, 1000, 0, 9, &c);
         let prox = method_cost(Method::FedProx, 1000, 0, 9, &c);
-        assert_eq!(alpha.total_params(), prox.total_params());
+        assert_eq!(
+            (alpha.upload_params, alpha.download_params),
+            (prox.upload_params, prox.download_params)
+        );
         assert_eq!(alpha.local_steps, prox.local_steps);
         assert!(alpha.aggregations > prox.aggregations);
-    }
-
-    #[test]
-    fn bytes_are_param_counts_times_four() {
-        let cost = method_cost(Method::FedProx, 10, 0, 2, &config());
-        assert_eq!(cost.total_bytes(), cost.total_params() * 4);
     }
 }

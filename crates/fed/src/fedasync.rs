@@ -179,7 +179,7 @@ impl Buffered<'_, '_> {
         }
         self.version += 1;
         let record_point = self.version == self.cfg.aggregations
-            || (self.cfg.eval_every > 0 && self.version % self.cfg.eval_every == 0);
+            || (self.cfg.eval_every > 0 && self.version.is_multiple_of(self.cfg.eval_every));
         let average_auc = if record_point {
             crate::eval::mean_auc(&self.harness.eval_global(&self.global)?)
         } else {

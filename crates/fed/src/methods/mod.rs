@@ -321,7 +321,7 @@ impl<'a> Harness<'a> {
     /// True when round `r` (1-based) should be recorded in the history.
     pub fn should_record(&self, round: usize) -> bool {
         self.config.eval_every > 0
-            && (round % self.config.eval_every == 0 || round == self.config.rounds)
+            && (round.is_multiple_of(self.config.eval_every) || round == self.config.rounds)
     }
 
     /// Trains one round's participants on worker threads, up to

@@ -180,16 +180,6 @@ impl ScenarioConfig {
         }
     }
 
-    /// Assigns `attack` to one client (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `client` is out of bounds.
-    pub fn with_attack(mut self, client: usize, attack: Attack) -> Self {
-        self.attacks[client] = attack;
-        self
-    }
-
     /// Assigns `attack` to the last `count` clients — the convention the
     /// `table6_robustness` bench uses for its adversary pool.
     pub fn hostile_tail(mut self, count: usize, attack: Attack) -> Self {
@@ -204,11 +194,6 @@ impl ScenarioConfig {
     pub fn with_dropout(mut self, dropout: f32) -> Self {
         self.dropout = dropout;
         self
-    }
-
-    /// Number of hostile clients in the assignment.
-    pub fn n_hostile(&self) -> usize {
-        self.attacks.iter().filter(|a| **a != Attack::None).count()
     }
 
     /// Checks the scenario against a federation of `n_clients` clients.
@@ -469,20 +454,15 @@ mod tests {
         assert!(s.validate(4).is_err(), "length mismatch");
         assert!(s.clone().with_dropout(1.0).validate(3).is_err());
         assert!(s.clone().with_dropout(-0.1).validate(3).is_err());
-        assert!(s
-            .clone()
-            .with_attack(0, Attack::LabelNoise { rate: 1.5 })
-            .validate(3)
-            .is_err());
-        assert!(s
-            .clone()
-            .with_attack(1, Attack::SignFlip { scale: f32::NAN })
-            .validate(3)
-            .is_err());
-        assert!(s
-            .with_attack(2, Attack::FeatureDrift { sigma: -1.0 })
-            .validate(3)
-            .is_err());
+        for (client, attack) in [
+            (0, Attack::LabelNoise { rate: 1.5 }),
+            (1, Attack::SignFlip { scale: f32::NAN }),
+            (2, Attack::FeatureDrift { sigma: -1.0 }),
+        ] {
+            let mut hostile = s.clone();
+            hostile.attacks[client] = attack;
+            assert!(hostile.validate(3).is_err(), "{attack:?}");
+        }
     }
 
     #[test]
@@ -491,15 +471,15 @@ mod tests {
         assert_eq!(s.attacks[0], Attack::None);
         assert_eq!(s.attacks[1], Attack::None);
         assert_eq!(s.attacks[2], Attack::SignFlip { scale: 2.0 });
-        assert_eq!(s.n_hostile(), 2);
+        assert_eq!(s.attacks[3], Attack::SignFlip { scale: 2.0 });
     }
 
     #[test]
     fn poisoning_is_deterministic_and_train_only() {
         let clients = clients(3);
-        let scenario = ScenarioConfig::honest(9, 3)
-            .with_attack(1, Attack::LabelNoise { rate: 0.5 })
-            .with_attack(2, Attack::FeatureDrift { sigma: 0.3 });
+        let mut scenario = ScenarioConfig::honest(9, 3);
+        scenario.attacks[1] = Attack::LabelNoise { rate: 0.5 };
+        scenario.attacks[2] = Attack::FeatureDrift { sigma: 0.3 };
         let a = scenario.poison_clients(&clients).unwrap();
         let b = scenario.poison_clients(&clients).unwrap();
         assert_eq!(a, b, "same scenario, same bytes");
@@ -527,7 +507,8 @@ mod tests {
     fn label_noise_flip_fraction_tracks_rate() {
         let clients = clients(1);
         let rate = 0.25f32;
-        let scenario = ScenarioConfig::honest(4, 1).with_attack(0, Attack::LabelNoise { rate });
+        let mut scenario = ScenarioConfig::honest(4, 1);
+        scenario.attacks[0] = Attack::LabelNoise { rate };
         let poisoned = scenario.poison_clients(&clients).unwrap();
         let n = clients[0].train.len();
         let (_, y0) = clients[0].train.try_minibatch_range(0..n).unwrap();
@@ -547,7 +528,8 @@ mod tests {
 
     #[test]
     fn sign_flip_mirrors_the_update_exactly() {
-        let scenario = ScenarioConfig::honest(0, 2).with_attack(1, Attack::SignFlip { scale: 3.0 });
+        let mut scenario = ScenarioConfig::honest(0, 2);
+        scenario.attacks[1] = Attack::SignFlip { scale: 3.0 };
         let start = state(&[1.0, 2.0]);
         let trained = state(&[2.0, 1.5]);
         // Honest client: untouched.
@@ -565,8 +547,8 @@ mod tests {
 
     #[test]
     fn scaled_noise_is_per_round_deterministic() {
-        let scenario =
-            ScenarioConfig::honest(7, 1).with_attack(0, Attack::ScaledNoise { sigma: 1.0 });
+        let mut scenario = ScenarioConfig::honest(7, 1);
+        scenario.attacks[0] = Attack::ScaledNoise { sigma: 1.0 };
         let start = state(&[0.0, 0.0, 0.0]);
         let trained = state(&[1.0, 1.0, 1.0]);
         let a = scenario.corrupt_update(2, 0, &start, &trained).unwrap();
@@ -579,7 +561,8 @@ mod tests {
 
     #[test]
     fn corrupt_update_rejects_mismatched_dicts() {
-        let scenario = ScenarioConfig::honest(0, 1).with_attack(0, Attack::SignFlip { scale: 1.0 });
+        let mut scenario = ScenarioConfig::honest(0, 1);
+        scenario.attacks[0] = Attack::SignFlip { scale: 1.0 };
         let err = scenario
             .corrupt_update(1, 0, &state(&[1.0]), &state(&[1.0, 2.0]))
             .unwrap_err();

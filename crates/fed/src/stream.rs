@@ -481,8 +481,8 @@ mod tests {
             self.widest_call.fetch_max(range.len(), Ordering::Relaxed);
             for i in range {
                 self.record_reads[i].fetch_add(1, Ordering::Relaxed);
-                features.extend(std::iter::repeat(i as f32).take(self.c * self.h * self.w));
-                labels.extend(std::iter::repeat((i % 2) as f32).take(self.h * self.w));
+                features.extend(std::iter::repeat_n(i as f32, self.c * self.h * self.w));
+                labels.extend(std::iter::repeat_n((i % 2) as f32, self.h * self.w));
             }
             Ok(())
         }

@@ -106,17 +106,6 @@ impl ConfusionMatrix {
             self.true_positives as f64 / pp as f64
         }
     }
-
-    /// F1 score; 0 when precision + recall is 0.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.tpr();
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -150,8 +139,6 @@ mod tests {
         assert!((cm.tpr() - 8.0 / 13.0).abs() < 1e-12);
         assert!((cm.fpr() - 2.0 / 87.0).abs() < 1e-12);
         assert!((cm.precision() - 0.8).abs() < 1e-12);
-        let f1 = 2.0 * 0.8 * (8.0 / 13.0) / (0.8 + 8.0 / 13.0);
-        assert!((cm.f1() - f1).abs() < 1e-12);
     }
 
     #[test]
@@ -166,7 +153,6 @@ mod tests {
         let cm = ConfusionMatrix::from_scores(&[], &[], 0.5).unwrap();
         assert_eq!(cm.total(), 0);
         assert_eq!(cm.accuracy(), 0.0);
-        assert_eq!(cm.f1(), 0.0);
     }
 
     #[test]

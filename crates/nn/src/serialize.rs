@@ -201,7 +201,7 @@ fn read_entries<R: Read>(
             bound = bound.and_then(|b| b.checked_mul(dim.max(1)));
             dims.push(dim);
         }
-        if !bound.is_some_and(|b| b <= MAX_NUMEL) {
+        if bound.is_none_or(|b| b > MAX_NUMEL) {
             return Err(fail(format!(
                 "entry {i}: implausible element count (dims {dims:?})"
             )));

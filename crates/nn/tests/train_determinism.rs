@@ -74,7 +74,7 @@ fn ten_train_steps_are_bitwise_arm_and_thread_invariant() {
         simd::set_global(SimdBackend::Scalar);
         parallel::set_global(Parallelism::serial());
         let (want_loss, want) = train(build);
-        for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
+        for arm in SimdBackend::supported() {
             for threads in [1, 2, 4] {
                 simd::set_global(arm);
                 parallel::set_global(Parallelism::new(threads));

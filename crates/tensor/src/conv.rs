@@ -35,15 +35,18 @@ use crate::{Tensor, TensorError};
 /// kernels run inline (results are identical either way).
 ///
 /// Opening and joining a two-worker [`parallel`] region that does
-/// nothing measured 81.7 µs at `1accf12` on the 2-core benchmark host
-/// (the `parallel_region` row of `BENCH_kernels.json`), and two workers
-/// beat one only once the call's serial time exceeds about twice that.
-/// The AVX2 kernels sustain 20–40 GMAC/s on the model layers, so 2²²
-/// multiply-adds are 100–200 µs of serial work, near that break-even
-/// point. The gate used to compare
-/// *one item's* multiplies with 2¹⁶ — 2 µs of work at that rate — so
-/// every convolution on the main thread paid a region larger than
-/// itself.
+/// nothing measured 55–82 µs on the 2-core benchmark host (the
+/// `parallel_region` row of `BENCH_kernels.json`), and two workers beat
+/// one only once the call's serial time exceeds about twice that. The
+/// AVX2 kernels sustain 20–40 GMAC/s on the model layers and the AVX-512
+/// ones 30–40 on FLNet's (more on its forward pass), so 2²² multiply-adds
+/// are 100–200 µs of serial work, near that break-even point. Measured
+/// again with the gate removed, on the AVX-512 arm with FLNet's 9×9
+/// layers at batch 1–4: two workers lost at 2²¹·⁹ multiply-adds (input
+/// conv, batch 2) and won from 2²²·⁵ (batch 3) on, so the gate stays.
+/// It used to compare *one item's* multiplies with 2¹⁶ — 2 µs of work
+/// at those rates — so every convolution on the main thread paid a
+/// region larger than itself.
 const PAR_MIN_CALL_MACS: usize = 1 << 22;
 
 std::thread_local! {
@@ -581,15 +584,15 @@ fn weight_grad(d: &ConvDims, x: &[f32], dy: &[f32], par: Parallelism) -> Tensor 
         || (),
         |(), group, dw_g| {
             let channels = group * per_group * ohw..(group + 1) * per_group * ohw;
-            let scratch = g.padded_len() + g.dw_scratch_len(per_group);
+            let scratch = g.padded_len() + g.dw_scratch_len(arm, per_group);
             with_scratch(scratch, |scratch| {
                 let (xp, rest) = scratch.split_at_mut(g.padded_len());
-                let mut batch = simd::DwBatch::new(&g, dw_g, rest);
+                let mut batch = simd::DwBatch::new(arm, &g, dw_g, rest);
                 for ni in 0..n {
                     d.pad(&x[ni * d.chw()..(ni + 1) * d.chw()], xp);
                     let dy_g = &dy[ni * c_out * ohw..][channels.clone()];
                     let skip = simd::skippable_rows(d.spec.padding, dy_g);
-                    batch.add(arm, skip, xp, dy_g);
+                    batch.add(skip, xp, dy_g);
                 }
                 batch.finish();
             });

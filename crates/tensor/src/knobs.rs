@@ -15,7 +15,7 @@
 //! | variable | parser | accepted values |
 //! |----------|--------|-----------------|
 //! | `RTE_THREADS` | [`crate::parallel::Parallelism::parse`] | non-negative integer; empty/`0` = auto |
-//! | `RTE_SIMD` | [`crate::simd::SimdBackend::parse`] | `auto`, `scalar`, `avx2`; empty = auto |
+//! | `RTE_SIMD` | [`crate::simd::SimdBackend::parse`] | `auto`, `scalar`, `avx2`, `avx512`; empty = auto |
 //! | `RTE_BENCH_JSON` | used verbatim (a path) | any path; empty = default location |
 
 /// Reads one environment variable, treating *unset* and *set-but-empty*

@@ -7,14 +7,19 @@
 //! sweeps in `rte-nn`. This module multi-versions those kernels over
 //! instruction-set *arms* and picks one at runtime:
 //!
+//! - **`Avx512`** — x86-64 AVX-512F+DQ (with AVX2+FMA): the
+//!   convolutions on 512-bit registers that each carry *two independent
+//!   8-lane groups* (`lanes::Lanes` with `GROUPS = 2`), so one
+//!   instruction does two virtual registers' work; the elementwise
+//!   sweeps run the AVX2 bodies,
 //! - **`Avx2`** — x86-64 AVX2 (+FMA availability is required for
 //!   detection parity with common deployments, but fused contraction is
 //!   deliberately **not** used; see below), 8-lane `f32` vectors,
 //! - **`Scalar`** — a portable fallback that *emulates the same 8-lane
-//!   schedule* so its results are bit-identical to the vector arm.
+//!   schedule* so its results are bit-identical to the vector arms.
 //!
 //! The arm is chosen once per process from the `RTE_SIMD` environment
-//! variable (`auto` | `avx2` | `scalar`, default `auto` =
+//! variable (`auto` | `avx512` | `avx2` | `scalar`, default `auto` =
 //! best-available), and can be overridden programmatically with
 //! [`set_global`] — the same shape as [`crate::parallel`]'s thread knob.
 //! Every kernel also has a `*_with` variant taking an explicit
@@ -33,7 +38,8 @@
 //!    element, built only from IEEE-exact operations (`+ - * / sqrt`,
 //!    negation, comparison masks, `vminps`/`vmaxps`-style min/max).
 //!    Each is written once, as a generic body over eight abstract lanes
-//!    (`lanes::Lanes8`) that both arms instantiate (submodule `sweep`);
+//!    (`lanes::Lanes8`) that the scalar and AVX2 arms instantiate and the
+//!    AVX-512 arm runs as AVX2's (submodule `sweep`);
 //!    a slice's last `len % 8` elements run as one padded chunk whose
 //!    dead lanes are never stored. Lanes are independent, so every
 //!    element gets its scalar expression's bits on either arm. **No FMA
@@ -53,13 +59,16 @@
 //! 4. **Transcendentals** (the sigmoid's `exp`) never call libm: one
 //!    Cephes-style polynomial, written once over `Lanes8` with the
 //!    exponent-bit `2ⁿ` scale as a lane operation, runs the same
-//!    operation sequence on both arms.
+//!    operation sequence on every arm.
 //! 5. **Implicit-GEMM convolutions** ([`conv_fwd_skip_with`],
 //!    [`conv_dw_acc_skip_with`], [`conv_dx_acc_padded_with`]), at any
 //!    stride, are rules 2 and 3 over an im2col matrix left unbuilt, and
-//!    each is one generic body over eight abstract lanes
-//!    (`implicit::Lanes8`) that both arms instantiate — the order below
-//!    is stated once, not transcribed. *Forward* is rule 2's chain per
+//!    each is one generic body over a register of one or two groups of
+//!    eight abstract lanes (`lanes::Lanes`) that every arm instantiates
+//!    — the order below is stated once, not transcribed. A group is a
+//!    virtual 8-lane register: two groups side by side in one `zmm`
+//!    (two blocks of output columns, or two output channels) add what
+//!    each would alone, so the rule says nothing about groups. *Forward* is rule 2's chain per
 //!    output element. The *weight gradient* is rule 3's summation tree
 //!    per output `dw[c, p]` — a dot product of `dy[c]` with column row
 //!    `p`: position `i` of the flattened output index goes into
@@ -104,16 +113,18 @@
 //!
 //! The workspace denies `unsafe_code`; this module carries a scoped
 //! allow because SIMD intrinsics are unsafe to call by design. The
-//! invariant that makes every `unsafe` here sound is: **`Avx2` kernels
-//! are only reachable through [`SimdBackend::Avx2`], and that variant is
-//! only ever constructed after `is_x86_feature_detected!` confirmed
-//! AVX2+FMA support** (or by a caller who explicitly forced it, which
+//! invariant that makes every `unsafe` here sound is: **an x86 arm's
+//! kernels are only reachable through its [`SimdBackend`] variant, and
+//! that variant is only ever constructed after `is_x86_feature_detected!`
+//! confirmed every target feature its kernels are compiled with** —
+//! AVX2+FMA for `Avx2`; AVX-512F, AVX-512DQ, AVX2 and FMA for `Avx512`
+//! (or by a caller who explicitly forced it, which
 //! [`SimdBackend::from_env`] refuses to do on unsupported CPUs). The
 //! kernels themselves, convolutions (`implicit`) and sweeps (`sweep`)
-//! alike, are safe code generic over `Lanes8`; the intrinsics, and the
-//! `unsafe` blocks that call them, are confined to the AVX2 impl of
-//! `Lanes8` in this file and the strided read it calls (the one other
-//! `unsafe` block is `dispatch!`'s call into an AVX2 wrapper, whose
+//! alike, are safe code generic over `Lanes` / `Lanes8`; the intrinsics,
+//! and the `unsafe` blocks that call them, are confined to the AVX2 and
+//! AVX-512 impls in this file and the reads they call (the one other
+//! `unsafe` site is `dispatch!`'s call into an arm's wrapper, whose
 //! safety argument is above). A sweep's loads and stores take one
 //! 8-float chunk by reference, so their bounds are the type's; the
 //! convolutions' reads go only where a checked `implicit::Nest` has
@@ -134,29 +145,75 @@ pub enum SimdBackend {
     /// x86-64 AVX2 arm (8-lane `f32`); constructed only after feature
     /// detection (or an explicit, checked override).
     Avx2,
+    /// x86-64 AVX-512 arm: the convolutions on two 8-lane groups per
+    /// 512-bit register, the sweeps on the AVX2 bodies; constructed only
+    /// after feature detection (or an explicit, checked override).
+    Avx512,
 }
 
 impl SimdBackend {
+    /// Every arm, the portable one first and the widest last.
+    const ALL: [SimdBackend; 3] = [SimdBackend::Scalar, SimdBackend::Avx2, SimdBackend::Avx512];
+
     /// The best arm the running CPU supports.
     pub fn detect() -> SimdBackend {
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        {
-            if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
-                return SimdBackend::Avx2;
-            }
-        }
-        SimdBackend::Scalar
+        *Self::supported()
+            .last()
+            .expect("the scalar arm runs anywhere")
     }
 
-    /// Resolves the `RTE_SIMD` environment variable: `scalar` and `avx2`
-    /// force an arm; `auto`, empty or unset mean [`SimdBackend::detect`].
+    /// Every arm the running CPU supports, `Scalar` — the reference the
+    /// others are checked against — first.
+    pub fn supported() -> Vec<SimdBackend> {
+        Self::ALL
+            .into_iter()
+            .filter(|arm| arm.runs_here())
+            .collect()
+    }
+
+    /// Whether the running CPU has every target feature this arm's
+    /// kernels are compiled with ([`SimdBackend::features`]) — the
+    /// features the `dispatch!` safety argument relies on.
+    fn runs_here(self) -> bool {
+        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+        {
+            let avx2 =
+                std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma");
+            match self {
+                SimdBackend::Scalar => true,
+                SimdBackend::Avx2 => avx2,
+                SimdBackend::Avx512 => {
+                    avx2 && std::is_x86_feature_detected!("avx512f")
+                        && std::is_x86_feature_detected!("avx512dq")
+                }
+            }
+        }
+        #[cfg(not(any(target_arch = "x86_64", target_arch = "x86")))]
+        {
+            self == SimdBackend::Scalar
+        }
+    }
+
+    /// The CPU features [`SimdBackend::runs_here`] checks, for messages.
+    fn features(self) -> &'static str {
+        match self {
+            SimdBackend::Scalar => "none",
+            SimdBackend::Avx2 => "AVX2+FMA",
+            SimdBackend::Avx512 => "AVX-512F+AVX-512DQ with AVX2+FMA",
+        }
+    }
+
+    /// Resolves the `RTE_SIMD` environment variable: `scalar`, `avx2`
+    /// and `avx512` force an arm; `auto`, empty or unset mean
+    /// [`SimdBackend::detect`].
     ///
     /// # Panics
     ///
-    /// Panics when `RTE_SIMD=avx2` is forced on a CPU without AVX2+FMA,
-    /// and on any unrecognized value — an explicit request that cannot
-    /// be honored must not silently degrade to a different arm, because
-    /// the caller asked for a specific arm's wall-clock.
+    /// Panics when `RTE_SIMD=avx2` is forced on a CPU without AVX2+FMA
+    /// or `RTE_SIMD=avx512` on one without AVX-512F+DQ and AVX2+FMA, and
+    /// on any unrecognized value — an explicit request that cannot be
+    /// honored must not silently degrade to a different arm, because the
+    /// caller asked for a specific arm's wall-clock.
     pub fn from_env() -> SimdBackend {
         match crate::knobs::raw("RTE_SIMD") {
             Some(v) => Self::parse(&v),
@@ -172,27 +229,30 @@ impl SimdBackend {
     pub fn parse(value: &str) -> SimdBackend {
         match value.trim().to_ascii_lowercase().as_str() {
             "" | "auto" => SimdBackend::detect(),
-            "scalar" => SimdBackend::Scalar,
-            "avx2" => {
+            name => {
+                let Some(arm) = Self::ALL.into_iter().find(|arm| arm.name() == name) else {
+                    panic!(
+                        "RTE_SIMD={name:?} is not a valid SIMD arm; accepted values: \
+                         auto (or unset/empty), scalar, avx2, avx512"
+                    )
+                };
                 assert!(
-                    SimdBackend::detect() == SimdBackend::Avx2,
-                    "RTE_SIMD=avx2 requested but this CPU does not support AVX2+FMA"
+                    arm.runs_here(),
+                    "RTE_SIMD={name} requested but this CPU does not support {}",
+                    arm.features()
                 );
-                SimdBackend::Avx2
+                arm
             }
-            other => panic!(
-                "RTE_SIMD={other:?} is not a valid SIMD arm; accepted values: \
-                 auto (or unset/empty), scalar, avx2"
-            ),
         }
     }
 
-    /// Stable lowercase name (`"scalar"` / `"avx2"`), used by bench
-    /// output and `BENCH_kernels.json`.
+    /// Stable lowercase name (`"scalar"` / `"avx2"` / `"avx512"`), used
+    /// by bench output and `BENCH_kernels.json`.
     pub fn name(self) -> &'static str {
         match self {
             SimdBackend::Scalar => "scalar",
             SimdBackend::Avx2 => "avx2",
+            SimdBackend::Avx512 => "avx512",
         }
     }
 }
@@ -207,14 +267,8 @@ impl fmt::Display for SimdBackend {
 /// `*_with` argument. `0` = not yet resolved from `RTE_SIMD`.
 static GLOBAL_BACKEND: AtomicU8 = AtomicU8::new(0);
 
-const BACKEND_SCALAR: u8 = 1;
-const BACKEND_AVX2: u8 = 2;
-
 fn encode(backend: SimdBackend) -> u8 {
-    match backend {
-        SimdBackend::Scalar => BACKEND_SCALAR,
-        SimdBackend::Avx2 => BACKEND_AVX2,
-    }
+    backend as u8 + 1
 }
 
 /// Sets the process-wide [`SimdBackend`] used by all dispatched kernels.
@@ -229,8 +283,7 @@ pub fn set_global(backend: SimdBackend) {
 /// (unset = auto-detect) on first use.
 pub fn global() -> SimdBackend {
     match GLOBAL_BACKEND.load(Ordering::Relaxed) {
-        BACKEND_SCALAR => SimdBackend::Scalar,
-        BACKEND_AVX2 => SimdBackend::Avx2,
+        code @ 1..=3 => SimdBackend::ALL[usize::from(code - 1)],
         _ => {
             let backend = SimdBackend::from_env();
             // Benign race: concurrent first readers resolve identically.
@@ -284,8 +337,13 @@ pub struct AdamStep {
 // Dispatched public kernels.
 // ---------------------------------------------------------------------
 
+/// Calls the kernel of `$backend`'s arm; with three kernels, the
+/// `Avx512` arm runs the AVX2 one (the sweeps).
 macro_rules! dispatch {
     ($backend:expr, $scalar:expr, $avx2:expr) => {
+        dispatch!($backend, $scalar, $avx2, $avx2)
+    };
+    ($backend:expr, $scalar:expr, $avx2:expr, $avx512:expr) => {
         match $backend {
             SimdBackend::Scalar => $scalar,
             #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
@@ -294,12 +352,19 @@ macro_rules! dispatch {
             // (detect / checked parse), so the target features the
             // callee was compiled for are present at runtime.
             SimdBackend::Avx2 => unsafe { $avx2 },
-            // Unreachable in practice: `detect` never returns Avx2 off
-            // x86 and `parse` refuses to construct it; tolerate a
+            #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+            // SAFETY: `SimdBackend::Avx512` is only constructed after
+            // `is_x86_feature_detected!` confirmed "avx512f", "avx512dq",
+            // "avx2" and "fma" (detect / checked parse) — every feature an
+            // AVX-512 wrapper is compiled with, and every feature an AVX2
+            // one is — so they are present at runtime.
+            SimdBackend::Avx512 => unsafe { $avx512 },
+            // Unreachable in practice: `detect` never returns an x86 arm
+            // off x86 and `parse` refuses to construct one; tolerate a
             // hand-built value by degrading to the (bit-identical)
             // scalar arm rather than panicking.
             #[cfg(not(any(target_arch = "x86_64", target_arch = "x86")))]
-            SimdBackend::Avx2 => $scalar,
+            SimdBackend::Avx2 | SimdBackend::Avx512 => $scalar,
         }
     };
 }
@@ -475,16 +540,18 @@ pub fn sigmoid_backward_with(backend: SimdBackend, dy: &mut [f32], y: &[f32]) {
 /// The x86 AVX2 arm: the eight lanes every kernel is instantiated over,
 /// and one `#[target_feature(enable = "avx2")]` wrapper per kernel that
 /// instantiates it; callers reach those only through the [`dispatch!`]
-/// macro, whose safety argument lives at the single `unsafe` site.
+/// macro, whose safety argument lives at the single `unsafe` site. The
+/// loop nest and strided read are shared with the AVX-512 arm.
 #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
 mod avx2 {
-    use super::implicit::{self, Nest};
-    use super::lanes::Lanes8;
+    use super::implicit::{self, DwForm, Nest};
+    use super::lanes::{Lanes, Lanes8};
     use super::*;
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
+    use std::ops::Range;
 
     /// The eight floats `lane` apart from `p` on, `lane` ≥ 2: for a
     /// stride of 2 the even floats of two loads that overlap in one, for
@@ -499,7 +566,7 @@ mod avx2 {
     /// on must be readable. No read needs alignment.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn read_strided(p: *const f32, lane: usize) -> __m256 {
+    pub(super) unsafe fn read_strided(p: *const f32, lane: usize) -> __m256 {
         if lane == 2 {
             // Floats 0, 2, 4, 6 of the first load and 1, 3, 5, 7 of the
             // second (floats 8, 10, 12, 14), paired per half and the
@@ -517,26 +584,90 @@ mod avx2 {
         }
     }
 
-    /// Eight lanes in one `ymm` register. The type is private to this
-    /// module, whose only entry points are `unsafe fn`s that require
-    /// AVX2, so none of the methods below can run on a CPU without it.
-    #[derive(Clone, Copy)]
-    struct Avx8(__m256);
+    /// Runs the iterations `part` of `nest` as [`Lanes::run`] does,
+    /// handing `read` the pointer each walk reads from, with the walk's
+    /// `lane` and `group`: only pointers of starts `admit` found safe, at
+    /// iterations inside the nest — the x86 arms' one loop nest, and what
+    /// their `read`s' safety rests on.
+    #[inline(always)]
+    pub(super) fn walk_nest<
+        V,
+        const STRIDED: bool,
+        const A: usize,
+        const B: usize,
+        const C: usize,
+    >(
+        nest: &Nest<STRIDED>,
+        starts: (&[usize; A], &[usize; B], &[usize; C]),
+        part: [Range<usize>; 3],
+        read: impl Fn(*const f32, usize, usize) -> V,
+        mut f: impl FnMut([V; A], [V; B], [V; C]),
+    ) {
+        let Some(part) = nest.admit([starts.0, starts.1, starts.2], part) else {
+            return;
+        };
+        // One running offset per walk and loop, applied with
+        // `wrapping_offset`: the step past a loop's last iteration
+        // may leave the slice, and is never read.
+        let [a, b, c] = &nest.walks;
+        let first = std::array::from_fn(|l| part[l].start);
+        let pa = starts.0.map(|at| a.src.as_ptr().wrapping_add(at));
+        let pb = starts.1.map(|at| b.src.as_ptr().wrapping_add(at));
+        let pc = starts.2.map(|at| c.src.as_ptr().wrapping_add(at));
+        let mut outer = [a.offset(first), b.offset(first), c.offset(first)];
+        let advance = |offsets: &mut [isize; 3], l: usize| {
+            let steps = [a.steps[l], b.steps[l], c.steps[l]];
+            *offsets = std::array::from_fn(|w| offsets[w].wrapping_add(steps[w]));
+        };
+        for _ in part[0].clone() {
+            let mut middle = outer;
+            for _ in part[1].clone() {
+                let mut inner = middle;
+                for _ in part[2].clone() {
+                    f(
+                        std::array::from_fn(
+                            #[inline(always)]
+                            |i| read(pa[i].wrapping_offset(inner[0]), a.lane, a.group),
+                        ),
+                        std::array::from_fn(
+                            #[inline(always)]
+                            |i| read(pb[i].wrapping_offset(inner[1]), b.lane, b.group),
+                        ),
+                        std::array::from_fn(
+                            #[inline(always)]
+                            |i| read(pc[i].wrapping_offset(inner[2]), c.lane, c.group),
+                        ),
+                    );
+                    advance(&mut inner, 2);
+                }
+                advance(&mut middle, 1);
+            }
+            advance(&mut outer, 0);
+        }
+    }
 
-    impl Lanes8 for Avx8 {
-        const WIDE: bool = true;
+    /// Eight lanes in one `ymm` register. The type is private to the x86
+    /// arms, whose only entry points are `unsafe fn`s that require AVX2,
+    /// so none of the methods below can run on a CPU without it.
+    #[derive(Clone, Copy)]
+    pub(super) struct Avx8(pub(super) __m256);
+
+    impl Lanes for Avx8 {
+        const REGISTERS: usize = 16;
+        const GROUPS: usize = 1;
+        type Array = [[f32; LANES]; 1];
         #[inline(always)]
         fn splat(v: f32) -> Self {
             // SAFETY: AVX2 is present (see `Avx8`); no memory access.
             Avx8(unsafe { _mm256_set1_ps(v) })
         }
         #[inline(always)]
-        fn to_array(self) -> [f32; LANES] {
+        fn to_array(self) -> Self::Array {
             let mut lanes = [0.0f32; LANES];
             // SAFETY: AVX2 is present (see `Avx8`) and `lanes` is eight
             // writable floats; the store needs no alignment.
             unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), self.0) };
-            lanes
+            [lanes]
         }
         #[inline(always)]
         fn add(self, rhs: Self) -> Self {
@@ -553,6 +684,78 @@ mod avx2 {
             // SAFETY: AVX2 is present (see `Avx8`); no memory access.
             Avx8(unsafe { _mm256_and_ps(self.0, mask.0) })
         }
+        /// `low128 + high128` of accumulators `t` and `t + 4` side by
+        /// side gives `(l0+l4, l1+l5, l2+l6, l3+l7)` of both, a 4×4
+        /// transpose in each half lines the eight accumulators' partial
+        /// sums up, and two more adds finish the tree
+        /// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` — the same additions
+        /// on the same operands as the scalar [`reduce8`], eight results
+        /// per instruction.
+        #[inline(always)]
+        fn reduce(acc: &[Self; LANES]) -> Self {
+            // SAFETY: AVX2 is present (see `Avx8`); no memory access.
+            unsafe {
+                let mut s = [_mm256_setzero_ps(); 4];
+                for (t, half) in s.iter_mut().enumerate() {
+                    let (a, b) = (acc[t].0, acc[t + 4].0);
+                    *half = _mm256_add_ps(
+                        _mm256_permute2f128_ps::<0x20>(a, b),
+                        _mm256_permute2f128_ps::<0x31>(a, b),
+                    );
+                }
+                let (t0, t1) = (
+                    _mm256_unpacklo_ps(s[0], s[1]),
+                    _mm256_unpackhi_ps(s[0], s[1]),
+                );
+                let (t2, t3) = (
+                    _mm256_unpacklo_ps(s[2], s[3]),
+                    _mm256_unpackhi_ps(s[2], s[3]),
+                );
+                let (s0, s1) = (
+                    _mm256_shuffle_ps::<0x44>(t0, t2),
+                    _mm256_shuffle_ps::<0xEE>(t0, t2),
+                );
+                let (s2, s3) = (
+                    _mm256_shuffle_ps::<0x44>(t1, t3),
+                    _mm256_shuffle_ps::<0xEE>(t1, t3),
+                );
+                Avx8(_mm256_add_ps(_mm256_add_ps(s0, s2), _mm256_add_ps(s1, s3)))
+            }
+        }
+        #[inline(always)]
+        fn run<const STRIDED: bool, const A: usize, const B: usize, const C: usize>(
+            nest: &Nest<STRIDED>,
+            starts: (&[usize; A], &[usize; B], &[usize; C]),
+            part: [Range<usize>; 3],
+            f: impl FnMut([Self; A], [Self; B], [Self; C]),
+        ) {
+            walk_nest(
+                nest,
+                starts,
+                part,
+                // SAFETY: AVX2 is present (see `Avx8`), and `walk_nest` hands
+                // `read` only pointers where a walk of `nest` reads, from a
+                // start `admit` found safe, at an iteration inside
+                // `nest.counts` — inside the walk's slice by
+                // `Walk::safe_starts`: one float there for a splat, eight for
+                // a load, `7·lane + 1` for a strided read. No read needs
+                // alignment.
+                #[inline(always)]
+                |p: *const f32, lane: usize, _group: usize| unsafe {
+                    Avx8(if lane == 0 {
+                        _mm256_broadcast_ss(&*p)
+                    } else if !STRIDED || lane == 1 {
+                        _mm256_loadu_ps(p)
+                    } else {
+                        read_strided(p, lane)
+                    })
+                },
+                f,
+            );
+        }
+    }
+
+    impl Lanes8 for Avx8 {
         #[inline(always)]
         fn sub(self, rhs: Self) -> Self {
             // SAFETY: AVX2 is present (see `Avx8`); no memory access.
@@ -610,99 +813,6 @@ mod avx2 {
             // writable floats; the store needs no alignment.
             unsafe { _mm256_storeu_ps(chunk.as_mut_ptr(), self.0) };
         }
-        /// `low128 + high128` of accumulators `t` and `t + 4` side by
-        /// side gives `(l0+l4, l1+l5, l2+l6, l3+l7)` of both, a 4×4
-        /// transpose in each half lines the eight accumulators' partial
-        /// sums up, and two more adds finish the tree
-        /// `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` — the same additions
-        /// on the same operands as the scalar [`reduce8`], eight results
-        /// per instruction.
-        #[inline(always)]
-        fn reduce(acc: &[Self; LANES]) -> Self {
-            // SAFETY: AVX2 is present (see `Avx8`); no memory access.
-            unsafe {
-                let mut s = [_mm256_setzero_ps(); 4];
-                for (t, half) in s.iter_mut().enumerate() {
-                    let (a, b) = (acc[t].0, acc[t + 4].0);
-                    *half = _mm256_add_ps(
-                        _mm256_permute2f128_ps::<0x20>(a, b),
-                        _mm256_permute2f128_ps::<0x31>(a, b),
-                    );
-                }
-                let (t0, t1) = (
-                    _mm256_unpacklo_ps(s[0], s[1]),
-                    _mm256_unpackhi_ps(s[0], s[1]),
-                );
-                let (t2, t3) = (
-                    _mm256_unpacklo_ps(s[2], s[3]),
-                    _mm256_unpackhi_ps(s[2], s[3]),
-                );
-                let (s0, s1) = (
-                    _mm256_shuffle_ps::<0x44>(t0, t2),
-                    _mm256_shuffle_ps::<0xEE>(t0, t2),
-                );
-                let (s2, s3) = (
-                    _mm256_shuffle_ps::<0x44>(t1, t3),
-                    _mm256_shuffle_ps::<0xEE>(t1, t3),
-                );
-                Avx8(_mm256_add_ps(_mm256_add_ps(s0, s2), _mm256_add_ps(s1, s3)))
-            }
-        }
-        #[inline(always)]
-        fn run<const STRIDED: bool, const A: usize, const B: usize, const C: usize>(
-            nest: &Nest<STRIDED>,
-            starts: (&[usize; A], &[usize; B], &[usize; C]),
-            part: [std::ops::Range<usize>; 3],
-            mut f: impl FnMut([Self; A], [Self; B], [Self; C]),
-        ) {
-            let Some(part) = nest.admit([starts.0, starts.1, starts.2], part) else {
-                return;
-            };
-            // SAFETY: AVX2 is present (see `Avx8`), and `p` is only ever
-            // where a walk of `nest` reads, from a start `admit` found
-            // safe, at an iteration inside `nest.counts` (`admit` again)
-            // — inside the walk's slice by `Walk::safe_starts`: one
-            // float there for a splat, eight for a load, `7·lane + 1` for
-            // a strided read. No read needs alignment.
-            let read = |p: *const f32, lane: usize| unsafe {
-                Avx8(if lane == 0 {
-                    _mm256_broadcast_ss(&*p)
-                } else if !STRIDED || lane == 1 {
-                    _mm256_loadu_ps(p)
-                } else {
-                    read_strided(p, lane)
-                })
-            };
-            // One running offset per walk and loop, applied with
-            // `wrapping_offset`: the step past a loop's last iteration
-            // may leave the slice, and is never read.
-            let [a, b, c] = &nest.walks;
-            let first = std::array::from_fn(|l| part[l].start);
-            let pa = starts.0.map(|at| a.src.as_ptr().wrapping_add(at));
-            let pb = starts.1.map(|at| b.src.as_ptr().wrapping_add(at));
-            let pc = starts.2.map(|at| c.src.as_ptr().wrapping_add(at));
-            let mut outer = [a.offset(first), b.offset(first), c.offset(first)];
-            let advance = |offsets: &mut [isize; 3], l: usize| {
-                let steps = [a.steps[l], b.steps[l], c.steps[l]];
-                *offsets = std::array::from_fn(|w| offsets[w].wrapping_add(steps[w]));
-            };
-            for _ in part[0].clone() {
-                let mut middle = outer;
-                for _ in part[1].clone() {
-                    let mut inner = middle;
-                    for _ in part[2].clone() {
-                        f(
-                            std::array::from_fn(|i| read(pa[i].wrapping_offset(inner[0]), a.lane)),
-                            std::array::from_fn(|i| read(pb[i].wrapping_offset(inner[1]), b.lane)),
-                            std::array::from_fn(|i| read(pc[i].wrapping_offset(inner[2]), c.lane)),
-                        );
-                        advance(&mut inner, 2);
-                    }
-                    advance(&mut middle, 1);
-                }
-                advance(&mut outer, 0);
-            }
-        }
     }
 
     /// [`implicit::conv_fwd`] over [`Avx8`].
@@ -727,9 +837,9 @@ mod avx2 {
         xp: &[f32],
         dy: &[f32],
         dw: &mut [f32],
-        lanes: bool,
+        form: DwForm,
     ) {
-        implicit::conv_dw_acc::<Avx8>(g, skip, xp, dy, dw, lanes);
+        implicit::conv_dw_acc::<Avx8>(g, skip, xp, dy, dw, form);
     }
 
     /// [`implicit::conv_dx_acc`] over [`Avx8`].
@@ -777,6 +887,213 @@ mod avx2 {
     }
 }
 
+// ---------------------------------------------------------------------
+// AVX-512 arm.
+// ---------------------------------------------------------------------
+
+/// The x86 AVX-512 arm: the convolution bodies over two 8-lane groups
+/// per `zmm` register, one `#[target_feature]` wrapper per kernel; the
+/// sweeps run on the AVX2 arm's (see [`dispatch!`]).
+#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+mod avx512 {
+    use super::avx2::{read_strided, walk_nest, Avx8};
+    use super::implicit::{self, DwForm, Nest};
+    use super::lanes::Lanes;
+    use super::*;
+    #[cfg(target_arch = "x86")]
+    use std::arch::x86::*;
+    #[cfg(target_arch = "x86_64")]
+    use std::arch::x86_64::*;
+    use std::ops::Range;
+
+    /// `lo` as group 0 and `hi` as group 1 of one register.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and AVX-512DQ.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    #[inline]
+    unsafe fn pair(lo: __m256, hi: __m256) -> __m512 {
+        _mm512_insertf32x8::<1>(_mm512_castps256_ps512(lo), hi)
+    }
+
+    /// What a walk whose lanes are `lane` floats apart reads from `p`
+    /// into one register, group 1 `group` floats on from group 0: a
+    /// broadcast (a splat reads the same float in both), one 512-bit
+    /// load when the groups are adjacent,
+    /// a load broadcast to both halves when they read the same floats,
+    /// two 256-bit loads otherwise; at stride 2 with adjacent groups the
+    /// even floats of two loads, wider gathers. A function of its own,
+    /// not the closure that calls it: a closure lacks the kernel's
+    /// target features, so the intrinsics it calls are not inlined into
+    /// it, and it is itself inlined into the kernel only while it stays
+    /// a few calls long.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, AVX-512DQ and AVX2, and the floats
+    /// the read takes must be readable: one (splat) or `7·lane + 1` from
+    /// `p` and from `p + group` on. No read needs alignment.
+    #[target_feature(enable = "avx512f,avx512dq,avx2")]
+    #[inline]
+    unsafe fn read<const STRIDED: bool>(p: *const f32, lane: usize, group: usize) -> __m512 {
+        if lane == 0 {
+            _mm512_set1_ps(*p)
+        } else if !STRIDED || lane == 1 {
+            if group == LANES {
+                _mm512_loadu_ps(p)
+            } else if group == 0 {
+                _mm512_broadcast_f32x8(_mm256_loadu_ps(p))
+            } else {
+                pair(_mm256_loadu_ps(p), _mm256_loadu_ps(p.add(group)))
+            }
+        } else if lane == 2 && group == 2 * LANES {
+            // Floats 0, 2, …, 14 of the first load and 1, 3, …, 15 of the
+            // second (floats 16, 18, …, 30), which overlap in one.
+            let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 17, 19, 21, 23, 25, 27, 29, 31);
+            let hi = _mm512_loadu_ps(p.add(2 * LANES - 1));
+            _mm512_permutex2var_ps(_mm512_loadu_ps(p), even, hi)
+        } else {
+            let lo = read_strided(p, lane);
+            let hi = if group == 0 {
+                lo
+            } else {
+                read_strided(p.add(group), lane)
+            };
+            pair(lo, hi)
+        }
+    }
+
+    /// Two groups of eight lanes in one `zmm` register, group 0 in the
+    /// low half. The type is private to this module, whose only entry
+    /// points are `unsafe fn`s that require AVX-512F, AVX-512DQ, AVX2 and
+    /// FMA, so none of the methods below can run on a CPU without them.
+    #[derive(Clone, Copy)]
+    struct Avx16(__m512);
+
+    impl Lanes for Avx16 {
+        const REGISTERS: usize = 32;
+        const GROUPS: usize = 2;
+        type Array = [[f32; LANES]; 2];
+        #[inline(always)]
+        fn splat(v: f32) -> Self {
+            // SAFETY: AVX-512F is present (see `Avx16`); no memory access.
+            Avx16(unsafe { _mm512_set1_ps(v) })
+        }
+        #[inline(always)]
+        fn add(self, rhs: Self) -> Self {
+            // SAFETY: AVX-512F is present (see `Avx16`); no memory access.
+            Avx16(unsafe { _mm512_add_ps(self.0, rhs.0) })
+        }
+        #[inline(always)]
+        fn mul(self, rhs: Self) -> Self {
+            // SAFETY: AVX-512F is present (see `Avx16`); no memory access.
+            Avx16(unsafe { _mm512_mul_ps(self.0, rhs.0) })
+        }
+        #[inline(always)]
+        fn and(self, mask: Self) -> Self {
+            // SAFETY: AVX-512DQ is present (see `Avx16`); no memory access.
+            Avx16(unsafe { _mm512_and_ps(self.0, mask.0) })
+        }
+        #[inline(always)]
+        fn to_array(self) -> Self::Array {
+            let mut lanes = [[0.0f32; LANES]; 2];
+            // SAFETY: AVX-512F is present (see `Avx16`) and `lanes` is
+            // sixteen contiguous writable floats; the store needs no
+            // alignment.
+            unsafe { _mm512_storeu_ps(lanes.as_mut_ptr().cast(), self.0) };
+            lanes
+        }
+        /// The AVX2 arm's tree on each half: the same additions on the
+        /// same operands as [`reduce8`] per group.
+        #[inline(always)]
+        fn reduce(acc: &[Self; LANES]) -> Self {
+            // SAFETY: AVX-512F/DQ and AVX2 are present (see `Avx16`); no
+            // memory access.
+            unsafe {
+                let (mut lo, mut hi) = (
+                    [Avx8(_mm256_setzero_ps()); LANES],
+                    [Avx8(_mm256_setzero_ps()); LANES],
+                );
+                for t in 0..LANES {
+                    lo[t] = Avx8(_mm512_castps512_ps256(acc[t].0));
+                    hi[t] = Avx8(_mm512_extractf32x8_ps::<1>(acc[t].0));
+                }
+                Avx16(pair(Avx8::reduce(&lo).0, Avx8::reduce(&hi).0))
+            }
+        }
+        #[inline(always)]
+        fn run<const STRIDED: bool, const A: usize, const B: usize, const C: usize>(
+            nest: &Nest<STRIDED>,
+            starts: (&[usize; A], &[usize; B], &[usize; C]),
+            part: [Range<usize>; 3],
+            f: impl FnMut([Self; A], [Self; B], [Self; C]),
+        ) {
+            walk_nest(
+                nest,
+                starts,
+                part,
+                // SAFETY: AVX-512F/DQ and AVX2 are present (see `Avx16`), and
+                // `walk_nest` hands `read` only pointers where a walk of `nest`
+                // reads, from a start `admit` found safe, at an iteration
+                // inside `nest.counts` — inside the walk's slice by
+                // `Walk::safe_starts` for registers of two groups: group 1's
+                // read `group` floats on from group 0's, each one float for a
+                // splat, eight for a load, `7·lane + 1` for a strided read.
+                #[inline(always)]
+                |p: *const f32, lane: usize, group: usize| unsafe {
+                    Avx16(read::<STRIDED>(p, lane, group))
+                },
+                f,
+            );
+        }
+    }
+
+    /// [`implicit::conv_fwd`] over [`Avx16`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, AVX-512DQ, AVX2 and FMA (the
+    /// [`dispatch!`] invariant).
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    pub(super) unsafe fn conv_fwd(g: &ConvGeom, skip: usize, xp: &[f32], w: &[f32], y: &mut [f32]) {
+        implicit::conv_fwd::<Avx16>(g, skip, xp, w, y);
+    }
+
+    /// [`implicit::conv_dw_acc`] over [`Avx16`].
+    ///
+    /// # Safety
+    ///
+    /// As [`conv_fwd`].
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    pub(super) unsafe fn conv_dw_acc(
+        g: &ConvGeom,
+        skip: usize,
+        xp: &[f32],
+        dy: &[f32],
+        dw: &mut [f32],
+        form: DwForm,
+    ) {
+        implicit::conv_dw_acc::<Avx16>(g, skip, xp, dy, dw, form);
+    }
+
+    /// [`implicit::conv_dx_acc`] over [`Avx16`].
+    ///
+    /// # Safety
+    ///
+    /// As [`conv_fwd`].
+    #[target_feature(enable = "avx512f,avx512dq,avx2,fma")]
+    pub(super) unsafe fn conv_dx_acc(
+        g: &ConvGeom,
+        pad: usize,
+        w: &[f32],
+        dyp: &[f32],
+        dx: &mut [f32],
+    ) {
+        implicit::conv_dx_acc::<Avx16>(g, pad, w, dyp, dx);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -790,11 +1107,7 @@ mod tests {
     /// Every arm this machine can run; each is checked against the
     /// `Scalar` arm, the `Scalar8` instantiation of the same bodies.
     fn arms() -> Vec<SimdBackend> {
-        let mut arms = vec![SimdBackend::Scalar];
-        if SimdBackend::detect() == SimdBackend::Avx2 {
-            arms.push(SimdBackend::Avx2);
-        }
-        arms
+        SimdBackend::supported()
     }
 
     fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
@@ -814,11 +1127,12 @@ mod tests {
         assert_eq!(SimdBackend::parse(" SCALAR "), SimdBackend::Scalar);
         assert_eq!(SimdBackend::parse("auto"), SimdBackend::detect());
         assert_eq!(SimdBackend::parse(""), SimdBackend::detect());
-        if SimdBackend::detect() == SimdBackend::Avx2 {
-            assert_eq!(SimdBackend::parse("avx2"), SimdBackend::Avx2);
+        for arm in SimdBackend::supported() {
+            assert_eq!(SimdBackend::parse(arm.name()), arm);
         }
         assert_eq!(SimdBackend::Scalar.to_string(), "scalar");
         assert_eq!(SimdBackend::Avx2.name(), "avx2");
+        assert_eq!(SimdBackend::Avx512.name(), "avx512");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The implicit-GEMM convolution kernels of [`crate::simd`] — contract
 //! rule 5 of the parent module — each written **once**: a generic body
-//! over the eight abstract lanes of [`Lanes8`], instantiated for the
-//! portable [`Scalar8`] and for the AVX2 lanes in the parent, so an
-//! accumulation order is stated in one place and an arm is one `impl`.
+//! over a register of [`Lanes`], one or two groups of eight abstract
+//! lanes, instantiated for the portable [`Scalar`] and for the AVX2 and
+//! AVX-512 registers in the parent, so an accumulation order is stated
+//! in one place and an arm is one `impl`.
 //! They serve every [`crate::conv::Conv2dSpec`] — any stride, padding
 //! and dilation — and, with the operands swapped, the transposed
 //! convolution, which is the adjoint of this one.
@@ -10,8 +11,8 @@
 //! The kernels contain no `unsafe`. They describe where they read as
 //! [`Walk`]s through a loop nest; a [`Nest`] works out, once per call,
 //! from which starting positions the whole nest stays inside its slices,
-//! and [`Lanes8::run`] compares each register tile's starts with that
-//! before it reads — which is what lets the AVX2 arm load through raw
+//! and [`Lanes::run`] compares each register tile's starts with that
+//! before it reads — which is what lets the x86 arms load through raw
 //! pointers without a bounds test per load.
 //!
 //! Three ways of not doing work, all bit-neutral (rule 5 has the
@@ -21,11 +22,54 @@
 //! is all finite; the *input gradient* gathers, per pixel, only the taps
 //! whose output position exists.
 
+use super::lanes::{Lanes, Scalar};
 #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-use super::avx2;
-use super::lanes::{Lanes8, Scalar8};
+use super::{avx2, avx512};
 use super::{reduce8, SimdBackend, LANES};
 use std::ops::Range;
+
+/// The `Scalar` arm's convolution register: one group, or — built with
+/// `--cfg rte_portable_pairs` — two, so that the paired bodies of the
+/// AVX-512 arm run, tile for tile, on a CPU without it and are checked
+/// against the oracle there.
+#[cfg(not(rte_portable_pairs))]
+type ScalarConv = Scalar<1>;
+#[cfg(rte_portable_pairs)]
+type ScalarConv = Scalar<2>;
+
+/// The most groups any arm's register holds; the slack of the padded
+/// operands is sized for a read of that many.
+const MAX_GROUPS: usize = 2;
+
+/// Groups in a register of `backend`'s convolution bodies.
+fn groups(backend: SimdBackend) -> usize {
+    match backend {
+        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+        SimdBackend::Avx2 => 1,
+        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+        SimdBackend::Avx512 => MAX_GROUPS,
+        _ => <ScalarConv as Lanes>::GROUPS,
+    }
+}
+
+/// Calls kernel `$name` on `$backend`'s arm over its two-group register
+/// when `$pairs` — when the call has the work to fill both groups — and
+/// over its one-group register otherwise: the AVX2 arm's on the AVX-512
+/// arm, as a half-empty register would cost more than it saves.
+macro_rules! dispatch_groups {
+    ($backend:expr, $pairs:expr, $name:ident($($arg:expr),*)) => {
+        if $pairs {
+            dispatch!(
+                $backend,
+                $name::<ScalarConv>($($arg),*),
+                avx2::$name($($arg),*),
+                avx512::$name($($arg),*)
+            )
+        } else {
+            dispatch!($backend, $name::<Scalar<1>>($($arg),*), avx2::$name($($arg),*))
+        }
+    };
+}
 
 /// Geometry of one convolution read straight from a zero-padded image —
 /// the operand layout of the implicit-GEMM kernels behind
@@ -34,8 +78,8 @@ use std::ops::Range;
 ///
 /// The padded image is `c_in × hp × wp` row-major (the `h × w` input
 /// centred inside `padding` zeros on every side) followed by
-/// `stride · (7·wp + LANES)` slack floats, so that a register tile of
-/// eight output rows overhanging the last one, and an 8-lane read whose
+/// `stride · (7·wp + 16)` slack floats, so that a register tile of
+/// eight output rows overhanging the last one, and a 16-lane read whose
 /// valid lanes end at the last pixel, still read inside the slice.
 /// Output position `(oi, oj)` reads tap `(ci, ki, kj)` at
 /// `ci·hp·wp + (oi·stride + ki·dilation)·wp + oj·stride + kj·dilation`:
@@ -81,41 +125,72 @@ impl ConvGeom {
 
     /// Length of a padded image slice, slack included.
     pub fn padded_len(&self) -> usize {
-        self.c_in * self.hp * self.wp + self.stride * ((LANES - 1) * self.wp + LANES)
+        let slack = (LANES - 1) * self.wp + LANES * MAX_GROUPS;
+        self.c_in * self.hp * self.wp + self.stride * slack
     }
 
     /// Length of the scratch [`conv_dx_acc_padded_with`] copies `dy` into:
     /// every output row between `dilation·(kw − 1)` zeros on either side, so
     /// a tap shifted off the row's end reads zeros, plus slack.
     pub fn dy_padded_len(&self) -> usize {
-        self.c_out * self.oh() * (self.ow() + 2 * self.reach()) + LANES
+        self.c_out * self.oh() * (self.ow() + 2 * self.reach()) + LANES * MAX_GROUPS
     }
 
-    /// Length of the scratch a [`DwBatch`] over `channels` output
-    /// channels needs: nothing, or — when the weight gradient puts
-    /// channels in the lanes — room for one image's `xp` and `dy` and for
-    /// `dw`, all three with the channels innermost and those of `dy` and
-    /// `dw` padded to whole groups of eight.
-    pub fn dw_scratch_len(&self, channels: usize) -> usize {
-        if self.channel_lanes(channels) {
-            let pitch = channels.next_multiple_of(LANES);
-            self.c_in * self.hp * self.wp + (self.oh() * self.ow() + self.ckk()) * pitch
-        } else {
-            0
+    /// Length of the scratch a [`DwBatch`] on `backend` over `channels`
+    /// output channels needs: room for one image's `xp` and `dy` and for
+    /// `dw` when the weight gradient puts channels in the lanes, all
+    /// three with the channels innermost and those of `dy` and `dw`
+    /// padded to whole registers; room for `dy` with its channels
+    /// interleaved in pairs when the arm's registers hold two groups and
+    /// the tile reads one channel a group; else nothing.
+    pub fn dw_scratch_len(&self, backend: SimdBackend, channels: usize) -> usize {
+        let (ohw, groups) = (self.oh() * self.ow(), self.dw_groups(backend, channels));
+        match self.dw_form(channels) {
+            DwForm::Lanes => {
+                let pitch = channels.next_multiple_of(LANES * groups);
+                self.c_in * self.hp * self.wp + (ohw + self.ckk()) * pitch
+            }
+            DwForm::Tiled if groups > 1 => ohw * channels.next_multiple_of(groups),
+            _ => 0,
         }
     }
 
-    /// Whether the weight gradient of a run of `channels` output channels
-    /// puts eight of them in the hardware lanes ([`conv_dw_acc_lanes`])
-    /// rather than eight output positions ([`conv_dw_acc_tiled`]): when a
-    /// row is one vector wide — a virtual lane is then a column, and a
-    /// tile's chains too short to pay for reducing them — and there are
-    /// the output channels to fill a vector and whole tiles of eight
-    /// input channels to fill the accumulators. A rule of the shape, like
-    /// the stride rule, and of nothing else; the bits are the same either
-    /// way.
-    fn channel_lanes(&self, channels: usize) -> bool {
-        self.ow() == LANES && channels >= LANES && self.c_in > 0 && self.c_in % LANES == 0
+    /// Groups in a register of `backend`'s weight gradient over `channels`
+    /// output channels: the arm's, where the channels fill more than one
+    /// group — two channels for the tile, nine for channels in the lanes
+    /// — else one.
+    fn dw_groups(&self, backend: SimdBackend, channels: usize) -> usize {
+        let group = match self.dw_form(channels) {
+            DwForm::Lanes => LANES,
+            DwForm::Tiled => 1,
+            DwForm::Rotating => return 1,
+        };
+        if channels > group {
+            groups(backend)
+        } else {
+            1
+        }
+    }
+
+    /// The form of the weight gradient of a run of `channels` output
+    /// channels. [`DwForm::Lanes`] puts output channels in the hardware
+    /// lanes ([`conv_dw_acc_lanes`]) rather than output positions
+    /// ([`conv_dw_acc_tiled`]): when a row is one vector wide — a virtual
+    /// lane is then a column, and a tile's chains too short to pay for
+    /// reducing them — and there are the output channels to fill a vector
+    /// and whole tiles of eight input channels to fill the accumulators.
+    /// Where a row does not start at lane 0 it is [`DwForm::Rotating`]. A
+    /// rule of the shape, like the stride rule, and of nothing else; the
+    /// bits are the same either way.
+    fn dw_form(&self, channels: usize) -> DwForm {
+        let ow = self.ow();
+        if ow == LANES && channels >= LANES && self.c_in > 0 && self.c_in.is_multiple_of(LANES) {
+            DwForm::Lanes
+        } else if !ow.is_multiple_of(LANES) {
+            DwForm::Rotating
+        } else {
+            DwForm::Tiled
+        }
     }
 
     /// Columns between a kernel row's first and last tap.
@@ -208,6 +283,17 @@ impl ConvGeom {
             "ConvGeom: padding wider than the padded image"
         );
     }
+}
+
+/// How [`conv_dw_acc`] reads its operands ([`ConvGeom::dw_form`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum DwForm {
+    /// Output channels in the lanes, over transposed operands.
+    Lanes,
+    /// Output positions in the lanes, a register tile of channels × taps.
+    Tiled,
+    /// Output rows that do not start at lane 0: gathered column rows.
+    Rotating,
 }
 
 /// [`ConvGeom::taps`]: three counters and three running offsets,
@@ -315,8 +401,9 @@ pub fn conv_fwd_skip_with(
     assert_eq!(y.len(), g.c_out * g.oh() * g.ow(), "conv_fwd: out length");
     dispatch!(
         backend,
-        conv_fwd::<Scalar8>(g, skip, xp, w, y),
-        avx2::conv_fwd(g, skip, xp, w, y)
+        conv_fwd::<ScalarConv>(g, skip, xp, w, y),
+        avx2::conv_fwd(g, skip, xp, w, y),
+        avx512::conv_fwd(g, skip, xp, w, y)
     );
 }
 
@@ -374,59 +461,78 @@ pub fn conv_dw_acc_skip_with(
     if ckk == 0 {
         return;
     }
-    let mut scratch = vec![0.0f32; g.dw_scratch_len(dy.len() / ohw)];
-    let mut batch = DwBatch::new(g, dw, &mut scratch);
-    batch.add(backend, skip, xp, dy);
+    let mut scratch = vec![0.0f32; g.dw_scratch_len(backend, dy.len() / ohw)];
+    let mut batch = DwBatch::new(backend, g, dw, &mut scratch);
+    batch.add(skip, xp, dy);
     batch.finish();
 }
 
 /// The weight gradients of a run of output channels while a batch of
-/// images is added to them, one [`DwBatch::add`] an image in batch
-/// order, then [`DwBatch::finish`]. Which form the kernel takes — and so
-/// whether the sums are kept transposed until the end — is the
-/// geometry's business (`ConvGeom::channel_lanes`), not the caller's.
+/// images is added to them on one arm, one [`DwBatch::add`] an image in
+/// batch order, then [`DwBatch::finish`]. Which form the kernel takes —
+/// and so whether the sums are kept transposed until the end, or `dy`
+/// interleaved — is the geometry's and the arm's business
+/// (`ConvGeom::dw_form`), not the caller's.
 pub struct DwBatch<'a> {
+    backend: SimdBackend,
     g: ConvGeom,
+    form: DwForm,
+    /// Groups in a register (`ConvGeom::dw_groups`).
+    groups: usize,
     dw: &'a mut [f32],
     /// The operands of [`conv_dw_acc_lanes`] — the image and `dy` being
-    /// added, and `dw` — all empty unless the geometry puts channels in
-    /// the lanes.
+    /// added, and `dw` — when the geometry puts channels in the lanes;
+    /// else `xt` and `dwt` are empty, and `dyt` is `dy` interleaved by
+    /// group when a register holds more than one, empty when not.
     xt: &'a mut [f32],
     dyt: &'a mut [f32],
     dwt: &'a mut [f32],
 }
 
 impl<'a> DwBatch<'a> {
-    /// Starts a batch into `dw`, the `ckk` weight gradients of each
-    /// channel of the run back to back (whatever they hold is added to),
-    /// with [`ConvGeom::dw_scratch_len`] floats of scratch, contents
-    /// ignored.
+    /// Starts a batch on `backend` into `dw`, the `ckk` weight gradients
+    /// of each channel of the run back to back (whatever they hold is
+    /// added to), with [`ConvGeom::dw_scratch_len`] floats of scratch,
+    /// contents ignored.
     ///
     /// # Panics
     ///
     /// Panics if the geometry is degenerate or has no taps, or a slice
     /// length is inconsistent with it.
-    pub fn new(g: &ConvGeom, dw: &'a mut [f32], scratch: &'a mut [f32]) -> Self {
+    pub fn new(
+        backend: SimdBackend,
+        g: &ConvGeom,
+        dw: &'a mut [f32],
+        scratch: &'a mut [f32],
+    ) -> Self {
         g.assert_valid(0);
         let (ohw, ckk) = (g.oh() * g.ow(), g.ckk());
-        assert!(ckk > 0 && dw.len() % ckk == 0, "DwBatch: dw length");
+        assert!(
+            ckk > 0 && dw.len().is_multiple_of(ckk),
+            "DwBatch: dw length"
+        );
         let channels = dw.len() / ckk;
         assert_eq!(
             scratch.len(),
-            g.dw_scratch_len(channels),
+            g.dw_scratch_len(backend, channels),
             "DwBatch: scratch length"
         );
-        let image = if g.channel_lanes(channels) {
-            g.c_in * g.hp * g.wp
+        let (form, groups) = (g.dw_form(channels), g.dw_groups(backend, channels));
+        let (image, sums) = if form == DwForm::Lanes {
+            let pitch = (scratch.len() - g.c_in * g.hp * g.wp) / (ohw + ckk);
+            (g.c_in * g.hp * g.wp, ckk * pitch)
         } else {
-            0
+            (0, 0)
         };
         let (xt, rest) = scratch.split_at_mut(image);
-        // The padding channels of `dyᵀ` stay zero; `dwᵀ` starts there.
+        // The padding channels of `dy` stay zero; `dwᵀ` starts there.
         rest.iter_mut().for_each(|v| *v = 0.0);
-        let (dyt, dwt) = rest.split_at_mut(rest.len() / (ohw + ckk) * ohw);
+        let (dyt, dwt) = rest.split_at_mut(rest.len() - sums);
         DwBatch {
+            backend,
             g: *g,
+            form,
+            groups,
             dw,
             xt,
             dyt,
@@ -441,7 +547,7 @@ impl<'a> DwBatch<'a> {
     /// # Panics
     ///
     /// Panics if a slice length is inconsistent with the geometry.
-    pub fn add(&mut self, backend: SimdBackend, skip: usize, xp: &[f32], dy: &[f32]) {
+    pub fn add(&mut self, skip: usize, xp: &[f32], dy: &[f32]) {
         let g = &self.g;
         g.assert_valid(skip);
         assert!(
@@ -454,19 +560,19 @@ impl<'a> DwBatch<'a> {
             self.dw.len() * ohw,
             "conv_dw_acc: dy length"
         );
-        let lanes = !self.dwt.is_empty();
-        let (xp, dy, dw) = if lanes {
+        let form = self.form;
+        let (xp, dy, dw) = if form == DwForm::Lanes {
             transpose(&xp[..self.xt.len()], g.c_in, self.xt);
             transpose(dy, self.dyt.len() / ohw, self.dyt);
             (&*self.xt, &*self.dyt, &mut *self.dwt)
+        } else if !self.dyt.is_empty() {
+            interleave(dy, ohw, self.groups, self.dyt);
+            (xp, &*self.dyt, &mut *self.dw)
         } else {
             (xp, dy, &mut *self.dw)
         };
-        dispatch!(
-            backend,
-            conv_dw_acc::<Scalar8>(g, skip, xp, dy, dw, lanes),
-            avx2::conv_dw_acc(g, skip, xp, dy, dw, lanes)
-        );
+        let pairs = self.groups > 1;
+        dispatch_groups!(self.backend, pairs, conv_dw_acc(g, skip, xp, dy, dw, form));
     }
 
     /// Adds what the batch summed to `dw`.
@@ -480,6 +586,19 @@ impl<'a> DwBatch<'a> {
             for (c, &sum) in sums[..self.dw.len() / ckk].iter().enumerate() {
                 self.dw[c * ckk + p] += sum;
             }
+        }
+    }
+}
+
+/// Channel `c` of `src`, `plane` long, into group `c % groups` of
+/// register `c / groups` of `dst`: eight floats of each channel of a
+/// register in turn. `dst`'s floats for channels `src` lacks keep what
+/// they hold.
+fn interleave(src: &[f32], plane: usize, groups: usize, dst: &mut [f32]) {
+    for (c, channel) in src.chunks_exact(plane).enumerate() {
+        let at = (c / groups) * groups * plane + (c % groups) * LANES;
+        for (b, block) in channel.chunks_exact(LANES).enumerate() {
+            dst[at + b * groups * LANES..][..LANES].copy_from_slice(block);
         }
     }
 }
@@ -568,11 +687,9 @@ pub fn conv_dx_acc_padded_with(
     for (dst, src) in rows.zip(dy.chunks_exact(ow)) {
         dst[reach..reach + ow].copy_from_slice(src);
     }
-    dispatch!(
-        backend,
-        conv_dx_acc::<Scalar8>(g, padding, w, dyp, dx),
-        avx2::conv_dx_acc(g, padding, w, dyp, dx)
-    );
+    // A register's pixels are one image row's, `stride` apart.
+    let pairs = (g.wp - 2 * padding).div_ceil(g.stride) > LANES;
+    dispatch_groups!(backend, pairs, conv_dx_acc(g, padding, w, dyp, dx));
 }
 
 // ---------------------------------------------------------------------
@@ -584,22 +701,26 @@ pub fn conv_dx_acc_padded_with(
 /// every iteration of loop `l`, outermost first. `lane` is how far apart
 /// the eight lanes of a read are: 0 takes the one float there in every
 /// lane, 1 the eight floats from there on, and `s` every `s`-th float
-/// of the `7·s + 1` from there on.
+/// of the `7·s + 1` from there on. `group` is how far group `g` of a
+/// register reads from group 0: `g · group` floats on (0: every group
+/// reads the same floats, as a splat's must).
 #[derive(Clone, Copy)]
 pub(super) struct Walk<'a> {
     pub(super) src: &'a [f32],
     pub(super) steps: [isize; 3],
     pub(super) lane: usize,
+    pub(super) group: usize,
 }
 
 impl Walk<'_> {
     /// The first and last start positions from which every read of a
-    /// nest with `counts` iterations per loop stays inside `src` — the
-    /// nest moves furthest back and ahead of its start where each loop
-    /// is at whichever end its step points to — or `None` if there is no
-    /// such start.
-    fn safe_starts(&self, counts: [usize; 3]) -> Option<(usize, usize)> {
+    /// nest with `counts` iterations per loop, into registers of `groups`
+    /// groups, stays inside `src` — the nest moves furthest back and
+    /// ahead of its start where each loop is at whichever end its step
+    /// points to — or `None` if there is no such start.
+    fn safe_starts(&self, counts: [usize; 3], groups: usize) -> Option<(usize, usize)> {
         let width = self.lane.checked_mul(LANES - 1)?.checked_add(1)?;
+        let width = self.group.checked_mul(groups - 1)?.checked_add(width)?;
         let (mut back, mut ahead) = (0isize, 0isize);
         for l in 0..3 {
             let last = isize::try_from(counts[l].checked_sub(1)?).ok()?;
@@ -642,16 +763,23 @@ const NO_WALK: Walk<'static> = Walk {
     src: &[],
     steps: [0; 3],
     lane: 1,
+    group: 0,
 };
 
 impl<'a, const STRIDED: bool> Nest<'a, STRIDED> {
+    /// The nest of `walks` with `counts` iterations per loop, read into
+    /// registers of `groups` groups.
     #[inline]
-    fn new(walks: [Walk<'a>; 3], counts: [usize; 3]) -> Self {
+    fn new(walks: [Walk<'a>; 3], counts: [usize; 3], groups: usize) -> Self {
         assert!(
             STRIDED || walks.iter().all(|walk| walk.lane <= 1),
             "simd: a strided walk in a nest without strided reads"
         );
-        let safe = walks.map(|walk| walk.safe_starts(counts));
+        assert!(
+            walks.iter().all(|walk| walk.lane > 0 || walk.group == 0),
+            "simd: a splat that differs between groups"
+        );
+        let safe = walks.map(|walk| walk.safe_starts(counts, groups));
         Nest {
             walks,
             counts,
@@ -688,12 +816,15 @@ impl<'a, const STRIDED: bool> Nest<'a, STRIDED> {
 }
 
 /// Implicit-GEMM forward. The register tile is `CT` output channels ×
-/// `RT` output rows × 8 columns: on a [`Lanes8::WIDE`] arm eight
-/// accumulators, 4 × 2 when there are channels to share each image load
-/// and 1 × 8 otherwise, so a single-channel layer still runs eight
-/// independent chains; half as many rows on a narrow one.
+/// `RT` registers of output rows: with 16 registers eight accumulators,
+/// 4 × 2 when there are channels to share each image load and 1 × 8
+/// otherwise, so a single-channel layer still runs eight independent
+/// chains; with 32, 8 × 2 where there are eight channels; half as many
+/// rows with 8. A register holds one output row's columns, eight a
+/// group — or, where a row is one group wide and a register holds two,
+/// eight columns of two rows, so that no group idles.
 #[inline(always)]
-pub(super) fn conv_fwd<V: Lanes8>(g: &ConvGeom, skip: usize, xp: &[f32], w: &[f32], y: &mut [f32]) {
+pub(super) fn conv_fwd<V: Lanes>(g: &ConvGeom, skip: usize, xp: &[f32], w: &[f32], y: &mut [f32]) {
     if g.stride == 1 {
         conv_fwd_shaped::<V, false>(g, skip, xp, w, y);
     } else {
@@ -704,67 +835,77 @@ pub(super) fn conv_fwd<V: Lanes8>(g: &ConvGeom, skip: usize, xp: &[f32], w: &[f3
 /// [`conv_fwd`] with the image read `stride` floats a lane apart
 /// (`STRIDED`) or contiguously.
 #[inline(always)]
-fn conv_fwd_shaped<V: Lanes8, const STRIDED: bool>(
+fn conv_fwd_shaped<V: Lanes, const STRIDED: bool>(
     g: &ConvGeom,
     skip: usize,
     xp: &[f32],
     w: &[f32],
     y: &mut [f32],
 ) {
-    match (g.c_out >= 4, V::WIDE) {
-        (true, true) => conv_fwd_tiled::<V, 4, 2, STRIDED>(g, skip, xp, w, y),
-        (true, false) => conv_fwd_tiled::<V, 4, 1, STRIDED>(g, skip, xp, w, y),
-        (false, true) => conv_fwd_tiled::<V, 1, 8, STRIDED>(g, skip, xp, w, y),
-        (false, false) => conv_fwd_tiled::<V, 1, 4, STRIDED>(g, skip, xp, w, y),
+    let per = if g.ow() <= LANES { V::GROUPS } else { 1 };
+    match (g.c_out, V::REGISTERS, per) {
+        (8.., 32.., _) => conv_fwd_tiled::<V, 8, 2, STRIDED>(g, skip, per, xp, w, y),
+        (4.., 16.., _) => conv_fwd_tiled::<V, 4, 2, STRIDED>(g, skip, per, xp, w, y),
+        (4.., _, _) => conv_fwd_tiled::<V, 4, 1, STRIDED>(g, skip, per, xp, w, y),
+        (_, 16.., 1) => conv_fwd_tiled::<V, 1, 8, STRIDED>(g, skip, per, xp, w, y),
+        _ => conv_fwd_tiled::<V, 1, 4, STRIDED>(g, skip, per, xp, w, y),
     }
 }
 
-/// [`conv_fwd`] for one tile shape (`c_out ≥ CT`). The last channel
-/// tile slides back over channels already stored rather than overhang
-/// `c_out`, and a row tile that overhangs `oh` reads on into the padded
-/// image's slack and skips those stores, so there is no remainder
-/// kernel. Each accumulator adds its `w · x` products from zero in
+/// [`conv_fwd`] for one tile shape (`c_out ≥ CT`), a register holding
+/// `per` output rows of consecutive columns, group after group. The last
+/// channel tile slides back over channels already stored rather than
+/// overhang `c_out`, and a tile that overhangs `oh` or `ow` reads on into
+/// the padded image's next row or slack and skips those stores, so there
+/// is no remainder kernel. Each accumulator adds its `w · x` products from zero in
 /// ascending tap order — one uninterrupted chain per output element —
 /// over the kernel rows that are live for the tile's output rows
 /// ([`ConvGeom::live_kernel_rows`]; all of them when `skip` is 0).
 #[inline(always)]
-fn conv_fwd_tiled<V: Lanes8, const CT: usize, const RT: usize, const STRIDED: bool>(
+fn conv_fwd_tiled<V: Lanes, const CT: usize, const RT: usize, const STRIDED: bool>(
     g: &ConvGeom,
     skip: usize,
+    per: usize,
     xp: &[f32],
     w: &[f32],
     y: &mut [f32],
 ) {
     let (oh, ow, wp, ckk, stride) = (g.oh(), g.ow(), g.wp, g.ckk(), g.stride);
     let (ohw, plane, khw, step) = (oh * ow, g.hp * wp, g.kh * g.kw, g.dilation);
+    let cols = LANES * V::GROUPS / per;
     let weights = Walk {
         src: w,
         steps: [khw, g.kw, 1].map(|s| s as isize),
         lane: 0,
+        group: 0,
     };
     let windows = Walk {
         src: xp,
         steps: [plane, step * wp, step].map(|s| s as isize),
         lane: stride,
+        group: if per > 1 { stride * wp } else { LANES * stride },
     };
-    let nest = Nest::<STRIDED>::new([weights, windows, NO_WALK], [g.c_in, g.kh, g.kw]);
+    let counts = [g.c_in, g.kh, g.kw];
+    let nest = Nest::<STRIDED>::new([weights, windows, NO_WALK], counts, V::GROUPS);
     for co0 in (0..g.c_out).step_by(CT) {
         let co0 = co0.min(g.c_out - CT);
         let w_rows: [usize; CT] = std::array::from_fn(|c| (co0 + c) * ckk);
-        for oi0 in (0..oh).step_by(RT) {
-            let rows = RT.min(oh - oi0);
+        for oi0 in (0..oh).step_by(RT * per) {
+            let rows = (RT * per).min(oh - oi0);
             let taps = [
                 0..g.c_in,
                 g.live_kernel_rows(skip, oi0, oi0 + rows - 1),
                 0..g.kw,
             ];
-            for oj0 in (0..ow).step_by(LANES) {
-                let x_rows: [usize; RT] = std::array::from_fn(|r| ((oi0 + r) * wp + oj0) * stride);
+            for oj0 in (0..ow).step_by(cols) {
+                let x_rows: [usize; RT] =
+                    std::array::from_fn(|r| ((oi0 + r * per) * wp + oj0) * stride);
                 let mut acc = [[V::splat(0.0); RT]; CT];
                 V::run(
                     &nest,
                     (&w_rows, &x_rows, &[]),
                     taps.clone(),
+                    #[inline(always)]
                     |wv, xv, []| {
                         for r in 0..RT {
                             for c in 0..CT {
@@ -773,11 +914,15 @@ fn conv_fwd_tiled<V: Lanes8, const CT: usize, const RT: usize, const STRIDED: bo
                         }
                     },
                 );
-                let jw = (ow - oj0).min(LANES);
+                let jw = (ow - oj0).min(cols);
                 for c in 0..CT {
-                    for r in 0..rows {
-                        let at = (co0 + c) * ohw + (oi0 + r) * ow + oj0;
-                        y[at..at + jw].copy_from_slice(&acc[c][r].to_array()[..jw]);
+                    for r in 0..RT {
+                        let sums = acc[c][r].to_array();
+                        let rows = sums.as_ref().as_flattened().chunks_exact(cols);
+                        for (oi, sums) in (oi0 + r * per..oh).zip(rows) {
+                            let at = (co0 + c) * ohw + oi * ow + oj0;
+                            y[at..at + jw].copy_from_slice(&sums[..jw]);
+                        }
                     }
                 }
             }
@@ -785,67 +930,70 @@ fn conv_fwd_tiled<V: Lanes8, const CT: usize, const RT: usize, const STRIDED: bo
     }
 }
 
-/// Implicit-GEMM weight gradient. `lanes` says the operands are the
-/// transposed ones of [`conv_dw_acc_lanes`], which [`DwBatch`] chooses
-/// for rows one vector wide. Otherwise, when the output width is a
-/// multiple of 8 every output row starts at lane 0 (every layer of the
-/// three models on the corpus grids) and the register tile is `CT`
-/// channels × `TT` taps: 4 × 2 when there are (four) channels to share
-/// each image window and 1 × 8 otherwise on a [`Lanes8::WIDE`] arm, 2 × 2
-/// and 1 × 4 on a narrow one. Other widths rotate the lane phase from row
-/// to row and gather each tap's column row instead.
+/// Implicit-GEMM weight gradient in the form [`DwBatch`] chose: over the
+/// transposed operands of [`conv_dw_acc_lanes`] for rows one vector
+/// wide, over the gathered column rows of [`conv_dw_acc_rotating`] where
+/// an output row does not start at lane 0, and otherwise — when the
+/// output width is a multiple of 8, as on every layer of the three
+/// models on the corpus grids — in a register tile of `CT` channel
+/// registers × `TT` taps: 4 × 2 when there are (four) registers of
+/// channels to share each image window and 1 × 8 otherwise with 16
+/// registers, 4 × 4 and 2 × 4 with 32, 2 × 2 and 1 × 4 with 8. A
+/// register holds `GROUPS` channels, one a group, whose `dy` the batch
+/// interleaves eight outputs at a time when there are two.
 #[inline(always)]
-pub(super) fn conv_dw_acc<V: Lanes8>(
+pub(super) fn conv_dw_acc<V: Lanes>(
     g: &ConvGeom,
     skip: usize,
     xp: &[f32],
     dy: &[f32],
     dw: &mut [f32],
-    lanes: bool,
+    form: DwForm,
 ) {
-    if lanes {
-        conv_dw_acc_lanes::<V>(g, skip, xp, dy, dw);
-    } else if g.ow() % LANES != 0 {
-        conv_dw_acc_rotating(g, xp, dy, dw);
-    } else if g.stride == 1 {
-        conv_dw_acc_shaped::<V, false>(g, skip, xp, dy, dw);
-    } else {
-        conv_dw_acc_shaped::<V, true>(g, skip, xp, dy, dw);
+    match form {
+        DwForm::Lanes => conv_dw_acc_lanes::<V>(g, skip, xp, dy, dw),
+        DwForm::Rotating => conv_dw_acc_rotating(g, xp, dy, dw),
+        DwForm::Tiled if g.stride == 1 => conv_dw_acc_shaped::<V, false>(g, skip, xp, dy, dw),
+        DwForm::Tiled => conv_dw_acc_shaped::<V, true>(g, skip, xp, dy, dw),
     }
 }
 
 /// [`conv_dw_acc`]'s register tile, with the image read `stride` floats
 /// a lane apart (`STRIDED`) or contiguously.
 #[inline(always)]
-fn conv_dw_acc_shaped<V: Lanes8, const STRIDED: bool>(
+fn conv_dw_acc_shaped<V: Lanes, const STRIDED: bool>(
     g: &ConvGeom,
     skip: usize,
     xp: &[f32],
     dy: &[f32],
     dw: &mut [f32],
 ) {
-    match (dy.len() >= 4 * g.oh() * g.ow(), V::WIDE) {
-        (true, true) => conv_dw_acc_tiled::<V, 4, 2, STRIDED>(g, skip, xp, dy, dw),
-        (true, false) => conv_dw_acc_tiled::<V, 2, 2, STRIDED>(g, skip, xp, dy, dw),
-        (false, true) => conv_dw_acc_tiled::<V, 1, 8, STRIDED>(g, skip, xp, dy, dw),
-        (false, false) => conv_dw_acc_tiled::<V, 1, 4, STRIDED>(g, skip, xp, dy, dw),
+    let regs = dy.len() / (g.oh() * g.ow() * V::GROUPS);
+    match (regs, V::REGISTERS) {
+        (4.., 32..) => conv_dw_acc_tiled::<V, 4, 4, STRIDED>(g, skip, xp, dy, dw),
+        (2.., 32..) => conv_dw_acc_tiled::<V, 2, 4, STRIDED>(g, skip, xp, dy, dw),
+        (4.., 16..) => conv_dw_acc_tiled::<V, 4, 2, STRIDED>(g, skip, xp, dy, dw),
+        (4.., _) => conv_dw_acc_tiled::<V, 2, 2, STRIDED>(g, skip, xp, dy, dw),
+        (_, 16..) => conv_dw_acc_tiled::<V, 1, 8, STRIDED>(g, skip, xp, dy, dw),
+        _ => conv_dw_acc_tiled::<V, 1, 4, STRIDED>(g, skip, xp, dy, dw),
     }
 }
 
-/// [`conv_dw_acc`] for one tile shape (`CT · TT` ≤ 8 accumulators, at
-/// least `CT` channels). A pass takes `TT` consecutive taps, tabulated
-/// once and shared by every channel group: each accumulator is the 8
-/// lanes of one (channel, tap) over the flattened output index, each
-/// image window is loaded once per `CT` channels and each `dy` vector
-/// once per `TT` taps, and the eight are reduced together with
-/// [`reduce8`]'s tree — an 8-lane dot product's lanes, with the column
-/// row read as windows of the padded image. Output rows that are
-/// dead for every tap of the pass ([`ConvGeom::live_output_rows`]) are
-/// left out. The last channel tile slides back over channels already
-/// done and the last pass keeps taps of the pass before it; neither copy
-/// is added.
+/// [`conv_dw_acc`] for one tile shape (at least `CT` registers of
+/// channels). A pass takes `TT` consecutive taps, tabulated once and
+/// shared by every channel tile: each accumulator is the 8 lanes of one
+/// (channel, tap) over the flattened output index in each group, each
+/// image window is loaded once per `CT` registers — into every group —
+/// and each `dy` vector once per `TT` taps, and they are reduced eight
+/// at a time with [`reduce8`]'s tree — an 8-lane dot product's lanes,
+/// with the column row read as windows of the padded image. Output rows
+/// that are dead for every tap of the pass
+/// ([`ConvGeom::live_output_rows`]) are left out. The last channel tile
+/// slides back over channels already done and the last pass keeps taps
+/// of the pass before it; neither copy is added, nor is a group of
+/// padding channels.
 #[inline(always)]
-fn conv_dw_acc_tiled<V: Lanes8, const CT: usize, const TT: usize, const STRIDED: bool>(
+fn conv_dw_acc_tiled<V: Lanes, const CT: usize, const TT: usize, const STRIDED: bool>(
     g: &ConvGeom,
     skip: usize,
     xp: &[f32],
@@ -853,18 +1001,21 @@ fn conv_dw_acc_tiled<V: Lanes8, const CT: usize, const TT: usize, const STRIDED:
     dw: &mut [f32],
 ) {
     let (oh, ow, wp, ckk, stride) = (g.oh(), g.ow(), g.wp, g.ckk(), g.stride);
-    let (ohw, channels) = (oh * ow, dy.len() / (oh * ow));
+    let (ohw, groups) = (oh * ow, V::GROUPS);
+    let (regs, channels) = (dy.len() / (ohw * groups), dw.len() / ckk);
     let grads = Walk {
         src: dy,
-        steps: [0, ow, LANES].map(|s| s as isize),
+        steps: [0, ow * groups, LANES * groups].map(|s| s as isize),
         lane: 1,
+        group: LANES,
     };
     let windows = Walk {
         src: xp,
         steps: [0, stride * wp, stride * LANES].map(|s| s as isize),
         lane: stride,
+        group: 0,
     };
-    let nest = Nest::<STRIDED>::new([grads, windows, NO_WALK], [1, oh, ow / LANES]);
+    let nest = Nest::<STRIDED>::new([grads, windows, NO_WALK], [1, oh, ow / LANES], groups);
     let mut taps = g.taps();
     let mut offs = [0usize; TT];
     for p0 in (0..ckk).step_by(TT) {
@@ -879,31 +1030,42 @@ fn conv_dw_acc_tiled<V: Lanes8, const CT: usize, const TT: usize, const STRIDED:
             g.live_output_rows(skip, ki_max).0,
             g.live_output_rows(skip, ki_min).1,
         );
-        for c0 in (0..channels).step_by(CT) {
-            let first = c0.min(channels - CT);
-            let dy_rows: [usize; CT] = std::array::from_fn(|c| (first + c) * ohw);
+        for c0 in (0..regs).step_by(CT) {
+            let first = c0.min(regs - CT);
+            let dy_rows: [usize; CT] = std::array::from_fn(|c| (first + c) * ohw * groups);
             let mut acc = [[V::splat(0.0); TT]; CT];
             let outputs = [0..1, lo..hi, 0..ow / LANES];
-            V::run(&nest, (&dy_rows, &offs, &[]), outputs, |dyv, xv, []| {
-                for t in 0..TT {
-                    for c in 0..CT {
-                        acc[c][t] = acc[c][t].add(dyv[c].mul(xv[t]));
+            V::run(
+                &nest,
+                (&dy_rows, &offs, &[]),
+                outputs,
+                #[inline(always)]
+                |dyv, xv, []| {
+                    for t in 0..TT {
+                        for c in 0..CT {
+                            acc[c][t] = acc[c][t].add(dyv[c].mul(xv[t]));
+                        }
                     }
-                }
-            });
+                },
+            );
             let zero = V::splat(0.0);
-            let tile = std::array::from_fn(|i| {
-                if i < CT * TT {
-                    acc[i / TT][i % TT]
-                } else {
-                    zero
-                }
-            });
-            let sums = V::reduce(&tile).to_array();
-            for c in c0 - first..CT {
-                let at = (first + c) * ckk + p0;
-                for (out, &sum) in dw[at..at + tn].iter_mut().zip(&sums[c * TT..]) {
-                    *out += sum;
+            for base in (0..CT * TT).step_by(LANES) {
+                let tile = std::array::from_fn(|i| match base + i {
+                    i if i < CT * TT => acc[i / TT][i % TT],
+                    _ => zero,
+                });
+                let sums = V::reduce(&tile).to_array();
+                for i in base..(base + LANES).min(CT * TT) {
+                    let (c, t) = (i / TT, i % TT);
+                    if c < c0 - first || t >= tn {
+                        continue;
+                    }
+                    for (k, group) in sums.as_ref().iter().enumerate() {
+                        let channel = (first + c) * groups + k;
+                        if channel < channels {
+                            dw[channel * ckk + p0 + t] += group[i - base];
+                        }
+                    }
                 }
             }
         }
@@ -914,31 +1076,31 @@ fn conv_dw_acc_tiled<V: Lanes8, const CT: usize, const TT: usize, const STRIDED:
 /// `t` of the result combines lane `t` of the eight, `r[l]` in the place
 /// of virtual lane `l`.
 #[inline(always)]
-fn reduce_across<V: Lanes8>(r: &[V; LANES]) -> V {
+fn reduce_across<V: Lanes>(r: &[V; LANES]) -> V {
     let (s0, s1) = (r[0].add(r[4]), r[1].add(r[5]));
     let (s2, s3) = (r[2].add(r[6]), r[3].add(r[7]));
     s0.add(s2).add(s1.add(s3))
 }
 
-/// [`conv_dw_acc`] for rows one vector wide, with eight output
-/// *channels* in the hardware lanes and every operand channels-innermost:
-/// `xt` is the padded image as `hp·wp` rows of `c_in`, `dyt` is `oh·ow`
-/// rows of the output channels padded with zeros to whole groups of
-/// eight, `dwt` is `ckk` rows of the same width. Rule 5 fixes what is
-/// added to what — position `i` into virtual lane `i % 8` in ascending
-/// `i`, the lanes combined by [`reduce8`]'s tree — not where a partial
-/// sum is held. The input channels are taken in tiles of as many as
-/// there are accumulators for: eight on a [`Lanes8::WIDE`] arm, four on
-/// a narrow one.
+/// [`conv_dw_acc`] for rows one vector wide, with output *channels* in
+/// the hardware lanes — eight a group — and every operand
+/// channels-innermost: `xt` is the padded image as `hp·wp` rows of
+/// `c_in`, `dyt` is `oh·ow` rows of the output channels padded with
+/// zeros to whole registers, `dwt` is `ckk` rows of the same width. Rule
+/// 5 fixes what is added to what — position `i` into virtual lane
+/// `i % 8` in ascending `i`, the lanes combined by [`reduce8`]'s tree —
+/// not where a partial sum is held. The input channels are taken in
+/// tiles of as many as there are accumulators for: eight with 16
+/// registers or more, four with 8.
 #[inline(always)]
-fn conv_dw_acc_lanes<V: Lanes8>(
+fn conv_dw_acc_lanes<V: Lanes>(
     g: &ConvGeom,
     skip: usize,
     xt: &[f32],
     dyt: &[f32],
     dwt: &mut [f32],
 ) {
-    if V::WIDE {
+    if V::REGISTERS >= 16 {
         conv_dw_acc_lanes_tiled::<V, 8>(g, skip, xt, dyt, dwt);
     } else {
         conv_dw_acc_lanes_tiled::<V, 4>(g, skip, xt, dyt, dwt);
@@ -948,7 +1110,7 @@ fn conv_dw_acc_lanes<V: Lanes8>(
 /// [`conv_dw_acc_lanes`] in tiles of `T` input channels (`c_in` is a
 /// whole number of them). With eight outputs to a row a virtual lane is
 /// an output column, and an accumulator is one lane of one (input
-/// channel, kernel position) for a group of eight output channels: down
+/// channel, kernel position) for a register of output channels: down
 /// the column it adds a splat of the image times a row of `dyt`, which
 /// the `T` channels — neighbours in `xt`, so one pointer serves them —
 /// share. The columns are run one after the other and parked;
@@ -958,7 +1120,7 @@ fn conv_dw_acc_lanes<V: Lanes8>(
 /// are the columns that are padding under the kernel column: a lane of
 /// those is the `+0.0` it would have summed to.
 #[inline(always)]
-fn conv_dw_acc_lanes_tiled<V: Lanes8, const T: usize>(
+fn conv_dw_acc_lanes_tiled<V: Lanes, const T: usize>(
     g: &ConvGeom,
     skip: usize,
     xt: &[f32],
@@ -971,13 +1133,15 @@ fn conv_dw_acc_lanes_tiled<V: Lanes8, const T: usize>(
         src: xt,
         steps: [0, stride * g.c_in, stride * wp * g.c_in].map(|s| s as isize),
         lane: 0,
+        group: 0,
     };
     let grads = Walk {
         src: dyt,
         steps: [0, pitch, LANES * pitch].map(|s| s as isize),
         lane: 1,
+        group: LANES,
     };
-    let nest = Nest::<false>::new([image, grads, NO_WALK], [1, LANES, oh]);
+    let nest = Nest::<false>::new([image, grads, NO_WALK], [1, LANES, oh], V::GROUPS);
     let zero = V::splat(0.0);
     for ci0 in (0..g.c_in).step_by(T) {
         for ki in 0..g.kh {
@@ -990,30 +1154,37 @@ fn conv_dw_acc_lanes_tiled<V: Lanes8, const T: usize>(
                 // Parked as plain arrays: a vector-aligned local would have
                 // the whole function realign its stack, and the tiles beside
                 // this form lose a register to the frame pointer.
-                let mut lanes = [[Scalar8::splat(0.0); T]; LANES];
-                for group in (0..pitch).step_by(LANES) {
+                let mut lanes = [[zero.to_array(); T]; LANES];
+                for group in (0..pitch).step_by(LANES * V::GROUPS) {
                     let (mut acc, mut left, mut lane) = ([zero; T], rows, jl);
                     let outputs = [0..1, jl..jh, lo..hi];
                     V::run(
                         &nest,
                         (&x_channels, &[group], &[]),
                         outputs,
+                        #[inline(always)]
                         |xv, [dv], []| {
                             for t in 0..T {
                                 acc[t] = acc[t].add(xv[t].mul(dv));
                             }
                             left -= 1;
                             if left == 0 {
-                                lanes[lane] = acc.map(|sum| Scalar8(sum.to_array()));
+                                for t in 0..T {
+                                    lanes[lane][t] = acc[t].to_array();
+                                }
                                 (acc, left, lane) = ([zero; T], rows, lane + 1);
                             }
                         },
                     );
                     for t in 0..T {
-                        let sums = reduce_across(&std::array::from_fn(|l| lanes[l][t]));
                         let at = (((ci0 + t) * g.kh + ki) * g.kw + kj) * pitch + group;
-                        for (out, sum) in dwt[at..at + LANES].iter_mut().zip(sums.to_array()) {
-                            *out += sum;
+                        for k in 0..V::GROUPS {
+                            let parked = std::array::from_fn(|l| Scalar([lanes[l][t].as_ref()[k]]));
+                            let [sums] = reduce_across(&parked).to_array();
+                            let at = at + k * LANES;
+                            for (out, sum) in dwt[at..at + LANES].iter_mut().zip(sums) {
+                                *out += sum;
+                            }
                         }
                     }
                 }
@@ -1025,7 +1196,7 @@ fn conv_dw_acc_lanes_tiled<V: Lanes8, const T: usize>(
 /// Implicit-GEMM input gradient as a gather (see
 /// [`conv_dx_acc_padded_with`]).
 #[inline(always)]
-pub(super) fn conv_dx_acc<V: Lanes8>(
+pub(super) fn conv_dx_acc<V: Lanes>(
     g: &ConvGeom,
     pad: usize,
     w: &[f32],
@@ -1040,13 +1211,13 @@ pub(super) fn conv_dx_acc<V: Lanes8>(
 }
 
 /// [`conv_dx_acc`] with `ONE` saying whether `c_out` is 1. The input
-/// channels are taken in tiles of eight on a [`Lanes8::WIDE`] arm — eight
-/// `c_out` chains in flight, which is what keeps their adds from waiting
-/// on each other — and on a narrow one of four when a chain is one
-/// product and of two beside the chains a `c_out > 1` layer carries; what
-/// is left over goes in tiles of half that, down to one.
+/// channels are taken in tiles of eight with 16 registers or more —
+/// eight `c_out` chains in flight, which is what keeps their adds from
+/// waiting on each other — and with 8 of four when a chain is one
+/// product and of two beside the chains a `c_out > 1` layer carries;
+/// what is left over goes in tiles of half that, down to one.
 #[inline(always)]
-fn conv_dx_acc_tiles<V: Lanes8, const ONE: bool>(
+fn conv_dx_acc_tiles<V: Lanes, const ONE: bool>(
     g: &ConvGeom,
     pad: usize,
     w: &[f32],
@@ -1054,10 +1225,11 @@ fn conv_dx_acc_tiles<V: Lanes8, const ONE: bool>(
     dx: &mut [f32],
 ) {
     let mut from = 0;
-    if V::WIDE {
+    let wide = V::REGISTERS >= 16;
+    if wide {
         from = conv_dx_acc_tiled::<V, 8, ONE>(g, pad, w, dyp, dx, from);
     }
-    if V::WIDE || ONE {
+    if wide || ONE {
         from = conv_dx_acc_tiled::<V, 4, ONE>(g, pad, w, dyp, dx, from);
     }
     from = conv_dx_acc_tiled::<V, 2, ONE>(g, pad, w, dyp, dx, from);
@@ -1066,23 +1238,23 @@ fn conv_dx_acc_tiles<V: Lanes8, const ONE: bool>(
 
 /// [`conv_dx_acc`] for the whole tiles of `CT` input channels from
 /// channel `from` on (`ONE` iff `c_out` is 1); returns the first channel
-/// it left. The register tile is `CT` input channels × 8 pixels of one
-/// image row and one column phase — pixels `stride` apart, which the
-/// same taps reach from consecutive `dy` columns — and its accumulators
-/// live across *all* taps (beside eight chains some of them on the
-/// stack, touched once a tap): per tap one `dy` vector per output channel
-/// is shared by the channels' chains, and each chain is added once, under
-/// the tap's lane mask. A tap reaches a pixel only if its shift is a
-/// multiple of the stride from it, so along either axis the taps that do
-/// are `stride / gcd(stride, dilation)` kernel positions apart; the
-/// kernel rows are bounded to those whose `dy` row exists, and the taps
-/// along a row to those with a pixel in range. A masked-out lane adds
-/// `+0.0`, and a chain that is its one product (`ONE`) rather than
-/// `0.0 +` it can differ in the sign of a zero: either way a zero is
-/// added to an accumulator which started at `+0.0`, is therefore never
-/// `−0.0`, and keeps its bits.
+/// it left. The register tile is `CT` input channels × a register's
+/// pixels of one image row and one column phase, eight a group — pixels
+/// `stride` apart, which the same taps reach from consecutive `dy`
+/// columns — and its accumulators live across *all* taps (beside eight
+/// chains some of them on the stack, touched once a tap): per tap one
+/// `dy` vector per output channel is shared by the channels' chains, and
+/// each chain is added once, under the tap's lane mask. A tap reaches a
+/// pixel only if its shift is a multiple of the stride from it, so along
+/// either axis the taps that do are `stride / gcd(stride, dilation)`
+/// kernel positions apart; the kernel rows are bounded to those whose
+/// `dy` row exists, and the taps along a row to those with a pixel in
+/// range. A masked-out lane adds `+0.0`, and a chain that is its one
+/// product (`ONE`) rather than `0.0 +` it can differ in the sign of a
+/// zero: either way a zero is added to an accumulator which started at
+/// `+0.0`, is therefore never `−0.0`, and keeps its bits.
 #[inline(always)]
-fn conv_dx_acc_tiled<V: Lanes8, const CT: usize, const ONE: bool>(
+fn conv_dx_acc_tiled<V: Lanes, const CT: usize, const ONE: bool>(
     g: &ConvGeom,
     pad: usize,
     w: &[f32],
@@ -1097,6 +1269,7 @@ fn conv_dx_acc_tiled<V: Lanes8, const CT: usize, const ONE: bool>(
     let (oh, ow, step, stride, ckk) = (g.oh(), g.ow(), g.dilation, g.stride, g.ckk());
     let (h, wd, khw) = (g.hp - 2 * pad, g.wp - 2 * pad, g.kh * g.kw);
     let (reach, owp) = (g.reach(), g.ow() + 2 * g.reach());
+    let width = LANES * V::GROUPS;
     // From one tap that reaches a pixel to the next: `apart` kernel
     // positions, `back` `dy` positions.
     let apart = stride / gcd(stride, step);
@@ -1105,6 +1278,7 @@ fn conv_dx_acc_tiled<V: Lanes8, const CT: usize, const ONE: bool>(
         src: w,
         steps: [apart * g.kw, apart, ckk].map(|s| s as isize),
         lane: 0,
+        group: 0,
     };
     let grads = Walk {
         src: dyp,
@@ -1114,6 +1288,7 @@ fn conv_dx_acc_tiled<V: Lanes8, const CT: usize, const ONE: bool>(
             (oh * owp) as isize,
         ],
         lane: 1,
+        group: LANES,
     };
     // The `dy` position of tap offset `shifted = position + pad − k·d`,
     // if the stride divides it (no division where there is nothing to
@@ -1136,11 +1311,11 @@ fn conv_dx_acc_tiled<V: Lanes8, const CT: usize, const ONE: bool>(
             })
         })
         .collect();
-    let mut masks: Vec<f32> = Vec::with_capacity(g.kw * LANES);
+    let mut masks: Vec<f32> = Vec::with_capacity(g.kw * width);
     for phase in 0..stride {
         let pixels = wd.saturating_sub(phase).div_ceil(stride);
-        for m0 in (0..pixels).step_by(LANES) {
-            let (j0, jw) = (phase + m0 * stride, (pixels - m0).min(LANES));
+        for m0 in (0..pixels).step_by(width) {
+            let (j0, jw) = (phase + m0 * stride, (pixels - m0).min(width));
             // Lane `l` of tap `kj` reads `dy` column `col + l`: the taps
             // with a lane in range are consecutive among those on the
             // stride.
@@ -1154,18 +1329,19 @@ fn conv_dx_acc_tiled<V: Lanes8, const CT: usize, const ONE: bool>(
                 if !lanes.is_empty() {
                     first.get_or_insert((kj, col));
                     let bits = |l| f32::from_bits(if lanes.contains(&l) { u32::MAX } else { 0 });
-                    masks.extend((0..LANES as isize).map(bits));
+                    masks.extend((0..width as isize).map(bits));
                 }
             }
             let (kj_lo, col_lo) = first.unwrap_or((0, 0));
             let lane_masks = Walk {
                 src: &masks,
-                steps: [0, LANES as isize, 0],
+                steps: [0, width as isize, 0],
                 lane: 1,
+                group: LANES,
             };
             for (i, &(ki_lo, dy_row, ki_count)) in rows.iter().enumerate() {
-                let taps = [ki_count, masks.len() / LANES, g.c_out];
-                let nest = Nest::<false>::new([weights, grads, lane_masks], taps);
+                let taps = [ki_count, masks.len() / width, g.c_out];
+                let nest = Nest::<false>::new([weights, grads, lane_masks], taps, V::GROUPS);
                 let dy_row = dy_row * owp + (reach as isize + col_lo) as usize;
                 for ci0 in (from..until).step_by(CT) {
                     let w_rows: [usize; CT] =
@@ -1177,6 +1353,7 @@ fn conv_dx_acc_tiled<V: Lanes8, const CT: usize, const ONE: bool>(
                             &nest,
                             starts,
                             taps.map(|count| 0..count),
+                            #[inline(always)]
                             |wv, [dv], [mask]| {
                                 for c in 0..CT {
                                     acc[c] = acc[c].add(wv[c].mul(dv).and(mask));
@@ -1189,6 +1366,7 @@ fn conv_dx_acc_tiled<V: Lanes8, const CT: usize, const ONE: bool>(
                             &nest,
                             starts,
                             taps.map(|count| 0..count),
+                            #[inline(always)]
                             |wv, [dv], [mask]| {
                                 for c in 0..CT {
                                     chain[c] = chain[c].add(wv[c].mul(dv));
@@ -1205,13 +1383,14 @@ fn conv_dx_acc_tiled<V: Lanes8, const CT: usize, const ONE: bool>(
                     }
                     for c in 0..CT {
                         let (at, sums) = (((ci0 + c) * h + i) * wd + j0, acc[c].to_array());
+                        let sums = &sums.as_ref().as_flattened()[..jw];
                         if stride == 1 {
                             for (out, sum) in dx[at..at + jw].iter_mut().zip(sums) {
                                 *out += sum;
                             }
                         } else {
                             let pixels = dx[at..].iter_mut().step_by(stride);
-                            for (out, sum) in pixels.zip(&sums[..jw]) {
+                            for (out, sum) in pixels.zip(sums) {
                                 *out += sum;
                             }
                         }

@@ -1,28 +1,33 @@
-//! The eight `f32` lanes every kernel of [`crate::simd`] is written
-//! over — the implicit-GEMM convolutions of `implicit` and the
-//! elementwise sweeps of the parent alike — and the portable arm's
-//! [`Scalar8`]; the AVX2 arm's lanes live with its intrinsics in the
-//! parent.
+//! The registers every kernel of [`crate::simd`] is written over — the
+//! implicit-GEMM convolutions of `implicit` over [`Lanes`], the
+//! elementwise sweeps of the parent over [`Lanes8`] — and the portable
+//! arm's [`Scalar`]; the x86 arms' lanes live with their intrinsics in
+//! the parent.
 
 use super::implicit::{Nest, Walk};
 use super::{reduce8, LANES};
 use std::ops::Range;
 
-/// Eight `f32` lanes — the register of the 8-lane virtual machine. A
-/// kernel body generic over this trait is the *one* statement of its
-/// accumulation order; an arm is an impl ([`Scalar8`], `avx2::Avx8`).
-/// Every arithmetic method is one IEEE-exact operation per lane, never
-/// fused.
-pub(super) trait Lanes8: Copy {
-    /// Whether the arm has registers for a tile of eight accumulators
-    /// beside its operands (sixteen 8-lane registers); an arm without
-    /// gets tiles of four. A tile's shape decides which loads are
-    /// shared, never what is added to what.
-    const WIDE: bool;
+/// One register of the 8-lane virtual machine: `GROUPS` independent
+/// groups of eight `f32` lanes side by side. A convolution body generic
+/// over this trait is the *one* statement of its accumulation order; an
+/// arm is an impl ([`Scalar`], `avx2::Avx8`, `avx512::Avx16`). Every
+/// arithmetic method is one IEEE-exact operation per lane, never fused,
+/// so a group computes what a one-group register would: where a body
+/// puts its groups (two column blocks, two channels) decides which
+/// loads are shared, never what is added to what.
+pub(super) trait Lanes: Copy {
+    /// How many values of this type the arm's register file holds beside
+    /// nothing else: 8 for a portable register (sixteen 4-lane ones at
+    /// best), 16 on AVX2, 32 on AVX-512. A tile's shape follows from it
+    /// and decides which loads are shared, never what is added to what.
+    const REGISTERS: usize;
+    /// Independent groups of eight lanes in one register.
+    const GROUPS: usize;
+    /// The lanes as plain floats, group by group.
+    type Array: Copy + AsRef<[[f32; LANES]]>;
     /// All lanes `v`.
     fn splat(v: f32) -> Self;
-    /// The lanes, in order.
-    fn to_array(self) -> [f32; LANES];
     /// Lane-wise `self + rhs`.
     fn add(self, rhs: Self) -> Self;
     /// Lane-wise `self · rhs`.
@@ -30,6 +35,26 @@ pub(super) trait Lanes8: Copy {
     /// Lane-wise bitwise and: `self` where `mask`'s bits are all ones,
     /// `+0.0` where they are all zero.
     fn and(self, mask: Self) -> Self;
+    /// The lanes, group by group and in order within a group.
+    fn to_array(self) -> Self::Array;
+    /// Lane `t` of group `g` is [`reduce8`] of group `g` of `acc[t]`.
+    fn reduce(acc: &[Self; LANES]) -> Self;
+    /// Runs the iterations `part` of `nest` in order, innermost loop
+    /// fastest, calling `f` with what the three walks read at each when
+    /// they start from `a`, `b` and `c` — group `g` of a read
+    /// `g · walk.group` floats on from group 0's; panics, before the
+    /// first call, if a read would fall outside its slice.
+    fn run<const STRIDED: bool, const A: usize, const B: usize, const C: usize>(
+        nest: &Nest<STRIDED>,
+        starts: (&[usize; A], &[usize; B], &[usize; C]),
+        part: [Range<usize>; 3],
+        f: impl FnMut([Self; A], [Self; B], [Self; C]),
+    );
+}
+
+/// A one-group register with the rest of the elementwise operations —
+/// what the sweeps are written over.
+pub(super) trait Lanes8: Lanes<Array = [[f32; LANES]; 1]> {
     /// Lane-wise `self − rhs`.
     fn sub(self, rhs: Self) -> Self;
     /// Lane-wise `self / rhs`.
@@ -38,7 +63,7 @@ pub(super) trait Lanes8: Copy {
     fn sqrt(self) -> Self;
     /// Lane-wise `−self`: the sign bit flipped, a NaN's too.
     fn neg(self) -> Self;
-    /// Lane-wise `self > rhs` as a mask for [`Lanes8::and`]: all ones
+    /// Lane-wise `self > rhs` as a mask for [`Lanes::and`]: all ones
     /// where it holds, all zeros where it does not (a NaN operand
     /// included).
     fn gt(self, rhs: Self) -> Self;
@@ -55,30 +80,32 @@ pub(super) trait Lanes8: Copy {
     fn load(chunk: &[f32; LANES]) -> Self;
     /// Writes the lanes to one chunk.
     fn store(self, chunk: &mut [f32; LANES]);
-    /// Lane `t` is [`reduce8`] of `acc[t]`.
-    fn reduce(acc: &[Self; LANES]) -> Self;
-    /// Runs the iterations `part` of `nest` in order, innermost loop
-    /// fastest, calling `f` with what the three walks read at each when
-    /// they start from `a`, `b` and `c`; panics, before the first call,
-    /// if a read would fall outside its slice.
-    fn run<const STRIDED: bool, const A: usize, const B: usize, const C: usize>(
-        nest: &Nest<STRIDED>,
-        starts: (&[usize; A], &[usize; B], &[usize; C]),
-        part: [Range<usize>; 3],
-        f: impl FnMut([Self; A], [Self; B], [Self; C]),
-    );
 }
 
-/// The portable arm's lanes: an array the compiler may or may not
-/// vectorize; the operations per lane are the same either way.
+/// The portable arm's registers: `G` groups of an array the compiler may
+/// or may not vectorize; the operations per lane are the same either
+/// way. `Scalar<1>` is the `Scalar` arm; `Scalar<2>` runs the paired
+/// convolution bodies of the AVX-512 arm, tile for tile, on any CPU
+/// (the `rte_portable_pairs` configuration of the `Scalar` arm).
 #[derive(Clone, Copy)]
-pub(super) struct Scalar8(pub(super) [f32; LANES]);
+pub(super) struct Scalar<const G: usize>(pub(super) [[f32; LANES]; G]);
 
-impl Scalar8 {
+/// The `Scalar` arm's one-group register.
+pub(super) type Scalar8 = Scalar<1>;
+
+impl<const G: usize> Scalar<G> {
     /// `f` of each lane of `self` and the same lane of `rhs`.
     #[inline(always)]
     fn zip(self, rhs: Self, f: impl Fn(f32, f32) -> f32) -> Self {
-        Scalar8(std::array::from_fn(|l| f(self.0[l], rhs.0[l])))
+        Scalar(std::array::from_fn(|g| {
+            std::array::from_fn(|l| f(self.0[g][l], rhs.0[g][l]))
+        }))
+    }
+
+    /// `f` of each lane of `self`.
+    #[inline(always)]
+    fn each(self, f: impl Fn(f32) -> f32) -> Self {
+        Scalar(self.0.map(|group| group.map(&f)))
     }
 
     /// What `walk` reads `offset` away from each of `starts`.
@@ -88,99 +115,68 @@ impl Scalar8 {
         starts: &[usize; N],
         offset: isize,
     ) -> [Self; N] {
-        let from = |i: usize| &walk.src[starts[i].wrapping_add_signed(offset)..];
+        let from = |i: usize, g: usize| {
+            &walk.src[starts[i].wrapping_add_signed(offset) + g * walk.group..]
+        };
         if STRIDED && walk.lane > 1 {
             let step = walk.lane;
             return std::array::from_fn(|i| {
-                let from = &from(i)[..(LANES - 1) * step + 1];
-                Scalar8(std::array::from_fn(|l| from[l * step]))
+                Scalar(std::array::from_fn(|g| {
+                    let from = &from(i, g)[..(LANES - 1) * step + 1];
+                    std::array::from_fn(|l| from[l * step])
+                }))
             });
         }
         // (`from_fn`, not `map`: an array `map` of a closure this size
         // is compiled as a call, with the accumulators spilled around it.)
         std::array::from_fn(|i| {
-            let from = from(i);
-            if walk.lane == 0 {
-                Self::splat(from[0])
-            } else {
-                Scalar8(from[..LANES].try_into().expect("eight lanes"))
-            }
+            Scalar(std::array::from_fn(|g| {
+                let from = from(i, g);
+                if walk.lane == 0 {
+                    [from[0]; LANES]
+                } else {
+                    from[..LANES].try_into().expect("eight lanes")
+                }
+            }))
         })
     }
 }
 
-impl Lanes8 for Scalar8 {
-    // Sixteen 4-lane registers at best: eight of these values.
-    const WIDE: bool = false;
+impl<const G: usize> Lanes for Scalar<G> {
+    // Sixteen 4-lane registers at best: eight one-group values. A pair
+    // takes the AVX-512 arm's tiles, which it stands in for.
+    const REGISTERS: usize = if G == 1 { 8 } else { 32 };
+    const GROUPS: usize = G;
+    type Array = [[f32; LANES]; G];
     #[inline(always)]
     fn splat(v: f32) -> Self {
-        Scalar8([v; LANES])
-    }
-    #[inline(always)]
-    fn to_array(self) -> [f32; LANES] {
-        self.0
+        Scalar([[v; LANES]; G])
     }
     #[inline(always)]
     fn add(self, rhs: Self) -> Self {
-        Scalar8(std::array::from_fn(|l| self.0[l] + rhs.0[l]))
-    }
-    #[inline(always)]
-    fn mul(self, rhs: Self) -> Self {
-        Scalar8(std::array::from_fn(|l| self.0[l] * rhs.0[l]))
-    }
-    #[inline(always)]
-    fn and(self, mask: Self) -> Self {
-        Scalar8(std::array::from_fn(|l| {
-            f32::from_bits(self.0[l].to_bits() & mask.0[l].to_bits())
+        Scalar(std::array::from_fn(|g| {
+            std::array::from_fn(|l| self.0[g][l] + rhs.0[g][l])
         }))
     }
     #[inline(always)]
-    fn sub(self, rhs: Self) -> Self {
-        self.zip(rhs, |a, b| a - b)
+    fn mul(self, rhs: Self) -> Self {
+        Scalar(std::array::from_fn(|g| {
+            std::array::from_fn(|l| self.0[g][l] * rhs.0[g][l])
+        }))
     }
     #[inline(always)]
-    fn div(self, rhs: Self) -> Self {
-        self.zip(rhs, |a, b| a / b)
+    fn and(self, mask: Self) -> Self {
+        self.zip(mask, |a, m| f32::from_bits(a.to_bits() & m.to_bits()))
     }
     #[inline(always)]
-    fn sqrt(self) -> Self {
-        Scalar8(self.0.map(f32::sqrt))
-    }
-    #[inline(always)]
-    fn neg(self) -> Self {
-        Scalar8(self.0.map(|v| -v))
-    }
-    #[inline(always)]
-    fn gt(self, rhs: Self) -> Self {
-        self.zip(rhs, |a, b| f32::from_bits(if a > b { u32::MAX } else { 0 }))
-    }
-    #[inline(always)]
-    fn min(self, rhs: Self) -> Self {
-        self.zip(rhs, |a, b| if a < b { a } else { b })
-    }
-    #[inline(always)]
-    fn max(self, rhs: Self) -> Self {
-        self.zip(rhs, |a, b| if a > b { a } else { b })
-    }
-    #[inline(always)]
-    fn exp2i(self) -> Self {
-        // `as` takes a NaN to 0, so its lane is 2⁰.
-        Scalar8(
-            self.0
-                .map(|n| f32::from_bits(((n as i32 + 127) << 23) as u32)),
-        )
-    }
-    #[inline(always)]
-    fn load(chunk: &[f32; LANES]) -> Self {
-        Scalar8(*chunk)
-    }
-    #[inline(always)]
-    fn store(self, chunk: &mut [f32; LANES]) {
-        *chunk = self.0;
+    fn to_array(self) -> Self::Array {
+        self.0
     }
     #[inline(always)]
     fn reduce(acc: &[Self; LANES]) -> Self {
-        Scalar8(std::array::from_fn(|t| reduce8(&acc[t].0)))
+        Scalar(std::array::from_fn(|g| {
+            std::array::from_fn(|t| reduce8(&acc[t].0[g]))
+        }))
     }
     #[inline(always)]
     fn run<const STRIDED: bool, const A: usize, const B: usize, const C: usize>(
@@ -192,7 +188,7 @@ impl Lanes8 for Scalar8 {
         let Some(part) = nest.admit([starts.0, starts.1, starts.2], part) else {
             return;
         };
-        // One running offset per walk and loop, as in the AVX2 arm.
+        // One running offset per walk and loop, as in the x86 arms.
         let [a, b, c] = &nest.walks;
         let first = std::array::from_fn(|l| part[l].start);
         let mut outer = [a.offset(first), b.offset(first), c.offset(first)];
@@ -216,5 +212,49 @@ impl Lanes8 for Scalar8 {
             }
             advance(&mut outer, 0);
         }
+    }
+}
+
+impl Lanes8 for Scalar8 {
+    #[inline(always)]
+    fn sub(self, rhs: Self) -> Self {
+        self.zip(rhs, |a, b| a - b)
+    }
+    #[inline(always)]
+    fn div(self, rhs: Self) -> Self {
+        self.zip(rhs, |a, b| a / b)
+    }
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        self.each(f32::sqrt)
+    }
+    #[inline(always)]
+    fn neg(self) -> Self {
+        self.each(|v| -v)
+    }
+    #[inline(always)]
+    fn gt(self, rhs: Self) -> Self {
+        self.zip(rhs, |a, b| f32::from_bits(if a > b { u32::MAX } else { 0 }))
+    }
+    #[inline(always)]
+    fn min(self, rhs: Self) -> Self {
+        self.zip(rhs, |a, b| if a < b { a } else { b })
+    }
+    #[inline(always)]
+    fn max(self, rhs: Self) -> Self {
+        self.zip(rhs, |a, b| if a > b { a } else { b })
+    }
+    #[inline(always)]
+    fn exp2i(self) -> Self {
+        // `as` takes a NaN to 0, so its lane is 2⁰.
+        self.each(|n| f32::from_bits(((n as i32 + 127) << 23) as u32))
+    }
+    #[inline(always)]
+    fn load(chunk: &[f32; LANES]) -> Self {
+        Scalar([*chunk])
+    }
+    #[inline(always)]
+    fn store(self, chunk: &mut [f32; LANES]) {
+        *chunk = self.0[0];
     }
 }

@@ -48,7 +48,7 @@ fn lanes<V: Lanes8, const R: usize, const W: usize>(
     };
     let out = f(read.map(pad), std::array::from_fn(|k| pad(write[k])));
     for (lanes, s) in out.into_iter().zip(&mut write) {
-        s[tail.clone()].copy_from_slice(&lanes.to_array()[..tail.len()]);
+        s[tail.clone()].copy_from_slice(&lanes.to_array()[0][..tail.len()]);
     }
 }
 
@@ -81,7 +81,7 @@ pub(super) fn sum<V: Lanes8>(x: &[f32]) -> f32 {
             []
         },
     );
-    reduce8(&acc.to_array())
+    reduce8(&acc.to_array()[0])
 }
 
 /// `y + alpha · x`.

@@ -410,7 +410,7 @@ proptest! {
     /// Contract rule 5, convolutions: every spec runs the implicit
     /// kernels, and forward, `dx`, `dw` and `db` — from the full backward
     /// and from the params-only one — equal the im2col lowering bit for
-    /// bit, on both arms and at every thread count. Strides are 1–3,
+    /// bit, on every arm and at every thread count. Strides are 1–3,
     /// channels include 1, extents straddle multiples of 8 and 16 and go
     /// below the kernel's reach, and the data carries NaN, ±inf and −0.0.
     #[test]
@@ -444,7 +444,7 @@ proptest! {
         }
         let _guard = GLOBAL_ARM.lock().unwrap_or_else(|e| e.into_inner());
         let before = simd::global();
-        for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
+        for arm in SimdBackend::supported() {
             simd::set_global(arm);
             assert_conv_matches_lowered(arm, &x, &w, &bias, &dy, spec);
         }
@@ -452,8 +452,8 @@ proptest! {
     }
 }
 
-/// Runs [`assert_conv_matches_lowered`] on both arms.
-fn assert_both_arms_match_lowered(
+/// Runs [`assert_conv_matches_lowered`] on every arm the CPU supports.
+fn assert_every_arm_matches_lowered(
     x: &Tensor,
     w: &Tensor,
     bias: &Tensor,
@@ -462,7 +462,7 @@ fn assert_both_arms_match_lowered(
 ) {
     let _guard = GLOBAL_ARM.lock().unwrap_or_else(|e| e.into_inner());
     let before = simd::global();
-    for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
+    for arm in SimdBackend::supported() {
         simd::set_global(arm);
         assert_conv_matches_lowered(arm, x, w, bias, dy, spec);
     }
@@ -520,7 +520,7 @@ proptest! {
                 _ => x.set(&[pick(n), pick(c_in), far * (h - 1), far * (wd - 1)], value),
             }
         }
-        assert_both_arms_match_lowered(&x, &w, &bias, &dy, spec);
+        assert_every_arm_matches_lowered(&x, &w, &bias, &dy, spec);
     }
 }
 
@@ -586,7 +586,7 @@ proptest! {
                 dy.set(&[pick(n), pick(c_out), oi, oj], value);
             }
         }
-        assert_both_arms_match_lowered(&x, &w, &bias, &dy, spec);
+        assert_every_arm_matches_lowered(&x, &w, &bias, &dy, spec);
     }
 }
 
@@ -601,7 +601,7 @@ fn implicit_conv_matches_lowered_reference_above_the_fan_out_gate() {
         rand_tensor(&[8, 8, 9, 9], 18),
     );
     let (bias, dy) = (rand_tensor(&[8], 19), rand_tensor(&[4, 8, 16, 16], 20));
-    assert_both_arms_match_lowered(&x, &w, &bias, &dy, Conv2dSpec::same(9));
+    assert_every_arm_matches_lowered(&x, &w, &bias, &dy, Conv2dSpec::same(9));
 }
 
 /// The same comparison on shapes big enough that `conv2d_with` really
@@ -686,8 +686,8 @@ fn assert_transpose_matches_lowered(
     parallel::set_global(before);
 }
 
-/// Runs [`assert_transpose_matches_lowered`] on both arms.
-fn assert_both_arms_match_lowered_transpose(
+/// Runs [`assert_transpose_matches_lowered`] on every arm the CPU supports.
+fn assert_every_arm_matches_lowered_transpose(
     x: &Tensor,
     w: &Tensor,
     bias: &Tensor,
@@ -696,7 +696,7 @@ fn assert_both_arms_match_lowered_transpose(
 ) {
     let _guard = GLOBAL_ARM.lock().unwrap_or_else(|e| e.into_inner());
     let before = simd::global();
-    for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
+    for arm in SimdBackend::supported() {
         simd::set_global(arm);
         assert_transpose_matches_lowered(arm, x, w, bias, dy, spec);
     }
@@ -748,7 +748,7 @@ proptest! {
             seed_specials(&mut w, &mut rng);
             seed_specials(&mut dy, &mut rng);
         }
-        assert_both_arms_match_lowered_transpose(&x, &w, &bias, &dy, spec);
+        assert_every_arm_matches_lowered_transpose(&x, &w, &bias, &dy, spec);
     }
 }
 
@@ -766,7 +766,7 @@ fn conv_transpose2d_matches_lowered_reference_at_routenet_upconv() {
         rand_tensor(&[32, 32, 4, 4], 32),
     );
     let (bias, dy) = (rand_tensor(&[32], 33), rand_tensor(&[4, 32, 16, 16], 34));
-    assert_both_arms_match_lowered_transpose(&x, &w, &bias, &dy, spec);
+    assert_every_arm_matches_lowered_transpose(&x, &w, &bias, &dy, spec);
 }
 
 /// Regression: `conv2d_backward` used to ignore the weight's
@@ -1220,7 +1220,7 @@ proptest! {
         let alpha = scale * rng.normal();
         let operands = [&x[..], &g, &m, &v];
         let want = sweep_oracle(operands, alpha, &step);
-        for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
+        for arm in SimdBackend::supported() {
             let got = sweep_outputs(arm, operands, alpha, &step);
             assert_outputs_eq(&got, &want, &format!("[{arm}, len {len}]"));
         }

@@ -514,7 +514,7 @@ fn run_sync<T: Transport>(
             let die_after = args.die_after;
             let rounds = config.fed.rounds;
             hook_storage = move |round: usize, seq: u64, state: &StateDict| {
-                if round % every == 0 || round == rounds || Some(round) == die_after {
+                if round.is_multiple_of(every) || round == rounds || Some(round) == die_after {
                     let ckpt = Checkpoint {
                         round: round as u64,
                         seq,

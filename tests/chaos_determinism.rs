@@ -163,7 +163,7 @@ fn chaos_schedule_replays_bitwise_across_threads_and_simd() {
     );
 
     for threads in [1usize, 4] {
-        for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
+        for arm in SimdBackend::supported() {
             simd::set_global(arm);
             let cell = run_chaos(&config(threads), &palette(0xC0FFEE), &policy);
             assert_eq!(
@@ -227,7 +227,7 @@ fn async_chaos_replays_bitwise_and_follows_the_chaos_seed() {
     assert_eq!(reference.1.len(), 4, "every aggregation is recorded");
 
     for threads in [1usize, 4] {
-        for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
+        for arm in SimdBackend::supported() {
             simd::set_global(arm);
             let cell = run_async_chaos(&config(threads), &palette(0xC0FFEE), &policy);
             assert_eq!(

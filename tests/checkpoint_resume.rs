@@ -210,7 +210,7 @@ fn resume_crosses_thread_counts_and_simd_arms() {
     assert!(run_checkpointed(&config(1), &dir, Some(2)).is_none());
 
     for threads in [1usize, 4] {
-        for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
+        for arm in SimdBackend::supported() {
             simd::set_global(arm);
             let resumed = resume_from_disk(&config(threads), &dir);
             assert_eq!(

@@ -187,7 +187,7 @@ fn async_outcomes_match_their_golden_digests() {
     for (dropout, _) in GOLDEN {
         let mut cells = Vec::new();
         for threads in [1usize, 4] {
-            for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
+            for arm in SimdBackend::supported() {
                 simd::set_global(arm);
                 let (outcome, records, rendered) = run_schedule(threads, dropout);
                 cells.push(digest(&outcome, &records, &rendered));
@@ -256,7 +256,7 @@ fn seeded_async_schedule_replays_bitwise_across_threads_and_simd() {
 
     for run in 0..2 {
         for threads in [1usize, 4] {
-            for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
+            for arm in SimdBackend::supported() {
                 simd::set_global(arm);
                 let what = format!("run {run} / {threads} threads / {arm} arm");
                 let (outcome, records, rendered) = run_schedule(threads, 0.25);

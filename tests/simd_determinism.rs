@@ -1,7 +1,8 @@
 //! Property tests for the SIMD backend's determinism contract: every
 //! dispatched kernel must produce **bit-identical** results on the
-//! scalar arm and on whatever arm runtime detection picks (AVX2 on x86
-//! CI). This is the guarantee that lets `RTE_SIMD` be a pure wall-clock
+//! scalar arm and on every other arm the CPU supports
+//! ([`SimdBackend::supported`]: AVX2 and, where present, AVX-512 on
+//! x86). This is the guarantee that lets `RTE_SIMD` be a pure wall-clock
 //! knob, exactly like `RTE_THREADS` — pinned here at two levels:
 //!
 //! - kernel level: randomized shapes (including empty and
@@ -12,9 +13,9 @@
 //!   (losses, per-client AUCs, every `EvalReport` field) must not drift
 //!   by a single bit when the process-global arm changes.
 //!
-//! On machines without AVX2 the detected arm *is* scalar and the
+//! On machines without AVX2 the scalar arm is the only one and the
 //! comparisons are trivially true — the suite stays meaningful on CI
-//! x86 runners, where both arms genuinely differ.
+//! x86 runners, where the arms genuinely differ.
 
 use std::sync::Mutex;
 
@@ -48,15 +49,15 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
-/// The arm the dispatched kernels would pick with `RTE_SIMD` unset.
-fn detected() -> SimdBackend {
-    SimdBackend::detect()
+/// Every arm this CPU runs, `Scalar` — the reference — first.
+fn arms() -> Vec<SimdBackend> {
+    SimdBackend::supported()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Elementwise sweeps and reductions: scalar vs detected arm,
+    /// Elementwise sweeps and reductions: scalar vs every arm,
     /// bitwise, over random lengths crossing the 8-lane boundary.
     #[test]
     fn elementwise_kernels_are_bitwise_arm_invariant(
@@ -68,68 +69,70 @@ proptest! {
         let x = rand_vec(len, seed);
         let g = rand_vec(len, seed ^ 10);
 
-        let mut want = x.clone();
-        simd::axpy_with(SimdBackend::Scalar, alpha, &g, &mut want);
-        let mut got = x.clone();
-        simd::axpy_with(detected(), alpha, &g, &mut got);
-        assert_bits_eq(&got, &want, "axpy");
+        for arm in arms() {
+            let mut want = x.clone();
+            simd::axpy_with(SimdBackend::Scalar, alpha, &g, &mut want);
+            let mut got = x.clone();
+            simd::axpy_with(arm, alpha, &g, &mut got);
+            assert_bits_eq(&got, &want, "axpy");
 
-        let mut want = x.clone();
-        simd::scale_with(SimdBackend::Scalar, alpha, &mut want);
-        let mut got = x.clone();
-        simd::scale_with(detected(), alpha, &mut got);
-        assert_bits_eq(&got, &want, "scale");
+            let mut want = x.clone();
+            simd::scale_with(SimdBackend::Scalar, alpha, &mut want);
+            let mut got = x.clone();
+            simd::scale_with(arm, alpha, &mut got);
+            assert_bits_eq(&got, &want, "scale");
 
-        let want = simd::sum_with(SimdBackend::Scalar, &x);
-        let got = simd::sum_with(detected(), &x);
-        assert_eq!(got.to_bits(), want.to_bits(), "sum: {got} vs {want}");
+            let want = simd::sum_with(SimdBackend::Scalar, &x);
+            let got = simd::sum_with(arm, &x);
+            assert_eq!(got.to_bits(), want.to_bits(), "sum: {got} vs {want}");
 
-        let step = simd::AdamStep {
-            beta1: 0.9,
-            beta2: 0.999,
-            bias1: 0.271,
-            bias2: 0.00299,
-            lr: 2e-4,
-            eps: 1e-8,
-            weight_decay: 1e-5,
-        };
-        let m0 = rand_vec(len, seed ^ 20);
-        let v0: Vec<f32> = rand_vec(len, seed ^ 30).iter().map(|v| v.abs()).collect();
-        let (mut wp, mut wm, mut wv) = (x.clone(), m0.clone(), v0.clone());
-        simd::adam_step_with(SimdBackend::Scalar, &mut wp, &mut wm, &mut wv, &g, &step);
-        let (mut gp, mut gm, mut gv) = (x.clone(), m0, v0);
-        simd::adam_step_with(detected(), &mut gp, &mut gm, &mut gv, &g, &step);
-        assert_bits_eq(&gp, &wp, "adam value");
-        assert_bits_eq(&gm, &wm, "adam m");
-        assert_bits_eq(&gv, &wv, "adam v");
+            let step = simd::AdamStep {
+                beta1: 0.9,
+                beta2: 0.999,
+                bias1: 0.271,
+                bias2: 0.00299,
+                lr: 2e-4,
+                eps: 1e-8,
+                weight_decay: 1e-5,
+            };
+            let m0 = rand_vec(len, seed ^ 20);
+            let v0: Vec<f32> = rand_vec(len, seed ^ 30).iter().map(|v| v.abs()).collect();
+            let (mut wp, mut wm, mut wv) = (x.clone(), m0.clone(), v0.clone());
+            simd::adam_step_with(SimdBackend::Scalar, &mut wp, &mut wm, &mut wv, &g, &step);
+            let (mut gp, mut gm, mut gv) = (x.clone(), m0, v0);
+            simd::adam_step_with(arm, &mut gp, &mut gm, &mut gv, &g, &step);
+            assert_bits_eq(&gp, &wp, "adam value");
+            assert_bits_eq(&gm, &wm, "adam m");
+            assert_bits_eq(&gv, &wv, "adam v");
 
-        let mut want = x.clone();
-        simd::relu_with(SimdBackend::Scalar, &mut want);
-        let mut got = x.clone();
-        simd::relu_with(detected(), &mut got);
-        assert_bits_eq(&got, &want, "relu");
+            let mut want = x.clone();
+            simd::relu_with(SimdBackend::Scalar, &mut want);
+            let mut got = x.clone();
+            simd::relu_with(arm, &mut got);
+            assert_bits_eq(&got, &want, "relu");
 
-        let mut want = g.clone();
-        simd::relu_backward_with(SimdBackend::Scalar, &mut want, &x);
-        let mut got = g.clone();
-        simd::relu_backward_with(detected(), &mut got, &x);
-        assert_bits_eq(&got, &want, "relu_backward");
+            let mut want = g.clone();
+            simd::relu_backward_with(SimdBackend::Scalar, &mut want, &x);
+            let mut got = g.clone();
+            simd::relu_backward_with(arm, &mut got, &x);
+            assert_bits_eq(&got, &want, "relu_backward");
 
-        let mut want = x.clone();
-        simd::sigmoid_with(SimdBackend::Scalar, &mut want);
-        let mut got = x.clone();
-        simd::sigmoid_with(detected(), &mut got);
-        assert_bits_eq(&got, &want, "sigmoid");
+            let mut want = x.clone();
+            simd::sigmoid_with(SimdBackend::Scalar, &mut want);
+            let mut got = x.clone();
+            simd::sigmoid_with(arm, &mut got);
+            assert_bits_eq(&got, &want, "sigmoid");
 
-        let y = want;
-        let mut want = g.clone();
-        simd::sigmoid_backward_with(SimdBackend::Scalar, &mut want, &y);
-        let mut got = g;
-        simd::sigmoid_backward_with(detected(), &mut got, &y);
-        assert_bits_eq(&got, &want, "sigmoid_backward");
+            let y = want;
+            let mut want = g.clone();
+            simd::sigmoid_backward_with(SimdBackend::Scalar, &mut want, &y);
+            let mut got = g.clone();
+            simd::sigmoid_backward_with(arm, &mut got, &y);
+            assert_bits_eq(&got, &want, "sigmoid_backward");
+        }
     }
 
-    /// Implicit-GEMM convolution kernels: scalar vs detected arm,
+    /// Implicit-GEMM convolution kernels: scalar vs every arm,
     /// bitwise, over random geometries — single and multiple channels on
     /// either side (both register-tile shapes), output widths on and off
     /// the 8-lane boundary, stride 1–3 (the strided reads of either
@@ -162,23 +165,25 @@ proptest! {
         let w = rand_vec(c_out * g.ckk(), seed ^ 1);
         let dy = rand_vec(c_out * oh * ow, seed ^ 2);
 
-        let mut want = vec![0.0f32; c_out * oh * ow];
-        simd::conv_fwd_with(SimdBackend::Scalar, &g, &xp, &w, &mut want);
-        let mut got = vec![f32::NAN; c_out * oh * ow];
-        simd::conv_fwd_with(detected(), &g, &xp, &w, &mut got);
-        assert_bits_eq(&got, &want, "conv_fwd");
+        for arm in arms() {
+            let mut want = vec![0.0f32; c_out * oh * ow];
+            simd::conv_fwd_with(SimdBackend::Scalar, &g, &xp, &w, &mut want);
+            let mut got = vec![f32::NAN; c_out * oh * ow];
+            simd::conv_fwd_with(arm, &g, &xp, &w, &mut got);
+            assert_bits_eq(&got, &want, "conv_fwd");
 
-        let mut want = rand_vec(c_out * g.ckk(), seed ^ 3);
-        let mut got = want.clone();
-        simd::conv_dw_acc_with(SimdBackend::Scalar, &g, &xp, &dy, &mut want);
-        simd::conv_dw_acc_with(detected(), &g, &xp, &dy, &mut got);
-        assert_bits_eq(&got, &want, "conv_dw_acc");
+            let mut want = rand_vec(c_out * g.ckk(), seed ^ 3);
+            let mut got = want.clone();
+            simd::conv_dw_acc_with(SimdBackend::Scalar, &g, &xp, &dy, &mut want);
+            simd::conv_dw_acc_with(arm, &g, &xp, &dy, &mut got);
+            assert_bits_eq(&got, &want, "conv_dw_acc");
 
-        let mut want = rand_vec(g.padded_len(), seed ^ 4);
-        let mut got = want.clone();
-        simd::conv_dx_acc_with(SimdBackend::Scalar, &g, &w, &dy, &mut want);
-        simd::conv_dx_acc_with(detected(), &g, &w, &dy, &mut got);
-        assert_bits_eq(&got, &want, "conv_dx_acc");
+            let mut want = rand_vec(g.padded_len(), seed ^ 4);
+            let mut got = want.clone();
+            simd::conv_dx_acc_with(SimdBackend::Scalar, &g, &w, &dy, &mut want);
+            simd::conv_dx_acc_with(arm, &g, &w, &dy, &mut got);
+            assert_bits_eq(&got, &want, "conv_dx_acc");
+        }
     }
 }
 
@@ -186,7 +191,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The padding-aware entry points of the implicit kernels: scalar vs
-    /// detected arm, bitwise, and against the entry points that know
+    /// every arm, bitwise, and against the entry points that know
     /// nothing about the padding. On an image whose ring really is zero
     /// and operands that really are finite, leaving the ring's rows out
     /// (`conv_fwd_skip_with`, `conv_dw_acc_skip_with`) must not move a
@@ -234,7 +239,7 @@ proptest! {
 
         let mut full = vec![0.0f32; c_out * oh * ow];
         simd::conv_fwd_with(SimdBackend::Scalar, &g, &xp, &w, &mut full);
-        for arm in [SimdBackend::Scalar, detected()] {
+        for arm in arms() {
             let mut got = vec![f32::NAN; c_out * oh * ow];
             simd::conv_fwd_skip_with(arm, &g, skip, &xp, &w, &mut got);
             assert_bits_eq(&got, &full, "conv_fwd_skip");
@@ -243,7 +248,7 @@ proptest! {
         let dw0 = rand_vec(c_out * g.ckk(), seed ^ 3);
         let mut full = dw0.clone();
         simd::conv_dw_acc_with(SimdBackend::Scalar, &g, &xp, &dy, &mut full);
-        for arm in [SimdBackend::Scalar, detected()] {
+        for arm in arms() {
             let mut got = dw0.clone();
             simd::conv_dw_acc_skip_with(arm, &g, skip, &xp, &dy, &mut got);
             assert_bits_eq(&got, &full, "conv_dw_acc_skip");
@@ -257,7 +262,7 @@ proptest! {
                 dxp[at..at + wd].to_vec()
             })
             .collect();
-        for arm in [SimdBackend::Scalar, detected()] {
+        for arm in arms() {
             let mut dyp = rand_vec(g.dy_padded_len(), seed ^ 4);
             let mut got = vec![0.0f32; c_in * h * wd];
             simd::conv_dx_acc_padded_with(arm, &g, padding, &w, &dy, &mut dyp, &mut got);
@@ -270,7 +275,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Transposed convolutions — the convolution kernels with the
-    /// operands swapped — forward and backward: scalar vs detected
+    /// operands swapped — forward and backward: scalar vs every
     /// process-global arm, bitwise, at stride 1–3, kernels 1–4 wide,
     /// padding up to what leaves an output.
     #[test]
@@ -293,17 +298,19 @@ proptest! {
         let dy = Tensor::from_vec(rand_vec(n * c_out * oh * ow, seed ^ 3), &[n, c_out, oh, ow]).unwrap();
         let _guard = GLOBAL_ARM.lock().unwrap_or_else(|e| e.into_inner());
         let before = simd::global();
-        let runs = [SimdBackend::Scalar, detected()].map(|arm| {
+        let runs: Vec<_> = arms().into_iter().map(|arm| {
             simd::set_global(arm);
             let y = conv_transpose2d(&x, &w, Some(&b), spec).unwrap();
             (y, conv_transpose2d_backward(&x, &w, &dy, spec).unwrap())
-        });
+        }).collect();
         simd::set_global(before);
-        let [(want_y, want), (got_y, got)] = &runs;
-        assert_bits_eq(got_y.data(), want_y.data(), "conv_transpose2d");
-        assert_bits_eq(got.dx.data(), want.dx.data(), "conv_transpose2d dx");
-        assert_bits_eq(got.dw.data(), want.dw.data(), "conv_transpose2d dw");
-        assert_bits_eq(got.db.data(), want.db.data(), "conv_transpose2d db");
+        let (want_y, want) = &runs[0];
+        for (got_y, got) in &runs[1..] {
+            assert_bits_eq(got_y.data(), want_y.data(), "conv_transpose2d");
+            assert_bits_eq(got.dx.data(), want.dx.data(), "conv_transpose2d dx");
+            assert_bits_eq(got.dw.data(), want.dw.data(), "conv_transpose2d dw");
+            assert_bits_eq(got.db.data(), want.db.data(), "conv_transpose2d db");
+        }
     }
 }
 
@@ -380,7 +387,7 @@ fn assert_outcomes_bitwise_equal(a: &MethodOutcome, b: &MethodOutcome, what: &st
 }
 
 /// A full FedProx experiment must produce a bit-identical
-/// [`MethodOutcome`] on the scalar and the detected arm — end to end:
+/// [`MethodOutcome`] on the scalar and every other arm — end to end:
 /// corpus tensors through conv/activation/optimizer sweeps to AUC. Run
 /// at both thread counts so the SIMD axis composes with the thread axis.
 #[test]
@@ -401,16 +408,16 @@ fn fedprox_outcome_is_bitwise_arm_invariant() {
         config.parallelism = Parallelism::new(threads);
         simd::set_global(SimdBackend::Scalar);
         let scalar = methods::run_method(Method::FedProx, &clients, &factory, &config).unwrap();
-        simd::set_global(SimdBackend::detect());
-        let dispatched = methods::run_method(Method::FedProx, &clients, &factory, &config).unwrap();
-        assert_outcomes_bitwise_equal(
-            &scalar,
-            &dispatched,
-            &format!(
-                "fedprox scalar vs {} @ {threads} threads",
-                SimdBackend::detect()
-            ),
-        );
+        for arm in arms().into_iter().skip(1) {
+            simd::set_global(arm);
+            let dispatched =
+                methods::run_method(Method::FedProx, &clients, &factory, &config).unwrap();
+            assert_outcomes_bitwise_equal(
+                &scalar,
+                &dispatched,
+                &format!("fedprox scalar vs {arm} @ {threads} threads"),
+            );
+        }
     }
     simd::set_global(before);
 }

@@ -225,7 +225,7 @@ fn transports_are_bitwise_identical_across_threads_and_simd() {
         );
 
         for threads in [1usize, 4] {
-            for arm in [SimdBackend::Scalar, SimdBackend::detect()] {
+            for arm in SimdBackend::supported() {
                 simd::set_global(arm);
                 let cell = config(mu, threads);
                 let what = format!("{label} / {threads} threads / {arm} arm");

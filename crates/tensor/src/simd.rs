@@ -1136,6 +1136,19 @@ mod tests {
     }
 
     #[test]
+    fn parse_refuses_an_arm_the_cpu_lacks_naming_its_features() {
+        let lacking = SimdBackend::ALL.into_iter().filter(|arm| !arm.runs_here());
+        for arm in lacking {
+            let refused = std::panic::catch_unwind(|| SimdBackend::parse(arm.name()))
+                .expect_err("a forced arm the CPU lacks must panic");
+            let message = refused
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert!(message.contains(arm.features()), "{message}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "accepted values")]
     fn parse_rejects_unknown_arms_loudly() {
         let _ = SimdBackend::parse("typo");

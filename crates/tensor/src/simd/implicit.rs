@@ -918,10 +918,10 @@ fn conv_fwd_tiled<V: Lanes, const CT: usize, const RT: usize, const STRIDED: boo
                 for c in 0..CT {
                     for r in 0..RT {
                         let sums = acc[c][r].to_array();
-                        let rows = sums.as_ref().as_flattened().chunks_exact(cols);
-                        for (oi, sums) in (oi0 + r * per..oh).zip(rows) {
+                        let by_row = sums.as_ref().as_flattened().chunks_exact(cols);
+                        for (oi, row) in (oi0 + r * per..oh).zip(by_row) {
                             let at = (co0 + c) * ohw + oi * ow + oj0;
-                            y[at..at + jw].copy_from_slice(&sums[..jw]);
+                            y[at..at + jw].copy_from_slice(&row[..jw]);
                         }
                     }
                 }
@@ -938,7 +938,8 @@ fn conv_fwd_tiled<V: Lanes, const CT: usize, const RT: usize, const STRIDED: boo
 /// models on the corpus grids — in a register tile of `CT` channel
 /// registers × `TT` taps: 4 × 2 when there are (four) registers of
 /// channels to share each image window and 1 × 8 otherwise with 16
-/// registers, 4 × 4 and 2 × 4 with 32, 2 × 2 and 1 × 4 with 8. A
+/// registers, 4 × 4 and 2 × 4 with 32 (1 × 8 below two), 2 × 2 and
+/// 1 × 4 with 8. A
 /// register holds `GROUPS` channels, one a group, whose `dy` the batch
 /// interleaves eight outputs at a time when there are two.
 #[inline(always)]

@@ -63,12 +63,12 @@ pub struct BenchArgs {
     pub corpus_dir: Option<std::path::PathBuf>,
     /// Samples per streamed chunk (refused without `--corpus-dir`).
     pub stream_chunk: Option<usize>,
-    /// Serve shards through the memory-mapped zero-copy backend (refused
-    /// without `--corpus-dir`). Results are bit-identical.
+    /// Serve shards, raw or compressed, from a memory map of each file
+    /// (refused without `--corpus-dir`). Results are bit-identical.
     pub mmap: bool,
     /// Compact shard files with the delta+bitpack chunk codec before
-    /// training (refused without `--corpus-dir`; incompatible with
-    /// `--mmap`). Results are bit-identical.
+    /// training (refused without `--corpus-dir`). Results are
+    /// bit-identical.
     pub compress_shards: bool,
     /// Train a synthesized client universe of this size instead of the
     /// Table 2 fleet.
@@ -253,9 +253,6 @@ impl BenchArgs {
             if let Some((flag, _)) = shard_flags.iter().find(|(_, given)| *given) {
                 return Err(format!("{flag} only works together with --corpus-dir"));
             }
-        }
-        if out.mmap && out.compress_shards {
-            return Err("--mmap cannot read compressed shards; drop one of the flags".into());
         }
         if out.designs.is_some() && out.clients.is_none() {
             return Err("--designs only makes sense together with --clients".into());
@@ -571,8 +568,12 @@ mod tests {
                 .experiment_config()
                 .compress_shards
         );
-        // Contradictory or malformed combinations are rejected loudly.
-        assert!(args(&["--corpus-dir", "d", "--mmap", "--compress-shards"]).is_err());
+        // Compressed shards are read through the memory map too.
+        let c = args(&["--corpus-dir", "d", "--mmap", "--compress-shards"])
+            .unwrap()
+            .experiment_config();
+        assert_eq!(c.shard_backend, rte_core::ShardBackend::Mmap);
+        assert!(c.compress_shards);
         // The shard flags only work together with --corpus-dir.
         assert!(args(&["--quick", "--mmap"]).is_err());
         assert!(args(&["--quick", "--compress-shards"]).is_err());

@@ -125,3 +125,22 @@ fn shard_flags_need_a_corpus_dir_for_every_binary() {
         }
     }
 }
+
+#[test]
+fn mmap_and_compressed_shards_combine_where_both_are_taken() {
+    let mut combined = 0;
+    for &(binary, refused) in REFUSED_FLAGS {
+        let args = ["--corpus-dir", "shards", "--mmap", "--compress-shards"];
+        if refused.contains(&"--mmap") || refused.contains(&"--compress-shards") {
+            assert!(parse(binary, &args).is_err(), "{binary}");
+            continue;
+        }
+        let c = parse(binary, &args)
+            .unwrap_or_else(|e| panic!("{binary}: {e}"))
+            .experiment_config();
+        assert_eq!(c.shard_backend, rte_core::ShardBackend::Mmap, "{binary}");
+        assert!(c.compress_shards, "{binary}");
+        combined += 1;
+    }
+    assert!(combined > 0, "no binary takes both flags");
+}

@@ -8,7 +8,6 @@ use rte_eda::corpus::{
     UniverseConfig, PAPER_CLIENTS,
 };
 use rte_eda::features::FEATURE_CHANNELS;
-use rte_eda::mmap::MmapShardReader;
 use rte_eda::shard::{
     compact_dir, CorpusReader, CorpusWriter, ShardReader, DEFAULT_CHUNK, DEFAULT_COMPRESS_CHUNK,
     SHARD_EXTENSION,
@@ -53,8 +52,7 @@ pub struct ExperimentConfig {
     /// When `true` (and `corpus_dir` is set), shard files are compacted
     /// in place with the delta+bitpack chunk codec before clients open
     /// them. The codec round-trips bitwise, so this is a pure disk-size
-    /// knob; incompatible with [`ShardBackend::Mmap`], which needs raw
-    /// fixed-size records.
+    /// knob, on either [`ShardBackend`].
     pub compress_shards: bool,
     /// When set, the experiment trains a synthesized client universe of
     /// this shape (`--clients N --designs D`) instead of the Table 2
@@ -214,18 +212,18 @@ impl ExperimentConfig {
     }
 }
 
-/// Which reader serves shard files to out-of-core clients. Both
-/// backends run the same open-time validation and deliver the same
-/// bytes; they differ only in *how* records reach the trainer.
+/// Which byte store the shard reader serves out-of-core clients from.
+/// Both run the same open-time validation, raw or compressed, and
+/// deliver the same bytes; they differ only in *how* records reach the
+/// trainer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardBackend {
-    /// `seek`+`read` straight into each batch (the default; works for
-    /// raw and compressed shards).
+    /// `seek`+`read` straight into each batch (the default).
     #[default]
     Read,
-    /// Memory-mapped zero-copy reads with lazy per-chunk CRC (raw
-    /// shards only — compressed shards have no fixed-size records to
-    /// map).
+    /// Reads from a memory map of the shard: raw records are decoded
+    /// from the mapped pages with a lazy per-chunk CRC, compressed
+    /// frames are decoded from them.
     Mmap,
 }
 
@@ -289,9 +287,11 @@ fn generate_fleet(
         .collect()
 }
 
-/// [`RecordSource`] over one EDA shard file — the adapter that lets
-/// `rte-fed`'s streaming client sets feed on `rte-eda`'s on-disk format
-/// without either crate depending on the other.
+/// [`RecordSource`] over one EDA shard file, on either of the reader's
+/// stores — the adapter that lets `rte-fed`'s streaming client sets
+/// feed on `rte-eda`'s on-disk format without either crate depending on
+/// the other. Its descriptor is the path, prefixed with `mmap:` when
+/// the reader serves a memory map.
 struct ShardSource {
     reader: ShardReader,
 }
@@ -332,7 +332,12 @@ impl RecordSource for ShardSource {
     }
 
     fn descriptor(&self) -> String {
-        self.reader.path().display().to_string()
+        let path = self.reader.path().display();
+        if self.reader.is_mapped() {
+            format!("mmap:{path}")
+        } else {
+            path.to_string()
+        }
     }
 }
 
@@ -348,60 +353,16 @@ pub fn shard_client_set(reader: ShardReader, chunk: usize) -> Result<ClientSet, 
     )?))
 }
 
-/// [`RecordSource`] over a memory-mapped shard — the zero-copy sibling
-/// of [`ShardSource`]: records decode straight from the mapped pages
-/// (lazy per-chunk CRC on first touch), no seek, no scratch buffer. Its
-/// descriptor is the path prefixed with `mmap:`.
-struct MmapShardSource {
-    reader: MmapShardReader,
-}
-
-impl RecordSource for MmapShardSource {
-    fn len(&self) -> usize {
-        self.reader.len()
-    }
-
-    fn geometry(&self) -> (usize, usize, usize) {
-        self.reader.geometry()
-    }
-
-    fn read_into(
-        &self,
-        range: std::ops::Range<usize>,
-        features: &mut Vec<f32>,
-        labels: &mut Vec<f32>,
-    ) -> Result<(), FedError> {
-        self.reader
-            .read_batch_into(range, features, labels)
-            .map_err(|e| FedError::Stream {
-                reason: e.to_string(),
-            })
-    }
-
-    fn descriptor(&self) -> String {
-        format!("mmap:{}", self.reader.path().display())
-    }
-}
-
 /// Builds one client split on the configured [`ShardBackend`].
 fn backend_client_set(
     reader: ShardReader,
     config: &ExperimentConfig,
 ) -> Result<ClientSet, CoreError> {
-    let source: Arc<dyn RecordSource> = match config.shard_backend {
-        ShardBackend::Read => Arc::new(ShardSource { reader }),
-        ShardBackend::Mmap => {
-            let path = reader.path().to_path_buf();
-            drop(reader); // the mapping replaces the descriptor
-            Arc::new(MmapShardSource {
-                reader: MmapShardReader::open_with_chunk(path, config.stream_chunk)?,
-            })
-        }
+    let reader = match config.shard_backend {
+        ShardBackend::Read => reader,
+        ShardBackend::Mmap => reader.mapped(config.stream_chunk)?,
     };
-    Ok(ClientSet::streaming(StreamingClientSet::new(
-        source,
-        config.stream_chunk,
-    )?))
+    shard_client_set(reader, config.stream_chunk)
 }
 
 /// True when `dir` exists and holds at least one shard file.
@@ -435,13 +396,6 @@ fn build_streaming_clients(config: &ExperimentConfig) -> Result<Vec<Client>, Cor
         .ok_or_else(|| CoreError::InvalidConfig {
             reason: "build_streaming_clients requires corpus_dir".into(),
         })?;
-    if config.compress_shards && config.shard_backend == ShardBackend::Mmap {
-        return Err(CoreError::InvalidConfig {
-            reason: "compressed shards have no fixed-size records to map; \
-                     use the read backend or drop compression"
-                .into(),
-        });
-    }
     let specs = config.client_specs()?;
     if !has_shards(dir) {
         CorpusWriter::new(dir)
@@ -821,11 +775,17 @@ mod tests {
         // A second compressed build reuses the compacted directory.
         let again = build_experiment_clients(&packed_config).unwrap();
         assert_eq!(again.len(), packed.len());
-        // Mmap cannot serve compressed shards: typed error, not a panic.
-        let err =
+        // Mmap serves the compressed shards with the same bits.
+        let mapped =
             build_experiment_clients(&packed_config.clone().with_shard_backend(ShardBackend::Mmap))
-                .unwrap_err();
-        assert!(err.to_string().contains("compress"), "{err}");
+                .unwrap();
+        for (r, m) in raw.iter().zip(&mapped) {
+            assert!(m.test.source().descriptor().starts_with("mmap:"));
+            assert_eq!(
+                r.test.minibatch_range(0..r.test.len()),
+                m.test.minibatch_range(0..m.test.len())
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

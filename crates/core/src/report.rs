@@ -25,16 +25,6 @@ pub fn render_table(table: &TableResult) -> String {
     )
 }
 
-/// Renders one method row: label, per-client AUCs, average.
-pub fn render_row(outcome: &MethodOutcome) -> String {
-    let mut line = format!("{:<34}", outcome.method.label());
-    for auc in &outcome.per_client_auc {
-        line.push_str(&format!("  {auc:<5.2}"));
-    }
-    line.push_str(&format!("  {:<7.2}", outcome.average_auc));
-    line
-}
-
 /// Renders the per-client grid of an arbitrary [`EvalReport`] projection
 /// in the paper's table layout — the companion view of [`render_table`]
 /// for the metrics the paper does not print (average precision,

@@ -102,11 +102,6 @@ impl Dataset {
         Dataset::default()
     }
 
-    /// Creates a dataset from samples.
-    pub fn from_samples(samples: Vec<Sample>) -> Self {
-        Dataset { samples }
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.samples.len()

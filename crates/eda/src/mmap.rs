@@ -1,34 +1,15 @@
-//! Memory-mapped shard reads: validate the header once at open, CRC
-//! data lazily on first touch, copy nothing until the tensors are built.
+//! Memory-mapped shard reads: the read-only file mapping that serves as
+//! one of [`ShardReader`]'s two byte stores.
 //!
-//! [`MmapShardReader`] is the third data backend (after in-memory
-//! tensors and the `read`-based [`crate::shard::ShardReader`]): the
-//! whole shard file is mapped read-only into the address space, so a
-//! record read is a pointer offset into the page cache instead of a
-//! `seek` + `read` + memcpy into a scratch buffer. Two properties keep
-//! it inside the determinism and hostile-bytes contracts:
-//!
-//! - **One hardened validation path.** Open-time checks (magic,
-//!   version, the header-length cap, header CRC, geometry limits,
-//!   overflow-checked record accounting) are the *same* functions the
-//!   read-based reader uses, so a crafted file is rejected identically
-//!   by both backends.
-//! - **Lazy per-chunk CRC.** Record CRCs are verified on the first
-//!   touch of each `crc_chunk`-record chunk and remembered in a
-//!   `OnceLock`-style atomic bitmap: a bit is set only *after* its
-//!   chunk verified clean, concurrent first touches at worst verify
-//!   twice (idempotent), and subsequent reads skip straight to the
-//!   mapped bytes. A full pass verifies every byte exactly once —
-//!   matching the read path's guarantees at a fraction of the work.
-//!
-//! Reads return bit-identical f32 planes to
-//! [`ShardReader`](crate::shard::ShardReader) — the
-//! bytes come from the same file — so the mmap backend is a pure
-//! wall-clock knob under determinism-contract rule 4.
-//!
-//! Compressed (version-2) shards have variable-size frames and cannot
-//! be served zero-copy; [`MmapShardReader::open`] rejects them with a
-//! typed error directing callers at the read backend.
+//! [`ShardReader::mapped`] swaps a validated reader's `seek` + `read`
+//! store for a `Mapping` of the whole file, so a raw record read is a
+//! slice of the page cache instead of a copy into a scratch buffer, and
+//! a compressed frame is decoded straight from the mapped pages. Open,
+//! validation, decoding and the CRC rules are the reader's own, so both
+//! stores reject a damaged file alike and return the same bits: the
+//! mapping is a pure wall-clock knob under determinism-contract rule 4.
+//! [`MmapShardReader::open`] opens a shard straight onto the map, which
+//! then serves the validation too.
 //!
 //! # Safety
 //!
@@ -48,15 +29,9 @@
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::dataset::Sample;
-use crate::shard::{
-    check_record_crc, decode_record_planes, parse_prelude, validate_header, ShardMeta,
-    DEFAULT_CHUNK, PRELUDE_LEN,
-};
+use crate::shard::{ShardReader, DEFAULT_CHUNK};
 use crate::{EdaError, ShardError};
-use rte_tensor::Tensor;
 
 /// Hand-declared POSIX bindings (the workspace builds without external
 /// crates, so there is no `libc` to lean on).
@@ -86,7 +61,7 @@ mod sys {
 
 /// An owned read-only file mapping; unmapped on drop.
 #[derive(Debug)]
-struct Mapping {
+pub(crate) struct Mapping {
     ptr: *const u8,
     len: usize,
 }
@@ -100,9 +75,20 @@ unsafe impl Send for Mapping {}
 unsafe impl Sync for Mapping {}
 
 impl Mapping {
+    /// Maps the whole of `file` read-only; an empty file has no pages to
+    /// map and is refused.
     #[cfg(unix)]
-    fn map(file: &File, len: usize, path: &Path) -> Result<Mapping, ShardError> {
+    pub(crate) fn map(file: &File, path: &Path) -> Result<Mapping, ShardError> {
         use std::os::unix::io::AsRawFd;
+        let io = |message: String| ShardError::Io {
+            path: path.display().to_string(),
+            message,
+        };
+        let len = file.metadata().map_err(|e| io(e.to_string()))?.len();
+        let len = usize::try_from(len)
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| io(format!("cannot map a file of {len} bytes")))?;
         // SAFETY: `file` is an open descriptor for the whole call (the
         // borrow pins it), `len` is the file's real non-zero length,
         // and PROT_READ/MAP_PRIVATE request a read-only private view —
@@ -119,10 +105,7 @@ impl Mapping {
             )
         };
         if ptr == sys::MAP_FAILED {
-            return Err(ShardError::Io {
-                path: path.display().to_string(),
-                message: format!("mmap of {len} bytes failed"),
-            });
+            return Err(io(format!("mmap of {len} bytes failed")));
         }
         Ok(Mapping {
             ptr: ptr as *const u8,
@@ -131,7 +114,7 @@ impl Mapping {
     }
 
     #[cfg(not(unix))]
-    fn map(_file: &File, _len: usize, path: &Path) -> Result<Mapping, ShardError> {
+    pub(crate) fn map(_file: &File, path: &Path) -> Result<Mapping, ShardError> {
         Err(ShardError::Io {
             path: path.display().to_string(),
             message: "memory-mapped shard reads are not supported on this platform; \
@@ -140,7 +123,7 @@ impl Mapping {
         })
     }
 
-    fn bytes(&self) -> &[u8] {
+    pub(crate) fn bytes(&self) -> &[u8] {
         // SAFETY: `ptr` came from a successful mmap of exactly `len`
         // bytes (see `map`), stays mapped until Drop, and the pages are
         // never written through this mapping — so a shared byte slice
@@ -161,244 +144,21 @@ impl Drop for Mapping {
     }
 }
 
-/// Memory-mapped random-access reader over one sealed raw shard file.
-///
-/// Open-time validation is identical to [`crate::shard::ShardReader`];
-/// per-record CRCs are verified lazily, once per chunk, on first touch
-/// (see the module docs). Reads take `&self` and are lock-free, so one
-/// reader can feed any number of worker threads.
+/// The memory-mapped entry point: a name, not a second reader.
 #[derive(Debug)]
-pub struct MmapShardReader {
-    map: Mapping,
-    path: PathBuf,
-    meta: ShardMeta,
-    n_samples: usize,
-    data_offset: usize,
-    record_len: usize,
-    crc_chunk: usize,
-    /// One bit per `crc_chunk`-record chunk; set once the chunk's
-    /// record CRCs verified clean.
-    verified: Vec<AtomicU64>,
-}
+pub enum MmapShardReader {}
 
 impl MmapShardReader {
-    /// Opens and validates a shard file with the default CRC chunk size
-    /// ([`DEFAULT_CHUNK`] records).
+    /// Opens and validates a shard file, raw or compressed, and serves
+    /// it from a memory map with the default lazy-CRC chunk
+    /// ([`DEFAULT_CHUNK`] records): [`ShardReader::open`] validating
+    /// through the map, then [`ShardReader::mapped`].
     ///
     /// # Errors
     ///
-    /// Every [`crate::shard::ShardReader::open`] error, identically;
-    /// additionally [`EdaError::InvalidConfig`] for compressed shards
-    /// (no fixed-size records to map) and [`ShardError::Io`] if the
-    /// platform cannot map files.
-    pub fn open(path: impl Into<PathBuf>) -> Result<Self, EdaError> {
-        Self::open_with_chunk(path, DEFAULT_CHUNK)
-    }
-
-    /// [`MmapShardReader::open`] with an explicit lazy-CRC chunk size
-    /// (records verified per first touch).
-    ///
-    /// # Errors
-    ///
-    /// As [`MmapShardReader::open`], plus [`EdaError::InvalidConfig`]
-    /// for a zero chunk.
-    pub fn open_with_chunk(path: impl Into<PathBuf>, crc_chunk: usize) -> Result<Self, EdaError> {
-        let path = path.into();
-        let path_str = path.display().to_string();
-        if crc_chunk == 0 {
-            return Err(EdaError::InvalidConfig {
-                reason: "lazy-CRC chunk size must be positive".into(),
-            });
-        }
-        let file = File::open(&path).map_err(|e| ShardError::Io {
-            path: path_str.clone(),
-            message: e.to_string(),
-        })?;
-        let file_len = file
-            .metadata()
-            .map_err(|e| ShardError::Io {
-                path: path_str.clone(),
-                message: e.to_string(),
-            })?
-            .len();
-        if file_len < PRELUDE_LEN as u64 {
-            return Err(ShardError::Truncated {
-                path: path_str,
-                context: "file prelude".into(),
-            }
-            .into());
-        }
-        let map = Mapping::map(&file, file_len as usize, &path)?;
-        drop(file); // The mapping outlives the descriptor.
-        let bytes = map.bytes();
-        let prelude: &[u8; PRELUDE_LEN] = bytes[..PRELUDE_LEN].try_into().expect("length checked");
-        let (version, header_len, header_crc) = parse_prelude(prelude, file_len, &path_str)?;
-        let body = &bytes[PRELUDE_LEN..PRELUDE_LEN + header_len as usize];
-        let header = validate_header(version, body, header_crc, file_len, &path_str)?;
-        if header.compression.is_some() {
-            return Err(EdaError::InvalidConfig {
-                reason: format!(
-                    "{path_str} is a compressed shard; the mmap backend needs raw \
-                     fixed-size records — use the read-based backend"
-                ),
-            });
-        }
-        let n_samples = header.n_samples as usize;
-        let n_chunks = n_samples.div_ceil(crc_chunk);
-        let verified = (0..n_chunks.div_ceil(64))
-            .map(|_| AtomicU64::new(0))
-            .collect();
-        Ok(MmapShardReader {
-            map,
-            path,
-            meta: header.meta,
-            n_samples,
-            data_offset: header.data_offset as usize,
-            record_len: header.record_len as usize,
-            crc_chunk,
-            verified,
-        })
-    }
-
-    /// The provenance header.
-    pub fn meta(&self) -> &ShardMeta {
-        &self.meta
-    }
-
-    /// The shard file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Number of sample records (always ≥ 1 after a successful open).
-    pub fn len(&self) -> usize {
-        self.n_samples
-    }
-
-    /// Always false: zero-sample shards fail to open.
-    pub fn is_empty(&self) -> bool {
-        self.n_samples == 0
-    }
-
-    /// `(channels, height, width)` of every sample.
-    pub fn geometry(&self) -> (usize, usize, usize) {
-        (
-            self.meta.channels,
-            self.meta.grid.height,
-            self.meta.grid.width,
-        )
-    }
-
-    /// Records covered by one lazy-CRC chunk.
-    pub fn crc_chunk(&self) -> usize {
-        self.crc_chunk
-    }
-
-    /// How many lazy-CRC chunks have been verified so far — the
-    /// observability hook the laziness tests pin.
-    pub fn verified_chunks(&self) -> usize {
-        self.verified
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
-            .sum()
-    }
-
-    /// Zero-copy view of record `index`'s raw bytes in the mapping.
-    fn record_bytes(&self, index: usize) -> &[u8] {
-        let start = self.data_offset + index * self.record_len;
-        &self.map.bytes()[start..start + self.record_len]
-    }
-
-    /// Verifies (once) the CRCs of every chunk overlapping `range`.
-    fn ensure_verified(&self, range: &std::ops::Range<usize>) -> Result<(), EdaError> {
-        let path_str = self.path.display().to_string();
-        for chunk_i in range.start / self.crc_chunk..=(range.end - 1) / self.crc_chunk {
-            let word = &self.verified[chunk_i / 64];
-            let bit = 1u64 << (chunk_i % 64);
-            if word.load(Ordering::Acquire) & bit != 0 {
-                continue;
-            }
-            let lo = chunk_i * self.crc_chunk;
-            let hi = (lo + self.crc_chunk).min(self.n_samples);
-            for index in lo..hi {
-                check_record_crc(self.record_bytes(index), index, &path_str)?;
-            }
-            // Set only after the whole chunk verified clean; a racing
-            // first touch verifies redundantly, never skips.
-            word.fetch_or(bit, Ordering::AcqRel);
-        }
-        Ok(())
-    }
-
-    fn check_range(&self, range: &std::ops::Range<usize>) -> Result<(), EdaError> {
-        if range.start >= range.end || range.end > self.n_samples {
-            return Err(EdaError::InvalidConfig {
-                reason: format!(
-                    "record range {range:?} invalid for shard of {} samples",
-                    self.n_samples
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Reads records `range`, appending their feature and label planes
-    /// (flat row-major f32s, record-major) to the output vectors —
-    /// decoded straight from the mapped pages, bit-identical to
-    /// [`crate::shard::ShardReader::read_batch_into`].
-    ///
-    /// # Errors
-    ///
-    /// [`EdaError::InvalidConfig`] for an empty or out-of-bounds range,
-    /// [`ShardError::CrcMismatch`] / [`ShardError::Corrupt`] for
-    /// damaged records.
-    pub fn read_batch_into(
-        &self,
-        range: std::ops::Range<usize>,
-        features: &mut Vec<f32>,
-        labels: &mut Vec<f32>,
-    ) -> Result<(), EdaError> {
-        self.check_range(&range)?;
-        self.ensure_verified(&range)?;
-        let path_str = self.path.display().to_string();
-        for index in range {
-            decode_record_planes(
-                self.record_bytes(index),
-                &self.meta,
-                index,
-                &path_str,
-                features,
-                labels,
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Reads one record as a full [`Sample`] (design name resolved
-    /// through the header table).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MmapShardReader::read_batch_into`].
-    pub fn read_sample(&self, index: usize) -> Result<Sample, EdaError> {
-        let (c, h, w) = self.geometry();
-        let mut features = Vec::with_capacity(c * h * w);
-        let mut labels = Vec::with_capacity(h * w);
-        self.check_range(&(index..index + 1))?;
-        self.ensure_verified(&(index..index + 1))?;
-        let path_str = self.path.display().to_string();
-        let design_idx = decode_record_planes(
-            self.record_bytes(index),
-            &self.meta,
-            index,
-            &path_str,
-            &mut features,
-            &mut labels,
-        )?;
-        Ok(Sample {
-            features: Tensor::from_vec(features, &[c, h, w])?,
-            label: Tensor::from_vec(labels, &[1, h, w])?,
-            design: self.meta.designs[design_idx].clone(),
-        })
+    /// Every [`ShardReader::open`] error, identically, and
+    /// [`ShardError::Io`] if the platform cannot map files.
+    pub fn open(path: impl Into<PathBuf>) -> Result<ShardReader, EdaError> {
+        ShardReader::open_on(path.into(), true)?.mapped(DEFAULT_CHUNK)
     }
 }

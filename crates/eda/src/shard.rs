@@ -10,7 +10,11 @@
 //!   CRC'd header carrying full provenance (master seed, client, split,
 //!   family, grid, placement scale, design-name table) followed by
 //!   **fixed-size sample records**, so record `i` lives at a computable
-//!   offset and any chunk is one seek away.
+//!   offset and any chunk is one read away. The reader serves its bytes
+//!   from one of two stores, the file (`seek` + `read`) or a read-only
+//!   memory map of it ([`ShardReader::mapped`]); open, validation and
+//!   decoding are written once, so both stores return the same bits and
+//!   reject damage alike.
 //! - [`CorpusWriter`] — generates the Table 2 corpus *directly into
 //!   shard files* in bounded-memory chunks: placement jobs are processed
 //!   `chunk` at a time on the [`rte_tensor::parallel`] pool and appended
@@ -65,7 +69,7 @@
 //! per-record CRCs included — are bit-identical to the raw layout.
 //! [`ShardWriter`] always emits version 1; version 2 is produced by
 //! [`compress_shard`] / [`compact_dir`] and read transparently by
-//! [`ShardReader`].
+//! [`ShardReader`], on either store.
 //!
 //! Every failure mode is a typed [`ShardError`] — truncation, wrong
 //! magic, unknown version, CRC mismatch, zero samples — never a panic;
@@ -76,8 +80,10 @@
 //! [`MAX_COMPRESS_CHUNK`]) or by the real on-disk file length *before*
 //! it is used to allocate or do arithmetic.
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -88,6 +94,7 @@ use rte_tensor::Tensor;
 use crate::corpus::{build_jobs, design_name, generate_chunked, DesignJob, PlacementJob};
 use crate::corpus::{ClientSpec, CorpusConfig, Split, PAPER_CLIENTS};
 use crate::dataset::Sample;
+use crate::mmap::Mapping;
 use crate::placement::{check_grid, GridDims};
 use crate::{EdaError, Family, ShardError};
 
@@ -148,7 +155,7 @@ pub const MAX_DESIGNS: usize = 65_536;
 /// Upper bound on records per compressed frame.
 pub const MAX_COMPRESS_CHUNK: usize = 1 << 20;
 
-pub(crate) const PRELUDE_LEN: usize = 20;
+const PRELUDE_LEN: usize = 20;
 
 /// Compressed frames decoded by every [`ShardReader`] in this process.
 static FRAMES_DECODED: AtomicU64 = AtomicU64::new(0);
@@ -524,29 +531,29 @@ fn encode_file_header(meta: &ShardMeta, n_samples: u64) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------
-// Shared open-time validation — one hardened path for the read-based
-// and the memory-mapped readers.
+// Open-time validation and record decoding, whichever store serves the
+// bytes.
 // ---------------------------------------------------------------------
 
 /// Everything a reader learns from a validated prelude + header body.
 #[derive(Debug)]
-pub(crate) struct ValidatedHeader {
-    pub(crate) meta: ShardMeta,
-    pub(crate) n_samples: u64,
+struct ValidatedHeader {
+    meta: ShardMeta,
+    n_samples: u64,
     /// Bytes per raw record (derived from validated geometry, so the
     /// arithmetic cannot have wrapped).
-    pub(crate) record_len: u64,
+    record_len: u64,
     /// First byte after the header body: raw records (v1) or the chunk
     /// directory (v2).
-    pub(crate) data_offset: u64,
-    pub(crate) compression: Option<CompressionInfo>,
+    data_offset: u64,
+    compression: Option<CompressionInfo>,
 }
 
 /// Validates the fixed 20-byte prelude: magic, supported version, and —
 /// *before anything is allocated from it* — the header-length cap and
 /// its fit inside the real file. Returns `(version, header_len,
 /// header_crc)`.
-pub(crate) fn parse_prelude(
+fn parse_prelude(
     prelude: &[u8; PRELUDE_LEN],
     file_len: u64,
     path_str: &str,
@@ -586,7 +593,7 @@ pub(crate) fn parse_prelude(
 /// Validates a header body (CRC, decoded fields, geometry limits) and —
 /// for raw shards — the advertised sample count against the real file
 /// length, with overflow-checked arithmetic throughout.
-pub(crate) fn validate_header(
+fn validate_header(
     version: u32,
     body: &[u8],
     header_crc: u32,
@@ -650,7 +657,7 @@ pub(crate) fn validate_header(
 }
 
 /// Verifies one raw record's trailing CRC-32.
-pub(crate) fn check_record_crc(raw: &[u8], index: usize, path_str: &str) -> Result<(), ShardError> {
+fn check_record_crc(raw: &[u8], index: usize, path_str: &str) -> Result<(), ShardError> {
     let body_len = raw.len() - 4;
     let stored = u32::from_le_bytes(raw[body_len..].try_into().expect("4 bytes"));
     if crc32(&raw[..body_len]) != stored {
@@ -665,7 +672,7 @@ pub(crate) fn check_record_crc(raw: &[u8], index: usize, path_str: &str) -> Resu
 /// Decodes one raw record's planes (CRC already checked by the caller):
 /// bounds-checks the design reference, appends the f32 feature and label
 /// planes, and returns the design index.
-pub(crate) fn decode_record_planes(
+fn decode_record_planes(
     raw: &[u8],
     meta: &ShardMeta,
     index: usize,
@@ -840,17 +847,65 @@ impl ShardWriter {
 // Reader.
 // ---------------------------------------------------------------------
 
-/// Random-access reader over one sealed shard file.
+/// Where a [`ShardReader`]'s bytes come from.
+#[derive(Debug)]
+enum Store {
+    /// The open file, read with `seek` + `read`; the lock guards the
+    /// cursor, so concurrent reads interleave cleanly.
+    File(Mutex<File>),
+    /// A read-only memory map of the whole file.
+    Map(Mapping),
+}
+
+impl Store {
+    /// The `len` bytes at `offset`: a slice of the map, or a buffer read
+    /// from the file. `what` names them in a truncation error.
+    fn bytes_at(
+        &self,
+        offset: u64,
+        len: usize,
+        path: &Path,
+        what: impl FnOnce() -> String,
+    ) -> Result<Cow<'_, [u8]>, ShardError> {
+        let truncated = |e: String| ShardError::Truncated {
+            path: path.display().to_string(),
+            context: format!("{}{e}", what()),
+        };
+        match self {
+            Store::Map(map) => usize::try_from(offset)
+                .ok()
+                .and_then(|at| map.bytes().get(at..)?.get(..len))
+                .map(Cow::Borrowed)
+                .ok_or_else(|| truncated(String::new())),
+            Store::File(file) => {
+                let mut buf = vec![0u8; len];
+                let mut file = file.lock().expect("shard file lock poisoned");
+                file.seek(SeekFrom::Start(offset))
+                    .map_err(|e| io_err(path, &e))?;
+                file.read_exact(&mut buf)
+                    .map_err(|e| truncated(format!(": {e}")))?;
+                Ok(Cow::Owned(buf))
+            }
+        }
+    }
+}
+
+/// Random-access reader over one sealed shard file, raw or compressed,
+/// on either of two byte stores: the file itself (`seek` + `read`, the
+/// default) or a read-only memory map of it ([`ShardReader::mapped`]).
 ///
 /// Opening validates magic, version, header CRC, the advertised sample
-/// count against the file size, and rejects zero-sample shards — all as
-/// typed [`ShardError`]s. Records are fixed-size, so any sample or
-/// contiguous range is one seek plus one read; per-record CRCs are
-/// verified on every read. Reads take `&self` (an internal lock guards
-/// the file cursor), so one reader can feed several worker threads.
+/// count against the file size (or, compressed, the frame directory),
+/// and rejects zero-sample shards — all as typed [`ShardError`]s.
+/// Raw records are fixed-size, so any sample or contiguous range is one
+/// read from the store. Record CRCs are checked on every read, except
+/// that a mapped raw shard checks each chunk of records once, on first
+/// touch; compressed frames are CRC-checked on every decode. Reads take
+/// `&self`, so one reader can feed several worker threads, and return
+/// the same bits from either store.
 #[derive(Debug)]
 pub struct ShardReader {
-    file: Mutex<File>,
+    store: Store,
     /// The length `open` validated the layout against.
     file_len: u64,
     path: PathBuf,
@@ -862,10 +917,15 @@ pub struct ShardReader {
     /// Per-frame `(file offset, compressed payload length)` for
     /// compressed shards; empty for raw shards.
     frames: Vec<(u64, usize)>,
+    /// Records per lazy-CRC chunk of a mapped raw shard.
+    crc_chunk: usize,
+    /// One bit per `crc_chunk`-record chunk, set once the chunk's record
+    /// CRCs verified clean; empty unless the shard is mapped and raw.
+    verified: Vec<AtomicU64>,
 }
 
 impl ShardReader {
-    /// Opens and validates a shard file.
+    /// Opens and validates a shard file, reading it with `seek` + `read`.
     ///
     /// # Errors
     ///
@@ -875,11 +935,15 @@ impl ShardReader {
     /// [`ShardError::EmptyShard`] for zero samples, and
     /// [`ShardError::Corrupt`] for structural violations.
     pub fn open(path: impl Into<PathBuf>) -> Result<Self, EdaError> {
-        let path = path.into();
+        Self::open_on(path.into(), false)
+    }
+
+    /// [`ShardReader::open`] on the file store, or with `map` on a
+    /// memory map of the file, which then also serves the validation.
+    pub(crate) fn open_on(path: PathBuf, map: bool) -> Result<Self, EdaError> {
         let path_str = path.display().to_string();
-        let mut file = File::open(&path).map_err(|e| io_err(&path, &e))?;
+        let file = File::open(&path).map_err(|e| io_err(&path, &e))?;
         let file_len = file.metadata().map_err(|e| io_err(&path, &e))?.len();
-        let mut prelude = [0u8; PRELUDE_LEN];
         if file_len < PRELUDE_LEN as u64 {
             return Err(ShardError::Truncated {
                 path: path_str,
@@ -887,19 +951,26 @@ impl ShardReader {
             }
             .into());
         }
-        file.read_exact(&mut prelude)
-            .map_err(|e| io_err(&path, &e))?;
-        let (version, header_len, header_crc) = parse_prelude(&prelude, file_len, &path_str)?;
+        let store = if map {
+            // The mapping outlives the file.
+            Store::Map(Mapping::map(&file, &path)?)
+        } else {
+            Store::File(Mutex::new(file))
+        };
+        let prelude = store.bytes_at(0, PRELUDE_LEN, &path, || "file prelude".into())?;
+        let prelude = prelude[..].try_into().expect("PRELUDE_LEN bytes");
+        let (version, header_len, header_crc) = parse_prelude(prelude, file_len, &path_str)?;
         // Allocation is safe here: `parse_prelude` capped `header_len`.
-        let mut body = vec![0u8; header_len as usize];
-        file.read_exact(&mut body).map_err(|e| io_err(&path, &e))?;
+        let body = store.bytes_at(PRELUDE_LEN as u64, header_len as usize, &path, || {
+            "header body".into()
+        })?;
         let header = validate_header(version, &body, header_crc, file_len, &path_str)?;
         let frames = match header.compression {
             None => Vec::new(),
-            Some(info) => read_frame_directory(&mut file, &header, info, file_len, &path_str)?,
+            Some(info) => frame_directory(&store, &header, info, file_len, &path)?,
         };
         Ok(ShardReader {
-            file: Mutex::new(file),
+            store,
             file_len,
             path,
             meta: header.meta,
@@ -908,7 +979,57 @@ impl ShardReader {
             record_len: header.record_len as usize,
             compression: header.compression,
             frames,
+            crc_chunk: 0,
+            verified: Vec::new(),
         })
+    }
+
+    /// The same shard served from a read-only memory map of its file:
+    /// what [`ShardReader::open`] validated is kept, not checked again,
+    /// and a record read borrows the mapped pages instead of copying
+    /// them into a buffer. A raw shard's record CRCs are then checked
+    /// once per `crc_chunk` records, on the first read that touches
+    /// them. Reads return the same bits as before.
+    ///
+    /// # Errors
+    ///
+    /// [`EdaError::InvalidConfig`] for a zero chunk, [`ShardError::Io`]
+    /// if the file cannot be mapped (or the platform maps no files).
+    pub fn mapped(mut self, crc_chunk: usize) -> Result<Self, EdaError> {
+        if crc_chunk == 0 {
+            return Err(EdaError::InvalidConfig {
+                reason: "lazy-CRC chunk size must be positive".into(),
+            });
+        }
+        if let Store::File(file) = &self.store {
+            let file = file.lock().expect("shard file lock poisoned");
+            let map = Mapping::map(&file, &self.path)?;
+            drop(file);
+            // The mapping outlives the file, which closes here.
+            self.store = Store::Map(map);
+        }
+        if !self.is_compressed() {
+            self.crc_chunk = crc_chunk;
+            let n_chunks = self.n_samples.div_ceil(crc_chunk);
+            self.verified = (0..n_chunks.div_ceil(64))
+                .map(|_| AtomicU64::new(0))
+                .collect();
+        }
+        Ok(self)
+    }
+
+    /// True when the reader serves a memory map ([`ShardReader::mapped`]).
+    pub fn is_mapped(&self) -> bool {
+        matches!(self.store, Store::Map(_))
+    }
+
+    /// How many lazy-CRC chunks a mapped raw shard has verified so far —
+    /// the observability hook the laziness tests pin (0 elsewhere).
+    pub fn verified_chunks(&self) -> usize {
+        self.verified
+            .iter()
+            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
+            .sum()
     }
 
     /// True when the shard stores delta+bitpacked frames (version 2)
@@ -951,29 +1072,20 @@ impl ShardReader {
         )
     }
 
-    /// Reads the raw bytes of records `range`. Raw shards: one seek +
-    /// one read under the file lock, so concurrent readers interleave
-    /// cleanly. Compressed shards: decompresses the frames the range
-    /// spans and concatenates the covered record bytes (bit-identical
-    /// to the raw layout by codec construction).
-    fn read_raw(&self, range: std::ops::Range<usize>) -> Result<Vec<u8>, EdaError> {
+    /// The raw bytes of records `range`. Raw shards: one read from the
+    /// store. Compressed shards: decompresses the frames the range spans
+    /// and concatenates the covered record bytes (bit-identical to the
+    /// raw layout by codec construction). Record CRCs are not checked.
+    fn records(&self, range: Range<usize>) -> Result<Cow<'_, [u8]>, EdaError> {
         let Some(info) = self.compression else {
-            let mut buf = vec![0u8; (range.end - range.start) * self.record_len];
-            let mut file = self.file.lock().expect("shard file lock poisoned");
-            file.seek(SeekFrom::Start(
-                self.data_offset + (range.start * self.record_len) as u64,
-            ))
-            .map_err(|e| io_err(&self.path, &e))?;
-            file.read_exact(&mut buf).map_err(|e| {
-                EdaError::Shard(ShardError::Truncated {
-                    path: self.path.display().to_string(),
-                    context: format!("records {}..{}: {e}", range.start, range.end),
-                })
-            })?;
-            return Ok(buf);
+            let offset = self.data_offset + (range.start * self.record_len) as u64;
+            let len = range.len() * self.record_len;
+            return Ok(self.store.bytes_at(offset, len, &self.path, || {
+                format!("records {}..{}", range.start, range.end)
+            })?);
         };
         let chunk = info.chunk_records;
-        let mut out = Vec::with_capacity((range.end - range.start) * self.record_len);
+        let mut out = Vec::with_capacity(range.len() * self.record_len);
         for frame_i in range.start / chunk..=(range.end - 1) / chunk {
             let frame_start = frame_i * chunk;
             let frame_records = chunk.min(self.n_samples - frame_start);
@@ -982,7 +1094,7 @@ impl ShardReader {
             let hi = range.end.min(frame_start + frame_records) - frame_start;
             out.extend_from_slice(&raw[lo * self.record_len..hi * self.record_len]);
         }
-        Ok(out)
+        Ok(Cow::Owned(out))
     }
 
     /// Reads and decompresses one frame of a compressed shard, verifying
@@ -990,18 +1102,9 @@ impl ShardReader {
     fn read_frame(&self, frame_i: usize, frame_records: usize) -> Result<Vec<u8>, EdaError> {
         let path_str = self.path.display().to_string();
         let (offset, comp_len) = self.frames[frame_i];
-        let mut buf = vec![0u8; comp_len + 4];
-        {
-            let mut file = self.file.lock().expect("shard file lock poisoned");
-            file.seek(SeekFrom::Start(offset))
-                .map_err(|e| io_err(&self.path, &e))?;
-            file.read_exact(&mut buf).map_err(|e| {
-                EdaError::Shard(ShardError::Truncated {
-                    path: path_str.clone(),
-                    context: format!("compressed frame {frame_i}: {e}"),
-                })
-            })?;
-        }
+        let buf = self.store.bytes_at(offset, comp_len + 4, &self.path, || {
+            format!("compressed frame {frame_i}")
+        })?;
         let (payload, crc_bytes) = buf.split_at(comp_len);
         let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
         if crc32(payload) != stored {
@@ -1016,7 +1119,36 @@ impl ShardReader {
         Ok(raw)
     }
 
-    fn check_range(&self, range: &std::ops::Range<usize>) -> Result<(), EdaError> {
+    /// Checks the record CRCs of `range`, whose bytes are `raw`. A
+    /// mapped raw shard checks each `crc_chunk`-record chunk once and
+    /// remembers it in `verified` (a bit is set only after its chunk
+    /// verified clean, so a racing first touch verifies twice, never
+    /// skips); every other read checks every record.
+    fn check_crcs(&self, range: Range<usize>, raw: &[u8]) -> Result<(), EdaError> {
+        let path_str = self.path.display().to_string();
+        let check = |first: usize, raw: &[u8]| {
+            raw.chunks_exact(self.record_len)
+                .enumerate()
+                .try_for_each(|(i, record)| check_record_crc(record, first + i, &path_str))
+        };
+        if self.verified.is_empty() {
+            return Ok(check(range.start, raw)?);
+        }
+        for chunk_i in range.start / self.crc_chunk..=(range.end - 1) / self.crc_chunk {
+            let word = &self.verified[chunk_i / 64];
+            let bit = 1u64 << (chunk_i % 64);
+            if word.load(Ordering::Acquire) & bit != 0 {
+                continue;
+            }
+            let lo = chunk_i * self.crc_chunk;
+            let hi = (lo + self.crc_chunk).min(self.n_samples);
+            check(lo, &self.records(lo..hi)?)?;
+            word.fetch_or(bit, Ordering::AcqRel);
+        }
+        Ok(())
+    }
+
+    fn check_range(&self, range: &Range<usize>) -> Result<(), EdaError> {
         if range.start >= range.end || range.end > self.n_samples {
             return Err(EdaError::InvalidConfig {
                 reason: format!(
@@ -1028,20 +1160,27 @@ impl ShardReader {
         Ok(())
     }
 
-    /// Decodes one raw record, verifying its CRC; appends the f32 planes
-    /// to `features` / `labels` and returns the design index.
-    fn decode_record(
+    /// Decodes records `range`, CRC-checked, appending their planes to
+    /// `features` / `labels` and handing each record's design index to
+    /// `design`.
+    fn decode(
         &self,
-        index: usize,
-        raw: &[u8],
+        range: Range<usize>,
         features: &mut Vec<f32>,
         labels: &mut Vec<f32>,
-    ) -> Result<usize, EdaError> {
+        mut design: impl FnMut(usize),
+    ) -> Result<(), EdaError> {
+        self.check_range(&range)?;
+        let raw = self.records(range.clone())?;
+        self.check_crcs(range.clone(), &raw)?;
         let path_str = self.path.display().to_string();
-        check_record_crc(raw, index, &path_str)?;
-        Ok(decode_record_planes(
-            raw, &self.meta, index, &path_str, features, labels,
-        )?)
+        for (i, record) in raw.chunks_exact(self.record_len).enumerate() {
+            let index = range.start + i;
+            design(decode_record_planes(
+                record, &self.meta, index, &path_str, features, labels,
+            )?);
+        }
+        Ok(())
     }
 
     /// Reads records `range`, appending their feature and label planes
@@ -1055,22 +1194,17 @@ impl ShardReader {
     /// records, [`ShardError::Io`] on filesystem failures.
     pub fn read_batch_into(
         &self,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         features: &mut Vec<f32>,
         labels: &mut Vec<f32>,
     ) -> Result<(), EdaError> {
-        self.check_range(&range)?;
-        let raw = self.read_raw(range.clone())?;
-        for (i, record) in raw.chunks_exact(self.record_len).enumerate() {
-            self.decode_record(range.start + i, record, features, labels)?;
-        }
-        Ok(())
+        self.decode(range, features, labels, |_| {})
     }
 
     /// Reads the records at `rows`, appending their planes in `rows`
     /// order exactly as [`ShardReader::read_batch_into`] would one row
     /// at a time. Raw shards read each run of consecutive rows with one
-    /// seek; compressed shards visit the rows frame by frame, so a
+    /// read; compressed shards visit the rows frame by frame, so a
     /// frame that several rows share is decoded once per call and only
     /// one decoded frame is held at a time.
     ///
@@ -1109,6 +1243,7 @@ impl ShardReader {
         order.sort_by_key(|&k| rows[k]);
         let mut frame: Option<(usize, Vec<u8>)> = None;
         let (mut f, mut l) = (Vec::with_capacity(xs), Vec::with_capacity(ys));
+        let path_str = self.path.display().to_string();
         for k in order {
             let (row, frame_i) = (rows[k], rows[k] / chunk);
             let raw = match &frame {
@@ -1120,9 +1255,11 @@ impl ShardReader {
                 }
             };
             let at = (row - frame_i * chunk) * self.record_len;
+            let record = &raw[at..at + self.record_len];
+            self.check_crcs(row..row + 1, record)?;
             f.clear();
             l.clear();
-            self.decode_record(row, &raw[at..at + self.record_len], &mut f, &mut l)?;
+            decode_record_planes(record, &self.meta, row, &path_str, &mut f, &mut l)?;
             features[f0 + k * xs..f0 + (k + 1) * xs].copy_from_slice(&f);
             labels[l0 + k * ys..l0 + (k + 1) * ys].copy_from_slice(&l);
         }
@@ -1135,23 +1272,22 @@ impl ShardReader {
     /// # Errors
     ///
     /// Same conditions as [`ShardReader::read_batch_into`].
-    pub fn read_range(&self, range: std::ops::Range<usize>) -> Result<Vec<Sample>, EdaError> {
-        self.check_range(&range)?;
-        let raw = self.read_raw(range.clone())?;
+    pub fn read_range(&self, range: Range<usize>) -> Result<Vec<Sample>, EdaError> {
         let (c, h, w) = self.geometry();
-        let mut out = Vec::with_capacity(range.end - range.start);
-        for (i, record) in raw.chunks_exact(self.record_len).enumerate() {
-            let mut features = Vec::with_capacity(c * h * w);
-            let mut labels = Vec::with_capacity(h * w);
-            let design_idx =
-                self.decode_record(range.start + i, record, &mut features, &mut labels)?;
-            out.push(Sample {
-                features: Tensor::from_vec(features, &[c, h, w])?,
-                label: Tensor::from_vec(labels, &[1, h, w])?,
-                design: self.meta.designs[design_idx].clone(),
-            });
-        }
-        Ok(out)
+        let (mut features, mut labels, mut designs) = (Vec::new(), Vec::new(), Vec::new());
+        self.decode(range, &mut features, &mut labels, |d| designs.push(d))?;
+        features
+            .chunks_exact(c * h * w)
+            .zip(labels.chunks_exact(h * w))
+            .zip(designs)
+            .map(|((f, l), design)| -> Result<Sample, EdaError> {
+                Ok(Sample {
+                    features: Tensor::from_vec(f.to_vec(), &[c, h, w])?,
+                    label: Tensor::from_vec(l.to_vec(), &[1, h, w])?,
+                    design: self.meta.designs[design].clone(),
+                })
+            })
+            .collect()
     }
 
     /// Reads one sample record.
@@ -1168,15 +1304,16 @@ impl ShardReader {
 /// Reads and validates a compressed shard's chunk directory, returning
 /// per-frame `(offset, compressed payload length)` pairs. Every size is
 /// bounded by the real file length before it is allocated or summed.
-fn read_frame_directory(
-    file: &mut File,
+fn frame_directory(
+    store: &Store,
     header: &ValidatedHeader,
     info: CompressionInfo,
     file_len: u64,
-    path_str: &str,
+    path: &Path,
 ) -> Result<Vec<(u64, usize)>, EdaError> {
+    let path_str = path.display().to_string();
     let corrupt = |reason: String| ShardError::Corrupt {
-        path: path_str.to_owned(),
+        path: path_str.clone(),
         reason,
     };
     let n_frames = header.n_samples.div_ceil(info.chunk_records as u64);
@@ -1190,22 +1327,20 @@ fn read_frame_directory(
         .ok_or_else(|| corrupt("chunk directory offset overflows".into()))?;
     if dir_end > file_len {
         return Err(ShardError::Truncated {
-            path: path_str.to_owned(),
+            path: path_str,
             context: "chunk directory".into(),
         }
         .into());
     }
     // Allocation is safe: `dir_len` fits inside the real file.
-    let mut dir = vec![0u8; dir_len as usize];
-    file.seek(SeekFrom::Start(header.data_offset))
-        .map_err(|e| corrupt(format!("chunk directory seek: {e}")))?;
-    file.read_exact(&mut dir)
-        .map_err(|e| corrupt(format!("chunk directory read: {e}")))?;
+    let dir = store.bytes_at(header.data_offset, dir_len as usize, path, || {
+        "chunk directory".into()
+    })?;
     let (lens, crc_bytes) = dir.split_at(dir.len() - 4);
     let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
     if crc32(lens) != stored {
         return Err(ShardError::CrcMismatch {
-            path: path_str.to_owned(),
+            path: path_str,
             what: "chunk directory".into(),
         }
         .into());
@@ -1220,7 +1355,7 @@ fn read_frame_directory(
             .ok_or_else(|| corrupt(format!("frame {i} length overflows")))?;
         if end > file_len {
             return Err(ShardError::Truncated {
-                path: path_str.to_owned(),
+                path: path_str,
                 context: format!("compressed frame {i}"),
             }
             .into());
@@ -1456,7 +1591,7 @@ fn compress_from(
     for frame_i in 0..n_frames {
         let start = frame_i * chunk_records;
         let end = (start + chunk_records).min(reader.n_samples);
-        let raw = reader.read_raw(start..end)?;
+        let raw = reader.records(start..end)?;
         let payload = pack::compress(&raw);
         out.write_all(&payload).map_err(|e| io_err(dst, &e))?;
         out.write_all(&crc32(&payload).to_le_bytes())

@@ -78,11 +78,13 @@ fn shard_err(result: Result<ShardReader, EdaError>) -> ShardError {
     }
 }
 
-fn mmap_err(result: Result<MmapShardReader, EdaError>) -> ShardError {
-    match result {
-        Err(EdaError::Shard(e)) => e,
-        Err(other) => panic!("expected a ShardError, got {other}"),
-        Ok(_) => panic!("expected an error, file opened"),
+/// Opens `path` on the file store, or on the memory map (which then
+/// serves the validation too) with a lazy-CRC chunk of two records.
+fn open_on(path: &std::path::Path, mapped: bool) -> Result<ShardReader, EdaError> {
+    if mapped {
+        MmapShardReader::open(path)?.mapped(2)
+    } else {
+        ShardReader::open(path)
     }
 }
 
@@ -480,7 +482,7 @@ fn huge_sample_count_cannot_wrap_the_size_check() {
         matches!(&err, ShardError::Corrupt { reason, .. } if reason.contains("overflows")),
         "{err}"
     );
-    let err = mmap_err(MmapShardReader::open(&path));
+    let err = shard_err(MmapShardReader::open(&path));
     assert!(
         matches!(&err, ShardError::Corrupt { reason, .. } if reason.contains("overflows")),
         "{err}"
@@ -501,7 +503,7 @@ fn four_gib_header_claim_is_rejected_before_allocation() {
     std::fs::write(&path, &bytes).unwrap();
     for err in [
         shard_err(ShardReader::open(&path)),
-        mmap_err(MmapShardReader::open(&path)),
+        shard_err(MmapShardReader::open(&path)),
     ] {
         assert!(
             matches!(&err, ShardError::Corrupt { reason, .. }
@@ -526,7 +528,7 @@ fn oversized_grid_claim_is_rejected() {
     std::fs::write(&path, &bytes).unwrap();
     for err in [
         shard_err(ShardReader::open(&path)),
-        mmap_err(MmapShardReader::open(&path)),
+        shard_err(MmapShardReader::open(&path)),
     ] {
         assert!(
             matches!(&err, ShardError::Corrupt { reason, .. }
@@ -663,18 +665,20 @@ fn failed_compaction_leaves_no_tmp_file() {
 }
 
 // ---------------------------------------------------------------------
-// Memory-mapped reader.
+// The memory-mapped store.
 // ---------------------------------------------------------------------
 
-/// The mmap reader returns bit-identical planes to the read-based
-/// reader, and its per-chunk CRC bitmap verifies lazily: chunks are
-/// checked on first touch only.
+/// The mapped store returns bit-identical planes to the file store, and
+/// its per-chunk CRC bitmap verifies lazily: chunks are checked on
+/// first touch only.
 #[test]
 fn mmap_reader_is_bitwise_identical_and_lazy() {
     let dir = scratch_dir();
     let path = valid_shard(&dir, 5);
     let read = ShardReader::open(&path).unwrap();
-    let mapped = MmapShardReader::open_with_chunk(&path, 2).unwrap();
+    assert_eq!(read.verified_chunks(), 0);
+    let mapped = open_on(&path, true).unwrap();
+    assert!(mapped.is_mapped() && !read.is_mapped());
     assert_eq!(mapped.len(), 5);
     assert_eq!(mapped.geometry(), read.geometry());
     assert_eq!(mapped.meta(), read.meta());
@@ -708,19 +712,44 @@ fn mmap_reader_is_bitwise_identical_and_lazy() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Compressed shards have no fixed-size records to map; the mmap
-/// backend must refuse them with a typed configuration error.
+/// A compressed shard on the mapped store gives the bits of the file
+/// store: range reads inside and across frames, row gathers out of
+/// order, and single samples. Frames are CRC-checked on every decode,
+/// so no lazy chunk is ever recorded.
 #[test]
-fn mmap_rejects_compressed_shards() {
+fn mapped_compressed_shard_is_bitwise_identical() {
     let dir = scratch_dir();
-    let path = valid_shard(&dir, 3);
+    let path = valid_shard(&dir, 7);
     let cpath = dir.join("c.rtes");
-    compress_shard(&path, &cpath, 2).unwrap();
-    let err = MmapShardReader::open(&cpath).unwrap_err();
-    assert!(
-        matches!(&err, EdaError::InvalidConfig { reason } if reason.contains("compressed")),
-        "{err}"
-    );
+    compress_shard(&path, &cpath, 3).unwrap();
+    let read = ShardReader::open(&cpath).unwrap();
+    let mapped = MmapShardReader::open(&cpath).unwrap();
+    assert!(mapped.is_mapped() && mapped.is_compressed());
+    assert_eq!(mapped.meta(), read.meta());
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for range in [0..7, 1..2, 2..4, 3..6, 6..7] {
+        let (mut want_f, mut want_l) = (Vec::new(), Vec::new());
+        read.read_batch_into(range.clone(), &mut want_f, &mut want_l)
+            .unwrap();
+        let (mut f, mut l) = (Vec::new(), Vec::new());
+        mapped
+            .read_batch_into(range.clone(), &mut f, &mut l)
+            .unwrap();
+        assert_eq!(bits(&f), bits(&want_f), "{range:?}");
+        assert_eq!(bits(&l), bits(&want_l), "{range:?}");
+    }
+    let rows = [6, 1, 4, 0, 4, 2];
+    let (mut want_f, mut want_l) = (Vec::new(), Vec::new());
+    read.read_rows_into(&rows, &mut want_f, &mut want_l)
+        .unwrap();
+    let (mut f, mut l) = (Vec::new(), Vec::new());
+    mapped.read_rows_into(&rows, &mut f, &mut l).unwrap();
+    assert_eq!(bits(&f), bits(&want_f));
+    assert_eq!(bits(&l), bits(&want_l));
+    for i in 0..7 {
+        assert_eq!(mapped.read_sample(i).unwrap(), read.read_sample(i).unwrap());
+    }
+    assert_eq!(mapped.verified_chunks(), 0);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -737,7 +766,7 @@ fn mmap_detects_record_corruption_per_chunk() {
     let mut corrupt = bytes.clone();
     corrupt[data_offset + record_len + 10] ^= 0x01;
     std::fs::write(&path, &corrupt).unwrap();
-    let mapped = MmapShardReader::open_with_chunk(&path, 1).unwrap();
+    let mapped = ShardReader::open(&path).unwrap().mapped(1).unwrap();
     let (mut f, mut l) = (Vec::new(), Vec::new());
     assert!(mapped.read_batch_into(0..1, &mut f, &mut l).is_ok());
     assert!(mapped.read_batch_into(2..3, &mut f, &mut l).is_ok());
@@ -783,11 +812,17 @@ fn read_all(path: &std::path::Path) -> Vec<Sample> {
 }
 
 /// Writes `torn` at `path`, then requires a typed [`ShardError`] from
-/// `open` or from at least one `read_sample`, and the original bits from
-/// every read that succeeds.
-fn assert_torn_is_typed(path: &std::path::Path, torn: &[u8], want: &[Sample], what: &str) {
+/// `open` (on the file store, or `mapped`) or from at least one
+/// `read_sample`, and the original bits from every read that succeeds.
+fn assert_torn_is_typed(
+    path: &std::path::Path,
+    torn: &[u8],
+    want: &[Sample],
+    what: &str,
+    mapped: bool,
+) {
     std::fs::write(path, torn).unwrap();
-    let reader = match ShardReader::open(path) {
+    let reader = match open_on(path, mapped) {
         Err(EdaError::Shard(_)) => return,
         Err(other) => panic!("{what}: open gave an untyped error: {other}"),
         Ok(reader) => reader,
@@ -828,10 +863,10 @@ fn torn_raw_shards_are_typed_errors() {
     let want = read_all(&path);
     let clean = std::fs::read(&path).unwrap();
     for (what, torn) in torn_forms(&clean) {
-        assert_torn_is_typed(&path, &torn, &want, &what);
-        // The mapped reader validates the same bytes through the same
+        assert_torn_is_typed(&path, &torn, &want, &what, false);
+        // The mapped store validates the same bytes through the same
         // header path and its own lazy record CRCs.
-        if let Ok(mapped) = MmapShardReader::open_with_chunk(&path, 2) {
+        if let Ok(mapped) = open_on(&path, true) {
             let (mut f, mut l) = (Vec::new(), Vec::new());
             let err = mapped.read_batch_into(0..3, &mut f, &mut l).unwrap_err();
             assert!(matches!(err, EdaError::Shard(_)), "{what}: {err}");
@@ -851,7 +886,9 @@ fn torn_compressed_shards_are_typed_errors() {
     let want = read_all(&path);
     let clean = std::fs::read(&path).unwrap();
     for (what, torn) in torn_forms(&clean) {
-        assert_torn_is_typed(&path, &torn, &want, &what);
+        for mapped in [false, true] {
+            assert_torn_is_typed(&path, &torn, &want, &what, mapped);
+        }
     }
     assert_all_zero_is_wrong_magic(&path, clean.len());
     std::fs::remove_dir_all(&dir).unwrap();
@@ -895,8 +932,8 @@ proptest! {
                 }
             }
         }
-        // Mmap path: same contract, same validation core.
-        if let Ok(mapped) = MmapShardReader::open_with_chunk(&path, 2) {
+        // Mapped store: same contract, same validation core.
+        if let Ok(mapped) = open_on(&path, true) {
             let (mut f, mut l) = (Vec::new(), Vec::new());
             if mapped.read_batch_into(0..4, &mut f, &mut l).is_ok() {
                 let want_f: Vec<u32> =
@@ -910,9 +947,9 @@ proptest! {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The same contract holds for compressed (version-2) shards: any
-    /// single-byte flip in the header, chunk directory or frame payloads
-    /// is a typed error or a bitwise-clean read.
+    /// The same contract holds for compressed (version-2) shards on
+    /// both stores: any single-byte flip in the header, chunk directory
+    /// or frame payloads is a typed error or a bitwise-clean read.
     #[test]
     fn hostile_byte_flips_on_compressed_shards(
         index in 0usize..1_000_000,
@@ -931,11 +968,13 @@ proptest! {
         let at = index % bytes.len();
         bytes[at] ^= xor_m1.wrapping_add(1);
         std::fs::write(&path, &bytes).unwrap();
-        if let Ok(reader) = ShardReader::open(&path) {
-            for (i, w) in want.iter().enumerate() {
-                if let Ok(got) = reader.read_sample(i) {
-                    prop_assert_eq!(tensor_bits(&got.features), tensor_bits(&w.features));
-                    prop_assert_eq!(tensor_bits(&got.label), tensor_bits(&w.label));
+        for mapped in [false, true] {
+            if let Ok(reader) = open_on(&path, mapped) {
+                for (i, w) in want.iter().enumerate() {
+                    if let Ok(got) = reader.read_sample(i) {
+                        prop_assert_eq!(tensor_bits(&got.features), tensor_bits(&w.features));
+                        prop_assert_eq!(tensor_bits(&got.label), tensor_bits(&w.label));
+                    }
                 }
             }
         }

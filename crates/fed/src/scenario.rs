@@ -482,16 +482,39 @@ mod tests {
         scenario.attacks[2] = Attack::FeatureDrift { sigma: 0.3 };
         let a = scenario.poison_clients(&clients).unwrap();
         let b = scenario.poison_clients(&clients).unwrap();
-        assert_eq!(a, b, "same scenario, same bytes");
-        // Honest client untouched; every test split untouched.
-        assert_eq!(a[0], clients[0]);
+        let all = |set: &ClientSet| set.minibatch_range(0..set.len());
         for k in 0..3 {
-            assert_eq!(a[k].test, clients[k].test, "client {k} test split");
+            assert_eq!(
+                all(&a[k].train),
+                all(&b[k].train),
+                "same scenario, same bytes"
+            );
+            assert_eq!(
+                all(&a[k].test),
+                all(&b[k].test),
+                "same scenario, same bytes"
+            );
+            // Every test split untouched.
+            assert_eq!(
+                all(&a[k].test),
+                all(&clients[k].test),
+                "client {k} test split"
+            );
             assert_eq!(a[k].id, clients[k].id);
         }
+        // Honest client untouched.
+        assert_eq!(all(&a[0].train), all(&clients[0].train));
         // Hostile training splits actually changed.
-        assert_ne!(a[1].train, clients[1].train, "label noise must flip");
-        assert_ne!(a[2].train, clients[2].train, "drift must move features");
+        assert_ne!(
+            all(&a[1].train),
+            all(&clients[1].train),
+            "label noise must flip"
+        );
+        assert_ne!(
+            all(&a[2].train),
+            all(&clients[2].train),
+            "drift must move features"
+        );
         // Label noise flips labels only; drift moves features only.
         let n1 = clients[1].train.len();
         let (x_orig, _) = clients[1].train.try_minibatch_range(0..n1).unwrap();

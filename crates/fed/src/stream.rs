@@ -100,7 +100,7 @@ pub trait RecordSource: Send + Sync {
     }
 
     /// Stable human-readable identity (file path, construction recipe)
-    /// used for `Debug`/`PartialEq` of the wrapping client set.
+    /// used for `Debug` of the wrapping client set.
     fn descriptor(&self) -> String;
 }
 
@@ -178,18 +178,8 @@ impl RecordSource for TensorSource {
     }
 
     fn descriptor(&self) -> String {
-        // Content-addressed: two sources over same-shape but different
-        // data must not compare equal through the wrapping client set's
-        // descriptor-based PartialEq.
-        let mut hash = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
-        for t in [&self.features, &self.labels] {
-            for v in t.data() {
-                hash ^= u64::from(v.to_bits());
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
         let (c, h, w) = self.geometry();
-        format!("tensor({}x{c}x{h}x{w}#{hash:016x})", self.len())
+        format!("tensor({}x{c}x{h}x{w})", self.len())
     }
 }
 
@@ -283,8 +273,7 @@ impl RecordSource for ConcatSource {
 /// call. The split holds only its source and chunk size, so read-side
 /// memory is the batch being built, whatever the split or fleet size.
 ///
-/// Cloning shares the underlying source; equality compares provenance
-/// (source descriptor, length, geometry, chunk size).
+/// Cloning shares the underlying source.
 #[derive(Clone)]
 pub struct StreamingClientSet {
     source: Arc<dyn RecordSource>,
@@ -298,15 +287,6 @@ impl std::fmt::Debug for StreamingClientSet {
             .field("len", &self.source.len())
             .field("chunk", &self.chunk)
             .finish()
-    }
-}
-
-impl PartialEq for StreamingClientSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.chunk == other.chunk
-            && self.source.len() == other.source.len()
-            && self.source.geometry() == other.source.geometry()
-            && self.source.descriptor() == other.source.descriptor()
     }
 }
 
@@ -592,22 +572,6 @@ mod tests {
         assert!(f[18..36].iter().all(|&v| v == 0.0));
         assert!(f[36..].iter().all(|&v| v == 1.0));
         assert!(ConcatSource::new(Vec::new()).is_err());
-    }
-
-    #[test]
-    fn same_shape_different_data_sets_are_not_equal() {
-        let make = |fill: f32| {
-            let src = TensorSource::new(
-                Tensor::full(&[3, 2, 2, 2], fill),
-                Tensor::zeros(&[3, 1, 2, 2]),
-            )
-            .unwrap();
-            StreamingClientSet::new(Arc::new(src), 2).unwrap()
-        };
-        let a = make(1.0);
-        let b = make(2.0);
-        assert_ne!(a, b, "content must distinguish same-shape sources");
-        assert_eq!(a, make(1.0), "same content compares equal");
     }
 
     #[test]

@@ -334,16 +334,25 @@ fn streamed_evaluation_is_bitwise_identical_to_in_memory() {
 }
 
 /// The memory-mapped backend serves the same bits as the read backend
-/// and the in-memory generator at every `RTE_THREADS × chunk` cell:
-/// raw batches bitwise, and the parallel evaluator's full `EvalReport`s
-/// at 1 and 4 threads.
+/// and the in-memory generator at every `RTE_THREADS × chunk` cell, on
+/// raw and on compressed shards: batches bitwise, and the parallel
+/// evaluator's full `EvalReport`s at 1 and 4 threads.
 #[test]
 fn mmap_backend_is_bitwise_identical_at_every_cell() {
-    let dir = scratch_dir("mmap");
-    for chunk in [1usize, 6] {
+    let raw_dir = scratch_dir("mmap");
+    let compressed_dir = scratch_dir("mmap-compressed");
+    for (chunk, compressed) in [(1usize, false), (6, false), (1, true), (6, true)] {
+        let dir = if compressed {
+            &compressed_dir
+        } else {
+            &raw_dir
+        };
         let mut config = ExperimentConfig::tiny()
-            .with_corpus_dir(&dir)
+            .with_corpus_dir(dir)
             .with_stream_chunk(chunk);
+        if compressed {
+            config = config.with_compressed_shards();
+        }
         config.corpus = corpus_config();
         let (in_memory, streamed) = both_client_sets(&config);
         let mapped =
@@ -378,11 +387,12 @@ fn mmap_backend_is_bitwise_identical_at_every_cell() {
             assert_reports_bitwise_equal(
                 &a,
                 &b,
-                &format!("mmap evaluator threads={threads} chunk={chunk}"),
+                &format!("mmap evaluator threads={threads} chunk={chunk} compressed={compressed}"),
             );
         }
     }
-    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&raw_dir).unwrap();
+    std::fs::remove_dir_all(&compressed_dir).unwrap();
 }
 
 /// Full federated training on memory-mapped clients is bit-identical to

@@ -360,7 +360,7 @@ fn backend_client_set(
 ) -> Result<ClientSet, CoreError> {
     let reader = match config.shard_backend {
         ShardBackend::Read => reader,
-        ShardBackend::Mmap => reader.mapped(config.stream_chunk)?,
+        ShardBackend::Mmap => reader.mapped()?,
     };
     shard_client_set(reader, config.stream_chunk)
 }

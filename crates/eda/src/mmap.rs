@@ -30,7 +30,7 @@
 use std::fs::File;
 use std::path::{Path, PathBuf};
 
-use crate::shard::{ShardReader, DEFAULT_CHUNK};
+use crate::shard::ShardReader;
 use crate::{EdaError, ShardError};
 
 /// Hand-declared POSIX bindings (the workspace builds without external
@@ -150,15 +150,14 @@ pub enum MmapShardReader {}
 
 impl MmapShardReader {
     /// Opens and validates a shard file, raw or compressed, and serves
-    /// it from a memory map with the default lazy-CRC chunk
-    /// ([`DEFAULT_CHUNK`] records): [`ShardReader::open`] validating
-    /// through the map, then [`ShardReader::mapped`].
+    /// it from a memory map: [`ShardReader::open`] validating through
+    /// the map, then [`ShardReader::mapped`].
     ///
     /// # Errors
     ///
     /// Every [`ShardReader::open`] error, identically, and
     /// [`ShardError::Io`] if the platform cannot map files.
     pub fn open(path: impl Into<PathBuf>) -> Result<ShardReader, EdaError> {
-        ShardReader::open_on(path.into(), true)?.mapped(DEFAULT_CHUNK)
+        ShardReader::open_on(path.into(), true)?.mapped()
     }
 }

@@ -79,6 +79,14 @@
 //! [`MAX_GRID_DIM`], [`MAX_CHANNELS`], [`MAX_DESIGNS`],
 //! [`MAX_COMPRESS_CHUNK`]) or by the real on-disk file length *before*
 //! it is used to allocate or do arithmetic.
+//!
+//! The header body is read through [`rte_codec::Reader`], and records,
+//! compressed frames and the chunk directory are
+//! [`rte_codec::crc_checked`] blocks, the byte codec the frame and
+//! checkpoint formats share; a codec error gets its file path only when
+//! it becomes a [`ShardError`], so a clean read builds no path string.
+//! The 20-byte prelude is not an [`rte_codec::Envelope`]: its CRC covers
+//! the header body after it, not the prelude.
 
 use std::borrow::Cow;
 use std::fs::File;
@@ -119,6 +127,10 @@ pub const SHARD_EXTENSION: &str = "rtes";
 /// chunk of 16×16×6-channel samples stays well under a megabyte, large
 /// enough to amortize the fork/join of one parallel map.
 pub const DEFAULT_CHUNK: usize = 64;
+
+/// Records per lazy-CRC chunk of a mapped raw shard: the first read
+/// that touches a chunk verifies the record CRCs of all of it, once.
+pub const LAZY_CRC_CHUNK: usize = 64;
 
 /// Default records per compressed frame: large enough for the bitpacker
 /// to amortize its group headers, small enough that decompressing one
@@ -172,66 +184,7 @@ pub fn frames_decoded() -> u64 {
 // ---------------------------------------------------------------------
 
 pub use rte_codec::crc32;
-
-// ---------------------------------------------------------------------
-// Little-endian encode/decode helpers over byte buffers.
-// ---------------------------------------------------------------------
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Byte-slice cursor whose reads fail with [`ShardError::Truncated`]
-/// instead of panicking.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    path: &'a str,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, context: &str) -> Result<&'a [u8], ShardError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(ShardError::Truncated {
-                path: self.path.to_owned(),
-                context: context.to_owned(),
-            });
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self, context: &str) -> Result<u8, ShardError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    fn u16(&mut self, context: &str) -> Result<u16, ShardError> {
-        Ok(u16::from_le_bytes(
-            self.take(2, context)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self, context: &str) -> Result<u32, ShardError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, context)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, context: &str) -> Result<u64, ShardError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, context)?.try_into().expect("8 bytes"),
-        ))
-    }
-}
+use rte_codec::{crc_checked, push_crc, push_u16, push_u32, push_u64, CodecError, Reader};
 
 fn family_code(family: Family) -> u8 {
     match family {
@@ -264,6 +217,36 @@ fn split_from_code(code: u8) -> Option<Split> {
         0 => Some(Split::Train),
         1 => Some(Split::Test),
         _ => None,
+    }
+}
+
+/// A codec failure in the file at `path`: the one place a codec error
+/// gets its path, so a read that succeeds builds no path string.
+fn codec_err(path: &Path, e: CodecError) -> ShardError {
+    match e {
+        CodecError::Truncated { field, .. } => truncated(path, field),
+        other => corrupt(path, other.to_string()),
+    }
+}
+
+fn corrupt(path: &Path, reason: impl Into<String>) -> ShardError {
+    ShardError::Corrupt {
+        path: path.display().to_string(),
+        reason: reason.into(),
+    }
+}
+
+fn truncated(path: &Path, context: impl Into<String>) -> ShardError {
+    ShardError::Truncated {
+        path: path.display().to_string(),
+        context: context.into(),
+    }
+}
+
+fn crc_mismatch(path: &Path, what: impl Into<String>) -> ShardError {
+    ShardError::CrcMismatch {
+        path: path.display().to_string(),
+        what: what.into(),
     }
 }
 
@@ -367,18 +350,18 @@ impl ShardMeta {
 
     fn encode_body(&self, n_samples: u64) -> Vec<u8> {
         let mut body = Vec::new();
-        put_u64(&mut body, self.seed);
-        put_u32(&mut body, self.client_index as u32);
+        push_u64(&mut body, self.seed);
+        push_u32(&mut body, self.client_index as u32);
         body.push(split_code(self.split));
         body.push(family_code(self.family));
-        put_u32(&mut body, self.grid.width as u32);
-        put_u32(&mut body, self.grid.height as u32);
-        put_u32(&mut body, self.channels as u32);
-        put_u64(&mut body, self.placement_scale.to_bits());
-        put_u64(&mut body, n_samples);
-        put_u32(&mut body, self.designs.len() as u32);
+        push_u32(&mut body, self.grid.width as u32);
+        push_u32(&mut body, self.grid.height as u32);
+        push_u32(&mut body, self.channels as u32);
+        push_u64(&mut body, self.placement_scale.to_bits());
+        push_u64(&mut body, n_samples);
+        push_u32(&mut body, self.designs.len() as u32);
         for name in &self.designs {
-            put_u16(&mut body, name.len() as u16);
+            push_u16(&mut body, name.len() as u16);
             body.extend_from_slice(name.as_bytes());
         }
         body
@@ -389,103 +372,84 @@ impl ShardMeta {
     fn encode_body_compressed(&self, n_samples: u64, compression: CompressionInfo) -> Vec<u8> {
         let mut body = self.encode_body(n_samples);
         body.push(CODEC_DELTA_BITPACK);
-        put_u32(&mut body, compression.chunk_records as u32);
+        push_u32(&mut body, compression.chunk_records as u32);
         body
     }
 
     fn decode_body(
         bytes: &[u8],
-        path: &str,
+        path: &Path,
         version: u32,
     ) -> Result<(ShardMeta, u64, Option<CompressionInfo>), ShardError> {
-        let mut c = Cursor {
-            bytes,
-            pos: 0,
-            path,
-        };
-        let seed = c.u64("header seed")?;
-        let client_index = c.u32("header client index")? as usize;
-        let split_byte = c.u8("header split")?;
-        let split = split_from_code(split_byte).ok_or_else(|| ShardError::Corrupt {
-            path: path.to_owned(),
-            reason: format!("unknown split code {split_byte}"),
-        })?;
-        let family_byte = c.u8("header family")?;
-        let family = family_from_code(family_byte).ok_or_else(|| ShardError::Corrupt {
-            path: path.to_owned(),
-            reason: format!("unknown family code {family_byte}"),
-        })?;
-        let width = c.u32("header grid width")? as usize;
-        let height = c.u32("header grid height")? as usize;
-        let channels = c.u32("header channels")? as usize;
-        let placement_scale = f64::from_bits(c.u64("header placement scale")?);
-        let n_samples = c.u64("header sample count")?;
-        let n_designs = c.u32("header design count")? as usize;
+        let cut = |e| codec_err(path, e);
+        let mut c = Reader::new(bytes, "shard header");
+        let seed = c.u64("header seed").map_err(cut)?;
+        let client_index = c.u32("header client index").map_err(cut)? as usize;
+        let split_byte = c.u8("header split").map_err(cut)?;
+        let split = split_from_code(split_byte)
+            .ok_or_else(|| corrupt(path, format!("unknown split code {split_byte}")))?;
+        let family_byte = c.u8("header family").map_err(cut)?;
+        let family = family_from_code(family_byte)
+            .ok_or_else(|| corrupt(path, format!("unknown family code {family_byte}")))?;
+        let width = c.u32("header grid width").map_err(cut)? as usize;
+        let height = c.u32("header grid height").map_err(cut)? as usize;
+        let channels = c.u32("header channels").map_err(cut)? as usize;
+        let placement_scale = f64::from_bits(c.u64("header placement scale").map_err(cut)?);
+        let n_samples = c.u64("header sample count").map_err(cut)?;
+        let n_designs = c.u32("header design count").map_err(cut)? as usize;
         if width == 0 || height == 0 || channels == 0 {
-            return Err(ShardError::Corrupt {
-                path: path.to_owned(),
-                reason: format!("degenerate geometry {channels}x{height}x{width}"),
-            });
+            return Err(corrupt(
+                path,
+                format!("degenerate geometry {channels}x{height}x{width}"),
+            ));
         }
         if width > MAX_GRID_DIM || height > MAX_GRID_DIM || channels > MAX_CHANNELS {
-            return Err(ShardError::Corrupt {
-                path: path.to_owned(),
-                reason: format!(
+            return Err(corrupt(
+                path,
+                format!(
                     "geometry {channels}x{height}x{width} exceeds the validation limits \
-                     ({MAX_CHANNELS} channels, {MAX_GRID_DIM}x{MAX_GRID_DIM} grid)"
+                 ({MAX_CHANNELS} channels, {MAX_GRID_DIM}x{MAX_GRID_DIM} grid)"
                 ),
-            });
+            ));
         }
         if n_designs == 0 {
-            return Err(ShardError::Corrupt {
-                path: path.to_owned(),
-                reason: "empty design table".into(),
-            });
+            return Err(corrupt(path, "empty design table"));
         }
         if n_designs > MAX_DESIGNS {
-            return Err(ShardError::Corrupt {
-                path: path.to_owned(),
-                reason: format!(
-                    "design table of {n_designs} entries exceeds the {MAX_DESIGNS} limit"
-                ),
-            });
+            return Err(corrupt(
+                path,
+                format!("design table of {n_designs} entries exceeds the {MAX_DESIGNS} limit"),
+            ));
         }
         let mut designs = Vec::with_capacity(n_designs.min(4096));
         for i in 0..n_designs {
-            let len = c.u16("design name length")? as usize;
-            let raw = c.take(len, "design name")?;
-            let name = std::str::from_utf8(raw).map_err(|_| ShardError::Corrupt {
-                path: path.to_owned(),
-                reason: format!("design name {i} is not utf-8"),
-            })?;
+            let len = c.u16("design name length").map_err(cut)? as usize;
+            let raw = c.take(len, "design name").map_err(cut)?;
+            let name = std::str::from_utf8(raw)
+                .map_err(|_| corrupt(path, format!("design name {i} is not utf-8")))?;
             designs.push(name.to_owned());
         }
         let compression = if version == SHARD_VERSION_COMPRESSED {
-            let codec = c.u8("header codec")?;
+            let codec = c.u8("header codec").map_err(cut)?;
             if codec != CODEC_DELTA_BITPACK {
-                return Err(ShardError::Corrupt {
-                    path: path.to_owned(),
-                    reason: format!("unknown compression codec {codec}"),
-                });
+                return Err(corrupt(path, format!("unknown compression codec {codec}")));
             }
-            let chunk_records = c.u32("header frame size")? as usize;
+            let chunk_records = c.u32("header frame size").map_err(cut)? as usize;
             if chunk_records == 0 || chunk_records > MAX_COMPRESS_CHUNK {
-                return Err(ShardError::Corrupt {
-                    path: path.to_owned(),
-                    reason: format!(
+                return Err(corrupt(
+                    path,
+                    format!(
                         "frame size of {chunk_records} records outside 1..={MAX_COMPRESS_CHUNK}"
                     ),
-                });
+                ));
             }
             Some(CompressionInfo { chunk_records })
         } else {
             None
         };
-        if c.pos != bytes.len() {
-            return Err(ShardError::Corrupt {
-                path: path.to_owned(),
-                reason: format!("{} trailing header bytes", bytes.len() - c.pos),
-            });
+        let trailing = c.rest().len();
+        if trailing != 0 {
+            return Err(corrupt(path, format!("{trailing} trailing header bytes")));
         }
         Ok((
             ShardMeta {
@@ -519,9 +483,9 @@ const CODEC_DELTA_BITPACK: u8 = 1;
 fn prelude_and_body(version: u32, body: Vec<u8>) -> Vec<u8> {
     let mut out = Vec::with_capacity(PRELUDE_LEN + body.len());
     out.extend_from_slice(&SHARD_MAGIC);
-    put_u32(&mut out, version);
-    put_u32(&mut out, body.len() as u32);
-    put_u32(&mut out, crc32(&body));
+    push_u32(&mut out, version);
+    push_u32(&mut out, body.len() as u32);
+    push_u32(&mut out, crc32(&body));
     out.extend_from_slice(&body);
     out
 }
@@ -556,17 +520,17 @@ struct ValidatedHeader {
 fn parse_prelude(
     prelude: &[u8; PRELUDE_LEN],
     file_len: u64,
-    path_str: &str,
+    path: &Path,
 ) -> Result<(u32, u32, u32), ShardError> {
     if prelude[..8] != SHARD_MAGIC {
         return Err(ShardError::WrongMagic {
-            path: path_str.to_owned(),
+            path: path.display().to_string(),
         });
     }
     let version = u32::from_le_bytes(prelude[8..12].try_into().expect("4 bytes"));
     if version != SHARD_VERSION && version != SHARD_VERSION_COMPRESSED {
         return Err(ShardError::UnsupportedVersion {
-            path: path_str.to_owned(),
+            path: path.display().to_string(),
             found: version,
         });
     }
@@ -576,16 +540,13 @@ fn parse_prelude(
     // header CRC is checked, and the CRC cannot be checked without
     // first allocating a buffer of this very size.
     if header_len > MAX_HEADER_LEN {
-        return Err(ShardError::Corrupt {
-            path: path_str.to_owned(),
-            reason: format!("header length {header_len} exceeds the {MAX_HEADER_LEN}-byte limit"),
-        });
+        return Err(corrupt(
+            path,
+            format!("header length {header_len} exceeds the {MAX_HEADER_LEN}-byte limit"),
+        ));
     }
     if file_len < PRELUDE_LEN as u64 + u64::from(header_len) {
-        return Err(ShardError::Truncated {
-            path: path_str.to_owned(),
-            context: "header body".into(),
-        });
+        return Err(truncated(path, "header body"));
     }
     Ok((version, header_len, header_crc))
 }
@@ -598,18 +559,15 @@ fn validate_header(
     body: &[u8],
     header_crc: u32,
     file_len: u64,
-    path_str: &str,
+    path: &Path,
 ) -> Result<ValidatedHeader, ShardError> {
     if crc32(body) != header_crc {
-        return Err(ShardError::CrcMismatch {
-            path: path_str.to_owned(),
-            what: "header".into(),
-        });
+        return Err(crc_mismatch(path, "header"));
     }
-    let (meta, n_samples, compression) = ShardMeta::decode_body(body, path_str, version)?;
+    let (meta, n_samples, compression) = ShardMeta::decode_body(body, path, version)?;
     if n_samples == 0 {
         return Err(ShardError::EmptyShard {
-            path: path_str.to_owned(),
+            path: path.display().to_string(),
         });
     }
     let record_len = meta.record_len() as u64;
@@ -621,30 +579,32 @@ fn validate_header(
         let expected = n_samples
             .checked_mul(record_len)
             .and_then(|bytes| data_offset.checked_add(bytes))
-            .ok_or_else(|| ShardError::Corrupt {
-                path: path_str.to_owned(),
-                reason: format!(
-                    "sample count {n_samples} x record length {record_len} overflows the \
+            .ok_or_else(|| {
+                corrupt(
+                    path,
+                    format!(
+                        "sample count {n_samples} x record length {record_len} overflows the \
                      file-size check"
-                ),
+                    ),
+                )
             })?;
         if file_len < expected {
-            return Err(ShardError::Truncated {
-                path: path_str.to_owned(),
-                context: format!(
+            return Err(truncated(
+                path,
+                format!(
                     "sample records ({} of {n_samples} present)",
                     (file_len.saturating_sub(data_offset)) / record_len
                 ),
-            });
+            ));
         }
         if file_len > expected {
-            return Err(ShardError::Corrupt {
-                path: path_str.to_owned(),
-                reason: format!(
+            return Err(corrupt(
+                path,
+                format!(
                     "{} trailing bytes after the last record",
                     file_len - expected
                 ),
-            });
+            ));
         }
     }
     Ok(ValidatedHeader {
@@ -657,16 +617,9 @@ fn validate_header(
 }
 
 /// Verifies one raw record's trailing CRC-32.
-fn check_record_crc(raw: &[u8], index: usize, path_str: &str) -> Result<(), ShardError> {
-    let body_len = raw.len() - 4;
-    let stored = u32::from_le_bytes(raw[body_len..].try_into().expect("4 bytes"));
-    if crc32(&raw[..body_len]) != stored {
-        return Err(ShardError::CrcMismatch {
-            path: path_str.to_owned(),
-            what: format!("record {index}"),
-        });
-    }
-    Ok(())
+fn check_record_crc(raw: &[u8], index: usize, path: &Path) -> Result<(), ShardError> {
+    let checked = crc_checked(raw).map(|_| ());
+    checked.ok_or_else(|| crc_mismatch(path, format!("record {index}")))
 }
 
 /// Decodes one raw record's planes (CRC already checked by the caller):
@@ -676,35 +629,25 @@ fn decode_record_planes(
     raw: &[u8],
     meta: &ShardMeta,
     index: usize,
-    path_str: &str,
+    path: &Path,
     features: &mut Vec<f32>,
     labels: &mut Vec<f32>,
 ) -> Result<usize, ShardError> {
     let design_idx = u32::from_le_bytes(raw[..4].try_into().expect("4 bytes")) as usize;
     if design_idx >= meta.designs.len() {
-        return Err(ShardError::Corrupt {
-            path: path_str.to_owned(),
-            reason: format!(
+        return Err(corrupt(
+            path,
+            format!(
                 "record {index} references design {design_idx} of {}",
                 meta.designs.len()
             ),
-        });
+        ));
     }
     let cells = meta.grid.width * meta.grid.height;
-    let f_len = meta.channels * cells;
-    let mut off = 4;
-    for _ in 0..f_len {
-        features.push(f32::from_bits(u32::from_le_bytes(
-            raw[off..off + 4].try_into().expect("4 bytes"),
-        )));
-        off += 4;
-    }
-    for _ in 0..cells {
-        labels.push(f32::from_bits(u32::from_le_bytes(
-            raw[off..off + 4].try_into().expect("4 bytes"),
-        )));
-        off += 4;
-    }
+    let (f, l) = raw[4..raw.len() - 4].split_at(meta.channels * cells * 4);
+    let word = |w: &[u8]| f32::from_le_bytes(w.try_into().expect("4 bytes"));
+    features.extend(f.chunks_exact(4).map(word));
+    labels.extend(l.chunks_exact(4).map(word));
     Ok(design_idx)
 }
 
@@ -802,15 +745,11 @@ impl ShardWriter {
                 ),
             })?;
         let mut record = Vec::with_capacity(self.meta.record_len());
-        put_u32(&mut record, design_idx as u32);
-        for &v in sample.features.data() {
-            record.extend_from_slice(&v.to_bits().to_le_bytes());
+        push_u32(&mut record, design_idx as u32);
+        for v in sample.features.data().iter().chain(sample.label.data()) {
+            push_u32(&mut record, v.to_bits());
         }
-        for &v in sample.label.data() {
-            record.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        let crc = crc32(&record);
-        put_u32(&mut record, crc);
+        push_crc(&mut record, 0);
         debug_assert_eq!(record.len(), self.meta.record_len());
         self.file
             .write_all(&record)
@@ -867,10 +806,7 @@ impl Store {
         path: &Path,
         what: impl FnOnce() -> String,
     ) -> Result<Cow<'_, [u8]>, ShardError> {
-        let truncated = |e: String| ShardError::Truncated {
-            path: path.display().to_string(),
-            context: format!("{}{e}", what()),
-        };
+        let truncated = |e: String| truncated(path, format!("{}{e}", what()));
         match self {
             Store::Map(map) => usize::try_from(offset)
                 .ok()
@@ -917,10 +853,9 @@ pub struct ShardReader {
     /// Per-frame `(file offset, compressed payload length)` for
     /// compressed shards; empty for raw shards.
     frames: Vec<(u64, usize)>,
-    /// Records per lazy-CRC chunk of a mapped raw shard.
-    crc_chunk: usize,
-    /// One bit per `crc_chunk`-record chunk, set once the chunk's record
-    /// CRCs verified clean; empty unless the shard is mapped and raw.
+    /// One bit per [`LAZY_CRC_CHUNK`]-record chunk, set once the chunk's
+    /// record CRCs verified clean; empty unless the shard is mapped and
+    /// raw.
     verified: Vec<AtomicU64>,
 }
 
@@ -941,15 +876,10 @@ impl ShardReader {
     /// [`ShardReader::open`] on the file store, or with `map` on a
     /// memory map of the file, which then also serves the validation.
     pub(crate) fn open_on(path: PathBuf, map: bool) -> Result<Self, EdaError> {
-        let path_str = path.display().to_string();
         let file = File::open(&path).map_err(|e| io_err(&path, &e))?;
         let file_len = file.metadata().map_err(|e| io_err(&path, &e))?.len();
         if file_len < PRELUDE_LEN as u64 {
-            return Err(ShardError::Truncated {
-                path: path_str,
-                context: "file prelude".into(),
-            }
-            .into());
+            return Err(truncated(&path, "file prelude").into());
         }
         let store = if map {
             // The mapping outlives the file.
@@ -959,12 +889,12 @@ impl ShardReader {
         };
         let prelude = store.bytes_at(0, PRELUDE_LEN, &path, || "file prelude".into())?;
         let prelude = prelude[..].try_into().expect("PRELUDE_LEN bytes");
-        let (version, header_len, header_crc) = parse_prelude(prelude, file_len, &path_str)?;
+        let (version, header_len, header_crc) = parse_prelude(prelude, file_len, &path)?;
         // Allocation is safe here: `parse_prelude` capped `header_len`.
         let body = store.bytes_at(PRELUDE_LEN as u64, header_len as usize, &path, || {
             "header body".into()
         })?;
-        let header = validate_header(version, &body, header_crc, file_len, &path_str)?;
+        let header = validate_header(version, &body, header_crc, file_len, &path)?;
         let frames = match header.compression {
             None => Vec::new(),
             Some(info) => frame_directory(&store, &header, info, file_len, &path)?,
@@ -979,7 +909,6 @@ impl ShardReader {
             record_len: header.record_len as usize,
             compression: header.compression,
             frames,
-            crc_chunk: 0,
             verified: Vec::new(),
         })
     }
@@ -988,19 +917,14 @@ impl ShardReader {
     /// what [`ShardReader::open`] validated is kept, not checked again,
     /// and a record read borrows the mapped pages instead of copying
     /// them into a buffer. A raw shard's record CRCs are then checked
-    /// once per `crc_chunk` records, on the first read that touches
-    /// them. Reads return the same bits as before.
+    /// once per [`LAZY_CRC_CHUNK`] records, on the first read that
+    /// touches them. Reads return the same bits as before.
     ///
     /// # Errors
     ///
-    /// [`EdaError::InvalidConfig`] for a zero chunk, [`ShardError::Io`]
-    /// if the file cannot be mapped (or the platform maps no files).
-    pub fn mapped(mut self, crc_chunk: usize) -> Result<Self, EdaError> {
-        if crc_chunk == 0 {
-            return Err(EdaError::InvalidConfig {
-                reason: "lazy-CRC chunk size must be positive".into(),
-            });
-        }
+    /// [`ShardError::Io`] if the file cannot be mapped (or the platform
+    /// maps no files).
+    pub fn mapped(mut self) -> Result<Self, EdaError> {
         if let Store::File(file) = &self.store {
             let file = file.lock().expect("shard file lock poisoned");
             let map = Mapping::map(&file, &self.path)?;
@@ -1009,8 +933,7 @@ impl ShardReader {
             self.store = Store::Map(map);
         }
         if !self.is_compressed() {
-            self.crc_chunk = crc_chunk;
-            let n_chunks = self.n_samples.div_ceil(crc_chunk);
+            let n_chunks = self.n_samples.div_ceil(LAZY_CRC_CHUNK);
             self.verified = (0..n_chunks.div_ceil(64))
                 .map(|_| AtomicU64::new(0))
                 .collect();
@@ -1100,48 +1023,39 @@ impl ShardReader {
     /// Reads and decompresses one frame of a compressed shard, verifying
     /// the frame CRC before the codec touches the payload.
     fn read_frame(&self, frame_i: usize, frame_records: usize) -> Result<Vec<u8>, EdaError> {
-        let path_str = self.path.display().to_string();
         let (offset, comp_len) = self.frames[frame_i];
         let buf = self.store.bytes_at(offset, comp_len + 4, &self.path, || {
             format!("compressed frame {frame_i}")
         })?;
-        let (payload, crc_bytes) = buf.split_at(comp_len);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if crc32(payload) != stored {
-            return Err(ShardError::CrcMismatch {
-                path: path_str,
-                what: format!("compressed frame {frame_i}"),
-            }
-            .into());
-        }
-        let raw = pack::decompress(payload, frame_records * self.record_len, &path_str)?;
+        let payload = crc_checked(&buf)
+            .ok_or_else(|| crc_mismatch(&self.path, format!("compressed frame {frame_i}")))?;
+        let raw = pack::decompress(payload, frame_records * self.record_len, &self.path)?;
         FRAMES_DECODED.fetch_add(1, Ordering::Relaxed);
         Ok(raw)
     }
 
     /// Checks the record CRCs of `range`, whose bytes are `raw`. A
-    /// mapped raw shard checks each `crc_chunk`-record chunk once and
+    /// mapped raw shard checks each [`LAZY_CRC_CHUNK`]-record chunk once and
     /// remembers it in `verified` (a bit is set only after its chunk
     /// verified clean, so a racing first touch verifies twice, never
     /// skips); every other read checks every record.
     fn check_crcs(&self, range: Range<usize>, raw: &[u8]) -> Result<(), EdaError> {
-        let path_str = self.path.display().to_string();
         let check = |first: usize, raw: &[u8]| {
             raw.chunks_exact(self.record_len)
                 .enumerate()
-                .try_for_each(|(i, record)| check_record_crc(record, first + i, &path_str))
+                .try_for_each(|(i, record)| check_record_crc(record, first + i, &self.path))
         };
         if self.verified.is_empty() {
             return Ok(check(range.start, raw)?);
         }
-        for chunk_i in range.start / self.crc_chunk..=(range.end - 1) / self.crc_chunk {
+        for chunk_i in range.start / LAZY_CRC_CHUNK..=(range.end - 1) / LAZY_CRC_CHUNK {
             let word = &self.verified[chunk_i / 64];
             let bit = 1u64 << (chunk_i % 64);
             if word.load(Ordering::Acquire) & bit != 0 {
                 continue;
             }
-            let lo = chunk_i * self.crc_chunk;
-            let hi = (lo + self.crc_chunk).min(self.n_samples);
+            let lo = chunk_i * LAZY_CRC_CHUNK;
+            let hi = (lo + LAZY_CRC_CHUNK).min(self.n_samples);
             check(lo, &self.records(lo..hi)?)?;
             word.fetch_or(bit, Ordering::AcqRel);
         }
@@ -1173,11 +1087,10 @@ impl ShardReader {
         self.check_range(&range)?;
         let raw = self.records(range.clone())?;
         self.check_crcs(range.clone(), &raw)?;
-        let path_str = self.path.display().to_string();
         for (i, record) in raw.chunks_exact(self.record_len).enumerate() {
             let index = range.start + i;
             design(decode_record_planes(
-                record, &self.meta, index, &path_str, features, labels,
+                record, &self.meta, index, &self.path, features, labels,
             )?);
         }
         Ok(())
@@ -1243,7 +1156,6 @@ impl ShardReader {
         order.sort_by_key(|&k| rows[k]);
         let mut frame: Option<(usize, Vec<u8>)> = None;
         let (mut f, mut l) = (Vec::with_capacity(xs), Vec::with_capacity(ys));
-        let path_str = self.path.display().to_string();
         for k in order {
             let (row, frame_i) = (rows[k], rows[k] / chunk);
             let raw = match &frame {
@@ -1259,7 +1171,7 @@ impl ShardReader {
             self.check_crcs(row..row + 1, record)?;
             f.clear();
             l.clear();
-            decode_record_planes(record, &self.meta, row, &path_str, &mut f, &mut l)?;
+            decode_record_planes(record, &self.meta, row, &self.path, &mut f, &mut l)?;
             features[f0 + k * xs..f0 + (k + 1) * xs].copy_from_slice(&f);
             labels[l0 + k * ys..l0 + (k + 1) * ys].copy_from_slice(&l);
         }
@@ -1310,41 +1222,24 @@ fn frame_directory(
     info: CompressionInfo,
     file_len: u64,
     path: &Path,
-) -> Result<Vec<(u64, usize)>, EdaError> {
-    let path_str = path.display().to_string();
-    let corrupt = |reason: String| ShardError::Corrupt {
-        path: path_str.clone(),
-        reason,
-    };
+) -> Result<Vec<(u64, usize)>, ShardError> {
     let n_frames = header.n_samples.div_ceil(info.chunk_records as u64);
     let dir_len = n_frames
         .checked_mul(8)
         .and_then(|b| b.checked_add(4))
-        .ok_or_else(|| corrupt("chunk directory size overflows".into()))?;
+        .ok_or_else(|| corrupt(path, "chunk directory size overflows"))?;
     let dir_end = header
         .data_offset
         .checked_add(dir_len)
-        .ok_or_else(|| corrupt("chunk directory offset overflows".into()))?;
+        .ok_or_else(|| corrupt(path, "chunk directory offset overflows"))?;
     if dir_end > file_len {
-        return Err(ShardError::Truncated {
-            path: path_str,
-            context: "chunk directory".into(),
-        }
-        .into());
+        return Err(truncated(path, "chunk directory"));
     }
     // Allocation is safe: `dir_len` fits inside the real file.
     let dir = store.bytes_at(header.data_offset, dir_len as usize, path, || {
         "chunk directory".into()
     })?;
-    let (lens, crc_bytes) = dir.split_at(dir.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(lens) != stored {
-        return Err(ShardError::CrcMismatch {
-            path: path_str,
-            what: "chunk directory".into(),
-        }
-        .into());
-    }
+    let lens = crc_checked(&dir).ok_or_else(|| crc_mismatch(path, "chunk directory"))?;
     let mut frames = Vec::with_capacity(n_frames as usize);
     let mut offset = dir_end;
     for (i, entry) in lens.chunks_exact(8).enumerate() {
@@ -1352,23 +1247,18 @@ fn frame_directory(
         let end = comp_len
             .checked_add(4)
             .and_then(|f| offset.checked_add(f))
-            .ok_or_else(|| corrupt(format!("frame {i} length overflows")))?;
+            .ok_or_else(|| corrupt(path, format!("frame {i} length overflows")))?;
         if end > file_len {
-            return Err(ShardError::Truncated {
-                path: path_str,
-                context: format!("compressed frame {i}"),
-            }
-            .into());
+            return Err(truncated(path, format!("compressed frame {i}")));
         }
         frames.push((offset, comp_len as usize));
         offset = end;
     }
     if offset != file_len {
-        return Err(corrupt(format!(
-            "{} trailing bytes after the last frame",
-            file_len - offset
-        ))
-        .into());
+        return Err(corrupt(
+            path,
+            format!("{} trailing bytes after the last frame", file_len - offset),
+        ));
     }
     Ok(frames)
 }
@@ -1389,20 +1279,20 @@ fn frame_directory(
 /// the input bit for bit, which is what lets compressed shards keep the
 /// byte-identity contract.
 mod pack {
-    use super::ShardError;
+    use std::path::Path;
+
+    use rte_codec::push_u32;
+
+    use super::{corrupt, ShardError};
 
     const GROUP: usize = 32;
-
-    fn put_u32(buf: &mut Vec<u8>, v: u32) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
 
     /// Compresses raw record bytes (length must be a multiple of 4).
     pub(super) fn compress(raw: &[u8]) -> Vec<u8> {
         debug_assert_eq!(raw.len() % 4, 0, "records are whole u32 words");
         let n_words = raw.len() / 4;
         let mut out = Vec::with_capacity(8 + raw.len() / 2);
-        put_u32(&mut out, n_words as u32);
+        push_u32(&mut out, n_words as u32);
         let mut prev = 0u32;
         let mut deltas = [0u32; GROUP];
         let mut words = raw
@@ -1444,23 +1334,23 @@ mod pack {
     pub(super) fn decompress(
         payload: &[u8],
         raw_len: usize,
-        path_str: &str,
+        path: &Path,
     ) -> Result<Vec<u8>, ShardError> {
-        let corrupt = |reason: String| ShardError::Corrupt {
-            path: path_str.to_owned(),
-            reason,
-        };
         if payload.len() < 4 {
             return Err(corrupt(
-                "compressed frame shorter than its word count".into(),
+                path,
+                "compressed frame shorter than its word count",
             ));
         }
         let n_words = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")) as usize;
         if n_words * 4 != raw_len {
-            return Err(corrupt(format!(
-                "compressed frame advertises {n_words} words, expected {}",
-                raw_len / 4
-            )));
+            return Err(corrupt(
+                path,
+                format!(
+                    "compressed frame advertises {n_words} words, expected {}",
+                    raw_len / 4
+                ),
+            ));
         }
         let mut out = Vec::with_capacity(raw_len);
         let mut pos = 4usize;
@@ -1468,18 +1358,22 @@ mod pack {
         let mut remaining = n_words;
         while remaining > 0 {
             let g = remaining.min(GROUP);
-            let width =
-                u32::from(*payload.get(pos).ok_or_else(|| {
-                    corrupt("compressed frame ends inside a group header".into())
-                })?);
+            let width = u32::from(
+                *payload
+                    .get(pos)
+                    .ok_or_else(|| corrupt(path, "compressed frame ends inside a group header"))?,
+            );
             pos += 1;
             if width > 32 {
-                return Err(corrupt(format!("group width {width} exceeds 32 bits")));
+                return Err(corrupt(
+                    path,
+                    format!("group width {width} exceeds 32 bits"),
+                ));
             }
             let packed_len = (g * width as usize).div_ceil(8);
             let packed = payload
                 .get(pos..pos + packed_len)
-                .ok_or_else(|| corrupt("compressed frame ends inside a group".into()))?;
+                .ok_or_else(|| corrupt(path, "compressed frame ends inside a group"))?;
             pos += packed_len;
             let mask = if width == 0 {
                 0
@@ -1504,10 +1398,13 @@ mod pack {
             remaining -= g;
         }
         if pos != payload.len() {
-            return Err(corrupt(format!(
-                "{} trailing bytes in a compressed frame",
-                payload.len() - pos
-            )));
+            return Err(corrupt(
+                path,
+                format!(
+                    "{} trailing bytes in a compressed frame",
+                    payload.len() - pos
+                ),
+            ));
         }
         Ok(out)
     }
@@ -1596,12 +1493,11 @@ fn compress_from(
         out.write_all(&payload).map_err(|e| io_err(dst, &e))?;
         out.write_all(&crc32(&payload).to_le_bytes())
             .map_err(|e| io_err(dst, &e))?;
-        put_u64(&mut dir, payload.len() as u64);
+        push_u64(&mut dir, payload.len() as u64);
         compressed_bytes += payload.len() as u64;
     }
     out.flush().map_err(|e| io_err(dst, &e))?;
-    let dir_crc = crc32(&dir);
-    put_u32(&mut dir, dir_crc);
+    push_crc(&mut dir, 0);
     let file = out.get_mut();
     file.seek(SeekFrom::Start(dir_offset))
         .map_err(|e| io_err(dst, &e))?;
@@ -2117,7 +2013,8 @@ mod tests {
             designs: vec!["alpha".into(), "beta".into()],
         };
         let body = meta.encode_body(42);
-        let (back, n, compression) = ShardMeta::decode_body(&body, "mem", SHARD_VERSION).unwrap();
+        let (back, n, compression) =
+            ShardMeta::decode_body(&body, Path::new("mem"), SHARD_VERSION).unwrap();
         assert_eq!(back, meta);
         assert_eq!(n, 42);
         assert_eq!(compression, None);
@@ -2138,12 +2035,12 @@ mod tests {
         let info = CompressionInfo { chunk_records: 128 };
         let body = meta.encode_body_compressed(9, info);
         let (back, n, compression) =
-            ShardMeta::decode_body(&body, "mem", SHARD_VERSION_COMPRESSED).unwrap();
+            ShardMeta::decode_body(&body, Path::new("mem"), SHARD_VERSION_COMPRESSED).unwrap();
         assert_eq!(back, meta);
         assert_eq!(n, 9);
         assert_eq!(compression, Some(info));
         // The same bytes under version 1 have trailing fields → Corrupt.
-        let err = ShardMeta::decode_body(&body, "mem", SHARD_VERSION).unwrap_err();
+        let err = ShardMeta::decode_body(&body, Path::new("mem"), SHARD_VERSION).unwrap_err();
         assert!(matches!(err, ShardError::Corrupt { .. }), "{err}");
     }
 
@@ -2161,19 +2058,19 @@ mod tests {
         };
         meta.grid = GridDims::new(MAX_GRID_DIM + 1, 4);
         let body = meta.encode_body(1);
-        let err = ShardMeta::decode_body(&body, "mem", SHARD_VERSION).unwrap_err();
+        let err = ShardMeta::decode_body(&body, Path::new("mem"), SHARD_VERSION).unwrap_err();
         assert!(matches!(err, ShardError::Corrupt { .. }), "{err}");
 
         meta.grid = GridDims::new(4, 4);
         meta.channels = MAX_CHANNELS + 1;
         let body = meta.encode_body(1);
-        let err = ShardMeta::decode_body(&body, "mem", SHARD_VERSION).unwrap_err();
+        let err = ShardMeta::decode_body(&body, Path::new("mem"), SHARD_VERSION).unwrap_err();
         assert!(matches!(err, ShardError::Corrupt { .. }), "{err}");
 
         meta.channels = 2;
         meta.designs.clear();
         let body = meta.encode_body(1);
-        let err = ShardMeta::decode_body(&body, "mem", SHARD_VERSION).unwrap_err();
+        let err = ShardMeta::decode_body(&body, Path::new("mem"), SHARD_VERSION).unwrap_err();
         assert!(matches!(err, ShardError::Corrupt { .. }), "{err}");
     }
 
@@ -2192,7 +2089,7 @@ mod tests {
             raw.extend_from_slice(&word.to_le_bytes());
         }
         let payload = pack::compress(&raw);
-        let back = pack::decompress(&payload, raw.len(), "mem").unwrap();
+        let back = pack::decompress(&payload, raw.len(), Path::new("mem")).unwrap();
         assert_eq!(back, raw);
         // Runs of equal words compress far below raw size.
         let flat: Vec<u8> = std::iter::repeat_n(0.5f32.to_bits().to_le_bytes(), 512)
@@ -2205,7 +2102,10 @@ mod tests {
             packed.len(),
             flat.len()
         );
-        assert_eq!(pack::decompress(&packed, flat.len(), "mem").unwrap(), flat);
+        assert_eq!(
+            pack::decompress(&packed, flat.len(), Path::new("mem")).unwrap(),
+            flat
+        );
     }
 
     #[test]
@@ -2213,16 +2113,16 @@ mod tests {
         let raw: Vec<u8> = (0..64u8).collect();
         let good = pack::compress(&raw);
         // Wrong advertised length.
-        assert!(pack::decompress(&good, raw.len() + 4, "mem").is_err());
+        assert!(pack::decompress(&good, raw.len() + 4, Path::new("mem")).is_err());
         // Truncated payload.
-        assert!(pack::decompress(&good[..good.len() - 1], raw.len(), "mem").is_err());
+        assert!(pack::decompress(&good[..good.len() - 1], raw.len(), Path::new("mem")).is_err());
         // Oversized group width.
         let mut bad = good.clone();
         bad[4] = 33;
-        assert!(pack::decompress(&bad, raw.len(), "mem").is_err());
+        assert!(pack::decompress(&bad, raw.len(), Path::new("mem")).is_err());
         // Trailing garbage.
         let mut bad = good;
         bad.push(0);
-        assert!(pack::decompress(&bad, raw.len(), "mem").is_err());
+        assert!(pack::decompress(&bad, raw.len(), Path::new("mem")).is_err());
     }
 }

@@ -14,7 +14,7 @@ use rte_eda::dataset::Sample;
 use rte_eda::mmap::MmapShardReader;
 use rte_eda::placement::GridDims;
 use rte_eda::shard::{
-    compact_dir, compress_shard, CorpusReader, ShardMeta, ShardReader, ShardWriter,
+    compact_dir, compress_shard, CorpusReader, ShardMeta, ShardReader, ShardWriter, LAZY_CRC_CHUNK,
 };
 use rte_eda::{EdaError, Family, ShardError};
 use rte_tensor::rng::Xoshiro256;
@@ -79,10 +79,10 @@ fn shard_err(result: Result<ShardReader, EdaError>) -> ShardError {
 }
 
 /// Opens `path` on the file store, or on the memory map (which then
-/// serves the validation too) with a lazy-CRC chunk of two records.
+/// serves the validation too).
 fn open_on(path: &std::path::Path, mapped: bool) -> Result<ShardReader, EdaError> {
     if mapped {
-        MmapShardReader::open(path)?.mapped(2)
+        MmapShardReader::open(path)
     } else {
         ShardReader::open(path)
     }
@@ -670,16 +670,18 @@ fn failed_compaction_leaves_no_tmp_file() {
 
 /// The mapped store returns bit-identical planes to the file store, and
 /// its per-chunk CRC bitmap verifies lazily: chunks are checked on
-/// first touch only.
+/// first touch only. The shard spans three lazy-CRC chunks, the last
+/// one record long.
 #[test]
 fn mmap_reader_is_bitwise_identical_and_lazy() {
+    let n = 2 * LAZY_CRC_CHUNK + 1;
     let dir = scratch_dir();
-    let path = valid_shard(&dir, 5);
+    let path = valid_shard(&dir, n);
     let read = ShardReader::open(&path).unwrap();
     assert_eq!(read.verified_chunks(), 0);
     let mapped = open_on(&path, true).unwrap();
     assert!(mapped.is_mapped() && !read.is_mapped());
-    assert_eq!(mapped.len(), 5);
+    assert_eq!(mapped.len(), n);
     assert_eq!(mapped.geometry(), read.geometry());
     assert_eq!(mapped.meta(), read.meta());
     assert_eq!(mapped.verified_chunks(), 0, "open must not touch data");
@@ -695,19 +697,19 @@ fn mmap_reader_is_bitwise_identical_and_lazy() {
 
     mf.clear();
     ml.clear();
-    mapped.read_batch_into(0..5, &mut mf, &mut ml).unwrap();
+    mapped.read_batch_into(0..n, &mut mf, &mut ml).unwrap();
     assert_eq!(
         mapped.verified_chunks(),
         3,
-        "5 records / chunk 2 = 3 chunks"
+        "2 chunks and 1 record = 3 chunks"
     );
-    let want = read.read_range(0..5).unwrap();
+    let want = read.read_range(0..n).unwrap();
     let want_f: Vec<u32> = want.iter().flat_map(|s| tensor_bits(&s.features)).collect();
     let want_l: Vec<u32> = want.iter().flat_map(|s| tensor_bits(&s.label)).collect();
     assert_eq!(mf.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want_f);
     assert_eq!(ml.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want_l);
-    for i in 0..5 {
-        assert_eq!(mapped.read_sample(i).unwrap(), want[i]);
+    for (i, want) in want.iter().enumerate() {
+        assert_eq!(&mapped.read_sample(i).unwrap(), want);
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -754,27 +756,33 @@ fn mapped_compressed_shard_is_bitwise_identical() {
 }
 
 /// A flipped record byte is caught by the lazy CRC on first touch of
-/// that record's chunk, and only that chunk.
+/// that record's chunk, and only that chunk: the shard spans three
+/// lazy-CRC chunks and the damage is in the middle one.
 #[test]
 fn mmap_detects_record_corruption_per_chunk() {
+    let n = 3 * LAZY_CRC_CHUNK;
     let dir = scratch_dir();
-    let path = valid_shard(&dir, 3);
+    let path = valid_shard(&dir, n);
     let bytes = std::fs::read(&path).unwrap();
     let header_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
     let data_offset = 20 + header_len;
-    let record_len = (bytes.len() - data_offset) / 3;
+    let record_len = (bytes.len() - data_offset) / n;
+    let damaged = LAZY_CRC_CHUNK + 1;
     let mut corrupt = bytes.clone();
-    corrupt[data_offset + record_len + 10] ^= 0x01;
+    corrupt[data_offset + damaged * record_len + 10] ^= 0x01;
     std::fs::write(&path, &corrupt).unwrap();
-    let mapped = ShardReader::open(&path).unwrap().mapped(1).unwrap();
+    let mapped = ShardReader::open(&path).unwrap().mapped().unwrap();
     let (mut f, mut l) = (Vec::new(), Vec::new());
     assert!(mapped.read_batch_into(0..1, &mut f, &mut l).is_ok());
-    assert!(mapped.read_batch_into(2..3, &mut f, &mut l).is_ok());
-    let err = mapped.read_batch_into(1..2, &mut f, &mut l).unwrap_err();
+    assert!(mapped.read_batch_into(n - 1..n, &mut f, &mut l).is_ok());
+    let err = mapped
+        .read_batch_into(LAZY_CRC_CHUNK..LAZY_CRC_CHUNK + 1, &mut f, &mut l)
+        .unwrap_err();
+    let want = format!("record {damaged}");
     assert!(
         matches!(
             &err,
-            EdaError::Shard(ShardError::CrcMismatch { what, .. }) if what == "record 1"
+            EdaError::Shard(ShardError::CrcMismatch { what, .. }) if *what == want
         ),
         "{err}"
     );

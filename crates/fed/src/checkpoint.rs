@@ -25,9 +25,10 @@
 //!   48+N     4  state CRC-32 over the N state bytes
 //! ```
 //!
-//! Validation order mirrors the frame decoder: magic → header CRC →
-//! version → length cap, all before a single state byte is trusted;
-//! then state CRC → digest → the hardened state-dict parser. Every
+//! The header is an [`rte_codec::Envelope`], validated by the same
+//! function as the frame prelude: magic → header CRC → version → length
+//! cap, all before a single state byte is trusted; then state CRC →
+//! digest → the hardened state-dict parser. Every
 //! failure is a typed [`CheckpointError`] — a damaged or truncated file
 //! can never panic the coordinator or resume silently with partial
 //! state (`checkpoint_hostile.rs` drives this with byte flips and
@@ -41,7 +42,7 @@ use std::fs;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 
-use rte_net::crc32;
+use rte_codec::{crc_checked, push_crc, push_u64, CodecError, Envelope, LenField, Reader};
 use rte_nn::serialize::{append_state_dict, read_state_dict_slice, state_dict_encoded_len};
 use rte_nn::StateDict;
 
@@ -54,8 +55,18 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 /// Hard cap on the serialized state section (defensive, like
 /// `MAX_FRAME_LEN`): rejected before any allocation.
 pub const MAX_STATE_LEN: u64 = 1 << 30;
+/// The header as an [`Envelope`]: round, frame sequence and config
+/// digest are its fixed fields, the state length its body length.
+const CHECKPOINT_ENVELOPE: Envelope = Envelope {
+    what: "checkpoint",
+    magic: CHECKPOINT_MAGIC,
+    version: CHECKPOINT_VERSION,
+    fields_len: 24,
+    len_field: LenField::U64,
+    max_len: MAX_STATE_LEN,
+};
 /// Fixed byte length of the header, CRC included.
-pub const HEADER_LEN: usize = 48;
+pub const HEADER_LEN: usize = CHECKPOINT_ENVELOPE.header_len();
 
 /// Everything a resumed run needs from a completed round.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,6 +172,20 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
+/// The shared codec's failures keep their checkpoint variants and
+/// messages.
+impl From<CodecError> for CheckpointError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated { field, .. } => CheckpointError::Truncated { context: field },
+            CodecError::BadMagic => CheckpointError::BadMagic,
+            CodecError::HeaderCrc => CheckpointError::HeaderCrc,
+            CodecError::UnsupportedVersion { got } => CheckpointError::UnsupportedVersion { got },
+            CodecError::Oversize { len, max } => CheckpointError::Oversize { len, max },
+        }
+    }
+}
+
 impl From<CheckpointError> for FedError {
     fn from(e: CheckpointError) -> Self {
         FedError::Checkpoint {
@@ -228,37 +253,17 @@ fn aggregation_tag(config: &FedConfig) -> u64 {
 /// cap.
 pub fn encode_checkpoint(checkpoint: &Checkpoint) -> Result<Vec<u8>, CheckpointError> {
     let state_len = state_dict_encoded_len(&checkpoint.state);
-    if state_len as u64 > MAX_STATE_LEN {
-        return Err(CheckpointError::Oversize {
-            len: state_len as u64,
-            max: MAX_STATE_LEN,
-        });
-    }
     let mut out = Vec::with_capacity(HEADER_LEN + state_len + 4);
-    out.extend_from_slice(&CHECKPOINT_MAGIC);
-    out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-    out.extend_from_slice(&checkpoint.round.to_le_bytes());
-    out.extend_from_slice(&checkpoint.seq.to_le_bytes());
-    out.extend_from_slice(&checkpoint.digest.to_le_bytes());
-    out.extend_from_slice(&(state_len as u64).to_le_bytes());
-    let header_crc = crc32(&out[..HEADER_LEN - 4]);
-    out.extend_from_slice(&header_crc.to_le_bytes());
+    CHECKPOINT_ENVELOPE.push_header(&mut out, CHECKPOINT_VERSION, state_len as u64, |out| {
+        push_u64(out, checkpoint.round);
+        push_u64(out, checkpoint.seq);
+        push_u64(out, checkpoint.digest);
+    })?;
     // The state is serialized in place, after the header it was sized
     // for, and checksummed where it lies.
     append_state_dict(&mut out, &checkpoint.state);
-    let state_crc = crc32(&out[HEADER_LEN..]);
-    out.extend_from_slice(&state_crc.to_le_bytes());
+    push_crc(&mut out, HEADER_LEN);
     Ok(out)
-}
-
-fn le_u32(bytes: &[u8]) -> u32 {
-    u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
-}
-
-fn le_u64(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes([
-        bytes[0], bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7],
-    ])
 }
 
 /// Decodes and fully validates checkpoint bytes. With
@@ -273,48 +278,16 @@ pub fn decode_checkpoint(
     bytes: &[u8],
     expected_digest: Option<u64>,
 ) -> Result<Checkpoint, CheckpointError> {
-    if bytes.len() < 8 {
-        return Err(CheckpointError::Truncated { context: "magic" });
-    }
-    if bytes[..8] != CHECKPOINT_MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    if bytes.len() < HEADER_LEN {
-        return Err(CheckpointError::Truncated { context: "header" });
-    }
-    // Header CRC before trusting any header field (same order as the
-    // frame decoder: a flipped version byte must read as CRC damage,
-    // not as a bogus version).
-    let stored_header_crc = le_u32(&bytes[HEADER_LEN - 4..HEADER_LEN]);
-    if crc32(&bytes[..HEADER_LEN - 4]) != stored_header_crc {
-        return Err(CheckpointError::HeaderCrc);
-    }
-    let version = le_u32(&bytes[8..12]);
-    if version != CHECKPOINT_VERSION {
-        return Err(CheckpointError::UnsupportedVersion { got: version });
-    }
-    let round = le_u64(&bytes[12..20]);
-    let seq = le_u64(&bytes[20..28]);
-    let digest = le_u64(&bytes[28..36]);
-    let state_len = le_u64(&bytes[36..44]);
-    if state_len > MAX_STATE_LEN {
-        return Err(CheckpointError::Oversize {
-            len: state_len,
-            max: MAX_STATE_LEN,
-        });
-    }
-    let state_len = state_len as usize;
-    let state_end = HEADER_LEN
-        .checked_add(state_len)
-        .ok_or(CheckpointError::Truncated { context: "state" })?;
-    if bytes.len() < state_end + 4 {
-        return Err(CheckpointError::Truncated { context: "state" });
-    }
-    let state_bytes = &bytes[HEADER_LEN..state_end];
-    let stored_state_crc = le_u32(&bytes[state_end..state_end + 4]);
-    if crc32(state_bytes) != stored_state_crc {
-        return Err(CheckpointError::StateCrc);
-    }
+    let (mut fields, state_len) = CHECKPOINT_ENVELOPE.open(bytes)?;
+    let (round, seq, digest) = (
+        fields.u64("round")?,
+        fields.u64("seq")?,
+        fields.u64("digest")?,
+    );
+    // The cap keeps `state_len + 4` far from overflowing.
+    let state_block =
+        Reader::new(&bytes[HEADER_LEN..], "checkpoint").take(state_len as usize + 4, "state")?;
+    let state_bytes = crc_checked(state_block).ok_or(CheckpointError::StateCrc)?;
     if let Some(want) = expected_digest {
         if digest != want {
             return Err(CheckpointError::DigestMismatch { got: digest, want });
@@ -413,6 +386,7 @@ pub fn latest_checkpoint(dir: &Path) -> Result<Option<PathBuf>, CheckpointError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rte_codec::crc32;
     use rte_tensor::Tensor;
 
     fn sample_state() -> StateDict {

@@ -3,6 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
+use rte_codec::CodecError;
 use rte_metrics::MetricsError;
 use rte_nn::NnError;
 use rte_tensor::TensorError;
@@ -132,6 +133,16 @@ impl From<TensorError> for FedError {
 impl From<MetricsError> for FedError {
     fn from(e: MetricsError) -> Self {
         FedError::Metrics(e)
+    }
+}
+
+/// A message payload that failed the shared byte codec: a wire error
+/// with the codec's rendering (`truncated masked update: word`).
+impl From<CodecError> for FedError {
+    fn from(e: CodecError) -> Self {
+        FedError::Transport {
+            reason: e.to_string(),
+        }
     }
 }
 

@@ -21,6 +21,7 @@
 //! typed [`FedError::SecureAggregation`] instead of a silently-wrong
 //! aggregate.
 
+use rte_codec::{push_u32, push_u64, Reader};
 use rte_nn::StateDict;
 use rte_tensor::rng::Xoshiro256;
 use rte_tensor::Tensor;
@@ -77,19 +78,19 @@ const MAX_WORDS: u64 = 1 << 24;
 impl MaskedUpdate {
     /// Appends the wire encoding of this update to `buf`.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.client.to_le_bytes());
-        buf.extend_from_slice(&self.round.to_le_bytes());
-        buf.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
+        push_u32(buf, self.client);
+        push_u64(buf, self.round);
+        push_u64(buf, self.entries.len() as u64);
         for (name, dims, words) in &self.entries {
-            buf.extend_from_slice(&(name.len() as u64).to_le_bytes());
+            push_u64(buf, name.len() as u64);
             buf.extend_from_slice(name.as_bytes());
-            buf.extend_from_slice(&(dims.len() as u64).to_le_bytes());
-            for d in dims {
-                buf.extend_from_slice(&(*d as u64).to_le_bytes());
+            push_u64(buf, dims.len() as u64);
+            for &d in dims {
+                push_u64(buf, d as u64);
             }
-            buf.extend_from_slice(&(words.len() as u64).to_le_bytes());
-            for w in words {
-                buf.extend_from_slice(&w.to_le_bytes());
+            push_u64(buf, words.len() as u64);
+            for &w in words {
+                push_u64(buf, w);
             }
         }
     }
@@ -101,69 +102,44 @@ impl MaskedUpdate {
     ///
     /// Returns [`FedError::Transport`] on any structural defect.
     pub fn decode(bytes: &[u8]) -> Result<MaskedUpdate, FedError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize, what: &str| -> Result<&[u8], FedError> {
-            let end = pos.checked_add(n).ok_or_else(|| bad(what))?;
-            if end > bytes.len() {
-                return Err(bad(what));
-            }
-            let out = &bytes[*pos..end];
-            *pos = end;
-            Ok(out)
-        };
-        fn bad(what: &str) -> FedError {
-            FedError::Transport {
-                reason: format!("truncated masked update: {what}"),
-            }
-        }
         fn capped(what: &str, got: u64, cap: u64) -> FedError {
             FedError::Transport {
                 reason: format!("masked update {what} {got} exceeds cap {cap}"),
             }
         }
-        let u32_at = |pos: &mut usize, what: &str| -> Result<u32, FedError> {
-            let b = take(pos, 4, what)?;
-            Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        };
-        let u64_at = |pos: &mut usize, what: &str| -> Result<u64, FedError> {
-            let b = take(pos, 8, what)?;
-            Ok(u64::from_le_bytes([
-                b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-            ]))
-        };
-
-        let client = u32_at(&mut pos, "client id")?;
-        let round = u64_at(&mut pos, "round")?;
-        let n_entries = u64_at(&mut pos, "entry count")?;
+        let mut r = Reader::new(bytes, "masked update");
+        let client = r.u32("client id")?;
+        let round = r.u64("round")?;
+        let n_entries = r.u64("entry count")?;
         if n_entries > MAX_ENTRIES {
             return Err(capped("entry count", n_entries, MAX_ENTRIES));
         }
         let mut entries = Vec::with_capacity(n_entries as usize);
         for _ in 0..n_entries {
-            let name_len = u64_at(&mut pos, "name length")?;
+            let name_len = r.u64("name length")?;
             if name_len > MAX_NAME_LEN {
                 return Err(capped("name length", name_len, MAX_NAME_LEN));
             }
-            let name_bytes = take(&mut pos, name_len as usize, "name bytes")?;
+            let name_bytes = r.take(name_len as usize, "name bytes")?;
             let name = std::str::from_utf8(name_bytes)
                 .map_err(|_| FedError::Transport {
                     reason: "masked update name is not UTF-8".into(),
                 })?
                 .to_string();
-            let rank = u64_at(&mut pos, "rank")?;
+            let rank = r.u64("rank")?;
             if rank > MAX_RANK {
                 return Err(capped("rank", rank, MAX_RANK));
             }
             let mut dims = Vec::with_capacity(rank as usize);
             let mut elems: u64 = 1;
             for _ in 0..rank {
-                let d = u64_at(&mut pos, "dim")?;
+                let d = r.u64("dim")?;
                 elems = elems
                     .checked_mul(d)
                     .ok_or_else(|| capped("element count", u64::MAX, MAX_WORDS))?;
                 dims.push(d as usize);
             }
-            let n_words = u64_at(&mut pos, "word count")?;
+            let n_words = r.u64("word count")?;
             if n_words > MAX_WORDS {
                 return Err(capped("word count", n_words, MAX_WORDS));
             }
@@ -177,11 +153,11 @@ impl MaskedUpdate {
             }
             let mut words = Vec::with_capacity(n_words as usize);
             for _ in 0..n_words {
-                words.push(u64_at(&mut pos, "word")?);
+                words.push(r.u64("word")?);
             }
             entries.push((name, dims, words));
         }
-        if pos != bytes.len() {
+        if !r.rest().is_empty() {
             return Err(FedError::Transport {
                 reason: "masked update carries unexpected trailing bytes".into(),
             });

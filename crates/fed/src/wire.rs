@@ -11,6 +11,7 @@
 //! defensive caps), so the payload codec inherits the same hardening as
 //! the rest of the workspace's binary surfaces.
 
+use rte_codec::{push_u32, push_u64, Reader};
 use rte_net::{Frame, NetError, Transport};
 use rte_nn::serialize::{append_state_dict, read_state_dict_slice, state_dict_encoded_len};
 use rte_nn::StateDict;
@@ -79,62 +80,6 @@ pub enum Message {
     },
     /// Coordinator → client: the run is over.
     Shutdown,
-}
-
-fn push_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Bounds-checked reader over a payload slice.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], FedError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| truncated(what))?;
-        if end > self.bytes.len() {
-            return Err(truncated(what));
-        }
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, FedError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, FedError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f32(&mut self, what: &str) -> Result<f32, FedError> {
-        Ok(f32::from_bits(self.u32(what)?))
-    }
-
-    fn rest(self) -> &'a [u8] {
-        &self.bytes[self.pos..]
-    }
-}
-
-fn truncated(what: &str) -> FedError {
-    FedError::Transport {
-        reason: format!("truncated message payload: {what}"),
-    }
 }
 
 /// Cap on a wire participant list — no real fleet is larger, and a
@@ -248,7 +193,7 @@ impl Message {
     /// Returns [`FedError::Transport`] for unknown kinds, truncated
     /// payloads, or trailing garbage.
     pub fn from_frame(frame: &Frame) -> Result<Message, FedError> {
-        let mut r = Reader::new(&frame.payload);
+        let mut r = Reader::new(&frame.payload, "message payload");
         match frame.kind {
             KIND_HELLO => {
                 let client = r.u32("hello client")?;

@@ -8,6 +8,8 @@
 use std::error::Error;
 use std::fmt;
 
+use rte_codec::CodecError;
+
 /// Error produced by frame encoding/decoding or a transport.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
@@ -78,6 +80,19 @@ impl fmt::Display for NetError {
 }
 
 impl Error for NetError {}
+
+/// The shared codec's failures keep their frame variants and messages.
+impl From<CodecError> for NetError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated { field, .. } => NetError::Truncated { context: field },
+            CodecError::BadMagic => NetError::BadMagic,
+            CodecError::HeaderCrc => NetError::HeaderCrc,
+            CodecError::UnsupportedVersion { got } => NetError::UnsupportedVersion { got },
+            CodecError::Oversize { len, max } => NetError::Oversize { len, max },
+        }
+    }
+}
 
 impl From<std::io::Error> for NetError {
     fn from(e: std::io::Error) -> Self {

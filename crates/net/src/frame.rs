@@ -17,20 +17,22 @@
 //!      …     4  payload_crc    CRC-32/IEEE of the payload
 //! ```
 //!
-//! The decoder follows the same hardening discipline as
-//! `rte_eda::shard`: every multi-byte read goes through a cursor that
-//! returns typed [`NetError::Truncated`] instead of slicing out of
-//! bounds, every declared length is checked against a documented cap
-//! *before* any allocation, arithmetic on attacker-controlled values is
-//! checked, and damage to the prelude is caught by the header CRC before
-//! any field is acted on. Hostile bytes can therefore produce exactly
-//! one thing: a typed error (`tests/frame_hostile.rs`).
+//! The prelude is an [`rte_codec::Envelope`] and the decoder reads
+//! through [`rte_codec::Reader`], the byte codec every binary format in
+//! the workspace shares: every multi-byte read returns a typed
+//! [`NetError::Truncated`] instead of slicing out of bounds, the declared
+//! length is checked against [`MAX_FRAME_LEN`] *before* any allocation,
+//! arithmetic on attacker-controlled values is checked, and damage to
+//! the prelude is caught by the header CRC before any field is acted on.
+//! Hostile bytes can therefore produce exactly one thing: a typed error
+//! (`tests/frame_hostile.rs`).
 
 use std::io::{Read, Write};
 use std::ops::Deref;
 use std::sync::Arc;
 
 pub use rte_codec::crc32;
+use rte_codec::{push_u32, push_u64, Envelope, LenField, Reader};
 
 use crate::error::NetError;
 
@@ -45,53 +47,19 @@ pub const FRAME_VERSION: u32 = 1;
 /// dicts of the paper's models) are megabytes at most.
 pub const MAX_FRAME_LEN: u32 = 1 << 28;
 
+/// The frame prelude as an [`Envelope`]: kind, flags, sender and seq
+/// are its fixed fields, `payload_len` its body length.
+const FRAME_ENVELOPE: Envelope = Envelope {
+    what: "frame",
+    magic: FRAME_MAGIC,
+    version: FRAME_VERSION,
+    fields_len: 14,
+    len_field: LenField::U32,
+    max_len: MAX_FRAME_LEN as u64,
+};
+
 /// Byte length of the fixed prelude (through `header_crc`).
-pub const PRELUDE_LEN: usize = 34;
-
-/// Offset of `header_crc` within the prelude (the CRC covers 0..30).
-const HEADER_CRC_OFFSET: usize = 30;
-
-/// Bounds-checked reader over a byte slice: every read returns a typed
-/// [`NetError::Truncated`] instead of panicking on short input.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], NetError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(NetError::Truncated { context })?;
-        if end > self.bytes.len() {
-            return Err(NetError::Truncated { context });
-        }
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self, context: &'static str) -> Result<u8, NetError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    fn u32(&mut self, context: &'static str) -> Result<u32, NetError> {
-        let b = self.take(4, context)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, NetError> {
-        let b = self.take(8, context)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-}
+pub const PRELUDE_LEN: usize = FRAME_ENVELOPE.header_len();
 
 /// An immutable frame payload: the bytes behind a shared pointer, plus
 /// their CRC-32, computed once when the payload is built (or taken from
@@ -114,6 +82,17 @@ impl From<Vec<u8>> for Payload {
             bytes: Arc::new(bytes),
             crc,
         }
+    }
+}
+
+impl Payload {
+    /// `bytes` as a payload, if `trailer` is their CRC.
+    fn checked(bytes: Vec<u8>, trailer: u32) -> Result<Payload, NetError> {
+        let payload = Payload::from(bytes);
+        if payload.crc != trailer {
+            return Err(NetError::PayloadCrc);
+        }
+        Ok(payload)
     }
 }
 
@@ -179,33 +158,30 @@ impl Frame {
     /// exercising the decoder's version check with an otherwise
     /// well-formed (correctly CRC'd) frame.
     pub fn encode_with_version(&self, version: u32) -> Result<Vec<u8>, NetError> {
-        let prelude = self.prelude(version)?;
         let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&prelude);
+        self.push_prelude(&mut out, version)?;
         out.extend_from_slice(&self.payload);
         out.extend_from_slice(&self.payload.crc.to_le_bytes());
         Ok(out)
     }
 
-    /// The encoded prelude (header CRC included) of this frame claiming
-    /// `version`; refuses an over-cap payload.
-    fn prelude(&self, version: u32) -> Result<[u8; PRELUDE_LEN], NetError> {
-        if self.payload.len() as u64 > MAX_FRAME_LEN as u64 {
-            return Err(NetError::Oversize {
-                len: self.payload.len() as u64,
-                max: MAX_FRAME_LEN as u64,
-            });
-        }
-        let mut out = [0u8; PRELUDE_LEN];
-        out[0..8].copy_from_slice(&FRAME_MAGIC);
-        out[8..12].copy_from_slice(&version.to_le_bytes());
-        out[12] = self.kind;
-        out[13] = self.flags;
-        out[14..18].copy_from_slice(&self.sender.to_le_bytes());
-        out[18..26].copy_from_slice(&self.seq.to_le_bytes());
-        out[26..30].copy_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        let header_crc = crc32(&out[..HEADER_CRC_OFFSET]);
-        out[HEADER_CRC_OFFSET..].copy_from_slice(&header_crc.to_le_bytes());
+    /// Appends the encoded prelude (header CRC included) of this frame
+    /// claiming `version`; refuses an over-cap payload.
+    fn push_prelude(&self, out: &mut Vec<u8>, version: u32) -> Result<(), NetError> {
+        Ok(
+            FRAME_ENVELOPE.push_header(out, version, self.payload.len() as u64, |out| {
+                out.push(self.kind);
+                out.push(self.flags);
+                push_u32(out, self.sender);
+                push_u64(out, self.seq);
+            })?,
+        )
+    }
+
+    /// The encoded prelude alone, for a writer or a pipe.
+    fn prelude(&self, version: u32) -> Result<Vec<u8>, NetError> {
+        let mut out = Vec::with_capacity(PRELUDE_LEN);
+        self.push_prelude(&mut out, version)?;
         Ok(out)
     }
 
@@ -219,19 +195,13 @@ impl Frame {
     /// forged `payload_len` past the cap or past the actual input, and
     /// truncation at any boundary. Never panics.
     pub fn decode(bytes: &[u8]) -> Result<(Frame, usize), NetError> {
-        let mut cur = Cursor::new(bytes);
-        let prelude = cur.take(PRELUDE_LEN, "frame prelude")?;
-        let header = parse_prelude(prelude)?;
-        let payload = cur.take(header.payload_len as usize, "frame payload")?;
-        let stored_crc = cur.u32("payload checksum")?;
-        if crc32(payload) != stored_crc {
-            return Err(NetError::PayloadCrc);
-        }
-        let payload = Payload {
-            bytes: Arc::new(payload.to_vec()),
-            crc: stored_crc,
-        };
-        Ok((header.into_frame(payload), cur.pos))
+        let mut cur = Reader::new(bytes, "frame");
+        let frame = parse_prelude(cur.take(PRELUDE_LEN, "frame prelude")?, |len| {
+            let payload = cur.take(len as usize, "frame payload")?;
+            let trailer = cur.u32("payload checksum")?;
+            Payload::checked(payload.to_vec(), trailer)
+        })?;
+        Ok((frame, cur.pos()))
     }
 
     /// Writes the encoded frame to `writer` — prelude, payload, trailer,
@@ -264,20 +234,13 @@ impl Frame {
     pub fn read_from<R: Read>(reader: &mut R) -> Result<Frame, NetError> {
         let mut prelude = [0u8; PRELUDE_LEN];
         reader.read_exact(&mut prelude)?;
-        let header = parse_prelude(&prelude)?;
-        let mut payload = vec![0u8; header.payload_len as usize];
-        reader.read_exact(&mut payload)?;
-        let mut crc_bytes = [0u8; 4];
-        reader.read_exact(&mut crc_bytes)?;
-        let stored_crc = u32::from_le_bytes(crc_bytes);
-        if crc32(&payload) != stored_crc {
-            return Err(NetError::PayloadCrc);
-        }
-        let payload = Payload {
-            bytes: Arc::new(payload),
-            crc: stored_crc,
-        };
-        Ok(header.into_frame(payload))
+        parse_prelude(&prelude, |len| {
+            let mut payload = vec![0u8; len as usize];
+            reader.read_exact(&mut payload)?;
+            let mut trailer = [0u8; 4];
+            reader.read_exact(&mut trailer)?;
+            Payload::checked(payload, u32::from_le_bytes(trailer))
+        })
     }
 
     /// Seals the frame for an in-process pipe: the prelude is encoded,
@@ -294,7 +257,7 @@ impl Frame {
 /// the shared payload, whose remembered CRC stands in for the trailer.
 /// Same bytes as [`Frame::encode`], never concatenated.
 pub(crate) struct SealedFrame {
-    prelude: [u8; PRELUDE_LEN],
+    prelude: Vec<u8>,
     payload: Payload,
 }
 
@@ -303,79 +266,39 @@ impl SealedFrame {
     /// in the same order — magic, header CRC, version, cap, then the
     /// payload bytes against the trailer — and only then yields a frame.
     pub(crate) fn open(self) -> Result<Frame, NetError> {
-        let header = parse_prelude(&self.prelude)?;
-        if header.payload_len as usize != self.payload.len() {
-            return Err(NetError::Protocol {
-                reason: format!(
-                    "prelude declares {} payload bytes, pipe carried {}",
-                    header.payload_len,
-                    self.payload.len()
-                ),
-            });
-        }
-        if crc32(&self.payload) != self.payload.crc {
-            return Err(NetError::PayloadCrc);
-        }
-        Ok(header.into_frame(self.payload))
+        let payload = self.payload;
+        parse_prelude(&self.prelude, |len| {
+            if len as usize != payload.len() {
+                return Err(NetError::Protocol {
+                    reason: format!(
+                        "prelude declares {len} payload bytes, pipe carried {}",
+                        payload.len()
+                    ),
+                });
+            }
+            if crc32(&payload) != payload.crc {
+                return Err(NetError::PayloadCrc);
+            }
+            Ok(payload)
+        })
     }
 }
 
-/// The trusted fields of a validated prelude.
-struct Header {
-    kind: u8,
-    flags: u8,
-    sender: u32,
-    seq: u64,
-    payload_len: u32,
-}
-
-impl Header {
-    fn into_frame(self, payload: Payload) -> Frame {
-        Frame {
-            kind: self.kind,
-            flags: self.flags,
-            sender: self.sender,
-            seq: self.seq,
-            payload,
-        }
-    }
-}
-
-/// Validates a full prelude and extracts its fields. Validation order:
-/// magic (is this a frame at all?), header CRC (can any field be
-/// trusted?), then version and length cap on the now-trusted fields.
-fn parse_prelude(prelude: &[u8]) -> Result<Header, NetError> {
-    debug_assert_eq!(prelude.len(), PRELUDE_LEN);
-    let mut cur = Cursor::new(prelude);
-    let magic = cur.take(8, "frame magic")?;
-    if magic != FRAME_MAGIC {
-        return Err(NetError::BadMagic);
-    }
-    let version = cur.u32("frame version")?;
-    let kind = cur.u8("frame kind")?;
-    let flags = cur.u8("frame flags")?;
-    let sender = cur.u32("frame sender")?;
-    let seq = cur.u64("frame seq")?;
-    let payload_len = cur.u32("frame payload length")?;
-    let stored_crc = cur.u32("frame header checksum")?;
-    if crc32(&prelude[..HEADER_CRC_OFFSET]) != stored_crc {
-        return Err(NetError::HeaderCrc);
-    }
-    if version != FRAME_VERSION {
-        return Err(NetError::UnsupportedVersion { got: version });
-    }
-    if payload_len > MAX_FRAME_LEN {
-        return Err(NetError::Oversize {
-            len: payload_len as u64,
-            max: MAX_FRAME_LEN as u64,
-        });
-    }
-    Ok(Header {
-        kind,
-        flags,
-        sender,
-        seq,
-        payload_len,
+/// Validates a full prelude through [`FRAME_ENVELOPE`] — magic, header
+/// CRC, version, length cap — then reads its fields and hands the
+/// declared payload length to `payload`, which yields the checked
+/// payload.
+fn parse_prelude(
+    prelude: &[u8],
+    payload: impl FnOnce(u32) -> Result<Payload, NetError>,
+) -> Result<Frame, NetError> {
+    let (mut fields, payload_len) = FRAME_ENVELOPE.open(prelude)?;
+    Ok(Frame {
+        kind: fields.u8("frame kind")?,
+        flags: fields.u8("frame flags")?,
+        sender: fields.u32("frame sender")?,
+        seq: fields.u64("frame seq")?,
+        payload: payload(payload_len as u32)?,
     })
 }
 
@@ -468,7 +391,7 @@ mod tests {
         // Forge payload_len to just past the cap and re-CRC the header
         // so the length check (not the CRC) is what must catch it.
         bytes[26..30].copy_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
-        let fixed = crc32(&bytes[..HEADER_CRC_OFFSET]);
+        let fixed = crc32(&bytes[..PRELUDE_LEN - 4]);
         bytes[30..34].copy_from_slice(&fixed.to_le_bytes());
         assert!(matches!(
             Frame::decode(&bytes).unwrap_err(),

@@ -179,10 +179,10 @@ impl Frame {
     }
 
     /// The encoded prelude alone, for a writer or a pipe.
-    fn prelude(&self, version: u32) -> Result<Vec<u8>, NetError> {
+    fn prelude(&self, version: u32) -> Result<[u8; PRELUDE_LEN], NetError> {
         let mut out = Vec::with_capacity(PRELUDE_LEN);
         self.push_prelude(&mut out, version)?;
-        Ok(out)
+        Ok(out.try_into().expect("the envelope writes PRELUDE_LEN bytes"))
     }
 
     /// Decodes one frame from the front of `bytes`, returning the frame
@@ -257,7 +257,7 @@ impl Frame {
 /// the shared payload, whose remembered CRC stands in for the trailer.
 /// Same bytes as [`Frame::encode`], never concatenated.
 pub(crate) struct SealedFrame {
-    prelude: Vec<u8>,
+    prelude: [u8; PRELUDE_LEN],
     payload: Payload,
 }
 

@@ -618,8 +618,10 @@ fn validate_header(
 
 /// Verifies one raw record's trailing CRC-32.
 fn check_record_crc(raw: &[u8], index: usize, path: &Path) -> Result<(), ShardError> {
-    let checked = crc_checked(raw).map(|_| ());
-    checked.ok_or_else(|| crc_mismatch(path, format!("record {index}")))
+    if crc_checked(raw).is_none() {
+        return Err(crc_mismatch(path, format!("record {index}")));
+    }
+    Ok(())
 }
 
 /// Decodes one raw record's planes (CRC already checked by the caller):

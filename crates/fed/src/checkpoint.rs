@@ -279,11 +279,9 @@ pub fn decode_checkpoint(
     expected_digest: Option<u64>,
 ) -> Result<Checkpoint, CheckpointError> {
     let (mut fields, state_len) = CHECKPOINT_ENVELOPE.open(bytes)?;
-    let (round, seq, digest) = (
-        fields.u64("round")?,
-        fields.u64("seq")?,
-        fields.u64("digest")?,
-    );
+    let round = fields.u64("round")?;
+    let seq = fields.u64("seq")?;
+    let digest = fields.u64("digest")?;
     // The cap keeps `state_len + 4` far from overflowing.
     let state_block =
         Reader::new(&bytes[HEADER_LEN..], "checkpoint").take(state_len as usize + 4, "state")?;

@@ -182,7 +182,7 @@ impl Frame {
     fn prelude(&self, version: u32) -> Result<[u8; PRELUDE_LEN], NetError> {
         let mut out = Vec::with_capacity(PRELUDE_LEN);
         self.push_prelude(&mut out, version)?;
-        Ok(out.try_into().expect("the envelope writes PRELUDE_LEN bytes"))
+        Ok(out.try_into().expect("an envelope header of PRELUDE_LEN"))
     }
 
     /// Decodes one frame from the front of `bytes`, returning the frame

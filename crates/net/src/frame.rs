@@ -168,14 +168,14 @@ impl Frame {
     /// Appends the encoded prelude (header CRC included) of this frame
     /// claiming `version`; refuses an over-cap payload.
     fn push_prelude(&self, out: &mut Vec<u8>, version: u32) -> Result<(), NetError> {
-        Ok(
-            FRAME_ENVELOPE.push_header(out, version, self.payload.len() as u64, |out| {
-                out.push(self.kind);
-                out.push(self.flags);
-                push_u32(out, self.sender);
-                push_u64(out, self.seq);
-            })?,
-        )
+        let len = self.payload.len() as u64;
+        FRAME_ENVELOPE.push_header(out, version, len, |out| {
+            out.push(self.kind);
+            out.push(self.flags);
+            push_u32(out, self.sender);
+            push_u64(out, self.seq);
+        })?;
+        Ok(())
     }
 
     /// The encoded prelude alone, for a writer or a pipe.

@@ -22,17 +22,17 @@
 //!     36     8  state length N (u64 LE, capped at 1 GiB)
 //!     44     4  header CRC-32 over bytes 0..44
 //!     48     N  global state (`rte_nn::serialize` bytes, magic RTESD1)
-//!   48+N     4  state CRC-32 over the N state bytes
+//!   48+N     4  state CRC-32 over the N state bytes (the last bytes)
 //! ```
 //!
 //! The header is an [`rte_codec::Envelope`], validated by the same
 //! function as the frame prelude: magic → header CRC → version → length
-//! cap, all before a single state byte is trusted; then state CRC →
-//! digest → the hardened state-dict parser. Every
-//! failure is a typed [`CheckpointError`] — a damaged or truncated file
-//! can never panic the coordinator or resume silently with partial
-//! state (`checkpoint_hostile.rs` drives this with byte flips and
-//! truncation at every boundary).
+//! cap, all before a single state byte is trusted; then state CRC → the
+//! file ends there → digest → the hardened state-dict parser. Every
+//! failure is a typed [`CheckpointError`] — a damaged, truncated or
+//! appended-to file can never panic the coordinator or resume silently
+//! (`checkpoint_hostile.rs` drives this with byte flips, truncation at
+//! every boundary and appended tails).
 //!
 //! Files are written atomically — temp name, then `rename` — the same
 //! idiom as the corpus shard writer, so a crash mid-write leaves the
@@ -105,6 +105,12 @@ pub enum CheckpointError {
     HeaderCrc,
     /// The state checksum does not match the state bytes.
     StateCrc,
+    /// Bytes follow the state checksum: the file is not one checkpoint
+    /// (two writes run together, or another file's tail).
+    TrailingBytes {
+        /// How many bytes follow the checksum.
+        extra: usize,
+    },
     /// The declared state length exceeds the documented cap.
     Oversize {
         /// The declared length.
@@ -144,6 +150,9 @@ impl std::fmt::Display for CheckpointError {
             }
             CheckpointError::HeaderCrc => write!(f, "checkpoint header checksum mismatch"),
             CheckpointError::StateCrc => write!(f, "checkpoint state checksum mismatch"),
+            CheckpointError::TrailingBytes { extra } => {
+                write!(f, "{extra} trailing bytes after the checkpoint state")
+            }
             CheckpointError::Oversize { len, max } => {
                 write!(f, "declared state length {len} exceeds the {max}-byte cap")
             }
@@ -283,9 +292,13 @@ pub fn decode_checkpoint(
     let seq = fields.u64("seq")?;
     let digest = fields.u64("digest")?;
     // The cap keeps `state_len + 4` far from overflowing.
-    let state_block =
-        Reader::new(&bytes[HEADER_LEN..], "checkpoint").take(state_len as usize + 4, "state")?;
+    let mut body = Reader::new(&bytes[HEADER_LEN..], "checkpoint");
+    let state_block = body.take(state_len as usize + 4, "state")?;
     let state_bytes = crc_checked(state_block).ok_or(CheckpointError::StateCrc)?;
+    let extra = body.rest().len();
+    if extra > 0 {
+        return Err(CheckpointError::TrailingBytes { extra });
+    }
     if let Some(want) = expected_digest {
         if digest != want {
             return Err(CheckpointError::DigestMismatch { got: digest, want });

@@ -3,25 +3,36 @@
 //!
 //! Every synchronous run of a round-based method in the workspace is
 //! `run_rounds`: select the round's participants → *exchange* each
-//! slot's start state for their updates → *advance* the deployment →
-//! record → fire the hook. The three seams that really differ are
-//! parameters:
+//! slot's start state for its update, folding each update into the next
+//! coordinator state as it arrives → record → fire the hook. The three
+//! seams that really differ are parameters:
 //!
 //! - the `Exchange` — `InProcess` trains the participants on worker
 //!   threads and every update is present; `Links` deploys one shared
 //!   frame per distinct start state over `links[k]: Transport` and
 //!   collects in fixed participant order under a [`FaultPolicy`]
 //!   (deadline, seeded retries, stale-frame drain, quorum), logging
-//!   typed [`RoundEvent`]s,
+//!   typed [`RoundEvent`]s. Both hand each update over in participant
+//!   order as soon as every earlier participant's is in,
 //! - the `Stage` — `Plain` aggregates `Message::Update`s under
 //!   `FedConfig::aggregation`; `Masked` sums pairwise-masked
 //!   `Message::SecureUpdate`s ([`crate::secure`]),
-//! - the `Deployment` — which state slot `k` starts from, how a round's
-//!   updates become the next coordinator state, and the per-client view
+//! - the `Deployment` — which state slot `k` starts from, which running
+//!   aggregates a round's updates fold into, and the per-client view
 //!   that is recorded and finally deployed. FedProx's one global state
 //!   is the one-state case; FedProx-LG, IFCA, assigned clustering and
 //!   α-sync keep one state per client or per cluster
 //!   ([`crate::methods`]).
+//!
+//! A round folds: the weights `n_k` of `W^{r+1} = Σ_k (n_k/n)·w_k` are
+//! fixed once the participants (and, for clusters, the pick) are, so
+//! the coordinator holds one running aggregate per state it advances,
+//! not the round's K updates. A round still holds its updates until the
+//! set is complete where the arithmetic needs the whole set: the
+//! order-statistic rules (`Median`, `TrimmedMean`), a link round that
+//! may degrade (its `min_quorum` is below its participant count, and
+//! the survivors' weight sum is unknown until the last slot resolves),
+//! and α-sync, whose every blend mixes all other clients' updates.
 //!
 //! [`crate::methods::fedprox_rounds`] is the in-process configuration
 //! and [`run_link_rounds`] the link-side one; faultless they are
@@ -37,10 +48,10 @@ use rte_nn::StateDict;
 
 use crate::eval::EvalReport;
 use crate::federation::COORDINATOR;
-use crate::methods::{mean_loss, ClientUpdate, Harness, MethodOutcome, RoundRecord, TrainJob};
-use crate::params::aggregate;
+use crate::methods::{ClientUpdate, Harness, LossMean, MethodOutcome, RoundRecord, TrainJob};
+use crate::params::{aggregate, WeightedMean};
 use crate::resilient::{FaultPolicy, ResilientOutcome, ResumePoint, RoundEvent, RoundHook};
-use crate::secure::{aggregate_masked, MaskedUpdate, SecureConfig};
+use crate::secure::{MaskedSum, MaskedUpdate, SecureConfig};
 use crate::wire::{deploy_frame, net_err, send_message, Message};
 use crate::{Aggregation, Client, FedConfig, FedError, Method, ModelFactory};
 
@@ -50,10 +61,13 @@ use crate::{Aggregation, Client, FedConfig, FedError, Method, ModelFactory};
 const STALE_BUDGET: u32 = 64;
 
 /// The aggregation seam: what one participant sends back and how a
-/// round's updates become the next global state.
+/// round's updates fold into the next global state.
 pub(crate) trait Stage {
     /// One participant's contribution.
     type Update;
+
+    /// The running aggregate of one member set.
+    type Sum;
 
     /// Takes this stage's `(round, client, loss, update)` out of a
     /// reply, or hands the message back when it is another kind.
@@ -63,14 +77,22 @@ pub(crate) trait Stage {
     /// (every participant is then the quorum, whatever the policy asks).
     const FULL_SET: bool;
 
-    /// Aggregates the round's updates (participant order) into the next
-    /// global state.
-    fn aggregate(
+    /// Opens the aggregate of `members` (a round's participants, or one
+    /// cluster's share of them, in participant order). With `held` the
+    /// round may end with a subset of `members`, so their weight sum is
+    /// unknown until its last slot resolves.
+    fn open(&self, harness: &Harness<'_>, members: &[usize], held: bool) -> Self::Sum;
+
+    /// Folds one member's update into `sum`.
+    fn add(
         &self,
         harness: &Harness<'_>,
-        participants: &[usize],
-        updates: Vec<ClientUpdate<Self::Update>>,
-    ) -> Result<StateDict, FedError>;
+        sum: &mut Self::Sum,
+        update: ClientUpdate<Self::Update>,
+    ) -> Result<(), FedError>;
+
+    /// The aggregate, or `None` when no member's update arrived.
+    fn finish(&self, harness: &Harness<'_>, sum: Self::Sum) -> Result<Option<StateDict>, FedError>;
 }
 
 /// Raw parameters under `FedConfig::aggregation`. A round may complete
@@ -79,8 +101,21 @@ pub(crate) trait Stage {
 /// same survivors, same weights, same bits.
 pub(crate) struct Plain;
 
+/// [`Plain`]'s aggregate of one member set.
+pub(crate) enum PlainSum {
+    /// The weighted mean, folded as the updates arrive.
+    Running(WeightedMean),
+    /// Every update, kept until the set is complete.
+    Held(Vec<ClientUpdate>),
+}
+
+fn weight(harness: &Harness<'_>, k: usize) -> f64 {
+    harness.clients[k].weight() as f64
+}
+
 impl Stage for Plain {
     type Update = StateDict;
+    type Sum = PlainSum;
 
     fn parse(message: Message) -> Result<(u64, u32, f32, StateDict), Message> {
         match message {
@@ -96,17 +131,46 @@ impl Stage for Plain {
 
     const FULL_SET: bool = false;
 
-    fn aggregate(
+    /// The weighted mean folds each update as it arrives, its total the
+    /// members' weight sum. Two cases hold every update until the set is
+    /// complete instead: the order statistics (`Median`, `TrimmedMean`)
+    /// need all values of a coordinate at once, and a round that may
+    /// degrade normalizes by the *surviving* weight sum.
+    fn open(&self, harness: &Harness<'_>, members: &[usize], held: bool) -> PlainSum {
+        if held || harness.config.aggregation != Aggregation::WeightedMean {
+            return PlainSum::Held(Vec::new());
+        }
+        let total = members.iter().map(|&k| weight(harness, k)).sum();
+        PlainSum::Running(WeightedMean::new(total))
+    }
+
+    fn add(
         &self,
         harness: &Harness<'_>,
-        _participants: &[usize],
-        updates: Vec<ClientUpdate>,
-    ) -> Result<StateDict, FedError> {
-        let refs: Vec<(&StateDict, f64)> = updates
-            .iter()
-            .map(|u| (&u.state, harness.clients[u.client].weight() as f64))
-            .collect();
-        aggregate(&refs, harness.config.aggregation)
+        sum: &mut PlainSum,
+        update: ClientUpdate,
+    ) -> Result<(), FedError> {
+        match sum {
+            PlainSum::Running(mean) => mean.add(&update.state, weight(harness, update.client)),
+            PlainSum::Held(updates) => {
+                updates.push(update);
+                Ok(())
+            }
+        }
+    }
+
+    fn finish(&self, harness: &Harness<'_>, sum: PlainSum) -> Result<Option<StateDict>, FedError> {
+        match sum {
+            PlainSum::Running(mean) => Ok(mean.finish()),
+            PlainSum::Held(updates) if updates.is_empty() => Ok(None),
+            PlainSum::Held(updates) => {
+                let refs: Vec<(&StateDict, f64)> = updates
+                    .iter()
+                    .map(|u| (&u.state, weight(harness, u.client)))
+                    .collect();
+                aggregate(&refs, harness.config.aggregation).map(Some)
+            }
+        }
     }
 }
 
@@ -121,6 +185,8 @@ pub(crate) struct Masked(pub SecureConfig);
 
 impl Stage for Masked {
     type Update = MaskedUpdate;
+    /// The wrapping sum and the members' weight sum.
+    type Sum = (MaskedSum, f64);
 
     fn parse(message: Message) -> Result<(u64, u32, f32, MaskedUpdate), Message> {
         match message {
@@ -136,21 +202,72 @@ impl Stage for Masked {
 
     const FULL_SET: bool = true;
 
-    fn aggregate(
+    /// Never held: the full set is the quorum, so the weight sum is
+    /// known before the round.
+    fn open(&self, harness: &Harness<'_>, members: &[usize], _held: bool) -> Self::Sum {
+        let ids: Vec<u32> = members.iter().map(|&k| k as u32).collect();
+        let weight_sum = members.iter().map(|&k| weight(harness, k)).sum();
+        (MaskedSum::new(&ids), weight_sum)
+    }
+
+    fn add(
         &self,
-        harness: &Harness<'_>,
-        participants: &[usize],
-        updates: Vec<ClientUpdate<MaskedUpdate>>,
-    ) -> Result<StateDict, FedError> {
-        let part_ids: Vec<u32> = participants.iter().map(|&k| k as u32).collect();
-        let weight_sum: f64 = participants
-            .iter()
-            .map(|&k| harness.clients[k].weight() as f64)
-            .sum();
-        let masked: Vec<MaskedUpdate> = updates.into_iter().map(|u| u.state).collect();
-        aggregate_masked(&masked, &part_ids, weight_sum, &self.0)
+        _harness: &Harness<'_>,
+        (sum, _): &mut Self::Sum,
+        update: ClientUpdate<MaskedUpdate>,
+    ) -> Result<(), FedError> {
+        sum.add(&update.state)
+    }
+
+    fn finish(
+        &self,
+        _harness: &Harness<'_>,
+        (sum, weight_sum): Self::Sum,
+    ) -> Result<Option<StateDict>, FedError> {
+        sum.finish(weight_sum, &self.0).map(Some)
     }
 }
+
+/// One round as a deployment folds it: the stage, the round's
+/// participants, and whether the round may end with a subset of them.
+pub(crate) struct Round<'r, S> {
+    stage: &'r S,
+    pub harness: &'r Harness<'r>,
+    pub participants: &'r [usize],
+    held: bool,
+}
+
+impl<S: Stage> Round<'_, S> {
+    /// Opens the aggregate of `members`, before the round's first update.
+    pub(crate) fn open(&self, members: &[usize]) -> S::Sum {
+        self.stage.open(self.harness, members, self.held)
+    }
+
+    /// Folds one member's update into `sum`.
+    pub(crate) fn add(
+        &self,
+        sum: &mut S::Sum,
+        update: ClientUpdate<S::Update>,
+    ) -> Result<(), FedError> {
+        self.stage.add(self.harness, sum, update)
+    }
+
+    /// The aggregate, or `None` when no member's update arrived.
+    pub(crate) fn finish(&self, sum: S::Sum) -> Result<Option<StateDict>, FedError> {
+        self.stage.finish(self.harness, sum)
+    }
+}
+
+/// A round's exchange as a deployment runs it: deploys each
+/// participant's [`Deployment::state`] of the deployment passed in and
+/// hands every update that comes back to the sink, in participant order,
+/// as soon as the updates before it are in. The first error the sink
+/// returns is the round's, once the exchange itself has succeeded.
+pub(crate) type Exchanged<'r, S> = dyn FnMut(
+        &dyn Deployment<S>,
+        &mut dyn FnMut(ClientUpdate<<S as Stage>::Update>) -> Result<(), FedError>,
+    ) -> Result<(), FedError>
+    + 'r;
 
 /// The deployment seam: the coordinator state a run carries between
 /// rounds, seen one client at a time.
@@ -167,19 +284,20 @@ pub(crate) trait Deployment<S: Stage = Plain> {
     /// its test split and what it is finally deployed with.
     fn state(&self, k: usize) -> &StateDict;
 
-    /// Folds a round's updates, in participant order, into the next
-    /// coordinator state (a client absent from the round sends none).
+    /// Runs one round: opens the aggregates the round folds into, runs
+    /// `exchange` from `self`, folds each update as it arrives, and
+    /// turns the aggregates into the next coordinator state (a client
+    /// absent from the round sends none).
     fn advance(
         &mut self,
-        stage: &S,
-        harness: &Harness<'_>,
-        participants: &[usize],
-        updates: Vec<ClientUpdate<S::Update>>,
+        round: &Round<'_, S>,
+        exchange: &mut Exchanged<'_, S>,
     ) -> Result<(), FedError>;
 }
 
 /// The one-state deployment: every client trains from, and is evaluated
-/// with, the one global state the stage aggregates.
+/// with, the one global state the stage aggregates — one running
+/// aggregate over the round's participants.
 impl<S: Stage> Deployment<S> for StateDict {
     fn state(&self, _k: usize) -> &StateDict {
         self
@@ -187,12 +305,14 @@ impl<S: Stage> Deployment<S> for StateDict {
 
     fn advance(
         &mut self,
-        stage: &S,
-        harness: &Harness<'_>,
-        participants: &[usize],
-        updates: Vec<ClientUpdate<S::Update>>,
+        round: &Round<'_, S>,
+        exchange: &mut Exchanged<'_, S>,
     ) -> Result<(), FedError> {
-        *self = stage.aggregate(harness, participants, updates)?;
+        let mut sum = round.open(round.participants);
+        exchange(&*self, &mut |update| round.add(&mut sum, update))?;
+        if let Some(next) = round.finish(sum)? {
+            *self = next;
+        }
         Ok(())
     }
 }
@@ -205,14 +325,19 @@ fn view<S: Stage>(deployment: &(impl Deployment<S> + ?Sized), clients: usize) ->
 /// The exchange seam: how one round's start states reach the
 /// participants and which of stage `S`'s updates come back.
 pub(crate) trait Exchange<S: Stage> {
-    /// Deploys `starts[i]` to `participants[i]` and returns the updates
-    /// that made it, in participant order.
+    /// Whether a round of `participants` may complete with a subset of
+    /// them.
+    fn degrades(&self, participants: usize) -> bool;
+
+    /// Deploys `starts[i]` to `participants[i]` and hands each update
+    /// that makes it to `sink`, in participant order.
     fn round(
         &mut self,
         round: usize,
         participants: &[usize],
         starts: &[&StateDict],
-    ) -> Result<Vec<ClientUpdate<S::Update>>, FedError>;
+        sink: &mut dyn FnMut(ClientUpdate<S::Update>),
+    ) -> Result<(), FedError>;
 
     /// The coordinator's frame sequence counter after the last exchange
     /// (what a checkpoint carries; 0 when no frames are involved).
@@ -241,13 +366,30 @@ pub(crate) fn run_rounds<S: Stage, D: Deployment<S> + ?Sized>(
     for round in done + 1..=harness.config.rounds {
         deployment.pick(harness)?;
         let participants = harness.participants(round);
-        let starts: Vec<&StateDict> = participants.iter().map(|&k| deployment.state(k)).collect();
-        let updates = exchange.round(round, &participants, &starts)?;
-        let loss = mean_loss(&updates);
-        deployment.advance(stage, harness, &participants, updates)?;
+        let fold = Round {
+            stage,
+            harness,
+            participants: &participants,
+            held: exchange.degrades(participants.len()),
+        };
+        let mut loss = LossMean::default();
+        let mut exchanged =
+            |from: &dyn Deployment<S>,
+             sink: &mut dyn FnMut(ClientUpdate<S::Update>) -> Result<(), FedError>| {
+                let starts: Vec<&StateDict> = participants.iter().map(|&k| from.state(k)).collect();
+                let mut folded = Ok(());
+                exchange.round(round, &participants, &starts, &mut |update| {
+                    loss.add(update.loss);
+                    if folded.is_ok() {
+                        folded = sink(update);
+                    }
+                })?;
+                folded
+            };
+        deployment.advance(&fold, &mut exchanged)?;
         if harness.should_record(round) {
             let reports = harness.eval_states(&view(deployment, harness.clients.len()))?;
-            history.push(RoundRecord::new(round, reports, loss));
+            history.push(RoundRecord::new(round, reports, loss.mean()));
         }
         if let Some(hook) = on_round.as_deref_mut() {
             hook(round, exchange.seq(), deployment)?;
@@ -277,16 +419,22 @@ pub(crate) fn deploy<S: Stage>(
 
 /// The in-process exchange: participants train concurrently on the
 /// harness' worker threads, each from its own deployed copy of its
-/// start state, and every update is present.
+/// start state; every update is present, and each reaches the sink
+/// while later participants may still be training.
 pub(crate) struct InProcess<'h, 'a>(pub &'h Harness<'a>);
 
 impl Exchange<Plain> for InProcess<'_, '_> {
+    fn degrades(&self, _participants: usize) -> bool {
+        false
+    }
+
     fn round(
         &mut self,
         round: usize,
         participants: &[usize],
         starts: &[&StateDict],
-    ) -> Result<Vec<ClientUpdate>, FedError> {
+        sink: &mut dyn FnMut(ClientUpdate),
+    ) -> Result<(), FedError> {
         let jobs: Vec<TrainJob<'_>> = participants
             .iter()
             .zip(starts)
@@ -297,7 +445,7 @@ impl Exchange<Plain> for InProcess<'_, '_> {
             })
             .collect();
         self.0
-            .train_clients(&jobs, round, self.0.config.local_steps)
+            .train_clients(&jobs, round, self.0.config.local_steps, sink)
     }
 
     fn seq(&self) -> u64 {
@@ -455,13 +603,29 @@ impl<'l, T: Transport> Links<'l, T> {
     }
 }
 
+/// How many of a round's `participants` must be collected under
+/// `policy` for stage `S` to aggregate.
+fn quorum<S: Stage>(policy: &FaultPolicy, participants: usize) -> usize {
+    let need = policy.min_quorum.max(1);
+    if S::FULL_SET {
+        need.max(participants)
+    } else {
+        need
+    }
+}
+
 impl<T: Transport, S: Stage> Exchange<S> for Links<'_, T> {
+    fn degrades(&self, participants: usize) -> bool {
+        quorum::<S>(self.policy, participants) < participants
+    }
+
     fn round(
         &mut self,
         round: usize,
         participants: &[usize],
         starts: &[&StateDict],
-    ) -> Result<Vec<ClientUpdate<S::Update>>, FedError> {
+        sink: &mut dyn FnMut(ClientUpdate<S::Update>),
+    ) -> Result<(), FedError> {
         let part_ids: Vec<u32> = participants.iter().map(|&k| k as u32).collect();
         // One deploy per distinct start state (a global round has one),
         // encoded and checksummed once: every send of it — first wave
@@ -490,22 +654,18 @@ impl<T: Transport, S: Stage> Exchange<S> for Links<'_, T> {
             .zip(&slot_deploy)
             .map(|(&k, &i)| self.deploy(k, &mut deploys[i].1))
             .collect();
-        let mut updates = Vec::with_capacity(participants.len());
+        let mut got = 0;
         for ((&k, &i), failure) in participants.iter().zip(&slot_deploy).zip(unsent) {
-            updates.extend(self.collect::<S>(round, k, &mut deploys[i].1, failure)?);
+            if let Some(update) = self.collect::<S>(round, k, &mut deploys[i].1, failure)? {
+                got += 1;
+                sink(update);
+            }
         }
-        let mut need = self.policy.min_quorum.max(1);
-        if S::FULL_SET {
-            need = need.max(participants.len());
+        let need = quorum::<S>(self.policy, participants.len());
+        if got < need {
+            return Err(FedError::QuorumLost { round, got, need });
         }
-        if updates.len() < need {
-            return Err(FedError::QuorumLost {
-                round,
-                got: updates.len(),
-                need,
-            });
-        }
-        Ok(updates)
+        Ok(())
     }
 
     fn seq(&self) -> u64 {

@@ -29,7 +29,7 @@ use rte_net::{EventQueue, FanIn, SplitMix64, Transport, VirtualClock, WallClock}
 use rte_nn::StateDict;
 
 use crate::engine::{Links, Plain, Stage};
-use crate::methods::{mean_loss, ClientUpdate, Harness, MethodOutcome};
+use crate::methods::{ClientUpdate, Harness, LossMean, MethodOutcome};
 use crate::params::aggregate;
 use crate::resilient::{FaultPolicy, ResilientOutcome};
 use crate::wire::{net_err, Message};
@@ -185,12 +185,14 @@ impl Buffered<'_, '_> {
         } else {
             f64::NAN
         };
+        let mut loss = LossMean::default();
+        self.buffer.iter().for_each(|u| loss.add(u.loss));
         self.records.push(AsyncRoundRecord {
             aggregation: self.version,
             tick,
             arrivals: std::mem::take(&mut self.arrivals),
             average_auc,
-            mean_train_loss: mean_loss(&self.buffer),
+            mean_train_loss: loss.mean(),
         });
         self.buffer.clear();
         Ok(client)

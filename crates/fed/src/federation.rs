@@ -571,10 +571,11 @@ mod tests {
                 start,
                 reference: Some(start),
             };
-            let update = harness
-                .train_clients(&[job], round as usize, steps)
+            let mut trained = None;
+            harness
+                .train_clients(&[job], round as usize, steps, |u| trained = Some(u))
                 .unwrap();
-            let update = update.into_iter().next().expect("one job, one update");
+            let update = trained.expect("one job, one update");
             let from_harness = Message::Update {
                 round,
                 client: me as u32,

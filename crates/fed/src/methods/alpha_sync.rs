@@ -7,8 +7,7 @@
 
 use rte_nn::StateDict;
 
-use crate::engine::{Deployment, Plain};
-use crate::methods::{ClientUpdate, Harness};
+use crate::engine::{Deployment, Exchanged, Plain, Round};
 use crate::params::{aggregate, blend};
 use crate::FedError;
 
@@ -21,21 +20,28 @@ impl Deployment for AlphaSync {
         &self.0[k]
     }
 
-    /// Per-client blending on the coordinator thread. A client that sat
-    /// the round out stands in with its previous personalized model (the
-    /// developer's last known parameters for it).
+    /// Per-client blending on the coordinator thread. Every blend mixes
+    /// all the other clients' latest states, so each update waits in
+    /// its client's slot until the round's last one is in. A client that
+    /// sat the round out stands in with its previous personalized model
+    /// (the developer's last known parameters for it).
     fn advance(
         &mut self,
-        _stage: &Plain,
-        harness: &Harness<'_>,
-        _participants: &[usize],
-        updates: Vec<ClientUpdate>,
+        round: &Round<'_, Plain>,
+        exchange: &mut Exchanged<'_, Plain>,
     ) -> Result<(), FedError> {
-        let (clients, config) = (harness.clients, harness.config);
-        let mut locals: Vec<&StateDict> = self.0.iter().collect();
-        for update in &updates {
-            locals[update.client] = &update.state;
-        }
+        let (clients, config) = (round.harness.clients, round.harness.config);
+        let mut trained: Vec<Option<StateDict>> = vec![None; clients.len()];
+        exchange(&*self, &mut |update| {
+            trained[update.client] = Some(update.state);
+            Ok(())
+        })?;
+        let locals: Vec<&StateDict> = self
+            .0
+            .iter()
+            .zip(&trained)
+            .map(|(previous, trained)| trained.as_ref().unwrap_or(previous))
+            .collect();
         let next = (0..clients.len())
             .map(|k| {
                 let others: Vec<(&StateDict, f64)> = locals
@@ -63,7 +69,7 @@ impl Deployment for AlphaSync {
 mod tests {
     use super::*;
     use crate::methods::test_support::{clients, factory};
-    use crate::methods::{rounds, run_method};
+    use crate::methods::{rounds, run_method, Harness};
     use crate::{ClientSession, FedConfig, Method};
 
     #[test]

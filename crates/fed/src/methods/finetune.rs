@@ -23,10 +23,13 @@ pub(super) fn finetune(harness: &mut Harness<'_>, global: &StateDict) -> Result<
             reference: None,
         })
         .collect();
-    let tuned = harness.train_clients(&jobs, config.rounds + 1, config.finetune_steps)?;
-    // Updates come back in job order == client order.
-    let states: Vec<&StateDict> = tuned.iter().map(|u| &u.state).collect();
-    harness.eval_cells(&states)
+    // Every tuned state is held for the evaluation that follows.
+    let mut tuned = Vec::with_capacity(jobs.len());
+    harness.train_clients(&jobs, config.rounds + 1, config.finetune_steps, |u| {
+        tuned.push(u.state)
+    })?;
+    // Updates come in job order == client order.
+    harness.eval_cells(&tuned.iter().collect::<Vec<&StateDict>>())
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 
 use rte_nn::{load_state_dict, state_dict, StateDict};
 
-use crate::engine::{Deployment, Plain, Stage};
-use crate::methods::{ClientUpdate, Harness};
+use crate::engine::{Deployment, Exchanged, Plain, Round};
+use crate::methods::Harness;
 use crate::FedError;
 
 /// One model per cluster; client `k` starts from, and is evaluated
@@ -87,20 +87,30 @@ impl Deployment for Clusters {
         &self.models[self.of[k]]
     }
 
+    /// The pick fixed every participant's cluster before the round, so
+    /// each cluster folds its own members' updates as they arrive.
     fn advance(
         &mut self,
-        stage: &Plain,
-        harness: &Harness<'_>,
-        participants: &[usize],
-        updates: Vec<ClientUpdate>,
+        round: &Round<'_, Plain>,
+        exchange: &mut Exchanged<'_, Plain>,
     ) -> Result<(), FedError> {
-        let mut members: Vec<Vec<ClientUpdate>> = self.models.iter().map(|_| Vec::new()).collect();
-        for update in updates {
-            members[self.of[update.client]].push(update);
-        }
-        for (model, members) in self.models.iter_mut().zip(members) {
-            if !members.is_empty() {
-                *model = stage.aggregate(harness, participants, members)?;
+        let mut sums: Vec<_> = (0..self.models.len())
+            .map(|c| {
+                let members: Vec<usize> = round
+                    .participants
+                    .iter()
+                    .copied()
+                    .filter(|&k| self.of[k] == c)
+                    .collect();
+                round.open(&members)
+            })
+            .collect();
+        exchange(&*self, &mut |update| {
+            round.add(&mut sums[self.of[update.client]], update)
+        })?;
+        for (model, sum) in self.models.iter_mut().zip(sums) {
+            if let Some(next) = round.finish(sum)? {
+                *model = next;
             }
         }
         Ok(())

@@ -5,8 +5,8 @@
 
 use rte_nn::StateDict;
 
-use crate::engine::{Deployment, Plain, Stage};
-use crate::methods::{ClientUpdate, Harness};
+use crate::engine::{Deployment, Exchanged, Plain, Round};
+use crate::methods::ClientUpdate;
 use crate::params::{apply_updates, partition};
 use crate::FedError;
 
@@ -26,29 +26,34 @@ impl Deployment for Lg {
         &self.0[k]
     }
 
-    /// The participants' global parts aggregate into `G^{r+1}`; each
-    /// participant keeps its trained local part, an absent client the
-    /// one it had, and every composite takes the new global part.
+    /// The participants' global parts fold into `G^{r+1}` as they
+    /// arrive, and each participant's trained local part waits in its
+    /// client's slot; an absent client keeps the local part it had, and
+    /// every composite takes the new global part.
     fn advance(
         &mut self,
-        stage: &Plain,
-        harness: &Harness<'_>,
-        participants: &[usize],
-        updates: Vec<ClientUpdate>,
+        round: &Round<'_, Plain>,
+        exchange: &mut Exchanged<'_, Plain>,
     ) -> Result<(), FedError> {
-        let global_parts = updates
-            .iter()
-            .map(|u| ClientUpdate {
-                state: partition(&u.state, is_local).1,
-                ..*u
-            })
-            .collect();
-        let global = stage.aggregate(harness, participants, global_parts)?;
-        for update in updates {
-            self.0[update.client] = update.state;
-        }
-        for composite in &mut self.0 {
-            apply_updates(composite, &global)?;
+        let mut global = round.open(round.participants);
+        let mut locals: Vec<Option<StateDict>> = vec![None; self.0.len()];
+        exchange(&*self, &mut |update| {
+            let (local, global_part) = partition(&update.state, is_local);
+            locals[update.client] = Some(local);
+            let global_part = ClientUpdate {
+                state: global_part,
+                ..update
+            };
+            round.add(&mut global, global_part)
+        })?;
+        let global = round.finish(global)?;
+        for (composite, local) in self.0.iter_mut().zip(locals) {
+            if let Some(local) = local {
+                apply_updates(composite, &local)?;
+            }
+            if let Some(global) = &global {
+                apply_updates(composite, global)?;
+            }
         }
         Ok(())
     }
@@ -57,8 +62,8 @@ impl Deployment for Lg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::rounds;
     use crate::methods::test_support::{clients, factory};
+    use crate::methods::{rounds, Harness};
     use crate::FedConfig;
 
     #[test]

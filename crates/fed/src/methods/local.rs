@@ -20,11 +20,11 @@ pub(super) fn run(harness: &mut Harness<'_>) -> Result<Cells, FedError> {
             reference: None,
         })
         .collect();
-    let updates = harness.train_clients(&jobs, 0, total_steps)?;
-    // Updates come back in job order == client order; evaluation fans
-    // back out per client.
-    let states: Vec<&StateDict> = updates.iter().map(|u| &u.state).collect();
-    harness.eval_cells(&states)
+    // Every trained state is held: evaluation fans back out per client.
+    let mut states = Vec::with_capacity(jobs.len());
+    harness.train_clients(&jobs, 0, total_steps, |u| states.push(u.state))?;
+    // Updates come in job order == client order.
+    harness.eval_cells(&states.iter().collect::<Vec<&StateDict>>())
 }
 
 #[cfg(test)]

@@ -207,12 +207,34 @@ pub(crate) struct ClientUpdate<U = StateDict> {
     pub loss: f32,
 }
 
-/// Mean of the training losses a round's participants reported.
-pub(crate) fn mean_loss<U>(updates: &[ClientUpdate<U>]) -> f64 {
-    if updates.is_empty() {
-        return 0.0;
+/// The running mean of the training losses a round's participants
+/// report, fed in participant order as the updates arrive.
+pub(crate) struct LossMean {
+    sum: f64,
+    n: usize,
+}
+
+impl Default for LossMean {
+    /// Starts from `-0.0`, the neutral element `Iterator::sum` starts
+    /// from, so the fold has the bits of a sum over the collected losses.
+    fn default() -> Self {
+        LossMean { sum: -0.0, n: 0 }
     }
-    updates.iter().map(|u| u.loss as f64).sum::<f64>() / updates.len() as f64
+}
+
+impl LossMean {
+    pub(crate) fn add(&mut self, loss: f32) {
+        self.sum += loss as f64;
+        self.n += 1;
+    }
+
+    /// The mean, 0 when no loss was reported.
+    pub(crate) fn mean(&self) -> f64 {
+        if self.n == 0 {
+            return 0.0;
+        }
+        self.sum / self.n as f64
+    }
 }
 
 /// Shared machinery for the method implementations: a scratch model for
@@ -325,28 +347,33 @@ impl<'a> Harness<'a> {
     }
 
     /// Trains one round's participants on worker threads, up to
-    /// [`FedConfig::parallelism`] at a time.
+    /// [`FedConfig::parallelism`] at a time, and hands each update to
+    /// `sink` on the calling thread **in job order**, as soon as every
+    /// earlier job's update has been handed over.
     ///
     /// Each worker builds its own model instance from the factory, then
-    /// runs [`train_slot`] for every job it claims, on private state. The
-    /// returned updates are **in job order**, and aggregation stays with
-    /// the caller on the coordinator thread, so outcomes are bit-identical
-    /// for every thread count (`tests/determinism.rs` pins this down).
+    /// runs [`train_slot`] for every job it claims, on private state.
+    /// Aggregation stays with the caller on the coordinator thread, in
+    /// job order, so outcomes are bit-identical for every thread count
+    /// (`tests/determinism.rs` pins this down).
     ///
     /// # Errors
     ///
-    /// Returns the first failing job's [`FedError`] in job order.
+    /// Returns the first failing job's [`FedError`] in job order; no
+    /// update after it reaches `sink`.
     pub fn train_clients(
         &self,
         jobs: &[TrainJob<'_>],
         round: usize,
         steps: usize,
-    ) -> Result<Vec<ClientUpdate>, FedError> {
+        mut sink: impl FnMut(ClientUpdate),
+    ) -> Result<(), FedError> {
         // Borrowed piecewise: the scratch model keeps `self` from being
         // shared with the workers.
         let (factory, clients, config) = (self.factory, self.clients, self.config);
         let (trainer, root_rng) = (&self.trainer, &self.root_rng);
-        let results = rte_tensor::parallel::map_with(
+        let mut failed = None;
+        rte_tensor::parallel::map_ordered(
             config.parallelism,
             jobs,
             || factory(config.seed),
@@ -362,8 +389,15 @@ impl<'a> Harness<'a> {
                     steps,
                 )
             },
+            |_, trained| match trained {
+                Ok(update) if failed.is_none() => sink(update),
+                Ok(_) => {}
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
+            },
         );
-        results.into_iter().collect()
+        failed.map_or(Ok(()), Err)
     }
 }
 

@@ -1,8 +1,9 @@
 //! State-dict arithmetic: the server side of federated learning.
 //!
 //! The developer in the paper's Fig. 1 computes
-//! `W^{r+1} = Σ_k (n_k / n) · w_k^r`; [`weighted_average`] implements
-//! exactly that over [`StateDict`]s. The personalization methods build on
+//! `W^{r+1} = Σ_k (n_k / n) · w_k^r`; [`WeightedMean`] implements
+//! exactly that over [`StateDict`]s as a fold a round feeds one update
+//! at a time, and [`weighted_average`] runs it over a slice. The personalization methods build on
 //! the same primitives: [`partition`] splits a dict into global/local
 //! parts for FedProx-LG, and [`blend`] mixes a client's own parameters
 //! with the rest-of-fleet average for α-portion sync.
@@ -11,7 +12,7 @@
 //! [`coordinate_median`] and [`trimmed_mean`] provide Byzantine-robust
 //! alternatives, and [`aggregate`] dispatches on
 //! [`Aggregation`]. All reductions here are
-//! **fixed-order and coordinator-only** (determinism-contract rule 6):
+//! **fixed-order and coordinator-only** (determinism-contract rule 2):
 //! per-coordinate values are gathered in client order and sorted with a
 //! NaN-last total order, so results are bit-identical at any thread
 //! count and no input — finite, infinite or NaN — can panic the server.
@@ -45,8 +46,63 @@ fn check_compatible(a: &StateDict, b: &StateDict) -> Result<(), FedError> {
     Ok(())
 }
 
+/// The paper's aggregation `Σ_k (w_k / total) · dict_k` as a fold, fed
+/// one dict at a time: the one implementation of the weighted mean.
+///
+/// `total` is the weight sum of every dict the mean will take, known
+/// before the first one arrives (a round's weights are fixed by who
+/// takes part). Each [`WeightedMean::add`] scales by
+/// `alpha_k = (w_k / total) as f32` and accumulates with `axpy` onto a
+/// zero-initialized sum, so the same dicts added in the same order give
+/// the same bits however they arrive — from a slice
+/// ([`weighted_average`]) or one at a time while other clients still
+/// train.
+#[derive(Debug, Clone)]
+pub struct WeightedMean {
+    total: f64,
+    sum: Option<StateDict>,
+}
+
+impl WeightedMean {
+    /// An empty mean whose weights will sum to `total`.
+    pub fn new(total: f64) -> Self {
+        WeightedMean { total, sum: None }
+    }
+
+    /// Folds `dict`, with weight `weight`, into the mean.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FedError::InvalidConfig`] for a non-positive total and
+    /// [`FedError::AggregationMismatch`] when `dict` disagrees
+    /// structurally with the first dict added.
+    pub fn add(&mut self, dict: &StateDict, weight: f64) -> Result<(), FedError> {
+        if self.total <= 0.0 {
+            return Err(FedError::InvalidConfig {
+                reason: format!("non-positive total weight {}", self.total),
+            });
+        }
+        let sum = self.sum.get_or_insert_with(|| {
+            dict.iter()
+                .map(|(name, t)| (name.clone(), Tensor::zeros(t.shape().dims())))
+                .collect()
+        });
+        check_compatible(sum, dict)?;
+        let alpha = (weight / self.total) as f32;
+        for (acc, (_, t)) in sum.iter_mut().zip(dict) {
+            acc.1.axpy(alpha, t)?;
+        }
+        Ok(())
+    }
+
+    /// The mean, or `None` when no dict was added.
+    pub fn finish(self) -> Option<StateDict> {
+        self.sum
+    }
+}
+
 /// Weighted average of state dicts: `Σ_i weights[i] · dicts[i]` with the
-/// weights normalized to sum to 1.
+/// weights normalized to sum to 1 — [`WeightedMean`] fed from a slice.
 ///
 /// # Errors
 ///
@@ -67,30 +123,13 @@ fn check_compatible(a: &StateDict, b: &StateDict) -> Result<(), FedError> {
 /// # Ok::<(), rte_fed::FedError>(())
 /// ```
 pub fn weighted_average(entries: &[(&StateDict, f64)]) -> Result<StateDict, FedError> {
-    let first = entries.first().ok_or_else(|| FedError::InvalidConfig {
-        reason: "weighted_average of zero dicts".into(),
-    })?;
-    let total: f64 = entries.iter().map(|(_, w)| w).sum();
-    if total <= 0.0 {
-        return Err(FedError::InvalidConfig {
-            reason: format!("non-positive total weight {total}"),
-        });
-    }
-    for (dict, _) in entries.iter().skip(1) {
-        check_compatible(first.0, dict)?;
-    }
-    let mut out: StateDict = first
-        .0
-        .iter()
-        .map(|(name, t)| (name.clone(), Tensor::zeros(t.shape().dims())))
-        .collect();
+    let mut mean = WeightedMean::new(entries.iter().map(|(_, w)| w).sum());
     for (dict, weight) in entries {
-        let alpha = (*weight / total) as f32;
-        for (acc, (_, t)) in out.iter_mut().zip(dict.iter()) {
-            acc.1.axpy(alpha, t)?;
-        }
+        mean.add(dict, *weight)?;
     }
-    Ok(out)
+    mean.finish().ok_or_else(|| FedError::InvalidConfig {
+        reason: "weighted_average of zero dicts".into(),
+    })
 }
 
 /// NaN-last total order for the robust reductions: finite values and
@@ -333,6 +372,126 @@ mod tests {
         assert!(weighted_average(&[(&d1, 1.0), (&d3, 1.0)]).is_err());
         assert!(weighted_average(&[]).is_err());
         assert!(weighted_average(&[(&d1, 0.0)]).is_err());
+    }
+
+    /// Client `k`'s update: 37 + 5 values (vector bodies and scalar
+    /// tails), seeded noise with −0.0, subnormals, ±inf and NaN planted
+    /// at client-dependent coordinates.
+    fn hostile_update(k: usize) -> StateDict {
+        let specials = [
+            -0.0,
+            f32::MIN_POSITIVE / 8.0,
+            -f32::from_bits(1),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let mut rng = rte_tensor::rng::Xoshiro256::seed_from(40 + k as u64);
+        let mut plane = |len: usize| {
+            let mut t = Tensor::from_fn(&[len], |_| rng.uniform() - 0.5);
+            for (j, &v) in specials.iter().enumerate() {
+                // Most coordinates hold a special value in only some
+                // clients' updates, so finite sums meet them too.
+                if !(k + j).is_multiple_of(3) {
+                    t.data_mut()[(7 * j + k) % len] = v;
+                }
+            }
+            t
+        };
+        vec![("a/weight".into(), plane(37)), ("b/bias".into(), plane(5))]
+    }
+
+    fn bits(dict: &StateDict) -> Vec<u32> {
+        dict.iter()
+            .flat_map(|(_, t)| t.data().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    /// A round's fold fed by ordered delivery while the workers still
+    /// run gives the bits of the same fold fed serially, and of the
+    /// slice form, at every thread count.
+    #[test]
+    fn fold_fed_from_ordered_delivery_matches_the_serial_fold() {
+        use rte_tensor::parallel::{map_ordered, Parallelism};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let clients: Vec<usize> = (0..9).collect();
+        let weight = |k: usize| (3 + 5 * k % 7) as f64;
+        let total: f64 = clients.iter().map(|&k| weight(k)).sum();
+        let updates: Vec<StateDict> = clients.iter().map(|&k| hostile_update(k)).collect();
+        let mut serial = WeightedMean::new(total);
+        for (k, update) in updates.iter().enumerate() {
+            serial.add(update, weight(k)).unwrap();
+        }
+        let serial = bits(&serial.finish().unwrap());
+        let refs: Vec<(&StateDict, f64)> = updates
+            .iter()
+            .zip(clients.iter().map(|&k| weight(k)))
+            .collect();
+        assert_eq!(bits(&weighted_average(&refs).unwrap()), serial);
+        for threads in [1, 2, 4, 7] {
+            let mut folded = WeightedMean::new(total);
+            let mut added = Ok(());
+            let finished = AtomicUsize::new(0);
+            map_ordered(
+                Parallelism::new(threads),
+                &clients,
+                || (),
+                |(), _, &k| {
+                    // With workers, client 0 finishes last, so every
+                    // later update waits for it.
+                    if k > 0 {
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    } else if threads > 1 {
+                        while finished.load(Ordering::SeqCst) < clients.len() - 1 {
+                            std::thread::sleep(std::time::Duration::from_millis(1));
+                        }
+                    }
+                    hostile_update(k)
+                },
+                |k, update| {
+                    if added.is_ok() {
+                        added = folded.add(&update, weight(k));
+                    }
+                },
+            );
+            added.unwrap();
+            assert_eq!(bits(&folded.finish().unwrap()), serial, "{threads} threads");
+        }
+    }
+
+    /// A degraded round holds its survivors' updates, then folds them
+    /// over the survivors' weight sum: bitwise the aggregate the engine
+    /// computed over the survivors before the fold existed — zeros, then
+    /// `axpy((w / total) as f32, x)` per survivor in order.
+    #[test]
+    fn held_survivors_fold_to_the_collected_aggregate() {
+        let weight = |k: usize| (2 + k) as f64;
+        let survivors = [0usize, 2, 3, 6];
+        let held: Vec<(StateDict, f64)> = survivors
+            .iter()
+            .map(|&k| (hostile_update(k), weight(k)))
+            .collect();
+        let total: f64 = held.iter().map(|(_, w)| w).sum();
+        let mut fold = WeightedMean::new(total);
+        for (update, w) in &held {
+            fold.add(update, *w).unwrap();
+        }
+        let mut collected: StateDict = (held[0].0.iter())
+            .map(|(name, t)| (name.clone(), Tensor::zeros(t.shape().dims())))
+            .collect();
+        for (update, w) in &held {
+            let alpha = (*w / total) as f32;
+            for (acc, (_, t)) in collected.iter_mut().zip(update) {
+                acc.1.axpy(alpha, t).unwrap();
+            }
+        }
+        let want = bits(&collected);
+        assert_eq!(bits(&fold.finish().unwrap()), want);
+        let refs: Vec<(&StateDict, f64)> = held.iter().map(|(d, w)| (d, *w)).collect();
+        assert_eq!(
+            bits(&aggregate(&refs, Aggregation::WeightedMean).unwrap()),
+            want
+        );
     }
 
     #[test]

@@ -250,7 +250,146 @@ pub fn mask_update(
     update
 }
 
-/// Sums masked updates and dequantizes into a weighted-mean state dict.
+/// The running sum of one round's masked updates, fed one update at a
+/// time. Wrapping addition is commutative and associative, so the fold
+/// is the sum over the set whatever order the updates arrive in; the
+/// mask-set check waits for [`MaskedSum::finish`], once every update is
+/// in. [`aggregate_masked`] is this fold over a slice.
+#[derive(Debug, Clone)]
+pub struct MaskedSum {
+    /// The mask set, sorted.
+    expected: Vec<u32>,
+    /// The clients added so far, in arrival order.
+    received: Vec<u32>,
+    /// The first update's round and the running per-plane sums.
+    sums: Option<(u64, Planes)>,
+}
+
+/// Per-plane name, dims and words, as in [`MaskedUpdate::entries`].
+type Planes = Vec<(String, Vec<usize>, Vec<u64>)>;
+
+impl MaskedSum {
+    /// An empty sum over updates masked for `participants`.
+    pub fn new(participants: &[u32]) -> Self {
+        let mut expected = participants.to_vec();
+        expected.sort_unstable();
+        MaskedSum {
+            expected,
+            received: Vec::new(),
+            sums: None,
+        }
+    }
+
+    /// Adds `update`'s words to the sum.
+    ///
+    /// # Errors
+    ///
+    /// - [`FedError::SecureAggregation`] when its round differs from the
+    ///   first update's.
+    /// - [`FedError::AggregationMismatch`] when its planes differ from
+    ///   the first update's.
+    pub fn add(&mut self, update: &MaskedUpdate) -> Result<(), FedError> {
+        self.received.push(update.client);
+        let Some((round, sums)) = &mut self.sums else {
+            self.sums = Some((update.round, update.entries.clone()));
+            return Ok(());
+        };
+        if update.round != *round {
+            return Err(FedError::SecureAggregation {
+                reason: format!(
+                    "mixed rounds in aggregation: client {} sent round {} \
+                     (expected {round})",
+                    update.client, update.round
+                ),
+            });
+        }
+        if update.entries.len() != sums.len() {
+            return Err(FedError::AggregationMismatch {
+                reason: format!(
+                    "client {} sent {} planes, expected {}",
+                    update.client,
+                    update.entries.len(),
+                    sums.len()
+                ),
+            });
+        }
+        for ((name, dims, acc), (other_name, other_dims, words)) in
+            sums.iter_mut().zip(&update.entries)
+        {
+            if name != other_name || dims != other_dims {
+                return Err(FedError::AggregationMismatch {
+                    reason: format!(
+                        "client {} plane {other_name} does not match {name}",
+                        update.client
+                    ),
+                });
+            }
+            for (a, w) in acc.iter_mut().zip(words) {
+                *a = a.wrapping_add(*w);
+            }
+        }
+        Ok(())
+    }
+
+    /// Dequantizes the sum into a weighted-mean state dict.
+    ///
+    /// `weight_sum` is the sum of the participating clients' aggregation
+    /// weights (the same denominator the plain weighted mean uses).
+    ///
+    /// # Errors
+    ///
+    /// [`FedError::SecureAggregation`] when nothing was added, when the
+    /// added client set differs from the mask set (unresolved masks), or
+    /// for a non-positive weight sum.
+    pub fn finish(self, weight_sum: f64, cfg: &SecureConfig) -> Result<StateDict, FedError> {
+        let Some((_, sums)) = self.sums else {
+            return Err(FedError::SecureAggregation {
+                reason: "no updates to aggregate".into(),
+            });
+        };
+        let expected = self.expected;
+        let mut received = self.received;
+        received.sort_unstable();
+        if expected != received {
+            let missing: Vec<u32> = expected
+                .iter()
+                .copied()
+                .filter(|c| !received.contains(c))
+                .collect();
+            let unexpected: Vec<u32> = received
+                .iter()
+                .copied()
+                .filter(|c| !expected.contains(c))
+                .collect();
+            return Err(FedError::SecureAggregation {
+                reason: format!(
+                    "received clients {received:?} do not match mask set \
+                     {expected:?} (missing {missing:?}, unexpected {unexpected:?}); \
+                     pairwise masks cannot cancel"
+                ),
+            });
+        }
+        if weight_sum <= 0.0 {
+            return Err(FedError::SecureAggregation {
+                reason: format!("non-positive weight sum {weight_sum}"),
+            });
+        }
+        let denom = cfg.scale() * weight_sum;
+        let mut out = StateDict::with_capacity(sums.len());
+        for (name, dims, words) in sums {
+            let data: Vec<f32> = words
+                .iter()
+                .map(|&w| ((w as i64) as f64 / denom) as f32)
+                .collect();
+            let tensor = Tensor::from_vec(data, &dims)?;
+            out.push((name, tensor));
+        }
+        Ok(out)
+    }
+}
+
+/// Sums masked updates and dequantizes into a weighted-mean state dict:
+/// [`MaskedSum`] fed from a slice.
 ///
 /// `weight_sum` is the sum of the participating clients' aggregation
 /// weights (the same denominator the plain weighted mean uses).
@@ -268,96 +407,11 @@ pub fn aggregate_masked(
     weight_sum: f64,
     cfg: &SecureConfig,
 ) -> Result<StateDict, FedError> {
-    if updates.is_empty() {
-        return Err(FedError::SecureAggregation {
-            reason: "no updates to aggregate".into(),
-        });
+    let mut sum = MaskedSum::new(participants);
+    for update in updates {
+        sum.add(update)?;
     }
-    let round = updates[0].round;
-    let mut expected: Vec<u32> = participants.to_vec();
-    expected.sort_unstable();
-    let mut received: Vec<u32> = updates.iter().map(|u| u.client).collect();
-    received.sort_unstable();
-    if expected != received {
-        let missing: Vec<u32> = expected
-            .iter()
-            .copied()
-            .filter(|c| !received.contains(c))
-            .collect();
-        let unexpected: Vec<u32> = received
-            .iter()
-            .copied()
-            .filter(|c| !expected.contains(c))
-            .collect();
-        return Err(FedError::SecureAggregation {
-            reason: format!(
-                "received clients {received:?} do not match mask set \
-                 {expected:?} (missing {missing:?}, unexpected {unexpected:?}); \
-                 pairwise masks cannot cancel"
-            ),
-        });
-    }
-    for u in updates {
-        if u.round != round {
-            return Err(FedError::SecureAggregation {
-                reason: format!(
-                    "mixed rounds in aggregation: client {} sent round {} \
-                     (expected {round})",
-                    u.client, u.round
-                ),
-            });
-        }
-    }
-
-    let first = &updates[0];
-    let mut sums: Vec<(String, Vec<usize>, Vec<u64>)> = first
-        .entries
-        .iter()
-        .map(|(n, d, w)| (n.clone(), d.clone(), w.clone()))
-        .collect();
-    for u in &updates[1..] {
-        if u.entries.len() != sums.len() {
-            return Err(FedError::AggregationMismatch {
-                reason: format!(
-                    "client {} sent {} planes, expected {}",
-                    u.client,
-                    u.entries.len(),
-                    sums.len()
-                ),
-            });
-        }
-        for ((name, dims, acc), (other_name, other_dims, words)) in sums.iter_mut().zip(&u.entries)
-        {
-            if name != other_name || dims != other_dims {
-                return Err(FedError::AggregationMismatch {
-                    reason: format!(
-                        "client {} plane {other_name} does not match {name}",
-                        u.client
-                    ),
-                });
-            }
-            for (a, w) in acc.iter_mut().zip(words) {
-                *a = a.wrapping_add(*w);
-            }
-        }
-    }
-
-    if weight_sum <= 0.0 {
-        return Err(FedError::SecureAggregation {
-            reason: format!("non-positive weight sum {weight_sum}"),
-        });
-    }
-    let denom = cfg.scale() * weight_sum;
-    let mut out = StateDict::with_capacity(sums.len());
-    for (name, dims, words) in sums {
-        let data: Vec<f32> = words
-            .iter()
-            .map(|&w| ((w as i64) as f64 / denom) as f32)
-            .collect();
-        let tensor = Tensor::from_vec(data, &dims)?;
-        out.push((name, tensor));
-    }
-    Ok(out)
+    sum.finish(weight_sum, cfg)
 }
 
 #[cfg(test)]

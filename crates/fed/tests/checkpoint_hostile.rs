@@ -174,3 +174,23 @@ proptest! {
         }
     }
 }
+
+/// The state CRC ends the file: one appended byte, or seven, is the
+/// typed trailing-bytes error — checked after the state CRC, so it names
+/// an intact checkpoint with a tail — while the untouched bytes decode.
+#[test]
+fn appended_tails_are_typed() {
+    let ckpt = mk_checkpoint(3, 17, 0xD1, &[5, 9, 2]);
+    let bytes = encode_checkpoint(&ckpt).unwrap();
+    assert_eq!(decode_checkpoint(&bytes, Some(0xD1)).unwrap(), ckpt);
+    for tail in [&[0u8][..], &[0xAB, 1, 2, 3, 4, 5, 6][..]] {
+        let mut appended = bytes.clone();
+        appended.extend_from_slice(tail);
+        assert_eq!(
+            decode_checkpoint(&appended, Some(0xD1)).unwrap_err(),
+            CheckpointError::TrailingBytes { extra: tail.len() },
+            "{}-byte tail",
+            tail.len()
+        );
+    }
+}

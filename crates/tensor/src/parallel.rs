@@ -22,6 +22,11 @@
 //!   runs inline or on a worker,
 //! - reductions are never performed concurrently — callers combine
 //!   per-item partial results on their own thread, in item order.
+//!   [`map_ordered`] hands each result over as soon as every earlier
+//!   item's has been, while the workers still run, so a fold (the
+//!   federated round's running aggregate) combines the completed prefix
+//!   without waiting for the whole region or holding every result;
+//!   [`map_with`] is the same delivery into a `Vec`.
 //!
 //! `tests/determinism.rs` and the workspace property tests pin this
 //! contract down for the federated pipeline end to end.
@@ -41,6 +46,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// How many threads a parallel region may use.
 ///
@@ -179,7 +185,8 @@ pub fn global() -> Parallelism {
 }
 
 /// Maps `f` over `items` on up to `par` worker threads, returning results
-/// **in item order** regardless of scheduling.
+/// **in item order** regardless of scheduling: [`map_ordered`]'s
+/// deliveries, pushed into a `Vec`.
 ///
 /// `init` builds one scratch state per worker *on that worker's thread*
 /// (so the state type does not need to be `Send`); `f` receives the
@@ -199,53 +206,121 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T) -> R + Sync,
 {
+    let mut out = Vec::with_capacity(items.len());
+    map_ordered(par, items, init, f, |_, r| out.push(r));
+    out
+}
+
+/// Maps `f` over `items` on up to `par` worker threads and hands every
+/// result to `sink` **on the calling thread, in item order**, as soon as
+/// the results of all earlier items have been handed over — while the
+/// workers still run. A caller that folds the results in `sink` (the
+/// federated round's running aggregate) combines them in item order
+/// without ever holding all of them.
+///
+/// `init` and `f` are as in [`map_with`]; `sink` receives the item index
+/// and its result. A result that finishes before an earlier item's waits
+/// in its slot until that item's result has been handed over, so what is
+/// held at once is the results that overtook the slowest item still
+/// running. With one worker (or ≤ 1 item) each item runs inline and goes
+/// straight to `sink`.
+///
+/// # Panics
+///
+/// Propagates panics from `f` with their original payloads, once every
+/// worker has stopped (the items before the panicking one have reached
+/// `sink`, no item after it has), and panics from `sink`.
+pub fn map_ordered<T, R, S, I, F, K>(par: Parallelism, items: &[T], init: I, f: F, mut sink: K)
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+    K: FnMut(usize, R),
+{
     let workers = par.workers_for(items.len());
     if workers <= 1 {
         let mut state = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(&mut state, i, item))
-            .collect();
+        for (i, item) in items.iter().enumerate() {
+            sink(i, f(&mut state, i, item));
+        }
+        return;
     }
     let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
+    let handoff = Mutex::new(Handoff {
+        slots: (0..items.len()).map(|_| None).collect(),
+        running: workers,
+    });
+    let ready = Condvar::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let (cursor, init, f) = (&cursor, &init, &f);
+            let (cursor, init, f, handoff, ready) = (&cursor, &init, &f, &handoff, &ready);
             handles.push(scope.spawn(move || {
+                let _leaving = Leaving(handoff, ready);
                 NESTED_SERIAL.with(|flag| flag.set(true));
                 let mut state = init();
-                let mut produced: Vec<(usize, R)> = Vec::new();
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= items.len() {
                         break;
                     }
-                    produced.push((i, f(&mut state, i, &items[i])));
+                    let result = f(&mut state, i, &items[i]);
+                    handoff.lock().expect(UNPOISONED).slots[i] = Some(result);
+                    ready.notify_one();
                 }
-                produced
             }));
         }
-        for handle in handles {
-            match handle.join() {
-                Ok(produced) => {
-                    for (i, r) in produced {
-                        slots[i] = Some(r);
-                    }
+        for next in 0..items.len() {
+            let mut guard = handoff.lock().expect(UNPOISONED);
+            let result = loop {
+                if let Some(result) = guard.slots[next].take() {
+                    break Some(result);
                 }
-                // Re-raise the worker's own panic payload so the original
-                // assertion message reaches the caller.
-                Err(payload) => std::panic::resume_unwind(payload),
+                if guard.running == 0 {
+                    // Every worker has ended and this item never came:
+                    // the worker that took it panicked.
+                    break None;
+                }
+                guard = ready.wait(guard).expect(UNPOISONED);
+            };
+            drop(guard);
+            match result {
+                Some(result) => sink(next, result),
+                None => break,
+            }
+        }
+        for handle in handles {
+            // Re-raise the worker's own panic payload so the original
+            // assertion message reaches the caller.
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
             }
         }
     });
-    slots
-        .into_iter()
-        .map(|r| r.expect("every item is claimed exactly once"))
-        .collect()
+}
+
+/// What [`map_ordered`]'s workers hand the calling thread: each finished
+/// item's result in its slot, and how many workers have not ended.
+struct Handoff<R> {
+    slots: Vec<Option<R>>,
+    running: usize,
+}
+
+/// A worker holds the [`Handoff`] lock only to store a result, which
+/// cannot panic, so the lock is never poisoned.
+const UNPOISONED: &str = "no worker panics while it holds the handoff lock";
+
+/// Counts a worker out when it ends, finished or panicked, so the calling
+/// thread never waits for an item whose worker is gone.
+struct Leaving<'a, R>(&'a Mutex<Handoff<R>>, &'a Condvar);
+
+impl<R> Drop for Leaving<'_, R> {
+    fn drop(&mut self) {
+        let mut handoff = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        handoff.running -= 1;
+        self.1.notify_one();
+    }
 }
 
 /// Splits `data` into consecutive `chunk_len` pieces and runs `f` on each,
@@ -361,6 +436,93 @@ mod tests {
         // `c` is the per-worker running count at the time each item ran;
         // the number of items is what must be conserved.
         assert_eq!(totals.lock().unwrap().len(), 50);
+    }
+
+    /// Item 0 is the slowest: with more than one worker it does not
+    /// finish until every later item has, so every later result waits;
+    /// the sink still sees 0, 1, 2, … with each item's own result.
+    #[test]
+    fn ordered_delivery_is_strictly_in_item_order() {
+        use std::time::{Duration, Instant};
+        let items: Vec<u64> = (0..23).collect();
+        for threads in [1, 2, 4, 7] {
+            let finished = AtomicUsize::new(0);
+            let mut seen = Vec::new();
+            map_ordered(
+                Parallelism::new(threads),
+                &items,
+                || (),
+                |(), i, &x| {
+                    if i > 0 {
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    } else if threads > 1 {
+                        let start = Instant::now();
+                        while finished.load(Ordering::SeqCst) < items.len() - 1 {
+                            assert!(start.elapsed() < Duration::from_secs(20), "wedged");
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                    x * 10
+                },
+                |i, r| seen.push((i, r)),
+            );
+            let want: Vec<(usize, u64)> = items.iter().map(|&x| (x as usize, x * 10)).collect();
+            assert_eq!(seen, want, "{threads} threads");
+        }
+    }
+
+    /// The sink runs while the workers do: the last item cannot finish
+    /// until the calling thread has been handed item 0's result.
+    #[test]
+    fn ordered_delivery_overlaps_the_workers() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let delivered = AtomicBool::new(false);
+        let items: Vec<usize> = (0..8).collect();
+        let last = items.len() - 1;
+        map_ordered(
+            Parallelism::new(2),
+            &items,
+            || (),
+            |(), i, _| {
+                if i == last {
+                    let start = Instant::now();
+                    while !delivered.load(Ordering::SeqCst) {
+                        assert!(start.elapsed() < Duration::from_secs(20), "no delivery");
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+            },
+            |i, ()| {
+                if i == 0 {
+                    delivered.store(true, Ordering::SeqCst);
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn ordered_delivery_keeps_a_panic_payload() {
+        let items: Vec<usize> = (0..16).collect();
+        for threads in [1, 2, 4, 7] {
+            let mut seen = Vec::new();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                map_ordered(
+                    Parallelism::new(threads),
+                    &items,
+                    || (),
+                    |(), _, &x| {
+                        assert!(x != 5, "item {x} is poisoned");
+                        x
+                    },
+                    |i, _| seen.push(i),
+                )
+            }))
+            .expect_err("must panic");
+            let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("poisoned"), "payload lost: {msg:?}");
+            assert_eq!(seen, [0, 1, 2, 3, 4], "{threads} threads");
+        }
     }
 
     #[test]

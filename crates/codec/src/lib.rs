@@ -7,7 +7,9 @@
 //! - [`Reader`], the one bounds-checked little-endian cursor: every read
 //!   past the end, and every length whose end overflows, is a typed
 //!   [`CodecError::Truncated`] naming the field, never a panic. The
-//!   `push_*` writers are its encoding side.
+//!   `push_*` writers are its encoding side, and [`u32_words`] (behind
+//!   [`Reader::f32s`]) its one word-stream decoder: no crate outside
+//!   this one decodes little-endian bytes itself.
 //! - [`crc_checked`] / [`push_crc`], a block that ends in the CRC-32 of
 //!   the bytes before it (shard records, compressed frames and the v2
 //!   chunk directory, the checkpoint state section).
@@ -243,6 +245,23 @@ impl<'a> Reader<'a> {
         Ok(f32::from_bits(self.u32(field)?))
     }
 
+    /// The next `n` `f32`s, from their little-endian bit patterns
+    /// ([`u32_words`]), bounds checked once for all of them.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] when fewer than `4 * n` bytes remain
+    /// (or `4 * n` overflows).
+    pub fn f32s(
+        &mut self,
+        n: usize,
+        field: &'static str,
+    ) -> Result<impl ExactSizeIterator<Item = f32> + 'a, CodecError> {
+        // A saturated length is past the end of any input.
+        let bytes = self.take(n.saturating_mul(4), field)?;
+        Ok(u32_words(bytes).map(f32::from_bits))
+    }
+
     /// Bytes consumed so far.
     pub fn pos(&self) -> usize {
         self.pos
@@ -252,6 +271,18 @@ impl<'a> Reader<'a> {
     pub fn rest(self) -> &'a [u8] {
         &self.bytes[self.pos..]
     }
+}
+
+/// The little-endian `u32` words of `bytes`, in order: the one word
+/// decoder behind every f32 plane and u32 word stream the formats carry.
+/// The bytes are whole words (a partial last word is not read), so the
+/// loop has no bounds branch per word.
+#[inline]
+pub fn u32_words(bytes: &[u8]) -> impl ExactSizeIterator<Item = u32> + '_ {
+    debug_assert_eq!(bytes.len() % 4, 0, "whole words");
+    bytes
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunks")))
 }
 
 /// Appends `v` little-endian.

@@ -6,18 +6,18 @@
 //!   accumulates both L-shaped routes of every two-pin connection at half
 //!   weight each, split into horizontal and vertical track demand — a
 //!   standard probabilistic global-router surrogate.
-//! - [`rudy`]: Rectangular Uniform wire DensitY (Spindler & Johannes),
-//!   the feature the paper's §4.4 names explicitly: each net spreads
-//!   `HPWL / area` uniformly over its bounding box.
+//! - [`Analysis::rudy`]: Rectangular Uniform wire DensitY (Spindler &
+//!   Johannes), the feature the paper's §4.4 names explicitly: each net
+//!   spreads `HPWL / area` uniformly over its bounding box.
 //!
-//! [`route_demand`] drives the DRC oracle (labels); [`rudy`] and the
-//! directional demand maps are model inputs (features). Labels therefore
-//! correlate with — but are not identical to — the features, leaving the
-//! CNN a learnable but non-trivial mapping.
+//! [`route_demand`] drives the DRC oracle (labels); RUDY and the
+//! directional fly-line maps ([`Analysis::fly_h`], [`Analysis::fly_v`])
+//! are model inputs (features). Labels therefore correlate with — but
+//! are not identical to — the features, leaving the CNN a learnable but
+//! non-trivial mapping.
 //!
 //! All five maps, and the three cell maps beside them, come out of one
-//! walk over the nets: [`Analysis`]. The three functions above are views
-//! over it.
+//! walk over the nets: [`Analysis`]. [`route_demand`] is a view over it.
 //!
 //! # Bits
 //!
@@ -231,17 +231,24 @@ impl Analysis {
         &self.demand
     }
 
-    /// RUDY per gcell, row-major (what [`rudy`] returns).
+    /// RUDY per gcell, row-major: each net adds `HPWL / bbox_area`
+    /// uniformly over its bounding box.
     pub fn rudy(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
         self.boxes.iter().map(|b| b[RUDY])
     }
 
-    /// Horizontal fly-line density per gcell, row-major.
+    /// Horizontal fly-line density per gcell, row-major. A net of bbox
+    /// `bw × bh` adds `(bw−1)/area` here and `(bh−1)/area` to
+    /// [`Analysis::fly_v`] — the classic estimate of which routing
+    /// direction a net will load. These are *features* (§4.4's
+    /// fly-lines): deliberately weaker than the L-routed demand the DRC
+    /// oracle uses for labels, leaving the estimator a real mapping to
+    /// learn.
     pub fn fly_h(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
         self.boxes.iter().map(|b| b[FLY_H])
     }
 
-    /// Vertical fly-line density per gcell, row-major.
+    /// Vertical fly-line density per gcell, row-major ([`Analysis::fly_h`]).
     pub fn fly_v(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
         self.boxes.iter().map(|b| b[FLY_V])
     }
@@ -344,34 +351,6 @@ pub fn analyse(netlist: &Netlist, placement: &Placement) -> Analysis {
 /// ([`Analysis::run`]).
 pub fn route_demand(netlist: &Netlist, placement: &Placement) -> DemandMap {
     analyse(netlist, placement).demand
-}
-
-/// Directional RUDY: the horizontal and vertical wire-density components,
-/// each spread uniformly over the net bounding box. A net of bbox
-/// `bw × bh` contributes `(bw−1)/area` horizontal and `(bh−1)/area`
-/// vertical demand — the classic fly-line estimate of which routing
-/// direction a net will load.
-///
-/// These are *features* (§4.4's fly-lines): deliberately weaker than the
-/// L-routed demand the DRC oracle uses for labels, leaving the estimator
-/// a real mapping to learn.
-///
-/// # Panics
-///
-/// As [`Analysis::run`].
-pub fn rudy_directional(netlist: &Netlist, placement: &Placement) -> (Vec<f64>, Vec<f64>) {
-    let analysis = analyse(netlist, placement);
-    (analysis.fly_h().collect(), analysis.fly_v().collect())
-}
-
-/// RUDY wire-density map: each net adds `HPWL / bbox_area` uniformly over
-/// its bounding box (row-major `height × width`).
-///
-/// # Panics
-///
-/// As [`Analysis::run`].
-pub fn rudy(netlist: &Netlist, placement: &Placement) -> Vec<f64> {
-    analyse(netlist, placement).rudy().collect()
 }
 
 /// The three maps as they were first written — one walk over the nets
@@ -590,7 +569,7 @@ mod tests {
     #[test]
     fn rudy_uniform_over_bbox() {
         let (nl, pl) = two_pin_fixture((2, 1), (5, 3));
-        let map = rudy(&nl, &pl);
+        let map: Vec<f64> = analyse(&nl, &pl).rudy().collect();
         // bbox 4×3, HPWL = 3+2 = 5 → density 5/12 in every bbox gcell.
         let expect = 5.0 / 12.0;
         for y in 1..=3 {
@@ -604,7 +583,7 @@ mod tests {
     #[test]
     fn single_gcell_net_adds_nothing() {
         let (nl, pl) = two_pin_fixture((3, 3), (3, 3));
-        assert!(rudy(&nl, &pl).iter().all(|&v| v == 0.0));
+        assert!(analyse(&nl, &pl).rudy().all(|v| v == 0.0));
         let d = route_demand(&nl, &pl);
         assert!(d.combined().iter().all(|&v| v == 0.0));
     }
@@ -638,7 +617,7 @@ mod tests {
         // drives labels: check positive correlation on a real design.
         let nl = generate_netlist(Family::Itc99, 9).unwrap();
         let pl = place(&nl, &PlacementConfig::new(16, 16, 4)).unwrap();
-        let r = rudy(&nl, &pl);
+        let r: Vec<f64> = analyse(&nl, &pl).rudy().collect();
         let d = route_demand(&nl, &pl).combined();
         let n = r.len() as f64;
         let (mr, md) = (r.iter().sum::<f64>() / n, d.iter().sum::<f64>() / n);
@@ -666,8 +645,9 @@ mod directional_tests {
     fn directional_components_sum_to_rudy() {
         let nl = generate_netlist(Family::Itc99, 3).unwrap();
         let pl = place(&nl, &PlacementConfig::new(16, 16, 3)).unwrap();
-        let total = rudy(&nl, &pl);
-        let (h, v) = rudy_directional(&nl, &pl);
+        let analysis = analyse(&nl, &pl);
+        let total: Vec<f64> = analysis.rudy().collect();
+        let (h, v): (Vec<f64>, Vec<f64>) = (analysis.fly_h().collect(), analysis.fly_v().collect());
         for i in 0..total.len() {
             assert!(
                 (total[i] - (h[i] + v[i])).abs() < 1e-9,
@@ -712,9 +692,9 @@ mod directional_tests {
             y: vec![4, 4],
             macro_rects: vec![],
         };
-        let (h, v) = rudy_directional(&nl, &pl);
-        assert!(h.iter().sum::<f64>() > 0.0);
-        assert_eq!(v.iter().sum::<f64>(), 0.0);
+        let analysis = analyse(&nl, &pl);
+        assert!(analysis.fly_h().sum::<f64>() > 0.0);
+        assert_eq!(analysis.fly_v().sum::<f64>(), 0.0);
     }
 }
 
@@ -790,13 +770,13 @@ mod one_pass_properties {
             let pl = place(&nl, &config).unwrap();
             reused.run(&nl, &pl);
             assert_matches_oracle(&reused, &nl, &pl);
-            assert_matches_oracle(&analyse(&nl, &pl), &nl, &pl);
+            let fresh = analyse(&nl, &pl);
+            assert_matches_oracle(&fresh, &nl, &pl);
             // The public views are this same pass.
             prop_assert_eq!(&route_demand(&nl, &pl), reused.demand());
-            prop_assert_eq!(bits(&rudy(&nl, &pl)), bits(&reused.rudy().collect::<Vec<_>>()));
-            let (fly_h, fly_v) = rudy_directional(&nl, &pl);
-            prop_assert_eq!(bits(&fly_h), bits(&reused.fly_h().collect::<Vec<_>>()));
-            prop_assert_eq!(bits(&fly_v), bits(&reused.fly_v().collect::<Vec<_>>()));
+            prop_assert_eq!(bits(&fresh.rudy().collect::<Vec<_>>()), bits(&reused.rudy().collect::<Vec<_>>()));
+            prop_assert_eq!(bits(&fresh.fly_h().collect::<Vec<_>>()), bits(&reused.fly_h().collect::<Vec<_>>()));
+            prop_assert_eq!(bits(&fresh.fly_v().collect::<Vec<_>>()), bits(&reused.fly_v().collect::<Vec<_>>()));
         }
 
         /// Hand-shaped connectivity the generator rarely or never emits:

@@ -80,13 +80,15 @@
 //! [`MAX_COMPRESS_CHUNK`]) or by the real on-disk file length *before*
 //! it is used to allocate or do arithmetic.
 //!
-//! The header body is read through [`rte_codec::Reader`], and records,
+//! Every field is read through [`rte_codec::Reader`] — the prelude, the
+//! header body, the chunk directory, a record's design index and planes,
+//! and the v2 codec's word count, group widths and groups — and records,
 //! compressed frames and the chunk directory are
-//! [`rte_codec::crc_checked`] blocks, the byte codec the frame and
-//! checkpoint formats share; a codec error gets its file path only when
-//! it becomes a [`ShardError`], so a clean read builds no path string.
-//! The 20-byte prelude is not an [`rte_codec::Envelope`]: its CRC covers
-//! the header body after it, not the prelude.
+//! [`rte_codec::crc_checked`] blocks, the byte codec the frame,
+//! checkpoint and state-dict formats share; a codec error gets its file
+//! path only when it becomes a [`ShardError`], so a clean read builds no
+//! path string. The 20-byte prelude is not an [`rte_codec::Envelope`]:
+//! its CRC covers the header body after it, not the prelude.
 
 use std::borrow::Cow;
 use std::fs::File;
@@ -518,24 +520,26 @@ struct ValidatedHeader {
 /// its fit inside the real file. Returns `(version, header_len,
 /// header_crc)`.
 fn parse_prelude(
-    prelude: &[u8; PRELUDE_LEN],
+    prelude: &[u8],
     file_len: u64,
     path: &Path,
 ) -> Result<(u32, u32, u32), ShardError> {
-    if prelude[..8] != SHARD_MAGIC {
+    let cut = |e| codec_err(path, e);
+    let mut r = Reader::new(prelude, "shard prelude");
+    if r.take(8, "magic").map_err(cut)? != SHARD_MAGIC {
         return Err(ShardError::WrongMagic {
             path: path.display().to_string(),
         });
     }
-    let version = u32::from_le_bytes(prelude[8..12].try_into().expect("4 bytes"));
+    let version = r.u32("version").map_err(cut)?;
     if version != SHARD_VERSION && version != SHARD_VERSION_COMPRESSED {
         return Err(ShardError::UnsupportedVersion {
             path: path.display().to_string(),
             found: version,
         });
     }
-    let header_len = u32::from_le_bytes(prelude[12..16].try_into().expect("4 bytes"));
-    let header_crc = u32::from_le_bytes(prelude[16..20].try_into().expect("4 bytes"));
+    let header_len = r.u32("header length").map_err(cut)?;
+    let header_crc = r.u32("header CRC").map_err(cut)?;
     // The cap comes first: this field is attacker-controlled until the
     // header CRC is checked, and the CRC cannot be checked without
     // first allocating a buffer of this very size.
@@ -635,7 +639,9 @@ fn decode_record_planes(
     features: &mut Vec<f32>,
     labels: &mut Vec<f32>,
 ) -> Result<usize, ShardError> {
-    let design_idx = u32::from_le_bytes(raw[..4].try_into().expect("4 bytes")) as usize;
+    let cut = |e| codec_err(path, e);
+    let mut r = Reader::new(raw, "record");
+    let design_idx = r.u32("design index").map_err(cut)? as usize;
     if design_idx >= meta.designs.len() {
         return Err(corrupt(
             path,
@@ -646,10 +652,8 @@ fn decode_record_planes(
         ));
     }
     let cells = meta.grid.width * meta.grid.height;
-    let (f, l) = raw[4..raw.len() - 4].split_at(meta.channels * cells * 4);
-    let word = |w: &[u8]| f32::from_le_bytes(w.try_into().expect("4 bytes"));
-    features.extend(f.chunks_exact(4).map(word));
-    labels.extend(l.chunks_exact(4).map(word));
+    features.extend(r.f32s(meta.channels * cells, "features").map_err(cut)?);
+    labels.extend(r.f32s(cells, "label").map_err(cut)?);
     Ok(design_idx)
 }
 
@@ -890,8 +894,7 @@ impl ShardReader {
             Store::File(Mutex::new(file))
         };
         let prelude = store.bytes_at(0, PRELUDE_LEN, &path, || "file prelude".into())?;
-        let prelude = prelude[..].try_into().expect("PRELUDE_LEN bytes");
-        let (version, header_len, header_crc) = parse_prelude(prelude, file_len, &path)?;
+        let (version, header_len, header_crc) = parse_prelude(&prelude, file_len, &path)?;
         // Allocation is safe here: `parse_prelude` capped `header_len`.
         let body = store.bytes_at(PRELUDE_LEN as u64, header_len as usize, &path, || {
             "header body".into()
@@ -1244,8 +1247,9 @@ fn frame_directory(
     let lens = crc_checked(&dir).ok_or_else(|| crc_mismatch(path, "chunk directory"))?;
     let mut frames = Vec::with_capacity(n_frames as usize);
     let mut offset = dir_end;
-    for (i, entry) in lens.chunks_exact(8).enumerate() {
-        let comp_len = u64::from_le_bytes(entry.try_into().expect("8 bytes"));
+    let mut lens = Reader::new(lens, "chunk directory");
+    for i in 0..n_frames {
+        let comp_len = lens.u64("frame length").map_err(|e| codec_err(path, e))?;
         let end = comp_len
             .checked_add(4)
             .and_then(|f| offset.checked_add(f))
@@ -1283,7 +1287,7 @@ fn frame_directory(
 mod pack {
     use std::path::Path;
 
-    use rte_codec::push_u32;
+    use rte_codec::{push_u32, u32_words, CodecError, Reader};
 
     use super::{corrupt, ShardError};
 
@@ -1291,15 +1295,12 @@ mod pack {
 
     /// Compresses raw record bytes (length must be a multiple of 4).
     pub(super) fn compress(raw: &[u8]) -> Vec<u8> {
-        debug_assert_eq!(raw.len() % 4, 0, "records are whole u32 words");
-        let n_words = raw.len() / 4;
+        let mut words = u32_words(raw);
+        let n_words = words.len();
         let mut out = Vec::with_capacity(8 + raw.len() / 2);
         push_u32(&mut out, n_words as u32);
         let mut prev = 0u32;
         let mut deltas = [0u32; GROUP];
-        let mut words = raw
-            .chunks_exact(4)
-            .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")));
         let mut remaining = n_words;
         while remaining > 0 {
             let g = remaining.min(GROUP);
@@ -1331,20 +1332,17 @@ mod pack {
     }
 
     /// Decompresses a frame payload back to exactly `raw_len` record
-    /// bytes. Every length field is validated; corrupt payloads yield
-    /// typed errors, never a panic or an oversized allocation.
+    /// bytes. Every length field is read through a [`Reader`]; corrupt
+    /// payloads yield typed [`ShardError::Corrupt`]s, never a panic or
+    /// an oversized allocation.
     pub(super) fn decompress(
         payload: &[u8],
         raw_len: usize,
         path: &Path,
     ) -> Result<Vec<u8>, ShardError> {
-        if payload.len() < 4 {
-            return Err(corrupt(
-                path,
-                "compressed frame shorter than its word count",
-            ));
-        }
-        let n_words = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")) as usize;
+        let cut = |e: CodecError| corrupt(path, e.to_string());
+        let mut r = Reader::new(payload, "compressed frame");
+        let n_words = r.u32("word count").map_err(cut)? as usize;
         if n_words * 4 != raw_len {
             return Err(corrupt(
                 path,
@@ -1355,28 +1353,20 @@ mod pack {
             ));
         }
         let mut out = Vec::with_capacity(raw_len);
-        let mut pos = 4usize;
         let mut prev = 0u32;
         let mut remaining = n_words;
         while remaining > 0 {
             let g = remaining.min(GROUP);
-            let width = u32::from(
-                *payload
-                    .get(pos)
-                    .ok_or_else(|| corrupt(path, "compressed frame ends inside a group header"))?,
-            );
-            pos += 1;
+            let width = u32::from(r.u8("group header").map_err(cut)?);
             if width > 32 {
                 return Err(corrupt(
                     path,
                     format!("group width {width} exceeds 32 bits"),
                 ));
             }
-            let packed_len = (g * width as usize).div_ceil(8);
-            let packed = payload
-                .get(pos..pos + packed_len)
-                .ok_or_else(|| corrupt(path, "compressed frame ends inside a group"))?;
-            pos += packed_len;
+            let packed = r
+                .take((g * width as usize).div_ceil(8), "group")
+                .map_err(cut)?;
             let mask = if width == 0 {
                 0
             } else {
@@ -1387,7 +1377,7 @@ mod pack {
             let mut bytes = packed.iter();
             for _ in 0..g {
                 while nbits < width {
-                    acc |= u64::from(*bytes.next().expect("packed_len covers the group")) << nbits;
+                    acc |= u64::from(*bytes.next().expect("the group's bytes")) << nbits;
                     nbits += 8;
                 }
                 let delta = (acc & mask) as u32;
@@ -1395,17 +1385,15 @@ mod pack {
                 nbits -= width;
                 let word = delta ^ prev;
                 prev = word;
-                out.extend_from_slice(&word.to_le_bytes());
+                push_u32(&mut out, word);
             }
             remaining -= g;
         }
-        if pos != payload.len() {
+        let trailing = r.rest().len();
+        if trailing != 0 {
             return Err(corrupt(
                 path,
-                format!(
-                    "{} trailing bytes in a compressed frame",
-                    payload.len() - pos
-                ),
+                format!("{trailing} trailing bytes in a compressed frame"),
             ));
         }
         Ok(out)
@@ -2110,21 +2098,31 @@ mod tests {
         );
     }
 
+    /// Only these tests reach `decompress`'s own checks: through a shard,
+    /// the frame CRC refuses damaged payloads first.
     #[test]
     fn pack_codec_rejects_hostile_payloads() {
         let raw: Vec<u8> = (0..64u8).collect();
         let good = pack::compress(&raw);
+        let corrupt = |payload: &[u8], raw_len: usize| {
+            let err = pack::decompress(payload, raw_len, Path::new("mem")).unwrap_err();
+            assert!(matches!(err, ShardError::Corrupt { .. }), "{err}");
+        };
         // Wrong advertised length.
-        assert!(pack::decompress(&good, raw.len() + 4, Path::new("mem")).is_err());
-        // Truncated payload.
-        assert!(pack::decompress(&good[..good.len() - 1], raw.len(), Path::new("mem")).is_err());
-        // Oversized group width.
-        let mut bad = good.clone();
-        bad[4] = 33;
-        assert!(pack::decompress(&bad, raw.len(), Path::new("mem")).is_err());
+        corrupt(&good, raw.len() + 4);
+        // Truncated payload, cut at every length.
+        for cut in 0..good.len() {
+            corrupt(&good[..cut], raw.len());
+        }
+        // Oversized group width, every one a byte can claim.
+        for width in 33..=255u8 {
+            let mut bad = good.clone();
+            bad[4] = width;
+            corrupt(&bad, raw.len());
+        }
         // Trailing garbage.
         let mut bad = good;
         bad.push(0);
-        assert!(pack::decompress(&bad, raw.len(), Path::new("mem")).is_err());
+        corrupt(&bad, raw.len());
     }
 }

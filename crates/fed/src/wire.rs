@@ -402,6 +402,30 @@ mod tests {
         payload.push(0xFF);
         let hurt = Frame::new(frame.kind, 0, 0, payload);
         assert!(Message::from_frame(&hurt).is_err());
+        // A state dict ends a deploy or an update: bytes after it are
+        // refused too.
+        let with_state = [
+            Message::Deploy {
+                round: 3,
+                steps: 5,
+                participants: vec![0, 2, 7],
+                state: sd(),
+            },
+            Message::Update {
+                round: 3,
+                client: 2,
+                loss: 0.625,
+                state: sd(),
+            },
+        ];
+        for message in with_state {
+            let frame = message.into_frame(1, 0).unwrap();
+            assert!(Message::from_frame(&frame).is_ok());
+            let mut payload = frame.payload.to_vec();
+            payload.push(0xFF);
+            let err = Message::from_frame(&Frame::new(frame.kind, 1, 0, payload)).unwrap_err();
+            assert!(err.to_string().contains("trailing"), "{err}");
+        }
     }
 
     #[test]

@@ -239,7 +239,8 @@ impl Frame {
             reader.read_exact(&mut payload)?;
             let mut trailer = [0u8; 4];
             reader.read_exact(&mut trailer)?;
-            Payload::checked(payload, u32::from_le_bytes(trailer))
+            let trailer = Reader::new(&trailer, "frame").u32("payload checksum")?;
+            Payload::checked(payload, trailer)
         })
     }
 

@@ -11,17 +11,26 @@
 //!        rank u64, dims u64 × rank,
 //!        data f32-le × numel
 //! ```
+//!
+//! A state dict is the last thing in its input: a deploy's or update's
+//! payload, a checkpoint's state section, a file. The one decoder,
+//! [`read_state_dict_slice`], reads it through [`rte_codec::Reader`], so
+//! every declared size is checked against the bytes actually left before
+//! anything is allocated for it, and a byte after the last entry is a
+//! typed error, not ignored. [`read_state_dict`] reads a stream to its
+//! end and decodes that.
 
 use std::io::{self, Read, Write};
 
+use rte_codec::{CodecError, Reader};
 use rte_tensor::Tensor;
 
 use crate::{NnError, StateDict};
 
 const MAGIC: &[u8; 8] = b"RTESD1\0\0";
 
-/// Tensor data crosses the `Read`/`Write` boundary this many `f32`s at a
-/// time: one 4 KiB stack buffer per call instead of one call per value.
+/// Tensor data is written this many `f32`s at a time: one 4 KiB stack
+/// buffer per `write_all` instead of one call per value.
 const CHUNK_ELEMS: usize = 1024;
 
 /// Defensive caps on declared sizes: no model in this workspace comes
@@ -79,95 +88,39 @@ pub fn write_state_dict<W: Write>(mut writer: W, sd: &StateDict) -> io::Result<(
     Ok(())
 }
 
-fn read_u64<R: Read>(reader: &mut R) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    reader.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn decode_f32s(bytes: &[u8], out: &mut Vec<f32>) {
-    out.extend(
-        bytes
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
-    );
-}
-
-/// Tensor data from a stream of unknown length: the buffer grows only
-/// as bytes actually arrive, so a forged element count costs a typed
-/// error at end of input, not an up-front allocation.
-fn read_data_stream<R: Read>(reader: &mut R, numel: usize) -> io::Result<Vec<f32>> {
-    let mut data = Vec::with_capacity(numel.min(CHUNK_ELEMS));
-    let mut chunk = [0u8; 4 * CHUNK_ELEMS];
-    let mut left = numel;
-    while left > 0 {
-        let n = left.min(CHUNK_ELEMS);
-        reader.read_exact(&mut chunk[..4 * n])?;
-        decode_f32s(&chunk[..4 * n], &mut data);
-        left -= n;
-    }
-    Ok(data)
-}
-
-/// Tensor data from a slice: the remaining length is known, so an
-/// element count the input cannot back is refused before allocating,
-/// and an honest one gets its exact size in one allocation.
-fn read_data_slice(bytes: &mut &[u8], numel: usize) -> io::Result<Vec<f32>> {
-    // `numel` is capped at 2^28, so the byte count cannot overflow.
-    let len = numel * 4;
-    if len > bytes.len() {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            format!("{len} data bytes declared, {} left", bytes.len()),
-        ));
-    }
-    let (head, rest) = bytes.split_at(len);
-    let mut data = Vec::with_capacity(numel);
-    decode_f32s(head, &mut data);
-    *bytes = rest;
-    Ok(data)
-}
-
 /// Reads a state dict written by [`write_state_dict`] (pass `&mut file` —
-/// any `io::Read` works by value or by mutable reference).
+/// any `io::Read` works by value or by mutable reference). The input is
+/// read to its end, so its buffer grows only as bytes actually arrive,
+/// and then decoded by [`read_state_dict_slice`].
 ///
 /// # Errors
 ///
-/// Returns [`NnError::StateDictMismatch`] for format violations, wrapped
-/// I/O errors as `io::Error` via the `Result`'s error conversion at the
-/// call site is not possible here, so I/O problems are reported as
-/// `StateDictMismatch` with the underlying message.
-pub fn read_state_dict<R: Read>(reader: R) -> Result<StateDict, NnError> {
-    read_entries(reader, read_data_stream)
-}
-
-/// [`read_state_dict`] for bytes already in memory (a frame payload, a
-/// checkpoint's state section): same format, same errors, but every
-/// declared size is checked against what is actually left in `bytes`
-/// before anything is allocated for it. Bytes after the last entry are
-/// ignored, as by the stream reader.
-///
-/// # Errors
-///
-/// Returns [`NnError::StateDictMismatch`] for format violations and
-/// truncation.
-pub fn read_state_dict_slice(bytes: &[u8]) -> Result<StateDict, NnError> {
-    read_entries(bytes, read_data_slice)
-}
-
-fn read_entries<R: Read>(
-    mut reader: R,
-    read_data: impl Fn(&mut R, usize) -> io::Result<Vec<f32>>,
-) -> Result<StateDict, NnError> {
-    let fail = |reason: String| NnError::StateDictMismatch { reason };
-    let mut magic = [0u8; 8];
+/// [`NnError::StateDictMismatch`] for an I/O failure (with its message)
+/// and for everything [`read_state_dict_slice`] refuses.
+pub fn read_state_dict<R: Read>(mut reader: R) -> Result<StateDict, NnError> {
+    let mut bytes = Vec::new();
     reader
-        .read_exact(&mut magic)
-        .map_err(|e| fail(format!("reading magic: {e}")))?;
-    if &magic != MAGIC {
+        .read_to_end(&mut bytes)
+        .map_err(|e| fail(format!("reading: {e}")))?;
+    read_state_dict_slice(&bytes)
+}
+
+/// Decodes the state dict that `bytes` holds, and nothing else: every
+/// declared size is checked against what is actually left in `bytes`
+/// before anything is allocated for it, and an honest tensor gets its
+/// exact size in one allocation.
+///
+/// # Errors
+///
+/// [`NnError::StateDictMismatch`] for a bad magic, an implausible
+/// count, name length, rank or element count, a name that is not UTF-8,
+/// truncation, and bytes after the last entry.
+pub fn read_state_dict_slice(bytes: &[u8]) -> Result<StateDict, NnError> {
+    let mut r = Reader::new(bytes, "state dict");
+    if r.take(8, "magic").map_err(|e| fail(e.to_string()))? != MAGIC {
         return Err(fail("bad magic: not an RTESD1 state dict".into()));
     }
-    let count = read_u64(&mut reader).map_err(|e| fail(format!("reading count: {e}")))?;
+    let count = r.u64("count").map_err(|e| fail(e.to_string()))?;
     if count > MAX_ENTRIES {
         return Err(fail(format!("implausible entry count {count}")));
     }
@@ -175,20 +128,19 @@ fn read_entries<R: Read>(
     // entries that actually parse grow the list.
     let mut sd = StateDict::with_capacity((count as usize).min(256));
     for i in 0..count {
-        let name_len =
-            read_u64(&mut reader).map_err(|e| fail(format!("entry {i} name len: {e}")))?;
+        let cut = |e: CodecError| fail(format!("entry {i}: {e}"));
+        let name_len = r.u64("name len").map_err(cut)?;
         if name_len > MAX_NAME_LEN {
             return Err(fail(format!(
                 "entry {i}: implausible name length {name_len}"
             )));
         }
-        let mut name_bytes = vec![0u8; name_len as usize];
-        reader
-            .read_exact(&mut name_bytes)
+        let name = r
+            .take(name_len as usize, "name")
             .map_err(|e| fail(format!("entry {i} name: {e}")))?;
-        let name = String::from_utf8(name_bytes)
+        let name = String::from_utf8(name.to_vec())
             .map_err(|e| fail(format!("entry {i} name not utf-8: {e}")))?;
-        let rank = read_u64(&mut reader).map_err(|e| fail(format!("entry {i} rank: {e}")))?;
+        let rank = r.u64("rank").map_err(cut)?;
         if rank > MAX_RANK {
             return Err(fail(format!("entry {i}: implausible rank {rank}")));
         }
@@ -197,7 +149,9 @@ fn read_entries<R: Read>(
         // caps the element count and every stride, with no overflow.
         let mut bound = Some(1u64);
         for d in 0..rank {
-            let dim = read_u64(&mut reader).map_err(|e| fail(format!("entry {i} dim {d}: {e}")))?;
+            let dim = r
+                .u64("dim")
+                .map_err(|e| fail(format!("entry {i} dim {d}: {e}")))?;
             bound = bound.and_then(|b| b.checked_mul(dim.max(1)));
             dims.push(dim);
         }
@@ -207,13 +161,21 @@ fn read_entries<R: Read>(
             )));
         }
         let dims: Vec<usize> = dims.iter().map(|&d| d as usize).collect();
-        let numel = dims.iter().product();
-        let data =
-            read_data(&mut reader, numel).map_err(|e| fail(format!("entry {i} data: {e}")))?;
-        let tensor = Tensor::from_vec(data, &dims).map_err(NnError::Tensor)?;
+        let data = r.f32s(dims.iter().product(), "data").map_err(cut)?;
+        let tensor = Tensor::from_vec(data.collect(), &dims).map_err(NnError::Tensor)?;
         sd.push((name, tensor));
     }
+    let trailing = r.rest().len();
+    if trailing > 0 {
+        return Err(fail(format!(
+            "{trailing} trailing bytes after the last entry"
+        )));
+    }
     Ok(sd)
+}
+
+fn fail(reason: String) -> NnError {
+    NnError::StateDictMismatch { reason }
 }
 
 #[cfg(test)]

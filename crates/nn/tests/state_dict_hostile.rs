@@ -184,6 +184,22 @@ fn overflowing_dims_are_typed_not_panics() {
     }
 }
 
+/// A state dict is the last thing in its input: one appended byte, or
+/// seven, is a typed trailing-bytes error from both readers, while the
+/// untouched bytes decode (the same tails `checkpoint_hostile.rs`
+/// appends to a checkpoint).
+#[test]
+fn appended_tails_are_typed() {
+    let sd = mk_dict(&[7, 0x0102_0305, 42]);
+    let bytes = encode(&sd);
+    assert_eq!(decode(&bytes).unwrap(), sd);
+    for tail in [&[0u8][..], &[0xAB, 1, 2, 3, 4, 5, 6][..]] {
+        let mut appended = bytes.clone();
+        appended.extend_from_slice(tail);
+        assert_typed(&decode(&appended).unwrap_err(), "trailing");
+    }
+}
+
 /// Peak virtual size of this process, in KiB.
 #[cfg(target_os = "linux")]
 fn vm_peak_kib() -> u64 {

@@ -326,15 +326,9 @@ fn bench_train_step(c: &mut Criterion) {
 /// fans out (its `PAR_MIN_CALL_MACS`).
 fn parallel_region() {
     let mut slots = [0u8; 2];
-    parallel::for_each_chunk_mut(
-        Parallelism::new(2),
-        &mut slots,
-        1,
-        || (),
-        |(), i, s| {
-            s[0] = i as u8;
-        },
-    );
+    parallel::for_each_chunk_mut(Parallelism::new(2), &mut slots, 1, |i, s| {
+        s[0] = i as u8;
+    });
     black_box(slots);
 }
 

@@ -12,22 +12,25 @@
 //! Every placement's RNG stream is derived purely from
 //! `(seed, client, split, design, placement)`, so samples are independent
 //! work items. One driver walks the placement jobs of *all* clients in
-//! fixed `(client, split, design, placement)` order, a chunk at a time,
-//! sharding netlist synthesis over designs and sample generation over
-//! placements onto worker threads. [`generate_corpus`] and
-//! [`generate_client`] run it with one chunk of every placement and
-//! assemble the datasets on the caller's thread; [`generate_fleet_with`]
-//! runs it with one chunk too, each worker copying its sample into its
-//! rows of the clients' stacked tensors;
-//! [`crate::shard::CorpusWriter`] runs it with bounded chunks. The
-//! output is **byte-identical to the serial path at every thread
-//! count** — the parallelism budget (explicit via the `_with`
-//! variants, otherwise the process-global `rte_tensor::parallel` default)
-//! is a pure wall-clock knob, exactly like training and evaluation.
+//! fixed `(client, split, design, placement)` order in one parallel
+//! region, each design synthesized once by the worker that first needs
+//! it and dropped after its last placement, and hands every sample to a
+//! sink on the caller's thread in job order. Generation memory is
+//! O(workers): at most one design per worker plus two are live, and at
+//! most a window of samples run or wait ahead of the sink, whatever the
+//! corpus size. [`generate_corpus`] and [`generate_client`] push each
+//! sample onto its client's dataset; [`generate_fleet_with`] copies it
+//! into its rows of the clients' stacked tensors;
+//! [`crate::shard::CorpusWriter`] appends it to its shard. The output is
+//! **byte-identical to the serial path at every thread count** — the
+//! parallelism budget (explicit via the `_with` variants, otherwise the
+//! process-global `rte_tensor::parallel` default) is a pure wall-clock
+//! knob, exactly like training and evaluation.
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use rte_tensor::parallel::{self, map_with, Parallelism};
+use rte_tensor::parallel::{self, map_ordered_within, Parallelism};
 use rte_tensor::rng::Xoshiro256;
 use rte_tensor::Tensor;
 
@@ -36,6 +39,7 @@ use crate::drc::design_h_affinity;
 use crate::features::FEATURE_CHANNELS;
 use crate::netlist::{generate_netlist, Netlist};
 use crate::placement::{check_grid, GridDims, PlacementConfig};
+use crate::shard::DEFAULT_CHUNK;
 use crate::{EdaError, Family, FamilyMix};
 
 /// One row of the paper's Table 2.
@@ -269,35 +273,39 @@ fn design_stream(
         .derive(design as u64)
 }
 
-/// One design to synthesize (phase 1 work item).
-pub(crate) struct DesignJob {
-    pub(crate) spec_i: usize,
-    pub(crate) split: Split,
-    pub(crate) design: usize,
-}
-
-/// One placement to generate (phase 2 work item).
+/// One placement to generate. Its first three fields are its design's
+/// coordinates, so any placement job of a design names the design.
 pub(crate) struct PlacementJob {
     pub(crate) spec_i: usize,
     pub(crate) split: Split,
     pub(crate) design: usize,
-    /// Index into the phase-1 netlist list.
+    /// The design's index over all clients, in job order.
     pub(crate) netlist: usize,
     pub(crate) placement: usize,
 }
 
-/// Expands specs into the flat, fixed-order work lists both the
-/// in-memory and the streaming generators walk: design jobs in
-/// `(client, split, design)` order, placement jobs in
-/// `(client, split, design, placement)` order. This ordering IS the
-/// byte-identity contract — every consumer assembles results by walking
-/// these lists front to back.
+/// Expands specs into the flat, fixed-order work list both the
+/// in-memory and the streaming generators walk: placement jobs in
+/// `(client, split, design, placement)` order, every design with at
+/// least one. This ordering IS the byte-identity contract — every
+/// consumer assembles results by walking this list front to back.
+///
+/// # Errors
+///
+/// [`EdaError::InvalidConfig`] for an empty spec list or a grid smaller
+/// than 4×4, so every generator refuses them before any design is
+/// synthesized.
 pub(crate) fn build_jobs(
     specs: &[ClientSpec],
     config: &CorpusConfig,
-) -> (Vec<DesignJob>, Vec<PlacementJob>) {
-    let mut design_jobs: Vec<DesignJob> = Vec::new();
-    let mut placement_jobs: Vec<PlacementJob> = Vec::new();
+) -> Result<Vec<PlacementJob>, EdaError> {
+    if specs.is_empty() {
+        return Err(EdaError::InvalidConfig {
+            reason: "corpus generation needs at least one client spec".into(),
+        });
+    }
+    check_grid(config.grid)?;
+    let (mut jobs, mut netlist) = (Vec::new(), 0);
     for (spec_i, spec) in specs.iter().enumerate() {
         let (n_train, n_test) = spec.scaled_counts(config.placement_scale);
         for (split, n_designs, n_placements) in [
@@ -305,17 +313,11 @@ pub(crate) fn build_jobs(
             (Split::Test, spec.test_designs, n_test),
         ] {
             for d in 0..n_designs {
-                let netlist = design_jobs.len();
-                design_jobs.push(DesignJob {
-                    spec_i,
-                    split,
-                    design: d,
-                });
                 // Distribute placements round-robin so every design gets
                 // ⌈n/designs⌉ or ⌊n/designs⌋ placements.
                 let share = n_placements / n_designs + usize::from(d < n_placements % n_designs);
                 for p in 0..share {
-                    placement_jobs.push(PlacementJob {
+                    jobs.push(PlacementJob {
                         spec_i,
                         split,
                         design: d,
@@ -323,10 +325,11 @@ pub(crate) fn build_jobs(
                         placement: p,
                     });
                 }
+                netlist += 1;
             }
         }
     }
-    (design_jobs, placement_jobs)
+    Ok(jobs)
 }
 
 /// Phase-1 output: a design's netlist and the constant the DRC oracle
@@ -334,17 +337,23 @@ pub(crate) fn build_jobs(
 pub(crate) struct Design {
     pub(crate) netlist: Netlist,
     h_affinity: f64,
+    #[cfg(test)]
+    _live: tests::Live,
 }
 
-/// The seed a design job's netlist is synthesized from.
-fn design_seed(specs: &[ClientSpec], config: &CorpusConfig, job: &DesignJob) -> u64 {
+/// The seed the netlist of a job's design is synthesized from.
+fn design_seed(specs: &[ClientSpec], config: &CorpusConfig, job: &PlacementJob) -> u64 {
     design_stream(config, &specs[job.spec_i], job.split, job.design).next_u64()
 }
 
 /// The name [`synthesize_design`] gives a design job's netlist, without
 /// synthesizing it: a shard header lists its designs before the first
 /// of them exists.
-pub(crate) fn design_name(specs: &[ClientSpec], config: &CorpusConfig, job: &DesignJob) -> String {
+pub(crate) fn design_name(
+    specs: &[ClientSpec],
+    config: &CorpusConfig,
+    job: &PlacementJob,
+) -> String {
     crate::netlist::design_name(specs[job.spec_i].family, design_seed(specs, config, job))
 }
 
@@ -353,12 +362,14 @@ pub(crate) fn design_name(specs: &[ClientSpec], config: &CorpusConfig, job: &Des
 pub(crate) fn synthesize_design(
     specs: &[ClientSpec],
     config: &CorpusConfig,
-    job: &DesignJob,
+    job: &PlacementJob,
 ) -> Result<Design, EdaError> {
     let netlist = generate_netlist(specs[job.spec_i].family, design_seed(specs, config, job))?;
     Ok(Design {
         h_affinity: design_h_affinity(&netlist),
         netlist,
+        #[cfg(test)]
+        _live: tests::Live::new(config.seed),
     })
 }
 
@@ -398,100 +409,125 @@ pub(crate) fn placement_sample(
     )
 }
 
-/// The generation driver: walks `jobs` (in [`build_jobs`] order)
-/// `chunk` placements at a time and hands each chunk's outputs, in job
-/// order, to `sink`. `place` also receives the job's index in `jobs`.
+/// The generation driver: one [`map_ordered_within`] region over
+/// [`build_jobs`]' placement list that hands each sample to `sink` on
+/// the calling thread, in job order, with at most `window` samples
+/// running or waiting ahead of it.
 ///
-/// A chunk runs two parallel regions: one synthesizes the designs it
-/// places that no earlier chunk did, one generates its placements. Jobs
-/// are in design order, so a chunk needs only its own contiguous range
-/// of designs: the designs before it are dropped when it starts, and at
-/// most `chunk` designs are live at any time. With one chunk of every
-/// placement this is one region over all designs and one over all
-/// placements.
-pub(crate) fn drive_chunks<D, T>(
+/// A worker synthesizes each design once, before its first placement:
+/// the worker that takes a design's first placement also synthesizes the
+/// next design, so the next worker rarely waits on one. A design is
+/// dropped as soon as its last placement is done. Placements are taken
+/// in job order, so the designs held at once are those with a placement
+/// running — at most one per worker — plus the design at the front and
+/// the one after it, whatever the corpus size.
+///
+/// # Errors
+///
+/// The first error in job order, from synthesis, a placement or `sink`;
+/// no sample after it reaches `sink`, and no placement starts after it
+/// is seen.
+pub(crate) fn generate_samples(
+    specs: &[ClientSpec],
+    config: &CorpusConfig,
     jobs: &[PlacementJob],
     par: Parallelism,
-    chunk: usize,
-    synthesize: impl Fn(usize) -> Result<D, EdaError> + Sync,
-    place: impl Fn(&D, usize, &PlacementJob, &mut GenScratch) -> Result<T, EdaError> + Sync,
-    mut sink: impl FnMut(&[PlacementJob], Vec<T>) -> Result<(), EdaError>,
-) -> Result<(), EdaError>
-where
-    D: Send + Sync,
-    T: Send,
-{
-    // The live designs: `window[i]` is design `base + i`.
-    let (mut window, mut base) = (Vec::new(), 0);
-    let mut done = 0;
-    for jobs in jobs.chunks(chunk) {
-        let first = jobs[0].netlist;
-        window.drain(..(first - base).min(window.len()));
-        base = first;
-        let fresh: Vec<usize> = (base + window.len()..=jobs[jobs.len() - 1].netlist).collect();
-        for design in map_with(par, &fresh, || (), |(), _, &d| synthesize(d)) {
-            window.push(design?);
-        }
-        let outputs = map_with(par, jobs, GenScratch::new, |scratch, i, job| {
-            place(&window[job.netlist - base], done + i, job, scratch)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        done += jobs.len();
-        sink(jobs, outputs)?;
-    }
-    Ok(())
-}
-
-/// [`drive_chunks`] over the generator itself: the placements of
-/// [`build_jobs`]' lists, `chunk` at a time, as samples.
-pub(crate) fn generate_chunked(
-    specs: &[ClientSpec],
-    config: &CorpusConfig,
-    (design_jobs, placement_jobs): &(Vec<DesignJob>, Vec<PlacementJob>),
-    par: Parallelism,
-    chunk: usize,
-    sink: impl FnMut(&[PlacementJob], Vec<Sample>) -> Result<(), EdaError>,
+    window: usize,
+    mut sink: impl FnMut(&PlacementJob, Sample) -> Result<(), EdaError>,
 ) -> Result<(), EdaError> {
-    drive_chunks(
-        placement_jobs,
+    let synthesize = |job: &PlacementJob| synthesize_design(specs, config, job);
+    let shelf = Shelf::new(jobs);
+    let (quit, mut failed) = (AtomicBool::new(false), None);
+    map_ordered_within(
         par,
-        chunk,
-        |d| synthesize_design(specs, config, &design_jobs[d]),
-        |design, _, job, scratch| placement_sample(specs, config, design, job, scratch),
-        sink,
-    )
+        jobs,
+        window,
+        GenScratch::new,
+        |scratch, _, job| {
+            #[cfg(test)]
+            tests::ahead(config.seed, true);
+            if quit.load(Relaxed) {
+                return None;
+            }
+            if job.placement == 0 {
+                shelf.make_ahead(job.netlist + 1, &synthesize);
+            }
+            let design = shelf.get(job.netlist, &synthesize);
+            let sample =
+                design.and_then(|design| placement_sample(specs, config, &design, job, scratch));
+            shelf.placed(job.netlist);
+            Some(sample)
+        },
+        |i, sample| {
+            #[cfg(test)]
+            tests::ahead(config.seed, false);
+            if failed.is_none() {
+                if let Some(Err(e)) = sample.map(|s| s.and_then(|s| sink(&jobs[i], s))) {
+                    failed = Some(e);
+                    quit.store(true, Relaxed);
+                }
+            }
+        },
+    );
+    failed.map_or(Ok(()), Err)
 }
 
-/// The in-memory generator: [`generate_chunked`] with one chunk of every
-/// placement, so each design is synthesized once for all of its
-/// placements, and the per-client datasets are assembled in fixed
-/// `(client, split, design, placement)` order on the caller's thread.
-fn generate_clients_sharded(
-    specs: &[ClientSpec],
-    config: &CorpusConfig,
-    par: Parallelism,
-) -> Result<Vec<ClientData>, EdaError> {
-    let mut clients: Vec<ClientData> = specs
-        .iter()
-        .map(|spec| ClientData {
-            spec: *spec,
-            train: Dataset::new(),
-            test: Dataset::new(),
-        })
-        .collect();
-    let jobs = build_jobs(specs, config);
-    generate_chunked(specs, config, &jobs, par, usize::MAX, |jobs, samples| {
-        for (job, sample) in jobs.iter().zip(samples) {
-            let client = &mut clients[job.spec_i];
-            match job.split {
-                Split::Train => client.train.push(sample),
-                Split::Test => client.test.push(sample),
+/// The designs of one [`generate_samples`] pass: per design, the
+/// placements it has left, its first placement job, and the design once
+/// made. A design is made under its own lock, so a worker that needs it
+/// meanwhile waits for it and for nothing else.
+struct Shelf<'a>(Vec<Mutex<(usize, &'a PlacementJob, Option<Made>)>>);
+
+type Made = Result<Arc<Design>, EdaError>;
+
+type Synthesize<'s> = &'s dyn Fn(&PlacementJob) -> Result<Design, EdaError>;
+
+impl<'a> Shelf<'a> {
+    fn new(jobs: &'a [PlacementJob]) -> Self {
+        let mut designs = Vec::new();
+        for job in jobs {
+            if job.placement == 0 {
+                designs.push(Mutex::new((0, job, None)));
+            }
+            designs[job.netlist].get_mut().expect("not shared yet").0 += 1;
+        }
+        Shelf(designs)
+    }
+
+    fn slot(&self, design: usize) -> MutexGuard<'_, (usize, &'a PlacementJob, Option<Made>)> {
+        self.0[design]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `design`, made here unless a worker made it already. A worker
+    /// whose synthesis panicked leaves the design unmade, so the next
+    /// one to need it makes it (and panics alike) instead of waiting.
+    fn get(&self, design: usize, synthesize: Synthesize<'_>) -> Made {
+        let (_, job, made) = &mut *self.slot(design);
+        made.get_or_insert_with(|| synthesize(job).map(Arc::new))
+            .clone()
+    }
+
+    /// Makes `design` ahead of its first placement, unless it is out of
+    /// range, placed to the end, or taken by another worker.
+    fn make_ahead(&self, design: usize, synthesize: Synthesize<'_>) {
+        if let Some(Ok(mut slot)) = self.0.get(design).map(Mutex::try_lock) {
+            if let (1.., job, made @ None) = &mut *slot {
+                *made = Some(synthesize(job).map(Arc::new));
             }
         }
-        Ok(())
-    })?;
-    Ok(clients)
+    }
+
+    /// Counts a placement of `design` done, letting the design go after
+    /// its last.
+    fn placed(&self, design: usize) {
+        let (left, _, made) = &mut *self.slot(design);
+        *left -= 1;
+        if *left == 0 {
+            *made = None;
+        }
+    }
 }
 
 /// Generates one client's data per its Table 2 spec, sharding placement
@@ -516,8 +552,8 @@ pub fn generate_client_with(
     config: &CorpusConfig,
     par: Parallelism,
 ) -> Result<ClientData, EdaError> {
-    let mut clients = generate_clients_sharded(std::slice::from_ref(spec), config, par)?;
-    Ok(clients.pop().expect("one spec in, one client out"))
+    let mut corpus = generate_corpus_for_specs_with(std::slice::from_ref(spec), config, par)?;
+    Ok(corpus.clients.pop().expect("one spec in, one client out"))
 }
 
 /// Generates the full nine-client corpus of the paper's Table 2,
@@ -552,17 +588,15 @@ pub fn generate_corpus(config: &CorpusConfig) -> Result<Corpus, EdaError> {
 ///
 /// Same conditions as [`generate_corpus`].
 pub fn generate_corpus_with(config: &CorpusConfig, par: Parallelism) -> Result<Corpus, EdaError> {
-    let clients = generate_clients_sharded(&PAPER_CLIENTS, config, par)?;
-    Ok(Corpus {
-        clients,
-        grid: config.grid,
-    })
+    generate_corpus_for_specs_with(&PAPER_CLIENTS, config, par)
 }
 
 /// Generates a corpus for an explicit client list (e.g. a synthesized
 /// universe from [`universe_specs`]) with an explicit thread budget.
 /// Output is byte-identical for every budget, exactly like
-/// [`generate_corpus_with`].
+/// [`generate_corpus_with`]: [`generate_samples`] pushes each sample
+/// onto its client's split on the caller's thread, in fixed
+/// `(client, split, design, placement)` order.
 ///
 /// # Errors
 ///
@@ -573,12 +607,23 @@ pub fn generate_corpus_for_specs_with(
     config: &CorpusConfig,
     par: Parallelism,
 ) -> Result<Corpus, EdaError> {
-    if specs.is_empty() {
-        return Err(EdaError::InvalidConfig {
-            reason: "corpus generation needs at least one client spec".into(),
-        });
-    }
-    let clients = generate_clients_sharded(specs, config, par)?;
+    let mut clients: Vec<ClientData> = specs
+        .iter()
+        .map(|spec| ClientData {
+            spec: *spec,
+            train: Dataset::new(),
+            test: Dataset::new(),
+        })
+        .collect();
+    let jobs = build_jobs(specs, config)?;
+    generate_samples(specs, config, &jobs, par, DEFAULT_CHUNK, |job, sample| {
+        let client = &mut clients[job.spec_i];
+        match job.split {
+            Split::Train => client.train.push(sample),
+            Split::Test => client.test.push(sample),
+        }
+        Ok(())
+    })?;
     Ok(Corpus {
         clients,
         grid: config.grid,
@@ -603,10 +648,10 @@ pub struct ClientTensors {
 /// bit for bit [`generate_corpus_for_specs_with`] followed by
 /// [`Dataset::full_batch`] on every split, for every budget, but each
 /// sample is held once. Every `(client, split)`'s two tensors are sized
-/// from the placement job list before generation starts; the driver
-/// runs with one chunk of every placement, and each placement's worker
-/// copies its sample into the rows of its job, so no `Vec<Sample>` of
-/// the fleet and no second copy ever exist.
+/// from the placement job list before generation starts, and the
+/// driver's sink copies each sample into the rows of its job and drops
+/// it, so no `Vec<Sample>` of the fleet, no second copy and no more than
+/// a design per worker plus two ever exist.
 ///
 /// # Errors
 ///
@@ -620,12 +665,7 @@ pub fn generate_fleet_with(
     config: &CorpusConfig,
     par: Parallelism,
 ) -> Result<Vec<ClientTensors>, EdaError> {
-    if specs.is_empty() {
-        return Err(EdaError::InvalidConfig {
-            reason: "corpus generation needs at least one client spec".into(),
-        });
-    }
-    check_grid(config.grid)?;
+    let jobs = build_jobs(specs, config)?;
     if specs
         .iter()
         .any(|spec| spec.train_designs == 0 || spec.test_designs == 0)
@@ -634,43 +674,29 @@ pub fn generate_fleet_with(
             reason: "empty batch".into(),
         });
     }
-    let (design_jobs, placement_jobs) = build_jobs(specs, config);
     let (h, w) = (config.grid.height, config.grid.width);
     let (x_len, y_len) = (FEATURE_CHANNELS * h * w, h * w);
     // Rows of `(client, split)` at `2 × client + split`: the order the
     // jobs visit them in.
     let mut rows = vec![0; 2 * specs.len()];
-    for job in &placement_jobs {
+    for job in &jobs {
         rows[2 * job.spec_i + usize::from(job.split == Split::Test)] += 1;
     }
     let mut buffers: Vec<(Vec<f32>, Vec<f32>)> = rows
         .iter()
         .map(|&n| (vec![0.0; n * x_len], vec![0.0; n * y_len]))
         .collect();
-    {
-        // Job `j`'s rows, at index `j`: each split's jobs are one
-        // contiguous run in job order. A slot is locked once, by its own
-        // placement, so the lock only proves the write exclusive.
-        let slots: Vec<Mutex<(&mut [f32], &mut [f32])>> = buffers
-            .iter_mut()
-            .flat_map(|(x, y)| x.chunks_exact_mut(x_len).zip(y.chunks_exact_mut(y_len)))
-            .map(Mutex::new)
-            .collect();
-        drive_chunks(
-            &placement_jobs,
-            par,
-            usize::MAX,
-            |d| synthesize_design(specs, config, &design_jobs[d]),
-            |design, j, job, scratch| {
-                let sample = placement_sample(specs, config, design, job, scratch)?;
-                let mut slot = slots[j].lock().expect("a slot's one writer never panics");
-                slot.0.copy_from_slice(sample.features.data());
-                slot.1.copy_from_slice(sample.label.data());
-                Ok(())
-            },
-            |_, _| Ok(()),
-        )?;
-    }
+    // Each split's jobs are one contiguous run in job order, so the
+    // samples arrive in the order of the buffers' rows.
+    let mut slots = buffers
+        .iter_mut()
+        .flat_map(|(x, y)| x.chunks_exact_mut(x_len).zip(y.chunks_exact_mut(y_len)));
+    generate_samples(specs, config, &jobs, par, DEFAULT_CHUNK, |_, sample| {
+        let (x, y) = slots.next().expect("one row a placement");
+        x.copy_from_slice(sample.features.data());
+        y.copy_from_slice(sample.label.data());
+        Ok(())
+    })?;
     let mut splits = rows.into_iter().zip(buffers).map(|(n, (x, y))| {
         Ok::<_, EdaError>((
             Tensor::from_vec(x, &[n, FEATURE_CHANNELS, h, w])?,
@@ -822,8 +848,7 @@ pub fn universe_specs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+    use std::collections::{BTreeMap, HashSet};
 
     #[test]
     fn table2_totals_match_paper() {
@@ -935,78 +960,198 @@ mod tests {
         let config = CorpusConfig::tiny();
         let universe = universe_specs(&config, &UniverseConfig::new(10, 40)).unwrap();
         for specs in [&PAPER_CLIENTS[..], &universe] {
-            let (design_jobs, _) = build_jobs(specs, &config);
-            for job in &design_jobs {
+            for job in build_jobs(specs, &config)
+                .unwrap()
+                .iter()
+                .filter(|j| j.placement == 0)
+            {
                 let design = synthesize_design(specs, &config, job).unwrap();
                 assert_eq!(design_name(specs, &config, job), design.netlist.name);
             }
         }
     }
 
-    /// A stand-in design that counts the live ones.
-    struct Live<'a> {
-        netlist: usize,
-        live: &'a AtomicUsize,
+    /// Per corpus seed: the designs live (now, at peak), the samples
+    /// running or waiting ahead of the sink (now, at peak), and the
+    /// designs synthesized. A test that owns a seed reads its own counts
+    /// while the other tests run.
+    #[derive(Default)]
+    struct Counts {
+        live: (usize, usize),
+        ahead: (usize, usize),
+        made: usize,
     }
 
-    impl Drop for Live<'_> {
-        fn drop(&mut self) {
-            self.live.fetch_sub(1, SeqCst);
+    static COUNTS: Mutex<BTreeMap<u64, Counts>> = Mutex::new(BTreeMap::new());
+
+    fn count(seed: u64, update: impl FnOnce(&mut Counts)) {
+        update(COUNTS.lock().unwrap().entry(seed).or_default());
+    }
+
+    fn step((now, peak): &mut (usize, usize), up: bool) {
+        *now = if up { *now + 1 } else { *now - 1 };
+        *peak = (*peak).max(*now);
+    }
+
+    /// Counts a placement starting (`up`) or its sample leaving the sink.
+    pub(super) fn ahead(seed: u64, up: bool) {
+        count(seed, |c| step(&mut c.ahead, up));
+    }
+
+    /// A guard each design holds: counts it live until it is dropped.
+    pub(super) struct Live(u64);
+
+    impl Live {
+        pub(super) fn new(seed: u64) -> Self {
+            count(seed, |c| {
+                c.made += 1;
+                step(&mut c.live, true);
+            });
+            Live(seed)
         }
+    }
+
+    impl Drop for Live {
+        fn drop(&mut self) {
+            count(self.0, |c| step(&mut c.live, false));
+        }
+    }
+
+    /// `(live designs at peak, samples ahead at peak)` of a seed's runs,
+    /// after checking that every design was synthesized exactly once and
+    /// none is left.
+    fn peaks(seed: u64, designs: usize, what: &str) -> (usize, usize) {
+        let counts = &COUNTS.lock().unwrap()[&seed];
+        assert_eq!(counts.made, designs, "{what}: designs synthesized");
+        assert_eq!(counts.live.0, 0, "{what}: designs left live");
+        (counts.live.1, counts.ahead.1)
     }
 
     #[test]
     fn driver_synthesizes_each_design_once_and_holds_at_most_chunk() {
-        let tiny = CorpusConfig::tiny();
-        let universe = universe_specs(&tiny, &UniverseConfig::new(100, 400)).unwrap();
-        for (specs, config) in [
-            (&PAPER_CLIENTS[..], CorpusConfig::scaled()),
-            (&universe[..], tiny),
-        ] {
-            let (design_jobs, jobs) = build_jobs(specs, &config);
+        let mut table2 = CorpusConfig::tiny();
+        table2.placement_scale = 0.02; // several placements per design
+        let universe = universe_specs(&table2, &UniverseConfig::new(100, 400)).unwrap();
+        let mut seed = 0xD21F_0000;
+        for specs in [&PAPER_CLIENTS[..], &universe] {
             for (chunk, threads) in [(1, 1), (7, 1), (7, 3), (64, 1), (64, 3)] {
-                let what = format!(
-                    "{} designs, chunk {chunk}, {threads} threads",
-                    design_jobs.len()
-                );
-                let synthesized: Vec<AtomicUsize> =
-                    design_jobs.iter().map(|_| AtomicUsize::new(0)).collect();
-                let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                seed += 1;
+                let config = CorpusConfig {
+                    seed,
+                    placement_scale: if specs.len() == 9 { 0.02 } else { 0.0 },
+                    ..table2
+                };
+                let jobs = build_jobs(specs, &config).unwrap();
+                let designs = jobs.iter().filter(|j| j.placement == 0).count();
+                let what = format!("{designs} designs, chunk {chunk}, {threads} threads");
                 let mut placed = 0;
-                drive_chunks(
-                    &jobs,
-                    Parallelism::new(threads),
-                    chunk,
-                    |netlist| {
-                        synthesized[netlist].fetch_add(1, SeqCst);
-                        peak.fetch_max(live.fetch_add(1, SeqCst) + 1, SeqCst);
-                        Ok(Live {
-                            netlist,
-                            live: &live,
-                        })
-                    },
-                    |design, index, job, _| {
-                        assert!(std::ptr::eq(job, &jobs[index]), "{what}");
-                        assert_eq!(design.netlist, job.netlist, "{what}");
-                        Ok(job.placement)
-                    },
-                    |chunk_jobs, outputs| {
-                        // Consecutive slices of the job list, in order.
-                        assert!(std::ptr::eq(&chunk_jobs[0], &jobs[placed]), "{what}");
-                        assert!(chunk_jobs.len() <= chunk, "{what}");
-                        let expected: Vec<usize> = chunk_jobs.iter().map(|j| j.placement).collect();
-                        assert_eq!(outputs, expected, "{what}");
-                        placed += chunk_jobs.len();
-                        Ok(())
-                    },
-                )
+                let par = Parallelism::new(threads);
+                generate_samples(specs, &config, &jobs, par, chunk, |job, sample| {
+                    // The job list front to back, each its own design's.
+                    assert!(std::ptr::eq(job, &jobs[placed]), "{what}");
+                    assert_eq!(sample.design, design_name(specs, &config, job), "{what}");
+                    placed += 1;
+                    Ok(())
+                })
                 .unwrap();
                 assert_eq!(placed, jobs.len(), "{what}");
-                assert!(synthesized.iter().all(|n| n.load(SeqCst) == 1), "{what}");
-                assert!(peak.load(SeqCst) <= chunk, "{what}: {peak:?} live");
-                assert_eq!(live.load(SeqCst), 0, "{what}");
+                let (live, samples) = peaks(seed, designs, &what);
+                assert!(live <= threads + 2, "{what}: {live} designs live");
+                assert!(samples <= chunk, "{what}: {samples} samples ahead");
             }
         }
+    }
+
+    /// A sink that fails mid-pass ends the pass with its error at every
+    /// budget: here the writer cannot create the fourth shard, whose
+    /// temp name a directory holds, and leaves no file of its own.
+    #[test]
+    fn generation_stops_at_the_first_error() {
+        let config = CorpusConfig {
+            placement_scale: 0.02,
+            ..CorpusConfig::tiny()
+        };
+        for threads in [1, 2, 4, 7] {
+            let dir = std::env::temp_dir()
+                .join(format!("rte_first_error_{}_{threads}", std::process::id()));
+            let blocked = dir.join("client02.test.rtes.tmp");
+            std::fs::create_dir_all(blocked.join("occupied")).unwrap();
+            let err = crate::shard::CorpusWriter::new(&dir)
+                .with_chunk(4)
+                .with_parallelism(Parallelism::new(threads))
+                .write_specs(&PAPER_CLIENTS[..3], &config)
+                .unwrap_err();
+            assert!(
+                matches!(&err, EdaError::Shard(crate::ShardError::Io { path, .. }) if path.ends_with("client02.test.rtes.tmp")),
+                "{threads} threads: {err}"
+            );
+            let left: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            assert_eq!(left, [blocked], "{threads} threads");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// Every generator on a 40-design universe holds at most a design per
+    /// worker and two more, however many designs it places, and at most
+    /// its window of samples ahead of its sink.
+    #[test]
+    fn generation_holds_o_workers_designs() {
+        type Run<'a> = Box<dyn Fn(&CorpusConfig) + 'a>;
+        let base = CorpusConfig::tiny();
+        let specs = &universe_specs(&base, &UniverseConfig::new(10, 40)).unwrap();
+        let dir = std::env::temp_dir().join(format!("rte_residency_{}", std::process::id()));
+        let mut seed = 0x4E51_DE00;
+        for threads in [1, 2, 4, 7] {
+            let par = Parallelism::new(threads);
+            let mut runs: Vec<(&str, usize, Run)> = vec![
+                (
+                    "fleet",
+                    DEFAULT_CHUNK,
+                    Box::new(|c| {
+                        generate_fleet_with(specs, c, par).unwrap();
+                    }),
+                ),
+                (
+                    "dataset",
+                    DEFAULT_CHUNK,
+                    Box::new(|c| {
+                        generate_corpus_for_specs_with(specs, c, par).unwrap();
+                    }),
+                ),
+            ];
+            for chunk in [1, 8, 64] {
+                let writer = crate::shard::CorpusWriter::new(&dir)
+                    .with_chunk(chunk)
+                    .with_parallelism(par);
+                runs.push((
+                    "writer",
+                    chunk,
+                    Box::new(move |c| {
+                        writer.write_specs(specs, c).unwrap();
+                    }),
+                ));
+            }
+            for (path, window, run) in runs {
+                seed += 1;
+                let config = CorpusConfig {
+                    seed,
+                    placement_scale: 0.05,
+                    ..base
+                };
+                run(&config);
+                let what = format!("{path}, window {window}, {threads} threads");
+                let (designs, samples) = peaks(seed, 40, &what);
+                assert!(
+                    designs <= threads + 2,
+                    "{what}: {designs} of 40 designs live"
+                );
+                assert!(samples <= window, "{what}: {samples} samples ahead");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

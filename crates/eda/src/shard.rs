@@ -16,13 +16,14 @@
 //!   decoding are written once, so both stores return the same bits and
 //!   reject damage alike.
 //! - [`CorpusWriter`] — generates the Table 2 corpus *directly into
-//!   shard files* in bounded-memory chunks: placement jobs are processed
-//!   `chunk` at a time on the [`rte_tensor::parallel`] pool and appended
-//!   in fixed `(client, split, design, placement)` order. A netlist
-//!   lives only while a chunk places it and a shard is open only from
-//!   its first record to its last, so peak memory is proportional to
-//!   the chunk size, not the corpus, and the bytes written are
-//!   **identical for every thread count and chunk size**.
+//!   shard files* with bounded memory: placement jobs run on the
+//!   [`rte_tensor::parallel`] pool at most `chunk` ahead of the writer
+//!   and are appended in fixed `(client, split, design, placement)`
+//!   order. A netlist lives from just before its first placement to its
+//!   last, and a shard is open only from its first record to its last,
+//!   so peak memory is set by the chunk size and the worker count, not
+//!   the corpus, and the bytes written are **identical for every thread
+//!   count and chunk size**.
 //! - [`CorpusReader`] — opens a shard directory back into per-client
 //!   [`ShardReader`] pairs, validating that the files form one coherent
 //!   corpus (same seed, grid and channel count everywhere).
@@ -101,11 +102,11 @@ use std::sync::Mutex;
 use rte_tensor::parallel::Parallelism;
 use rte_tensor::Tensor;
 
-use crate::corpus::{build_jobs, design_name, generate_chunked, DesignJob, PlacementJob};
+use crate::corpus::{build_jobs, design_name, generate_samples, PlacementJob};
 use crate::corpus::{ClientSpec, CorpusConfig, Split, PAPER_CLIENTS};
 use crate::dataset::Sample;
 use crate::mmap::Mapping;
-use crate::placement::{check_grid, GridDims};
+use crate::placement::GridDims;
 use crate::{EdaError, Family, ShardError};
 
 /// First eight bytes of every shard file.
@@ -125,9 +126,10 @@ pub const SHARD_VERSION_COMPRESSED: u32 = 2;
 /// File extension of shard files (`client03.train.rtes`).
 pub const SHARD_EXTENSION: &str = "rtes";
 
-/// Default samples per streamed generation chunk — small enough that a
-/// chunk of 16×16×6-channel samples stays well under a megabyte, large
-/// enough to amortize the fork/join of one parallel map.
+/// Default samples per streamed chunk, and generated ahead of the sink
+/// by every generator — small enough that a chunk of 16×16×6-channel
+/// samples stays well under a megabyte, large enough that a worker
+/// rarely waits for a slower placement ahead of it.
 pub const DEFAULT_CHUNK: usize = 64;
 
 /// Records per lazy-CRC chunk of a mapped raw shard: the first read
@@ -1594,17 +1596,16 @@ pub struct ShardSummary {
 ///
 /// Unlike [`crate::corpus::generate_corpus`], which materializes every
 /// client's tensors before returning, this writer walks the same fixed
-/// `(client, split, design, placement)` job list in chunks of
-/// [`CorpusWriter::with_chunk`] placements on the corpus generation
-/// driver: each chunk is generated in parallel on the
-/// [`rte_tensor::parallel`] pool, appended in job order, then dropped.
-/// A design's netlist lives from the first chunk that places it to the
-/// last, and a `(client, split)` shard is open from its first record to
-/// its last, so at most one chunk of samples, `chunk` netlists and one
-/// open shard are resident — never the corpus. Because every
-/// placement's RNG stream is a pure function of its coordinates, **the
-/// shard bytes are identical for every thread count and every chunk
-/// size**.
+/// `(client, split, design, placement)` job list on the corpus
+/// generation driver: samples are generated on the
+/// [`rte_tensor::parallel`] pool at most [`CorpusWriter::with_chunk`]
+/// ahead of the writer, appended in job order, then dropped. A design's
+/// netlist lives from just before its first placement to its last, and
+/// a `(client, split)` shard is open from its first record to its last,
+/// so at most `chunk` samples, one netlist per worker plus two and one
+/// open shard are resident — never the corpus. Because every placement's RNG stream is a pure function
+/// of its coordinates, **the shard bytes are identical for every thread
+/// count and every chunk size**.
 #[derive(Debug, Clone)]
 pub struct CorpusWriter {
     dir: PathBuf,
@@ -1623,8 +1624,9 @@ impl CorpusWriter {
         }
     }
 
-    /// Sets the placements generated (and resident) per chunk; it also
-    /// bounds the netlists resident at once.
+    /// Sets the most samples generated (and resident) ahead of the
+    /// writer. The netlists resident at once are bounded by the worker
+    /// count, not by this.
     #[must_use]
     pub fn with_chunk(mut self, chunk: usize) -> Self {
         self.chunk = chunk;
@@ -1664,9 +1666,9 @@ impl CorpusWriter {
     ///
     /// # Errors
     ///
-    /// [`EdaError::InvalidConfig`] for a zero chunk size, a grid smaller
-    /// than 4×4, or a spec the shard format cannot hold (e.g. a split
-    /// without designs); generation errors from the
+    /// [`EdaError::InvalidConfig`] for a zero chunk size, an empty spec
+    /// list, a grid smaller than 4×4, or a spec the shard format cannot
+    /// hold (e.g. a split without designs); generation errors from the
     /// placement/labelling pipeline, or [`ShardError::Io`] on
     /// filesystem failures.
     pub fn write_specs(
@@ -1679,8 +1681,7 @@ impl CorpusWriter {
                 reason: "streaming chunk size must be positive".into(),
             });
         }
-        check_grid(config.grid)?;
-        let jobs = build_jobs(specs, config);
+        let jobs = build_jobs(specs, config)?;
         // One header per (client, split), in job order, design tables by
         // name: every one is checked before the first file is created.
         let metas: Vec<ShardMeta> = specs
@@ -1696,9 +1697,9 @@ impl CorpusWriter {
                     channels: crate::features::FEATURE_CHANNELS,
                     placement_scale: config.placement_scale,
                     designs: jobs
-                        .0
                         .iter()
-                        .filter(|job| job.spec_i == spec_i && job.split == split)
+                        .filter(|job| job.placement == 0 && job.spec_i == spec_i)
+                        .filter(|job| job.split == split)
                         .map(|job| design_name(specs, config, job))
                         .collect(),
                 })
@@ -1752,7 +1753,7 @@ impl CorpusWriter {
         &self,
         specs: &[ClientSpec],
         config: &CorpusConfig,
-        jobs: &(Vec<DesignJob>, Vec<PlacementJob>),
+        jobs: &[PlacementJob],
         metas: &[ShardMeta],
         created: &mut Vec<PathBuf>,
     ) -> Result<Vec<ShardSummary>, EdaError> {
@@ -1765,33 +1766,27 @@ impl CorpusWriter {
             })
         };
         let mut sealed = Vec::with_capacity(metas.len());
-        let mut open: Option<(usize, ShardWriter)> = None;
-        generate_chunked(
+        let mut open: Option<ShardWriter> = None;
+        generate_samples(
             specs,
             config,
             jobs,
             self.parallelism,
             self.chunk,
-            |jobs, samples| {
-                for (job, sample) in jobs.iter().zip(&samples) {
-                    let shard = 2 * job.spec_i + usize::from(split_code(job.split));
-                    if open.as_ref().map(|(i, _)| *i) != Some(shard) {
-                        if let Some((_, writer)) = open.take() {
-                            sealed.push(seal(writer)?);
-                        }
-                        let meta = metas[shard].clone();
-                        let path = self.dir.join(format!("{}.tmp", meta.file_name()));
-                        created.push(path.clone());
-                        open = Some((shard, ShardWriter::create(path, meta)?));
-                    }
-                    open.as_mut().expect("opened above").1.append(sample)?;
+            |job, sample| {
+                // Every shard has a record, so shards open in order.
+                let shard = 2 * job.spec_i + usize::from(split_code(job.split));
+                if shard == created.len() {
+                    sealed.extend(open.take().map(seal).transpose()?);
+                    let meta = metas[shard].clone();
+                    let path = self.dir.join(format!("{}.tmp", meta.file_name()));
+                    created.push(path.clone());
+                    open = Some(ShardWriter::create(path, meta)?);
                 }
-                Ok(())
+                open.as_mut().expect("opened above").append(&sample)
             },
         )?;
-        if let Some((_, writer)) = open {
-            sealed.push(seal(writer)?);
-        }
+        sealed.extend(open.map(seal).transpose()?);
         Ok(sealed)
     }
 }

@@ -518,8 +518,7 @@ fn forward(d: &ConvDims, x: &[f32], w: &[f32], bias: Option<&[f32]>, par: Parall
         d.parallelism(par),
         y.data_mut(),
         d.c_out * ohw,
-        || (),
-        |(), ni, y_n| {
+        |ni, y_n| {
             let x_n = &x[ni * d.chw()..(ni + 1) * d.chw()];
             with_scratch(g.padded_len(), |xp| {
                 d.pad(x_n, xp);
@@ -544,18 +543,12 @@ fn input_grad(d: &ConvDims, w: &[f32], dy: &[f32], par: Parallelism) -> Tensor {
         return dx;
     }
     let (g, arm) = (d.geom(), simd::global());
-    parallel::for_each_chunk_mut(
-        d.parallelism(par),
-        dx.data_mut(),
-        d.chw(),
-        || (),
-        |(), ni, dx_n| {
-            let dy_n = &dy[ni * d.c_out * ohw..(ni + 1) * d.c_out * ohw];
-            with_scratch(g.dy_padded_len(), |dyp| {
-                simd::conv_dx_acc_padded_with(arm, &g, d.spec.padding, w, dy_n, dyp, dx_n);
-            });
-        },
-    );
+    parallel::for_each_chunk_mut(d.parallelism(par), dx.data_mut(), d.chw(), |ni, dx_n| {
+        let dy_n = &dy[ni * d.c_out * ohw..(ni + 1) * d.c_out * ohw];
+        with_scratch(g.dy_padded_len(), |dyp| {
+            simd::conv_dx_acc_padded_with(arm, &g, d.spec.padding, w, dy_n, dyp, dx_n);
+        });
+    });
     dx
 }
 
@@ -577,27 +570,21 @@ fn weight_grad(d: &ConvDims, x: &[f32], dy: &[f32], par: Parallelism) -> Tensor 
         .find(|k| c_out % k == 0)
         .unwrap_or(1);
     let per_group = c_out / groups;
-    parallel::for_each_chunk_mut(
-        par,
-        dw.data_mut(),
-        per_group * ckk,
-        || (),
-        |(), group, dw_g| {
-            let channels = group * per_group * ohw..(group + 1) * per_group * ohw;
-            let scratch = g.padded_len() + g.dw_scratch_len(arm, per_group);
-            with_scratch(scratch, |scratch| {
-                let (xp, rest) = scratch.split_at_mut(g.padded_len());
-                let mut batch = simd::DwBatch::new(arm, &g, dw_g, rest);
-                for ni in 0..n {
-                    d.pad(&x[ni * d.chw()..(ni + 1) * d.chw()], xp);
-                    let dy_g = &dy[ni * c_out * ohw..][channels.clone()];
-                    let skip = simd::skippable_rows(d.spec.padding, dy_g);
-                    batch.add(skip, xp, dy_g);
-                }
-                batch.finish();
-            });
-        },
-    );
+    parallel::for_each_chunk_mut(par, dw.data_mut(), per_group * ckk, |group, dw_g| {
+        let channels = group * per_group * ohw..(group + 1) * per_group * ohw;
+        let scratch = g.padded_len() + g.dw_scratch_len(arm, per_group);
+        with_scratch(scratch, |scratch| {
+            let (xp, rest) = scratch.split_at_mut(g.padded_len());
+            let mut batch = simd::DwBatch::new(arm, &g, dw_g, rest);
+            for ni in 0..n {
+                d.pad(&x[ni * d.chw()..(ni + 1) * d.chw()], xp);
+                let dy_g = &dy[ni * c_out * ohw..][channels.clone()];
+                let skip = simd::skippable_rows(d.spec.padding, dy_g);
+                batch.add(skip, xp, dy_g);
+            }
+            batch.finish();
+        });
+    });
     dw
 }
 

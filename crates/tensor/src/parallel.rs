@@ -222,15 +222,15 @@ where
 /// and its result. A result that finishes before an earlier item's waits
 /// in its slot until that item's result has been handed over, so what is
 /// held at once is the results that overtook the slowest item still
-/// running. With one worker (or ≤ 1 item) each item runs inline and goes
-/// straight to `sink`.
+/// running; [`map_ordered_within`] bounds them. With one worker (or ≤ 1
+/// item) each item runs inline and goes straight to `sink`.
 ///
 /// # Panics
 ///
 /// Propagates panics from `f` with their original payloads, once every
 /// worker has stopped (the items before the panicking one have reached
 /// `sink`, no item after it has), and panics from `sink`.
-pub fn map_ordered<T, R, S, I, F, K>(par: Parallelism, items: &[T], init: I, f: F, mut sink: K)
+pub fn map_ordered<T, R, S, I, F, K>(par: Parallelism, items: &[T], init: I, f: F, sink: K)
 where
     T: Sync,
     R: Send,
@@ -238,6 +238,33 @@ where
     F: Fn(&mut S, usize, &T) -> R + Sync,
     K: FnMut(usize, R),
 {
+    map_ordered_within(par, items, usize::MAX, init, f, sink);
+}
+
+/// [`map_ordered`] with a lookahead of `window` items: item `i` starts
+/// only once item `i - window` has left `sink`, so at most `window`
+/// items are running or waiting in their slots at once, whatever the
+/// item count. `window` is a bound, not a schedule: results and their
+/// order are those of [`map_ordered`] for every `window ≥ 1`.
+///
+/// # Panics
+///
+/// Panics if `window` is zero; otherwise as [`map_ordered`].
+pub fn map_ordered_within<T, R, S, I, F, K>(
+    par: Parallelism,
+    items: &[T],
+    window: usize,
+    init: I,
+    f: F,
+    mut sink: K,
+) where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+    K: FnMut(usize, R),
+{
+    assert!(window > 0, "map_ordered_within: zero window");
     let workers = par.workers_for(items.len());
     if workers <= 1 {
         let mut state = init();
@@ -247,17 +274,23 @@ where
         return;
     }
     let cursor = AtomicUsize::new(0);
+    // Only items in `delivered..delivered + window` can be held, so a
+    // ring of `window` slots never holds two at one place.
+    let ring = window.min(items.len());
+    // The calling thread counts as running until it leaves the region.
     let handoff = Mutex::new(Handoff {
-        slots: (0..items.len()).map(|_| None).collect(),
-        running: workers,
+        slots: (0..ring).map(|_| None).collect(),
+        running: workers + 1,
+        delivered: 0,
+        stopped: false,
     });
-    let ready = Condvar::new();
+    let changed = Condvar::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let (cursor, init, f, handoff, ready) = (&cursor, &init, &f, &handoff, &ready);
+            let (cursor, init, f, handoff, changed) = (&cursor, &init, &f, &handoff, &changed);
             handles.push(scope.spawn(move || {
-                let _leaving = Leaving(handoff, ready);
+                let _leaving = Leaving(handoff, changed);
                 NESTED_SERIAL.with(|flag| flag.set(true));
                 let mut state = init();
                 loop {
@@ -265,30 +298,37 @@ where
                     if i >= items.len() {
                         break;
                     }
+                    let mut guard = handoff.lock().expect(UNPOISONED);
+                    while i - guard.delivered >= window {
+                        if guard.stopped {
+                            return; // no room will come
+                        }
+                        guard = changed.wait(guard).expect(UNPOISONED);
+                    }
+                    drop(guard);
                     let result = f(&mut state, i, &items[i]);
-                    handoff.lock().expect(UNPOISONED).slots[i] = Some(result);
-                    ready.notify_one();
+                    handoff.lock().expect(UNPOISONED).slots[i % ring] = Some(result);
+                    changed.notify_all();
                 }
             }));
         }
+        // Stops the workers waiting for room if `sink` panics, so the
+        // scope's joins end.
+        let _leaving = Leaving(&handoff, &changed);
         for next in 0..items.len() {
             let mut guard = handoff.lock().expect(UNPOISONED);
-            let result = loop {
-                if let Some(result) = guard.slots[next].take() {
-                    break Some(result);
-                }
-                if guard.running == 0 {
-                    // Every worker has ended and this item never came:
-                    // the worker that took it panicked.
-                    break None;
-                }
-                guard = ready.wait(guard).expect(UNPOISONED);
+            guard.delivered = next;
+            changed.notify_all();
+            let mut guard = changed
+                .wait_while(guard, |h| h.slots[next % ring].is_none() && h.running > 1)
+                .expect(UNPOISONED);
+            // Every worker has ended and this item never came: the
+            // worker that took it panicked.
+            let Some(result) = guard.slots[next % ring].take() else {
+                break;
             };
             drop(guard);
-            match result {
-                Some(result) => sink(next, result),
-                None => break,
-            }
+            sink(next, result);
         }
         for handle in handles {
             // Re-raise the worker's own panic payload so the original
@@ -300,26 +340,34 @@ where
     });
 }
 
-/// What [`map_ordered`]'s workers hand the calling thread: each finished
-/// item's result in its slot, and how many workers have not ended.
+/// What [`map_ordered_within`]'s workers and its calling thread share:
+/// each finished item's result in its ring slot, how many of them have
+/// not left, how many items have left `sink`, and whether a panic
+/// stopped the region. Every change is announced on one condition
+/// variable.
 struct Handoff<R> {
     slots: Vec<Option<R>>,
     running: usize,
+    delivered: usize,
+    stopped: bool,
 }
 
-/// A worker holds the [`Handoff`] lock only to store a result, which
-/// cannot panic, so the lock is never poisoned.
+/// A worker holds the [`Handoff`] lock only to store a result or to wait
+/// for room, which cannot panic, so the lock is never poisoned.
 const UNPOISONED: &str = "no worker panics while it holds the handoff lock";
 
-/// Counts a worker out when it ends, finished or panicked, so the calling
-/// thread never waits for an item whose worker is gone.
+/// Counts a thread out of the region when it leaves, finished or
+/// panicked, so the calling thread never waits for an item whose worker
+/// is gone. A panic stops the region: no room will come for the workers
+/// that wait for it once a worker or the sink is gone.
 struct Leaving<'a, R>(&'a Mutex<Handoff<R>>, &'a Condvar);
 
 impl<R> Drop for Leaving<'_, R> {
     fn drop(&mut self) {
         let mut handoff = self.0.lock().unwrap_or_else(PoisonError::into_inner);
         handoff.running -= 1;
-        self.1.notify_one();
+        handoff.stopped |= std::thread::panicking();
+        self.1.notify_all();
     }
 }
 
@@ -327,8 +375,7 @@ impl<R> Drop for Leaving<'_, R> {
 /// distributing chunks across up to `par` worker threads.
 ///
 /// Chunk `i` covers `data[i*chunk_len .. (i+1)*chunk_len]`; chunks are
-/// disjoint, so workers write concurrently without synchronization. `init`
-/// builds per-worker scratch (e.g. a padded image) on the worker thread.
+/// disjoint, so workers write concurrently without synchronization.
 /// Assignment is static (round-robin by chunk index), which is ideal for
 /// the uniform per-chunk cost of batched kernels.
 ///
@@ -336,16 +383,10 @@ impl<R> Drop for Leaving<'_, R> {
 ///
 /// Panics if `chunk_len` is zero or does not divide `data.len()`;
 /// propagates worker panics.
-pub fn for_each_chunk_mut<T, S, I, F>(
-    par: Parallelism,
-    data: &mut [T],
-    chunk_len: usize,
-    init: I,
-    f: F,
-) where
+pub fn for_each_chunk_mut<T, F>(par: Parallelism, data: &mut [T], chunk_len: usize, f: F)
+where
     T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut [T]) + Sync,
+    F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_len > 0, "for_each_chunk_mut: zero chunk length");
     assert_eq!(
@@ -354,29 +395,23 @@ pub fn for_each_chunk_mut<T, S, I, F>(
         "for_each_chunk_mut: data length {} not a multiple of chunk length {chunk_len}",
         data.len()
     );
-    let n_chunks = data.len() / chunk_len;
-    let workers = par.workers_for(n_chunks);
+    let workers = par.workers_for(data.len() / chunk_len);
     if workers <= 1 {
-        let mut state = init();
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(&mut state, i, chunk);
-        }
+        data.chunks_mut(chunk_len)
+            .enumerate()
+            .for_each(|(i, chunk)| f(i, chunk));
         return;
     }
-    let mut buckets: Vec<Vec<(usize, &mut [T])>> = Vec::with_capacity(workers);
-    buckets.resize_with(workers, Vec::new);
+    let mut buckets: Vec<Vec<(usize, &mut [T])>> = (0..workers).map(|_| Vec::new()).collect();
     for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
         buckets[i % workers].push((i, chunk));
     }
     std::thread::scope(|scope| {
         for bucket in buckets {
-            let (init, f) = (&init, &f);
+            let f = &f;
             scope.spawn(move || {
                 NESTED_SERIAL.with(|flag| flag.set(true));
-                let mut state = init();
-                for (i, chunk) in bucket {
-                    f(&mut state, i, chunk);
-                }
+                bucket.into_iter().for_each(|(i, chunk)| f(i, chunk));
             });
         }
         // The scope's implicit joins re-raise worker panics with their
@@ -525,22 +560,92 @@ mod tests {
         }
     }
 
+    /// Every item whose index is a multiple of the window is slow, so
+    /// later results pile up behind it: no more than `window` items are
+    /// ever running or held, and the sink still sees 0, 1, 2, ….
+    #[test]
+    fn ordered_window_bounds_what_is_held() {
+        let items: Vec<usize> = (0..41).collect();
+        for threads in [1, 2, 4, 7] {
+            for window in [1, 3, 8, 64] {
+                let (held, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                let mut seen = Vec::new();
+                map_ordered_within(
+                    Parallelism::new(threads),
+                    &items,
+                    window,
+                    || (),
+                    |(), i, &x| {
+                        peak.fetch_max(held.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                        if i % window == 0 {
+                            std::thread::sleep(std::time::Duration::from_millis(2));
+                        }
+                        x * 3
+                    },
+                    |i, r| {
+                        seen.push((i, r));
+                        held.fetch_sub(1, Ordering::SeqCst);
+                    },
+                );
+                let what = format!("window {window}, {threads} threads");
+                let want: Vec<(usize, usize)> = items.iter().map(|&x| (x, x * 3)).collect();
+                assert_eq!(seen, want, "{what}");
+                assert!(peak.load(Ordering::SeqCst) <= window, "{what}: {peak:?}");
+            }
+        }
+    }
+
+    /// A panicking item keeps its payload under a window too, and the
+    /// workers waiting for room behind it stop instead of waiting for
+    /// ever; a panicking sink's payload reaches the caller the same way.
+    #[test]
+    fn ordered_window_keeps_a_panic_payload() {
+        let items: Vec<usize> = (0..40).collect();
+        for threads in [1, 2, 4, 7] {
+            let mut seen = Vec::new();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                map_ordered_within(
+                    Parallelism::new(threads),
+                    &items,
+                    2,
+                    || (),
+                    |(), _, &x| {
+                        assert!(x != 5, "item {x} is poisoned");
+                        x
+                    },
+                    |i, _| seen.push(i),
+                )
+            }))
+            .expect_err("must panic");
+            let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("poisoned"), "payload lost: {msg:?}");
+            assert_eq!(seen, [0, 1, 2, 3, 4], "{threads} threads");
+            let caught = std::panic::catch_unwind(|| {
+                map_ordered_within(
+                    Parallelism::new(threads),
+                    &items,
+                    2,
+                    || (),
+                    |(), _, &x| x,
+                    |i, _| assert!(i != 7, "sink refused item {i}"),
+                )
+            })
+            .expect_err("must panic");
+            let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("sink refused"), "payload lost: {msg:?}");
+        }
+    }
+
     #[test]
     fn chunks_cover_all_data_once() {
         let mut data = vec![0u32; 60];
         for threads in [1, 3, 8] {
             data.iter_mut().for_each(|x| *x = 0);
-            for_each_chunk_mut(
-                Parallelism::new(threads),
-                &mut data,
-                5,
-                || (),
-                |(), i, chunk| {
-                    for v in chunk.iter_mut() {
-                        *v += 1 + i as u32;
-                    }
-                },
-            );
+            for_each_chunk_mut(Parallelism::new(threads), &mut data, 5, |i, chunk| {
+                for v in chunk.iter_mut() {
+                    *v += 1 + i as u32;
+                }
+            });
             for (i, &v) in data.iter().enumerate() {
                 assert_eq!(v, 1 + (i / 5) as u32, "index {i}");
             }
@@ -551,7 +656,7 @@ mod tests {
     #[should_panic(expected = "not a multiple")]
     fn ragged_chunks_rejected() {
         let mut data = vec![0u32; 7];
-        for_each_chunk_mut(Parallelism::serial(), &mut data, 2, || (), |(), _, _| {});
+        for_each_chunk_mut(Parallelism::serial(), &mut data, 2, |_, _| {});
     }
 
     #[test]

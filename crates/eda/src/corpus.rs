@@ -594,7 +594,7 @@ pub fn generate_corpus_with(config: &CorpusConfig, par: Parallelism) -> Result<C
 /// Generates a corpus for an explicit client list (e.g. a synthesized
 /// universe from [`universe_specs`]) with an explicit thread budget.
 /// Output is byte-identical for every budget, exactly like
-/// [`generate_corpus_with`]: [`generate_samples`] pushes each sample
+/// [`generate_corpus_with`]: the generation driver pushes each sample
 /// onto its client's split on the caller's thread, in fixed
 /// `(client, split, design, placement)` order.
 ///

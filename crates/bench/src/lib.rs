@@ -21,7 +21,7 @@ pub mod generation;
 pub mod reference;
 
 use rte_core::ExperimentConfig;
-use rte_eda::corpus::UniverseConfig;
+use rte_eda::corpus::{UniverseConfig, MAX_PLACEMENTS};
 use rte_fed::MethodOutcome;
 
 /// `git describe --always --dirty` of the checkout being measured, so a
@@ -205,11 +205,19 @@ impl BenchArgs {
                 }
                 "--rounds" => {
                     let v = it.next().ok_or("--rounds needs a value")?;
-                    out.rounds = Some(v.parse().map_err(|_| format!("bad rounds {v}"))?);
+                    let rounds: usize = v.parse().map_err(|_| format!("bad rounds {v}"))?;
+                    if rounds == 0 {
+                        return Err("--rounds must be positive".into());
+                    }
+                    out.rounds = Some(rounds);
                 }
                 "--data-scale" => {
                     let v = it.next().ok_or("--data-scale needs a value")?;
-                    out.data_scale = Some(v.parse().map_err(|_| format!("bad data scale {v}"))?);
+                    let scale: f64 = v.parse().map_err(|_| format!("bad data scale {v}"))?;
+                    if !(scale.is_finite() && scale >= 0.0) {
+                        return Err(format!("--data-scale {v} must be finite and non-negative"));
+                    }
+                    out.data_scale = Some(scale);
                 }
                 "--threads" => {
                     let v = it.next().ok_or("--threads needs a value")?;
@@ -257,9 +265,15 @@ impl BenchArgs {
         if out.designs.is_some() && out.clients.is_none() {
             return Err("--designs only makes sense together with --clients".into());
         }
-        if let (Some(c), Some(d)) = (out.clients, out.designs) {
-            if d < 2 * c {
+        if let Some(c) = out.clients {
+            let d = out.designs.unwrap_or(c.saturating_mul(4));
+            if d / 2 < c {
                 return Err(format!("--designs {d} is too small: need at least 2 × {c}"));
+            }
+            if d > MAX_PLACEMENTS {
+                return Err(format!(
+                    "a pool of {d} designs exceeds the cap of {MAX_PLACEMENTS}"
+                ));
             }
         }
         Ok(out)
@@ -494,6 +508,25 @@ mod tests {
         assert!(args(&["--frobnicate"]).is_err());
         assert!(args(&["--seed"]).is_err());
         assert!(args(&["--seed", "abc"]).is_err());
+    }
+
+    /// A run that could only fail, or that would allocate without
+    /// bound, is refused at parse, before any corpus is generated.
+    #[test]
+    fn parse_refuses_zero_rounds_and_unbounded_data() {
+        assert!(args(&["--quick", "--rounds", "0"]).is_err());
+        for scale in ["inf", "-inf", "nan", "NaN", "-1", "-0.5"] {
+            assert!(args(&["--data-scale", scale]).is_err(), "{scale}");
+        }
+        assert_eq!(args(&["--data-scale", "0"]).unwrap().data_scale, Some(0.0));
+        assert!(args(&["--clients", "2", "--designs", "200000000"]).is_err());
+        let huge = usize::MAX.to_string();
+        assert!(args(&["--clients", &huge, "--designs", &huge]).is_err());
+        // The default pool of 4 × clients is bounded too, before
+        // `experiment_config` sizes anything by the client count.
+        assert!(args(&["--clients", &huge]).is_err());
+        assert!(args(&["--clients", "4194305"]).is_err());
+        assert!(args(&["--clients", "4194304"]).is_ok());
     }
 
     #[test]

@@ -429,7 +429,13 @@ impl Envelope {
         Ok((Reader::new(fields, self.what), len))
     }
 
-    fn check_len(&self, len: u64) -> Result<(), CodecError> {
+    /// Refuses a body length over [`Envelope::max_len`], as
+    /// [`Envelope::push_header`] and [`Envelope::open`] do.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Oversize`] for a length over the cap.
+    pub fn check_len(&self, len: u64) -> Result<(), CodecError> {
         if len > self.max_len {
             return Err(CodecError::Oversize {
                 len,

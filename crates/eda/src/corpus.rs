@@ -42,6 +42,12 @@ use crate::placement::{check_grid, GridDims, PlacementConfig};
 use crate::shard::DEFAULT_CHUNK;
 use crate::{EdaError, Family, FamilyMix};
 
+/// Cap on the placements one corpus holds, and on the design pool of a
+/// synthesized universe (every design has at least one placement):
+/// 2^24, about 2,350× the paper's 7,131. A count above it is refused
+/// before the job list is allocated.
+pub const MAX_PLACEMENTS: usize = 1 << 24;
+
 /// One row of the paper's Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientSpec {
@@ -292,9 +298,10 @@ pub(crate) struct PlacementJob {
 ///
 /// # Errors
 ///
-/// [`EdaError::InvalidConfig`] for an empty spec list or a grid smaller
-/// than 4×4, so every generator refuses them before any design is
-/// synthesized.
+/// [`EdaError::InvalidConfig`] for an empty spec list, a grid smaller
+/// than 4×4, a negative or non-finite `placement_scale`, or more than
+/// [`MAX_PLACEMENTS`] placements, so every generator refuses them before
+/// any design is synthesized or the list is allocated.
 pub(crate) fn build_jobs(
     specs: &[ClientSpec],
     config: &CorpusConfig,
@@ -305,7 +312,23 @@ pub(crate) fn build_jobs(
         });
     }
     check_grid(config.grid)?;
-    let (mut jobs, mut netlist) = (Vec::new(), 0);
+    let scale = config.placement_scale;
+    if !(scale.is_finite() && scale >= 0.0) {
+        return Err(EdaError::InvalidConfig {
+            reason: format!("placement scale {scale} must be finite and non-negative"),
+        });
+    }
+    let total = specs
+        .iter()
+        .try_fold(0usize, |sum, spec| {
+            let (train, test) = spec.scaled_counts(scale);
+            sum.checked_add(train)?.checked_add(test)
+        })
+        .filter(|&total| total <= MAX_PLACEMENTS)
+        .ok_or_else(|| EdaError::InvalidConfig {
+            reason: format!("the corpus would hold more than {MAX_PLACEMENTS} placements"),
+        })?;
+    let (mut jobs, mut netlist) = (Vec::with_capacity(total), 0);
     for (spec_i, spec) in specs.iter().enumerate() {
         let (n_train, n_test) = spec.scaled_counts(config.placement_scale);
         for (split, n_designs, n_placements) in [
@@ -763,7 +786,8 @@ const UNIVERSE_SALT: u64 = 0x5EED_u64 << 32;
 /// # Errors
 ///
 /// [`EdaError::InvalidConfig`] for zero clients, fewer than
-/// `2 × clients` designs, or an unusable mix.
+/// `2 × clients` designs, more than [`MAX_PLACEMENTS`] designs, or an
+/// unusable mix.
 pub fn universe_specs(
     config: &CorpusConfig,
     universe: &UniverseConfig,
@@ -773,17 +797,25 @@ pub fn universe_specs(
             reason: "universe needs at least one client".into(),
         });
     }
-    if universe.designs < 2 * universe.clients {
+    if universe.designs > MAX_PLACEMENTS {
         return Err(EdaError::InvalidConfig {
             reason: format!(
-                "universe of {} clients needs at least {} designs (1 train + 1 test \
-                 each), got {}",
-                universe.clients,
-                2 * universe.clients,
+                "universe of {} designs exceeds the cap of {MAX_PLACEMENTS}",
                 universe.designs
             ),
         });
     }
+    let floor_total = universe
+        .clients
+        .checked_mul(2)
+        .filter(|&floor| floor <= universe.designs)
+        .ok_or_else(|| EdaError::InvalidConfig {
+            reason: format!(
+                "universe of {} clients needs at least 2 × {} designs (1 train + 1 test \
+                 each), got {}",
+                universe.clients, universe.clients, universe.designs
+            ),
+        })?;
     if !universe.mix.is_valid() {
         return Err(EdaError::InvalidConfig {
             reason: "family mix weights must be finite, non-negative and not all zero".into(),
@@ -806,7 +838,6 @@ pub fn universe_specs(
     }
     // Largest-remainder allocation of the design pool over the weight
     // draws, with a floor of 2 designs per client.
-    let floor_total = 2 * universe.clients;
     let spare = universe.designs - floor_total;
     let weight_sum: f64 = weights.iter().sum();
     let quotas: Vec<f64> = weights
@@ -1227,6 +1258,37 @@ mod tests {
         assert!(specs
             .iter()
             .all(|s| s.train_designs == 1 && s.test_designs == 1));
+    }
+
+    /// Every bound is checked before the job list is allocated: a run
+    /// without the checks allocates without bound here.
+    #[test]
+    fn corpus_size_is_bounded_before_allocation() {
+        let mut config = CorpusConfig::tiny();
+        for scale in [f64::INFINITY, f64::NAN, -1.0, 1e9] {
+            config.placement_scale = scale;
+            assert!(
+                matches!(
+                    build_jobs(&PAPER_CLIENTS, &config),
+                    Err(EdaError::InvalidConfig { .. })
+                ),
+                "scale {scale}"
+            );
+        }
+        config.placement_scale = 1.0;
+        let mut over = PAPER_CLIENTS[0];
+        over.train_placements = MAX_PLACEMENTS + 1 - over.test_placements;
+        assert!(build_jobs(&[over], &config).is_err(), "one over the cap");
+        for (clients, designs) in [(2, MAX_PLACEMENTS + 1), (usize::MAX, usize::MAX)] {
+            let universe = UniverseConfig::new(clients, designs);
+            assert!(
+                matches!(
+                    universe_specs(&config, &universe),
+                    Err(EdaError::InvalidConfig { .. })
+                ),
+                "{clients} clients, {designs} designs"
+            );
+        }
     }
 
     #[test]

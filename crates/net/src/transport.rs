@@ -3,10 +3,11 @@
 //! A [`Transport`] is one bidirectional, ordered, reliable frame pipe.
 //! Two backends ship here:
 //!
-//! - [`ChannelTransport`] — an in-process pair over `std::sync::mpsc`,
-//!   the reference backend. The sender encodes the prelude and hands the
-//!   payload over by pointer; the receiver validates both exactly as the
-//!   byte decoder would, so the wire format is exercised even in-process.
+//! - [`ChannelTransport`] — an in-process pair over `std::sync::mpsc`
+//!   that carries [`Frame`] values: a send clones the frame, which shares
+//!   its payload buffer, so no byte is copied, parsed or checksummed
+//!   again. It refuses an over-cap payload on send, as a socket's
+//!   encoder would.
 //! - [`UdsTransport`] (Unix) — a Unix-domain socket stream, the
 //!   process-boundary backend the `rte-coordinator`/`rte-client`
 //!   binaries speak.
@@ -24,7 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::NetError;
-use crate::frame::{Frame, SealedFrame};
+use crate::frame::Frame;
 
 /// One bidirectional, ordered, reliable frame pipe.
 pub trait Transport {
@@ -79,12 +80,11 @@ pub trait Transport {
     }
 }
 
-/// In-process transport half over `std::sync::mpsc`, carrying *sealed*
-/// frames — encoded prelude, shared payload, remembered trailer — so the
-/// codec's validation is on the path even without a socket.
+/// In-process transport half over `std::sync::mpsc`, carrying frames as
+/// values (the payload by pointer).
 pub struct ChannelTransport {
-    tx: Sender<SealedFrame>,
-    rx: Receiver<SealedFrame>,
+    tx: Sender<Frame>,
+    rx: Receiver<Frame>,
 }
 
 impl ChannelTransport {
@@ -103,11 +103,10 @@ impl ChannelTransport {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Closed`] when the peer hung up, or a decode
-    /// error for damaged bytes.
+    /// Returns [`NetError::Closed`] when the peer hung up.
     pub fn try_recv(&mut self) -> Result<Option<Frame>, NetError> {
         match self.rx.try_recv() {
-            Ok(sealed) => Ok(Some(sealed.open()?)),
+            Ok(frame) => Ok(Some(frame)),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(NetError::Closed),
         }
@@ -116,16 +115,17 @@ impl ChannelTransport {
 
 impl Transport for ChannelTransport {
     fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
-        self.tx.send(frame.seal()?).map_err(|_| NetError::Closed)
+        frame.check_len()?;
+        self.tx.send(frame.clone()).map_err(|_| NetError::Closed)
     }
 
     fn recv(&mut self) -> Result<Frame, NetError> {
-        self.rx.recv().map_err(|_| NetError::Closed)?.open()
+        self.rx.recv().map_err(|_| NetError::Closed)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame, NetError> {
         match self.rx.recv_timeout(timeout) {
-            Ok(sealed) => sealed.open(),
+            Ok(frame) => Ok(frame),
             Err(RecvTimeoutError::Timeout) => Err(NetError::Timeout),
             Err(RecvTimeoutError::Disconnected) => Err(NetError::Closed),
         }
@@ -401,6 +401,25 @@ mod tests {
         b.send(&reply).unwrap();
         assert_eq!(a.try_recv().unwrap(), Some(reply));
         assert_eq!(a.try_recv().unwrap(), None);
+    }
+
+    #[test]
+    fn received_frames_share_the_sent_payload_buffer() {
+        let (mut a, mut b) = ChannelTransport::pair();
+        let frame = Frame::new(1, 0, 0, b"one buffer".to_vec());
+        let mut resend = frame.clone();
+        resend.seq += 1;
+        assert!(std::ptr::eq(
+            frame.payload.as_ptr(),
+            resend.payload.as_ptr()
+        ));
+        a.send(&frame).unwrap();
+        a.send(&resend).unwrap();
+        for sent in [&frame, &resend] {
+            let got = b.recv().unwrap();
+            assert_eq!(&got, sent);
+            assert!(std::ptr::eq(got.payload.as_ptr(), frame.payload.as_ptr()));
+        }
     }
 
     #[test]

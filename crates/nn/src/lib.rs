@@ -38,7 +38,6 @@
 mod activation;
 mod batchnorm;
 mod conv2d;
-mod dropout;
 mod error;
 mod layer;
 pub mod loss;
@@ -53,7 +52,6 @@ mod state;
 pub use activation::{Relu, Sigmoid};
 pub use batchnorm::BatchNorm2d;
 pub use conv2d::{Conv2d, ConvTranspose2d};
-pub use dropout::Dropout;
 pub use error::NnError;
 pub use layer::{Layer, Param};
 pub use pixelshuffle::PixelShuffle;
